@@ -1,16 +1,20 @@
 """Minimum chain partition and maximum antichain of a (partial) order.
 
 The minimum chain partition of a transitively closed strict order is a minimum
-path cover: n minus a maximum bipartite matching. Chains are recovered by
-following matched pairs; the matching iterates vertices in ascending id so the
-partition is deterministic. The Konig cover of the same matching yields a
-maximum antichain, giving the width equality both ways.
+path cover: n minus a maximum bipartite matching. The matching starts from
+greedy chains along a linear extension (exact in one pass on a total order)
+and Hopcroft-Karp augments only what the greedy pass left; every step is a
+fixed function of the order, so the partition is deterministic. Chains are
+recovered by following matched pairs from heads in ascending id. The Konig
+cover of the same matching yields a maximum antichain, giving the width
+equality both ways.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,10 +34,35 @@ class ChainPartition:
     chains: tuple[tuple[int, ...], ...]
 
 
-def _hopcroft_karp(adj: list[list[int]], n_left: int, n_right: int) -> list[int]:
-    """Maximum matching; returns match_left (right partner of each left or -1)."""
-    match_left = [-1] * n_left
-    match_right = [-1] * n_right
+def _greedy_chains(strict: np.ndarray) -> tuple[list[int], list[int]]:
+    """Matching of greedy chains along a linear extension: (match_left, match_right).
+
+    A strict successor has strictly more predecessors, so sorting by
+    predecessor count gives a linear extension. In that order each element
+    takes the earliest free strict successor, which is exact in one pass on a
+    total order.
+    """
+    n = strict.shape[0]
+    ext = np.argsort(strict.sum(axis=0), kind="stable")
+    ahead = strict[np.ix_(ext, ext)]
+    free = np.ones(n, dtype=bool)
+    match_left = [-1] * n
+    match_right = [-1] * n
+    for i, u in enumerate(ext.tolist()):
+        cand = ahead[i] & free
+        j = int(cand.argmax())
+        if cand[j]:
+            free[j] = False
+            v = int(ext[j])
+            match_left[u] = v
+            match_right[v] = u
+    return match_left, match_right
+
+
+def _hopcroft_karp(adj: Callable[[int], list[int]], match_left: list[int],
+                   match_right: list[int]) -> None:
+    """Grow a matching to maximum in place; adj(u) lists left u's right neighbours."""
+    n_left = len(match_left)
     dist = [0] * n_left
 
     def bfs() -> bool:
@@ -47,7 +76,7 @@ def _hopcroft_karp(adj: list[list[int]], n_left: int, n_right: int) -> list[int]
         found = False
         while dq:
             u = dq.popleft()
-            for v in adj[u]:
+            for v in adj(u):
                 w = match_right[v]
                 if w == -1:
                     found = True
@@ -64,10 +93,11 @@ def _hopcroft_karp(adj: list[list[int]], n_left: int, n_right: int) -> list[int]
         pending: list[int] = []
         while stack:
             u, idx = stack[-1]
+            row = adj(u)
             free_v = -1
             pushed = False
-            while idx < len(adj[u]):
-                v = adj[u][idx]
+            while idx < len(row):
+                v = row[idx]
                 idx += 1
                 w = match_right[v]
                 if w == -1:
@@ -101,12 +131,29 @@ def _hopcroft_karp(adj: list[list[int]], n_left: int, n_right: int) -> list[int]
         for u in range(n_left):
             if match_left[u] == -1:
                 dfs(u)
-    return match_left
 
 
-def _strict_adjacency(order: Preorder) -> list[list[int]]:
+def _max_matching(order: Preorder) -> tuple[list[int], list[int], Callable[[int], list[int]]]:
+    """Maximum matching of the strict order, split into left u and right v for u < v.
+
+    Hopcroft-Karp augments the greedy chains' matching. Each adjacency row is
+    listed from the order's boolean row the first time a phase visits it, so
+    the transitive closure is never listed in full. Returns (match_left,
+    match_right, adj).
+    """
+    if not order.is_antisymmetric():
+        raise ValueError("order must be a partial order (antisymmetric)")
     strict = order.bits & ~np.eye(order.n, dtype=bool)
-    return [[int(v) for v in np.nonzero(strict[u])[0]] for u in range(order.n)]
+    rows: list[list[int] | None] = [None] * order.n
+
+    def adj(u: int) -> list[int]:
+        if rows[u] is None:
+            rows[u] = np.flatnonzero(strict[u]).tolist()
+        return rows[u]
+
+    match_left, match_right = _greedy_chains(strict)
+    _hopcroft_karp(adj, match_left, match_right)
+    return match_left, match_right, adj
 
 
 def min_chain_partition(order: Preorder) -> ChainPartition:
@@ -117,11 +164,8 @@ def min_chain_partition(order: Preorder) -> ChainPartition:
     """
     if not isinstance(order, Preorder):
         order = Preorder(order.bits)
-    if not order.is_antisymmetric():
-        raise ValueError("order must be a partial order (antisymmetric)")
     n = order.n
-    adj = _strict_adjacency(order)
-    match_left = _hopcroft_karp(adj, n, n)
+    match_left, _, _ = _max_matching(order)
     matched_right = {v for v in match_left if v != -1}
     chains: list[tuple[int, ...]] = []
     chain_of = [-1] * n
@@ -144,15 +188,8 @@ def min_chain_partition(order: Preorder) -> ChainPartition:
 
 def max_antichain(order: Preorder) -> frozenset[int]:
     """A maximum antichain, from the Konig cover of the path-cover matching."""
-    if not order.is_antisymmetric():
-        raise ValueError("order must be a partial order (antisymmetric)")
     n = order.n
-    adj = _strict_adjacency(order)
-    match_left = _hopcroft_karp(adj, n, n)
-    match_right = [-1] * n
-    for u, v in enumerate(match_left):
-        if v != -1:
-            match_right[v] = u
+    match_left, match_right, adj = _max_matching(order)
     # Alternating reachability from unmatched left vertices.
     in_z_left = [False] * n
     in_z_right = [False] * n
@@ -163,7 +200,7 @@ def max_antichain(order: Preorder) -> frozenset[int]:
             dq.append(u)
     while dq:
         u = dq.popleft()
-        for v in adj[u]:
+        for v in adj(u):
             if match_left[u] == v or in_z_right[v]:
                 continue
             in_z_right[v] = True

@@ -15,10 +15,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chains import min_chain_partition, preorder_width
+from .chains import ChainPartition, min_chain_partition, preorder_width
 from .graph import Alphabet, LabeledGraph, Nfa, angle, lambda_sets, trim_nfa
 from .index import Index, QueryStats, build_index, build_nfa_index
-from .quotient import classes, induced_order, quotient_graph, quotient_nfa
+from .quotient import ClassPartition, classes, induced_order, quotient_graph, quotient_nfa
 from .relation import (Preorder, Relation, first_axiom_violation, max_colex_relation,
                        min_colex_containing)
 
@@ -450,6 +450,33 @@ class CheckResult:
     detail: str
 
 
+def single_in_edge_holds(g: LabeledGraph, part: ClassPartition) -> bool:
+    """Every class of two or more nodes is entered from one class by one label."""
+    incoming: dict[int, set[tuple[int, str]]] = {}
+    for u, v, a in g.edges:
+        incoming.setdefault(part.class_of[v], set()).add((part.class_of[u], a))
+    return all(len(incoming.get(cid, ())) <= 1
+               for cid, group in enumerate(part.members) if len(group) >= 2)
+
+
+def monotone_groups_hold(qg: LabeledGraph, cp: ChainPartition) -> bool:
+    """Same-label edges from one chain into another never cross.
+
+    Within each (target chain, label, source chain) group, edges sorted by
+    target position must have non-decreasing source positions; this is what
+    lets one symbol step map an interval to an interval.
+    """
+    groups: dict[tuple[int, str, int], list[tuple[int, int]]] = {}
+    for cu, cv, a in qg.edges:
+        groups.setdefault((cp.chain_of[cv], a, cp.chain_of[cu]), []).append(
+            (cp.pos_in_chain[cv], cp.pos_in_chain[cu]))
+    for edges in groups.values():
+        sources = [s for _, s in sorted(edges)]
+        if sources != sorted(sources):
+            return False
+    return True
+
+
 def _pattern_sample(rng: random.Random, symbols: Sequence[str], count: int,
                     max_len: int) -> list[tuple[str, ...]]:
     patterns = [()]
@@ -490,7 +517,8 @@ def run_graph_checks(g: LabeledGraph, seed: int = 0,
     add("width-quotient-equal", preorder_width(pre) == cp.chain_count,
         f"q={cp.chain_count}")
     qg = quotient_graph(g, pre, marked)
-    add("single-in-edge", True, "validated during quotient construction")
+    add("single-in-edge", single_in_edge_holds(g, qg.partition))
+    add("monotone-groups", monotone_groups_hold(qg.graph, cp))
     qn = None
     if nfa is not None:
         qn = quotient_nfa(nfa, pre)
@@ -498,7 +526,6 @@ def run_graph_checks(g: LabeledGraph, seed: int = 0,
         ix = build_nfa_index(qn, cp)
     else:
         ix = build_index(qg, cp)
-    add("monotone-groups", True, "validated during index build")
     symbols = g.alphabet.symbols
     patterns = (_pattern_sample(rng, symbols, 40, 5) if symbols else [()])
     ok = True

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +14,11 @@ from conftest import double_hub_graph, loop_branch_nfa, small_graphs
 
 def total_order(n: int) -> Preorder:
     return Preorder(Relation.from_pairs(n, [(i, j) for i in range(n) for j in range(i, n)]).bits)
+
+
+def relabeled(order: Preorder, perm: list[int]) -> Preorder:
+    """The same order with node perm[i] renamed to i, so ids need not be topological."""
+    return Preorder(order.bits[np.ix_(perm, perm)])
 
 
 class TestMinChainPartition:
@@ -50,6 +56,23 @@ class TestMinChainPartition:
                     assert cp.chain_of[node] == chain_id
                     assert cp.pos_in_chain[node] == pos
 
+    def test_shuffled_total_order_is_one_chain_in_order(self, rng):
+        rank = list(range(300))
+        rng.shuffle(rank)
+        ranks = np.array(rank)
+        order = Preorder(ranks[:, None] <= ranks[None, :])
+        cp = min_chain_partition(order)
+        assert cp.chain_count == 1
+        assert cp.chains == (tuple(sorted(range(300), key=rank.__getitem__)),)
+
+    def test_augments_past_the_greedy_chains(self):
+        # Greedy chains take 0<2 and 1<4 and leave 3 and 5 alone (4 chains);
+        # augmenting moves 1 onto 5 so that 3<4 fits: 3 chains.
+        pairs = [(0, 2), (0, 5), (1, 4), (1, 5), (3, 4)]
+        cp = min_chain_partition(Preorder(Relation.from_pairs(6, pairs).bits))
+        assert cp.chain_count == 3
+        assert sorted(cp.chains) == [(0, 2), (1, 5), (3, 4)]
+
     def test_deterministic(self, rng):
         order = random_partial_order(rng, 10)
         assert min_chain_partition(order) == min_chain_partition(order)
@@ -73,6 +96,19 @@ class TestMaxAntichain:
                 for v in anti:
                     assert u == v or not (bits[u, v] or bits[v, u])
             assert len(exhaustive_max_antichain(order)) == q
+
+    def test_shuffled_ids_width_equality(self, rng):
+        for _ in range(60):
+            n = rng.randint(1, 10)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            order = relabeled(random_partial_order(rng, n, rng.choice((0.2, 0.5))), perm)
+            cp = min_chain_partition(order)
+            for chain in cp.chains:
+                for a, b in zip(chain, chain[1:]):
+                    assert order.holds(a, b) and a != b
+            assert cp.chain_count == len(max_antichain(order))
+            assert cp.chain_count == len(exhaustive_max_antichain(order))
 
 
 class TestPreorderWidth:

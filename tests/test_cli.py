@@ -52,6 +52,14 @@ class TestBuildAndQuery:
         bad.write_text("nodes 2\n0 1\n", encoding="utf-8")
         assert main(["build", str(bad), "-o", str(tmp_path / "x")]) == 2
 
+    def test_oversized_graph_is_a_one_line_error(self, tmp_path, capsys):
+        big = tmp_path / "big.graph"
+        big.write_text("nodes 70000\n0 1 a\n", encoding="utf-8")
+        assert main(["build", str(big), "-o", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "capped" in err
+
     def test_querying_a_non_index_file_is_an_error(self, hub_file, capsys):
         assert main(["query", hub_file, "a"]) == 2
         assert "error" in capsys.readouterr().err
@@ -160,6 +168,8 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "CHECK max-relation-axioms PASS" in out
         assert "CHECK pattern-oracle PASS" in out
+        assert "CHECK single-in-edge PASS" in out
+        assert "CHECK monotone-groups PASS" in out
         assert "FAIL" not in out
 
     def test_nfa_checks_pass(self, loop_file, capsys):

@@ -1,13 +1,14 @@
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (LabeledGraph, Nfa, Relation, max_colex_relation, preorder_width,
-                        quotient_nfa, refines)
+from colexgraph import (ChainPartition, ClassPartition, LabeledGraph, Nfa, Relation,
+                        max_colex_relation, preorder_width, quotient_nfa, refines)
 from colexgraph.oracle import (brute_theta, check_monotonic, check_powerset_bounds,
                                colex_key, dfa_isomorphic, exhaustive_max_antichain,
                                gfp_max_relation, is_acyclic, is_convex, language_equiv,
-                               powerset, prec_a_acyclic, reached_string_sets,
-                               random_acyclic_nfa, simulate_nfa)
+                               monotone_groups_hold, powerset, prec_a_acyclic,
+                               random_acyclic_nfa, reached_string_sets, simulate_nfa,
+                               single_in_edge_holds)
 from conftest import (diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 from helpers import expected_double_hub_relation
@@ -211,3 +212,24 @@ class TestExhaustiveAntichain:
         pre = max_colex_relation(g)
         order = induced_order(pre, classes(pre))
         assert len(exhaustive_max_antichain(order)) == preorder_width(pre)
+
+
+class TestStructuralChecks:
+    # Sources 0 and 1 each feed one of the sinks 2 and 3 with 'a'.
+    GRAPH = LabeledGraph.build(4, [(0, 2, "a"), (1, 3, "a")], ["a"])
+
+    @staticmethod
+    def one_chain(chain):
+        pos = {c: i for i, c in enumerate(chain)}
+        return ChainPartition(1, (0,) * len(chain), tuple(pos[c] for c in range(len(chain))),
+                              (tuple(chain),))
+
+    def test_single_in_edge(self):
+        merged_sources = ClassPartition(4, (0, 0, 1, 1), ((0, 1), (2, 3)))
+        assert single_in_edge_holds(self.GRAPH, merged_sources)
+        split_sources = ClassPartition(4, (0, 1, 2, 2), ((0,), (1,), (2, 3)))
+        assert not single_in_edge_holds(self.GRAPH, split_sources)
+
+    def test_monotone_groups(self):
+        assert monotone_groups_hold(self.GRAPH, self.one_chain((0, 1, 2, 3)))
+        assert not monotone_groups_hold(self.GRAPH, self.one_chain((1, 0, 2, 3)))

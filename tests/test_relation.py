@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (Preorder, Relation, dump_relation,
-                        first_axiom_violation, is_colex_relation, lambda_sets,
+from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relation,
+                        dump_relation, first_axiom_violation, is_colex_relation, lambda_sets,
                         max_colex_relation, min_colex_containing, parse_relation,
                         preorder_width, refines, transitive_closure, union)
 from colexgraph.oracle import gfp_max_relation, random_colex_relation, random_graph
-from colexgraph.relation import (PairGraph, _angle_violations, _max_relation_matrix,
-                                 _max_relation_queue)
+from colexgraph.relation import _DENSE_NODE_CAP, PairGraph, _angle_violations
 from conftest import (double_hub_graph, fan_graph, loop_branch_nfa, small_graphs,
                       two_cycle_graph)
 from helpers import expected_double_hub_relation, strict_label_relation, two_node_alphabet_graph
@@ -38,6 +37,23 @@ class TestRelationType:
             Preorder(bits)
 
 
+def first_axiom_two_by_loops(g, r):
+    """Reference scan: labels in alphabet order, then pairs (u, v) row by row."""
+    in_adj = g.in_adjacency()
+    for a in g.alphabet.symbols:
+        for u in range(g.n):
+            for v in range(g.n):
+                if u == v or not r.holds(u, v):
+                    continue
+                for u1 in in_adj[u].get(a, ()):
+                    for v1 in in_adj[v].get(a, ()):
+                        if not r.holds(u1, v1):
+                            return AxiomViolation(
+                                2, (u, v),
+                                f"requires ({u1},{v1}) via label {a!r}, which is absent")
+    return None
+
+
 class TestAxiomChecker:
     def test_identity_is_colex(self):
         for g in (fan_graph(), two_cycle_graph(), double_hub_graph(3)):
@@ -60,6 +76,16 @@ class TestAxiomChecker:
         violation = first_axiom_violation(g, r)
         assert violation is not None and violation.axiom == 2
         assert violation.pair == (0, 1)
+
+    def test_reports_the_first_violation_in_scan_order(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(2, 14), rng.randint(1, 3), 0.2)
+            keep = np.random.default_rng(rng.randrange(1 << 30)).random((g.n, g.n)) < 0.5
+            # Dominance-ordered pairs only, so any violation is of Axiom 2.
+            bits = keep & ~_angle_violations(g, frozenset())
+            np.fill_diagonal(bits, True)
+            r = Relation(bits)
+            assert first_axiom_violation(g, r) == first_axiom_two_by_loops(g, r)
 
 
 class TestPairGraph:
@@ -104,11 +130,21 @@ class TestMaxRelation:
         assert set(max_colex_relation(g, {0}).strict_pairs()) == {(0, 2), (1, 2)}
         assert set(max_colex_relation(g).strict_pairs()) == {(0, 1), (1, 0), (0, 2), (1, 2)}
 
-    def test_queue_and_matrix_paths_agree(self, rng):
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(2, 50), rng.randint(1, 3), 0.15)
-            bad = _angle_violations(g, frozenset())
-            assert np.array_equal(_max_relation_queue(g, bad), _max_relation_matrix(g, bad))
+    def test_kernel_equals_greatest_fixpoint_small_and_large(self, rng):
+        # Sizes on both sides of 64 nodes; sparse graphs keep many pairs related.
+        sizes = [rng.randint(2, 50) for _ in range(25)] + [rng.randint(65, 80) for _ in range(6)]
+        for n in sizes:
+            density = rng.choice((0.15, rng.uniform(1.0, 3.0) / n))
+            g = random_graph(rng, n, rng.randint(1, 3), density)
+            for marked in (frozenset(), frozenset({rng.randrange(n)})):
+                assert max_colex_relation(g, marked) == gfp_max_relation(g, marked)
+
+    def test_oversized_graph_is_rejected_before_allocating(self):
+        g = LabeledGraph(_DENSE_NODE_CAP + 1, frozenset({(0, 1, "a")}), Alphabet(("a",)))
+        with pytest.raises(ValueError, match="capped"):
+            max_colex_relation(g)
+        with pytest.raises(ValueError, match="capped"):
+            first_axiom_violation(g, Relation.identity(2))
 
     @given(small_graphs())
     @settings(max_examples=80, deadline=None)
