@@ -256,6 +256,10 @@ def main(argv: list[str] | None = None) -> int:
             ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_ERROR
+    except MemoryError:
+        print(f"error: out of memory running {args.command}; the input is too large "
+              "for the memory available", file=sys.stderr)
+        return _EXIT_ERROR
 
 
 if __name__ == "__main__":

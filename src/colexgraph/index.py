@@ -334,7 +334,8 @@ class Index:
 
     def _check_convex(self, s: ConvexSet) -> None:
         if self._order_bits is None:
-            return
+            raise ValueError("convexity cannot be checked on a loaded index: "
+                             "the class order is not stored in the file")
         ids = self.classes_in(s)
         inside = set(ids)
         bits = self._order_bits
@@ -458,7 +459,7 @@ class Index:
     def from_bytes(cls, raw: bytes, backend: str = "compact") -> "Index":
         try:
             return cls._from_bytes(raw, backend)
-        except struct.error:
+        except (struct.error, IndexError, KeyError):
             raise ValueError("truncated or corrupt index file") from None
 
     @classmethod

@@ -9,6 +9,8 @@ maximum co-lex order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import getitem, or_
 from typing import Iterable
 
 import numpy as np
@@ -117,25 +119,49 @@ class QuotientNfa:
 
 
 def _bounded_equivalent(a: Nfa, b: Nfa, depth: int) -> bool:
-    """Acceptance agreement of all strings up to ``depth``, with subset-pair dedup."""
-    a_out = a.graph.out_adjacency()
-    b_out = b.graph.out_adjacency()
-    symbols = a.graph.alphabet.symbols
-    start = (frozenset({a.initial}), frozenset({b.initial}))
+    """Acceptance agreement of all strings up to ``depth``, with subset-pair dedup.
+
+    A subset pair is one int bitset over the disjoint union of both state sets,
+    ``b``'s states shifted up by ``a.graph.n``. Each state has one successor
+    mask holding its targets under every symbol, symbol k shifted up by k times
+    the number of states of both; the masks fold into one lookup table per byte
+    of state ids, so the images of a pair under all symbols take one lookup and
+    one OR per byte.
+    """
+    na = a.graph.n
+    width = na + b.graph.n
+    offsets = range(0, len(a.graph.alphabet) * width, width)
+    offset_of = dict(zip(a.graph.alphabet.symbols, offsets))
+    succ = [0] * width
+    for base, g in ((0, a.graph), (na, b.graph)):
+        for u, v, sym in g.edges:
+            off = offset_of.get(sym)
+            if off is not None:
+                succ[base + u] |= 1 << (off + base + v)
+    tables = []
+    for lo in range(0, width, 8):
+        table = [0]
+        for mask in succ[lo:lo + 8]:
+            table += [t | mask for t in table]
+        tables.append(table)
+    n_bytes = len(tables)
+    all_states = (1 << width) - 1
+    a_finals = sum(1 << f for f in a.finals)
+    b_finals = sum(1 << (na + f) for f in b.finals)
+    start = 1 << a.initial | 1 << (na + b.initial)
     seen = {start}
     frontier = [start]
     for _ in range(depth + 1):
         next_frontier = []
-        for sa, sb in frontier:
-            if bool(sa & a.finals) != bool(sb & b.finals):
+        for pair in frontier:
+            if (not pair & a_finals) != (not pair & b_finals):
                 return False
-            for sym in symbols:
-                ta = frozenset(v for u in sa for v in a_out[u].get(sym, ()))
-                tb = frozenset(v for u in sb for v in b_out[u].get(sym, ()))
-                pair = (ta, tb)
-                if pair not in seen:
-                    seen.add(pair)
-                    next_frontier.append(pair)
+            image = reduce(or_, map(getitem, tables, pair.to_bytes(n_bytes, "little")), 0)
+            for off in offsets:
+                nxt = image >> off & all_states
+                if nxt not in seen:
+                    seen.add(nxt)
+                    next_frontier.append(nxt)
         if not next_frontier:
             break
         frontier = next_frontier
@@ -149,7 +175,8 @@ def quotient_nfa(a: Nfa, pre: Preorder, validate: bool = True) -> QuotientNfa:
     otherwise classes may merge states reading different string sets. The
     initial class must be a singleton, and (unless ``validate`` is off) the
     quotient is checked to accept the same strings as the original up to
-    length n+2.
+    length n+2: a breadth-first walk over pairs of state subsets, one of each
+    automaton, held as int bitsets and visited once each.
     """
     qg = quotient_graph(a.graph, pre, u_marked={a.initial}, validate=validate)
     part = qg.partition

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from colexgraph import Index, format_graph, format_nfa, parse_nfa
@@ -70,6 +72,28 @@ class TestBuildAndQuery:
         out.write_bytes(out.read_bytes()[:10])
         assert main(["query", str(out), "a"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_out_of_range_class_id_in_chain_is_an_error(self, hub_file, tmp_path, capsys):
+        out = tmp_path / "hub.clxi"
+        main(["build", hub_file, "-o", str(out)])
+        ix = Index.load(str(out))
+        raw = bytearray(out.read_bytes())
+        # header, the alphabet, then the first chain's length and first class id
+        first_id = (struct.calcsize("<4sHHIQIII")
+                    + sum(2 + len(sym.encode("utf-8")) for sym in ix.alphabet.symbols) + 4)
+        struct.pack_into("<I", raw, first_id, ix.n_classes)
+        out.write_bytes(bytes(raw))
+        assert main(["query", str(out), "a"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: truncated or corrupt index file\n"
+
+    def test_out_of_memory_is_a_one_line_error(self, hub_file, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("colexgraph.cli.max_colex_relation", exhausted)
+        assert main(["build", hub_file, "-o", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory ") and err.count("\n") == 1
 
     def test_saved_index_answers_like_in_memory(self, loop_file, tmp_path):
         out = str(tmp_path / "loop.clxi")

@@ -158,6 +158,16 @@ class TestMatch:
         ok, _ = ix.match_from(solid, [], validate=True)
         assert ok
 
+    def test_validate_refuses_a_loaded_index(self):
+        # A loaded index has no class order to check convexity against.
+        ix, _, _ = build_from(loop_branch_nfa().graph)
+        solid = ix.full_set()
+        assert ix.match_from(solid, ["a"], validate=True) == ix.match_from(solid, ["a"])
+        loaded = Index.from_bytes(ix.to_bytes())
+        with pytest.raises(ValueError, match="loaded index"):
+            loaded.match_from(solid, ["a"], validate=True)
+        assert loaded.match_from(solid, ["a"]) == ix.match_from(solid, ["a"])
+
     def test_unknown_symbol_rejected_even_when_empty(self):
         ix, _, _ = build_from(double_hub_graph(2))
         with pytest.raises(PatternError):

@@ -8,10 +8,11 @@ from colexgraph import (LabeledGraph, Nfa, Preorder, Relation, classes, induced_
                         max_colex_relation, min_chain_partition, preorder_width,
                         project_nodes, project_relation, quotient_graph, quotient_nfa,
                         transitive_closure)
-from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, is_convex,
-                               language_equiv, powerset, random_colex_relation,
-                               random_trim_nfa)
-from conftest import (diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
+from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, enumerate_strings,
+                               is_convex, language_equiv, powerset, random_colex_relation,
+                               random_trim_nfa, simulate_nfa)
+from colexgraph.quotient import _bounded_equivalent
+from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 
 
@@ -166,6 +167,81 @@ class TestQuotientNfa:
             pre = max_colex_relation(nfa.graph, {nfa.initial})
             qn = quotient_nfa(nfa, pre)
             assert dfa_isomorphic(powerset(nfa), powerset(qn.as_nfa()))
+
+
+def frozenset_bounded_equivalent(a, b, depth):
+    """Reference: the same breadth-first walk over subset pairs, held as frozensets."""
+    a_out = a.graph.out_adjacency()
+    b_out = b.graph.out_adjacency()
+    symbols = a.graph.alphabet.symbols
+    start = (frozenset({a.initial}), frozenset({b.initial}))
+    seen = {start}
+    frontier = [start]
+    for _ in range(depth + 1):
+        next_frontier = []
+        for sa, sb in frontier:
+            if bool(sa & a.finals) != bool(sb & b.finals):
+                return False
+            for sym in symbols:
+                ta = frozenset(v for u in sa for v in a_out[u].get(sym, ()))
+                tb = frozenset(v for u in sb for v in b_out[u].get(sym, ()))
+                pair = (ta, tb)
+                if pair not in seen:
+                    seen.add(pair)
+                    next_frontier.append(pair)
+        if not next_frontier:
+            break
+        frontier = next_frontier
+    return True
+
+
+def equivalence_pairs(seed, count, max_states, n_symbols, density, min_states=1):
+    """Seeded (a, b) pairs: b is a's quotient for even i, else a with one final
+    state toggled or one edge dropped, which usually changes the language."""
+    rng = random.Random(seed)
+    pairs = []
+    for i in range(count):
+        a = random_trim_nfa(rng, max_states, n_symbols, density)
+        while a.graph.n < min_states:
+            a = random_trim_nfa(rng, max_states, n_symbols, density)
+        g = a.graph
+        if i % 2 == 0:
+            pre = max_colex_relation(g, {a.initial})
+            b = quotient_nfa(a, pre, validate=False).as_nfa()
+        elif g.edges and rng.random() < 0.5:
+            dropped = rng.choice(g.sorted_edges())
+            b = Nfa(LabeledGraph(g.n, g.edges - {dropped}, g.alphabet), a.initial, a.finals)
+        else:
+            b = Nfa(g, a.initial, a.finals ^ {rng.randrange(g.n)})
+        pairs.append((a, b))
+    return pairs
+
+
+class TestBoundedEquivalent:
+    def test_small_depth_matches_string_enumeration(self):
+        answers = []
+        for k, (a, b) in enumerate(equivalence_pairs(SEED_NFA_CORPUS, 120, 12, 2, 0.2)):
+            depth = k % 7
+            expected = all(simulate_nfa(a, w) == simulate_nfa(b, w)
+                           for w in enumerate_strings(a.graph.alphabet.symbols, depth))
+            assert _bounded_equivalent(a, b, depth) == expected, (k, depth)
+            answers.append(expected)
+        assert answers.count(False) >= 30 and answers.count(True) >= 30
+
+    def test_full_depth_matches_frozenset_walk(self):
+        # Past 8 states a subset spans several table bytes; past 64 (the last
+        # family, sparse so that one edit usually changes the language) the
+        # bitsets are wider than a machine word.
+        families = [(80, 24, 3, 0.08, 1), (20, 24, 2, 0.1, 9), (10, 90, 2, 0.012, 65)]
+        for offset, (count, max_states, n_symbols, density, min_states) in enumerate(families):
+            answers = []
+            for a, b in equivalence_pairs(SEED_NFA_CORPUS + 10 * offset, count, max_states,
+                                          n_symbols, density, min_states):
+                depth = a.graph.n + 2
+                expected = frozenset_bounded_equivalent(a, b, depth)
+                assert _bounded_equivalent(a, b, depth) == expected, (offset, len(answers))
+                answers.append(expected)
+            assert True in answers and False in answers
 
 
 class TestCorrespondences:
