@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain as iter_chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ FORMAT_VERSION = 1
 
 _FLAG_FINALS = 1
 _FLAG_INITIAL = 2
+_CORRUPT = "truncated or corrupt index file"
 
 
 class PatternError(ValueError):
@@ -238,7 +240,7 @@ class Index:
                 self.chain_of[cid] = j
                 self.pos_in_chain[cid] = pos
         self._group_edges = {k: list(v) for k, v in group_edges.items()}
-        _check_monotone_groups(group_edges)
+        _check_monotone_groups(group_edges, [len(c) for c in chains])
         if backend == "plain":
             self._store = _PlainStore(self.q, group_edges)
         else:
@@ -459,8 +461,8 @@ class Index:
     def from_bytes(cls, raw: bytes, backend: str = "compact") -> "Index":
         try:
             return cls._from_bytes(raw, backend)
-        except (struct.error, IndexError, KeyError):
-            raise ValueError("truncated or corrupt index file") from None
+        except struct.error:
+            raise ValueError(_CORRUPT) from None
 
     @classmethod
     def _from_bytes(cls, raw: bytes, backend: str) -> "Index":
@@ -473,6 +475,10 @@ class Index:
             vals = struct.unpack_from(fmt, view, off)
             off += size
             return vals
+
+        def require(ok: bool) -> None:
+            if not ok:
+                raise ValueError(_CORRUPT)
 
         magic, version, flags, n_original, e_original, n_classes, q, sigma = take("<4sHHIQIII")
         if magic != MAGIC:
@@ -488,16 +494,22 @@ class Index:
         for _ in range(q):
             (ln,) = take("<I")
             chains.append(tuple(take(f"<{ln}I")) if ln else ())
+        in_chains = list(iter_chain.from_iterable(chains))  # each class exactly once
+        require(len(in_chains) == n_classes == len(set(in_chains))
+                and max(in_chains, default=-1) < n_classes)
         members = []
         for _ in range(n_classes):
             (ln,) = take("<I")
             members.append(tuple(take(f"<{ln}I")) if ln else ())
+        require(max(iter_chain.from_iterable(members), default=-1) < n_original)
         (ln,) = take("<I")
         marked = frozenset(take(f"<{ln}I")) if ln else frozenset()
+        require(max(marked, default=-1) < n_classes)
         (n_groups,) = take("<I")
         group_edges: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
         for _ in range(n_groups):
             j, sym, i, count, wt, ws = take("<IIIIBB")
+            require(j < q and i < q and sym < sigma and 1 <= wt <= 64 and 1 <= ws <= 64)
             (tb_len,) = take("<I")
             ts = PackedArray.from_words(wt, count, bytes(view[off:off + tb_len]))
             off += tb_len
@@ -509,9 +521,11 @@ class Index:
         if flags & _FLAG_FINALS:
             (ln,) = take("<I")
             finals = frozenset(take(f"<{ln}I")) if ln else frozenset()
+            require(max(finals, default=-1) < n_classes)
         initial_class = None
         if flags & _FLAG_INITIAL:
             (initial_class,) = take("<I")
+            require(initial_class < n_classes)
         return cls(alphabet=Alphabet(tuple(symbols)), chains=tuple(chains),
                    members=tuple(members), n_original=n_original, e_original=e_original,
                    group_edges=group_edges, finals=finals, initial_class=initial_class,
@@ -523,8 +537,10 @@ class Index:
             return cls.from_bytes(fh.read(), backend=backend)
 
 
-def _check_monotone_groups(group_edges: dict[tuple[int, int, int], list[tuple[int, int]]]) -> None:
-    """Sources must be non-decreasing once a group is (target, source)-sorted."""
+def _check_monotone_groups(group_edges: dict[tuple[int, int, int], list[tuple[int, int]]],
+                           chain_lengths: Sequence[int]) -> None:
+    """Sources must be non-decreasing once a group is (target, source)-sorted,
+    and each position must lie inside its chain."""
     for key, edges in group_edges.items():
         prev_s = -1
         prev_t = -1
@@ -536,6 +552,9 @@ def _check_monotone_groups(group_edges: dict[tuple[int, int, int], list[tuple[in
                     f"group {key} breaks source monotonicity; inputs were not a "
                     "chain partition of a co-lex order")
             prev_t, prev_s = t, s
+        j, _, i = key
+        if prev_t >= chain_lengths[j] or prev_s >= chain_lengths[i]:  # the largest of each
+            raise ValueError(f"group {key} has a position outside its chain")
 
 
 def build_index(qg: QuotientGraph, cp: ChainPartition,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import compress
 from operator import getitem, or_
 from typing import Iterable
 
@@ -118,32 +119,50 @@ class QuotientNfa:
         return Nfa(self.quotient.graph, self.initial, self.finals)
 
 
+class _ByteImages(dict):
+    """Images of the subsets of eight consecutive states, keyed by the subset's
+    byte and filled on first use, so memory follows the subsets the walk meets.
+
+    ``targets`` holds, per state, the distinct bit positions of its successor
+    mask.
+    """
+
+    __slots__ = ("targets",)
+
+    def __init__(self, targets: list[list[int]]):
+        super().__init__()
+        self.targets = targets
+
+    def __missing__(self, byte: int) -> int:
+        low = byte & -byte
+        if byte == low:
+            image = sum(1 << p for p in self.targets[low.bit_length() - 1])
+        else:
+            image = self[low] | self[byte ^ low]
+        self[byte] = image
+        return image
+
+
 def _bounded_equivalent(a: Nfa, b: Nfa, depth: int) -> bool:
     """Acceptance agreement of all strings up to ``depth``, with subset-pair dedup.
 
     A subset pair is one int bitset over the disjoint union of both state sets,
-    ``b``'s states shifted up by ``a.graph.n``. Each state has one successor
-    mask holding its targets under every symbol, symbol k shifted up by k times
-    the number of states of both; the masks fold into one lookup table per byte
-    of state ids, so the images of a pair under all symbols take one lookup and
-    one OR per byte.
+    ``b``'s states shifted up by ``a.graph.n``. A state's successor mask holds
+    its targets under every symbol, symbol k shifted up by k times the number of
+    states of both; the images of a pair under all symbols are one lookup and
+    one OR per non-zero byte of the pair.
     """
     na = a.graph.n
     width = na + b.graph.n
     offsets = range(0, len(a.graph.alphabet) * width, width)
     offset_of = dict(zip(a.graph.alphabet.symbols, offsets))
-    succ = [0] * width
+    targets: list[list[int]] = [[] for _ in range(width)]
     for base, g in ((0, a.graph), (na, b.graph)):
         for u, v, sym in g.edges:
             off = offset_of.get(sym)
             if off is not None:
-                succ[base + u] |= 1 << (off + base + v)
-    tables = []
-    for lo in range(0, width, 8):
-        table = [0]
-        for mask in succ[lo:lo + 8]:
-            table += [t | mask for t in table]
-        tables.append(table)
+                targets[base + u].append(off + base + v)
+    tables = [_ByteImages(targets[lo:lo + 8]) for lo in range(0, width, 8)]
     n_bytes = len(tables)
     all_states = (1 << width) - 1
     a_finals = sum(1 << f for f in a.finals)
@@ -156,7 +175,8 @@ def _bounded_equivalent(a: Nfa, b: Nfa, depth: int) -> bool:
         for pair in frontier:
             if (not pair & a_finals) != (not pair & b_finals):
                 return False
-            image = reduce(or_, map(getitem, tables, pair.to_bytes(n_bytes, "little")), 0)
+            raw = pair.to_bytes(n_bytes, "little")
+            image = reduce(or_, map(getitem, compress(tables, raw), filter(None, raw)), 0)
             for off in offsets:
                 nxt = image >> off & all_states
                 if nxt not in seen:

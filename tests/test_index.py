@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 from hypothesis import given, settings
 
@@ -317,6 +319,40 @@ class TestBackendsAndSerialization:
         raw[4] = 99
         with pytest.raises(ValueError):
             Index.from_bytes(bytes(raw))
+
+    def test_out_of_range_ids_rejected(self):
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp)
+        raw = ix.to_bytes()
+        header = struct.calcsize("<4sHHIQIII")
+        first_chain_id = header + sum(2 + len(sym.encode("utf-8"))
+                                      for sym in ix.alphabet.symbols) + 4
+        first_group = (first_chain_id - 4 + sum(4 + 4 * len(c) for c in ix.chains)
+                       + sum(4 + 4 * len(m) for m in ix.members)
+                       + 4 + 4 * len(ix.marked_classes) + 4)
+        # groups (0, a, 1): [(0, 0)] and (1, a, 0): [(0, 0)] on chains of 2 and 1 classes
+        assert ix.chains == ((0, 2), (1,))
+        groups = sorted(ix._group_edges)
+        assert groups[0] == (0, 0, 1) and groups[-1] == (1, 0, 0)
+        positions = []  # per group: offsets of its first target and first source
+        off = first_group
+        for _ in groups:
+            (tb_len,) = struct.unpack_from("<I", raw, off + 18)
+            positions.append((off + 22, off + 26 + tb_len))
+            off = positions[-1][1] + struct.unpack_from("<I", raw, off + 22 + tb_len)[0]
+        corruptions = [
+            (len(raw) - 4, "<I", ix.n_classes),     # initial class
+            (first_chain_id, "<I", 2),              # class 2 in two chain slots
+            (first_group, "<I", ix.q),              # group's target chain
+            (first_group + 16, "<B", 65),           # group's target width
+            (positions[0][1], "<B", 1),             # source 1 in a 1-class chain
+            (positions[-1][0], "<B", 1),            # target 1 in a 1-class chain
+        ]
+        for off, fmt, value in corruptions:
+            bad = bytearray(raw)
+            struct.pack_into(fmt, bad, off, value)
+            with pytest.raises(ValueError, match="corrupt|outside its chain"):
+                Index.from_bytes(bytes(bad))
 
     def test_unknown_backend_rejected(self):
         ix, _, _ = build_from(double_hub_graph(2))

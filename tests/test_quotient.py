@@ -11,7 +11,7 @@ from colexgraph import (LabeledGraph, Nfa, Preorder, Relation, classes, induced_
 from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, enumerate_strings,
                                is_convex, language_equiv, powerset, random_colex_relation,
                                random_trim_nfa, simulate_nfa)
-from colexgraph.quotient import _bounded_equivalent
+from colexgraph.quotient import _bounded_equivalent, _ByteImages
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 
@@ -242,6 +242,23 @@ class TestBoundedEquivalent:
                 assert _bounded_equivalent(a, b, depth) == expected, (offset, len(answers))
                 answers.append(expected)
             assert True in answers and False in answers
+
+
+class TestByteImages:
+    def test_entries_are_unions_filled_on_use(self):
+        rng = random.Random(SEED_NFA_CORPUS)
+        targets = [rng.sample(range(200), rng.randrange(4)) for _ in range(8)]
+        table = _ByteImages(targets)
+        for byte in rng.sample(range(1, 256), 40):
+            before = len(table)
+            expected = 0
+            for j in range(8):
+                if byte >> j & 1:
+                    expected |= sum(1 << p for p in targets[j])
+            assert table[byte] == expected
+            # the entry and the singleton and remainder entries it was built from
+            assert len(table) - before <= 2 * bin(byte).count("1") - 1
+        assert len(table) < 256
 
 
 class TestCorrespondences:
