@@ -118,10 +118,9 @@ class PackedArray:
         pa = cls.__new__(cls)
         pa._width = width
         pa._length = length
-        need = width * length // 64 + 2
-        words = np.frombuffer(raw, dtype="<u8").copy()
-        if words.size < need:
-            words = np.concatenate([words, np.zeros(need - words.size, dtype=np.uint64)])
+        stored = np.frombuffer(raw, dtype="<u8")
+        words = np.zeros(max(width * length // 64 + 2, stored.size), dtype=np.uint64)
+        words[:stored.size] = stored
         pa._words = words
         return pa
 
@@ -143,7 +142,18 @@ class PackedArray:
         return value & ((1 << self._width) - 1)
 
     def __iter__(self) -> Iterator[int]:
-        return (self.get(i) for i in range(self._length))
+        return iter(self.to_list())
+
+    def to_list(self) -> list[int]:
+        """All values, decoded 64 at a time: 64 values fill exactly ``width`` words."""
+        width, n = self._width, self._length
+        mask = (1 << width) - 1
+        raw = self._words.astype("<u8").tobytes()
+        out: list[int] = []
+        for start in range(0, n, 64):
+            block = int.from_bytes(raw[start * width // 8:(start + 64) * width // 8], "little")
+            out += [(block >> k) & mask for k in range(0, width * min(64, n - start), width)]
+        return out
 
     @property
     def payload_bits(self) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 from .chains import min_chain_partition
 from .graph import (EmptyLanguageError, GraphFormatError, Nfa, format_graph, format_nfa,
                     parse_graph, parse_nfa, trim_nfa)
-from .index import MAGIC, Index, PatternError, build_index, build_nfa_index, parse_pattern
+from .index import MAGIC, Index, PatternError, build_index, parse_pattern
 from .oracle import run_graph_checks
 from .quotient import quotient_graph, quotient_nfa
 from .relation import dump_relation, max_colex_relation
@@ -45,41 +45,49 @@ def _is_index_file(path: str) -> bool:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
-def _build_pipeline(path: str, nfa_mode: bool, mark_initial: bool, backend: str):
-    """Parse, compute the maximum relation, quotient, partition and index."""
-    text = _read_text(path)
-    if nfa_mode:
-        automaton = parse_nfa(text)
-        n_orig, e_orig = automaton.graph.n, len(automaton.graph.edges)
-        automaton, _ = trim_nfa(automaton)
-        marked = frozenset({automaton.initial}) if mark_initial else frozenset()
-        pre = max_colex_relation(automaton.graph, marked)
-        if mark_initial:
-            qn = quotient_nfa(automaton, pre)
-            cp = min_chain_partition(qn.quotient.order)
-            ix = build_nfa_index(qn, cp, backend=backend,
-                                 n_original=n_orig, e_original=e_orig)
-        else:
-            qg = quotient_graph(automaton.graph, pre)
-            part = qg.partition
-            cp = min_chain_partition(qg.order)
-            finals = frozenset(part.class_of[f] for f in automaton.finals)
-            init_class = part.class_of[automaton.initial]
-            ix = build_index(qg, cp, finals=finals, initial=init_class, backend=backend,
-                             n_original=n_orig, e_original=e_orig)
-        return ix
-    graph = parse_graph(text)
-    pre = max_colex_relation(graph)
-    qg = quotient_graph(graph, pre)
-    cp = min_chain_partition(qg.order)
-    return build_index(qg, cp, backend=backend,
-                       n_original=graph.n, e_original=len(graph.edges))
+def _is_nfa_text(text: str) -> bool:
+    """Automaton files are the ones with an ``initial`` line."""
+    return any(line.strip().startswith("initial") for line in text.splitlines())
+
+
+def _quotient(text: str, nfa_mode: bool, mark_initial: bool):
+    """Parse, trim, compute the maximum relation and take the quotient.
+
+    Returns the quotient graph, its automaton view (``None`` for a graph
+    file) and the node and edge counts of the input as parsed.
+    """
+    if not nfa_mode:
+        graph = parse_graph(text)
+        return quotient_graph(graph, max_colex_relation(graph)), None, graph.n, len(graph.edges)
+    automaton = parse_nfa(text)
+    n_orig, e_orig = automaton.graph.n, len(automaton.graph.edges)
+    automaton, _ = trim_nfa(automaton)
+    marked = frozenset({automaton.initial}) if mark_initial else frozenset()
+    pre = max_colex_relation(automaton.graph, marked)
+    if mark_initial:
+        qn = quotient_nfa(automaton, pre)
+        return qn.quotient, qn.as_nfa(), n_orig, e_orig
+    # Without the marker the quotient is only a graph-level collapse;
+    # the automaton view need not preserve the language.
+    qg = quotient_graph(automaton.graph, pre)
+    class_of = qg.partition.class_of
+    view = Nfa(qg.graph, class_of[automaton.initial],
+               frozenset(class_of[f] for f in automaton.finals))
+    return qg, view, n_orig, e_orig
+
+
+def _build_pipeline(text: str, nfa_mode: bool, mark_initial: bool) -> Index:
+    """Quotient the input, partition its order into chains and index it."""
+    qg, view, n_orig, e_orig = _quotient(text, nfa_mode, mark_initial)
+    finals, initial = (view.finals, view.initial) if view is not None else (None, None)
+    return build_index(qg, min_chain_partition(qg.order), finals=finals, initial=initial,
+                       n_original=n_orig, e_original=e_orig)
 
 
 def _cmd_build(args) -> int:
     if args.mark_initial and not args.nfa:
         raise CliError("--mark-initial requires --nfa")
-    ix = _build_pipeline(args.graph, args.nfa, args.mark_initial, args.backend)
+    ix = _build_pipeline(_read_text(args.graph), args.nfa, args.mark_initial)
     ix.save(args.output)
     print(f"indexed {ix.n_original} nodes / {ix.e_original} edges -> "
           f"{ix.n_classes} classes / {ix.e_quotient} edges, width {ix.q}")
@@ -87,7 +95,7 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    ix = Index.load(args.index, backend=args.backend)
+    ix = Index.load(args.index)
     symbols = parse_pattern(ix.alphabet, args.pattern)
     matched, end = ix.match_pattern(symbols)
     nodes = sorted(ix.map_back(end))
@@ -98,7 +106,7 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_accept(args) -> int:
-    ix = Index.load(args.index, backend=args.backend)
+    ix = Index.load(args.index)
     symbols = parse_pattern(ix.alphabet, args.string)
     try:
         accepted = ix.accept(symbols)
@@ -109,29 +117,8 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    text = _read_text(args.graph)
-    if args.nfa:
-        automaton = parse_nfa(text)
-        automaton, _ = trim_nfa(automaton)
-        marked = frozenset({automaton.initial}) if args.mark_initial else frozenset()
-        pre = max_colex_relation(automaton.graph, marked)
-        if args.mark_initial:
-            qn = quotient_nfa(automaton, pre)
-            qg = qn.quotient
-            body = format_nfa(qn.as_nfa())
-        else:
-            # Without the marker the quotient is only a graph-level collapse;
-            # the emitted automaton view need not preserve the language.
-            qg = quotient_graph(automaton.graph, pre)
-            part = qg.partition
-            body = format_nfa(Nfa(qg.graph,
-                                  part.class_of[automaton.initial],
-                                  frozenset(part.class_of[f] for f in automaton.finals)))
-    else:
-        graph = parse_graph(text)
-        pre = max_colex_relation(graph)
-        qg = quotient_graph(graph, pre)
-        body = format_graph(qg.graph)
+    qg, view, _, _ = _quotient(_read_text(args.graph), args.nfa, args.mark_initial)
+    body = format_nfa(view) if view is not None else format_graph(qg.graph)
     lines = [body.rstrip("\n")]
     for cid, group in enumerate(qg.partition.members):
         lines.append(f"# class {cid}: " + " ".join(map(str, group)))
@@ -161,8 +148,8 @@ def _cmd_stats(args) -> int:
         ix = Index.load(args.input)
     else:
         text = _read_text(args.input)
-        nfa_mode = any(line.strip().startswith("initial") for line in text.splitlines())
-        ix = _build_pipeline(args.input, nfa_mode, nfa_mode, "compact")
+        nfa_mode = _is_nfa_text(text)
+        ix = _build_pipeline(text, nfa_mode, nfa_mode)
     rows = _stats_rows(ix)
     if args.format == "tsv":
         print("\t".join(k for k, _ in rows))
@@ -175,7 +162,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_verify(args) -> int:
     text = _read_text(args.graph)
-    nfa_mode = any(line.strip().startswith("initial") for line in text.splitlines())
+    nfa_mode = _is_nfa_text(text)
     if nfa_mode:
         automaton, _ = trim_nfa(parse_nfa(text))
         graph = automaton.graph
@@ -211,19 +198,16 @@ def _make_parser() -> argparse.ArgumentParser:
     p.add_argument("--mark-initial", action="store_true",
                    help="compute the relation with the initial state marked "
                         "(required for acceptance queries)")
-    p.add_argument("--backend", choices=("plain", "compact"), default="compact")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="match a pattern anywhere in the indexed graph")
     p.add_argument("index")
     p.add_argument("pattern")
-    p.add_argument("--backend", choices=("plain", "compact"), default="compact")
     p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("accept", help="test automaton language membership")
     p.add_argument("index")
     p.add_argument("string")
-    p.add_argument("--backend", choices=("plain", "compact"), default="compact")
     p.set_defaults(func=_cmd_accept)
 
     p = sub.add_parser("quotient", help="print the quotient graph/automaton")

@@ -5,15 +5,19 @@ the class order. A convex class set is one half-open position interval per
 chain. One symbol step ("follow") binary-searches, for every target chain, the
 per-(target chain, symbol, source chain) edge groups; the reached positions on
 each chain are filled in to an interval, which is exact because images of
-convex sets are convex. Two storage backends answer the same contract: "plain"
-keeps python arrays, "compact" keeps bit-packed arrays whose sizes the space
-report measures.
+convex sets are convex.
+
+The edges live in one store: per target chain, a sorted directory of group
+keys with end offsets, and the edges' target and source positions, each array
+bit-packed at a width derived from the sizes. The space report measures these
+arrays, and the ``.clxi`` file holds their words as they are, so loading wraps
+them without unpacking or packing again (see docs/index-format.md).
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_left
+import zlib
 from dataclasses import dataclass, field
 from itertools import chain as iter_chain
 from typing import Iterable, Sequence
@@ -26,7 +30,8 @@ from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
 
 MAGIC = b"CLXI"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_HEADER = "<4sHHIQIII"
 
 _FLAG_FINALS = 1
 _FLAG_INITIAL = 2
@@ -94,42 +99,15 @@ class SpaceReport:
         return self.measured_bits / self.formula_bits if self.formula_bits else float("inf")
 
 
-class _PlainStore:
-    """Reference backend: per-group python tuples, bisect on sources."""
+def _width_rule(sigma: int, chain_lengths: Sequence[int]):
+    """Bit widths of chain ``j``'s keys, ends, targets and sources when it holds
+    ``n_edges`` edges. They follow from the sizes alone, so the file stores none."""
+    key = width_for(max(sigma * len(chain_lengths) - 1, 0))
+    source = width_for(max(max(chain_lengths, default=1) - 1, 0))
 
-    def __init__(self, q: int, group_edges: dict[tuple[int, int, int], list[tuple[int, int]]]):
-        self.q = q
-        self.groups = {
-            key: (tuple(t for t, _ in edges), tuple(s for _, s in edges))
-            for key, edges in group_edges.items()
-        }
-        self.target_chains = _invert_group_keys(self.groups)
-
-    def run(self, j: int, sym: int, i: int, lo: int, hi: int) -> tuple[int, int] | None:
-        group = self.groups.get((j, sym, i))
-        if group is None:
-            return None
-        targets, sources = group
-        p = bisect_left(sources, lo)
-        r = bisect_left(sources, hi)
-        if p == r:
-            return None
-        return targets[p], targets[r - 1]
-
-    def group_items(self):
-        return sorted(self.groups.items())
-
-
-def _invert_group_keys(groups) -> dict[tuple[int, int], tuple[int, ...]]:
-    """(symbol, source chain) -> target chains with a nonempty group.
-
-    Derived acceleration metadata (reconstructible from the group directory,
-    like the rank directories); lets follow skip guaranteed-empty probes.
-    """
-    by_source: dict[tuple[int, int], set[int]] = {}
-    for j, sym, i in groups:
-        by_source.setdefault((sym, i), set()).add(j)
-    return {key: tuple(sorted(js)) for key, js in by_source.items()}
+    def widths(j: int, n_edges: int) -> tuple[int, int, int, int]:
+        return key, width_for(n_edges), width_for(max(chain_lengths[j] - 1, 0)), source
+    return widths
 
 
 class _CompactChain:
@@ -144,36 +122,35 @@ class _CompactChain:
 
 
 class _CompactStore:
-    """Measured backend: per-chain group directory plus packed position arrays."""
+    """The edge store. Per target chain: the sorted keys (symbol * q + source
+    chain) of its groups, each group's end offset, and the target and source
+    positions of its edges, group after group, (target, source)-sorted."""
 
-    def __init__(self, q: int, sigma: int, chain_lengths: Sequence[int],
-                 group_edges: dict[tuple[int, int, int], list[tuple[int, int]]]):
+    def __init__(self, q: int, chains: list[_CompactChain]):
         self.q = q
-        self.sigma = sigma
-        max_len = max(chain_lengths, default=1)
-        self.source_width = width_for(max(max_len - 1, 0))
-        self.key_width = width_for(max(sigma * q - 1, 0))
-        self.target_chains = _invert_group_keys(group_edges)
+        self.chains = chains
+
+    @classmethod
+    def pack(cls, sigma: int, chain_lengths: Sequence[int],
+             group_edges: dict[tuple[int, int, int], list[tuple[int, int]]]) -> "_CompactStore":
+        """Pack (target chain, symbol, source chain) -> sorted (target, source) edges."""
+        q = len(chain_lengths)
+        widths = _width_rule(sigma, chain_lengths)
         per_chain: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(q)]
         for (j, sym, i), edges in group_edges.items():
             per_chain[j].append((sym * q + i, edges))
-        self.chains: list[_CompactChain] = []
-        for j in range(q):
-            groups = sorted(per_chain[j])
+        chains = []
+        for j, groups in enumerate(per_chain):
             keys, ends, targets, sources = [], [], [], []
-            for key, edges in groups:
+            for key, edges in sorted(groups):
                 keys.append(key)
                 for t, s in edges:
                     targets.append(t)
                     sources.append(s)
                 ends.append(len(targets))
-            e_j = len(targets)
-            self.chains.append(_CompactChain(
-                PackedArray(self.key_width, keys),
-                PackedArray(width_for(e_j), ends),
-                PackedArray(width_for(max(chain_lengths[j] - 1, 0)), targets),
-                PackedArray(self.source_width, sources),
-            ))
+            chains.append(_CompactChain(*map(PackedArray, widths(j, len(targets)),
+                                             (keys, ends, targets, sources))))
+        return cls(q, chains)
 
     def run(self, j: int, sym: int, i: int, lo: int, hi: int) -> tuple[int, int] | None:
         ch = self.chains[j]
@@ -193,13 +170,10 @@ class _CompactStore:
         items = []
         for j, ch in enumerate(self.chains):
             start = 0
-            for g in range(len(ch.keys)):
-                end = ch.ends.get(g)
-                key = ch.keys.get(g)
+            targets, sources = ch.targets.to_list(), ch.sources.to_list()
+            for key, end in zip(ch.keys.to_list(), ch.ends.to_list()):
                 sym, i = divmod(key, self.q)
-                ts = tuple(ch.targets.get(k) for k in range(start, end))
-                ss = tuple(ch.sources.get(k) for k in range(start, end))
-                items.append(((j, sym, i), (ts, ss)))
+                items.append(((j, sym, i), (tuple(targets[start:end]), tuple(sources[start:end]))))
                 start = end
         return sorted(items)
 
@@ -209,17 +183,82 @@ class _CompactStore:
         return {"group_directory_bits": directory, "position_array_bits": positions}
 
 
+def _decode_checked(store: _CompactStore, sigma: int,
+                    chain_lengths: Sequence[int]) -> list[list[list[int]]]:
+    """Each chain's keys, ends, targets and sources as lists, once they are
+    checked: keys strictly increasing below sigma * q, ends non-decreasing up
+    to the chain's edge count, and every group monotone inside its chains."""
+    q = len(chain_lengths)
+    if store.q != q or len(store.chains) != q:
+        raise ValueError("edge store does not match the chain count")
+    decoded = []
+    for j, ch in enumerate(store.chains):
+        arrays = [a.to_list() for a in (ch.keys, ch.ends, ch.targets, ch.sources)]
+        keys, ends, targets, sources = arrays
+        if any(a >= b for a, b in zip(keys, keys[1:])) or (keys and keys[-1] >= sigma * q):
+            raise ValueError(f"chain {j}: group keys are not strictly increasing below sigma*q")
+        if any(a > b for a, b in zip(ends, ends[1:])) or (ends[-1] if ends else 0) != len(targets):
+            raise ValueError(f"chain {j}: group ends do not rise to the chain's edge count")
+        start = 0
+        for key, end in zip(keys, ends):
+            sym, i = divmod(key, q)
+            _check_monotone_groups((j, sym, i), targets[start:end], sources[start:end],
+                                   chain_lengths[j], chain_lengths[i])
+            start = end
+        decoded.append(arrays)
+    return decoded
+
+
+def _check_monotone_groups(key: tuple[int, int, int], targets: Sequence[int],
+                           sources: Sequence[int], target_len: int, source_len: int) -> None:
+    """A group's edges must be (target, source)-sorted with non-decreasing
+    sources, and each position must lie inside its chain."""
+    prev_t = prev_s = -1
+    for t, s in zip(targets, sources):
+        if t < prev_t:
+            raise ValueError(f"group {key} is not sorted by (target, source)")
+        if s < prev_s:
+            raise ValueError(
+                f"group {key} breaks source monotonicity; inputs were not a "
+                "chain partition of a co-lex order")
+        prev_t, prev_s = t, s
+    if prev_t >= target_len or prev_s >= source_len:  # the largest of each
+        raise ValueError(f"group {key} has a position outside its chain")
+
+
+def _invert_group_keys(decoded: list[list[list[int]]], q: int) -> dict[tuple[int, int], tuple[int, ...]]:
+    """(symbol, source chain) -> target chains with a nonempty group.
+
+    Derived acceleration metadata (reconstructible from the group keys, like
+    the rank directories); lets follow skip guaranteed-empty probes.
+    """
+    by_source: dict[tuple[int, int], list[int]] = {}
+    for j, (keys, _, _, _) in enumerate(decoded):
+        for key in keys:
+            by_source.setdefault(divmod(key, q), []).append(j)
+    return {key: tuple(js) for key, js in by_source.items()}
+
+
+def _boundary_bits(targets: list[int], length: int) -> BitVector:
+    """One unary run per class of a chain: a 1, then a 0 per incoming edge."""
+    indeg = [0] * length
+    for t in targets:
+        indeg[t] += 1
+    bits: list[int] = []
+    for d in indeg:
+        bits.append(1)
+        bits.extend([0] * d)
+    return BitVector(bits)
+
+
 class Index:
     """Immutable query structure; all methods are safe for concurrent readers."""
 
     def __init__(self, *, alphabet: Alphabet, chains: tuple[tuple[int, ...], ...],
                  members: tuple[tuple[int, ...], ...], n_original: int, e_original: int,
-                 group_edges: dict[tuple[int, int, int], list[tuple[int, int]]],
-                 finals: frozenset[int] | None, initial_class: int | None,
-                 marked_classes: frozenset[int], backend: str,
+                 store: _CompactStore, finals: frozenset[int] | None,
+                 initial_class: int | None, marked_classes: frozenset[int],
                  order_bits: np.ndarray | None = None):
-        if backend not in ("plain", "compact"):
-            raise ValueError(f"unknown backend {backend!r}")
         self.alphabet = alphabet
         self.chains = chains
         self.members = members
@@ -228,44 +267,26 @@ class Index:
         self.finals = finals
         self.initial_class = initial_class
         self.marked_classes = marked_classes
-        self.backend = backend
         self._order_bits = order_bits
         self.q = len(chains)
         self.n_classes = len(members)
-        self.e_quotient = sum(len(edges) for edges in group_edges.values())
         self.chain_of = [0] * self.n_classes
         self.pos_in_chain = [0] * self.n_classes
         for j, chain in enumerate(chains):
             for pos, cid in enumerate(chain):
                 self.chain_of[cid] = j
                 self.pos_in_chain[cid] = pos
-        self._group_edges = {k: list(v) for k, v in group_edges.items()}
-        _check_monotone_groups(group_edges, [len(c) for c in chains])
-        if backend == "plain":
-            self._store = _PlainStore(self.q, group_edges)
-        else:
-            self._store = _CompactStore(self.q, len(alphabet), [len(c) for c in chains],
-                                        group_edges)
-        self._boundaries = self._build_boundaries()
+        lengths = [len(c) for c in chains]
+        decoded = _decode_checked(store, len(alphabet), lengths)
+        self._store = store
+        self.e_quotient = sum(len(targets) for _, _, targets, _ in decoded)
+        self._target_chains = _invert_group_keys(decoded, self.q)
+        self._boundaries = tuple(
+            _boundary_bits(targets, n) for (_, _, targets, _), n in zip(decoded, lengths))
         self._finals_bv = None
         if finals is not None:
             self._finals_bv = tuple(
                 BitVector([1 if cid in finals else 0 for cid in chain]) for chain in chains)
-
-    def _build_boundaries(self) -> tuple[BitVector, ...]:
-        indeg = [[0] * len(chain) for chain in self.chains]
-        for (j, _, _), edges in self._group_edges.items():
-            for t, _ in edges:
-                indeg[j][t] += 1
-            # one unary run per node: 1 then a 0 per incoming edge
-        out = []
-        for j, chain in enumerate(self.chains):
-            bits: list[int] = []
-            for t in range(len(chain)):
-                bits.append(1)
-                bits.extend([0] * indeg[j][t])
-            out.append(BitVector(bits))
-        return tuple(out)
 
     # Convex-set constructors ------------------------------------------------
 
@@ -316,7 +337,7 @@ class Index:
             stats.symbols += 1
         mins = [-1] * self.q
         maxs = [-1] * self.q
-        target_chains = self._store.target_chains
+        target_chains = self._target_chains
         for i, (lo, hi) in enumerate(s.intervals):
             if lo >= hi:
                 continue
@@ -395,11 +416,7 @@ class Index:
     # Accounting ---------------------------------------------------------------
 
     def space_report(self) -> SpaceReport:
-        store = self._store
-        if not isinstance(store, _CompactStore):
-            store = _CompactStore(self.q, len(self.alphabet),
-                                  [len(c) for c in self.chains], self._group_edges)
-        breakdown = store.payload_bits()
+        breakdown = self._store.payload_bits()
         breakdown["boundary_bits"] = sum(b.payload_bits for b in self._boundaries)
         breakdown["final_bits"] = (
             sum(b.payload_bits for b in self._finals_bv) if self._finals_bv else 0)
@@ -421,36 +438,24 @@ class Index:
         out = bytearray()
         flags = (_FLAG_FINALS if self.finals is not None else 0) | (
             _FLAG_INITIAL if self.initial_class is not None else 0)
-        out += struct.pack("<4sHHIQIII", MAGIC, FORMAT_VERSION, flags,
+        out += struct.pack(_HEADER, MAGIC, FORMAT_VERSION, flags,
                            self.n_original, self.e_original, self.n_classes, self.q,
                            len(self.alphabet))
         for sym in self.alphabet.symbols:
             raw = sym.encode("utf-8")
             out += struct.pack("<H", len(raw)) + raw
-        for chain in self.chains:
-            out += struct.pack("<I", len(chain))
-            out += struct.pack(f"<{len(chain)}I", *chain) if chain else b""
-        for group in self.members:
-            out += struct.pack("<I", len(group))
-            out += struct.pack(f"<{len(group)}I", *group) if group else b""
-        marked = sorted(self.marked_classes)
-        out += struct.pack("<I", len(marked))
-        out += struct.pack(f"<{len(marked)}I", *marked) if marked else b""
-        items = sorted(self._group_edges.items())
-        out += struct.pack("<I", len(items))
-        for (j, sym, i), edges in items:
-            ts = PackedArray(width_for(max((t for t, _ in edges), default=0)) , [t for t, _ in edges])
-            ss = PackedArray(width_for(max((s for _, s in edges), default=0)), [s for _, s in edges])
-            tb, sb = ts.to_bytes(), ss.to_bytes()
-            out += struct.pack("<IIIIBB", j, sym, i, len(edges), ts.width, ss.width)
-            out += struct.pack("<I", len(tb)) + tb
-            out += struct.pack("<I", len(sb)) + sb
+        for ids in (*self.chains, *self.members, sorted(self.marked_classes)):
+            out += struct.pack(f"<I{len(ids)}I", len(ids), *ids)
+        for ch in self._store.chains:
+            out += struct.pack("<II", len(ch.keys), len(ch.targets))
+            for array in (ch.keys, ch.ends, ch.targets, ch.sources):
+                out += array.to_bytes()
         if self.finals is not None:
             finals = sorted(self.finals)
-            out += struct.pack("<I", len(finals))
-            out += struct.pack(f"<{len(finals)}I", *finals) if finals else b""
+            out += struct.pack(f"<I{len(finals)}I", len(finals), *finals)
         if self.initial_class is not None:
             out += struct.pack("<I", self.initial_class)
+        out += struct.pack("<I", zlib.crc32(out))
         return bytes(out)
 
     def save(self, path) -> None:
@@ -458,14 +463,14 @@ class Index:
             fh.write(self.to_bytes())
 
     @classmethod
-    def from_bytes(cls, raw: bytes, backend: str = "compact") -> "Index":
+    def from_bytes(cls, raw: bytes) -> "Index":
         try:
-            return cls._from_bytes(raw, backend)
+            return cls._from_bytes(raw)
         except struct.error:
             raise ValueError(_CORRUPT) from None
 
     @classmethod
-    def _from_bytes(cls, raw: bytes, backend: str) -> "Index":
+    def _from_bytes(cls, raw: bytes) -> "Index":
         view = memoryview(raw)
         off = 0
 
@@ -480,86 +485,68 @@ class Index:
             if not ok:
                 raise ValueError(_CORRUPT)
 
-        magic, version, flags, n_original, e_original, n_classes, q, sigma = take("<4sHHIQIII")
+        def ids() -> tuple[int, ...]:
+            (n,) = take("<I")
+            require(4 * n <= len(view) - off)
+            return take(f"<{n}I")
+
+        def packed(width: int, length: int) -> PackedArray:
+            nonlocal off
+            size = (width * length + 63) // 64 * 8
+            require(size <= len(view) - off)
+            off += size
+            return PackedArray.from_words(width, length, view[off - size:off])
+
+        magic, version, flags, n_original, e_original, n_classes, q, sigma = take(_HEADER)
         if magic != MAGIC:
             raise ValueError("not an index file (bad magic)")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported index format version {version}")
+        require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
+        view = view[:-4]
         symbols = []
         for _ in range(sigma):
             (ln,) = take("<H")
-            symbols.append(bytes(view[off:off + ln]).decode("utf-8"))
-            off += ln
-        chains = []
-        for _ in range(q):
-            (ln,) = take("<I")
-            chains.append(tuple(take(f"<{ln}I")) if ln else ())
+            symbols.append(take(f"<{ln}s")[0].decode("utf-8"))
+        chains = [ids() for _ in range(q)]
         in_chains = list(iter_chain.from_iterable(chains))  # each class exactly once
         require(len(in_chains) == n_classes == len(set(in_chains))
                 and max(in_chains, default=-1) < n_classes)
-        members = []
-        for _ in range(n_classes):
-            (ln,) = take("<I")
-            members.append(tuple(take(f"<{ln}I")) if ln else ())
-        require(max(iter_chain.from_iterable(members), default=-1) < n_original)
-        (ln,) = take("<I")
-        marked = frozenset(take(f"<{ln}I")) if ln else frozenset()
+        members = [ids() for _ in range(n_classes)]
+        in_members = list(iter_chain.from_iterable(members))  # each node in one class at most
+        require(len(in_members) == len(set(in_members))
+                and max(in_members, default=-1) < n_original)
+        marked = frozenset(ids())
         require(max(marked, default=-1) < n_classes)
-        (n_groups,) = take("<I")
-        group_edges: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
-        for _ in range(n_groups):
-            j, sym, i, count, wt, ws = take("<IIIIBB")
-            require(j < q and i < q and sym < sigma and 1 <= wt <= 64 and 1 <= ws <= 64)
-            (tb_len,) = take("<I")
-            ts = PackedArray.from_words(wt, count, bytes(view[off:off + tb_len]))
-            off += tb_len
-            (sb_len,) = take("<I")
-            ss = PackedArray.from_words(ws, count, bytes(view[off:off + sb_len]))
-            off += sb_len
-            group_edges[(j, sym, i)] = list(zip(ts, ss))
+        widths = _width_rule(sigma, [len(c) for c in chains])
+        store_chains = []
+        for j in range(q):
+            n_groups, n_edges = take("<II")
+            kw, ew, tw, sw = widths(j, n_edges)
+            store_chains.append(_CompactChain(packed(kw, n_groups), packed(ew, n_groups),
+                                              packed(tw, n_edges), packed(sw, n_edges)))
         finals = None
         if flags & _FLAG_FINALS:
-            (ln,) = take("<I")
-            finals = frozenset(take(f"<{ln}I")) if ln else frozenset()
+            finals = frozenset(ids())
             require(max(finals, default=-1) < n_classes)
         initial_class = None
         if flags & _FLAG_INITIAL:
             (initial_class,) = take("<I")
             require(initial_class < n_classes)
+        require(off == len(view))  # no trailing bytes
         return cls(alphabet=Alphabet(tuple(symbols)), chains=tuple(chains),
                    members=tuple(members), n_original=n_original, e_original=e_original,
-                   group_edges=group_edges, finals=finals, initial_class=initial_class,
-                   marked_classes=marked, backend=backend)
+                   store=_CompactStore(q, store_chains), finals=finals,
+                   initial_class=initial_class, marked_classes=marked)
 
     @classmethod
-    def load(cls, path, backend: str = "compact") -> "Index":
+    def load(cls, path) -> "Index":
         with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read(), backend=backend)
-
-
-def _check_monotone_groups(group_edges: dict[tuple[int, int, int], list[tuple[int, int]]],
-                           chain_lengths: Sequence[int]) -> None:
-    """Sources must be non-decreasing once a group is (target, source)-sorted,
-    and each position must lie inside its chain."""
-    for key, edges in group_edges.items():
-        prev_s = -1
-        prev_t = -1
-        for t, s in edges:
-            if (t, s) < (prev_t, prev_s):
-                raise ValueError(f"group {key} is not sorted by (target, source)")
-            if s < prev_s:
-                raise ValueError(
-                    f"group {key} breaks source monotonicity; inputs were not a "
-                    "chain partition of a co-lex order")
-            prev_t, prev_s = t, s
-        j, _, i = key
-        if prev_t >= chain_lengths[j] or prev_s >= chain_lengths[i]:  # the largest of each
-            raise ValueError(f"group {key} has a position outside its chain")
+            return cls.from_bytes(fh.read())
 
 
 def build_index(qg: QuotientGraph, cp: ChainPartition,
                 finals: frozenset[int] | None = None, initial: int | None = None,
-                backend: str = "compact",
                 n_original: int | None = None, e_original: int | None = None) -> Index:
     """Lay out the quotient graph along a chain partition of its order.
 
@@ -581,16 +568,16 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
         group_edges.setdefault(key, []).append((cp.pos_in_chain[cv], cp.pos_in_chain[cu]))
     for edges in group_edges.values():
         edges.sort()
+    store = _CompactStore.pack(len(qg.graph.alphabet), [len(c) for c in cp.chains], group_edges)
     return Index(alphabet=qg.graph.alphabet, chains=cp.chains,
                  members=qg.partition.members,
                  n_original=qg.partition.n if n_original is None else n_original,
                  e_original=len(qg.graph.edges) if e_original is None else e_original,
-                 group_edges=group_edges, finals=finals, initial_class=initial,
-                 marked_classes=qg.marked_classes, backend=backend,
-                 order_bits=order.bits)
+                 store=store, finals=finals, initial_class=initial,
+                 marked_classes=qg.marked_classes, order_bits=order.bits)
 
 
-def build_nfa_index(qnfa: QuotientNfa, cp: ChainPartition, backend: str = "compact",
+def build_nfa_index(qnfa: QuotientNfa, cp: ChainPartition,
                     n_original: int | None = None, e_original: int | None = None) -> Index:
     return build_index(qnfa.quotient, cp, finals=qnfa.finals, initial=qnfa.initial,
-                       backend=backend, n_original=n_original, e_original=e_original)
+                       n_original=n_original, e_original=e_original)

@@ -543,9 +543,10 @@ def run_graph_checks(g: LabeledGraph, seed: int = 0,
     budget = stats.symbols * cp.chain_count ** 2
     add("probe-budget", stats.probes <= budget,
         f"{stats.probes} probes for {stats.symbols} symbol steps, q={cp.chain_count}")
-    ix2 = Index.from_bytes(ix.to_bytes(), backend="plain")
+    ix2 = Index.from_bytes(ix.to_bytes())
     ok = all(ix2.match_pattern(p)[0] == ix.match_pattern(p)[0]
              and ix2.map_back(ix2.match_pattern(p)[1]) == ix.map_back(ix.match_pattern(p)[1])
+             and (qn is None or ix2.accept(p) == ix.accept(p))
              for p in patterns)
     add("serialize-roundtrip", ok)
     if qn is not None:

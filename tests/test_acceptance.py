@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from colexgraph import (Preorder, QueryStats, Relation, build_index, build_nfa_index,
-                        max_colex_relation, min_chain_partition, preorder_width,
-                        quotient_graph, quotient_nfa)
+from colexgraph import (Index, Preorder, QueryStats, Relation, build_index,
+                        build_nfa_index, max_colex_relation, min_chain_partition,
+                        preorder_width, quotient_graph, quotient_nfa)
 from colexgraph.oracle import (brute_theta, check_powerset_bounds,
                                exhaustive_max_antichain, gfp_max_relation, is_convex,
                                language_equiv, prec_a_acyclic, random_acyclic_nfa,
@@ -119,43 +119,42 @@ def _walk_pattern_tree(ix, g, start_set, start_nodes, max_len, stats=None):
 
 
 def test_criterion_04_pattern_matching_oracle(graph_corpus):
-    from colexgraph import Index
     t0 = time.perf_counter()
     total = mismatches = violations = roundtrip_bad = 0
     for idx, g in enumerate(graph_corpus):
         qg, cp = quotient_pipeline(g)
-        backends = ("compact", "plain") if idx < 300 else ("compact",)
-        for backend in backends:
-            ix = build_index(qg, cp, backend=backend)
-            if idx < 200 and backend == "compact":
-                reloaded = Index.from_bytes(ix.to_bytes())
-                for p in itertools.chain([()], itertools.product(g.alphabet.symbols,
-                                                                 repeat=2)):
-                    if reloaded.match_pattern(p) != ix.match_pattern(p):
-                        roundtrip_bad += 1
-            stats = QueryStats()
-            done, bad, viol = _walk_pattern_tree(
-                ix, g, ix.full_set(), range(g.n), 5, stats)
-            total += done
-            mismatches += bad
-            violations += viol
-            # match_pattern / match_from surfaces on short patterns
+        ix = build_index(qg, cp)
+        if idx < 200:
+            raw = ix.to_bytes()
+            reloaded = Index.from_bytes(raw)
+            roundtrip_bad += reloaded.to_bytes() != raw
+            for p in itertools.chain([()], itertools.product(g.alphabet.symbols,
+                                                             repeat=2)):
+                if reloaded.match_pattern(p) != ix.match_pattern(p):
+                    roundtrip_bad += 1
+        stats = QueryStats()
+        done, bad, viol = _walk_pattern_tree(
+            ix, g, ix.full_set(), range(g.n), 5, stats)
+        total += done
+        mismatches += bad
+        violations += viol
+        # match_pattern / match_from surfaces on short patterns
+        for p in itertools.chain([()], itertools.product(g.alphabet.symbols, repeat=2)):
+            got, end = ix.match_pattern(p)
+            want_nodes = brute_theta(g, range(g.n), p)
+            total += 1
+            if got != bool(want_nodes) or ix.map_back(end) != want_nodes:
+                mismatches += 1
+        picks = sorted({0, ix.n_classes // 2, ix.n_classes - 1})
+        for cid in picks:
+            start = ix.set_for_classes([cid])
+            nodes = ix.members[cid]
             for p in itertools.chain([()], itertools.product(g.alphabet.symbols, repeat=2)):
-                got, end = ix.match_pattern(p)
-                want_nodes = brute_theta(g, range(g.n), p)
+                got, end = ix.match_from(start, p)
+                want_nodes = brute_theta(g, nodes, p)
                 total += 1
                 if got != bool(want_nodes) or ix.map_back(end) != want_nodes:
                     mismatches += 1
-            picks = sorted({0, ix.n_classes // 2, ix.n_classes - 1})
-            for cid in picks:
-                start = ix.set_for_classes([cid])
-                nodes = ix.members[cid]
-                for p in itertools.chain([()], itertools.product(g.alphabet.symbols, repeat=2)):
-                    got, end = ix.match_from(start, p)
-                    want_nodes = brute_theta(g, nodes, p)
-                    total += 1
-                    if got != bool(want_nodes) or ix.map_back(end) != want_nodes:
-                        mismatches += 1
     elapsed = time.perf_counter() - t0
     report(4, "pattern-matching-oracle",
            mismatches == 0 and violations == 0 and roundtrip_bad == 0,
@@ -167,13 +166,15 @@ def test_criterion_05_nfa_acceptance():
     rng = random.Random(SEED_NFA_CORPUS)
     t0 = time.perf_counter()
     strings_checked = mismatches = 0
-    language_failures = 0
+    language_failures = roundtrip_bad = 0
     for _ in range(300):
         nfa = random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
         qn, cp = nfa_pipeline(nfa)
         if not language_equiv(nfa, qn.as_nfa()):
             language_failures += 1
         ix = build_nfa_index(qn, cp)
+        raw = ix.to_bytes()
+        roundtrip_bad += Index.from_bytes(raw).to_bytes() != raw
         symbols = nfa.graph.alphabet.symbols
         for length in range(7):
             for s in itertools.product(symbols, repeat=length):
@@ -181,9 +182,11 @@ def test_criterion_05_nfa_acceptance():
                 if ix.accept(s) != simulate_nfa(nfa, s):
                     mismatches += 1
     elapsed = time.perf_counter() - t0
-    report(5, "nfa-acceptance", mismatches == 0 and language_failures == 0,
+    report(5, "nfa-acceptance",
+           mismatches == 0 and language_failures == 0 and roundtrip_bad == 0,
            f"300 automata, {strings_checked} strings, {mismatches} mismatches, "
-           f"{language_failures} language failures, {elapsed:.1f} s")
+           f"{language_failures} language failures, {roundtrip_bad} roundtrip diffs, "
+           f"{elapsed:.1f} s")
 
 
 def test_criterion_06_dilworth_for_preorders():
@@ -286,7 +289,7 @@ def test_criterion_08_strict_refinement_witness():
 def test_criterion_09_space_accounting():
     g = random_graph(random.Random(SEED_SPACE_FAMILY), 200, 3, 0.15)
     qg, cp = quotient_pipeline(g)
-    ix = build_index(qg, cp, backend="compact")
+    ix = build_index(qg, cp)
     rep = ix.space_report()
     ok = ix.e_quotient >= 10_000 and rep.measured_bits <= 3 * rep.formula_bits
     report(9, "space-accounting", ok,

@@ -51,6 +51,14 @@ class TestPackedArray:
         assert list(again) == values
         assert pa.payload_bits == width * len(values)
 
+    @given(st.integers(1, 64), st.data())
+    @settings(max_examples=80)
+    def test_to_list_matches_get(self, width, data):
+        # more than 64 values, so decoding runs over several blocks
+        values = data.draw(st.lists(st.integers(0, 2**width - 1), max_size=200))
+        pa = PackedArray(width, values)
+        assert pa.to_list() == [pa.get(i) for i in range(len(values))] == values
+
     def test_rejects_oversized_values(self):
         with pytest.raises(ValueError):
             PackedArray(2, [4])

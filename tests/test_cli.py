@@ -87,6 +87,24 @@ class TestBuildAndQuery:
         err = capsys.readouterr().err
         assert err == "error: truncated or corrupt index file\n"
 
+    def test_version_1_index_is_a_one_line_error(self, hub_file, tmp_path, capsys):
+        out = tmp_path / "hub.clxi"
+        main(["build", hub_file, "-o", str(out)])
+        raw = bytearray(out.read_bytes())
+        struct.pack_into("<H", raw, 4, 1)
+        out.write_bytes(bytes(raw))
+        assert main(["query", str(out), "a"]) == 2
+        assert capsys.readouterr().err == "error: unsupported index format version 1\n"
+
+    def test_backend_option_is_gone(self, hub_file, tmp_path):
+        out = str(tmp_path / "hub.clxi")
+        main(["build", hub_file, "-o", out])
+        for argv in (["build", hub_file, "-o", out], ["query", out, "a"],
+                     ["accept", out, "a"]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv + ["--backend", "plain"])
+            assert exited.value.code == 2
+
     def test_out_of_memory_is_a_one_line_error(self, hub_file, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError

@@ -1,4 +1,7 @@
+import random
 import struct
+import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
@@ -6,15 +9,17 @@ from hypothesis import given, settings
 from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, QueryStats,
                         build_index, build_nfa_index)
 from colexgraph.graph import Alphabet
-from colexgraph.index import ceil_log2, parse_pattern
-from colexgraph.oracle import brute_match, is_convex, simulate_nfa
+from colexgraph.bitvec import PackedArray
+from colexgraph.index import _CompactStore, ceil_log2, parse_pattern
+from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
+                               simulate_nfa)
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
 from helpers import nfa_pipeline, quotient_pipeline
 
 
-def build_from(g, marked=(), backend="compact"):
+def build_from(g, marked=()):
     qg, cp = quotient_pipeline(g, marked)
-    return build_index(qg, cp, backend=backend), qg, cp
+    return build_index(qg, cp), qg, cp
 
 
 class TestBuildLayout:
@@ -57,12 +62,13 @@ class TestBuildLayout:
             build_index(qg, missing)
 
     def test_monotone_group_check_fires_on_bad_input(self):
-        with pytest.raises(ValueError):
-            Index(alphabet=Alphabet(("a",)), chains=((0, 1),), members=((0,), (1,)),
-                  n_original=2, e_original=2,
-                  group_edges={(0, 0, 0): [(0, 1), (1, 0)]},
-                  finals=None, initial_class=None, marked_classes=frozenset(),
-                  backend="plain")
+        for edges, error in (([(0, 1), (1, 0)], "source monotonicity"),
+                             ([(1, 0), (0, 0)], "not sorted")):
+            with pytest.raises(ValueError, match=error):
+                Index(alphabet=Alphabet(("a",)), chains=((0, 1),), members=((0,), (1,)),
+                      n_original=2, e_original=2,
+                      store=_CompactStore.pack(1, [2], {(0, 0, 0): edges}),
+                      finals=None, initial_class=None, marked_classes=frozenset())
 
 
 class TestFollow:
@@ -151,8 +157,8 @@ class TestMatch:
         order[0, 1] = order[0, 2] = order[2, 1] = True
         ix = Index(alphabet=Alphabet(("a",)), chains=((0, 1), (2,)),
                    members=((0,), (1,), (2,)), n_original=3, e_original=0,
-                   group_edges={}, finals=None, initial_class=None,
-                   marked_classes=frozenset(), backend="plain", order_bits=order)
+                   store=_CompactStore.pack(1, [2, 1], {}), finals=None, initial_class=None,
+                   marked_classes=frozenset(), order_bits=order)
         gap = ConvexSet(((0, 2), (0, 0)))
         with pytest.raises(ValueError):
             ix.match_from(gap, [], validate=True)
@@ -266,12 +272,6 @@ class TestSpaceReport:
         # 3 edges * (1 + 1 + 2) + 3 + 3
         assert ix.space_report().formula_bits == 18
 
-    def test_plain_backend_measures_compact_layout(self):
-        g = double_hub_graph(3)
-        plain, _, _ = build_from(g, backend="plain")
-        compact, _, _ = build_from(g, backend="compact")
-        assert plain.space_report() == compact.space_report()
-
     def test_ceil_log2(self):
         assert [ceil_log2(x) for x in (0, 1, 2, 3, 4, 5)] == [0, 0, 1, 2, 2, 3]
 
@@ -279,26 +279,21 @@ class TestSpaceReport:
 class TestBackendsAndSerialization:
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
-    def test_plain_equals_compact(self, g):
-        plain, _, _ = build_from(g, backend="plain")
-        compact, _, _ = build_from(g, backend="compact")
-        from colexgraph.oracle import enumerate_strings
+    def test_matches_brute_force(self, g):
+        ix, _, _ = build_from(g)
         for p in enumerate_strings(g.alphabet.symbols, 3):
-            bp, ep = plain.match_pattern(p)
-            bc, ec = compact.match_pattern(p)
-            assert bp == bc and ep == ec
+            matched, end = ix.match_pattern(p)
+            assert (matched, ix.map_back(end)) == brute_match(g, p)
 
     @given(small_graphs())
     @settings(max_examples=30, deadline=None)
     def test_bytes_roundtrip(self, g):
         ix, _, _ = build_from(g)
-        for backend in ("plain", "compact"):
-            again = Index.from_bytes(ix.to_bytes(), backend=backend)
-            from colexgraph.oracle import enumerate_strings
-            for p in enumerate_strings(g.alphabet.symbols, 2):
-                assert again.match_pattern(p) == ix.match_pattern(p)
-                assert again.map_back(again.match_pattern(p)[1]) == \
-                    ix.map_back(ix.match_pattern(p)[1])
+        again = Index.from_bytes(ix.to_bytes())
+        for p in enumerate_strings(g.alphabet.symbols, 2):
+            assert again.match_pattern(p) == ix.match_pattern(p)
+            assert again.map_back(again.match_pattern(p)[1]) == \
+                ix.map_back(ix.match_pattern(p)[1])
 
     def test_nfa_roundtrip_keeps_accept(self, tmp_path):
         qn, cp = nfa_pipeline(loop_branch_nfa())
@@ -320,44 +315,131 @@ class TestBackendsAndSerialization:
         with pytest.raises(ValueError):
             Index.from_bytes(bytes(raw))
 
-    def test_out_of_range_ids_rejected(self):
+    def test_out_of_range_ids_rejected(self, monkeypatch):
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        raw = build_nfa_index(qn, cp).to_bytes()
+        at = _v2_offsets(raw)
+        wrapped_bits = []  # of every packed array a load wraps
+        from_words = PackedArray.from_words
+
+        def spy(width, length, words):
+            wrapped_bits.append(width * length)
+            return from_words(width, length, words)
+        monkeypatch.setattr(PackedArray, "from_words", spy)
+        # chains (0, 2) and (1,); chain 0 holds groups (a, 1) and (b, 1) with
+        # ends [1, 2], chain 1 holds group (a, 0); every position is 0 but the
+        # second target of chain 0
+        corruptions = [
+            (at["initial"], "<I", 3, "corrupt"),
+            (at["chain0"] + 4, "<I", 2, "corrupt"),        # class 2 in two chain slots
+            (at["members0"] + 4, "<I", 3, "corrupt"),      # node 3 of a 3-state automaton
+            (at["members1"] + 4, "<I", 0, "corrupt"),      # node 0 in two classes
+            (at["marked"] + 4, "<I", 3, "corrupt"),
+            (at["finals"] + 4, "<I", 3, "corrupt"),
+            (at["keys0"], 1, 1, "not strictly increasing"),  # (b, 1) -> (a, 1) again
+            (at["ends0"], 1, 3, "ends do not rise"),
+            (at["targets1"], 0, 1, "outside its chain"),    # target 1 in a 1-class chain
+            (at["sources0"], 0, 1, "outside its chain"),    # source 1 in a 1-class chain
+        ]
+        for count in ("chain0", "members0", "marked", "finals", "n_groups0", "n_edges0"):
+            corruptions.append((at[count], "<I", 0xFFFFFFFF, "corrupt"))
+        for field, fmt, value, error in corruptions:
+            bad = bytearray(raw)
+            if isinstance(fmt, str):
+                struct.pack_into(fmt, bad, field, value)
+            else:
+                _put_packed(bad, field, fmt, value)
+            with pytest.raises(ValueError, match=error):
+                Index.from_bytes(_reseal(bad))
+        assert max(wrapped_bits) <= 8 * len(raw)  # huge counts were refused first
+        # a key at sigma * q: one symbol on one chain leaves the 1-bit key room
+        hub, _, _ = build_from(double_hub_graph(3))
+        hub_raw = hub.to_bytes()
+        bad = bytearray(hub_raw)
+        _put_packed(bad, _v2_offsets(hub_raw)["keys0"], 0, 1)
+        with pytest.raises(ValueError, match="below sigma"):
+            Index.from_bytes(_reseal(bad))
+
+    def test_trailing_bytes_rejected(self):
+        ix, _, _ = build_from(double_hub_graph(2))
+        raw = ix.to_bytes()
+        with pytest.raises(ValueError, match="corrupt"):
+            Index.from_bytes(_reseal(bytearray(raw[:-4] + bytes(8) + raw[-4:])))
+
+    def test_every_bit_flip_and_truncation_rejected(self):
+        rng = random.Random(1305)
+        for _ in range(3):
+            qn, cp = nfa_pipeline(random_trim_nfa(rng, 6, 2, 0.3))
+            raw = build_nfa_index(qn, cp).to_bytes()
+            damaged = [raw[:cut] for cut in range(len(raw))]
+            for bit in range(8 * len(raw)):
+                flipped = bytearray(raw)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                damaged.append(bytes(flipped))
+            for bad in damaged:
+                t0 = time.perf_counter()
+                with pytest.raises(ValueError):
+                    Index.from_bytes(bad)
+                assert time.perf_counter() - t0 < 1.0
+
+    def test_load_wraps_the_stored_words(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
         ix = build_nfa_index(qn, cp)
         raw = ix.to_bytes()
-        header = struct.calcsize("<4sHHIQIII")
-        first_chain_id = header + sum(2 + len(sym.encode("utf-8"))
-                                      for sym in ix.alphabet.symbols) + 4
-        first_group = (first_chain_id - 4 + sum(4 + 4 * len(c) for c in ix.chains)
-                       + sum(4 + 4 * len(m) for m in ix.members)
-                       + 4 + 4 * len(ix.marked_classes) + 4)
-        # groups (0, a, 1): [(0, 0)] and (1, a, 0): [(0, 0)] on chains of 2 and 1 classes
-        assert ix.chains == ((0, 2), (1,))
-        groups = sorted(ix._group_edges)
-        assert groups[0] == (0, 0, 1) and groups[-1] == (1, 0, 0)
-        positions = []  # per group: offsets of its first target and first source
-        off = first_group
-        for _ in groups:
-            (tb_len,) = struct.unpack_from("<I", raw, off + 18)
-            positions.append((off + 22, off + 26 + tb_len))
-            off = positions[-1][1] + struct.unpack_from("<I", raw, off + 22 + tb_len)[0]
-        corruptions = [
-            (len(raw) - 4, "<I", ix.n_classes),     # initial class
-            (first_chain_id, "<I", 2),              # class 2 in two chain slots
-            (first_group, "<I", ix.q),              # group's target chain
-            (first_group + 16, "<B", 65),           # group's target width
-            (positions[0][1], "<B", 1),             # source 1 in a 1-class chain
-            (positions[-1][0], "<B", 1),            # target 1 in a 1-class chain
-        ]
-        for off, fmt, value in corruptions:
-            bad = bytearray(raw)
-            struct.pack_into(fmt, bad, off, value)
-            with pytest.raises(ValueError, match="corrupt|outside its chain"):
-                Index.from_bytes(bytes(bad))
 
-    def test_unknown_backend_rejected(self):
-        ix, _, _ = build_from(double_hub_graph(2))
-        with pytest.raises(ValueError):
-            Index.from_bytes(ix.to_bytes(), backend="mystery")
+        def refuse(*args, **kwargs):
+            raise AssertionError("loading packed an array")
+        monkeypatch.setattr(PackedArray, "__init__", refuse)
+        again = Index.from_bytes(raw)
+        assert again.to_bytes() == raw
+        assert again.space_report() == ix.space_report()
+        for s in ([], ["a"], ["a", "b"], ["a", "a", "b"]):
+            assert again.accept(s) == ix.accept(s)
+
+
+def _v2_offsets(raw: bytes) -> dict:
+    """Where a v2 file's fields are: the byte offset of each id list's count
+    and of each chain record's two counts, and (offset, width) of each packed
+    array."""
+    ix = Index.from_bytes(raw)
+    off = struct.calcsize("<4sHHIQIII") + sum(
+        2 + len(sym.encode("utf-8")) for sym in ix.alphabet.symbols)
+    at = {}
+    lists = [(f"chain{j}", c) for j, c in enumerate(ix.chains)]
+    lists += [(f"members{c}", m) for c, m in enumerate(ix.members)]
+    for name, ids in lists + [("marked", ix.marked_classes)]:
+        at[name] = off
+        off += 4 + 4 * len(ids)
+    for j, ch in enumerate(ix._store.chains):
+        at[f"n_groups{j}"], at[f"n_edges{j}"] = off, off + 4
+        off += 8
+        for name in ("keys", "ends", "targets", "sources"):
+            array = getattr(ch, name)
+            at[f"{name}{j}"] = (off, array.width)
+            off += (array.payload_bits + 63) // 64 * 8
+    if ix.finals is not None:
+        at["finals"] = off
+        off += 4 + 4 * len(ix.finals)
+    if ix.initial_class is not None:
+        at["initial"] = off
+        off += 4
+    assert off + 4 == len(raw)
+    return at
+
+
+def _put_packed(buf: bytearray, array: tuple[int, int], k: int, value: int) -> None:
+    """Overwrite value ``k`` of a packed array, given as (offset, width), in its
+    first word."""
+    start, width = array
+    word = int.from_bytes(buf[start:start + 8], "little")
+    word &= ~(((1 << width) - 1) << (k * width))
+    buf[start:start + 8] = (word | value << (k * width)).to_bytes(8, "little")
+
+
+def _reseal(buf: bytearray) -> bytes:
+    """The bytes with a fresh CRC32 trailer, so that the range checks see them."""
+    struct.pack_into("<I", buf, len(buf) - 4, zlib.crc32(buf[:-4]))
+    return bytes(buf)
 
 
 class TestInstrumentation:
