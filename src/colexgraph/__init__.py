@@ -3,14 +3,16 @@
 Pipeline: parse a graph, compute its maximum co-lex relation, collapse to the
 quotient graph, chain-partition the induced partial order, and build an index
 answering path and language queries as per-chain interval steps.
+``run_pipeline`` runs these stages in order on a parsed graph or automaton.
 """
 
 from .chains import ChainPartition, max_antichain, min_chain_partition, preorder_width
 from .graph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError, LabeledGraph,
                     Nfa, angle, format_graph, format_nfa, lambda_sets, parse_graph,
-                    parse_nfa, trim_nfa)
+                    parse_input, parse_nfa, trim_nfa)
 from .index import (ConvexSet, Index, PatternError, QueryStats, SpaceReport, build_index,
                     build_nfa_index, parse_pattern)
+from .pipeline import PipelineResult, run_pipeline
 from .quotient import (ClassPartition, QuotientGraph, QuotientNfa, classes, induced_order,
                        lift_classes, lift_relation, project_nodes, project_relation,
                        quotient_graph, quotient_nfa)
@@ -24,13 +26,13 @@ __version__ = "0.1.0"
 __all__ = [
     "AT", "HASH", "Alphabet", "AxiomViolation", "ChainPartition", "ClassPartition",
     "ConvexSet", "EmptyLanguageError", "GraphFormatError", "Index", "LabeledGraph",
-    "Nfa", "PairGraph", "PatternError", "Preorder", "QueryStats", "QuotientGraph",
-    "QuotientNfa",
+    "Nfa", "PairGraph", "PatternError", "PipelineResult", "Preorder", "QueryStats",
+    "QuotientGraph", "QuotientNfa",
     "Relation", "SpaceReport", "angle", "build_index", "build_nfa_index", "classes",
     "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",
     "induced_order", "is_colex_relation", "lambda_sets", "lift_classes", "lift_relation",
     "max_antichain", "max_colex_relation", "min_chain_partition", "min_colex_containing",
-    "parse_graph", "parse_nfa", "parse_pattern", "parse_relation", "preorder_width",
-    "project_nodes", "project_relation", "quotient_graph", "quotient_nfa", "refines",
-    "transitive_closure", "trim_nfa", "union",
+    "parse_graph", "parse_input", "parse_nfa", "parse_pattern", "parse_relation",
+    "preorder_width", "project_nodes", "project_relation", "quotient_graph", "quotient_nfa",
+    "refines", "run_pipeline", "transitive_closure", "trim_nfa", "union",
 ]

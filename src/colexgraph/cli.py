@@ -1,5 +1,11 @@
 """Command-line front end: build, query, accept, quotient, stats, verify.
 
+An input file is an automaton when it has an ``initial`` or ``final`` line and
+a graph otherwise; ``graph.parse_input`` decides, and every command that reads
+one builds through ``pipeline.run_pipeline``. ``--mark-initial`` (``build``,
+``quotient``) marks an automaton's initial state and is an error on a graph;
+``stats`` and ``verify`` always mark it.
+
 Exit codes: 0 = match/accept (or success for non-query commands), 1 = no
 match/no accept (or a failed verification), 2 = any error. User input never
 raises a traceback.
@@ -11,13 +17,11 @@ import argparse
 import sys
 from pathlib import Path
 
-from .chains import min_chain_partition
-from .graph import (EmptyLanguageError, GraphFormatError, Nfa, format_graph, format_nfa,
-                    parse_graph, parse_nfa, trim_nfa)
-from .index import MAGIC, Index, PatternError, build_index, parse_pattern
+from .graph import LabeledGraph, Nfa, format_graph, format_nfa, parse_input
+from .index import MAGIC, Index, parse_pattern
 from .oracle import run_graph_checks
-from .quotient import quotient_graph, quotient_nfa
-from .relation import dump_relation, max_colex_relation
+from .pipeline import run_pipeline
+from .relation import dump_relation
 
 DEFAULT_SEED = 991
 
@@ -30,11 +34,12 @@ class CliError(Exception):
     pass
 
 
-def _read_text(path: str) -> str:
+def _read_input(path: str) -> LabeledGraph | Nfa:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise CliError(f"cannot read {path}: {e}") from None
+    return parse_input(text)
 
 
 def _is_index_file(path: str) -> bool:
@@ -45,49 +50,8 @@ def _is_index_file(path: str) -> bool:
         raise CliError(f"cannot read {path}: {e}") from None
 
 
-def _is_nfa_text(text: str) -> bool:
-    """Automaton files are the ones with an ``initial`` line."""
-    return any(line.strip().startswith("initial") for line in text.splitlines())
-
-
-def _quotient(text: str, nfa_mode: bool, mark_initial: bool):
-    """Parse, trim, compute the maximum relation and take the quotient.
-
-    Returns the quotient graph, its automaton view (``None`` for a graph
-    file) and the node and edge counts of the input as parsed.
-    """
-    if not nfa_mode:
-        graph = parse_graph(text)
-        return quotient_graph(graph, max_colex_relation(graph)), None, graph.n, len(graph.edges)
-    automaton = parse_nfa(text)
-    n_orig, e_orig = automaton.graph.n, len(automaton.graph.edges)
-    automaton, _ = trim_nfa(automaton)
-    marked = frozenset({automaton.initial}) if mark_initial else frozenset()
-    pre = max_colex_relation(automaton.graph, marked)
-    if mark_initial:
-        qn = quotient_nfa(automaton, pre)
-        return qn.quotient, qn.as_nfa(), n_orig, e_orig
-    # Without the marker the quotient is only a graph-level collapse;
-    # the automaton view need not preserve the language.
-    qg = quotient_graph(automaton.graph, pre)
-    class_of = qg.partition.class_of
-    view = Nfa(qg.graph, class_of[automaton.initial],
-               frozenset(class_of[f] for f in automaton.finals))
-    return qg, view, n_orig, e_orig
-
-
-def _build_pipeline(text: str, nfa_mode: bool, mark_initial: bool) -> Index:
-    """Quotient the input, partition its order into chains and index it."""
-    qg, view, n_orig, e_orig = _quotient(text, nfa_mode, mark_initial)
-    finals, initial = (view.finals, view.initial) if view is not None else (None, None)
-    return build_index(qg, min_chain_partition(qg.order), finals=finals, initial=initial,
-                       n_original=n_orig, e_original=e_orig)
-
-
 def _cmd_build(args) -> int:
-    if args.mark_initial and not args.nfa:
-        raise CliError("--mark-initial requires --nfa")
-    ix = _build_pipeline(_read_text(args.graph), args.nfa, args.mark_initial)
+    ix = run_pipeline(_read_input(args.graph), args.mark_initial).index()
     ix.save(args.output)
     print(f"indexed {ix.n_original} nodes / {ix.e_original} edges -> "
           f"{ix.n_classes} classes / {ix.e_quotient} edges, width {ix.q}")
@@ -117,12 +81,11 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    qg, view, _, _ = _quotient(_read_text(args.graph), args.nfa, args.mark_initial)
-    body = format_nfa(view) if view is not None else format_graph(qg.graph)
-    lines = [body.rstrip("\n")]
-    for cid, group in enumerate(qg.partition.members):
-        lines.append(f"# class {cid}: " + " ".join(map(str, group)))
-    out = "\n".join(lines) + "\n"
+    result = run_pipeline(_read_input(args.graph), args.mark_initial)
+    view, qg = result.automaton, result.quotient
+    out = format_nfa(view) if view is not None else format_graph(qg.graph)
+    out += "".join(f"# class {cid}: {' '.join(map(str, group))}\n"
+                   for cid, group in enumerate(qg.partition.members))
     if args.output:
         Path(args.output).write_text(out, encoding="utf-8")
     else:
@@ -130,27 +93,16 @@ def _cmd_quotient(args) -> int:
     return _EXIT_MATCH
 
 
-def _stats_rows(ix: Index) -> list[tuple[str, object]]:
-    report = ix.space_report()
-    return [
-        ("n", ix.n_original),
-        ("edges", ix.e_original),
-        ("classes", ix.n_classes),
-        ("quotient-edges", ix.e_quotient),
-        ("width", ix.q),
-        ("measured-bits", report.measured_bits),
-        ("formula-bits", report.formula_bits),
-    ]
-
-
 def _cmd_stats(args) -> int:
     if _is_index_file(args.input):
         ix = Index.load(args.input)
     else:
-        text = _read_text(args.input)
-        nfa_mode = _is_nfa_text(text)
-        ix = _build_pipeline(text, nfa_mode, nfa_mode)
-    rows = _stats_rows(ix)
+        source = _read_input(args.input)
+        ix = run_pipeline(source, isinstance(source, Nfa)).index()
+    report = ix.space_report()
+    rows = [("n", ix.n_original), ("edges", ix.e_original), ("classes", ix.n_classes),
+            ("quotient-edges", ix.e_quotient), ("width", ix.q),
+            ("measured-bits", report.measured_bits), ("formula-bits", report.formula_bits)]
     if args.format == "tsv":
         print("\t".join(k for k, _ in rows))
         print("\t".join(str(v) for _, v in rows))
@@ -161,25 +113,15 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    text = _read_text(args.graph)
-    nfa_mode = _is_nfa_text(text)
-    if nfa_mode:
-        automaton, _ = trim_nfa(parse_nfa(text))
-        graph = automaton.graph
-        results = run_graph_checks(graph, seed=args.seed, nfa=automaton)
-    else:
-        graph = parse_graph(text)
-        results = run_graph_checks(graph, seed=args.seed)
+    source = _read_input(args.graph)
+    result = run_pipeline(source, isinstance(source, Nfa))
+    results = run_graph_checks(result, seed=args.seed)
     if args.dump_relation:
-        marked = frozenset({automaton.initial}) if nfa_mode else frozenset()
-        Path(args.dump_relation).write_text(
-            dump_relation(max_colex_relation(graph, marked)), encoding="utf-8")
-    failed = 0
+        Path(args.dump_relation).write_text(dump_relation(result.relation), encoding="utf-8")
+    failed = sum(not res.ok for res in results)
     for res in results:
-        status = "PASS" if res.ok else "FAIL"
         detail = f" {res.detail}" if res.detail else ""
-        print(f"CHECK {res.name} {status}{detail}")
-        failed += 0 if res.ok else 1
+        print(f"CHECK {res.name} {'PASS' if res.ok else 'FAIL'}{detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return _EXIT_MATCH if failed == 0 else _EXIT_NO_MATCH
 
@@ -194,7 +136,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index file from a graph/automaton file")
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--nfa", action="store_true", help="input is an automaton file")
     p.add_argument("--mark-initial", action="store_true",
                    help="compute the relation with the initial state marked "
                         "(required for acceptance queries)")
@@ -213,8 +154,8 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", help="print the quotient graph/automaton")
     p.add_argument("graph")
     p.add_argument("-o", "--output")
-    p.add_argument("--nfa", action="store_true")
-    p.add_argument("--mark-initial", action="store_true")
+    p.add_argument("--mark-initial", action="store_true",
+                   help="compute the relation with the initial state marked")
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("stats", help="sizes and space accounting of an index or graph file")
@@ -236,8 +177,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, GraphFormatError, EmptyLanguageError, PatternError,
-            ValueError, OSError) as e:
+    except (CliError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return _EXIT_ERROR
     except MemoryError:

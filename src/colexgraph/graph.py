@@ -204,7 +204,7 @@ def trim_nfa(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     return Nfa(graph, renum[a.initial], finals), kept
 
 
-def _parse(text: str, *, automaton: bool):
+def _parse(text: str, *, automaton: bool | None):
     n = None
     explicit_alphabet: tuple[str, ...] | None = None
     implicit: dict[str, None] = {}
@@ -252,7 +252,7 @@ def _parse(text: str, *, automaton: bool):
             if n < 0:
                 raise GraphFormatError(f"line {lineno}: negative node count")
         elif head == "initial":
-            if not automaton:
+            if automaton is False:
                 raise GraphFormatError(f"line {lineno}: 'initial' is only valid in an automaton file")
             if initial is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate initial line")
@@ -260,7 +260,7 @@ def _parse(text: str, *, automaton: bool):
                 raise GraphFormatError(f"line {lineno}: expected 'initial <state>'")
             initial = node(parts[1], lineno)
         elif head == "final":
-            if not automaton:
+            if automaton is False:
                 raise GraphFormatError(f"line {lineno}: 'final' is only valid in an automaton file")
             if finals is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate final line")
@@ -288,6 +288,8 @@ def _parse(text: str, *, automaton: bool):
     except ValueError as e:
         raise GraphFormatError(str(e)) from None
     graph = LabeledGraph(n, frozenset(edges), alphabet)
+    if automaton is None:
+        automaton = initial is not None or finals is not None
     if automaton:
         if initial is None:
             raise GraphFormatError("missing 'initial' line")
@@ -311,6 +313,11 @@ def parse_graph(text: str) -> LabeledGraph:
 def parse_nfa(text: str) -> Nfa:
     """Parse an automaton file: the graph format plus ``initial`` and ``final`` lines."""
     return _parse(text, automaton=True)
+
+
+def parse_input(text: str) -> LabeledGraph | Nfa:
+    """Parse either format: an automaton when there is an ``initial`` or ``final`` line."""
+    return _parse(text, automaton=None)
 
 
 def format_graph(g: LabeledGraph, header_comments: Iterable[str] = ()) -> str:

@@ -2,7 +2,9 @@
 
 Everything here recomputes a queryable concept by direct definition (BFS
 products, greatest fixpoints, exhaustive enumeration, subset construction) so
-the fast paths always have an independent answer to agree with.
+the fast paths always have an independent answer to agree with. The driver,
+``run_graph_checks``, takes the stages' outputs from one ``run_pipeline``
+result and builds none of them again.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chains import ChainPartition, min_chain_partition, preorder_width
+from .chains import ChainPartition, max_antichain, preorder_width
 from .graph import Alphabet, LabeledGraph, Nfa, angle, lambda_sets, trim_nfa
-from .index import Index, QueryStats, build_index, build_nfa_index
-from .quotient import ClassPartition, classes, induced_order, quotient_graph, quotient_nfa
+from .index import Index, QueryStats
+from .pipeline import PipelineResult
+from .quotient import ClassPartition, classes
 from .relation import (Preorder, Relation, first_axiom_violation, max_colex_relation,
                        min_colex_containing)
 
@@ -171,23 +174,25 @@ def dfa_isomorphic(p1: PowersetDfa, p2: PowersetDfa) -> bool:
     return len(mapping) == len(p1.subsets)
 
 
-def is_acyclic(g: LabeledGraph) -> bool:
+def _topological_order(g: LabeledGraph) -> list[int]:
+    """Kahn's order of the nodes; it misses every node on or after a cycle."""
     out_adj = g.out_adjacency()
     succ = [sorted({v for vs in out_adj[u].values() for v in vs}) for u in range(g.n)]
     indeg = [0] * g.n
     for u in range(g.n):
         for v in succ[u]:
             indeg[v] += 1
-    dq = deque(u for u in range(g.n) if indeg[u] == 0)
-    seen = 0
-    while dq:
-        u = dq.popleft()
-        seen += 1
+    order = [u for u in range(g.n) if indeg[u] == 0]
+    for u in order:  # grows while it is read
         for v in succ[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
-                dq.append(v)
-    return seen == g.n
+                order.append(v)
+    return order
+
+
+def is_acyclic(g: LabeledGraph) -> bool:
+    return len(_topological_order(g)) == g.n
 
 
 def colex_key(alpha: Sequence[str], alphabet: Alphabet) -> tuple[int, ...]:
@@ -197,27 +202,12 @@ def colex_key(alpha: Sequence[str], alphabet: Alphabet) -> tuple[int, ...]:
 
 def reached_string_sets(a: Nfa) -> list[frozenset[tuple[str, ...]]]:
     """I_u for every state of an acyclic automaton (all strings from the initial)."""
-    if not is_acyclic(a.graph):
+    order = _topological_order(a.graph)
+    if len(order) < a.graph.n:
         raise ValueError("automaton has a cycle; string sets would be infinite")
-    n = a.graph.n
     out_adj = a.graph.out_adjacency()
-    in_deg = [0] * n
-    for u in range(n):
-        for vs in out_adj[u].values():
-            for v in vs:
-                in_deg[v] += 1
-    topo = deque(u for u in range(n) if in_deg[u] == 0)
-    sets: list[set[tuple[str, ...]]] = [set() for _ in range(n)]
+    sets: list[set[tuple[str, ...]]] = [set() for _ in range(a.graph.n)]
     sets[a.initial].add(())
-    order = []
-    while topo:
-        u = topo.popleft()
-        order.append(u)
-        for sym, vs in out_adj[u].items():
-            for v in vs:
-                in_deg[v] -= 1
-                if in_deg[v] == 0:
-                    topo.append(v)
     for u in order:
         for sym, vs in out_adj[u].items():
             for v in vs:
@@ -486,46 +476,39 @@ def _pattern_sample(rng: random.Random, symbols: Sequence[str], count: int,
     return patterns
 
 
-def run_graph_checks(g: LabeledGraph, seed: int = 0,
-                     nfa: Nfa | None = None) -> list[CheckResult]:
-    """Cross-check the whole pipeline on one input; one result per check."""
+def run_graph_checks(result: PipelineResult, seed: int = 0) -> list[CheckResult]:
+    """Cross-check one pipeline run against the oracles; one result per check.
+
+    The relation, quotient, chains and index come from ``result``; every
+    reference they are compared with is computed here. An automaton must have
+    been run with its initial state marked.
+    """
+    g, marked, pre, qg, cp = (result.graph, result.marked, result.relation,
+                              result.quotient, result.chains)
+    nfa = result.source if isinstance(result.source, Nfa) else None
+    if nfa is not None and not marked:
+        raise ValueError("automaton checks need the initial state marked")
     rng = random.Random(seed)
     results: list[CheckResult] = []
 
     def add(name: str, ok: bool, detail: str = ""):
         results.append(CheckResult(name, bool(ok), detail))
 
-    marked = frozenset({nfa.initial}) if nfa is not None else frozenset()
-    pre = max_colex_relation(g, marked)
     violation = first_axiom_violation(g, pre, marked)
     add("max-relation-axioms", violation is None, str(violation) if violation else "")
-    add("max-relation-transitive", pre.is_transitive())
     if g.n <= 16:
         add("gfp-agreement", gfp_max_relation(g, marked) == pre)
-        ok = True
-        for u in range(g.n):
-            for v in range(g.n):
-                if u == v:
-                    continue
-                has_min = min_colex_containing(g, u, v, marked) is not None
-                if has_min != pre.holds(u, v):
-                    ok = False
-        add("min-containing-iff-max", ok)
-    part = classes(pre)
-    order = induced_order(pre, part)
-    cp = min_chain_partition(order)
-    add("width-quotient-equal", preorder_width(pre) == cp.chain_count,
-        f"q={cp.chain_count}")
-    qg = quotient_graph(g, pre, marked)
+        add("min-containing-iff-max", all(
+            (min_colex_containing(g, u, v, marked) is not None) == pre.holds(u, v)
+            for u in range(g.n) for v in range(g.n) if u != v))
+    order = qg.order
+    antichain = max_antichain(order)
+    incomparable = not any(order.holds(u, v) for u in antichain for v in antichain if u != v)
+    add("dilworth-certificate", incomparable and len(antichain) == cp.chain_count,
+        f"q={cp.chain_count} antichain={len(antichain)}")
     add("single-in-edge", single_in_edge_holds(g, qg.partition))
     add("monotone-groups", monotone_groups_hold(qg.graph, cp))
-    qn = None
-    if nfa is not None:
-        qn = quotient_nfa(nfa, pre)
-        add("initial-class-singleton", len(qg.partition.members[qn.initial]) == 1)
-        ix = build_nfa_index(qn, cp)
-    else:
-        ix = build_index(qg, cp)
+    ix = result.index()
     symbols = g.alphabet.symbols
     patterns = (_pattern_sample(rng, symbols, 40, 5) if symbols else [()])
     ok = True
@@ -546,11 +529,11 @@ def run_graph_checks(g: LabeledGraph, seed: int = 0,
     ix2 = Index.from_bytes(ix.to_bytes())
     ok = all(ix2.match_pattern(p)[0] == ix.match_pattern(p)[0]
              and ix2.map_back(ix2.match_pattern(p)[1]) == ix.map_back(ix.match_pattern(p)[1])
-             and (qn is None or ix2.accept(p) == ix.accept(p))
+             and (nfa is None or ix2.accept(p) == ix.accept(p))
              for p in patterns)
     add("serialize-roundtrip", ok)
-    if qn is not None:
-        add("language-quotient-equal", language_equiv(nfa, qn.as_nfa()))
+    if nfa is not None:
+        add("language-quotient-equal", language_equiv(nfa, result.automaton))
         strings = list(enumerate_strings(symbols, 4)) if len(symbols) ** 4 < 700 else \
             _pattern_sample(rng, symbols, 80, 6)
         ok = all(ix.accept(s) == simulate_nfa(nfa, s) for s in strings)

@@ -1,39 +1,28 @@
 """Test-only constructions shared across modules."""
 
+import zlib
+
 import numpy as np
 
-from colexgraph import LabeledGraph, Relation, lambda_sets
+from colexgraph import LabeledGraph, QuotientNfa, Relation, lambda_sets, run_pipeline
 from colexgraph.graph import Alphabet
 
 
 def strict_label_relation(g: LabeledGraph, u_marked=()) -> Relation:
     """The canonical non-trivial co-lex relation: (u, v) whenever every label of
     u strictly precedes every label of v, plus the diagonal."""
-    lams = lambda_sets(g, u_marked)
-    rank = g.alphabet.rank
-    bits = np.eye(g.n, dtype=bool)
-    for u in range(g.n):
-        hi = max(rank(s) for s in lams[u])
-        for v in range(g.n):
-            if u != v and hi < min(rank(s) for s in lams[v]):
-                bits[u, v] = True
-    return Relation(bits)
+    ranks = [[g.alphabet.rank(s) for s in lam] for lam in lambda_sets(g, u_marked)]
+    hi = np.array([max(r) for r in ranks])
+    lo = np.array([min(r) for r in ranks])
+    return Relation(np.eye(g.n, dtype=bool) | (hi[:, None] < lo[None, :]))
 
 
 def expected_double_hub_relation(n: int) -> Relation:
     """Relation the two-hub family must produce: sinks all mutually comparable,
     hubs mutually comparable, every hub below every sink."""
-    total = n + 2
-    bits = np.eye(total, dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            bits[i, j] = True
-    for h in (n, n + 1):
-        for i in range(n):
-            bits[h, i] = True
-    for h1 in (n, n + 1):
-        for h2 in (n, n + 1):
-            bits[h1, h2] = True
+    bits = np.zeros((n + 2, n + 2), dtype=bool)
+    bits[:n, :n] = True  # sinks
+    bits[n:, :] = True  # hubs, below each other and every sink
     return Relation(bits)
 
 
@@ -42,17 +31,19 @@ def two_node_alphabet_graph() -> LabeledGraph:
     return LabeledGraph(4, frozenset({(0, 2, "b"), (1, 3, "a")}), Alphabet(("a", "b")))
 
 
-def quotient_pipeline(g: LabeledGraph, marked=()):
+def quotient_pipeline(g: LabeledGraph):
     """Graph -> (quotient, chain partition) via the maximum relation."""
-    from colexgraph import max_colex_relation, min_chain_partition, quotient_graph
-    pre = max_colex_relation(g, marked)
-    qg = quotient_graph(g, pre, u_marked=marked)
-    return qg, min_chain_partition(qg.order)
+    result = run_pipeline(g)
+    return result.quotient, result.chains
 
 
 def nfa_pipeline(nfa):
-    """Trim automaton -> (quotient NFA, chain partition) with the initial marked."""
-    from colexgraph import max_colex_relation, min_chain_partition, quotient_nfa
-    pre = max_colex_relation(nfa.graph, {nfa.initial})
-    qn = quotient_nfa(nfa, pre)
-    return qn, min_chain_partition(qn.quotient.order)
+    """Automaton -> (quotient NFA, chain partition) with the initial marked."""
+    result = run_pipeline(nfa, mark_initial=True)
+    view = result.automaton
+    return QuotientNfa(result.quotient, view.initial, view.finals), result.chains
+
+
+def reseal(buf: bytearray) -> bytes:
+    """The bytes with a fresh CRC32 trailer, so that the range checks see them."""
+    return bytes(buf[:-4]) + zlib.crc32(buf[:-4]).to_bytes(4, "little")

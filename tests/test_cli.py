@@ -1,10 +1,13 @@
 import struct
+from collections import Counter
 
 import pytest
 
-from colexgraph import Index, format_graph, format_nfa, parse_nfa
+from colexgraph import (Index, build_index, format_graph, format_nfa, max_colex_relation,
+                        min_chain_partition, parse_nfa, quotient_graph)
 from colexgraph.cli import main
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa
+from helpers import reseal
 
 
 @pytest.fixture
@@ -82,7 +85,7 @@ class TestBuildAndQuery:
         first_id = (struct.calcsize("<4sHHIQIII")
                     + sum(2 + len(sym.encode("utf-8")) for sym in ix.alphabet.symbols) + 4)
         struct.pack_into("<I", raw, first_id, ix.n_classes)
-        out.write_bytes(bytes(raw))
+        out.write_bytes(reseal(raw))
         assert main(["query", str(out), "a"]) == 2
         err = capsys.readouterr().err
         assert err == "error: truncated or corrupt index file\n"
@@ -108,14 +111,14 @@ class TestBuildAndQuery:
     def test_out_of_memory_is_a_one_line_error(self, hub_file, tmp_path, capsys, monkeypatch):
         def exhausted(*args, **kwargs):
             raise MemoryError
-        monkeypatch.setattr("colexgraph.cli.max_colex_relation", exhausted)
+        monkeypatch.setattr("colexgraph.pipeline.max_colex_relation", exhausted)
         assert main(["build", hub_file, "-o", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory ") and err.count("\n") == 1
 
     def test_saved_index_answers_like_in_memory(self, loop_file, tmp_path):
         out = str(tmp_path / "loop.clxi")
-        main(["build", loop_file, "-o", out, "--nfa", "--mark-initial"])
+        main(["build", loop_file, "-o", out, "--mark-initial"])
         from helpers import nfa_pipeline
         from colexgraph import build_nfa_index
         qn, cp = nfa_pipeline(loop_branch_nfa())
@@ -130,7 +133,7 @@ class TestBuildAndQuery:
 class TestAccept:
     def test_accept_and_reject(self, loop_file, tmp_path, capsys):
         out = str(tmp_path / "loop.clxi")
-        assert main(["build", loop_file, "-o", out, "--nfa", "--mark-initial"]) == 0
+        assert main(["build", loop_file, "-o", out, "--mark-initial"]) == 0
         assert main(["accept", out, "ab"]) == 0
         assert "accept" in capsys.readouterr().out
         assert main(["accept", out, "b"]) == 1
@@ -146,11 +149,55 @@ class TestAccept:
         path = tmp_path / "funnel.nfa"
         path.write_text(format_nfa(funnel_nfa(2)), encoding="utf-8")
         out = str(tmp_path / "funnel.clxi")
-        assert main(["build", str(path), "-o", out, "--nfa"]) == 0
+        assert main(["build", str(path), "-o", out]) == 0
         assert main(["accept", out, "aa"]) == 2
 
     def test_mark_initial_requires_nfa(self, hub_file, tmp_path):
         assert main(["build", hub_file, "-o", str(tmp_path / "x"), "--mark-initial"]) == 2
+
+
+class TestInputKind:
+    """The text decides between graph and automaton; there is no --nfa flag."""
+
+    def test_automaton_text_builds_without_flags(self, loop_file, tmp_path, capsys):
+        out = tmp_path / "loop.clxi"
+        assert main(["build", loop_file, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "indexed 3 nodes / 3 edges -> 2 classes / 2 edges, width 1\n")
+        # the unmarked automaton index, laid out stage by stage
+        nfa = loop_branch_nfa()
+        qg = quotient_graph(nfa.graph, max_colex_relation(nfa.graph))
+        class_of = qg.partition.class_of
+        want = build_index(qg, min_chain_partition(qg.order),
+                           finals=frozenset(class_of[f] for f in nfa.finals),
+                           initial=class_of[nfa.initial], n_original=3, e_original=3)
+        assert out.read_bytes() == want.to_bytes()
+
+    def test_automaton_text_quotients_without_flags(self, loop_file, capsys):
+        assert main(["quotient", loop_file]) == 0
+        assert capsys.readouterr().out == (
+            "alphabet a b\nnodes 2\n0 0 a\n0 1 b\ninitial 0\nfinal 0 1\n"
+            "# class 0: 0 1\n# class 1: 2\n")
+
+    def test_nfa_option_is_gone(self, loop_file, tmp_path):
+        for argv in (["build", loop_file, "-o", str(tmp_path / "x")],
+                     ["quotient", loop_file]):
+            with pytest.raises(SystemExit) as exited:
+                main(argv + ["--nfa"])
+            assert exited.value.code == 2
+
+    def test_final_without_initial_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "half.nfa"
+        path.write_text("nodes 2\n0 1 a\nfinal 1\n", encoding="utf-8")
+        assert main(["build", str(path), "-o", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == "error: missing 'initial' line\n"
+
+    def test_mark_initial_on_a_graph_is_one_error_line(self, hub_file, tmp_path, capsys):
+        for argv in (["build", hub_file, "-o", str(tmp_path / "x")], ["quotient", hub_file]):
+            assert main(argv + ["--mark-initial"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 class TestStats:
@@ -181,7 +228,7 @@ class TestStats:
 
 class TestQuotientCommand:
     def test_emits_classes_and_reparses(self, loop_file, capsys):
-        assert main(["quotient", loop_file, "--nfa", "--mark-initial"]) == 0
+        assert main(["quotient", loop_file, "--mark-initial"]) == 0
         out = capsys.readouterr().out
         assert "# class 0: 0" in out
         reparsed = parse_nfa(out)
@@ -199,8 +246,7 @@ class TestQuotientCommand:
 
     def test_output_file(self, loop_file, tmp_path):
         dest = tmp_path / "q.nfa"
-        assert main(["quotient", loop_file, "--nfa", "--mark-initial",
-                     "-o", str(dest)]) == 0
+        assert main(["quotient", loop_file, "--mark-initial", "-o", str(dest)]) == 0
         assert dest.exists() and "initial" in dest.read_text(encoding="utf-8")
 
 
@@ -220,6 +266,33 @@ class TestVerify:
         assert "CHECK accept-oracle PASS" in out
         assert "CHECK powerset-bounds PASS" in out
         assert "CHECK language-quotient-equal PASS" in out
+
+    def test_wrong_antichain_fails(self, hub_file, monkeypatch, capsys):
+        # The hub graph's two classes form one chain: both together are not
+        # an antichain, and no antichain is empty.
+        for wrong in (frozenset({0, 1}), frozenset()):
+            monkeypatch.setattr("colexgraph.oracle.max_antichain", lambda order: wrong)
+            assert main(["verify", hub_file]) == 1
+            out = capsys.readouterr().out
+            assert "CHECK dilworth-certificate FAIL" in out
+            assert out.count("FAIL") == 1
+
+    def test_graph_stages_run_once(self, hub_file, tmp_path, monkeypatch, capsys):
+        import colexgraph.chains, colexgraph.oracle, colexgraph.pipeline, colexgraph.quotient
+        calls = Counter()
+        for module in (colexgraph.pipeline, colexgraph.oracle, colexgraph.chains,
+                       colexgraph.quotient):
+            for name in ("max_colex_relation", "quotient_graph", "min_chain_partition"):
+                if hasattr(module, name):
+                    def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                        calls[_name] += 1
+                        return _real(*args, **kwargs)
+                    monkeypatch.setattr(module, name, counted)
+        dest = tmp_path / "rel.txt"
+        assert main(["verify", hub_file, "--dump-relation", str(dest)]) == 0
+        assert calls == {"max_colex_relation": 1, "quotient_graph": 1,
+                         "min_chain_partition": 1}
+        assert len(dest.read_text(encoding="utf-8").splitlines()) == 8
 
     def test_dump_relation(self, hub_file, tmp_path, capsys):
         dest = tmp_path / "rel.txt"

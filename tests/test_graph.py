@@ -3,7 +3,7 @@ from hypothesis import given, settings
 
 from colexgraph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError,
                         LabeledGraph, Nfa, angle, format_graph, format_nfa, lambda_sets,
-                        parse_graph, parse_nfa, trim_nfa)
+                        parse_graph, parse_input, parse_nfa, trim_nfa)
 from conftest import fan_graph, funnel_nfa, loop_branch_nfa, small_graphs, small_nfas
 
 
@@ -77,6 +77,14 @@ class TestParsing:
             parse_nfa("nodes 1\nfinal 0\n")
         with pytest.raises(GraphFormatError):
             parse_nfa("nodes 1\ninitial 0\n")
+
+    def test_parse_input_tells_automata_from_graphs(self):
+        assert parse_input(format_nfa(loop_branch_nfa())) == loop_branch_nfa()
+        assert parse_input(format_graph(fan_graph())) == fan_graph()
+        with pytest.raises(GraphFormatError, match="missing 'initial' line"):
+            parse_input("nodes 1\nfinal 0\n")
+        with pytest.raises(GraphFormatError, match="missing 'final' line"):
+            parse_input("nodes 1\ninitial 0\n")
 
     @given(small_graphs())
     @settings(max_examples=60)

@@ -1,25 +1,24 @@
 import random
 import struct
 import time
-import zlib
 
 import pytest
 from hypothesis import given, settings
 
 from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, QueryStats,
-                        build_index, build_nfa_index)
+                        build_index, build_nfa_index, run_pipeline)
 from colexgraph.graph import Alphabet
 from colexgraph.bitvec import PackedArray
 from colexgraph.index import _CompactStore, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
-from helpers import nfa_pipeline, quotient_pipeline
+from helpers import nfa_pipeline, quotient_pipeline, reseal
 
 
-def build_from(g, marked=()):
-    qg, cp = quotient_pipeline(g, marked)
-    return build_index(qg, cp), qg, cp
+def build_from(g):
+    result = run_pipeline(g)
+    return result.index(), result.quotient, result.chains
 
 
 class TestBuildLayout:
@@ -350,7 +349,7 @@ class TestBackendsAndSerialization:
             else:
                 _put_packed(bad, field, fmt, value)
             with pytest.raises(ValueError, match=error):
-                Index.from_bytes(_reseal(bad))
+                Index.from_bytes(reseal(bad))
         assert max(wrapped_bits) <= 8 * len(raw)  # huge counts were refused first
         # a key at sigma * q: one symbol on one chain leaves the 1-bit key room
         hub, _, _ = build_from(double_hub_graph(3))
@@ -358,13 +357,13 @@ class TestBackendsAndSerialization:
         bad = bytearray(hub_raw)
         _put_packed(bad, _v2_offsets(hub_raw)["keys0"], 0, 1)
         with pytest.raises(ValueError, match="below sigma"):
-            Index.from_bytes(_reseal(bad))
+            Index.from_bytes(reseal(bad))
 
     def test_trailing_bytes_rejected(self):
         ix, _, _ = build_from(double_hub_graph(2))
         raw = ix.to_bytes()
         with pytest.raises(ValueError, match="corrupt"):
-            Index.from_bytes(_reseal(bytearray(raw[:-4] + bytes(8) + raw[-4:])))
+            Index.from_bytes(reseal(bytearray(raw[:-4] + bytes(8) + raw[-4:])))
 
     def test_every_bit_flip_and_truncation_rejected(self):
         rng = random.Random(1305)
@@ -434,12 +433,6 @@ def _put_packed(buf: bytearray, array: tuple[int, int], k: int, value: int) -> N
     word = int.from_bytes(buf[start:start + 8], "little")
     word &= ~(((1 << width) - 1) << (k * width))
     buf[start:start + 8] = (word | value << (k * width)).to_bytes(8, "little")
-
-
-def _reseal(buf: bytearray) -> bytes:
-    """The bytes with a fresh CRC32 trailer, so that the range checks see them."""
-    struct.pack_into("<I", buf, len(buf) - 4, zlib.crc32(buf[:-4]))
-    return bytes(buf)
 
 
 class TestInstrumentation:

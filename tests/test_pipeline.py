@@ -1,0 +1,47 @@
+import pytest
+
+from colexgraph import (LabeledGraph, Nfa, build_index, max_colex_relation,
+                        min_chain_partition, quotient_graph, run_pipeline)
+from colexgraph.oracle import run_graph_checks
+from conftest import double_hub_graph, loop_branch_nfa
+
+
+class TestRunPipeline:
+    def test_graph_matches_the_stages_one_by_one(self):
+        g = double_hub_graph(3)
+        result = run_pipeline(g)
+        pre = max_colex_relation(g)
+        qg = quotient_graph(g, pre)
+        cp = min_chain_partition(qg.order)
+        assert result.source is g and result.graph is g and result.marked == frozenset()
+        assert result.relation == pre and result.quotient == qg and result.chains == cp
+        assert result.automaton is None
+        assert result.index().to_bytes() == build_index(qg, cp, n_original=5,
+                                                        e_original=6).to_bytes()
+
+    def test_automaton_is_trimmed_and_counted_before_trimming(self):
+        # loop_branch_nfa plus a state 3 that no final state is reachable from
+        base = loop_branch_nfa()
+        g = LabeledGraph.build(4, set(base.graph.edges) | {(2, 3, "a")}, ["a", "b"])
+        result = run_pipeline(Nfa(g, 0, base.finals), mark_initial=True)
+        assert result.source == base and result.marked == {0}
+        assert (result.n_original, result.e_original) == (4, 4)
+        ix = result.index()
+        assert (ix.n_original, ix.e_original, ix.n_classes) == (4, 4, 3)
+        assert ix.accept(["a", "b"]) and not ix.accept(["b"])
+
+    def test_unmarked_automaton_keeps_an_automaton_view(self):
+        result = run_pipeline(loop_branch_nfa())
+        assert result.marked == frozenset()
+        assert result.quotient.partition.members == ((0, 1), (2,))
+        assert (result.automaton.initial, result.automaton.finals) == (0, {0, 1})
+        with pytest.raises(ValueError, match="marker"):
+            result.index().accept(["a"])
+
+    def test_a_graph_has_no_initial_state_to_mark(self):
+        with pytest.raises(ValueError, match="initial state"):
+            run_pipeline(double_hub_graph(2), mark_initial=True)
+
+    def test_checks_refuse_an_unmarked_automaton(self):
+        with pytest.raises(ValueError, match="marked"):
+            run_graph_checks(run_pipeline(loop_branch_nfa()))
