@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quotient import classes, induced_order
+from .quotient import _class_order, classes
 from .relation import Preorder
 
 _INF = -1
@@ -214,5 +214,4 @@ def max_antichain(order: Preorder) -> frozenset[int]:
 
 def preorder_width(pre: Preorder) -> int:
     """Width of a preorder = width of its quotient partial order."""
-    part = classes(pre)
-    return min_chain_partition(induced_order(pre, part)).chain_count
+    return min_chain_partition(_class_order(pre, classes(pre))).chain_count

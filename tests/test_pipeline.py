@@ -1,3 +1,9 @@
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from colexgraph import (LabeledGraph, Nfa, build_index, max_colex_relation,
@@ -45,3 +51,25 @@ class TestRunPipeline:
     def test_checks_refuse_an_unmarked_automaton(self):
         with pytest.raises(ValueError, match="marked"):
             run_graph_checks(run_pipeline(loop_branch_nfa()))
+
+    def test_sparse_nondeterministic_automaton_builds_in_bounded_memory(self):
+        # 192 states with 0-2 targets per state and symbol: its subset pairs
+        # number far more than fit in 1.5 GiB, so the build must not visit them.
+        code = """
+import random
+from colexgraph import LabeledGraph, Nfa, run_pipeline
+rng = random.Random(1)
+n, syms = 192, ("a", "b", "c")
+edges = {(u, v, s) for u in range(n) for s in syms
+         for v in rng.sample(range(n), rng.randint(0, 2))}
+finals = frozenset(v for v in range(n) if rng.random() < 0.3)
+run_pipeline(Nfa(LabeledGraph.build(n, edges, syms), 0, finals), mark_initial=True).index()
+"""
+        limit = 3 << 29  # 1.5 GiB of address space
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 0, proc.stderr[-2000:]
