@@ -16,7 +16,7 @@ from .pipeline import PipelineResult, run_pipeline
 from .quotient import (ClassPartition, QuotientGraph, QuotientNfa, classes, induced_order,
                        lift_classes, lift_relation, project_nodes, project_relation,
                        quotient_graph, quotient_nfa)
-from .relation import (AxiomViolation, PairGraph, Preorder, Relation, dump_relation,
+from .relation import (AxiomViolation, Preorder, Relation, dump_relation,
                        first_axiom_violation, is_colex_relation, max_colex_relation,
                        min_colex_containing, parse_relation, refines, transitive_closure,
                        union)
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AT", "HASH", "Alphabet", "AxiomViolation", "ChainPartition", "ClassPartition",
     "ConvexSet", "EmptyLanguageError", "GraphFormatError", "Index", "LabeledGraph",
-    "Nfa", "PairGraph", "PatternError", "PipelineResult", "Preorder", "QueryStats",
+    "Nfa", "PatternError", "PipelineResult", "Preorder", "QueryStats",
     "QuotientGraph", "QuotientNfa",
     "Relation", "SpaceReport", "angle", "build_index", "build_nfa_index", "classes",
     "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",

@@ -7,6 +7,7 @@ can separate content from the auxiliary directories.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -20,20 +21,18 @@ class BitVector:
     def __init__(self, bits: Iterable[int]):
         bits = list(bits)
         n = len(bits)
-        words = np.zeros(n // 64 + 1, dtype=np.uint64)
-        for i, b in enumerate(bits):
-            if b:
-                words[i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-        ranks = np.zeros(len(words) + 1, dtype=np.int64)
-        total = 0
-        for w in range(len(words)):
-            ranks[w] = total
-            total += int(words[w]).bit_count()
-        ranks[len(words)] = total
+        words = []
+        for start in range(0, n + 1, 64):
+            word = 0
+            for shift, b in enumerate(bits[start:start + 64]):
+                if b:
+                    word |= 1 << shift
+            words.append(word)
+        ranks = [0, *accumulate(w.bit_count() for w in words)]
         self._length = n
-        self._words = words
-        self._ranks = ranks
-        self._ones = total
+        self._words = np.array(words, dtype=np.uint64)
+        self._ranks = np.array(ranks, dtype=np.int64)
+        self._ones = ranks[-1]
 
     def __len__(self) -> int:
         return self._length
@@ -99,19 +98,21 @@ class PackedArray:
             raise ValueError("width must be in 1..64")
         values = list(values)
         limit = 1 << width
-        total_bits = width * len(values)
-        words = np.zeros(total_bits // 64 + 2, dtype=np.uint64)
-        for i, v in enumerate(values):
-            if not 0 <= v < limit:
-                raise ValueError(f"value {v} does not fit in {width} bits")
-            bitpos = i * width
-            w, off = divmod(bitpos, 64)
-            words[w] |= np.uint64((v << off) & 0xFFFFFFFFFFFFFFFF)
-            if off + width > 64:
-                words[w + 1] |= np.uint64(v >> (64 - off))
+        # 64 values fill exactly ``width`` words: pack each run of 64 into one
+        # Python int, so the whole array is one join and one frombuffer.
+        blocks = []
+        for start in range(0, len(values), 64):
+            block = 0
+            for shift, v in enumerate(values[start:start + 64]):
+                if not 0 <= v < limit:
+                    raise ValueError(f"value {v} does not fit in {width} bits")
+                block |= v << (shift * width)
+            blocks.append(block.to_bytes(8 * width, "little"))
+        n_words = width * len(values) // 64 + 2
+        raw = b"".join(blocks)[:8 * n_words].ljust(8 * n_words, b"\0")
         self._width = width
         self._length = len(values)
-        self._words = words
+        self._words = np.frombuffer(raw, dtype="<u8").astype(np.uint64, copy=False)
 
     @classmethod
     def from_words(cls, width: int, length: int, raw: bytes) -> "PackedArray":

@@ -8,6 +8,11 @@ fixed function of the order, so the partition is deterministic. Chains are
 recovered by following matched pairs from heads in ascending id. The Konig
 cover of the same matching yields a maximum antichain, giving the width
 equality both ways.
+
+Every ``Preorder`` runs the matching once, on its class order, when it is
+built: the chains are part of its transitivity certificate, which costs
+O(k^2 + k * q^2) on k classes and q chains (see
+``relation._certificate_failure``). The functions here read those chains.
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from typing import Callable
 
 import numpy as np
 
-from .quotient import _class_order, classes
 from .relation import Preorder
 
 _INF = -1
@@ -133,18 +137,19 @@ def _hopcroft_karp(adj: Callable[[int], list[int]], match_left: list[int],
                 dfs(u)
 
 
-def _max_matching(order: Preorder) -> tuple[list[int], list[int], Callable[[int], list[int]]]:
-    """Maximum matching of the strict order, split into left u and right v for u < v.
+def _chain_cover(order: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Chains of a maximum matching of the strict part of ``order``.
 
     Hopcroft-Karp augments the greedy chains' matching. Each adjacency row is
     listed from the order's boolean row the first time a phase visits it, so
-    the transitive closure is never listed in full. Returns (match_left,
-    match_right, adj).
+    the transitive closure is never listed in full. On a partial order the
+    chains partition it; on any other relation they may not, which the
+    certificate's cover check finds.
     """
-    if not order.is_antisymmetric():
-        raise ValueError("order must be a partial order (antisymmetric)")
-    strict = order.bits & ~np.eye(order.n, dtype=bool)
-    rows: list[list[int] | None] = [None] * order.n
+    n = order.shape[0]
+    strict = order.copy()
+    np.fill_diagonal(strict, False)
+    rows: list[list[int] | None] = [None] * n
 
     def adj(u: int) -> list[int]:
         if rows[u] is None:
@@ -153,43 +158,56 @@ def _max_matching(order: Preorder) -> tuple[list[int], list[int], Callable[[int]
 
     match_left, match_right = _greedy_chains(strict)
     _hopcroft_karp(adj, match_left, match_right)
-    return match_left, match_right, adj
-
-
-def min_chain_partition(order: Preorder) -> ChainPartition:
-    """Minimum-size chain partition of a partial order.
-
-    The order must be antisymmetric; its strict part is already transitively
-    closed, so matched edges concatenate into chains.
-    """
-    if not isinstance(order, Preorder):
-        order = Preorder(order.bits)
-    n = order.n
-    match_left, _, _ = _max_matching(order)
-    matched_right = {v for v in match_left if v != -1}
-    chains: list[tuple[int, ...]] = []
-    chain_of = [-1] * n
-    pos_in_chain = [-1] * n
+    chains = []
     for head in range(n):
-        if head in matched_right:
+        if match_right[head] != -1:
             continue
         chain = []
         cur = head
         while cur != -1:
             chain.append(cur)
             cur = match_left[cur]
-        cid = len(chains)
+        chains.append(tuple(chain))
+    return tuple(chains)
+
+
+def _partial_order(order: Preorder) -> Preorder:
+    """``order`` as a certified ``Preorder``, which must have no class of two or more."""
+    if not isinstance(order, Preorder):
+        order = Preorder(order.bits)
+    if order._reps.size != order.n:
+        raise ValueError("order must be a partial order (antisymmetric)")
+    return order
+
+
+def min_chain_partition(order: Preorder) -> ChainPartition:
+    """Minimum-size chain partition of a partial order.
+
+    These are the chains the order's certificate was checked with.
+    """
+    order = _partial_order(order)
+    chain_of = [-1] * order.n
+    pos_in_chain = [-1] * order.n
+    for cid, chain in enumerate(order._chains):
         for pos, node in enumerate(chain):
             chain_of[node] = cid
             pos_in_chain[node] = pos
-        chains.append(tuple(chain))
-    return ChainPartition(len(chains), tuple(chain_of), tuple(pos_in_chain), tuple(chains))
+    return ChainPartition(len(order._chains), tuple(chain_of), tuple(pos_in_chain),
+                          order._chains)
 
 
 def max_antichain(order: Preorder) -> frozenset[int]:
     """A maximum antichain, from the Konig cover of the path-cover matching."""
+    order = _partial_order(order)
     n = order.n
-    match_left, match_right, adj = _max_matching(order)
+    # The maximum matching the chains were built from: each member to the next.
+    match_left = [-1] * n
+    match_right = [-1] * n
+    for chain in order._chains:
+        for u, v in zip(chain, chain[1:]):
+            match_left[u] = v
+            match_right[v] = u
+    strict = order.bits & ~np.eye(n, dtype=bool)
     # Alternating reachability from unmatched left vertices.
     in_z_left = [False] * n
     in_z_right = [False] * n
@@ -200,7 +218,7 @@ def max_antichain(order: Preorder) -> frozenset[int]:
             dq.append(u)
     while dq:
         u = dq.popleft()
-        for v in adj(u):
+        for v in np.flatnonzero(strict[u]).tolist():
             if match_left[u] == v or in_z_right[v]:
                 continue
             in_z_right[v] = True
@@ -214,4 +232,6 @@ def max_antichain(order: Preorder) -> frozenset[int]:
 
 def preorder_width(pre: Preorder) -> int:
     """Width of a preorder = width of its quotient partial order."""
-    return min_chain_partition(_class_order(pre, classes(pre))).chain_count
+    if not isinstance(pre, Preorder):
+        pre = Preorder(pre.bits)
+    return len(pre._chains)

@@ -90,6 +90,12 @@ def gfp_max_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorder:
     return Preorder(np.array(rel, dtype=bool))
 
 
+def is_transitive(r: Relation) -> bool:
+    """Transitivity by one boolean matrix product (n^3), the reference for ``Preorder``."""
+    m = r.bits.astype(np.float32)
+    return bool(((m @ m) > 0.5)[~r.bits].sum() == 0)
+
+
 def is_convex(order: Relation, s: Iterable[int]) -> bool:
     """Triple-loop betweenness check of a node set under a relation."""
     inside = set(s)

@@ -35,38 +35,24 @@ class ClassPartition:
 
 
 def classes(pre: Preorder) -> ClassPartition:
-    """Partition nodes into classes of pairs comparable in both directions."""
+    """Partition nodes into classes of pairs comparable in both directions.
+
+    The classes are the ones ``pre`` found when it certified itself.
+    """
     if not isinstance(pre, Preorder):
         pre = Preorder(pre.bits)  # re-validates reflexivity and transitivity
-    mutual = pre.bits & pre.bits.T
-    class_of = [-1] * pre.n
-    members: list[tuple[int, ...]] = []
-    for v in range(pre.n):
-        if class_of[v] >= 0:
-            continue
-        group = tuple(int(u) for u in np.nonzero(mutual[v])[0])
-        cid = len(members)
-        for u in group:
-            class_of[u] = cid
-        members.append(group)
-    return ClassPartition(pre.n, tuple(class_of), tuple(members))
+    class_of = pre._class_of.tolist()
+    members: list[list[int]] = [[] for _ in range(pre._reps.size)]
+    for v, cid in enumerate(class_of):
+        members[cid].append(v)
+    return ClassPartition(pre.n, tuple(class_of), tuple(map(tuple, members)))
 
 
 def induced_order(pre: Preorder, part: ClassPartition) -> Preorder:
     """The partial order on classes: [u] <= [v] iff u <= v (well-defined)."""
     if part.n != pre.n or classes(pre).members != part.members:
         raise ValueError("partition was not derived from this preorder")
-    return _class_order(pre, part)
-
-
-def _class_order(pre: Preorder, part: ClassPartition) -> Preorder:
-    """``induced_order`` for a partition the caller has just computed from ``pre``."""
-    reps = [m[0] for m in part.members]
-    bits = pre.bits[np.ix_(reps, reps)]
-    order = Preorder(bits)
-    if not order.is_antisymmetric():
-        raise AssertionError("induced class order must be a partial order")
-    return order
+    return pre.class_order()
 
 
 @dataclass(frozen=True)
@@ -96,7 +82,7 @@ def quotient_graph(g: LabeledGraph, pre: Preorder,
     if violation is not None:
         raise ValueError(f"relation is not a co-lex relation on this graph: {violation}")
     part = classes(pre)
-    order = _class_order(pre, part)
+    order = pre.class_order()
     class_of = part.class_of
     qedges = frozenset((class_of[u], class_of[v], a) for u, v, a in g.edges)
     qg = LabeledGraph(part.count, qedges, g.alphabet)

@@ -8,19 +8,29 @@ marking pairs of the pair graph level by level: one same-label step ORs the
 frontier's rows, then its columns, at each label's edge sources, grouped by
 target, which costs O(n * e) byte operations per level. The axiom checker
 applies the same step to the complement of a relation.
+
+A ``Preorder`` certifies its transitivity without a matrix product: it finds
+its classes, a minimum chain partition of the class order (which the quotient
+and the index use anyway), then checks the chain certificate of
+``_certificate_failure`` in O(k^2 + k * q^2) on k classes and q chains, and
+that the relation is the lift of its class order in O(n^2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .graph import LabeledGraph, lambda_sets
+from .graph import AT, HASH, LabeledGraph
 
 # Relations are dense n*n matrices; past this the representation is the wrong tool.
 _DENSE_NODE_CAP = 1 << 16
+
+# Cells in one block of the certificate's temporaries (4 MiB of bools), so no
+# step allocates a full n x n or k x q x q array at once.
+_BLOCK_CELLS = 1 << 22
 
 
 class Relation:
@@ -69,10 +79,6 @@ class Relation:
     def pair_count(self) -> int:
         return int(self.bits.sum())
 
-    def is_transitive(self) -> bool:
-        m = self.bits.astype(np.float32)
-        return bool(((m @ m) > 0.5)[~self.bits].sum() == 0)
-
     def is_antisymmetric(self) -> bool:
         both = self.bits & self.bits.T
         return bool(both.sum() == self.n)
@@ -88,60 +94,163 @@ class Relation:
 
 
 class Preorder(Relation):
-    """Relation that is also transitive (checked on construction)."""
+    """Relation that is also transitive, certified on construction.
 
-    def __init__(self, bits: np.ndarray):
-        super().__init__(bits)
-        if not self.is_transitive():
-            raise ValueError("preorder must be transitive")
-
-
-class PairGraph:
-    """Distinct-node pair view of a graph.
-
-    Nodes are the n(n-1) ordered pairs (u, v), u != v; an arc joins (u', v')
-    to (u, v) when some label carries both u'->u and v'->v. Arcs are generated
-    on demand from per-label out buckets: materialized, they can reach |E|^2.
+    The construction keeps what the certificate computes: the classes (nodes
+    related both ways, numbered by their smallest member) and a minimum chain
+    partition of the class order, from greedy chains plus Hopcroft-Karp.
+    ``quotient.classes``, ``class_order`` and ``chains.min_chain_partition``
+    read them, so a build runs one matching.
+    The certificate costs O(n^2 + k * q^2) on n nodes, k classes and q chains,
+    against the n^3 of a boolean matrix product.
     """
 
-    def __init__(self, g: LabeledGraph):
-        self.graph = g
-        self._out = g.out_adjacency()
+    __slots__ = ("_class_of", "_reps", "_chains")
 
-    def node_count(self) -> int:
-        return self.graph.n * (self.graph.n - 1)
+    def __init__(self, bits: np.ndarray):
+        from .chains import _chain_cover  # chains imports this module
 
-    def successors(self, u: int, v: int):
-        """Pairs one same-label step forward of (u, v), duplicates included."""
-        ou, ov = self._out[u], self._out[v]
-        for a, xs in ou.items():
-            ys = ov.get(a)
-            if ys is None:
-                continue
-            for x in xs:
-                for y in ys:
-                    if x != y:
-                        yield x, y
+        super().__init__(bits)
+        class_of, reps = _first_mutual_classes(self.bits)
+        order = self.bits if reps.size == self.n else self.bits[np.ix_(reps, reps)]
+        chains = _chain_cover(order)
+        if _certificate_failure(self.bits, class_of, order, chains) is not None:
+            raise ValueError("preorder must be transitive")
+        self._keep(class_of, reps, chains)
 
-    def arcs(self):
-        """Every arc ((u', v'), (u, v)); exponential care advised on dense inputs."""
-        n = self.graph.n
-        for u in range(n):
-            for v in range(n):
-                if u != v:
-                    for x, y in self.successors(u, v):
-                        yield (u, v), (x, y)
+    def class_order(self) -> "Preorder":
+        """The partial order on the classes, certified with this preorder."""
+        k = self._reps.size
+        order = Preorder.__new__(Preorder)
+        bits = self.bits if k == self.n else self.bits[np.ix_(self._reps, self._reps)]
+        bits.setflags(write=False)
+        object.__setattr__(order, "n", k)
+        object.__setattr__(order, "bits", bits)
+        ids = np.arange(k)
+        order._keep(ids, ids, self._chains)
+        return order
+
+    def _keep(self, class_of: np.ndarray, reps: np.ndarray,
+              chains: tuple[tuple[int, ...], ...]) -> None:
+        class_of.setflags(write=False)
+        reps.setflags(write=False)
+        object.__setattr__(self, "_class_of", class_of)
+        object.__setattr__(self, "_reps", reps)
+        object.__setattr__(self, "_chains", chains)
+
+
+def _first_mutual_classes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(class of each node, smallest member of each class) of a reflexive relation.
+
+    A node's class is named by the first column related to it both ways; on a
+    preorder that is the smallest member of its class. On any other relation
+    the names may be wrong, which the lift check then finds.
+    """
+    n = bits.shape[0]
+    first = np.empty(n, dtype=np.intp)
+    rows = max(1, _BLOCK_CELLS // max(n, 1))
+    for lo in range(0, n, rows):
+        hi = min(n, lo + rows)
+        first[lo:hi] = (bits[lo:hi] & bits[:, lo:hi].T).argmax(axis=1)
+    reps, class_of = np.unique(first, return_inverse=True)
+    return class_of, reps
+
+
+def _certificate_failure(bits: np.ndarray, class_of: np.ndarray, order: np.ndarray,
+                         chains: Sequence[Sequence[int]]) -> str | None:
+    """The first check of the transitivity certificate that fails, or None.
+
+    ``order`` is a reflexive relation on k classes and ``chains`` should
+    partition them into chains. With m_j(u) the first position on chain C_j
+    that class u relates to (|C_j| if there is none), ``order`` is transitive
+    if and only if, after ``cover`` (every class on exactly one chain) and
+    ``link`` (consecutive members related):
+
+    - ``a``: u relates to exactly the positions from m_j(u) on, for all u, j;
+    - ``b``: m_j never decreases along a chain;
+    - ``c``: m_j(u) <= m_j(C_k[m_k(u)]) for all u, j and k with m_k(u) < |C_k|.
+
+    Proof: take u <= v <= w, with v on C_k and w on C_j. By (a), m_k(u) <=
+    pos(v); (c) and then (b) from C_k[m_k(u)] up to v give m_j(u) <= m_j(v) <=
+    pos(w), so u <= w by (a). Every preorder meets (a)-(c). Last, ``lift``:
+    ``bits`` is ``order`` read at each node's class, which makes ``bits``
+    transitive when ``order`` is. The checks cost O(k^2 + k * q^2) on q chains,
+    (c) only at pairs (u, k) where u has a successor on C_k, plus O(n^2) for
+    the lift.
+    """
+    k = order.shape[0]
+    q = len(chains)
+    lengths = np.array([len(c) for c in chains], dtype=np.intp)
+    flat = np.array([v for c in chains for v in c], dtype=np.intp)
+    if flat.size != k or (lengths == 0).any() or not np.array_equal(np.sort(flat), np.arange(k)):
+        return "cover"
+    if k == 0:
+        return None
+    starts = np.cumsum(lengths) - lengths
+    chain_at = np.repeat(np.arange(q), lengths)  # chain of each position of flat
+    pos_at = np.arange(k) - starts[chain_at]     # position within that chain
+    follows = pos_at[1:] > 0                     # flat[i + 1] follows flat[i] on a chain
+    if not order[flat[:-1], flat[1:]][follows].all():
+        return "link"
+
+    m = np.empty((k, q), dtype=np.min_scalar_type(int(lengths.max())))
+    rows = max(1, _BLOCK_CELLS // k)
+    for lo in range(0, k, rows):
+        block = order[lo:lo + rows][:, flat]  # columns chain by chain
+        before = block[:, :-1] & follows      # related to the chain's previous member
+        if (before > block[:, 1:]).any():
+            return "a"
+        # Each row now rises at most once per chain, at m_j; without a rise m_j = |C_j|.
+        block[:, 1:] &= ~before
+        m[lo:lo + rows] = lengths
+        r, col = np.nonzero(block)
+        m[lo + r, chain_at[col]] = pos_at[col]
+
+    steps = max(1, _BLOCK_CELLS // q)
+    for lo in range(1, k, steps):
+        at = np.arange(lo, min(k, lo + steps))
+        at = at[follows[at - 1]]
+        if (m[flat[at - 1]] > m[flat[at]]).any():
+            return "b"
+
+    rows = max(1, steps // q)
+    for lo in range(0, k, rows):
+        head = m[lo:lo + rows]
+        u, j = np.nonzero(head < lengths)
+        v = flat[starts[j] + head[u, j]]
+        u += lo
+        for s in range(0, u.size, steps):
+            if (m[u[s:s + steps]] > m[v[s:s + steps]]).any():
+                return "c"
+
+    n = bits.shape[0]
+    if k < n:
+        rows = max(1, _BLOCK_CELLS // n)
+        for lo in range(0, n, rows):
+            if not np.array_equal(bits[lo:lo + rows], order[class_of[lo:lo + rows]][:, class_of]):
+                return "lift"
+    return None
 
 
 def _label_extremes(g: LabeledGraph, u_marked) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node (min rank, max rank) of the label set, in the extended order."""
-    lams = lambda_sets(g, u_marked)
-    lo = np.empty(g.n, dtype=np.int64)
-    hi = np.empty(g.n, dtype=np.int64)
-    for v, lam in enumerate(lams):
-        ranks = [g.alphabet.rank(s) for s in lam]
-        lo[v] = min(ranks)
-        hi[v] = max(ranks)
+    """Per-node (min rank, max rank) of the label set, in the extended order.
+
+    Read off the label-edge table, so it agrees with ``lambda_sets`` without
+    building the graph's in-adjacency lists.
+    """
+    marked = list(u_marked)
+    for v in marked:
+        if not 0 <= v < g.n:
+            raise ValueError(f"marked node {v} out of range")
+    lo = np.full(g.n, -1, dtype=np.int64)
+    hi = np.full(g.n, g.alphabet.rank(HASH), dtype=np.int64)
+    for le in _label_edges(g):  # ascending rank, so the last label written is the max
+        rank = g.alphabet.rank(le.label)
+        hi[le.targets] = rank
+        lo[le.targets[lo[le.targets] < 0]] = rank
+    lo[lo < 0] = g.alphabet.rank(HASH)
+    lo[marked] = np.minimum(lo[marked], g.alphabet.rank(AT))
+    hi[marked] = np.maximum(hi[marked], g.alphabet.rank(AT))
     return lo, hi
 
 
@@ -157,37 +266,46 @@ class _LabelEdges(NamedTuple):
     """One label's edges, grouped by target for the same-label step.
 
     ``targets`` lists the label's distinct targets by descending in-degree
-    (ties by id); ``layers[k]`` holds the k-th source of each target that has
-    more than k, in the same order, so every layer is a prefix of the last.
+    (ties by id). Layer k holds the k-th source of each target that has more
+    than k, in the same order, so every layer is a prefix of the last; the
+    layers sit one after another in ``sources``, ``widths[k]`` entries each.
     """
 
     label: str
     targets: np.ndarray
-    layers: tuple[np.ndarray, ...]
+    sources: np.ndarray
+    widths: tuple[int, ...]
 
 
-def _label_edges(g: LabeledGraph) -> list[_LabelEdges]:
-    """Per label with at least one edge, in alphabet order."""
-    by_label: dict[str, list[tuple[int, int]]] = {}
-    for u, v, a in g.edges:
-        by_label.setdefault(a, []).append((v, u))
-    out = []
-    for a in sorted(by_label, key=g.alphabet.index):
-        edges = np.array(sorted(by_label[a]), dtype=np.intp)
-        targets, starts, counts = np.unique(edges[:, 0], return_index=True,
-                                            return_counts=True)
-        by_degree = np.argsort(-counts, kind="stable")
-        starts, counts = starts[by_degree], counts[by_degree]
-        layers = tuple(edges[starts[counts > k] + k, 1] for k in range(int(counts[0])))
-        out.append(_LabelEdges(a, targets[by_degree], layers))
-    return out
+def _label_edges(g: LabeledGraph) -> tuple[_LabelEdges, ...]:
+    """Per label with at least one edge, in alphabet order. Cached on the graph."""
+    cached = getattr(g, "_label_edges", None)
+    if cached is None:
+        by_label: dict[str, list[tuple[int, int]]] = {}
+        for u, v, a in g.edges:
+            by_label.setdefault(a, []).append((v, u))
+        out = []
+        for a in sorted(by_label, key=g.alphabet.index):
+            edges = np.array(sorted(by_label[a]), dtype=np.intp)
+            targets, starts, counts = np.unique(edges[:, 0], return_index=True,
+                                                return_counts=True)
+            by_degree = np.argsort(-counts, kind="stable")
+            starts, counts = starts[by_degree], counts[by_degree]
+            layers = [edges[starts[counts > k] + k, 1] for k in range(int(counts[0]))]
+            out.append(_LabelEdges(a, targets[by_degree], np.concatenate(layers),
+                                   tuple(map(len, layers))))
+        cached = tuple(out)
+        object.__setattr__(g, "_label_edges", cached)
+    return cached
 
 
-def _or_by_target(x: np.ndarray, layers: tuple[np.ndarray, ...]) -> np.ndarray:
+def _or_by_target(x: np.ndarray, le: _LabelEdges) -> np.ndarray:
     """Row i is the OR of x's rows at the sources of the label's i-th target."""
-    out = x[layers[0]]
-    for sources in layers[1:]:
-        out[:len(sources)] |= x[sources]
+    end = le.widths[0]
+    out = x[le.sources[:end]]
+    for width in le.widths[1:]:
+        out[:width] |= x[le.sources[end:end + width]]
+        end += width
     return out
 
 
@@ -199,8 +317,8 @@ def _same_label_step(f: np.ndarray, le: _LabelEdges) -> np.ndarray:
     same on columns, costs O(n * e) byte operations, against the n^3 of a
     dense triple product.
     """
-    rows = _or_by_target(f, le.layers)
-    return _or_by_target(np.ascontiguousarray(rows.T), le.layers).T
+    rows = _or_by_target(f, le)
+    return _or_by_target(np.ascontiguousarray(rows.T), le).T
 
 
 def _check_dense_size(n: int) -> None:
@@ -291,7 +409,6 @@ def first_axiom_violation(g: LabeledGraph, r: Relation,
     # Axiom 2, per label: a violation is a related distinct pair with
     # same-label in-neighbours (u', v') outside the relation.
     not_r = ~r.bits
-    in_adj = g.in_adjacency()
     for le in _label_edges(g):
         # Ascending target ids, so argwhere finds the first pair by (u, v).
         order = np.argsort(le.targets)
@@ -301,6 +418,7 @@ def first_axiom_violation(g: LabeledGraph, r: Relation,
         if bad2.any():
             a = le.label
             u, v = (int(targets[x]) for x in np.argwhere(bad2)[0])
+            in_adj = g.in_adjacency()
             for u1 in in_adj[u][a]:
                 for v1 in in_adj[v][a]:
                     if not r.bits[u1, v1]:
@@ -315,13 +433,10 @@ def is_colex_relation(g: LabeledGraph, r: Relation, u_marked: Iterable[int] = ()
 
 
 def transitive_closure(r: Relation) -> Preorder:
-    """Transitive closure by repeated boolean squaring; co-lex in, co-lex out."""
+    """Transitive closure by Warshall's algorithm on rows; co-lex in, co-lex out."""
     bits = r.bits.copy()
-    while True:
-        step = ((bits.astype(np.float32) @ bits.astype(np.float32)) > 0.5) | bits
-        if np.array_equal(step, bits):
-            break
-        bits = step
+    for w in range(r.n):
+        bits[bits[:, w]] |= bits[w]
     return Preorder(bits)
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,17 @@ class TestBitVector:
         for k, pos in enumerate(positions):
             assert bv.select1(k) == pos
             assert bv.rank1(pos) == k
+
+    @given(st.lists(st.booleans(), max_size=300))
+    @settings(max_examples=60)
+    def test_words_and_directory_match_a_bit_loop(self, bits):
+        words = np.zeros(len(bits) // 64 + 1, dtype=np.uint64)
+        for i, b in enumerate(bits):
+            if b:
+                words[i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+        ranks = np.concatenate(([0], np.cumsum([int(w).bit_count() for w in words])))
+        bv = BitVector(bits)
+        assert np.array_equal(bv._words, words) and np.array_equal(bv._ranks, ranks)
 
     def test_bounds(self):
         bv = BitVector([1, 0, 1])
@@ -60,8 +72,22 @@ class TestPackedArray:
         assert pa.to_list() == [pa.get(i) for i in range(len(values))] == values
 
     def test_rejects_oversized_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="value 4 does not fit in 2 bits"):
             PackedArray(2, [4])
+        with pytest.raises(ValueError, match="value -1 does not fit in 3 bits"):
+            PackedArray(3, [1] * 70 + [-1])
+
+    @given(st.integers(1, 64), st.data())
+    @settings(max_examples=60)
+    def test_words_match_a_value_loop(self, width, data):
+        values = data.draw(st.lists(st.integers(0, 2**width - 1), max_size=200))
+        words = np.zeros(width * len(values) // 64 + 2, dtype=np.uint64)
+        for i, v in enumerate(values):
+            w, off = divmod(i * width, 64)
+            words[w] |= np.uint64((v << off) & 0xFFFFFFFFFFFFFFFF)
+            if off + width > 64:
+                words[w + 1] |= np.uint64(v >> (64 - off))
+        assert np.array_equal(PackedArray(width, values)._words, words)
 
     def test_word_boundary_crossing(self):
         values = [(1 << 13) - 1] * 40  # 13-bit values straddle 64-bit words

@@ -6,13 +6,30 @@ from pathlib import Path
 
 import pytest
 
-from colexgraph import (LabeledGraph, Nfa, build_index, max_colex_relation,
+from colexgraph import (LabeledGraph, Nfa, build_index, chains, max_colex_relation,
                         min_chain_partition, quotient_graph, run_pipeline)
 from colexgraph.oracle import run_graph_checks
 from conftest import double_hub_graph, loop_branch_nfa
 
 
 class TestRunPipeline:
+    @pytest.mark.parametrize("name", ["_hopcroft_karp", "_greedy_chains"])
+    def test_one_matching_per_build(self, monkeypatch, name):
+        calls = []
+        real = getattr(chains, name)
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(chains, name, counted)
+        for source, mark in ((double_hub_graph(3), False), (loop_branch_nfa(), False),
+                             (loop_branch_nfa(), True)):
+            calls.clear()
+            result = run_pipeline(source, mark_initial=mark)
+            result.index()
+            assert len(calls) == 1
+
     def test_graph_matches_the_stages_one_by_one(self):
         g = double_hub_graph(3)
         result = run_pipeline(g)

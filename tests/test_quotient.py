@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (LabeledGraph, Nfa, Preorder, Relation, classes, induced_order,
-                        is_colex_relation, lambda_sets, lift_classes, lift_relation,
-                        max_colex_relation, min_chain_partition, preorder_width,
+from colexgraph import (ClassPartition, LabeledGraph, Nfa, Preorder, Relation, classes,
+                        induced_order, is_colex_relation, lambda_sets, lift_classes,
+                        lift_relation, max_colex_relation, min_chain_partition, preorder_width,
                         project_nodes, project_relation, quotient_graph, quotient_nfa,
                         transitive_closure)
 from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, is_convex, language_equiv,
@@ -29,6 +29,31 @@ class TestClasses:
         part = classes(max_colex_relation(double_hub_graph(3)))
         assert part.members == ((0, 1, 2), (3, 4))
         assert part.class_of == (0, 0, 0, 1, 1)
+
+    def test_same_partition_as_the_member_loop(self):
+        # Reference: each unseen node's mutual row, straight from the definition.
+        def by_loop(pre):
+            mutual = pre.bits & pre.bits.T
+            class_of = [-1] * pre.n
+            members = []
+            for v in range(pre.n):
+                if class_of[v] < 0:
+                    group = tuple(int(u) for u in np.nonzero(mutual[v])[0])
+                    for u in group:
+                        class_of[u] = len(members)
+                    members.append(group)
+            return ClassPartition(pre.n, tuple(class_of), tuple(members))
+
+        rng = random.Random(SEED_NFA_CORPUS)
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            keep = np.random.default_rng(rng.randrange(1 << 30)).random((n, n)) < 0.2
+            np.fill_diagonal(keep, True)
+            pre = transitive_closure(Relation(keep))
+            assert classes(pre) == by_loop(pre)
+            g = random_graph(rng, n, rng.randint(1, 3), 0.3)
+            pre = max_colex_relation(g)
+            assert classes(pre) == by_loop(pre)
 
 
 class TestInducedOrder:

@@ -8,10 +8,12 @@ from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relati
                         dump_relation, first_axiom_violation, is_colex_relation, lambda_sets,
                         max_colex_relation, min_colex_containing, parse_relation,
                         preorder_width, refines, transitive_closure, union)
-from colexgraph.oracle import gfp_max_relation, random_colex_relation, random_graph
-from colexgraph.relation import _DENSE_NODE_CAP, PairGraph, _angle_violations
-from conftest import (double_hub_graph, fan_graph, loop_branch_nfa, small_graphs,
-                      two_cycle_graph)
+from colexgraph.oracle import (gfp_max_relation, is_transitive, random_colex_relation,
+                               random_graph)
+from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certificate_failure,
+                                 _first_mutual_classes, _label_edges, _label_extremes)
+from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
+                      small_graphs, two_cycle_graph)
 from helpers import expected_double_hub_relation, strict_label_relation, two_node_alphabet_graph
 
 
@@ -35,6 +37,114 @@ class TestRelationType:
         bits = Relation.from_pairs(3, [(0, 1), (1, 2)]).bits
         with pytest.raises(ValueError):
             Preorder(bits)
+
+
+def random_relation_bits(rng: random.Random, n: int) -> np.ndarray:
+    """A reflexive relation that is transitive about half the time.
+
+    Random pairs at a random density; half are then closed, and of those some
+    get one pair flipped, a near miss. Closures of random pairs have cycles,
+    so many are not antisymmetric.
+    """
+    nrng = np.random.default_rng(rng.randrange(1 << 30))
+    bits = nrng.random((n, n)) < rng.choice((0.05, 0.15, 0.3, 0.5, 0.8))
+    np.fill_diagonal(bits, True)
+    if rng.random() < 0.5:
+        bits = transitive_closure(Relation(bits)).bits.copy()
+        if rng.random() < 0.4:
+            u, v = rng.sample(range(n), 2)
+            bits[u, v] = not bits[u, v]
+    return bits
+
+
+def certificate_failure_of(bits: np.ndarray, chains) -> str | None:
+    """The certificate's verdict on ``bits`` with hand-picked chains of its classes."""
+    class_of, reps = _first_mutual_classes(bits)
+    return _certificate_failure(bits, class_of, bits[np.ix_(reps, reps)], chains)
+
+
+def order_from_pairs(n: int, pairs) -> np.ndarray:
+    return Relation.from_pairs(n, pairs).bits.copy()
+
+
+def certified(bits: np.ndarray) -> bool:
+    try:
+        Preorder(bits)
+    except ValueError as err:
+        assert str(err) == "preorder must be transitive"
+        return False
+    return True
+
+
+class TestTransitivityCertificate:
+    def test_agrees_with_the_matrix_product(self):
+        rng = random.Random(SEED_ORDER_CORPUS)
+        verdicts = {True: 0, False: 0}
+        cyclic = 0
+        for _ in range(6000):
+            bits = random_relation_bits(rng, rng.randint(2, 11))
+            want = is_transitive(Relation(bits))
+            assert certified(bits) == want, bits.astype(int)
+            verdicts[want] += 1
+            cyclic += want and not Relation(bits).is_antisymmetric()
+        assert min(verdicts.values()) >= 1500 and cyclic >= 500
+
+    @pytest.mark.parametrize("chains", [((0,), (1,)), ((0,), (1,), (1, 2)), ((0,), (1,), (3,)),
+                                        ((0,), (), (1,), (2,)), ((0, 1, 2, 2),)])
+    def test_cover(self, chains):
+        assert certificate_failure_of(order_from_pairs(3, [(0, 1), (1, 2), (0, 2)]),
+                                      chains) == "cover"
+
+    def test_link(self):
+        # (a) alone would also refuse these chains, through the reflexive pair (0, 0).
+        assert certificate_failure_of(np.eye(2, dtype=bool), ((0, 1),)) == "link"
+
+    def test_a(self):
+        # 3 relates to 0 and 2 but not to 1, between them on a chain.
+        bits = order_from_pairs(4, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 2)])
+        assert certificate_failure_of(bits, ((0, 1, 2), (3,))) == "a"
+
+    def test_b(self):
+        # 0 <= 1 <= 2 without 0 <= 2; 0 and 1 share a chain.
+        bits = order_from_pairs(3, [(0, 1), (1, 2)])
+        assert certificate_failure_of(bits, ((0, 1), (2,))) == "b"
+
+    def test_c(self):
+        # The same relation on singleton chains: (a) and (b) cannot see it.
+        bits = order_from_pairs(3, [(0, 1), (1, 2)])
+        assert certificate_failure_of(bits, ((0,), (1,), (2,))) == "c"
+
+    def test_lift(self):
+        # 0 and 1 are one class, but only 0 relates to 2: the class order is a
+        # chain, yet 1 <= 0 <= 2 without 1 <= 2.
+        bits = order_from_pairs(3, [(0, 1), (1, 0), (0, 2)])
+        assert certificate_failure_of(bits, ((0, 1),)) == "lift"
+
+    @pytest.mark.parametrize("pairs, chains", [
+        ([(0, 1), (1, 2), (0, 2)], ((0, 1, 2),)),
+        ([(0, 1), (1, 0), (0, 2), (1, 2)], ((0, 1),)),
+        ([(0, 2), (1, 2)], ((0, 2), (1,))),
+    ])
+    def test_every_check_passes_on_a_preorder(self, pairs, chains):
+        assert certificate_failure_of(order_from_pairs(3, pairs), chains) is None
+
+    @pytest.mark.parametrize("pairs", [
+        [(0, 1), (1, 2)],
+        [(0, 1), (1, 0), (0, 2)],
+        [(0, 1), (1, 2), (0, 2), (3, 0), (3, 2)],
+        [(0, 1), (1, 2), (2, 0)],
+    ])
+    def test_preorder_refuses_what_the_checks_find(self, pairs):
+        with pytest.raises(ValueError, match="^preorder must be transitive$"):
+            Preorder(order_from_pairs(4, pairs))
+
+    def test_agrees_in_small_blocks(self, monkeypatch):
+        # Blocks of a few cells run every loop of the certificate many times.
+        monkeypatch.setattr("colexgraph.relation._BLOCK_CELLS", 7)
+        rng = random.Random(SEED_ORDER_CORPUS + 1)
+        for _ in range(300):
+            bits = random_relation_bits(rng, rng.randint(2, 11))
+            assert certified(bits) == is_transitive(Relation(bits))
 
 
 def first_axiom_two_by_loops(g, r):
@@ -88,31 +198,27 @@ class TestAxiomChecker:
             assert first_axiom_violation(g, r) == first_axiom_two_by_loops(g, r)
 
 
-class TestPairGraph:
-    def test_node_count(self):
-        assert PairGraph(fan_graph()).node_count() == 6
+class TestLabelTables:
+    def test_extremes_match_the_label_sets(self, rng):
+        for _ in range(60):
+            g = random_graph(rng, rng.randint(1, 12), rng.randint(1, 4), 0.15)
+            marked = frozenset(rng.sample(range(g.n), rng.randint(0, min(2, g.n))))
+            ranks = [[g.alphabet.rank(s) for s in lam] for lam in lambda_sets(g, marked)]
+            lo, hi = _label_extremes(g, marked)
+            assert lo.tolist() == [min(r) for r in ranks]
+            assert hi.tolist() == [max(r) for r in ranks]
 
-    def test_fan_successors(self):
-        pg = PairGraph(fan_graph())
-        assert sorted(pg.successors(0, 1)) == []  # node 1 has no out-edges
-        # both components step through the shared source's fan
-        g = two_cycle_graph()
-        assert sorted(PairGraph(g).successors(0, 1)) == [(1, 0)]
+    def test_marked_node_out_of_range(self):
+        with pytest.raises(ValueError, match="marked node 3 out of range"):
+            max_colex_relation(fan_graph(), {3})
 
-    def test_arc_count_bounded_by_edges_squared(self, rng):
-        for _ in range(20):
-            g = random_graph(rng, rng.randint(2, 6), 2, 0.4)
-            assert sum(1 for _ in PairGraph(g).arcs()) <= len(g.edges) ** 2
-
-    def test_arcs_drive_the_marking(self):
-        # every arc target of a dominance-violating pair must be outside the relation
+    def test_label_edges_built_once_per_graph(self):
         g = loop_branch_nfa().graph
         pre = max_colex_relation(g, {0})
-        pg = PairGraph(g)
-        bad = _angle_violations(g, frozenset({0}))
-        for (u, v), (x, y) in pg.arcs():
-            if bad[u, v]:
-                assert not pre.holds(x, y)
+        table = _label_edges(g)
+        assert first_axiom_violation(g, pre, {0}) is None
+        assert _label_edges(g) is table
+        assert _label_edges(loop_branch_nfa().graph) is not table
 
 
 class TestMaxRelation:
@@ -158,7 +264,7 @@ class TestMaxRelation:
     def test_is_colex_and_transitive(self, g):
         pre = max_colex_relation(g)
         assert is_colex_relation(g, pre)
-        assert pre.is_transitive()
+        assert is_transitive(pre)
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
