@@ -59,8 +59,8 @@ class BitVector:
         if not 0 <= i <= self._length:
             raise IndexError(i)
         w = i >> 6
-        partial = int(self._words[w]) & ((1 << (i & 63)) - 1)
-        return int(self._ranks[w]) + partial.bit_count()
+        partial = self._words.item(w) & ((1 << (i & 63)) - 1)
+        return self._ranks.item(w) + partial.bit_count()
 
     def select1(self, k: int) -> int:
         """Position of the k-th set bit (0-based)."""
@@ -137,9 +137,9 @@ class PackedArray:
             raise IndexError(i)
         bitpos = i * self._width
         w, off = divmod(bitpos, 64)
-        value = int(self._words[w]) >> off
+        value = self._words.item(w) >> off  # item: a Python int, no numpy scalar
         if off + self._width > 64:
-            value |= int(self._words[w + 1]) << (64 - off)
+            value |= self._words.item(w + 1) << (64 - off)
         return value & ((1 << self._width) - 1)
 
     def __iter__(self) -> Iterator[int]:

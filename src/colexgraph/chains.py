@@ -38,22 +38,23 @@ class ChainPartition:
     chains: tuple[tuple[int, ...], ...]
 
 
-def _greedy_chains(strict: np.ndarray) -> tuple[list[int], list[int]]:
+def _greedy_chains(order: np.ndarray) -> tuple[list[int], list[int]]:
     """Matching of greedy chains along a linear extension: (match_left, match_right).
 
-    A strict successor has strictly more predecessors, so sorting by
-    predecessor count gives a linear extension. In that order each element
-    takes the earliest free strict successor, which is exact in one pass on a
-    total order.
+    A strict successor has strictly more strict predecessors, so sorting by
+    that count gives a linear extension. In that order each element takes the
+    earliest free strict successor, which is exact in one pass on a total
+    order. Rows of ``order`` are read one at a time, the diagonal masked in
+    each, so no k x k copy is made.
     """
-    n = strict.shape[0]
-    ext = np.argsort(strict.sum(axis=0), kind="stable")
-    ahead = strict[np.ix_(ext, ext)]
+    n = order.shape[0]
+    ext = np.argsort(order.sum(axis=0) - np.diagonal(order), kind="stable")
     free = np.ones(n, dtype=bool)
     match_left = [-1] * n
     match_right = [-1] * n
     for i, u in enumerate(ext.tolist()):
-        cand = ahead[i] & free
+        cand = order[u, ext] & free
+        cand[i] = False  # u itself
         j = int(cand.argmax())
         if cand[j]:
             free[j] = False
@@ -147,16 +148,15 @@ def _chain_cover(order: np.ndarray) -> tuple[tuple[int, ...], ...]:
     certificate's cover check finds.
     """
     n = order.shape[0]
-    strict = order.copy()
-    np.fill_diagonal(strict, False)
     rows: list[list[int] | None] = [None] * n
 
     def adj(u: int) -> list[int]:
         if rows[u] is None:
-            rows[u] = np.flatnonzero(strict[u]).tolist()
+            row = np.flatnonzero(order[u])
+            rows[u] = row[row != u].tolist()
         return rows[u]
 
-    match_left, match_right = _greedy_chains(strict)
+    match_left, match_right = _greedy_chains(order)
     _hopcroft_karp(adj, match_left, match_right)
     chains = []
     for head in range(n):

@@ -7,22 +7,24 @@ per-(target chain, symbol, source chain) edge groups; the reached positions on
 each chain are filled in to an interval, which is exact because images of
 convex sets are convex.
 
-The edges live in one store: per target chain, a sorted directory of group
-keys with end offsets, and the edges' target and source positions, each array
-bit-packed at a width derived from the sizes. The space report measures these
-arrays, and the ``.clxi`` file holds their words as they are, so loading wraps
-them without unpacking or packing again (see docs/index-format.md).
+The index is one fixed set of packed arrays, each at a bit width derived from
+the sizes: the chain table (class ids chain after chain, and each chain's
+end), the class of every indexed node, the marked and the final class ids, and
+the edge store. The store holds the group keys ``(target chain * sigma +
+symbol) * q + source chain`` in increasing order with each group's end
+offset, and the edges' target and source positions, group after group. The
+``.clxi`` file holds the arrays' words as they are, so loading wraps them
+without unpacking or packing again (see docs/index-format.md).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import chain as iter_chain
-from typing import Iterable, Sequence
-
-import numpy as np
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Sequence
 
 from .bitvec import BitVector, PackedArray, bisect_left_packed, width_for
 from .chains import ChainPartition
@@ -30,8 +32,9 @@ from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
 
 MAGIC = b"CLXI"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _HEADER = "<4sHHIQIII"
+_COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
 
 _FLAG_FINALS = 1
 _FLAG_INITIAL = 2
@@ -99,114 +102,38 @@ class SpaceReport:
         return self.measured_bits / self.formula_bits if self.formula_bits else float("inf")
 
 
-def _width_rule(sigma: int, chain_lengths: Sequence[int]):
-    """Bit widths of chain ``j``'s keys, ends, targets and sources when it holds
-    ``n_edges`` edges. They follow from the sizes alone, so the file stores none."""
-    key = width_for(max(sigma * len(chain_lengths) - 1, 0))
-    source = width_for(max(max(chain_lengths, default=1) - 1, 0))
+class _Arrays(NamedTuple):
+    """Every packed array of an index, in file order."""
 
-    def widths(j: int, n_edges: int) -> tuple[int, int, int, int]:
-        return key, width_for(n_edges), width_for(max(chain_lengths[j] - 1, 0)), source
-    return widths
-
-
-class _CompactChain:
-    __slots__ = ("keys", "ends", "targets", "sources")
-
-    def __init__(self, keys: PackedArray, ends: PackedArray,
-                 targets: PackedArray, sources: PackedArray):
-        self.keys = keys
-        self.ends = ends
-        self.targets = targets
-        self.sources = sources
+    chain_ends: PackedArray  # end of each chain in class_ids
+    class_ids: PackedArray   # the chains' class ids, chain after chain
+    class_map: PackedArray   # the class of each indexed node
+    marked: PackedArray      # marked class ids, increasing
+    keys: PackedArray        # group keys, increasing
+    ends: PackedArray        # end offset of each group's edges
+    targets: PackedArray     # edge target positions, group after group
+    sources: PackedArray     # edge source positions, group after group
+    finals: PackedArray      # final class ids, increasing
 
 
-class _CompactStore:
-    """The edge store. Per target chain: the sorted keys (symbol * q + source
-    chain) of its groups, each group's end offset, and the target and source
-    positions of its edges, group after group, (target, source)-sorted."""
-
-    def __init__(self, q: int, chains: list[_CompactChain]):
-        self.q = q
-        self.chains = chains
-
-    @classmethod
-    def pack(cls, sigma: int, chain_lengths: Sequence[int],
-             group_edges: dict[tuple[int, int, int], list[tuple[int, int]]]) -> "_CompactStore":
-        """Pack (target chain, symbol, source chain) -> sorted (target, source) edges."""
-        q = len(chain_lengths)
-        widths = _width_rule(sigma, chain_lengths)
-        per_chain: list[list[tuple[int, list[tuple[int, int]]]]] = [[] for _ in range(q)]
-        for (j, sym, i), edges in group_edges.items():
-            per_chain[j].append((sym * q + i, edges))
-        chains = []
-        for j, groups in enumerate(per_chain):
-            keys, ends, targets, sources = [], [], [], []
-            for key, edges in sorted(groups):
-                keys.append(key)
-                for t, s in edges:
-                    targets.append(t)
-                    sources.append(s)
-                ends.append(len(targets))
-            chains.append(_CompactChain(*map(PackedArray, widths(j, len(targets)),
-                                             (keys, ends, targets, sources))))
-        return cls(q, chains)
-
-    def run(self, j: int, sym: int, i: int, lo: int, hi: int) -> tuple[int, int] | None:
-        ch = self.chains[j]
-        key = sym * self.q + i
-        g = bisect_left_packed(ch.keys, key, 0, len(ch.keys))
-        if g == len(ch.keys) or ch.keys.get(g) != key:
-            return None
-        start = ch.ends.get(g - 1) if g > 0 else 0
-        end = ch.ends.get(g)
-        p = bisect_left_packed(ch.sources, lo, start, end)
-        r = bisect_left_packed(ch.sources, hi, start, end)
-        if p == r:
-            return None
-        return ch.targets.get(p), ch.targets.get(r - 1)
-
-    def group_items(self):
-        items = []
-        for j, ch in enumerate(self.chains):
-            start = 0
-            targets, sources = ch.targets.to_list(), ch.sources.to_list()
-            for key, end in zip(ch.keys.to_list(), ch.ends.to_list()):
-                sym, i = divmod(key, self.q)
-                items.append(((j, sym, i), (tuple(targets[start:end]), tuple(sources[start:end]))))
-                start = end
-        return sorted(items)
-
-    def payload_bits(self) -> dict[str, int]:
-        directory = sum(ch.keys.payload_bits + ch.ends.payload_bits for ch in self.chains)
-        positions = sum(ch.targets.payload_bits + ch.sources.payload_bits for ch in self.chains)
-        return {"group_directory_bits": directory, "position_array_bits": positions}
+def _widths(sigma: int, q: int, n_classes: int, max_len: int, n_edges: int) -> tuple[int, ...]:
+    """Bit widths of the arrays, in file order. They follow from the sizes
+    alone, so the file stores none."""
+    cls = width_for(max(n_classes - 1, 0))
+    pos = width_for(max(max_len - 1, 0))
+    return (width_for(n_classes), cls, cls, cls, width_for(max(sigma * q * q - 1, 0)),
+            width_for(n_edges), pos, pos, cls)
 
 
-def _decode_checked(store: _CompactStore, sigma: int,
-                    chain_lengths: Sequence[int]) -> list[list[list[int]]]:
-    """Each chain's keys, ends, targets and sources as lists, once they are
-    checked: keys strictly increasing below sigma * q, ends non-decreasing up
-    to the chain's edge count, and every group monotone inside its chains."""
-    q = len(chain_lengths)
-    if store.q != q or len(store.chains) != q:
-        raise ValueError("edge store does not match the chain count")
-    decoded = []
-    for j, ch in enumerate(store.chains):
-        arrays = [a.to_list() for a in (ch.keys, ch.ends, ch.targets, ch.sources)]
-        keys, ends, targets, sources = arrays
-        if any(a >= b for a, b in zip(keys, keys[1:])) or (keys and keys[-1] >= sigma * q):
-            raise ValueError(f"chain {j}: group keys are not strictly increasing below sigma*q")
-        if any(a > b for a, b in zip(ends, ends[1:])) or (ends[-1] if ends else 0) != len(targets):
-            raise ValueError(f"chain {j}: group ends do not rise to the chain's edge count")
-        start = 0
-        for key, end in zip(keys, ends):
-            sym, i = divmod(key, q)
-            _check_monotone_groups((j, sym, i), targets[start:end], sources[start:end],
-                                   chain_lengths[j], chain_lengths[i])
-            start = end
-        decoded.append(arrays)
-    return decoded
+def _require(ok: bool) -> None:
+    if not ok:
+        raise ValueError(_CORRUPT)
+
+
+def _increasing_ids(array: PackedArray, bound: int) -> frozenset[int]:
+    ids = array.to_list()
+    _require(all(a < b for a, b in zip(ids, ids[1:])) and (not ids or ids[-1] < bound))
+    return frozenset(ids)
 
 
 def _check_monotone_groups(key: tuple[int, int, int], targets: Sequence[int],
@@ -226,81 +153,93 @@ def _check_monotone_groups(key: tuple[int, int, int], targets: Sequence[int],
         raise ValueError(f"group {key} has a position outside its chain")
 
 
-def _invert_group_keys(decoded: list[list[list[int]]], q: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """(symbol, source chain) -> target chains with a nonempty group.
-
-    Derived acceleration metadata (reconstructible from the group keys, like
-    the rank directories); lets follow skip guaranteed-empty probes.
-    """
-    by_source: dict[tuple[int, int], list[int]] = {}
-    for j, (keys, _, _, _) in enumerate(decoded):
-        for key in keys:
-            by_source.setdefault(divmod(key, q), []).append(j)
-    return {key: tuple(js) for key, js in by_source.items()}
-
-
-def _boundary_bits(targets: list[int], length: int) -> BitVector:
-    """One unary run per class of a chain: a 1, then a 0 per incoming edge."""
-    indeg = [0] * length
-    for t in targets:
-        indeg[t] += 1
-    bits: list[int] = []
-    for d in indeg:
-        bits.append(1)
-        bits.extend([0] * d)
-    return BitVector(bits)
-
-
 class Index:
-    """Immutable query structure; all methods are safe for concurrent readers."""
+    """Immutable query structure; all methods are safe for concurrent readers.
 
-    def __init__(self, *, alphabet: Alphabet, chains: tuple[tuple[int, ...], ...],
-                 members: tuple[tuple[int, ...], ...], n_original: int, e_original: int,
-                 store: _CompactStore, finals: frozenset[int] | None,
-                 initial_class: int | None, marked_classes: frozenset[int],
-                 order_bits: np.ndarray | None = None):
+    Built and loaded indexes alike are made from their packed arrays, and
+    every array is checked here, in one pass, before the index answers."""
+
+    def __init__(self, *, alphabet: Alphabet, n_original: int, e_original: int,
+                 arrays: _Arrays, has_finals: bool, initial_class: int | None):
         self.alphabet = alphabet
-        self.chains = chains
-        self.members = members
         self.n_original = n_original
         self.e_original = e_original
-        self.finals = finals
         self.initial_class = initial_class
-        self.marked_classes = marked_classes
-        self._order_bits = order_bits
-        self.q = len(chains)
-        self.n_classes = len(members)
-        self.chain_of = [0] * self.n_classes
-        self.pos_in_chain = [0] * self.n_classes
-        for j, chain in enumerate(chains):
-            for pos, cid in enumerate(chain):
-                self.chain_of[cid] = j
-                self.pos_in_chain[cid] = pos
-        lengths = [len(c) for c in chains]
-        decoded = _decode_checked(store, len(alphabet), lengths)
-        self._store = store
-        self.e_quotient = sum(len(targets) for _, _, targets, _ in decoded)
-        self._target_chains = _invert_group_keys(decoded, self.q)
-        self._boundaries = tuple(
-            _boundary_bits(targets, n) for (_, _, targets, _), n in zip(decoded, lengths))
-        self._finals_bv = None
-        if finals is not None:
-            self._finals_bv = tuple(
-                BitVector([1 if cid in finals else 0 for cid in chain]) for chain in chains)
+        self._arrays = arrays
+        # Chain j holds the classes at chain-major positions offsets[j]..offsets[j+1].
+        offsets = [0, *arrays.chain_ends.to_list()]
+        ids = arrays.class_ids.to_list()
+        n_classes = len(ids)
+        _require(all(a <= b for a, b in zip(offsets, offsets[1:]))
+                 and offsets[-1] == n_classes)
+        _require(len(set(ids)) == n_classes and max(ids, default=-1) < n_classes)
+        class_map = arrays.class_map.to_list()
+        _require(len(class_map) <= n_original and max(class_map, default=-1) < n_classes)
+        self.marked_classes = _increasing_ids(arrays.marked, n_classes)
+        _require(has_finals or len(arrays.finals) == 0)
+        self.finals = _increasing_ids(arrays.finals, n_classes) if has_finals else None
+        _require(initial_class is None or initial_class < n_classes)
+        self.q = len(offsets) - 1
+        self.n_classes = n_classes
+        self._offsets = offsets
+        self._ids = ids
+        self._position = [0] * n_classes
+        for p, cid in enumerate(ids):
+            self._position[cid] = p
+        members: list[list[int]] = [[] for _ in range(n_classes)]
+        for v, cid in enumerate(class_map):
+            members[cid].append(v)
+        self.members = tuple(map(tuple, members))
+        self._sigma = len(alphabet)
+        self._groups, self._target_chains = self._check_store()
+        self.e_quotient = len(arrays.targets)
+        self._finals_bv = (BitVector(cid in self.finals for cid in ids)
+                           if self.finals is not None else None)
+
+    def _check_store(self) -> tuple[list[int], dict[tuple[int, int], tuple[int, ...]]]:
+        """Check the edge store: keys strictly increasing below sigma * q * q,
+        ends non-decreasing up to the edge count, and every group monotone
+        inside its chains.
+
+        Returns where each chain's groups start (q + 1 ints), and the
+        (symbol, source chain) -> target chains map that lets follow skip
+        guaranteed-empty probes; both are derived, like the rank directory.
+        """
+        a, q, span = self._arrays, self.q, self._sigma * self.q
+        keys, ends = a.keys.to_list(), a.ends.to_list()
+        targets, sources = a.targets.to_list(), a.sources.to_list()
+        if any(x >= y for x, y in zip(keys, keys[1:])) or (keys and keys[-1] >= span * q):
+            raise ValueError("group keys are not strictly increasing below sigma*q*q")
+        if any(x > y for x, y in zip(ends, ends[1:])) or (ends[-1] if ends else 0) != len(targets):
+            raise ValueError("group ends do not rise to the edge count")
+        lengths = [y - x for x, y in zip(self._offsets, self._offsets[1:])]
+        by_source: dict[tuple[int, int], list[int]] = {}
+        start = 0
+        for key, end in zip(keys, ends):
+            j, rest = divmod(key, span)
+            sym, i = divmod(rest, q)
+            _check_monotone_groups((j, sym, i), targets[start:end], sources[start:end],
+                                   lengths[j], lengths[i])
+            by_source.setdefault((sym, i), []).append(j)
+            start = end
+        groups = [bisect_left(keys, j * span) for j in range(q + 1)]
+        return groups, {key: tuple(js) for key, js in by_source.items()}
 
     # Convex-set constructors ------------------------------------------------
 
     def full_set(self) -> ConvexSet:
-        return ConvexSet(tuple((0, len(c)) for c in self.chains))
+        return ConvexSet(tuple((0, b - a) for a, b in zip(self._offsets, self._offsets[1:])))
 
     def empty_set(self) -> ConvexSet:
-        return ConvexSet(tuple((0, 0) for _ in self.chains))
+        return ConvexSet(((0, 0),) * self.q)
 
     def set_for_classes(self, class_ids: Iterable[int]) -> ConvexSet:
         """Intervals covering exactly the given classes; they must be contiguous per chain."""
         per_chain: dict[int, list[int]] = {}
         for cid in class_ids:
-            per_chain.setdefault(self.chain_of[cid], []).append(self.pos_in_chain[cid])
+            p = self._position[cid]
+            j = bisect_right(self._offsets, p) - 1
+            per_chain.setdefault(j, []).append(p - self._offsets[j])
         intervals = []
         for j in range(self.q):
             positions = sorted(per_chain.get(j, []))
@@ -315,8 +254,8 @@ class Index:
 
     def classes_in(self, s: ConvexSet) -> list[int]:
         out = []
-        for j, (lo, hi) in enumerate(s.intervals):
-            out.extend(self.chains[j][lo:hi])
+        for (lo, hi), start, end in zip(s.intervals, self._offsets, self._offsets[1:]):
+            out.extend(self._ids[start + lo:min(start + hi, end)])
         return sorted(out)
 
     # Queries ----------------------------------------------------------------
@@ -327,6 +266,23 @@ class Index:
         if a not in self.alphabet:
             raise PatternError(f"unknown symbol {a!r}")
         return self.alphabet.index(a)
+
+    def _run(self, j: int, sym: int, i: int, lo: int, hi: int) -> tuple[int, int] | None:
+        """The first and last target of the edges of group (j, sym, i) whose
+        sources lie in [lo, hi), or None when there are none."""
+        a = self._arrays
+        key = (j * self._sigma + sym) * self.q + i
+        last = self._groups[j + 1]
+        g = bisect_left_packed(a.keys, key, self._groups[j], last)
+        if g == last or a.keys.get(g) != key:
+            return None
+        start = a.ends.get(g - 1) if g > 0 else 0
+        end = a.ends.get(g)
+        p = bisect_left_packed(a.sources, lo, start, end)
+        r = bisect_left_packed(a.sources, hi, start, end)
+        if p == r:
+            return None
+        return a.targets.get(p), a.targets.get(r - 1)
 
     def follow(self, s: ConvexSet, a: str, stats: QueryStats | None = None) -> ConvexSet:
         """Classes reachable from ``s`` by one edge labeled ``a``, as intervals."""
@@ -344,7 +300,7 @@ class Index:
             for j in target_chains.get((sym, i), ()):
                 if stats is not None:
                     stats.probes += 1
-                run = self._store.run(j, sym, i, lo, hi)
+                run = self._run(j, sym, i, lo, hi)
                 if run is None:
                     continue
                 rmin, rmax = run
@@ -355,29 +311,12 @@ class Index:
         return ConvexSet(tuple(
             (mins[j], maxs[j] + 1) if mins[j] >= 0 else (0, 0) for j in range(self.q)))
 
-    def _check_convex(self, s: ConvexSet) -> None:
-        if self._order_bits is None:
-            raise ValueError("convexity cannot be checked on a loaded index: "
-                             "the class order is not stored in the file")
-        ids = self.classes_in(s)
-        inside = set(ids)
-        bits = self._order_bits
-        for u in ids:
-            for v in range(self.n_classes):
-                if v in inside:
-                    continue
-                for z in ids:
-                    if bits[u, v] and bits[v, z]:
-                        raise ValueError(f"starting set is not convex: {v} lies between")
-
     def match_from(self, u: ConvexSet, pattern: Iterable[str],
-                   stats: QueryStats | None = None, validate: bool = False) -> tuple[bool, ConvexSet]:
-        """Fold follow over the pattern starting at ``u`` (which must be convex)."""
+                   stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
+        """Fold follow over the pattern starting at ``u``, which must be convex."""
         symbols = list(pattern)
         for a in symbols:
             self._symbol_id(a)
-        if validate:
-            self._check_convex(u)
         cur = u
         for a in symbols:
             cur = self.follow(cur, a, stats)
@@ -401,10 +340,9 @@ class Index:
         ok, end = self.match_from(start, alpha, stats)
         if not ok:
             return False
-        for j, (lo, hi) in enumerate(end.intervals):
-            if lo < hi and self._finals_bv[j].rank1(hi) - self._finals_bv[j].rank1(lo) > 0:
-                return True
-        return False
+        rank1 = self._finals_bv.rank1
+        return any(lo < hi and rank1(off + hi) - rank1(off + lo) > 0
+                   for (lo, hi), off in zip(end.intervals, self._offsets))
 
     def map_back(self, s: ConvexSet) -> frozenset[int]:
         """Union of original nodes over all classes in the set."""
@@ -416,43 +354,39 @@ class Index:
     # Accounting ---------------------------------------------------------------
 
     def space_report(self) -> SpaceReport:
-        breakdown = self._store.payload_bits()
-        breakdown["boundary_bits"] = sum(b.payload_bits for b in self._boundaries)
-        breakdown["final_bits"] = (
-            sum(b.payload_bits for b in self._finals_bv) if self._finals_bv else 0)
+        a, finals = self._arrays, self._finals_bv
+        breakdown = {
+            "group_directory_bits": a.keys.payload_bits + a.ends.payload_bits,
+            "position_array_bits": a.targets.payload_bits + a.sources.payload_bits,
+            "boundary_bits": 0,  # the index holds no boundary vector
+            "final_bits": finals.payload_bits if finals else 0,
+        }
         measured = sum(breakdown.values())
-        breakdown["class_map_bits"] = (
-            self.n_original * width_for(max(self.n_classes - 1, 0)))  # reported, not counted
-        breakdown["rank_directory_bits"] = (
-            sum(b.aux_bits for b in self._boundaries)
-            + (sum(b.aux_bits for b in self._finals_bv) if self._finals_bv else 0))
-        per_edge = ceil_log2(len(self.alphabet)) + ceil_log2(self.q) + 2
+        # Reported, not counted:
+        breakdown["chain_table_bits"] = a.chain_ends.payload_bits + a.class_ids.payload_bits
+        breakdown["class_map_bits"] = a.class_map.payload_bits
+        breakdown["rank_directory_bits"] = finals.aux_bits if finals else 0
+        per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
         formula = self.e_quotient * per_edge + self.n_classes
-        if self._finals_bv is not None:
+        if finals is not None:
             formula += self.n_classes
         return SpaceReport(measured, formula, breakdown)
 
     # Serialization -----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = bytearray()
+        a = self._arrays
         flags = (_FLAG_FINALS if self.finals is not None else 0) | (
             _FLAG_INITIAL if self.initial_class is not None else 0)
-        out += struct.pack(_HEADER, MAGIC, FORMAT_VERSION, flags,
-                           self.n_original, self.e_original, self.n_classes, self.q,
-                           len(self.alphabet))
+        out = bytearray(struct.pack(_HEADER, MAGIC, FORMAT_VERSION, flags, self.n_original,
+                                    self.e_original, self.n_classes, self.q, self._sigma))
         for sym in self.alphabet.symbols:
             raw = sym.encode("utf-8")
             out += struct.pack("<H", len(raw)) + raw
-        for ids in (*self.chains, *self.members, sorted(self.marked_classes)):
-            out += struct.pack(f"<I{len(ids)}I", len(ids), *ids)
-        for ch in self._store.chains:
-            out += struct.pack("<II", len(ch.keys), len(ch.targets))
-            for array in (ch.keys, ch.ends, ch.targets, ch.sources):
-                out += array.to_bytes()
-        if self.finals is not None:
-            finals = sorted(self.finals)
-            out += struct.pack(f"<I{len(finals)}I", len(finals), *finals)
+        out += struct.pack(_COUNTS, len(a.class_map), len(a.marked), len(a.keys),
+                           len(a.targets), len(a.finals))
+        for array in a:
+            out += array.to_bytes()
         if self.initial_class is not None:
             out += struct.pack("<I", self.initial_class)
         out += struct.pack("<I", zlib.crc32(out))
@@ -476,24 +410,14 @@ class Index:
 
         def take(fmt: str):
             nonlocal off
-            size = struct.calcsize(fmt)
             vals = struct.unpack_from(fmt, view, off)
-            off += size
+            off += struct.calcsize(fmt)
             return vals
-
-        def require(ok: bool) -> None:
-            if not ok:
-                raise ValueError(_CORRUPT)
-
-        def ids() -> tuple[int, ...]:
-            (n,) = take("<I")
-            require(4 * n <= len(view) - off)
-            return take(f"<{n}I")
 
         def packed(width: int, length: int) -> PackedArray:
             nonlocal off
             size = (width * length + 63) // 64 * 8
-            require(size <= len(view) - off)
+            _require(size <= len(view) - off)
             off += size
             return PackedArray.from_words(width, length, view[off - size:off])
 
@@ -502,42 +426,25 @@ class Index:
             raise ValueError("not an index file (bad magic)")
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported index format version {version}")
-        require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
+        _require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
         view = view[:-4]
         symbols = []
         for _ in range(sigma):
             (ln,) = take("<H")
             symbols.append(take(f"<{ln}s")[0].decode("utf-8"))
-        chains = [ids() for _ in range(q)]
-        in_chains = list(iter_chain.from_iterable(chains))  # each class exactly once
-        require(len(in_chains) == n_classes == len(set(in_chains))
-                and max(in_chains, default=-1) < n_classes)
-        members = [ids() for _ in range(n_classes)]
-        in_members = list(iter_chain.from_iterable(members))  # each node in one class at most
-        require(len(in_members) == len(set(in_members))
-                and max(in_members, default=-1) < n_original)
-        marked = frozenset(ids())
-        require(max(marked, default=-1) < n_classes)
-        widths = _width_rule(sigma, [len(c) for c in chains])
-        store_chains = []
-        for j in range(q):
-            n_groups, n_edges = take("<II")
-            kw, ew, tw, sw = widths(j, n_edges)
-            store_chains.append(_CompactChain(packed(kw, n_groups), packed(ew, n_groups),
-                                              packed(tw, n_edges), packed(sw, n_edges)))
-        finals = None
-        if flags & _FLAG_FINALS:
-            finals = frozenset(ids())
-            require(max(finals, default=-1) < n_classes)
-        initial_class = None
-        if flags & _FLAG_INITIAL:
-            (initial_class,) = take("<I")
-            require(initial_class < n_classes)
-        require(off == len(view))  # no trailing bytes
-        return cls(alphabet=Alphabet(tuple(symbols)), chains=tuple(chains),
-                   members=tuple(members), n_original=n_original, e_original=e_original,
-                   store=_CompactStore(q, store_chains), finals=finals,
-                   initial_class=initial_class, marked_classes=marked)
+        n_nodes, n_marked, n_groups, n_edges, n_finals = take(_COUNTS)
+        chain_ends = packed(width_for(n_classes), q)
+        # The position width needs the longest chain; the constructor checks the ends.
+        ends = chain_ends.to_list()
+        max_len = max((y - x for x, y in zip([0, *ends], ends)), default=0)
+        widths = _widths(sigma, q, n_classes, max_len, n_edges)[1:]
+        counts = (n_classes, n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
+        arrays = _Arrays(chain_ends, *(packed(w, n) for w, n in zip(widths, counts)))
+        initial_class = take("<I")[0] if flags & _FLAG_INITIAL else None
+        _require(off == len(view))  # no trailing bytes
+        return cls(alphabet=Alphabet(tuple(symbols)), n_original=n_original,
+                   e_original=e_original, arrays=arrays,
+                   has_finals=bool(flags & _FLAG_FINALS), initial_class=initial_class)
 
     @classmethod
     def load(cls, path) -> "Index":
@@ -562,19 +469,24 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
         for a, b in zip(chain, chain[1:]):
             if a == b or not order.holds(a, b):
                 raise ValueError("chain members are not strictly increasing in the order")
-    group_edges: dict[tuple[int, int, int], list[tuple[int, int]]] = {}
+    alphabet, q = qg.graph.alphabet, cp.chain_count
+    groups: dict[int, list[tuple[int, int]]] = {}
     for cu, cv, a in qg.graph.edges:
-        key = (cp.chain_of[cv], qg.graph.alphabet.index(a), cp.chain_of[cu])
-        group_edges.setdefault(key, []).append((cp.pos_in_chain[cv], cp.pos_in_chain[cu]))
-    for edges in group_edges.values():
-        edges.sort()
-    store = _CompactStore.pack(len(qg.graph.alphabet), [len(c) for c in cp.chains], group_edges)
-    return Index(alphabet=qg.graph.alphabet, chains=cp.chains,
-                 members=qg.partition.members,
+        key = (cp.chain_of[cv] * len(alphabet) + alphabet.index(a)) * q + cp.chain_of[cu]
+        groups.setdefault(key, []).append((cp.pos_in_chain[cv], cp.pos_in_chain[cu]))
+    keys = sorted(groups)
+    edges = [edge for key in keys for edge in sorted(groups[key])]
+    values = ([*accumulate(map(len, cp.chains))], [c for ch in cp.chains for c in ch],
+              qg.partition.class_of, sorted(qg.marked_classes),
+              keys, [*accumulate(len(groups[key]) for key in keys)],
+              [t for t, _ in edges], [s for _, s in edges], sorted(finals or ()))
+    widths = _widths(len(alphabet), q, n_classes, max(map(len, cp.chains), default=0),
+                     len(edges))
+    return Index(alphabet=alphabet,
                  n_original=qg.partition.n if n_original is None else n_original,
                  e_original=len(qg.graph.edges) if e_original is None else e_original,
-                 store=store, finals=finals, initial_class=initial,
-                 marked_classes=qg.marked_classes, order_bits=order.bits)
+                 arrays=_Arrays(*map(PackedArray, widths, values)),
+                 has_finals=finals is not None, initial_class=initial)
 
 
 def build_nfa_index(qnfa: QuotientNfa, cp: ChainPartition,

@@ -40,7 +40,7 @@ def classes(pre: Preorder) -> ClassPartition:
     The classes are the ones ``pre`` found when it certified itself.
     """
     if not isinstance(pre, Preorder):
-        pre = Preorder(pre.bits)  # re-validates reflexivity and transitivity
+        pre = Preorder(pre.bits)  # checks reflexivity and transitivity again
     class_of = pre._class_of.tolist()
     members: list[list[int]] = [[] for _ in range(pre._reps.size)]
     for v, cid in enumerate(class_of):

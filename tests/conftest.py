@@ -4,6 +4,7 @@ import pytest
 from hypothesis import strategies as st
 
 from colexgraph import Alphabet, LabeledGraph, Nfa
+from colexgraph.oracle import random_graph
 
 # Seeds for every randomized sweep; keep in one place so runs are reproducible.
 SEED_GRAPH_CORPUS = 1301
@@ -56,6 +57,19 @@ def diamond_nfa() -> Nfa:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(4242)
+
+
+@pytest.fixture(scope="session")
+def graph_corpus():
+    """1000 seeded random graphs, n <= 8, up to 3 symbols, densities 0.1/0.3."""
+    rng = random.Random(SEED_GRAPH_CORPUS)
+    corpus = []
+    for _ in range(1000):
+        n = rng.randint(1, 8)
+        syms = rng.randint(1, 3)
+        density = rng.choice([0.1, 0.3])
+        corpus.append(random_graph(rng, n, syms, density))
+    return corpus
 
 
 @st.composite

@@ -1,11 +1,13 @@
 """Test-only constructions shared across modules."""
 
+import struct
 import zlib
 
 import numpy as np
 
 from colexgraph import LabeledGraph, QuotientNfa, Relation, lambda_sets, run_pipeline
 from colexgraph.graph import Alphabet
+from colexgraph.index import Index, _Arrays
 
 
 def strict_label_relation(g: LabeledGraph, u_marked=()) -> Relation:
@@ -47,3 +49,33 @@ def nfa_pipeline(nfa):
 def reseal(buf: bytearray) -> bytes:
     """The bytes with a fresh CRC32 trailer, so that the range checks see them."""
     return bytes(buf[:-4]) + zlib.crc32(buf[:-4]).to_bytes(4, "little")
+
+
+def v3_offsets(raw: bytes) -> dict:
+    """Where a v3 file's fields are: the byte offset of the header's
+    ``n_original`` and ``q``, of each count after the alphabet and of the
+    initial class, and (offset, width) of each packed array."""
+    ix = Index.from_bytes(raw)
+    at = {"n_original": 8, "q": 24}
+    off = struct.calcsize("<4sHHIQIII") + sum(
+        2 + len(sym.encode("utf-8")) for sym in ix.alphabet.symbols)
+    for name in ("n_nodes", "n_marked", "n_groups", "n_edges", "n_finals"):
+        at[name] = off
+        off += 4
+    for name, array in zip(_Arrays._fields, ix._arrays):
+        at[name] = (off, array.width)
+        off += (array.payload_bits + 63) // 64 * 8
+    if ix.initial_class is not None:
+        at["initial"] = off
+        off += 4
+    assert off + 4 == len(raw)
+    return at
+
+
+def put_packed(buf: bytearray, array: tuple[int, int], k: int, value: int) -> None:
+    """Overwrite value ``k`` of a packed array, given as (offset, width), in its
+    first word."""
+    start, width = array
+    word = int.from_bytes(buf[start:start + 8], "little")
+    word &= ~(((1 << width) - 1) << (k * width))
+    buf[start:start + 8] = (word | value << (k * width)).to_bytes(8, "little")

@@ -19,9 +19,8 @@ from colexgraph.oracle import (brute_theta, check_powerset_bounds,
                                language_equiv, prec_a_acyclic, random_acyclic_nfa,
                                random_graph, random_partial_order, random_trim_nfa,
                                simulate_nfa)
-from conftest import (SEED_ACYCLIC_CORPUS, SEED_BIG_GRAPH, SEED_GRAPH_CORPUS,
-                      SEED_NFA_CORPUS, SEED_ORDER_CORPUS, SEED_SPACE_FAMILY,
-                      diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
+from conftest import (SEED_ACYCLIC_CORPUS, SEED_BIG_GRAPH, SEED_NFA_CORPUS,
+                      SEED_ORDER_CORPUS, SEED_SPACE_FAMILY, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       two_cycle_graph)
 from helpers import expected_double_hub_relation, nfa_pipeline, quotient_pipeline
 
@@ -31,19 +30,6 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
     suffix = f" ({detail})" if detail else ""
     print(f"\nACCEPTANCE {num:02d} {name}: {status}{suffix}")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
-
-
-@pytest.fixture(scope="module")
-def graph_corpus():
-    """1000 seeded random graphs, n <= 8, up to 3 symbols, densities 0.1/0.3."""
-    rng = random.Random(SEED_GRAPH_CORPUS)
-    corpus = []
-    for _ in range(1000):
-        n = rng.randint(1, 8)
-        syms = rng.randint(1, 3)
-        density = rng.choice([0.1, 0.3])
-        corpus.append(random_graph(rng, n, syms, density))
-    return corpus
 
 
 def test_criterion_01_golden_relations():

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from colexgraph import (Preorder, Relation, classes, induced_order, max_antichain,
                         max_colex_relation, min_chain_partition, preorder_width,
                         transitive_closure)
+from colexgraph.chains import _chain_cover
 from colexgraph.oracle import (exhaustive_max_antichain, random_colex_relation,
                                random_partial_order)
 from conftest import double_hub_graph, loop_branch_nfa, small_graphs
@@ -72,6 +74,21 @@ class TestMinChainPartition:
         cp = min_chain_partition(Preorder(Relation.from_pairs(6, pairs).bits))
         assert cp.chain_count == 3
         assert sorted(cp.chains) == [(0, 2), (1, 5), (3, 4)]
+
+    def test_chain_cover_makes_no_k_by_k_copy(self):
+        k = 3000
+        rank = list(range(k))
+        random.Random(3000).shuffle(rank)
+        ranks = np.array(rank)
+        order = ranks[:, None] <= ranks[None, :]  # 9 MB of bools
+        tracemalloc.start()
+        try:
+            chains = _chain_cover(order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chains == (tuple(sorted(range(k), key=rank.__getitem__)),)
+        assert peak < k * k
 
     def test_deterministic(self, rng):
         order = random_partial_order(rng, 10)

@@ -1,6 +1,7 @@
 import random
 import struct
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -8,17 +9,41 @@ from hypothesis import given, settings
 from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, QueryStats,
                         build_index, build_nfa_index, run_pipeline)
 from colexgraph.graph import Alphabet
-from colexgraph.bitvec import PackedArray
-from colexgraph.index import _CompactStore, ceil_log2, parse_pattern
+from colexgraph.bitvec import BitVector, PackedArray
+from colexgraph.index import _Arrays, _widths, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
-from helpers import nfa_pipeline, quotient_pipeline, reseal
+from helpers import nfa_pipeline, put_packed, quotient_pipeline, reseal, v3_offsets
 
 
 def build_from(g):
     result = run_pipeline(g)
     return result.index(), result.quotient, result.chains
+
+
+def group_items(ix):
+    """Each group as ((target chain, symbol, source chain), (targets, sources))."""
+    a = ix._arrays
+    span = len(ix.alphabet) * ix.q
+    targets, sources = a.targets.to_list(), a.sources.to_list()
+    items, start = [], 0
+    for key, end in zip(a.keys.to_list(), a.ends.to_list()):
+        j, rest = divmod(key, span)
+        items.append(((j, *divmod(rest, ix.q)),
+                      (tuple(targets[start:end]), tuple(sources[start:end]))))
+        start = end
+    return items
+
+
+def one_chain_index(edges):
+    """Index of a one-symbol graph whose classes 0 and 1 form one chain, with the
+    given (target, source) positions as its only group, unchecked until built."""
+    values = ([2], [0, 1], [0, 1], [], [0], [len(edges)],
+              [t for t, _ in edges], [s for _, s in edges], [])
+    return Index(alphabet=Alphabet(("a",)), n_original=2, e_original=len(edges),
+                 arrays=_Arrays(*map(PackedArray, _widths(1, 1, 2, 2, len(edges)), values)),
+                 has_finals=False, initial_class=None)
 
 
 class TestBuildLayout:
@@ -34,21 +59,53 @@ class TestBuildLayout:
     def test_double_hub_single_group(self):
         ix, _, _ = build_from(double_hub_graph(3))
         assert ix.q == 1 and ix.n_classes == 2 and ix.e_quotient == 1
-        assert ix._store.group_items() == [((0, 0, 0), ((1,), (0,)))]
+        assert group_items(ix) == [((0, 0, 0), ((1,), (0,)))]
 
     def test_loop_branch_groups(self):
         g = loop_branch_nfa().graph
         ix, _, _ = build_from(g)
-        keys = [key for key, _ in ix._store.group_items()]
+        keys = [key for key, _ in group_items(ix)]
         assert keys == [(0, 0, 0), (0, 1, 0)]  # self-loop 'a' and edge 'b', one chain
 
-    def test_boundary_bits_count_edges_and_nodes(self):
-        g = loop_branch_nfa().graph
-        ix, _, _ = build_from(g)
-        total_bits = sum(len(b) for b in ix._boundaries)
-        total_ones = sum(b.ones for b in ix._boundaries)
-        assert total_ones == ix.n_classes
-        assert total_bits - total_ones == ix.e_quotient
+    def test_space_report_counts_no_boundary_vector(self):
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp)
+        parts = ix.space_report().breakdown
+        assert parts["boundary_bits"] == 0
+        # 3 keys of width(2*2*2 - 1) and 3 ends of width(3); 2 * 3 positions
+        # of width(2 - 1); one final bit per class
+        assert (parts["group_directory_bits"], parts["position_array_bits"],
+                parts["final_bits"]) == (3 * 3 + 3 * 2, 2 * 3, 3)
+        assert ix.space_report().measured_bits == 24
+
+    def test_array_count_does_not_grow_with_q(self, monkeypatch):
+        symbols = [f"s{k:02d}" for k in range(32)]
+        # state k + 1 reads symbols k and 31 - k: nested label intervals, so
+        # the 16 states are pairwise incomparable
+        edges = [(0, k + 1, symbols[k]) for k in range(16)]
+        edges += [(0, k + 1, symbols[31 - k]) for k in range(16)]
+        wide = Nfa(LabeledGraph.build(17, edges, symbols), 0, frozenset(range(1, 17)))
+        made = Counter()
+        for cls, name in ((PackedArray, "__init__"), (BitVector, "__init__")):
+            def counted(self, *args, _real=getattr(cls, name), _cls=cls):
+                made[_cls] += 1
+                _real(self, *args)
+            monkeypatch.setattr(cls, name, counted)
+        from_words = PackedArray.from_words
+
+        def wrapped(width, length, words):
+            made["wrapped"] += 1
+            return from_words(width, length, words)
+        monkeypatch.setattr(PackedArray, "from_words", wrapped)
+        counts = {}
+        for nfa in (funnel_nfa(2), wide):
+            qn, cp = nfa_pipeline(nfa)
+            made.clear()
+            ix = build_nfa_index(qn, cp)
+            Index.from_bytes(ix.to_bytes())
+            counts[ix.q > 1] = (made[PackedArray], made["wrapped"], made[BitVector])
+            assert ix.q in (1, 16) and ix.accept([symbols[0]] if ix.q > 1 else ["a", "a"])
+        assert counts[True] == counts[False] == (9, 9, 2)  # one finals vector per index
 
     def test_partition_must_match_order(self):
         qg, cp = quotient_pipeline(double_hub_graph(2))
@@ -64,10 +121,7 @@ class TestBuildLayout:
         for edges, error in (([(0, 1), (1, 0)], "source monotonicity"),
                              ([(1, 0), (0, 0)], "not sorted")):
             with pytest.raises(ValueError, match=error):
-                Index(alphabet=Alphabet(("a",)), chains=((0, 1),), members=((0,), (1,)),
-                      n_original=2, e_original=2,
-                      store=_CompactStore.pack(1, [2], {(0, 0, 0): edges}),
-                      finals=None, initial_class=None, marked_classes=frozenset())
+                one_chain_index(edges)
 
 
 class TestFollow:
@@ -147,33 +201,6 @@ class TestMatch:
         start = ix.set_for_classes([qn.initial])
         ok, end = ix.match_from(start, ["a", "b"])
         assert ok and ix.map_back(end) == {2}
-
-    def test_match_from_validates_convexity(self):
-        import numpy as np
-        # Order 0 < 2 < 1 with 2 parked on its own chain: selecting {0, 1}
-        # skips the class between them.
-        order = np.eye(3, dtype=bool)
-        order[0, 1] = order[0, 2] = order[2, 1] = True
-        ix = Index(alphabet=Alphabet(("a",)), chains=((0, 1), (2,)),
-                   members=((0,), (1,), (2,)), n_original=3, e_original=0,
-                   store=_CompactStore.pack(1, [2, 1], {}), finals=None, initial_class=None,
-                   marked_classes=frozenset(), order_bits=order)
-        gap = ConvexSet(((0, 2), (0, 0)))
-        with pytest.raises(ValueError):
-            ix.match_from(gap, [], validate=True)
-        solid = ConvexSet(((0, 2), (0, 1)))
-        ok, _ = ix.match_from(solid, [], validate=True)
-        assert ok
-
-    def test_validate_refuses_a_loaded_index(self):
-        # A loaded index has no class order to check convexity against.
-        ix, _, _ = build_from(loop_branch_nfa().graph)
-        solid = ix.full_set()
-        assert ix.match_from(solid, ["a"], validate=True) == ix.match_from(solid, ["a"])
-        loaded = Index.from_bytes(ix.to_bytes())
-        with pytest.raises(ValueError, match="loaded index"):
-            loaded.match_from(solid, ["a"], validate=True)
-        assert loaded.match_from(solid, ["a"]) == ix.match_from(solid, ["a"])
 
     def test_unknown_symbol_rejected_even_when_empty(self):
         ix, _, _ = build_from(double_hub_graph(2))
@@ -317,7 +344,7 @@ class TestBackendsAndSerialization:
     def test_out_of_range_ids_rejected(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_nfa_index(qn, cp).to_bytes()
-        at = _v2_offsets(raw)
+        at = v3_offsets(raw)
         wrapped_bits = []  # of every packed array a load wraps
         from_words = PackedArray.from_words
 
@@ -325,37 +352,42 @@ class TestBackendsAndSerialization:
             wrapped_bits.append(width * length)
             return from_words(width, length, words)
         monkeypatch.setattr(PackedArray, "from_words", spy)
-        # chains (0, 2) and (1,); chain 0 holds groups (a, 1) and (b, 1) with
-        # ends [1, 2], chain 1 holds group (a, 0); every position is 0 but the
-        # second target of chain 0
+        # chains (0, 2) and (1,), so chain ends [2, 3] and class ids [0, 2, 1];
+        # classes {0}, {1}, {2}, 0 marked, 1 and 2 final; keys [1, 3, 4] are the
+        # groups (a, 1) and (b, 1) of chain 0 and (a, 0) of chain 1, with ends
+        # [1, 2, 3]; every position is 0 but the second target
         corruptions = [
             (at["initial"], "<I", 3, "corrupt"),
-            (at["chain0"] + 4, "<I", 2, "corrupt"),        # class 2 in two chain slots
-            (at["members0"] + 4, "<I", 3, "corrupt"),      # node 3 of a 3-state automaton
-            (at["members1"] + 4, "<I", 0, "corrupt"),      # node 0 in two classes
-            (at["marked"] + 4, "<I", 3, "corrupt"),
-            (at["finals"] + 4, "<I", 3, "corrupt"),
-            (at["keys0"], 1, 1, "not strictly increasing"),  # (b, 1) -> (a, 1) again
-            (at["ends0"], 1, 3, "ends do not rise"),
-            (at["targets1"], 0, 1, "outside its chain"),    # target 1 in a 1-class chain
-            (at["sources0"], 0, 1, "outside its chain"),    # source 1 in a 1-class chain
+            (at["n_original"], "<I", 2, "corrupt"),            # 3 indexed nodes of 2
+            (at["chain_ends"], 1, 2, "corrupt"),               # chains end short of class 2
+            (at["class_ids"], 1, 0, "corrupt"),                # class 0 in two chain slots
+            (at["class_map"], 0, 3, "corrupt"),                # node 0 in class 3 of 3
+            (at["marked"], 0, 3, "corrupt"),
+            (at["finals"], 0, 3, "corrupt"),
+            (at["finals"], 1, 1, "corrupt"),                   # final class 1 twice
+            (6, "<H", 2, "corrupt"),                           # finals without their flag
+            (at["keys"], 1, 1, "not strictly increasing"),     # (b, 1) -> (a, 1) again
+            (at["ends"], 0, 3, "ends do not rise"),
+            (at["ends"], 2, 2, "ends do not rise"),            # the last group ends at edge 2 of 3
+            (at["targets"], 2, 1, "outside its chain"),        # target 1 in a 1-class chain
+            (at["sources"], 0, 1, "outside its chain"),        # source 1 in a 1-class chain
         ]
-        for count in ("chain0", "members0", "marked", "finals", "n_groups0", "n_edges0"):
+        for count in ("q", "n_nodes", "n_marked", "n_finals", "n_groups", "n_edges"):
             corruptions.append((at[count], "<I", 0xFFFFFFFF, "corrupt"))
         for field, fmt, value, error in corruptions:
             bad = bytearray(raw)
             if isinstance(fmt, str):
                 struct.pack_into(fmt, bad, field, value)
             else:
-                _put_packed(bad, field, fmt, value)
+                put_packed(bad, field, fmt, value)
             with pytest.raises(ValueError, match=error):
                 Index.from_bytes(reseal(bad))
         assert max(wrapped_bits) <= 8 * len(raw)  # huge counts were refused first
-        # a key at sigma * q: one symbol on one chain leaves the 1-bit key room
+        # a key at sigma * q * q: one symbol on one chain leaves the 1-bit key room
         hub, _, _ = build_from(double_hub_graph(3))
         hub_raw = hub.to_bytes()
         bad = bytearray(hub_raw)
-        _put_packed(bad, _v2_offsets(hub_raw)["keys0"], 0, 1)
+        put_packed(bad, v3_offsets(hub_raw)["keys"], 0, 1)
         with pytest.raises(ValueError, match="below sigma"):
             Index.from_bytes(reseal(bad))
 
@@ -394,45 +426,6 @@ class TestBackendsAndSerialization:
         assert again.space_report() == ix.space_report()
         for s in ([], ["a"], ["a", "b"], ["a", "a", "b"]):
             assert again.accept(s) == ix.accept(s)
-
-
-def _v2_offsets(raw: bytes) -> dict:
-    """Where a v2 file's fields are: the byte offset of each id list's count
-    and of each chain record's two counts, and (offset, width) of each packed
-    array."""
-    ix = Index.from_bytes(raw)
-    off = struct.calcsize("<4sHHIQIII") + sum(
-        2 + len(sym.encode("utf-8")) for sym in ix.alphabet.symbols)
-    at = {}
-    lists = [(f"chain{j}", c) for j, c in enumerate(ix.chains)]
-    lists += [(f"members{c}", m) for c, m in enumerate(ix.members)]
-    for name, ids in lists + [("marked", ix.marked_classes)]:
-        at[name] = off
-        off += 4 + 4 * len(ids)
-    for j, ch in enumerate(ix._store.chains):
-        at[f"n_groups{j}"], at[f"n_edges{j}"] = off, off + 4
-        off += 8
-        for name in ("keys", "ends", "targets", "sources"):
-            array = getattr(ch, name)
-            at[f"{name}{j}"] = (off, array.width)
-            off += (array.payload_bits + 63) // 64 * 8
-    if ix.finals is not None:
-        at["finals"] = off
-        off += 4 + 4 * len(ix.finals)
-    if ix.initial_class is not None:
-        at["initial"] = off
-        off += 4
-    assert off + 4 == len(raw)
-    return at
-
-
-def _put_packed(buf: bytearray, array: tuple[int, int], k: int, value: int) -> None:
-    """Overwrite value ``k`` of a packed array, given as (offset, width), in its
-    first word."""
-    start, width = array
-    word = int.from_bytes(buf[start:start + 8], "little")
-    word &= ~(((1 << width) - 1) << (k * width))
-    buf[start:start + 8] = (word | value << (k * width)).to_bytes(8, "little")
 
 
 class TestInstrumentation:

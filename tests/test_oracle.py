@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 
 from colexgraph import (ChainPartition, ClassPartition, LabeledGraph, Nfa, Relation,
-                        max_colex_relation, preorder_width, quotient_nfa, refines)
+                        max_colex_relation, preorder_width, quotient_nfa, refines,
+                        run_pipeline)
 from colexgraph.oracle import (brute_theta, check_monotonic, check_powerset_bounds,
                                colex_key, dfa_isomorphic, exhaustive_max_antichain,
                                gfp_max_relation, is_acyclic, is_convex, language_equiv,
@@ -233,3 +234,12 @@ class TestStructuralChecks:
     def test_monotone_groups(self):
         assert monotone_groups_hold(self.GRAPH, self.one_chain((0, 1, 2, 3)))
         assert not monotone_groups_hold(self.GRAPH, self.one_chain((1, 0, 2, 3)))
+
+    def test_hold_on_every_pipeline_result_of_the_graph_corpus(self, graph_corpus):
+        # The pipeline refuses a quotient or an index that breaks them, so
+        # these reference checks are not lines of verify.
+        for g in graph_corpus:
+            result = run_pipeline(g)
+            qg = result.quotient
+            assert single_in_edge_holds(g, qg.partition)
+            assert monotone_groups_hold(qg.graph, result.chains)
