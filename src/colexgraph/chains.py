@@ -12,7 +12,7 @@ equality both ways.
 Every ``Preorder`` runs the matching once, on its class order, when it is
 built: the chains are part of its transitivity certificate, which costs
 O(k^2 + k * q^2) on k classes and q chains (see
-``relation._certificate_failure``). The functions here read those chains.
+``relation._certify``). The functions here read those chains.
 """
 
 from __future__ import annotations
@@ -171,39 +171,40 @@ def _chain_cover(order: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(chains)
 
 
-def _partial_order(order: Preorder) -> Preorder:
-    """``order`` as a certified ``Preorder``, which must have no class of two or more."""
+def _partial_order_chains(order: Preorder) -> tuple[tuple[int, ...], ...]:
+    """The chains a partial order was certified with, in its node ids."""
     if not isinstance(order, Preorder):
         order = Preorder(order.bits)
     if order._reps.size != order.n:
         raise ValueError("order must be a partial order (antisymmetric)")
-    return order
+    nodes = order._reps.tolist()  # the node of each chain-major class
+    return tuple(tuple(nodes[a:b]) for a, b in zip((0, *order._ends), order._ends))
 
 
 def min_chain_partition(order: Preorder) -> ChainPartition:
     """Minimum-size chain partition of a partial order.
 
-    These are the chains the order's certificate was checked with.
+    These are the chains the order's certificate was checked with. On a class
+    order, whose ids are chain-major, every chain is a consecutive id range.
     """
-    order = _partial_order(order)
+    chains = _partial_order_chains(order)
     chain_of = [-1] * order.n
     pos_in_chain = [-1] * order.n
-    for cid, chain in enumerate(order._chains):
+    for cid, chain in enumerate(chains):
         for pos, node in enumerate(chain):
             chain_of[node] = cid
             pos_in_chain[node] = pos
-    return ChainPartition(len(order._chains), tuple(chain_of), tuple(pos_in_chain),
-                          order._chains)
+    return ChainPartition(len(chains), tuple(chain_of), tuple(pos_in_chain), chains)
 
 
 def max_antichain(order: Preorder) -> frozenset[int]:
     """A maximum antichain, from the Konig cover of the path-cover matching."""
-    order = _partial_order(order)
+    chains = _partial_order_chains(order)
     n = order.n
     # The maximum matching the chains were built from: each member to the next.
     match_left = [-1] * n
     match_right = [-1] * n
-    for chain in order._chains:
+    for chain in chains:
         for u, v in zip(chain, chain[1:]):
             match_left[u] = v
             match_right[v] = u
@@ -234,4 +235,4 @@ def preorder_width(pre: Preorder) -> int:
     """Width of a preorder = width of its quotient partial order."""
     if not isinstance(pre, Preorder):
         pre = Preorder(pre.bits)
-    return len(pre._chains)
+    return len(pre._ends)

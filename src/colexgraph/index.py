@@ -1,20 +1,20 @@
 """The pattern-matching index over a quotient graph.
 
-Classes live at (chain, position) coordinates of a minimum chain partition of
-the class order. A convex class set is one half-open position interval per
-chain. One symbol step ("follow") binary-searches, for every target chain, the
-per-(target chain, symbol, source chain) edge groups; the reached positions on
-each chain are filled in to an interval, which is exact because images of
-convex sets are convex.
+Classes are numbered chain-major, as the quotient numbers them: chain by chain
+of a minimum chain partition of the class order, bottom to top along each, so
+a class id is its chain's start plus its position on the chain. A convex class
+set is one half-open position interval per chain. One symbol step ("follow")
+binary-searches, for every target chain, the per-(target chain, symbol, source
+chain) edge groups; the reached positions on each chain are filled in to an
+interval, which is exact because images of convex sets are convex.
 
-The index is one fixed set of packed arrays, each at a bit width derived from
-the sizes: the chain table (class ids chain after chain, and each chain's
-end), the class of every indexed node, the marked and the final class ids, and
-the edge store. The store holds the group keys ``(target chain * sigma +
-symbol) * q + source chain`` in increasing order with each group's end
-offset, and the edges' target and source positions, group after group. The
-``.clxi`` file holds the arrays' words as they are, so loading wraps them
-without unpacking or packing again (see docs/index-format.md).
+The index is one fixed set of eight packed arrays, each at a bit width derived
+from the sizes: the chain ends, the class of every indexed node, the marked and
+the final class ids, and the edge store. The store holds the group keys
+``(target chain * sigma + symbol) * q + source chain`` in increasing order with
+each group's end offset, and the edges' target and source positions, group
+after group. The ``.clxi`` file holds the arrays' words as they are, so loading
+wraps them without unpacking or packing again (see docs/index-format.md).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
 
 MAGIC = b"CLXI"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = "<4sHHIQIII"
 _COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
 
@@ -105,8 +105,7 @@ class SpaceReport:
 class _Arrays(NamedTuple):
     """Every packed array of an index, in file order."""
 
-    chain_ends: PackedArray  # end of each chain in class_ids
-    class_ids: PackedArray   # the chains' class ids, chain after chain
+    chain_ends: PackedArray  # one past the last class id of each chain
     class_map: PackedArray   # the class of each indexed node
     marked: PackedArray      # marked class ids, increasing
     keys: PackedArray        # group keys, increasing
@@ -121,7 +120,7 @@ def _widths(sigma: int, q: int, n_classes: int, max_len: int, n_edges: int) -> t
     alone, so the file stores none."""
     cls = width_for(max(n_classes - 1, 0))
     pos = width_for(max(max_len - 1, 0))
-    return (width_for(n_classes), cls, cls, cls, width_for(max(sigma * q * q - 1, 0)),
+    return (width_for(n_classes), cls, cls, width_for(max(sigma * q * q - 1, 0)),
             width_for(n_edges), pos, pos, cls)
 
 
@@ -160,21 +159,21 @@ class Index:
     every array is checked here, in one pass, before the index answers."""
 
     def __init__(self, *, alphabet: Alphabet, n_original: int, e_original: int,
-                 arrays: _Arrays, has_finals: bool, initial_class: int | None):
+                 n_classes: int, arrays: _Arrays, has_finals: bool,
+                 initial_class: int | None):
         self.alphabet = alphabet
         self.n_original = n_original
         self.e_original = e_original
         self.initial_class = initial_class
         self._arrays = arrays
-        # Chain j holds the classes at chain-major positions offsets[j]..offsets[j+1].
+        # Chain j holds the classes offsets[j]..offsets[j+1].
         offsets = [0, *arrays.chain_ends.to_list()]
-        ids = arrays.class_ids.to_list()
-        n_classes = len(ids)
         _require(all(a <= b for a, b in zip(offsets, offsets[1:]))
                  and offsets[-1] == n_classes)
-        _require(len(set(ids)) == n_classes and max(ids, default=-1) < n_classes)
+        # Every class has a member, which also bounds n_classes by the file size.
         class_map = arrays.class_map.to_list()
-        _require(len(class_map) <= n_original and max(class_map, default=-1) < n_classes)
+        _require(len(class_map) <= n_original and len(set(class_map)) == n_classes
+                 and max(class_map, default=-1) < n_classes)
         self.marked_classes = _increasing_ids(arrays.marked, n_classes)
         _require(has_finals or len(arrays.finals) == 0)
         self.finals = _increasing_ids(arrays.finals, n_classes) if has_finals else None
@@ -182,10 +181,6 @@ class Index:
         self.q = len(offsets) - 1
         self.n_classes = n_classes
         self._offsets = offsets
-        self._ids = ids
-        self._position = [0] * n_classes
-        for p, cid in enumerate(ids):
-            self._position[cid] = p
         members: list[list[int]] = [[] for _ in range(n_classes)]
         for v, cid in enumerate(class_map):
             members[cid].append(v)
@@ -193,7 +188,7 @@ class Index:
         self._sigma = len(alphabet)
         self._groups, self._target_chains = self._check_store()
         self.e_quotient = len(arrays.targets)
-        self._finals_bv = (BitVector(cid in self.finals for cid in ids)
+        self._finals_bv = (BitVector(cid in self.finals for cid in range(n_classes))
                            if self.finals is not None else None)
 
     def _check_store(self) -> tuple[list[int], dict[tuple[int, int], tuple[int, ...]]]:
@@ -237,9 +232,10 @@ class Index:
         """Intervals covering exactly the given classes; they must be contiguous per chain."""
         per_chain: dict[int, list[int]] = {}
         for cid in class_ids:
-            p = self._position[cid]
-            j = bisect_right(self._offsets, p) - 1
-            per_chain.setdefault(j, []).append(p - self._offsets[j])
+            if not 0 <= cid < self.n_classes:
+                raise ValueError(f"class id {cid} is not below {self.n_classes}")
+            j = bisect_right(self._offsets, cid) - 1
+            per_chain.setdefault(j, []).append(cid - self._offsets[j])
         intervals = []
         for j in range(self.q):
             positions = sorted(per_chain.get(j, []))
@@ -253,10 +249,11 @@ class Index:
         return ConvexSet(tuple(intervals))
 
     def classes_in(self, s: ConvexSet) -> list[int]:
+        """The set's class ids, increasing."""
         out = []
         for (lo, hi), start, end in zip(s.intervals, self._offsets, self._offsets[1:]):
-            out.extend(self._ids[start + lo:min(start + hi, end)])
-        return sorted(out)
+            out.extend(range(start + lo, min(start + hi, end)))
+        return out
 
     # Queries ----------------------------------------------------------------
 
@@ -363,7 +360,7 @@ class Index:
         }
         measured = sum(breakdown.values())
         # Reported, not counted:
-        breakdown["chain_table_bits"] = a.chain_ends.payload_bits + a.class_ids.payload_bits
+        breakdown["chain_table_bits"] = a.chain_ends.payload_bits
         breakdown["class_map_bits"] = a.class_map.payload_bits
         breakdown["rank_directory_bits"] = finals.aux_bits if finals else 0
         per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
@@ -438,12 +435,12 @@ class Index:
         ends = chain_ends.to_list()
         max_len = max((y - x for x, y in zip([0, *ends], ends)), default=0)
         widths = _widths(sigma, q, n_classes, max_len, n_edges)[1:]
-        counts = (n_classes, n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
+        counts = (n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
         arrays = _Arrays(chain_ends, *(packed(w, n) for w, n in zip(widths, counts)))
         initial_class = take("<I")[0] if flags & _FLAG_INITIAL else None
         _require(off == len(view))  # no trailing bytes
         return cls(alphabet=Alphabet(tuple(symbols)), n_original=n_original,
-                   e_original=e_original, arrays=arrays,
+                   e_original=e_original, n_classes=n_classes, arrays=arrays,
                    has_finals=bool(flags & _FLAG_FINALS), initial_class=initial_class)
 
     @classmethod
@@ -457,18 +454,16 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
                 n_original: int | None = None, e_original: int | None = None) -> Index:
     """Lay out the quotient graph along a chain partition of its order.
 
-    ``finals``/``initial`` switch on automaton mode. The partition must cover
-    exactly the classes of ``qg.order`` with consecutive chain members strictly
-    comparable.
+    ``finals``/``initial`` switch on automaton mode. The chains must be the
+    consecutive id ranges that cover the classes of ``qg.order`` in order, as
+    chain-major ids make them, with consecutive members related.
     """
-    order = qg.order
     n_classes = qg.partition.count
-    if cp.chain_count != len(cp.chains) or sorted(c for ch in cp.chains for c in ch) != list(range(n_classes)):
-        raise ValueError("chain partition does not cover the quotient classes")
-    for chain in cp.chains:
-        for a, b in zip(chain, chain[1:]):
-            if a == b or not order.holds(a, b):
-                raise ValueError("chain members are not strictly increasing in the order")
+    flat = [c for chain in cp.chains for c in chain]
+    if cp.chain_count != len(cp.chains) or flat != list(range(n_classes)):
+        raise ValueError("chains are not the consecutive id ranges of the quotient classes")
+    if not all(qg.order.holds(c, c + 1) for chain in cp.chains for c in chain[:-1]):
+        raise ValueError("chain members are not strictly increasing in the order")
     alphabet, q = qg.graph.alphabet, cp.chain_count
     groups: dict[int, list[tuple[int, int]]] = {}
     for cu, cv, a in qg.graph.edges:
@@ -476,8 +471,7 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
         groups.setdefault(key, []).append((cp.pos_in_chain[cv], cp.pos_in_chain[cu]))
     keys = sorted(groups)
     edges = [edge for key in keys for edge in sorted(groups[key])]
-    values = ([*accumulate(map(len, cp.chains))], [c for ch in cp.chains for c in ch],
-              qg.partition.class_of, sorted(qg.marked_classes),
+    values = ([*accumulate(map(len, cp.chains))], qg.partition.class_of, sorted(qg.marked_classes),
               keys, [*accumulate(len(groups[key]) for key in keys)],
               [t for t, _ in edges], [s for _, s in edges], sorted(finals or ()))
     widths = _widths(len(alphabet), q, n_classes, max(map(len, cp.chains), default=0),
@@ -485,7 +479,7 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
     return Index(alphabet=alphabet,
                  n_original=qg.partition.n if n_original is None else n_original,
                  e_original=len(qg.graph.edges) if e_original is None else e_original,
-                 arrays=_Arrays(*map(PackedArray, widths, values)),
+                 n_classes=n_classes, arrays=_Arrays(*map(PackedArray, widths, values)),
                  has_finals=finals is not None, initial_class=initial)
 
 

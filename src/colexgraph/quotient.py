@@ -21,8 +21,9 @@ from .relation import Preorder, Relation, first_axiom_violation
 class ClassPartition:
     """Mutual-comparability classes of a preorder.
 
-    Class ids are assigned in increasing order of smallest member, so outputs
-    are deterministic.
+    Class ids are chain-major: chain by chain of the preorder's minimum chain
+    partition, bottom to top along each, so every chain is a consecutive id
+    range. Members are listed in increasing order.
     """
 
     n: int

@@ -11,9 +11,9 @@ applies the same step to the complement of a relation.
 
 A ``Preorder`` certifies its transitivity without a matrix product: it finds
 its classes, a minimum chain partition of the class order (which the quotient
-and the index use anyway), then checks the chain certificate of
-``_certificate_failure`` in O(k^2 + k * q^2) on k classes and q chains, and
-that the relation is the lift of its class order in O(n^2).
+and the index use anyway), numbers the classes chain by chain, then checks the
+chain certificate of ``_certify`` in O(k^2 + k * q^2) on k classes and q
+chains, and that the relation is the lift of its class order in O(n^2).
 """
 
 from __future__ import annotations
@@ -97,46 +97,45 @@ class Preorder(Relation):
     """Relation that is also transitive, certified on construction.
 
     The construction keeps what the certificate computes: the classes (nodes
-    related both ways, numbered by their smallest member) and a minimum chain
-    partition of the class order, from greedy chains plus Hopcroft-Karp.
+    related both ways), the class order, and a minimum chain partition of it
+    from greedy chains plus Hopcroft-Karp. Class ids are chain-major (chain by
+    chain, bottom to top along each), so every chain is a consecutive id range.
     ``quotient.classes``, ``class_order`` and ``chains.min_chain_partition``
     read them, so a build runs one matching.
     The certificate costs O(n^2 + k * q^2) on n nodes, k classes and q chains,
     against the n^3 of a boolean matrix product.
     """
 
-    __slots__ = ("_class_of", "_reps", "_chains")
+    __slots__ = ("_class_of", "_reps", "_order", "_ends")
 
     def __init__(self, bits: np.ndarray):
         from .chains import _chain_cover  # chains imports this module
 
         super().__init__(bits)
         class_of, reps = _first_mutual_classes(self.bits)
-        order = self.bits if reps.size == self.n else self.bits[np.ix_(reps, reps)]
-        chains = _chain_cover(order)
-        if _certificate_failure(self.bits, class_of, order, chains) is not None:
+        chains = _chain_cover(self.bits[reps][:, reps])
+        certified = _certify(self.bits, class_of, reps, chains)
+        if isinstance(certified, str):
             raise ValueError("preorder must be transitive")
-        self._keep(class_of, reps, chains)
+        self._keep(*certified)
 
     def class_order(self) -> "Preorder":
         """The partial order on the classes, certified with this preorder."""
-        k = self._reps.size
         order = Preorder.__new__(Preorder)
-        bits = self.bits if k == self.n else self.bits[np.ix_(self._reps, self._reps)]
-        bits.setflags(write=False)
-        object.__setattr__(order, "n", k)
-        object.__setattr__(order, "bits", bits)
-        ids = np.arange(k)
-        order._keep(ids, ids, self._chains)
+        object.__setattr__(order, "n", self._reps.size)
+        object.__setattr__(order, "bits", self._order)
+        ids = np.arange(self._reps.size)
+        order._keep(ids, ids, self._order, self._ends)
         return order
 
-    def _keep(self, class_of: np.ndarray, reps: np.ndarray,
-              chains: tuple[tuple[int, ...], ...]) -> None:
-        class_of.setflags(write=False)
-        reps.setflags(write=False)
+    def _keep(self, class_of: np.ndarray, reps: np.ndarray, order: np.ndarray,
+              ends: tuple[int, ...]) -> None:
+        for array in (class_of, reps, order):
+            array.setflags(write=False)
         object.__setattr__(self, "_class_of", class_of)
         object.__setattr__(self, "_reps", reps)
-        object.__setattr__(self, "_chains", chains)
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_ends", ends)
 
 
 def _first_mutual_classes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -156,15 +155,17 @@ def _first_mutual_classes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return class_of, reps
 
 
-def _certificate_failure(bits: np.ndarray, class_of: np.ndarray, order: np.ndarray,
-                         chains: Sequence[Sequence[int]]) -> str | None:
-    """The first check of the transitivity certificate that fails, or None.
+def _certify(bits: np.ndarray, class_of: np.ndarray, reps: np.ndarray,
+             chains: Sequence[Sequence[int]]) -> str | tuple:
+    """The first failing check of the transitivity certificate, or the classes
+    numbered chain-major: (``class_of``, ``reps``, ``order``, chain ends).
 
-    ``order`` is a reflexive relation on k classes and ``chains`` should
-    partition them into chains. With m_j(u) the first position on chain C_j
-    that class u relates to (|C_j| if there is none), ``order`` is transitive
-    if and only if, after ``cover`` (every class on exactly one chain) and
-    ``link`` (consecutive members related):
+    ``chains`` should partition the k classes of ``class_of``, whose smallest
+    members are ``reps``. After ``cover`` (every class on exactly one chain)
+    the classes are numbered chain by chain, and ``order`` is ``bits`` read at
+    their smallest members. With m_j(u) the first position on chain C_j that
+    class u relates to (|C_j| if there is none), ``order`` is transitive if and
+    only if, after ``link`` (consecutive members related):
 
     - ``a``: u relates to exactly the positions from m_j(u) on, for all u, j;
     - ``b``: m_j never decreases along a chain;
@@ -178,25 +179,27 @@ def _certificate_failure(bits: np.ndarray, class_of: np.ndarray, order: np.ndarr
     (c) only at pairs (u, k) where u has a successor on C_k, plus O(n^2) for
     the lift.
     """
-    k = order.shape[0]
+    k = reps.size
     q = len(chains)
     lengths = np.array([len(c) for c in chains], dtype=np.intp)
     flat = np.array([v for c in chains for v in c], dtype=np.intp)
     if flat.size != k or (lengths == 0).any() or not np.array_equal(np.sort(flat), np.arange(k)):
         return "cover"
+    class_of, reps = np.argsort(flat)[class_of], reps[flat]
+    order = bits[reps][:, reps]
     if k == 0:
-        return None
+        return class_of, reps, order, ()
     starts = np.cumsum(lengths) - lengths
-    chain_at = np.repeat(np.arange(q), lengths)  # chain of each position of flat
-    pos_at = np.arange(k) - starts[chain_at]     # position within that chain
-    follows = pos_at[1:] > 0                     # flat[i + 1] follows flat[i] on a chain
-    if not order[flat[:-1], flat[1:]][follows].all():
+    chain_at = np.repeat(np.arange(q), lengths)  # chain of each class
+    pos_at = np.arange(k) - starts[chain_at]     # position of each class on its chain
+    follows = pos_at[1:] > 0                     # class i + 1 follows class i on a chain
+    if not np.diagonal(order, 1)[follows].all():
         return "link"
 
     m = np.empty((k, q), dtype=np.min_scalar_type(int(lengths.max())))
     rows = max(1, _BLOCK_CELLS // k)
     for lo in range(0, k, rows):
-        block = order[lo:lo + rows][:, flat]  # columns chain by chain
+        block = order[lo:lo + rows].copy()
         before = block[:, :-1] & follows      # related to the chain's previous member
         if (before > block[:, 1:]).any():
             return "a"
@@ -210,26 +213,26 @@ def _certificate_failure(bits: np.ndarray, class_of: np.ndarray, order: np.ndarr
     for lo in range(1, k, steps):
         at = np.arange(lo, min(k, lo + steps))
         at = at[follows[at - 1]]
-        if (m[flat[at - 1]] > m[flat[at]]).any():
+        if (m[at - 1] > m[at]).any():
             return "b"
 
     rows = max(1, steps // q)
     for lo in range(0, k, rows):
         head = m[lo:lo + rows]
         u, j = np.nonzero(head < lengths)
-        v = flat[starts[j] + head[u, j]]
+        v = starts[j] + head[u, j]
         u += lo
         for s in range(0, u.size, steps):
             if (m[u[s:s + steps]] > m[v[s:s + steps]]).any():
                 return "c"
 
     n = bits.shape[0]
-    if k < n:
+    if k < n:  # with a class per node, order is bits renumbered
         rows = max(1, _BLOCK_CELLS // n)
         for lo in range(0, n, rows):
             if not np.array_equal(bits[lo:lo + rows], order[class_of[lo:lo + rows]][:, class_of]):
                 return "lift"
-    return None
+    return class_of, reps, order, tuple((starts + lengths).tolist())
 
 
 def _label_extremes(g: LabeledGraph, u_marked) -> tuple[np.ndarray, np.ndarray]:

@@ -51,8 +51,8 @@ def reseal(buf: bytearray) -> bytes:
     return bytes(buf[:-4]) + zlib.crc32(buf[:-4]).to_bytes(4, "little")
 
 
-def v3_offsets(raw: bytes) -> dict:
-    """Where a v3 file's fields are: the byte offset of the header's
+def v4_offsets(raw: bytes) -> dict:
+    """Where a v4 file's fields are: the byte offset of the header's
     ``n_original`` and ``q``, of each count after the alphabet and of the
     initial class, and (offset, width) of each packed array."""
     ix = Index.from_bytes(raw)

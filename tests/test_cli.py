@@ -8,7 +8,7 @@ from colexgraph import (Index, Preorder, build_index, format_graph, format_nfa,
                         max_colex_relation, min_chain_partition, parse_nfa, quotient_graph)
 from colexgraph.cli import main
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa
-from helpers import put_packed, reseal, v3_offsets
+from helpers import put_packed, reseal, v4_offsets
 
 
 @pytest.fixture
@@ -81,22 +81,22 @@ class TestBuildAndQuery:
         out = tmp_path / "loop.clxi"
         main(["build", loop_file, "-o", str(out), "--mark-initial"])
         raw = bytearray(out.read_bytes())
-        # the first class id of the chain table: 3 classes leave a 2-bit id room for 3
+        # the class of node 0: 3 classes leave a 2-bit id room for 3
         assert Index.load(str(out)).n_classes == 3
-        put_packed(raw, v3_offsets(bytes(raw))["class_ids"], 0, 3)
+        put_packed(raw, v4_offsets(bytes(raw))["class_map"], 0, 3)
         out.write_bytes(reseal(raw))
         assert main(["query", str(out), "a"]) == 2
         err = capsys.readouterr().err
         assert err == "error: truncated or corrupt index file\n"
 
-    def test_version_2_index_is_a_one_line_error(self, hub_file, tmp_path, capsys):
+    def test_version_3_index_is_a_one_line_error(self, hub_file, tmp_path, capsys):
         out = tmp_path / "hub.clxi"
         main(["build", hub_file, "-o", str(out)])
         raw = bytearray(out.read_bytes())
-        struct.pack_into("<H", raw, 4, 2)
+        struct.pack_into("<H", raw, 4, 3)
         out.write_bytes(bytes(raw))
         assert main(["query", str(out), "a"]) == 2
-        assert capsys.readouterr().err == "error: unsupported index format version 2\n"
+        assert capsys.readouterr().err == "error: unsupported index format version 3\n"
 
     def test_backend_option_is_gone(self, hub_file, tmp_path):
         out = str(tmp_path / "hub.clxi")
@@ -240,8 +240,8 @@ class TestQuotientCommand:
         assert main(["quotient", str(path)]) == 0
         out = capsys.readouterr().out
         assert "nodes 2" in out
-        assert "# class 0: 0 1 2" in out
-        assert "# class 1: 3 4" in out
+        assert "# class 0: 3 4" in out
+        assert "# class 1: 0 1 2" in out
 
     def test_output_file(self, loop_file, tmp_path):
         dest = tmp_path / "q.nfa"

@@ -13,8 +13,8 @@ from colexgraph.bitvec import BitVector, PackedArray
 from colexgraph.index import _Arrays, _widths, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
-from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
-from helpers import nfa_pipeline, put_packed, quotient_pipeline, reseal, v3_offsets
+from conftest import diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
+from helpers import nfa_pipeline, put_packed, quotient_pipeline, reseal, v4_offsets
 
 
 def build_from(g):
@@ -39,9 +39,9 @@ def group_items(ix):
 def one_chain_index(edges):
     """Index of a one-symbol graph whose classes 0 and 1 form one chain, with the
     given (target, source) positions as its only group, unchecked until built."""
-    values = ([2], [0, 1], [0, 1], [], [0], [len(edges)],
+    values = ([2], [0, 1], [], [0], [len(edges)],
               [t for t, _ in edges], [s for _, s in edges], [])
-    return Index(alphabet=Alphabet(("a",)), n_original=2, e_original=len(edges),
+    return Index(alphabet=Alphabet(("a",)), n_original=2, e_original=len(edges), n_classes=2,
                  arrays=_Arrays(*map(PackedArray, _widths(1, 1, 2, 2, len(edges)), values)),
                  has_finals=False, initial_class=None)
 
@@ -105,17 +105,33 @@ class TestBuildLayout:
             Index.from_bytes(ix.to_bytes())
             counts[ix.q > 1] = (made[PackedArray], made["wrapped"], made[BitVector])
             assert ix.q in (1, 16) and ix.accept([symbols[0]] if ix.q > 1 else ["a", "a"])
-        assert counts[True] == counts[False] == (9, 9, 2)  # one finals vector per index
+        assert counts[True] == counts[False] == (8, 8, 2)  # one finals vector per index
 
     def test_partition_must_match_order(self):
         qg, cp = quotient_pipeline(double_hub_graph(2))
-        # hub class 1 sits below sink class 0, so the chain (0, 1) is backwards
-        backwards = type(cp)(1, (0, 0), (0, 1), ((0, 1),))
-        with pytest.raises(ValueError):
+        # hub class 0 sits below sink class 1, so the chain (0, 1) is forwards
+        assert cp.chains == ((0, 1),)
+        forwards = type(cp)(1, (0, 0), (0, 1), ((0, 1),))
+        assert build_index(qg, forwards).to_bytes() == build_index(qg, cp).to_bytes()
+        backwards = type(cp)(1, (0, 0), (1, 0), ((1, 0),))
+        with pytest.raises(ValueError, match="consecutive id ranges"):
             build_index(qg, backwards)
         missing = type(cp)(1, (0, 0), (0, 0), ((0,),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="consecutive id ranges"):
             build_index(qg, missing)
+        miscounted = type(cp)(2, (0, 0), (0, 1), ((0, 1),))
+        with pytest.raises(ValueError, match="consecutive id ranges"):
+            build_index(qg, miscounted)
+        # two valid chains, but chain 0 does not start at class 0
+        swapped = type(cp)(2, (1, 0), (0, 0), ((1,), (0,)))
+        with pytest.raises(ValueError, match="consecutive id ranges"):
+            build_index(qg, swapped)
+        # one consecutive range, but class 1 is not below class 2
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        assert cp.chains == ((0, 1), (2,)) and not qn.quotient.order.holds(1, 2)
+        one_chain = type(cp)(1, (0, 0, 0), (0, 1, 2), ((0, 1, 2),))
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            build_index(qn.quotient, one_chain)
 
     def test_monotone_group_check_fires_on_bad_input(self):
         for edges, error in (([(0, 1), (1, 0)], "source monotonicity"),
@@ -277,6 +293,13 @@ class TestMapBack:
         with pytest.raises(ValueError):
             ix.set_for_classes([0, 2])
 
+    def test_set_for_classes_refuses_ids_out_of_range(self):
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp)
+        for cid in (-1, ix.n_classes):
+            with pytest.raises(ValueError, match="not below 3"):
+                ix.set_for_classes([cid])
+
 
 class TestSpaceReport:
     def test_edgeless_graph_formula_is_class_count(self):
@@ -333,6 +356,9 @@ class TestBackendsAndSerialization:
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             Index.from_bytes(b"NOPE" + b"\x00" * 40)
+        ix, _, _ = build_from(double_hub_graph(2))
+        with pytest.raises(ValueError, match="bad magic"):
+            Index.from_bytes(b"NOPE" + ix.to_bytes()[4:])
 
     def test_bad_version_rejected(self):
         ix, _, _ = build_from(double_hub_graph(2))
@@ -344,7 +370,7 @@ class TestBackendsAndSerialization:
     def test_out_of_range_ids_rejected(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_nfa_index(qn, cp).to_bytes()
-        at = v3_offsets(raw)
+        at = v4_offsets(raw)
         wrapped_bits = []  # of every packed array a load wraps
         from_words = PackedArray.from_words
 
@@ -352,16 +378,16 @@ class TestBackendsAndSerialization:
             wrapped_bits.append(width * length)
             return from_words(width, length, words)
         monkeypatch.setattr(PackedArray, "from_words", spy)
-        # chains (0, 2) and (1,), so chain ends [2, 3] and class ids [0, 2, 1];
-        # classes {0}, {1}, {2}, 0 marked, 1 and 2 final; keys [1, 3, 4] are the
-        # groups (a, 1) and (b, 1) of chain 0 and (a, 0) of chain 1, with ends
-        # [1, 2, 3]; every position is 0 but the second target
+        # chains (0, 1) and (2,), so chain ends [2, 3]; classes {0}, {2}, {1},
+        # so the class map is [0, 2, 1]; 0 marked, 1 and 2 final; keys [1, 3, 4]
+        # are the groups (a, 1) and (b, 1) of chain 0 and (a, 0) of chain 1,
+        # with ends [1, 2, 3]; every position is 0 but the second target
         corruptions = [
             (at["initial"], "<I", 3, "corrupt"),
             (at["n_original"], "<I", 2, "corrupt"),            # 3 indexed nodes of 2
             (at["chain_ends"], 1, 2, "corrupt"),               # chains end short of class 2
-            (at["class_ids"], 1, 0, "corrupt"),                # class 0 in two chain slots
             (at["class_map"], 0, 3, "corrupt"),                # node 0 in class 3 of 3
+            (at["class_map"], 1, 1, "corrupt"),                # class 2 has no member
             (at["marked"], 0, 3, "corrupt"),
             (at["finals"], 0, 3, "corrupt"),
             (at["finals"], 1, 1, "corrupt"),                   # final class 1 twice
@@ -387,8 +413,15 @@ class TestBackendsAndSerialization:
         hub, _, _ = build_from(double_hub_graph(3))
         hub_raw = hub.to_bytes()
         bad = bytearray(hub_raw)
-        put_packed(bad, v3_offsets(hub_raw)["keys"], 0, 1)
+        put_packed(bad, v4_offsets(hub_raw)["keys"], 0, 1)
         with pytest.raises(ValueError, match="below sigma"):
+            Index.from_bytes(reseal(bad))
+        # chain ends that fall back: the diamond's [4, 5] at 3 bits as [6, 5]
+        qn, cp = nfa_pipeline(diamond_nfa())
+        diamond_raw = build_nfa_index(qn, cp).to_bytes()
+        bad = bytearray(diamond_raw)
+        put_packed(bad, v4_offsets(diamond_raw)["chain_ends"], 0, 6)
+        with pytest.raises(ValueError, match="corrupt"):
             Index.from_bytes(reseal(bad))
 
     def test_trailing_bytes_rejected(self):

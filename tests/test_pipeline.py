@@ -1,4 +1,5 @@
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -8,8 +9,8 @@ import pytest
 
 from colexgraph import (LabeledGraph, Nfa, build_index, chains, max_colex_relation,
                         min_chain_partition, quotient_graph, run_pipeline)
-from colexgraph.oracle import run_graph_checks
-from conftest import double_hub_graph, loop_branch_nfa
+from colexgraph.oracle import random_trim_nfa, run_graph_checks
+from conftest import SEED_NFA_CORPUS, double_hub_graph, loop_branch_nfa
 
 
 class TestRunPipeline:
@@ -60,6 +61,18 @@ class TestRunPipeline:
         assert (result.automaton.initial, result.automaton.finals) == (0, {0, 1})
         with pytest.raises(ValueError, match="marker"):
             result.index().accept(["a"])
+
+    def test_chains_are_consecutive_id_ranges(self, graph_corpus):
+        # The graph corpus, and the 300 automata of acceptance criterion 5.
+        rng = random.Random(SEED_NFA_CORPUS)
+        automata = [random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
+                    for _ in range(300)]
+        results = [run_pipeline(g) for g in graph_corpus]
+        results += [run_pipeline(nfa, mark_initial=True) for nfa in automata]
+        for result in results:
+            order, chains = result.quotient.order, result.chains.chains
+            assert [c for chain in chains for c in chain] == list(range(order.n))
+            assert all(order.holds(c, c + 1) for chain in chains for c in chain[:-1])
 
     def test_a_graph_has_no_initial_state_to_mark(self):
         with pytest.raises(ValueError, match="initial state"):

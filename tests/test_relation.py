@@ -10,7 +10,7 @@ from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relati
                         preorder_width, refines, transitive_closure, union)
 from colexgraph.oracle import (gfp_max_relation, is_transitive, random_colex_relation,
                                random_graph)
-from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certificate_failure,
+from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certify,
                                  _first_mutual_classes, _label_edges, _label_extremes)
 from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
@@ -60,7 +60,8 @@ def random_relation_bits(rng: random.Random, n: int) -> np.ndarray:
 def certificate_failure_of(bits: np.ndarray, chains) -> str | None:
     """The certificate's verdict on ``bits`` with hand-picked chains of its classes."""
     class_of, reps = _first_mutual_classes(bits)
-    return _certificate_failure(bits, class_of, bits[np.ix_(reps, reps)], chains)
+    certified = _certify(bits, class_of, reps, chains)
+    return certified if isinstance(certified, str) else None
 
 
 def order_from_pairs(n: int, pairs) -> np.ndarray:
