@@ -166,10 +166,20 @@ class PackedArray:
 
 
 def bisect_left_packed(pa: PackedArray, x: int, lo: int, hi: int) -> int:
-    """First index in [lo, hi) whose value is >= x (values non-decreasing)."""
+    """First index in [lo, hi) whose value is >= x (values non-decreasing).
+
+    Reads the words inline, the second one only when a value straddles two."""
+    width = pa._width
+    mask = (1 << width) - 1
+    item = pa._words.item
     while lo < hi:
-        mid = (lo + hi) // 2
-        if pa.get(mid) < x:
+        mid = (lo + hi) >> 1
+        bit = mid * width
+        off = bit & 63
+        value = item(bit >> 6) >> off
+        if off + width > 64:
+            value |= item((bit >> 6) + 1) << (64 - off)
+        if value & mask < x:
             lo = mid + 1
         else:
             hi = mid

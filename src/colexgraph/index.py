@@ -4,9 +4,10 @@ Classes are numbered chain-major, as the quotient numbers them: chain by chain
 of a minimum chain partition of the class order, bottom to top along each, so
 a class id is its chain's start plus its position on the chain. A convex class
 set is one half-open position interval per chain. One symbol step ("follow")
-binary-searches, for every target chain, the per-(target chain, symbol, source
-chain) edge groups; the reached positions on each chain are filled in to an
-interval, which is exact because images of convex sets are convex.
+probes, for every source chain with a non-empty interval, the edge groups of
+that (symbol, source chain) pair, one per target chain; the reached positions
+on each chain are filled in to an interval, which is exact because images of
+convex sets are convex.
 
 The index is one fixed set of eight packed arrays, each at a bit width derived
 from the sizes: the chain ends, the class of every indexed node, the marked and
@@ -15,15 +16,24 @@ the final class ids, and the edge store. The store holds the group keys
 each group's end offset, and the edges' target and source positions, group
 after group. The ``.clxi`` file holds the arrays' words as they are, so loading
 wraps them without unpacking or packing again (see docs/index-format.md).
+
+Loading derives a probe directory from the store: for each (symbol, source
+chain), each group's target chain, edge range, first and last source and first
+and last target. A probe reads the directory and touches the packed sources
+only where the interval cuts into the group's source range; the query path
+reads neither the keys nor the ends.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from bisect import bisect_left, bisect_right
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
+from operator import ge
 from typing import Iterable, NamedTuple, Sequence
 
 from .bitvec import BitVector, PackedArray, bisect_left_packed, width_for
@@ -39,6 +49,7 @@ _COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
 _FLAG_FINALS = 1
 _FLAG_INITIAL = 2
 _CORRUPT = "truncated or corrupt index file"
+_ENTRY = 7  # ints per probe-directory entry
 
 
 class PatternError(ValueError):
@@ -47,7 +58,9 @@ class PatternError(ValueError):
 
 @dataclass
 class QueryStats:
-    """Caller-owned instrumentation: one probe = one group lookup."""
+    """Caller-owned instrumentation: one probe = one probe-directory entry
+    visited, that is, one (target chain, symbol, source chain) group looked at
+    for a non-empty source interval."""
 
     probes: int = 0
     symbols: int = 0
@@ -186,39 +199,51 @@ class Index:
             members[cid].append(v)
         self.members = tuple(map(tuple, members))
         self._sigma = len(alphabet)
-        self._groups, self._target_chains = self._check_store()
+        self._directory = self._check_store()
         self.e_quotient = len(arrays.targets)
         self._finals_bv = (BitVector(cid in self.finals for cid in range(n_classes))
                            if self.finals is not None else None)
 
-    def _check_store(self) -> tuple[list[int], dict[tuple[int, int], tuple[int, ...]]]:
+    def _check_store(self) -> list[dict[int, array]]:
         """Check the edge store: keys strictly increasing below sigma * q * q,
-        ends non-decreasing up to the edge count, and every group monotone
-        inside its chains.
+        ends strictly increasing up to the edge count (no group is empty), and
+        every group monotone inside its chains.
 
-        Returns where each chain's groups start (q + 1 ints), and the
-        (symbol, source chain) -> target chains map that lets follow skip
-        guaranteed-empty probes; both are derived, like the rank directory.
+        Returns the probe directory, derived like the rank directory: for each
+        symbol, a map from source chain i to one flat u32 array of _ENTRY ints
+        per group of (symbol, i): the target chain j, the group's edge range
+        [start, end), its first and last source and its first and last target.
+        It holds O(1) ints per group and nothing per edge.
         """
         a, q, span = self._arrays, self.q, self._sigma * self.q
         keys, ends = a.keys.to_list(), a.ends.to_list()
         targets, sources = a.targets.to_list(), a.sources.to_list()
-        if any(x >= y for x, y in zip(keys, keys[1:])) or (keys and keys[-1] >= span * q):
+        if any(map(ge, keys, keys[1:])) or (keys and keys[-1] >= span * q):
             raise ValueError("group keys are not strictly increasing below sigma*q*q")
-        if any(x > y for x, y in zip(ends, ends[1:])) or (ends[-1] if ends else 0) != len(targets):
+        if any(map(ge, [0, *ends], ends)) or (ends[-1] if ends else 0) != len(targets):
             raise ValueError("group ends do not rise to the edge count")
         lengths = [y - x for x, y in zip(self._offsets, self._offsets[1:])]
-        by_source: dict[tuple[int, int], list[int]] = {}
+        by_pair: dict[int, array] = {}  # symbol * q + source chain -> entries
         start = 0
         for key, end in zip(keys, ends):
-            j, rest = divmod(key, span)
-            sym, i = divmod(rest, q)
-            _check_monotone_groups((j, sym, i), targets[start:end], sources[start:end],
-                                   lengths[j], lengths[i])
-            by_source.setdefault((sym, i), []).append(j)
+            j, pair = divmod(key, span)
+            t_last, s_last = targets[end - 1], sources[end - 1]
+            # one edge is in order by itself, and inside its chains if these hold
+            if end - start > 1 or t_last >= lengths[j] or s_last >= lengths[pair % q]:
+                _check_monotone_groups((j, *divmod(pair, q)), targets[start:end],
+                                       sources[start:end], lengths[j], lengths[pair % q])
+            entry = (j, start, end, sources[start], s_last, targets[start], t_last)
+            entries = by_pair.get(pair)
+            if entries is None:
+                by_pair[pair] = array("I", entry)
+            else:
+                entries.extend(entry)
             start = end
-        groups = [bisect_left(keys, j * span) for j in range(q + 1)]
-        return groups, {key: tuple(js) for key, js in by_source.items()}
+        rows: list[dict[int, array]] = [{} for _ in range(self._sigma)]
+        for pair, entries in by_pair.items():
+            sym, i = divmod(pair, q)
+            rows[sym][i] = entries
+        return rows
 
     # Convex-set constructors ------------------------------------------------
 
@@ -264,67 +289,81 @@ class Index:
             raise PatternError(f"unknown symbol {a!r}")
         return self.alphabet.index(a)
 
-    def _run(self, j: int, sym: int, i: int, lo: int, hi: int) -> tuple[int, int] | None:
-        """The first and last target of the edges of group (j, sym, i) whose
-        sources lie in [lo, hi), or None when there are none."""
+    def _step(self, intervals: Sequence[tuple[int, int]], sym: int,
+              stats: QueryStats | None) -> list[tuple[int, int]] | None:
+        """The intervals reached from ``intervals`` by one edge labeled ``sym``,
+        or None when none is reached.
+
+        Each probe reads one directory entry. An interval that misses the
+        group's source range is skipped; one that covers its first (last)
+        source takes the group's first (last) target from the entry; only a
+        cut inside the group searches the packed sources."""
+        row = self._directory[sym]
         a = self._arrays
-        key = (j * self._sigma + sym) * self.q + i
-        last = self._groups[j + 1]
-        g = bisect_left_packed(a.keys, key, self._groups[j], last)
-        if g == last or a.keys.get(g) != key:
+        sources, targets = a.sources, a.targets
+        mins = [-1] * self.q
+        maxs = [-1] * self.q
+        probes = 0
+        for i, (lo, hi) in enumerate(intervals):
+            entries = row.get(i) if lo < hi else None
+            if entries is None:
+                continue
+            probes += len(entries) // _ENTRY
+            fields = iter(entries)
+            for j, start, end, s_first, s_last, t_first, t_last in zip(*[fields] * _ENTRY):
+                if hi <= s_first or lo > s_last:
+                    continue
+                p = start if lo <= s_first else bisect_left_packed(sources, lo, start, end)
+                if hi > s_last:
+                    t_max = t_last
+                else:
+                    r = bisect_left_packed(sources, hi, p, end)
+                    if r == p:
+                        continue
+                    t_max = targets.get(r - 1)
+                t_min = t_first if p == start else targets.get(p)
+                if mins[j] < 0 or t_min < mins[j]:
+                    mins[j] = t_min
+                if t_max > maxs[j]:
+                    maxs[j] = t_max
+        if stats is not None:
+            stats.symbols += 1
+            stats.probes += probes
+        if max(maxs, default=-1) < 0:
             return None
-        start = a.ends.get(g - 1) if g > 0 else 0
-        end = a.ends.get(g)
-        p = bisect_left_packed(a.sources, lo, start, end)
-        r = bisect_left_packed(a.sources, hi, start, end)
-        if p == r:
-            return None
-        return a.targets.get(p), a.targets.get(r - 1)
+        return [(lo, hi + 1) if lo >= 0 else (0, 0) for lo, hi in zip(mins, maxs)]
 
     def follow(self, s: ConvexSet, a: str, stats: QueryStats | None = None) -> ConvexSet:
         """Classes reachable from ``s`` by one edge labeled ``a``, as intervals."""
         if len(s.intervals) != self.q:
             raise ValueError("convex set does not match this index's chain count")
-        sym = self._symbol_id(a)
-        if stats is not None:
-            stats.symbols += 1
-        mins = [-1] * self.q
-        maxs = [-1] * self.q
-        target_chains = self._target_chains
-        for i, (lo, hi) in enumerate(s.intervals):
-            if lo >= hi:
-                continue
-            for j in target_chains.get((sym, i), ()):
-                if stats is not None:
-                    stats.probes += 1
-                run = self._run(j, sym, i, lo, hi)
-                if run is None:
-                    continue
-                rmin, rmax = run
-                if mins[j] < 0 or rmin < mins[j]:
-                    mins[j] = rmin
-                if rmax > maxs[j]:
-                    maxs[j] = rmax
-        return ConvexSet(tuple(
-            (mins[j], maxs[j] + 1) if mins[j] >= 0 else (0, 0) for j in range(self.q)))
+        out = self._step(s.intervals, self._symbol_id(a), stats)
+        return self.empty_set() if out is None else ConvexSet(tuple(out))
 
     def match_from(self, u: ConvexSet, pattern: Iterable[str],
                    stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Fold follow over the pattern starting at ``u``, which must be convex."""
-        symbols = list(pattern)
-        for a in symbols:
-            self._symbol_id(a)
-        cur = u
-        for a in symbols:
-            cur = self.follow(cur, a, stats)
-            if cur.is_empty():
-                break
-        return (not cur.is_empty(), cur)
+        syms = [self._symbol_id(a) for a in pattern]
+        if not syms:
+            return not u.is_empty(), u
+        if len(u.intervals) != self.q:
+            raise ValueError("convex set does not match this index's chain count")
+        cur: Sequence[tuple[int, int]] | None = u.intervals
+        for sym in syms:
+            cur = self._step(cur, sym, stats)
+            if cur is None:
+                return False, self.empty_set()
+        return True, ConvexSet(tuple(cur))
 
     def match_pattern(self, pattern: Iterable[str],
                       stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Match starting anywhere: fold from the full (trivially convex) set."""
         return self.match_from(self.full_set(), pattern, stats)
+
+    @cached_property
+    def _start_set(self) -> ConvexSet:
+        """accept's start set, the initial class alone; made on first use."""
+        return self.set_for_classes([self.initial_class])
 
     def accept(self, alpha: Iterable[str], stats: QueryStats | None = None) -> bool:
         """Language membership: match from the initial class, then hit a final."""
@@ -333,8 +372,7 @@ class Index:
         if self.initial_class not in self.marked_classes:
             raise ValueError("index was built without marking the initial state; "
                              "acceptance queries need the marker")
-        start = self.set_for_classes([self.initial_class])
-        ok, end = self.match_from(start, alpha, stats)
+        ok, end = self.match_from(self._start_set, alpha, stats)
         if not ok:
             return False
         rank1 = self._finals_bv.rank1

@@ -113,7 +113,8 @@ class Preorder(Relation):
 
         super().__init__(bits)
         class_of, reps = _first_mutual_classes(self.bits)
-        chains = _chain_cover(self.bits[reps][:, reps])
+        # When every class is one node, reps is arange(n) and bits is the order.
+        chains = _chain_cover(self.bits if reps.size == self.n else self.bits[reps][:, reps])
         certified = _certify(self.bits, class_of, reps, chains)
         if isinstance(certified, str):
             raise ValueError("preorder must be transitive")

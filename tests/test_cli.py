@@ -89,6 +89,23 @@ class TestBuildAndQuery:
         err = capsys.readouterr().err
         assert err == "error: truncated or corrupt index file\n"
 
+    def test_empty_group_is_a_one_line_error(self, loop_file, tmp_path, capsys):
+        out = tmp_path / "loop.clxi"
+        main(["build", loop_file, "-o", str(out), "--mark-initial"])
+        raw = bytearray(out.read_bytes())
+        # group ends [1, 2, 3] as [2, 2, 3]: the first group takes two edges
+        # and the second none, which every other check lets through
+        assert Index.load(str(out))._arrays.ends.to_list() == [1, 2, 3]
+        put_packed(raw, v4_offsets(bytes(raw))["ends"], 0, 2)
+        out.write_bytes(reseal(raw))
+        with pytest.raises(ValueError, match="ends do not rise"):
+            Index.load(str(out))
+        capsys.readouterr()
+        assert main(["stats", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: group ends do not rise to the edge count\n"
+
     def test_version_3_index_is_a_one_line_error(self, hub_file, tmp_path, capsys):
         out = tmp_path / "hub.clxi"
         main(["build", hub_file, "-o", str(out)])

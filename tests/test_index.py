@@ -8,6 +8,7 @@ from hypothesis import given, settings
 
 from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, QueryStats,
                         build_index, build_nfa_index, run_pipeline)
+from colexgraph import index as index_module
 from colexgraph.graph import Alphabet
 from colexgraph.bitvec import BitVector, PackedArray
 from colexgraph.index import _Arrays, _widths, ceil_log2, parse_pattern
@@ -36,13 +37,15 @@ def group_items(ix):
     return items
 
 
-def one_chain_index(edges):
-    """Index of a one-symbol graph whose classes 0 and 1 form one chain, with the
-    given (target, source) positions as its only group, unchecked until built."""
-    values = ([2], [0, 1], [], [0], [len(edges)],
+def one_chain_index(edges, length=2):
+    """Index of a one-symbol graph whose classes 0 to length - 1 form one chain,
+    with the given (target, source) positions as its only group, unchecked
+    until built."""
+    values = ([length], list(range(length)), [], [0], [len(edges)],
               [t for t, _ in edges], [s for _, s in edges], [])
-    return Index(alphabet=Alphabet(("a",)), n_original=2, e_original=len(edges), n_classes=2,
-                 arrays=_Arrays(*map(PackedArray, _widths(1, 1, 2, 2, len(edges)), values)),
+    widths = _widths(1, 1, length, length, len(edges))
+    return Index(alphabet=Alphabet(("a",)), n_original=length, e_original=len(edges),
+                 n_classes=length, arrays=_Arrays(*map(PackedArray, widths, values)),
                  has_finals=False, initial_class=None)
 
 
@@ -177,6 +180,65 @@ class TestFollow:
         for sym in (g.alphabet.symbols * 3)[:6]:
             cur = ix.follow(cur, sym)
             assert is_convex(qg.order, set(ix.classes_in(cur)))
+
+
+class TestProbeDirectory:
+    def test_each_probe_outcome(self, monkeypatch):
+        # sources 1, 2, 4 reach targets 0, 2, 4 on a chain of six classes
+        ix = one_chain_index([(0, 1), (2, 2), (4, 4)], length=6)
+        searches = []
+        real = index_module.bisect_left_packed
+
+        def counted(pa, x, lo, hi):
+            searches.append(x)
+            return real(pa, x, lo, hi)
+        monkeypatch.setattr(index_module, "bisect_left_packed", counted)
+        cases = [((5, 6), (0, 0), 0),  # above the last source: a miss
+                 ((0, 1), (0, 0), 0),  # below the first source: a miss
+                 ((0, 6), (0, 5), 0),  # the whole group, from the directory alone
+                 ((2, 6), (2, 5), 1),  # a cut at lo only
+                 ((0, 3), (0, 3), 1),  # a cut at hi only
+                 ((2, 4), (2, 3), 2),  # a cut at both ends
+                 ((3, 4), (0, 0), 2)]  # a cut with no edge inside
+        for interval, image, n_searches in cases:
+            searches.clear()
+            stats = QueryStats()
+            assert ix.follow(ConvexSet((interval,)), "a", stats).intervals == (image,)
+            assert (len(searches), stats.probes, stats.symbols) == (n_searches, 1, 1)
+
+    def test_follow_matches_quotient_edges_on_arbitrary_sets(self, graph_corpus):
+        """Per chain: empty, full or a random sub-interval; the image is the
+        positions the quotient edges reach, filled in to min..max per chain."""
+        rng = random.Random(1310)
+        steps = 0
+        for g in graph_corpus:
+            ix, qg, cp = build_from(g)
+            if ix.q < 2:
+                continue
+            edges = [(cp.chain_of[cu], cp.pos_in_chain[cu], cp.chain_of[cv],
+                      cp.pos_in_chain[cv], a) for cu, cv, a in qg.graph.edges]
+            for _ in range(6):
+                intervals = []
+                for chain in cp.chains:
+                    kind, n = rng.randrange(3), len(chain)
+                    if kind == 0:
+                        k = rng.randint(0, n)
+                        intervals.append((k, k))
+                    elif kind == 1:
+                        intervals.append((0, n))
+                    else:
+                        lo = rng.randrange(n)
+                        intervals.append((lo, rng.randint(lo + 1, n)))
+                for a in g.alphabet.symbols:
+                    reached: dict[int, list[int]] = {}
+                    for i, s, j, t, b in edges:
+                        if b == a and intervals[i][0] <= s < intervals[i][1]:
+                            reached.setdefault(j, []).append(t)
+                    want = tuple((min(reached[j]), max(reached[j]) + 1) if j in reached
+                                 else (0, 0) for j in range(ix.q))
+                    assert ix.follow(ConvexSet(tuple(intervals)), a).intervals == want
+                    steps += 1
+        assert steps > 1000
 
 
 class TestMatch:
@@ -394,6 +456,7 @@ class TestBackendsAndSerialization:
             (6, "<H", 2, "corrupt"),                           # finals without their flag
             (at["keys"], 1, 1, "not strictly increasing"),     # (b, 1) -> (a, 1) again
             (at["ends"], 0, 3, "ends do not rise"),
+            (at["ends"], 0, 0, "ends do not rise"),            # the first group is empty
             (at["ends"], 2, 2, "ends do not rise"),            # the last group ends at edge 2 of 3
             (at["targets"], 2, 1, "outside its chain"),        # target 1 in a 1-class chain
             (at["sources"], 0, 1, "outside its chain"),        # source 1 in a 1-class chain
@@ -422,6 +485,13 @@ class TestBackendsAndSerialization:
         bad = bytearray(diamond_raw)
         put_packed(bad, v4_offsets(diamond_raw)["chain_ends"], 0, 6)
         with pytest.raises(ValueError, match="corrupt"):
+            Index.from_bytes(reseal(bad))
+        # a source that falls at the second edge of a later group: the
+        # diamond's group ends are [1, 2, 4, 5, 6, 8], its sources
+        # [0, 0, 1, 2, 0, 0, 1, 2]; edge 3 as 0 makes group 2's sources (1, 0)
+        bad = bytearray(diamond_raw)
+        put_packed(bad, v4_offsets(diamond_raw)["sources"], 3, 0)
+        with pytest.raises(ValueError, match=r"group \(0, 3, 0\) breaks source monotonicity"):
             Index.from_bytes(reseal(bad))
 
     def test_trailing_bytes_rejected(self):
