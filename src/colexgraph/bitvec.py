@@ -165,27 +165,6 @@ class PackedArray:
         return self._words[:used_words].astype("<u8").tobytes()
 
 
-def bisect_left_packed(pa: PackedArray, x: int, lo: int, hi: int) -> int:
-    """First index in [lo, hi) whose value is >= x (values non-decreasing).
-
-    Reads the words inline, the second one only when a value straddles two."""
-    width = pa._width
-    mask = (1 << width) - 1
-    item = pa._words.item
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        bit = mid * width
-        off = bit & 63
-        value = item(bit >> 6) >> off
-        if off + width > 64:
-            value |= item((bit >> 6) + 1) << (64 - off)
-        if value & mask < x:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
 def width_for(max_value: int) -> int:
     """Bit width needed to store values in 0..max_value (at least 1)."""
     return max(1, int(max_value).bit_length())

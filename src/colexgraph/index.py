@@ -19,9 +19,10 @@ wraps them without unpacking or packing again (see docs/index-format.md).
 
 Loading derives a probe directory from the store: for each (symbol, source
 chain), each group's target chain, edge range, first and last source and first
-and last target. A probe reads the directory and touches the packed sources
-only where the interval cuts into the group's source range; the query path
-reads neither the keys nor the ends.
+and last target. It also keeps the source and target positions that the load
+check decodes, as two u32 arrays in memory. A probe reads the directory and
+searches the decoded sources, with C ``bisect``, only where the interval cuts
+into the group's source range; the query path reads no packed array.
 """
 
 from __future__ import annotations
@@ -29,14 +30,14 @@ from __future__ import annotations
 import struct
 import zlib
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from operator import ge
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitvec import BitVector, PackedArray, bisect_left_packed, width_for
+from .bitvec import BitVector, PackedArray, width_for
 from .chains import ChainPartition
 from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
@@ -199,12 +200,12 @@ class Index:
             members[cid].append(v)
         self.members = tuple(map(tuple, members))
         self._sigma = len(alphabet)
-        self._directory = self._check_store()
+        self._directory, self._sources, self._targets = self._check_store()
         self.e_quotient = len(arrays.targets)
         self._finals_bv = (BitVector(cid in self.finals for cid in range(n_classes))
                            if self.finals is not None else None)
 
-    def _check_store(self) -> list[dict[int, array]]:
+    def _check_store(self) -> tuple[list[dict[int, array]], array, array]:
         """Check the edge store: keys strictly increasing below sigma * q * q,
         ends strictly increasing up to the edge count (no group is empty), and
         every group monotone inside its chains.
@@ -213,7 +214,8 @@ class Index:
         symbol, a map from source chain i to one flat u32 array of _ENTRY ints
         per group of (symbol, i): the target chain j, the group's edge range
         [start, end), its first and last source and its first and last target.
-        It holds O(1) ints per group and nothing per edge.
+        It holds O(1) ints per group. Returns with it the decoded sources and
+        targets, as u32 arrays for the query step: 8 bytes per edge.
         """
         a, q, span = self._arrays, self.q, self._sigma * self.q
         keys, ends = a.keys.to_list(), a.ends.to_list()
@@ -243,7 +245,7 @@ class Index:
         for pair, entries in by_pair.items():
             sym, i = divmod(pair, q)
             rows[sym][i] = entries
-        return rows
+        return rows, array("I", sources), array("I", targets)
 
     # Convex-set constructors ------------------------------------------------
 
@@ -297,10 +299,9 @@ class Index:
         Each probe reads one directory entry. An interval that misses the
         group's source range is skipped; one that covers its first (last)
         source takes the group's first (last) target from the entry; only a
-        cut inside the group searches the packed sources."""
+        cut inside the group bisects the decoded sources."""
         row = self._directory[sym]
-        a = self._arrays
-        sources, targets = a.sources, a.targets
+        sources, targets = self._sources, self._targets
         mins = [-1] * self.q
         maxs = [-1] * self.q
         probes = 0
@@ -313,15 +314,15 @@ class Index:
             for j, start, end, s_first, s_last, t_first, t_last in zip(*[fields] * _ENTRY):
                 if hi <= s_first or lo > s_last:
                     continue
-                p = start if lo <= s_first else bisect_left_packed(sources, lo, start, end)
+                p = start if lo <= s_first else bisect_left(sources, lo, start, end)
                 if hi > s_last:
                     t_max = t_last
                 else:
-                    r = bisect_left_packed(sources, hi, p, end)
+                    r = bisect_left(sources, hi, p, end)
                     if r == p:
                         continue
-                    t_max = targets.get(r - 1)
-                t_min = t_first if p == start else targets.get(p)
+                    t_max = targets[r - 1]
+                t_min = t_first if p == start else targets[p]
                 if mins[j] < 0 or t_min < mins[j]:
                     mins[j] = t_min
                 if t_max > maxs[j]:
@@ -344,10 +345,10 @@ class Index:
                    stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Fold follow over the pattern starting at ``u``, which must be convex."""
         syms = [self._symbol_id(a) for a in pattern]
-        if not syms:
-            return not u.is_empty(), u
         if len(u.intervals) != self.q:
             raise ValueError("convex set does not match this index's chain count")
+        if not syms:
+            return not u.is_empty(), u
         cur: Sequence[tuple[int, int]] | None = u.intervals
         for sym in syms:
             cur = self._step(cur, sym, stats)

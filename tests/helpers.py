@@ -1,5 +1,6 @@
 """Test-only constructions shared across modules."""
 
+import random
 import struct
 import zlib
 
@@ -26,6 +27,21 @@ def expected_double_hub_relation(n: int) -> Relation:
     bits[:n, :n] = True  # sinks
     bits[n:, :] = True  # hubs, below each other and every sink
     return Relation(bits)
+
+
+def seeded_debruijn(seed: int, length: int, k: int) -> tuple[str, LabeledGraph]:
+    """Seeded random DNA and its order-k de Bruijn graph, the sequence read as a
+    circle: nodes are the distinct k-mers, and each position adds the edge from
+    its k-mer to the next one, labeled with the base the next k-mer ends in. No
+    node lacks an in-edge, so the graph is Wheeler (q = 1)."""
+    rng = random.Random(seed)
+    dna = "".join(rng.choice("ACGT") for _ in range(length))
+    circ = dna + dna[:k]
+    ids: dict[str, int] = {}
+    for i in range(length):
+        ids.setdefault(circ[i:i + k], len(ids))
+    edges = ((ids[circ[i:i + k]], ids[circ[i + 1:i + 1 + k]], circ[i + k]) for i in range(length))
+    return dna, LabeledGraph.build(len(ids), edges, "ACGT")
 
 
 def two_node_alphabet_graph() -> LabeledGraph:

@@ -1,12 +1,9 @@
-import random
-from bisect import bisect_left
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colexgraph.bitvec import BitVector, PackedArray, bisect_left_packed, width_for
+from colexgraph.bitvec import BitVector, PackedArray, width_for
 
 
 class TestBitVector:
@@ -96,36 +93,6 @@ class TestPackedArray:
         values = [(1 << 13) - 1] * 40  # 13-bit values straddle 64-bit words
         pa = PackedArray(13, values)
         assert [pa.get(i) for i in range(40)] == values
-
-    @given(st.lists(st.integers(0, 50), min_size=1, max_size=60), st.integers(0, 55))
-    @settings(max_examples=60)
-    def test_bisect_matches_list_bisect(self, values, needle):
-        values.sort()
-        pa = PackedArray(width_for(max(values)), values)
-        assert bisect_left_packed(pa, needle, 0, len(values)) == bisect_left(values, needle)
-
-
-def test_inline_bisect_matches_list_bisect_at_every_width():
-    rng = random.Random(6464)
-    for width in range(1, 65):
-        top = (1 << width) - 1
-        # 150 values span several words; a few runs of equal values
-        values = sorted(rng.randint(0, top) for _ in range(120))
-        values = sorted(values + rng.sample(values, 30))
-        pa = PackedArray(width, values)
-        straddles = any((i * width) % 64 + width > 64 for i in range(len(values)))
-        assert straddles == (64 % width != 0)
-        present = set(values)
-        probes = {-1, 0, values[0], values[-1], values[-1] + 1, top, top + 1}
-        probes |= set(rng.sample(values, 10))
-        probes |= {v + 1 for v in rng.sample(values, 10) if v + 1 not in present}
-        probes |= {v - 1 for v in rng.sample(values, 10) if v - 1 not in present}
-        for _ in range(40):
-            lo = rng.randint(0, len(values))
-            hi = rng.randint(lo, len(values))
-            for x in probes:
-                assert bisect_left_packed(pa, x, lo, hi) == bisect_left(values, x, lo, hi), \
-                    (width, x, lo, hi)
 
 
 def test_width_for():

@@ -15,7 +15,8 @@ from colexgraph.index import _Arrays, _widths, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
 from conftest import diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
-from helpers import nfa_pipeline, put_packed, quotient_pipeline, reseal, v4_offsets
+from helpers import (nfa_pipeline, put_packed, quotient_pipeline, reseal, seeded_debruijn,
+                     v4_offsets)
 
 
 def build_from(g):
@@ -171,6 +172,10 @@ class TestFollow:
         ix, _, _ = build_from(double_hub_graph(2))
         with pytest.raises(ValueError):
             ix.follow(ConvexSet(((0, 1), (0, 1))), "a")
+        for q in (ix.q - 1, ix.q + 1, 4):
+            for pattern in ([], ["a"]):
+                with pytest.raises(ValueError, match="chain count"):
+                    ix.match_from(ConvexSet(((0, 1),) * q), pattern)
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
@@ -187,12 +192,12 @@ class TestProbeDirectory:
         # sources 1, 2, 4 reach targets 0, 2, 4 on a chain of six classes
         ix = one_chain_index([(0, 1), (2, 2), (4, 4)], length=6)
         searches = []
-        real = index_module.bisect_left_packed
+        real = index_module.bisect_left
 
-        def counted(pa, x, lo, hi):
+        def counted(values, x, lo, hi):
             searches.append(x)
-            return real(pa, x, lo, hi)
-        monkeypatch.setattr(index_module, "bisect_left_packed", counted)
+            return real(values, x, lo, hi)
+        monkeypatch.setattr(index_module, "bisect_left", counted)
         cases = [((5, 6), (0, 0), 0),  # above the last source: a miss
                  ((0, 1), (0, 0), 0),  # below the first source: a miss
                  ((0, 6), (0, 5), 0),  # the whole group, from the directory alone
@@ -239,6 +244,30 @@ class TestProbeDirectory:
                     assert ix.follow(ConvexSet(tuple(intervals)), a).intervals == want
                     steps += 1
         assert steps > 1000
+
+    @pytest.mark.parametrize("seed, length, k", [(11, 300, 4), (12, 450, 5), (13, 600, 5)])
+    def test_wheeler_graph_matches_brute_force(self, monkeypatch, seed, length, k):
+        """The q = 1 case: one large group per symbol, so substrings cut into
+        groups and the step bisects the decoded sources."""
+        dna, g = seeded_debruijn(seed, length, k)
+        ix = Index.from_bytes(build_from(g)[0].to_bytes())
+        assert ix.q == 1
+        searches = 0
+        real = index_module.bisect_left
+
+        def counted(values, x, lo, hi):
+            nonlocal searches
+            searches += 1
+            return real(values, x, lo, hi)
+        monkeypatch.setattr(index_module, "bisect_left", counted)
+        rng = random.Random(seed)
+        circ = dna + dna[:12]
+        for _ in range(60):
+            n, i = rng.randint(1, 12), rng.randrange(length)
+            for p in (tuple(circ[i:i + n]), tuple(rng.choice("ACGT") for _ in range(n))):
+                matched, end = ix.match_pattern(p)
+                assert (matched, ix.map_back(end)) == brute_match(g, p)
+        assert searches > 0
 
 
 class TestMatch:
