@@ -38,29 +38,46 @@ class ChainPartition:
     chains: tuple[tuple[int, ...], ...]
 
 
-def _greedy_chains(order: np.ndarray) -> tuple[list[int], list[int]]:
+def _byte_sums(order: np.ndarray, axis: int) -> np.ndarray:
+    """Sums of a boolean matrix along an axis, from its bytes: int32 sums of
+    uint8 take half the time of numpy's sums of bool."""
+    return order.view(np.uint8).sum(axis=axis, dtype=np.int32)
+
+
+def _greedy_chains(order: np.ndarray, above: list[bool]) -> tuple[list[int], list[int]]:
     """Matching of greedy chains along a linear extension: (match_left, match_right).
 
     A strict successor has strictly more strict predecessors, so sorting by
     that count gives a linear extension. In that order each element takes the
     earliest free strict successor, which is exact in one pass on a total
-    order. Rows of ``order`` are read one at a time, the diagonal masked in
-    each, so no k x k copy is made.
+    order. On a partial order no strict successor comes earlier in the
+    extension, so the next element, when free and above, is the earliest one
+    and no row is scanned; an element u with no strict successor (``above[u]``
+    false) is skipped. Otherwise one row of ``order`` is read, the diagonal
+    masked, so no k x k copy is made.
     """
     n = order.shape[0]
-    ext = np.argsort(order.sum(axis=0) - np.diagonal(order), kind="stable")
+    ext = np.argsort(_byte_sums(order, 0) - np.diagonal(order), kind="stable")
+    at = ext.tolist()
     free = np.ones(n, dtype=bool)
+    taken = [False] * n + [True]  # ~free as a list; the sentinel ends the extension
     match_left = [-1] * n
     match_right = [-1] * n
-    for i, u in enumerate(ext.tolist()):
-        cand = order[u, ext] & free
-        cand[i] = False  # u itself
-        j = int(cand.argmax())
-        if cand[j]:
-            free[j] = False
-            v = int(ext[j])
-            match_left[u] = v
-            match_right[v] = u
+    for i, u in enumerate(at):
+        if not above[u]:
+            continue
+        j = i + 1
+        if taken[j] or not order[u, at[j]]:
+            cand = order[u, ext] & free
+            cand[i] = False  # u itself
+            j = int(cand.argmax())
+            if not cand[j]:
+                continue
+        free[j] = False
+        taken[j] = True
+        v = at[j]
+        match_left[u] = v
+        match_right[v] = u
     return match_left, match_right
 
 
@@ -143,12 +160,14 @@ def _chain_cover(order: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
     Hopcroft-Karp augments the greedy chains' matching. Each adjacency row is
     listed from the order's boolean row the first time a phase visits it, so
-    the transitive closure is never listed in full. On a partial order the
-    chains partition it; on any other relation they may not, which the
+    the transitive closure is never listed in full; a row without a strict
+    successor is known empty from one pass of row sums. On a partial order
+    the chains partition it; on any other relation they may not, which the
     certificate's cover check finds.
     """
     n = order.shape[0]
-    rows: list[list[int] | None] = [None] * n
+    above = (_byte_sums(order, 1) > np.diagonal(order)).tolist()  # has a strict successor
+    rows: list[list[int] | None] = [None if up else [] for up in above]
 
     def adj(u: int) -> list[int]:
         if rows[u] is None:
@@ -156,7 +175,7 @@ def _chain_cover(order: np.ndarray) -> tuple[tuple[int, ...], ...]:
             rows[u] = row[row != u].tolist()
         return rows[u]
 
-    match_left, match_right = _greedy_chains(order)
+    match_left, match_right = _greedy_chains(order, above)
     _hopcroft_karp(adj, match_left, match_right)
     chains = []
     for head in range(n):

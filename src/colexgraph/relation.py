@@ -5,9 +5,13 @@ distinct pair has dominated label sets and (Axiom 2) same-label predecessors of
 a related distinct pair are related. The maximum co-lex relation is the union
 of all of them; it always exists and is a preorder. It is computed here by
 marking pairs of the pair graph level by level: one same-label step ORs the
-frontier's rows, then its columns, at each label's edge sources, grouped by
-target, which costs O(n * e) byte operations per level. The axiom checker
-applies the same step to the complement of a relation.
+frontier's rows, then its source columns, at each label's edge sources,
+grouped by target. The result on the label's t targets goes into the level
+through a t x n row block, one fancy axis at a time. A level costs
+O(n * e + n^2) byte operations. The axiom checker applies the same step to the
+complement of a relation and looks for the first violating pair only in a
+label that has one. A graph whose dense matrices would not fit the
+address-space limit is refused before any of them is allocated.
 
 A ``Preorder`` certifies its transitivity without a matrix product: it finds
 its classes, a minimum chain partition of the class order (which the quotient
@@ -18,6 +22,7 @@ chains, and that the relation is the lift of its class order in O(n^2).
 
 from __future__ import annotations
 
+import resource
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,9 +33,19 @@ from .graph import AT, HASH, LabeledGraph
 # Relations are dense n*n matrices; past this the representation is the wrong tool.
 _DENSE_NODE_CAP = 1 << 16
 
+# Peak heap of a build per node pair, in bytes. tracemalloc read 6.1 n^2 on
+# the seeded de Bruijn graph at n = 1,182 (the certificate's row blocks still
+# hold whole matrices there), then 4.03 n^2 at n = 3,882 and 4.02 n^2 at
+# n = 7,524: the kernel's three n x n arrays plus its t x n label blocks, or
+# the certificate's three plus its fixed-size row blocks.
+_PEAK_BYTES_PER_PAIR = 4
+
 # Cells in one block of the certificate's temporaries (4 MiB of bools), so no
 # step allocates a full n x n or k x q x q array at once.
 _BLOCK_CELLS = 1 << 22
+
+# Rows of a column slab transposed in one copy.
+_TILE = 256
 
 
 class Relation:
@@ -114,7 +129,8 @@ class Preorder(Relation):
         super().__init__(bits)
         class_of, reps = _first_mutual_classes(self.bits)
         # When every class is one node, reps is arange(n) and bits is the order.
-        chains = _chain_cover(self.bits if reps.size == self.n else self.bits[reps][:, reps])
+        chains = _chain_cover(self.bits if reps.size == self.n
+                              else np.take(self.bits[reps], reps, axis=1))
         certified = _certify(self.bits, class_of, reps, chains)
         if isinstance(certified, str):
             raise ValueError("preorder must be transitive")
@@ -144,14 +160,20 @@ def _first_mutual_classes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A node's class is named by the first column related to it both ways; on a
     preorder that is the smallest member of its class. On any other relation
-    the names may be wrong, which the lift check then finds.
+    the names may be wrong, which the lift check then finds. The transpose of
+    each column slab is copied tile by tile, so both sides of every copy stay
+    in cache: at n = 3,882 that is ten times faster than one strided pass.
     """
     n = bits.shape[0]
     first = np.empty(n, dtype=np.intp)
     rows = max(1, _BLOCK_CELLS // max(n, 1))
     for lo in range(0, n, rows):
         hi = min(n, lo + rows)
-        first[lo:hi] = (bits[lo:hi] & bits[:, lo:hi].T).argmax(axis=1)
+        mutual = np.empty((hi - lo, n), dtype=bool)
+        for col in range(0, n, _TILE):
+            mutual[:, col:col + _TILE] = bits[col:col + _TILE, lo:hi].T
+        mutual &= bits[lo:hi]
+        first[lo:hi] = mutual.argmax(axis=1)
     reps, class_of = np.unique(first, return_inverse=True)
     return class_of, reps
 
@@ -187,7 +209,7 @@ def _certify(bits: np.ndarray, class_of: np.ndarray, reps: np.ndarray,
     if flat.size != k or (lengths == 0).any() or not np.array_equal(np.sort(flat), np.arange(k)):
         return "cover"
     class_of, reps = np.argsort(flat)[class_of], reps[flat]
-    order = bits[reps][:, reps]
+    order = np.take(bits[reps], reps, axis=1)  # C order; bits[reps][:, reps] is Fortran
     if k == 0:
         return class_of, reps, order, ()
     starts = np.cumsum(lengths) - lengths
@@ -207,7 +229,7 @@ def _certify(bits: np.ndarray, class_of: np.ndarray, reps: np.ndarray,
         # Each row now rises at most once per chain, at m_j; without a rise m_j = |C_j|.
         block[:, 1:] &= ~before
         m[lo:lo + rows] = lengths
-        r, col = np.nonzero(block)
+        r, col = np.divmod(np.flatnonzero(block), k)  # 2-D np.nonzero is ~10x slower
         m[lo + r, chain_at[col]] = pos_at[col]
 
     steps = max(1, _BLOCK_CELLS // q)
@@ -231,7 +253,8 @@ def _certify(bits: np.ndarray, class_of: np.ndarray, reps: np.ndarray,
     if k < n:  # with a class per node, order is bits renumbered
         rows = max(1, _BLOCK_CELLS // n)
         for lo in range(0, n, rows):
-            if not np.array_equal(bits[lo:lo + rows], order[class_of[lo:lo + rows]][:, class_of]):
+            lifted = np.take(order[class_of[lo:lo + rows]], class_of, axis=1)
+            if not np.array_equal(bits[lo:lo + rows], lifted):
                 return "lift"
     return class_of, reps, order, tuple((starts + lengths).tolist())
 
@@ -273,12 +296,16 @@ class _LabelEdges(NamedTuple):
     (ties by id). Layer k holds the k-th source of each target that has more
     than k, in the same order, so every layer is a prefix of the last; the
     layers sit one after another in ``sources``, ``widths[k]`` entries each.
+    ``columns`` lists the distinct sources in ascending order, and ``slots``
+    is ``sources`` with each source replaced by its index in ``columns``.
     """
 
     label: str
     targets: np.ndarray
     sources: np.ndarray
     widths: tuple[int, ...]
+    columns: np.ndarray
+    slots: np.ndarray
 
 
 def _label_edges(g: LabeledGraph) -> tuple[_LabelEdges, ...]:
@@ -296,19 +323,21 @@ def _label_edges(g: LabeledGraph) -> tuple[_LabelEdges, ...]:
             by_degree = np.argsort(-counts, kind="stable")
             starts, counts = starts[by_degree], counts[by_degree]
             layers = [edges[starts[counts > k] + k, 1] for k in range(int(counts[0]))]
-            out.append(_LabelEdges(a, targets[by_degree], np.concatenate(layers),
-                                   tuple(map(len, layers))))
+            sources = np.concatenate(layers)
+            columns, slots = np.unique(sources, return_inverse=True)
+            out.append(_LabelEdges(a, targets[by_degree], sources, tuple(map(len, layers)),
+                                   columns, slots))
         cached = tuple(out)
         object.__setattr__(g, "_label_edges", cached)
     return cached
 
 
-def _or_by_target(x: np.ndarray, le: _LabelEdges) -> np.ndarray:
-    """Row i is the OR of x's rows at the sources of the label's i-th target."""
-    end = le.widths[0]
-    out = x[le.sources[:end]]
-    for width in le.widths[1:]:
-        out[:width] |= x[le.sources[end:end + width]]
+def _or_by_target(x: np.ndarray, sources: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
+    """Row i is the OR of x's rows at the i-th target's entries of ``sources``."""
+    end = widths[0]
+    out = x[sources[:end]]
+    for width in widths[1:]:
+        out[:width] |= x[sources[end:end + width]]
         end += width
     return out
 
@@ -317,18 +346,56 @@ def _same_label_step(f: np.ndarray, le: _LabelEdges) -> np.ndarray:
     """One same-label step of a pair set: ``A^T f A`` on the label's targets.
 
     Entry [i, j] is True when f[u, v] holds for some edges u -> targets[i] and
-    v -> targets[j]. OR-ing f's rows at the edge sources per target, then the
-    same on columns, costs O(n * e) byte operations, against the n^3 of a
-    dense triple product.
+    v -> targets[j]. The row step ORs f's rows at the edge sources per target
+    (t x n). The column step reads only the label's source columns of that:
+    it takes them as the rows of one transposed gather, then ORs those per
+    target the same way. Both cost O(n * e) byte operations, against the n^3
+    of a dense triple product, and no t x n block is transposed whole. The
+    t x t result is the transpose of a C-ordered array, the layout in which
+    scattering it into node columns (``block[:, targets] = step``) is fastest.
     """
-    rows = _or_by_target(f, le)
-    return _or_by_target(np.ascontiguousarray(rows.T), le).T
+    rows = _or_by_target(f, le.sources, le.widths)
+    return _or_by_target(rows.T[le.columns], le.slots, le.widths).T
 
 
 def _check_dense_size(n: int) -> None:
+    """Refuse a graph whose dense relations cannot fit, before allocating any."""
     if n > _DENSE_NODE_CAP:
         raise ValueError(f"graph has {n} nodes; dense relations are capped at "
                          f"{_DENSE_NODE_CAP} nodes")
+    need = _PEAK_BYTES_PER_PAIR * n * n
+    limit = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if limit != resource.RLIM_INFINITY and need > limit:
+        raise ValueError(f"graph has {n} nodes; its dense relations need about "
+                         f"{need / 2**30:.1f} GiB, above the {limit / 2**30:.1f} GiB "
+                         "address-space limit")
+
+
+def _unrelated_pairs(g: LabeledGraph, u_marked) -> np.ndarray:
+    """The pairs outside the maximum co-lex relation, and the diagonal.
+
+    Marks the dominance-violating pairs, then level by level every pair one
+    same-label step from the pairs the last level marked. A label's step is
+    scattered into node columns of a t x n row block, which is then OR-ed into
+    the level by rows: one fancy axis at a time, which costs far less than an
+    ``np.ix_`` scatter on both. The diagonal is marked from the start, so one
+    comparison keeps each level to the pairs it newly marks.
+    """
+    n = g.n
+    labels = _label_edges(g)
+    marked = _angle_violations(g, u_marked)
+    frontier = marked.copy()
+    np.fill_diagonal(marked, True)
+    while frontier.any():
+        new = np.zeros((n, n), dtype=bool)
+        for le in labels:
+            block = np.zeros((le.targets.size, n), dtype=bool)
+            block[:, le.targets] = _same_label_step(frontier, le)
+            new[le.targets] |= block
+        np.greater(new, marked, out=new)  # reached and not yet marked
+        marked |= new
+        frontier = new
+    return marked
 
 
 def max_colex_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorder:
@@ -337,21 +404,13 @@ def max_colex_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorde
     A distinct pair (u, v) belongs exactly when no pair preceding it violates
     label-set dominance: mark the dominance-violating pairs of the pair graph,
     then everything reachable from them along same-label forward arcs; the
-    unmarked pairs plus the diagonal form the relation.
+    unmarked pairs plus the diagonal form the relation. Each level costs
+    O(n * e + n^2) byte operations on n nodes and e edges, however few pairs
+    it marks.
     """
     _check_dense_size(g.n)
-    labels = _label_edges(g)
-    marked = _angle_violations(g, u_marked)
-    frontier = marked.copy()
-    while frontier.any():
-        new = np.zeros_like(marked)
-        for le in labels:
-            new[np.ix_(le.targets, le.targets)] |= _same_label_step(frontier, le)
-        np.fill_diagonal(new, False)
-        new &= ~marked
-        marked |= new
-        frontier = new
-    bits = ~marked
+    bits = _unrelated_pairs(g, u_marked)
+    np.logical_not(bits, out=bits)
     np.fill_diagonal(bits, True)
     return Preorder(bits)
 
@@ -405,30 +464,31 @@ def first_axiom_violation(g: LabeledGraph, r: Relation,
     if r.n != g.n:
         raise ValueError("relation size does not match graph")
     lo, hi = _label_extremes(g, u_marked)
-    strict = r.bits & ~np.eye(g.n, dtype=bool)
-    bad1 = strict & (hi[:, None] > lo[None, :])
+    bad1 = np.greater.outer(hi, lo)
+    bad1 &= r.bits
+    np.fill_diagonal(bad1, False)
     if bad1.any():
         u, v = (int(x) for x in np.argwhere(bad1)[0])
         return AxiomViolation(1, (u, v), "label sets are not dominance-ordered")
     # Axiom 2, per label: a violation is a related distinct pair with
     # same-label in-neighbours (u', v') outside the relation.
-    not_r = ~r.bits
+    not_r = np.logical_not(r.bits, out=bad1)
     for le in _label_edges(g):
-        # Ascending target ids, so argwhere finds the first pair by (u, v).
-        order = np.argsort(le.targets)
-        targets = le.targets[order]
-        step = _same_label_step(not_r, le)[np.ix_(order, order)]
-        bad2 = strict[np.ix_(targets, targets)] & step
-        if bad2.any():
-            a = le.label
-            u, v = (int(targets[x]) for x in np.argwhere(bad2)[0])
-            in_adj = g.in_adjacency()
-            for u1 in in_adj[u][a]:
-                for v1 in in_adj[v][a]:
-                    if not r.bits[u1, v1]:
-                        return AxiomViolation(
-                            2, (u, v),
-                            f"requires ({u1},{v1}) via label {a!r}, which is absent")
+        targets = le.targets
+        bad2 = r.bits[targets][:, targets] & _same_label_step(not_r, le)
+        np.fill_diagonal(bad2, False)  # the targets are distinct
+        if not bad2.any():
+            continue
+        rows, cols = np.nonzero(bad2)
+        first = np.argmin(targets[rows] * g.n + targets[cols])  # the first pair by (u, v)
+        u, v = int(targets[rows[first]]), int(targets[cols[first]])
+        a = le.label
+        in_adj = g.in_adjacency()
+        for u1 in in_adj[u][a]:
+            for v1 in in_adj[v][a]:
+                if not r.bits[u1, v1]:
+                    return AxiomViolation(
+                        2, (u, v), f"requires ({u1},{v1}) via label {a!r}, which is absent")
     return None
 
 

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from colexgraph import (Preorder, Relation, classes, induced_order, max_antichain,
                         max_colex_relation, min_chain_partition, preorder_width,
                         transitive_closure)
-from colexgraph.chains import _chain_cover
+from colexgraph.chains import _chain_cover, _greedy_chains
 from colexgraph.oracle import (exhaustive_max_antichain, random_colex_relation,
-                               random_partial_order)
+                               random_partial_order, random_trim_nfa)
 from conftest import double_hub_graph, loop_branch_nfa, small_graphs
 
 
@@ -93,6 +93,62 @@ class TestMinChainPartition:
     def test_deterministic(self, rng):
         order = random_partial_order(rng, 10)
         assert min_chain_partition(order) == min_chain_partition(order)
+
+
+def greedy_by_full_scan(order: np.ndarray) -> tuple[list[int], list[int]]:
+    """Reference greedy chains: every element scans its whole row for the
+    earliest free strict successor along the linear extension."""
+    n = order.shape[0]
+    ext = np.argsort(order.sum(axis=0) - np.diagonal(order), kind="stable")
+    free = np.ones(n, dtype=bool)
+    match_left, match_right = [-1] * n, [-1] * n
+    for i, u in enumerate(ext.tolist()):
+        cand = order[u, ext] & free
+        cand[i] = False
+        j = int(cand.argmax())
+        if cand[j]:
+            free[j] = False
+            v = int(ext[j])
+            match_left[u], match_right[v] = v, u
+    return match_left, match_right
+
+
+def greedy(order: np.ndarray) -> tuple[list[int], list[int]]:
+    has_successor = ((order.sum(axis=1) - np.diagonal(order)) > 0).tolist()
+    return _greedy_chains(order, has_successor)
+
+
+class TestGreedyChains:
+    def test_total_orders_match_the_full_scan(self, rng):
+        for k in (1, 2, 3, 50, 300):
+            rank = list(range(k))
+            rng.shuffle(rank)
+            ranks = np.array(rank)
+            order = ranks[:, None] <= ranks[None, :]
+            assert greedy(order) == greedy_by_full_scan(order)
+
+    def test_partial_orders_match_the_full_scan(self, rng):
+        for _ in range(300):
+            order = random_partial_order(rng, rng.randint(1, 60),
+                                         rng.choice((0.02, 0.1, 0.3, 0.7))).bits
+            assert greedy(order) == greedy_by_full_scan(order)
+
+    def test_class_orders_of_automata_match_the_full_scan(self):
+        # Drawn as the benchmark's nfa-corpus draws them: twenty trim automata
+        # in each band of 1-4, 5-8, ..., 37-40 states, 3 symbols, density 0.08.
+        rng = random.Random(1)
+        shortcuts = 0
+        for i in range(200):
+            smallest = 4 * (i // 20) + 1
+            a = random_trim_nfa(rng, smallest + 3, 3, 0.08)
+            while a.graph.n < smallest:
+                a = random_trim_nfa(rng, smallest + 3, 3, 0.08)
+            order = max_colex_relation(a.graph, {a.initial}).class_order().bits
+            match_left, match_right = greedy_by_full_scan(order)
+            assert greedy(order) == (match_left, match_right)
+            ext = np.argsort(order.sum(axis=0) - np.diagonal(order), kind="stable").tolist()
+            shortcuts += sum(match_left[u] == v for u, v in zip(ext, ext[1:]))
+        assert shortcuts >= 20
 
 
 class TestMaxAntichain:

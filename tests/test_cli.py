@@ -1,5 +1,10 @@
+import os
+import resource
 import struct
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +70,31 @@ class TestBuildAndQuery:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "capped" in err
+
+    def test_graph_over_the_address_space_limit_is_refused_before_allocating(self, tmp_path):
+        # 65,536 nodes pass the node cap, but the build would need about 16 GiB.
+        big = tmp_path / "big.graph"
+        big.write_text("nodes 65536\n0 1 a\n", encoding="utf-8")
+        code = """
+import sys, time
+from colexgraph.cli import main
+start = time.perf_counter()
+status = main(sys.argv[1:])
+print(time.perf_counter() - start)
+sys.exit(status)
+"""
+        limit = 1 << 30  # 1 GiB of address space
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, "build", str(big), "-o", str(tmp_path / "big.clxi")],
+            env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert proc.stderr == ("error: graph has 65536 nodes; its dense relations need about "
+                               "16.0 GiB, above the 1.0 GiB address-space limit\n")
+        assert float(proc.stdout) < 1.0  # seconds in main: parse, then refuse
 
     def test_querying_a_non_index_file_is_an_error(self, hub_file, capsys):
         assert main(["query", hub_file, "a"]) == 2

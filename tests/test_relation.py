@@ -14,7 +14,8 @@ from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certify,
                                  _first_mutual_classes, _label_edges, _label_extremes)
 from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
-from helpers import expected_double_hub_relation, strict_label_relation, two_node_alphabet_graph
+from helpers import (expected_double_hub_relation, seeded_debruijn, strict_label_relation,
+                     two_node_alphabet_graph)
 
 
 class TestRelationType:
@@ -140,8 +141,10 @@ class TestTransitivityCertificate:
             Preorder(order_from_pairs(4, pairs))
 
     def test_agrees_in_small_blocks(self, monkeypatch):
-        # Blocks of a few cells run every loop of the certificate many times.
+        # Blocks of a few cells, and tiles of a few rows, run every loop of the
+        # certificate many times.
         monkeypatch.setattr("colexgraph.relation._BLOCK_CELLS", 7)
+        monkeypatch.setattr("colexgraph.relation._TILE", 3)
         rng = random.Random(SEED_ORDER_CORPUS + 1)
         for _ in range(300):
             bits = random_relation_bits(rng, rng.randint(2, 11))
@@ -245,6 +248,33 @@ class TestMaxRelation:
             g = random_graph(rng, n, rng.randint(1, 3), density)
             for marked in (frozenset(), frozenset({rng.randrange(n)})):
                 assert max_colex_relation(g, marked) == gfp_max_relation(g, marked)
+
+    @pytest.mark.parametrize("seed, length, k", [(1, 200, 4), (2, 250, 5), (3, 300, 5)])
+    def test_kernel_equals_greatest_fixpoint_on_de_bruijn_graphs(self, seed, length, k):
+        # 139 to 261 nodes, each entered by one label: label blocks of about n/4 rows.
+        _, g = seeded_debruijn(seed, length, k)
+        assert 130 <= g.n <= 270
+        for marked in (frozenset(), frozenset({0})):
+            assert max_colex_relation(g, marked) == gfp_max_relation(g, marked)
+
+    def test_kernel_equals_greatest_fixpoint_where_labels_share_targets(self, rng):
+        # A node entered by two labels lies in both labels' blocks, so both
+        # OR into its row of a level; three same-label sources make three layers.
+        checked = strict = 0
+        while checked < 30:
+            g = random_graph(rng, rng.randint(6, 30), rng.randint(2, 3), rng.uniform(0.03, 0.12))
+            in_labels = [set() for _ in range(g.n)]
+            for _, v, a in g.edges:
+                in_labels[v].add(a)
+            if (max(map(len, in_labels)) < 2
+                    or max(len(le.widths) for le in _label_edges(g)) < 3):
+                continue
+            for marked in (frozenset(), frozenset({rng.randrange(g.n)})):
+                pre = max_colex_relation(g, marked)
+                assert pre == gfp_max_relation(g, marked)
+                strict += len(pre.strict_pairs())
+            checked += 1
+        assert strict >= 500
 
     def test_oversized_graph_is_rejected_before_allocating(self):
         g = LabeledGraph(_DENSE_NODE_CAP + 1, frozenset({(0, 1, "a")}), Alphabet(("a",)))
