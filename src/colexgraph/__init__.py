@@ -13,13 +13,10 @@ from .graph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError, La
 from .index import (ConvexSet, Index, PatternError, QueryStats, SpaceReport, build_index,
                     build_nfa_index, parse_pattern)
 from .pipeline import PipelineResult, run_pipeline
-from .quotient import (ClassPartition, QuotientGraph, QuotientNfa, classes, induced_order,
-                       lift_classes, lift_relation, project_nodes, project_relation,
-                       quotient_graph, quotient_nfa)
+from .quotient import (ClassPartition, QuotientGraph, QuotientNfa, classes, quotient_graph,
+                       quotient_nfa)
 from .relation import (AxiomViolation, Preorder, Relation, dump_relation,
-                       first_axiom_violation, is_colex_relation, max_colex_relation,
-                       min_colex_containing, parse_relation, refines, transitive_closure,
-                       union)
+                       first_axiom_violation, max_colex_relation, min_colex_containing)
 
 __version__ = "0.1.0"
 
@@ -30,9 +27,7 @@ __all__ = [
     "QuotientGraph", "QuotientNfa",
     "Relation", "SpaceReport", "angle", "build_index", "build_nfa_index", "classes",
     "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",
-    "induced_order", "is_colex_relation", "lambda_sets", "lift_classes", "lift_relation",
-    "max_antichain", "max_colex_relation", "min_chain_partition", "min_colex_containing",
-    "parse_graph", "parse_input", "parse_nfa", "parse_pattern", "parse_relation",
-    "preorder_width", "project_nodes", "project_relation", "quotient_graph", "quotient_nfa",
-    "refines", "run_pipeline", "transitive_closure", "trim_nfa", "union",
+    "lambda_sets", "max_antichain", "max_colex_relation", "min_chain_partition",
+    "min_colex_containing", "parse_graph", "parse_input", "parse_nfa", "parse_pattern",
+    "preorder_width", "quotient_graph", "quotient_nfa", "run_pipeline", "trim_nfa",
 ]

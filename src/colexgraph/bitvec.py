@@ -8,7 +8,7 @@ can separate content from the auxiliary directories.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -141,9 +141,6 @@ class PackedArray:
         if off + self._width > 64:
             value |= self._words.item(w + 1) << (64 - off)
         return value & ((1 << self._width) - 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.to_list())
 
     def to_list(self) -> list[int]:
         """All values, decoded 64 at a time: 64 values fill exactly ``width`` words."""

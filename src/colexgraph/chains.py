@@ -9,21 +9,24 @@ recovered by following matched pairs from heads in ascending id. The Konig
 cover of the same matching yields a maximum antichain, giving the width
 equality both ways.
 
-Every ``Preorder`` runs the matching once, on its class order, when it is
-built: the chains are part of its transitivity certificate, which costs
-O(k^2 + k * q^2) on k classes and q chains (see
-``relation._certify``). The functions here read those chains.
+Every ``Preorder`` runs the matching (``_chain_cover``) once, on its class
+order, when it is built: the chains are part of its transitivity certificate,
+which costs O(k^2 + k * q^2) on k classes and q chains (``relation._certify``).
+The public functions here read a ``Preorder``'s chains; ``relation`` imports
+this module, which names ``Preorder`` only in annotations.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from functools import cached_property
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .relation import Preorder
+if TYPE_CHECKING:
+    from .relation import Preorder
 
 _INF = -1
 
@@ -32,10 +35,23 @@ _INF = -1
 class ChainPartition:
     """Partition of class ids into chains, each totally ordered by the order."""
 
-    chain_count: int
-    chain_of: tuple[int, ...]
-    pos_in_chain: tuple[int, ...]
     chains: tuple[tuple[int, ...], ...]
+
+    @property
+    def chain_count(self) -> int:
+        return len(self.chains)
+
+    @cached_property
+    def chain_of(self) -> tuple[int, ...]:
+        """The chain of each id."""
+        at = {node: cid for cid, chain in enumerate(self.chains) for node in chain}
+        return tuple(at[node] for node in range(len(at)))
+
+    @cached_property
+    def pos_in_chain(self) -> tuple[int, ...]:
+        """The position of each id on its chain."""
+        at = {node: pos for chain in self.chains for pos, node in enumerate(chain)}
+        return tuple(at[node] for node in range(len(at)))
 
 
 def _byte_sums(order: np.ndarray, axis: int) -> np.ndarray:
@@ -192,8 +208,6 @@ def _chain_cover(order: np.ndarray) -> tuple[tuple[int, ...], ...]:
 
 def _partial_order_chains(order: Preorder) -> tuple[tuple[int, ...], ...]:
     """The chains a partial order was certified with, in its node ids."""
-    if not isinstance(order, Preorder):
-        order = Preorder(order.bits)
     if order._reps.size != order.n:
         raise ValueError("order must be a partial order (antisymmetric)")
     nodes = order._reps.tolist()  # the node of each chain-major class
@@ -206,14 +220,7 @@ def min_chain_partition(order: Preorder) -> ChainPartition:
     These are the chains the order's certificate was checked with. On a class
     order, whose ids are chain-major, every chain is a consecutive id range.
     """
-    chains = _partial_order_chains(order)
-    chain_of = [-1] * order.n
-    pos_in_chain = [-1] * order.n
-    for cid, chain in enumerate(chains):
-        for pos, node in enumerate(chain):
-            chain_of[node] = cid
-            pos_in_chain[node] = pos
-    return ChainPartition(len(chains), tuple(chain_of), tuple(pos_in_chain), chains)
+    return ChainPartition(_partial_order_chains(order))
 
 
 def max_antichain(order: Preorder) -> frozenset[int]:
@@ -252,6 +259,4 @@ def max_antichain(order: Preorder) -> frozenset[int]:
 
 def preorder_width(pre: Preorder) -> int:
     """Width of a preorder = width of its quotient partial order."""
-    if not isinstance(pre, Preorder):
-        pre = Preorder(pre.bits)
     return len(pre._ends)

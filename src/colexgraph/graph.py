@@ -320,8 +320,8 @@ def parse_input(text: str) -> LabeledGraph | Nfa:
     return _parse(text, automaton=None)
 
 
-def format_graph(g: LabeledGraph, header_comments: Iterable[str] = ()) -> str:
-    lines = [f"{HASH} {c}" for c in header_comments]
+def format_graph(g: LabeledGraph) -> str:
+    lines = []
     if g.alphabet.symbols:
         lines.append("alphabet " + " ".join(g.alphabet.symbols))
     lines.append(f"nodes {g.n}")
@@ -329,8 +329,8 @@ def format_graph(g: LabeledGraph, header_comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_nfa(a: Nfa, header_comments: Iterable[str] = ()) -> str:
-    body = format_graph(a.graph, header_comments)
+def format_nfa(a: Nfa) -> str:
+    body = format_graph(a.graph)
     lines = [body.rstrip("\n"), f"initial {a.initial}",
              "final" + "".join(f" {f}" for f in sorted(a.finals))]
     return "\n".join(lines) + "\n"

@@ -76,9 +76,6 @@ class ConvexSet:
     def is_empty(self) -> bool:
         return all(lo >= hi for lo, hi in self.intervals)
 
-    def size(self) -> int:
-        return sum(hi - lo for lo, hi in self.intervals if hi > lo)
-
 
 def ceil_log2(x: int) -> int:
     """Smallest w with 2**w >= x; 0 for x <= 1."""
@@ -499,7 +496,7 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
     """
     n_classes = qg.partition.count
     flat = [c for chain in cp.chains for c in chain]
-    if cp.chain_count != len(cp.chains) or flat != list(range(n_classes)):
+    if flat != list(range(n_classes)):
         raise ValueError("chains are not the consecutive id ranges of the quotient classes")
     if not all(qg.order.holds(c, c + 1) for chain in cp.chains for c in chain[:-1]):
         raise ValueError("chain members are not strictly increasing in the order")

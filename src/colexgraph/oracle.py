@@ -2,7 +2,8 @@
 
 Everything here recomputes a queryable concept by direct definition (BFS
 products, greatest fixpoints, exhaustive enumeration, subset construction) so
-the fast paths always have an independent answer to agree with. The driver,
+the fast paths always have an independent answer to agree with; the helpers
+that check the paper's lemmas, which no build calls, live here too. The driver,
 ``run_graph_checks``, takes the stages' outputs from one ``run_pipeline``
 result and builds none of them again.
 """
@@ -22,7 +23,8 @@ from .graph import Alphabet, LabeledGraph, Nfa, angle, lambda_sets, trim_nfa
 from .index import Index, QueryStats
 from .pipeline import PipelineResult
 from .quotient import ClassPartition, classes
-from .relation import Preorder, Relation, max_colex_relation, min_colex_containing
+from .relation import (Preorder, Relation, first_axiom_violation, max_colex_relation,
+                       min_colex_containing)
 
 _SYMBOL_POOL = tuple("abcdefghij")
 
@@ -86,7 +88,7 @@ def gfp_max_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorder:
                 if not ok:
                     rel[u][v] = False
                     changed = True
-    return Preorder(np.array(rel, dtype=bool))
+    return Preorder(np.array(rel, dtype=bool).reshape(n, n))  # (0, 0) when n = 0
 
 
 def is_transitive(r: Relation) -> bool:
@@ -105,6 +107,89 @@ def is_convex(order: Relation, s: Iterable[int]) -> bool:
                 if v not in inside and bits[u, v] and bits[v, z]:
                     return False
     return True
+
+
+# The paper's lemmas: closure under union and transitive closure, quotients --
+
+def is_colex_relation(g: LabeledGraph, r: Relation, u_marked: Iterable[int] = ()) -> bool:
+    return first_axiom_violation(g, r, u_marked) is None
+
+
+def is_antisymmetric(r: Relation) -> bool:
+    both = r.bits & r.bits.T
+    return bool(both.sum() == r.n)
+
+
+def transitive_closure(r: Relation) -> Preorder:
+    """Transitive closure by Warshall's algorithm on rows; co-lex in, co-lex out."""
+    bits = r.bits.copy()
+    for w in range(r.n):
+        bits[bits[:, w]] |= bits[w]
+    return Preorder(bits)
+
+
+def union(relations: Iterable[Relation]) -> Relation:
+    """Entrywise union; the union of co-lex relations is a co-lex relation."""
+    rels = list(relations)
+    if not rels:
+        raise ValueError("union of no relations")
+    n = rels[0].n
+    if any(r.n != n for r in rels):
+        raise ValueError("relations have mismatched sizes")
+    bits = np.zeros((n, n), dtype=bool)
+    for r in rels:
+        bits |= r.bits
+    return Relation(bits)
+
+
+def refines(r1: Relation, r2: Relation) -> bool:
+    """True when r2 is contained entrywise in r1."""
+    if r1.n != r2.n:
+        raise ValueError("relations have mismatched sizes")
+    return not bool((r2.bits & ~r1.bits).any())
+
+
+def parse_relation(text: str, n: int) -> Relation:
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValueError(f"line {lineno}: expected 'u v'")
+        u, v = int(parts[0]), int(parts[1])
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"line {lineno}: node out of range")
+        pairs.append((u, v))
+    return Relation.from_pairs(n, pairs)
+
+
+def project_nodes(part: ClassPartition, nodes: Iterable[int]) -> frozenset[int]:
+    """Node set -> class set (the forward half of the convex-set bijection)."""
+    return frozenset(part.class_of[v] for v in nodes)
+
+
+def lift_classes(part: ClassPartition, class_ids: Iterable[int]) -> frozenset[int]:
+    """Class set -> union of members (the inverse half of the bijection)."""
+    out: set[int] = set()
+    for cid in class_ids:
+        out.update(part.members[cid])
+    return frozenset(out)
+
+
+def project_relation(part: ClassPartition, r: Relation) -> Relation:
+    """Class-respecting node relation -> relation on classes."""
+    reps = [m[0] for m in part.members]
+    return Relation(r.bits[np.ix_(reps, reps)])
+
+
+def lift_relation(part: ClassPartition, r_classes: Relation) -> Relation:
+    """Relation on classes -> node relation holding between all member pairs."""
+    if r_classes.n != part.count:
+        raise ValueError("relation size does not match class count")
+    cls = np.asarray(part.class_of)
+    return Relation(r_classes.bits[np.ix_(cls, cls)])
 
 
 # Powerset machinery -----------------------------------------------------------
@@ -413,9 +498,7 @@ def random_partial_order(rng: random.Random, n: int, density: float = 0.3) -> Pr
         for v in range(u + 1, n):
             if rng.random() < density:
                 bits[u, v] = True
-    for k in range(n):  # Floyd-Warshall closure
-        bits |= np.outer(bits[:, k], bits[k, :])
-    return Preorder(bits)
+    return transitive_closure(Relation(bits))
 
 
 def random_colex_relation(rng: random.Random, g: LabeledGraph,

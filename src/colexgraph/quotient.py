@@ -2,8 +2,10 @@
 
 Collapsing mutually comparable nodes yields a graph that answers the same
 pattern-matching queries; the induced class order is a partial order of the
-same width, and on the quotient it is both the maximum co-lex relation and the
-maximum co-lex order.
+same width (``Preorder.class_order``), and on the quotient it is both the
+maximum co-lex relation and the maximum co-lex order. The correspondences
+between a graph and its quotient (convex sets and class-respecting relations,
+both ways) are checked in ``oracle``.
 """
 
 from __future__ import annotations
@@ -11,10 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from .graph import LabeledGraph, Nfa
-from .relation import Preorder, Relation, first_axiom_violation
+from .relation import Preorder, first_axiom_violation
 
 
 @dataclass(frozen=True)
@@ -40,20 +40,11 @@ def classes(pre: Preorder) -> ClassPartition:
 
     The classes are the ones ``pre`` found when it certified itself.
     """
-    if not isinstance(pre, Preorder):
-        pre = Preorder(pre.bits)  # checks reflexivity and transitivity again
     class_of = pre._class_of.tolist()
     members: list[list[int]] = [[] for _ in range(pre._reps.size)]
     for v, cid in enumerate(class_of):
         members[cid].append(v)
     return ClassPartition(pre.n, tuple(class_of), tuple(map(tuple, members)))
-
-
-def induced_order(pre: Preorder, part: ClassPartition) -> Preorder:
-    """The partial order on classes: [u] <= [v] iff u <= v (well-defined)."""
-    if part.n != pre.n or classes(pre).members != part.members:
-        raise ValueError("partition was not derived from this preorder")
-    return pre.class_order()
 
 
 @dataclass(frozen=True)
@@ -136,33 +127,3 @@ def quotient_nfa(a: Nfa, pre: Preorder) -> QuotientNfa:
             "with the initial state marked")
     finals = frozenset(part.class_of[f] for f in a.finals)
     return QuotientNfa(qg, init_class, finals)
-
-
-# Correspondences between the original graph and its quotient. Convex sets and
-# class-respecting relations transfer bijectively in both directions.
-
-def project_nodes(part: ClassPartition, nodes: Iterable[int]) -> frozenset[int]:
-    """Node set -> class set (the forward half of the convex-set bijection)."""
-    return frozenset(part.class_of[v] for v in nodes)
-
-
-def lift_classes(part: ClassPartition, class_ids: Iterable[int]) -> frozenset[int]:
-    """Class set -> union of members (the inverse half of the bijection)."""
-    out: set[int] = set()
-    for cid in class_ids:
-        out.update(part.members[cid])
-    return frozenset(out)
-
-
-def project_relation(part: ClassPartition, r: Relation) -> Relation:
-    """Class-respecting node relation -> relation on classes."""
-    reps = [m[0] for m in part.members]
-    return Relation(r.bits[np.ix_(reps, reps)])
-
-
-def lift_relation(part: ClassPartition, r_classes: Relation) -> Relation:
-    """Relation on classes -> node relation holding between all member pairs."""
-    if r_classes.n != part.count:
-        raise ValueError("relation size does not match class count")
-    cls = np.asarray(part.class_of)
-    return Relation(r_classes.bits[np.ix_(cls, cls)])

@@ -18,6 +18,8 @@ its classes, a minimum chain partition of the class order (which the quotient
 and the index use anyway), numbers the classes chain by chain, then checks the
 chain certificate of ``_certify`` in O(k^2 + k * q^2) on k classes and q
 chains, and that the relation is the lift of its class order in O(n^2).
+The helpers that only check the paper's lemmas on relations (union,
+refinement, transitive closure, antisymmetry, parsing) are in ``oracle``.
 """
 
 from __future__ import annotations
@@ -28,16 +30,16 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .chains import _chain_cover
 from .graph import AT, HASH, LabeledGraph
 
 # Relations are dense n*n matrices; past this the representation is the wrong tool.
 _DENSE_NODE_CAP = 1 << 16
 
-# Peak heap of a build per node pair, in bytes. tracemalloc read 6.1 n^2 on
+# Peak heap of a build per node pair, in bytes. tracemalloc read 5.2 n^2 on
 # the seeded de Bruijn graph at n = 1,182 (the certificate's row blocks still
-# hold whole matrices there), then 4.03 n^2 at n = 3,882 and 4.02 n^2 at
-# n = 7,524: the kernel's three n x n arrays plus its t x n label blocks, or
-# the certificate's three plus its fixed-size row blocks.
+# hold whole matrices there) and 3.65 n^2 at n = 3,882: the kernel's n x n
+# arrays plus its t x n label blocks, or the certificate's plus its row blocks.
 _PEAK_BYTES_PER_PAIR = 4
 
 # Cells in one block of the certificate's temporaries (4 MiB of bools), so no
@@ -49,7 +51,8 @@ _TILE = 256
 
 
 class Relation:
-    """Reflexive binary relation on 0..n-1 as a dense boolean matrix."""
+    """Reflexive binary relation on 0..n-1 as a dense boolean matrix. A read-only
+    input that owns its data is adopted; any other is copied."""
 
     __slots__ = ("n", "bits")
 
@@ -61,8 +64,9 @@ class Relation:
             raise ValueError(f"dense relations are capped at {_DENSE_NODE_CAP} nodes")
         if not bits.diagonal().all():
             raise ValueError("relation must be reflexive")
-        bits = bits.copy()
-        bits.setflags(write=False)
+        if bits.flags.writeable or bits.base is not None:
+            bits = bits.copy()
+            bits.setflags(write=False)
         object.__setattr__(self, "n", bits.shape[0])
         object.__setattr__(self, "bits", bits)
 
@@ -94,10 +98,6 @@ class Relation:
     def pair_count(self) -> int:
         return int(self.bits.sum())
 
-    def is_antisymmetric(self) -> bool:
-        both = self.bits & self.bits.T
-        return bool(both.sum() == self.n)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Relation) and np.array_equal(self.bits, other.bits)
 
@@ -124,8 +124,6 @@ class Preorder(Relation):
     __slots__ = ("_class_of", "_reps", "_order", "_ends")
 
     def __init__(self, bits: np.ndarray):
-        from .chains import _chain_cover  # chains imports this module
-
         super().__init__(bits)
         class_of, reps = _first_mutual_classes(self.bits)
         # When every class is one node, reps is arange(n) and bits is the order.
@@ -412,6 +410,7 @@ def max_colex_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorde
     bits = _unrelated_pairs(g, u_marked)
     np.logical_not(bits, out=bits)
     np.fill_diagonal(bits, True)
+    bits.setflags(write=False)  # fresh and dropped here, so the Preorder adopts it
     return Preorder(bits)
 
 
@@ -492,55 +491,6 @@ def first_axiom_violation(g: LabeledGraph, r: Relation,
     return None
 
 
-def is_colex_relation(g: LabeledGraph, r: Relation, u_marked: Iterable[int] = ()) -> bool:
-    return first_axiom_violation(g, r, u_marked) is None
-
-
-def transitive_closure(r: Relation) -> Preorder:
-    """Transitive closure by Warshall's algorithm on rows; co-lex in, co-lex out."""
-    bits = r.bits.copy()
-    for w in range(r.n):
-        bits[bits[:, w]] |= bits[w]
-    return Preorder(bits)
-
-
-def union(relations: Iterable[Relation]) -> Relation:
-    """Entrywise union; the union of co-lex relations is a co-lex relation."""
-    rels = list(relations)
-    if not rels:
-        raise ValueError("union of no relations")
-    n = rels[0].n
-    if any(r.n != n for r in rels):
-        raise ValueError("relations have mismatched sizes")
-    bits = np.zeros((n, n), dtype=bool)
-    for r in rels:
-        bits |= r.bits
-    return Relation(bits)
-
-
-def refines(r1: Relation, r2: Relation) -> bool:
-    """True when r2 is contained entrywise in r1."""
-    if r1.n != r2.n:
-        raise ValueError("relations have mismatched sizes")
-    return not bool((r2.bits & ~r1.bits).any())
-
-
 def dump_relation(r: Relation) -> str:
     """One line per strict pair ``u v``, sorted; the diagonal is implied."""
     return "".join(f"{u} {v}\n" for u, v in r.strict_pairs())
-
-
-def parse_relation(text: str, n: int) -> Relation:
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ValueError(f"line {lineno}: expected 'u v'")
-        u, v = int(parts[0]), int(parts[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"line {lineno}: node out of range")
-        pairs.append((u, v))
-    return Relation.from_pairs(n, pairs)

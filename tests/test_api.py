@@ -1,0 +1,52 @@
+"""The package's public names: what the benchmark imports, and what is not public."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import colexgraph
+from colexgraph import oracle
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+# Helpers that check the paper's lemmas; the build never calls them.
+LEMMA_HELPERS = ("union", "refines", "transitive_closure", "parse_relation",
+                 "is_colex_relation", "is_antisymmetric", "project_nodes", "lift_classes",
+                 "project_relation", "lift_relation")
+
+
+def _colexgraph_imports() -> list[tuple[str, str, str]]:
+    """(file, module, name) of every ``from colexgraph... import name`` in perfbench."""
+    found = []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            module = node.module if isinstance(node, ast.ImportFrom) else None
+            if module and module.split(".")[0] == "colexgraph":
+                found += [(path.name, module, alias.name) for alias in node.names]
+    return found
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    imports = _colexgraph_imports()
+    assert {module for _, module, _ in imports} >= {"colexgraph", "colexgraph.oracle"}
+    for file, module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{file}: {module} has no {name}"
+
+
+def test_every_public_name_resolves():
+    assert len(colexgraph.__all__) == len(set(colexgraph.__all__))
+    for name in colexgraph.__all__:
+        assert hasattr(colexgraph, name), name
+
+
+def test_lemma_helpers_live_in_the_oracle():
+    for name in LEMMA_HELPERS:
+        assert callable(getattr(oracle, name)), name
+        assert name not in colexgraph.__all__
+        assert not hasattr(colexgraph, name), name
+    assert not hasattr(colexgraph.Relation, "is_antisymmetric")
+
+
+def test_induced_order_is_gone():
+    assert not hasattr(colexgraph, "induced_order")
+    assert not hasattr(colexgraph.quotient, "induced_order")

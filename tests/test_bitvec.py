@@ -58,9 +58,9 @@ class TestPackedArray:
         width = max([width_for(max(values))] if values else [1]) + extra % 3
         width = min(width, 64)
         pa = PackedArray(width, values)
-        assert list(pa) == values
+        assert pa.to_list() == values
         again = PackedArray.from_words(width, len(values), pa.to_bytes())
-        assert list(again) == values
+        assert again.to_list() == values
         assert pa.payload_bits == width * len(values)
 
     @given(st.integers(1, 64), st.data())

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (Preorder, Relation, classes, induced_order, max_antichain,
-                        max_colex_relation, min_chain_partition, preorder_width,
-                        transitive_closure)
+from colexgraph import (Preorder, Relation, max_antichain, max_colex_relation,
+                        min_chain_partition, preorder_width)
 from colexgraph.chains import _chain_cover, _greedy_chains
 from colexgraph.oracle import (exhaustive_max_antichain, random_colex_relation,
-                               random_partial_order, random_trim_nfa)
+                               random_partial_order, random_trim_nfa, transitive_closure)
 from conftest import double_hub_graph, loop_branch_nfa, small_graphs
 
 
@@ -36,7 +35,7 @@ class TestMinChainPartition:
 
     def test_double_hub_quotient_is_one_chain(self):
         pre = max_colex_relation(double_hub_graph(4))
-        cp = min_chain_partition(induced_order(pre, classes(pre)))
+        cp = min_chain_partition(pre.class_order())
         assert cp.chain_count == 1
 
     def test_rejects_preorders_with_cycles(self):
@@ -195,7 +194,7 @@ class TestPreorderWidth:
         g = loop_branch_nfa().graph
         pre = max_colex_relation(g, {0})
         assert preorder_width(pre) == 2
-        cp = min_chain_partition(induced_order(pre, classes(pre)))
+        cp = min_chain_partition(pre.class_order())
         assert cp.chains == ((0, 1), (2,))
 
     @given(small_graphs())

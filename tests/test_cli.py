@@ -316,6 +316,15 @@ class TestVerify:
         assert captured.err.startswith("error: relation is not a co-lex relation")
         assert captured.err.count("\n") == 1
 
+    def test_empty_graph_checks_pass(self, tmp_path, capsys):
+        # build, query, stats and quotient accept a graph of no nodes; so does verify
+        empty = tmp_path / "empty.graph"
+        empty.write_text("nodes 0\n", encoding="utf-8")
+        assert main(["verify", str(empty)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-1] == "7/7 checks passed"
+
     def test_nfa_checks_pass(self, loop_file, capsys):
         assert main(["verify", loop_file]) == 0
         out = capsys.readouterr().out

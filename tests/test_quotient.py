@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from colexgraph import (ClassPartition, LabeledGraph, Nfa, Preorder, Relation, classes,
-                        induced_order, is_colex_relation, lambda_sets, lift_classes,
-                        lift_relation, max_colex_relation, min_chain_partition, preorder_width,
-                        project_nodes, project_relation, quotient_graph, quotient_nfa,
-                        transitive_closure)
-from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, is_convex, language_equiv,
-                               powerset, random_colex_relation, random_graph, random_trim_nfa)
+                        lambda_sets, max_colex_relation, min_chain_partition, preorder_width,
+                        quotient_graph, quotient_nfa)
+from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, is_colex_relation,
+                               is_convex, language_equiv, lift_classes, lift_relation,
+                               powerset, project_nodes, project_relation, random_colex_relation,
+                               random_graph, random_trim_nfa, transitive_closure)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 
@@ -72,30 +72,24 @@ class TestClasses:
 class TestInducedOrder:
     def test_identity(self):
         pre = Preorder(Relation.identity(3).bits)
-        assert induced_order(pre, classes(pre)) == Preorder(Relation.identity(3).bits)
+        assert pre.class_order() == Preorder(Relation.identity(3).bits)
 
     def test_double_hub_total_order(self):
         pre = max_colex_relation(double_hub_graph(2))
-        order = induced_order(pre, classes(pre))
+        order = pre.class_order()
         assert order.n == 2 and order.holds(0, 1) and not order.holds(1, 0)
         assert min_chain_partition(order).chain_count == 1
 
     def test_two_cycle_single_class(self):
         pre = max_colex_relation(two_cycle_graph())
-        order = induced_order(pre, classes(pre))
+        order = pre.class_order()
         assert order.n == 1 and preorder_width(pre) == 1
-
-    def test_rejects_foreign_partition(self):
-        pre = max_colex_relation(double_hub_graph(2))
-        other = classes(Preorder(Relation.identity(4).bits))
-        with pytest.raises(ValueError):
-            induced_order(pre, other)
 
     @given(small_graphs())
     @settings(max_examples=50, deadline=None)
     def test_width_equals_preorder_width(self, g):
         pre = max_colex_relation(g)
-        order = induced_order(pre, classes(pre))
+        order = pre.class_order()
         assert min_chain_partition(order).chain_count == preorder_width(pre)
 
 
@@ -266,7 +260,7 @@ class TestCorrespondences:
     def test_convex_bijection_round_trips(self, g):
         pre = max_colex_relation(g)
         part = classes(pre)
-        order = induced_order(pre, part)
+        order = pre.class_order()
         node_convex = enumerate_convex_sets(pre)
         class_convex = enumerate_convex_sets(order)
         assert len(node_convex) == len(class_convex)

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relation,
-                        dump_relation, first_axiom_violation, is_colex_relation, lambda_sets,
-                        max_colex_relation, min_colex_containing, parse_relation,
-                        preorder_width, refines, transitive_closure, union)
-from colexgraph.oracle import (gfp_max_relation, is_transitive, random_colex_relation,
-                               random_graph)
+                        dump_relation, first_axiom_violation, lambda_sets, max_colex_relation,
+                        min_colex_containing, preorder_width)
+from colexgraph.oracle import (gfp_max_relation, is_antisymmetric, is_colex_relation,
+                               is_transitive, parse_relation, random_colex_relation,
+                               random_graph, refines, transitive_closure, union)
 from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certify,
                                  _first_mutual_classes, _label_edges, _label_extremes)
 from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
@@ -33,6 +33,27 @@ class TestRelationType:
             r.n = 5
         with pytest.raises(ValueError):
             r.bits[0, 1] = True
+
+    def test_writeable_input_is_copied(self):
+        bits = np.eye(3, dtype=bool)
+        r = Relation(bits)
+        bits[0, 1] = True
+        assert not r.holds(0, 1) and not np.shares_memory(bits, r.bits)
+
+    def test_read_only_view_is_copied(self):
+        base = np.eye(4, dtype=bool)
+        view = base[:3, :3]
+        view.setflags(write=False)
+        r = Relation(view)
+        base[0, 1] = True
+        assert not r.holds(0, 1) and not np.shares_memory(base, r.bits)
+
+    def test_read_only_array_that_owns_its_data_is_adopted(self):
+        bits = np.eye(3, dtype=bool)
+        bits.setflags(write=False)
+        assert np.shares_memory(Relation(bits).bits, bits)
+        pre = Preorder(bits)
+        assert np.shares_memory(pre.bits, bits) and Relation(pre.bits).bits is bits
 
     def test_preorder_requires_transitive(self):
         bits = Relation.from_pairs(3, [(0, 1), (1, 2)]).bits
@@ -88,7 +109,7 @@ class TestTransitivityCertificate:
             want = is_transitive(Relation(bits))
             assert certified(bits) == want, bits.astype(int)
             verdicts[want] += 1
-            cyclic += want and not Relation(bits).is_antisymmetric()
+            cyclic += want and not is_antisymmetric(Relation(bits))
         assert min(verdicts.values()) >= 1500 and cyclic >= 500
 
     @pytest.mark.parametrize("chains", [((0,), (1,)), ((0,), (1,), (1, 2)), ((0,), (1,), (3,)),
@@ -375,7 +396,7 @@ class TestClosureUnionRefines:
         r2 = Relation.from_pairs(3, [(2, 1)])
         both = union([r1, r2])
         assert both.holds(1, 2) and both.holds(2, 1)
-        assert not both.is_antisymmetric()
+        assert not is_antisymmetric(both)
         assert is_colex_relation(g, both)
 
     def test_union_with_identity_is_absorbed(self):
