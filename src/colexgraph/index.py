@@ -9,20 +9,20 @@ that (symbol, source chain) pair, one per target chain; the reached positions
 on each chain are filled in to an interval, which is exact because images of
 convex sets are convex.
 
-The index is one fixed set of eight packed arrays, each at a bit width derived
-from the sizes: the chain ends, the class of every indexed node, the marked and
-the final class ids, and the edge store. The store holds the group keys
-``(target chain * sigma + symbol) * q + source chain`` in increasing order with
-each group's end offset, and the edges' target and source positions, group
-after group. The ``.clxi`` file holds the arrays' words as they are, so loading
-wraps them without unpacking or packing again (see docs/index-format.md).
+The index is one fixed set of eight integer arrays: the chain ends, the class
+of every indexed node, the marked and the final class ids, and the edge store.
+The store holds the group keys ``(target chain * sigma + symbol) * q + source
+chain`` in increasing order with each group's end offset, and the edges' target
+and source positions, group after group. An index holds each array once,
+decoded. Only the ``.clxi`` writer and reader know the packed layout: writing
+packs each array at a bit width derived from the sizes, and loading unpacks
+each array once (see docs/index-format.md).
 
-Loading derives a probe directory from the store: for each (symbol, source
-chain), each group's target chain, edge range, first and last source and first
-and last target. It also keeps the source and target positions that the load
-check decodes, as two u32 arrays in memory. A probe reads the directory and
-searches the decoded sources, with C ``bisect``, only where the interval cuts
-into the group's source range; the query path reads no packed array.
+The constructor checks the arrays and derives a probe directory from the
+store: for each (symbol, source chain), each group's target chain, edge range,
+first and last source and first and last target. The source and target
+positions are u32 arrays. A probe reads the directory and searches the sources,
+with C ``bisect``, only where the interval cuts into the group's source range.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
-from operator import ge
+from operator import ge, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitvec import BitVector, PackedArray, width_for
+from .bitvec import BitVector, width_for
 from .chains import ChainPartition
 from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
@@ -114,25 +114,48 @@ class SpaceReport:
 
 
 class _Arrays(NamedTuple):
-    """Every packed array of an index, in file order."""
+    """Every array of an index, in file order."""
 
-    chain_ends: PackedArray  # one past the last class id of each chain
-    class_map: PackedArray   # the class of each indexed node
-    marked: PackedArray      # marked class ids, increasing
-    keys: PackedArray        # group keys, increasing
-    ends: PackedArray        # end offset of each group's edges
-    targets: PackedArray     # edge target positions, group after group
-    sources: PackedArray     # edge source positions, group after group
-    finals: PackedArray      # final class ids, increasing
+    chain_ends: Sequence[int]  # one past the last class id of each chain
+    class_map: Sequence[int]   # the class of each indexed node
+    marked: Sequence[int]      # marked class ids, increasing
+    keys: Sequence[int]        # group keys, increasing
+    ends: Sequence[int]        # end offset of each group's edges
+    targets: Sequence[int]     # edge target positions, group after group
+    sources: Sequence[int]     # edge source positions, group after group
+    finals: Sequence[int]      # final class ids, increasing
 
 
 def _widths(sigma: int, q: int, n_classes: int, max_len: int, n_edges: int) -> tuple[int, ...]:
-    """Bit widths of the arrays, in file order. They follow from the sizes
-    alone, so the file stores none."""
+    """Bit widths of the arrays in a ``.clxi`` file, in file order. They
+    follow from the sizes alone, so the file stores none."""
     cls = width_for(max(n_classes - 1, 0))
     pos = width_for(max(max_len - 1, 0))
     return (width_for(n_classes), cls, cls, width_for(max(sigma * q * q - 1, 0)),
             width_for(n_edges), pos, pos, cls)
+
+
+def _pack(width: int, values: Sequence[int]) -> bytes:
+    """The values at ``width`` bits each, the first in the lowest bits, as whole
+    little-endian 64-bit words: one array of a ``.clxi`` file."""
+    if values and (min(values) < 0 or max(values) >= 1 << width):
+        bad = min(values) if min(values) < 0 else max(values)
+        raise ValueError(f"value {bad} does not fit in {width} bits")
+    # 64 values fill exactly ``width`` words, so each run of 64 is one int.
+    shifts = range(0, 64 * width, width)
+    raw = b"".join(sum(map(int.__lshift__, values[start:start + 64], shifts))
+                   .to_bytes(8 * width, "little") for start in range(0, len(values), 64))
+    return raw[:(width * len(values) + 63) // 64 * 8]
+
+
+def _unpack(width: int, length: int, raw: bytes | memoryview) -> list[int]:
+    """The ``length`` values that ``_pack(width, ...)`` wrote to ``raw``."""
+    mask = (1 << width) - 1
+    out: list[int] = []
+    for start in range(0, length, 64):
+        block = int.from_bytes(raw[start * width // 8:(start + 64) * width // 8], "little")
+        out += [(block >> k) & mask for k in range(0, width * min(64, length - start), width)]
+    return out
 
 
 def _require(ok: bool) -> None:
@@ -140,8 +163,7 @@ def _require(ok: bool) -> None:
         raise ValueError(_CORRUPT)
 
 
-def _increasing_ids(array: PackedArray, bound: int) -> frozenset[int]:
-    ids = array.to_list()
+def _increasing_ids(ids: Sequence[int], bound: int) -> frozenset[int]:
     _require(all(a < b for a, b in zip(ids, ids[1:])) and (not ids or ids[-1] < bound))
     return frozenset(ids)
 
@@ -166,8 +188,9 @@ def _check_monotone_groups(key: tuple[int, int, int], targets: Sequence[int],
 class Index:
     """Immutable query structure; all methods are safe for concurrent readers.
 
-    Built and loaded indexes alike are made from their packed arrays, and
-    every array is checked here, in one pass, before the index answers."""
+    Built and loaded indexes alike are made from their decoded arrays, which
+    the index holds once; every array is checked here, in one pass, before
+    the index answers."""
 
     def __init__(self, *, alphabet: Alphabet, n_original: int, e_original: int,
                  n_classes: int, arrays: _Arrays, has_finals: bool,
@@ -176,13 +199,12 @@ class Index:
         self.n_original = n_original
         self.e_original = e_original
         self.initial_class = initial_class
-        self._arrays = arrays
         # Chain j holds the classes offsets[j]..offsets[j+1].
-        offsets = [0, *arrays.chain_ends.to_list()]
+        offsets = [0, *arrays.chain_ends]
         _require(all(a <= b for a, b in zip(offsets, offsets[1:]))
                  and offsets[-1] == n_classes)
         # Every class has a member, which also bounds n_classes by the file size.
-        class_map = arrays.class_map.to_list()
+        class_map = arrays.class_map
         _require(len(class_map) <= n_original and len(set(class_map)) == n_classes
                  and max(class_map, default=-1) < n_classes)
         self.marked_classes = _increasing_ids(arrays.marked, n_classes)
@@ -197,12 +219,15 @@ class Index:
             members[cid].append(v)
         self.members = tuple(map(tuple, members))
         self._sigma = len(alphabet)
-        self._directory, self._sources, self._targets = self._check_store()
-        self.e_quotient = len(arrays.targets)
+        self._directory = self._check_store(arrays)
+        # The query step reads the positions as u32 arrays: 8 bytes per edge.
+        self._sources, self._targets = array("I", arrays.sources), array("I", arrays.targets)
+        self._arrays = arrays._replace(targets=self._targets, sources=self._sources)
+        self.e_quotient = len(self._targets)
         self._finals_bv = (BitVector(cid in self.finals for cid in range(n_classes))
                            if self.finals is not None else None)
 
-    def _check_store(self) -> tuple[list[dict[int, array]], array, array]:
+    def _check_store(self, a: _Arrays) -> list[dict[int, array]]:
         """Check the edge store: keys strictly increasing below sigma * q * q,
         ends strictly increasing up to the edge count (no group is empty), and
         every group monotone inside its chains.
@@ -211,12 +236,10 @@ class Index:
         symbol, a map from source chain i to one flat u32 array of _ENTRY ints
         per group of (symbol, i): the target chain j, the group's edge range
         [start, end), its first and last source and its first and last target.
-        It holds O(1) ints per group. Returns with it the decoded sources and
-        targets, as u32 arrays for the query step: 8 bytes per edge.
+        It holds O(1) ints per group.
         """
-        a, q, span = self._arrays, self.q, self._sigma * self.q
-        keys, ends = a.keys.to_list(), a.ends.to_list()
-        targets, sources = a.targets.to_list(), a.sources.to_list()
+        q, span = self.q, self._sigma * self.q
+        keys, ends, targets, sources = a.keys, a.ends, a.targets, a.sources
         if any(map(ge, keys, keys[1:])) or (keys and keys[-1] >= span * q):
             raise ValueError("group keys are not strictly increasing below sigma*q*q")
         if any(map(ge, [0, *ends], ends)) or (ends[-1] if ends else 0) != len(targets):
@@ -242,7 +265,7 @@ class Index:
         for pair, entries in by_pair.items():
             sym, i = divmod(pair, q)
             rows[sym][i] = entries
-        return rows, array("I", sources), array("I", targets)
+        return rows
 
     # Convex-set constructors ------------------------------------------------
 
@@ -272,11 +295,23 @@ class Index:
             intervals.append((lo, hi))
         return ConvexSet(tuple(intervals))
 
+    def _checked(self, s: ConvexSet) -> tuple[tuple[int, int], ...]:
+        """The set's intervals, each checked to lie on its chain: a set made
+        outside this index could otherwise reach other chains' classes."""
+        if len(s.intervals) != self.q:
+            raise ValueError("convex set does not match this index's chain count")
+        for j, ((lo, hi), start, end) in enumerate(
+                zip(s.intervals, self._offsets, self._offsets[1:])):
+            if not 0 <= lo <= hi <= end - start:
+                raise ValueError(f"interval ({lo}, {hi}) is not within 0..{end - start} "
+                                 f"on chain {j}")
+        return s.intervals
+
     def classes_in(self, s: ConvexSet) -> list[int]:
         """The set's class ids, increasing."""
         out = []
-        for (lo, hi), start, end in zip(s.intervals, self._offsets, self._offsets[1:]):
-            out.extend(range(start + lo, min(start + hi, end)))
+        for (lo, hi), start in zip(self._checked(s), self._offsets):
+            out.extend(range(start + lo, start + hi))
         return out
 
     # Queries ----------------------------------------------------------------
@@ -333,17 +368,19 @@ class Index:
 
     def follow(self, s: ConvexSet, a: str, stats: QueryStats | None = None) -> ConvexSet:
         """Classes reachable from ``s`` by one edge labeled ``a``, as intervals."""
-        if len(s.intervals) != self.q:
-            raise ValueError("convex set does not match this index's chain count")
-        out = self._step(s.intervals, self._symbol_id(a), stats)
+        out = self._step(self._checked(s), self._symbol_id(a), stats)
         return self.empty_set() if out is None else ConvexSet(tuple(out))
 
     def match_from(self, u: ConvexSet, pattern: Iterable[str],
                    stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Fold follow over the pattern starting at ``u``, which must be convex."""
+        self._checked(u)
+        return self._match(u, pattern, stats)
+
+    def _match(self, u: ConvexSet, pattern: Iterable[str],
+               stats: QueryStats | None) -> tuple[bool, ConvexSet]:
+        """match_from on a set that this index made, so its intervals are not checked."""
         syms = [self._symbol_id(a) for a in pattern]
-        if len(u.intervals) != self.q:
-            raise ValueError("convex set does not match this index's chain count")
         if not syms:
             return not u.is_empty(), u
         cur: Sequence[tuple[int, int]] | None = u.intervals
@@ -356,7 +393,7 @@ class Index:
     def match_pattern(self, pattern: Iterable[str],
                       stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Match starting anywhere: fold from the full (trivially convex) set."""
-        return self.match_from(self.full_set(), pattern, stats)
+        return self._match(self.full_set(), pattern, stats)
 
     @cached_property
     def _start_set(self) -> ConvexSet:
@@ -370,7 +407,7 @@ class Index:
         if self.initial_class not in self.marked_classes:
             raise ValueError("index was built without marking the initial state; "
                              "acceptance queries need the marker")
-        ok, end = self.match_from(self._start_set, alpha, stats)
+        ok, end = self._match(self._start_set, alpha, stats)
         if not ok:
             return False
         rank1 = self._finals_bv.rank1
@@ -386,18 +423,26 @@ class Index:
 
     # Accounting ---------------------------------------------------------------
 
+    def _array_widths(self) -> tuple[int, ...]:
+        """The bit width of each array in the ``.clxi`` file, in file order."""
+        max_len = max(map(sub, self._offsets[1:], self._offsets), default=0)
+        return _widths(self._sigma, self.q, self.n_classes, max_len, self.e_quotient)
+
     def space_report(self) -> SpaceReport:
-        a, finals = self._arrays, self._finals_bv
+        """The bits of the arrays as the ``.clxi`` file packs them, against the
+        paper's bound."""
+        bits = _Arrays(*map(mul, self._array_widths(), map(len, self._arrays)))
+        finals = self._finals_bv
         breakdown = {
-            "group_directory_bits": a.keys.payload_bits + a.ends.payload_bits,
-            "position_array_bits": a.targets.payload_bits + a.sources.payload_bits,
+            "group_directory_bits": bits.keys + bits.ends,
+            "position_array_bits": bits.targets + bits.sources,
             "boundary_bits": 0,  # the index holds no boundary vector
             "final_bits": finals.payload_bits if finals else 0,
         }
         measured = sum(breakdown.values())
         # Reported, not counted:
-        breakdown["chain_table_bits"] = a.chain_ends.payload_bits
-        breakdown["class_map_bits"] = a.class_map.payload_bits
+        breakdown["chain_table_bits"] = bits.chain_ends
+        breakdown["class_map_bits"] = bits.class_map
         breakdown["rank_directory_bits"] = finals.aux_bits if finals else 0
         per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
         formula = self.e_quotient * per_edge + self.n_classes
@@ -418,8 +463,8 @@ class Index:
             out += struct.pack("<H", len(raw)) + raw
         out += struct.pack(_COUNTS, len(a.class_map), len(a.marked), len(a.keys),
                            len(a.targets), len(a.finals))
-        for array in a:
-            out += array.to_bytes()
+        for width, values in zip(self._array_widths(), a):
+            out += _pack(width, values)
         if self.initial_class is not None:
             out += struct.pack("<I", self.initial_class)
         out += struct.pack("<I", zlib.crc32(out))
@@ -447,12 +492,12 @@ class Index:
             off += struct.calcsize(fmt)
             return vals
 
-        def packed(width: int, length: int) -> PackedArray:
+        def unpack(width: int, length: int) -> list[int]:
             nonlocal off
             size = (width * length + 63) // 64 * 8
-            _require(size <= len(view) - off)
+            _require(size <= len(view) - off)  # before a huge count is decoded
             off += size
-            return PackedArray.from_words(width, length, view[off - size:off])
+            return _unpack(width, length, view[off - size:off])
 
         magic, version, flags, n_original, e_original, n_classes, q, sigma = take(_HEADER)
         if magic != MAGIC:
@@ -466,13 +511,12 @@ class Index:
             (ln,) = take("<H")
             symbols.append(take(f"<{ln}s")[0].decode("utf-8"))
         n_nodes, n_marked, n_groups, n_edges, n_finals = take(_COUNTS)
-        chain_ends = packed(width_for(n_classes), q)
+        chain_ends = unpack(width_for(n_classes), q)
         # The position width needs the longest chain; the constructor checks the ends.
-        ends = chain_ends.to_list()
-        max_len = max((y - x for x, y in zip([0, *ends], ends)), default=0)
+        max_len = max(map(sub, chain_ends, [0, *chain_ends]), default=0)
         widths = _widths(sigma, q, n_classes, max_len, n_edges)[1:]
         counts = (n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
-        arrays = _Arrays(chain_ends, *(packed(w, n) for w, n in zip(widths, counts)))
+        arrays = _Arrays(chain_ends, *map(unpack, widths, counts))
         initial_class = take("<I")[0] if flags & _FLAG_INITIAL else None
         _require(off == len(view))  # no trailing bytes
         return cls(alphabet=Alphabet(tuple(symbols)), n_original=n_original,
@@ -507,15 +551,14 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
         groups.setdefault(key, []).append((cp.pos_in_chain[cv], cp.pos_in_chain[cu]))
     keys = sorted(groups)
     edges = [edge for key in keys for edge in sorted(groups[key])]
-    values = ([*accumulate(map(len, cp.chains))], qg.partition.class_of, sorted(qg.marked_classes),
-              keys, [*accumulate(len(groups[key]) for key in keys)],
-              [t for t, _ in edges], [s for _, s in edges], sorted(finals or ()))
-    widths = _widths(len(alphabet), q, n_classes, max(map(len, cp.chains), default=0),
-                     len(edges))
+    arrays = _Arrays([*accumulate(map(len, cp.chains))], qg.partition.class_of,
+                     sorted(qg.marked_classes), keys,
+                     [*accumulate(len(groups[key]) for key in keys)],
+                     [t for t, _ in edges], [s for _, s in edges], sorted(finals or ()))
     return Index(alphabet=alphabet,
                  n_original=qg.partition.n if n_original is None else n_original,
                  e_original=len(qg.graph.edges) if e_original is None else e_original,
-                 n_classes=n_classes, arrays=_Arrays(*map(PackedArray, widths, values)),
+                 n_classes=n_classes, arrays=arrays,
                  has_finals=finals is not None, initial_class=initial)
 
 

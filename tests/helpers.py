@@ -78,9 +78,9 @@ def v4_offsets(raw: bytes) -> dict:
     for name in ("n_nodes", "n_marked", "n_groups", "n_edges", "n_finals"):
         at[name] = off
         off += 4
-    for name, array in zip(_Arrays._fields, ix._arrays):
-        at[name] = (off, array.width)
-        off += (array.payload_bits + 63) // 64 * 8
+    for name, width, values in zip(_Arrays._fields, ix._array_widths(), ix._arrays):
+        at[name] = (off, width)
+        off += (width * len(values) + 63) // 64 * 8
     if ix.initial_class is not None:
         at["initial"] = off
         off += 4

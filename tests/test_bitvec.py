@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colexgraph.bitvec import BitVector, PackedArray, width_for
+from colexgraph.bitvec import BitVector, width_for
+from colexgraph.index import _pack, _unpack
 
 
 class TestBitVector:
@@ -52,30 +53,33 @@ class TestBitVector:
 
 
 class TestPackedArray:
+    """The packed arrays of a ``.clxi`` file, as ``index._pack`` writes them
+    and ``index._unpack`` reads them."""
+
     @given(st.integers(1, 17), st.lists(st.integers(0, 2**17 - 1), max_size=120))
     @settings(max_examples=80)
     def test_roundtrip_at_fitting_width(self, extra, values):
         width = max([width_for(max(values))] if values else [1]) + extra % 3
         width = min(width, 64)
-        pa = PackedArray(width, values)
-        assert pa.to_list() == values
-        again = PackedArray.from_words(width, len(values), pa.to_bytes())
-        assert again.to_list() == values
-        assert pa.payload_bits == width * len(values)
+        raw = _pack(width, values)
+        assert len(raw) == (width * len(values) + 63) // 64 * 8
+        assert _unpack(width, len(values), raw) == values
 
     @given(st.integers(1, 64), st.data())
     @settings(max_examples=80)
-    def test_to_list_matches_get(self, width, data):
+    def test_unpack_matches_one_value_at_a_time(self, width, data):
         # more than 64 values, so decoding runs over several blocks
         values = data.draw(st.lists(st.integers(0, 2**width - 1), max_size=200))
-        pa = PackedArray(width, values)
-        assert pa.to_list() == [pa.get(i) for i in range(len(values))] == values
+        raw = _pack(width, values)
+        bits, mask = int.from_bytes(raw, "little"), (1 << width) - 1
+        one_at_a_time = [(bits >> (i * width)) & mask for i in range(len(values))]
+        assert _unpack(width, len(values), raw) == one_at_a_time == values
 
     def test_rejects_oversized_values(self):
         with pytest.raises(ValueError, match="value 4 does not fit in 2 bits"):
-            PackedArray(2, [4])
+            _pack(2, [4])
         with pytest.raises(ValueError, match="value -1 does not fit in 3 bits"):
-            PackedArray(3, [1] * 70 + [-1])
+            _pack(3, [1] * 70 + [-1])
 
     @given(st.integers(1, 64), st.data())
     @settings(max_examples=60)
@@ -87,12 +91,12 @@ class TestPackedArray:
             words[w] |= np.uint64((v << off) & 0xFFFFFFFFFFFFFFFF)
             if off + width > 64:
                 words[w + 1] |= np.uint64(v >> (64 - off))
-        assert np.array_equal(PackedArray(width, values)._words, words)
+        used = (width * len(values) + 63) // 64
+        assert _pack(width, values) == words[:used].astype("<u8").tobytes()
 
     def test_word_boundary_crossing(self):
         values = [(1 << 13) - 1] * 40  # 13-bit values straddle 64-bit words
-        pa = PackedArray(13, values)
-        assert [pa.get(i) for i in range(40)] == values
+        assert _unpack(13, 40, _pack(13, values)) == values
 
 
 def test_width_for():

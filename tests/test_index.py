@@ -1,3 +1,4 @@
+import hashlib
 import random
 import struct
 import time
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 
 from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, QueryStats,
-                        build_index, build_nfa_index, run_pipeline)
+                        build_index, build_nfa_index, parse_input, run_pipeline)
 from colexgraph import index as index_module
 from colexgraph.graph import Alphabet
-from colexgraph.bitvec import BitVector, PackedArray
-from colexgraph.index import _Arrays, _widths, ceil_log2, parse_pattern
+from colexgraph.bitvec import BitVector
+from colexgraph.index import _Arrays, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
 from conftest import diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
@@ -28,12 +29,11 @@ def group_items(ix):
     """Each group as ((target chain, symbol, source chain), (targets, sources))."""
     a = ix._arrays
     span = len(ix.alphabet) * ix.q
-    targets, sources = a.targets.to_list(), a.sources.to_list()
     items, start = [], 0
-    for key, end in zip(a.keys.to_list(), a.ends.to_list()):
+    for key, end in zip(a.keys, a.ends):
         j, rest = divmod(key, span)
         items.append(((j, *divmod(rest, ix.q)),
-                      (tuple(targets[start:end]), tuple(sources[start:end]))))
+                      (tuple(a.targets[start:end]), tuple(a.sources[start:end]))))
         start = end
     return items
 
@@ -42,12 +42,10 @@ def one_chain_index(edges, length=2):
     """Index of a one-symbol graph whose classes 0 to length - 1 form one chain,
     with the given (target, source) positions as its only group, unchecked
     until built."""
-    values = ([length], list(range(length)), [], [0], [len(edges)],
-              [t for t, _ in edges], [s for _, s in edges], [])
-    widths = _widths(1, 1, length, length, len(edges))
+    arrays = _Arrays([length], list(range(length)), [], [0], [len(edges)],
+                     [t for t, _ in edges], [s for _, s in edges], [])
     return Index(alphabet=Alphabet(("a",)), n_original=length, e_original=len(edges),
-                 n_classes=length, arrays=_Arrays(*map(PackedArray, widths, values)),
-                 has_finals=False, initial_class=None)
+                 n_classes=length, arrays=arrays, has_finals=False, initial_class=None)
 
 
 class TestBuildLayout:
@@ -90,26 +88,33 @@ class TestBuildLayout:
         edges += [(0, k + 1, symbols[31 - k]) for k in range(16)]
         wide = Nfa(LabeledGraph.build(17, edges, symbols), 0, frozenset(range(1, 17)))
         made = Counter()
-        for cls, name in ((PackedArray, "__init__"), (BitVector, "__init__")):
-            def counted(self, *args, _real=getattr(cls, name), _cls=cls):
-                made[_cls] += 1
-                _real(self, *args)
-            monkeypatch.setattr(cls, name, counted)
-        from_words = PackedArray.from_words
+        for name in ("_pack", "_unpack"):
+            def counted(*args, _real=getattr(index_module, name), _name=name):
+                made[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(index_module, name, counted)
+        real_bv = BitVector.__init__
 
-        def wrapped(width, length, words):
-            made["wrapped"] += 1
-            return from_words(width, length, words)
-        monkeypatch.setattr(PackedArray, "from_words", wrapped)
+        def counted_bv(self, bits):
+            made["BitVector"] += 1
+            real_bv(self, bits)
+        monkeypatch.setattr(BitVector, "__init__", counted_bv)
         counts = {}
         for nfa in (funnel_nfa(2), wide):
             qn, cp = nfa_pipeline(nfa)
             made.clear()
+            stages = []
             ix = build_nfa_index(qn, cp)
-            Index.from_bytes(ix.to_bytes())
-            counts[ix.q > 1] = (made[PackedArray], made["wrapped"], made[BitVector])
+            stages.append((made["_pack"], made["_unpack"], made["BitVector"]))
+            raw = ix.to_bytes()
+            stages.append((made["_pack"], made["_unpack"], made["BitVector"]))
+            Index.from_bytes(raw)
+            stages.append((made["_pack"], made["_unpack"], made["BitVector"]))
+            counts[ix.q > 1] = stages
             assert ix.q in (1, 16) and ix.accept([symbols[0]] if ix.q > 1 else ["a", "a"])
-        assert counts[True] == counts[False] == (8, 8, 2)  # one finals vector per index
+        # a build packs nothing, a save packs 8 arrays and a load unpacks 8;
+        # one finals vector per index
+        assert counts[True] == counts[False] == [(0, 0, 1), (8, 0, 1), (8, 8, 2)]
 
     def test_partition_must_match_order(self):
         qg, cp = quotient_pipeline(double_hub_graph(2))
@@ -173,6 +178,23 @@ class TestFollow:
             for pattern in ([], ["a"]):
                 with pytest.raises(ValueError, match="chain count"):
                     ix.match_from(ConvexSet(((0, 1),) * q), pattern)
+
+    def test_rejects_intervals_outside_their_chain(self):
+        ix = run_pipeline(parse_input("nodes 4\n0 1 a\n1 2 b\n2 3 a\n")).index()
+        assert ix.q == 1 and ix.n_classes == 4
+        # a negative start would read class -1, the last class, and its node
+        with pytest.raises(ValueError, match=r"\(-1, 1\) is not within 0..4 on chain 0"):
+            ix.classes_in(ConvexSet(((-1, 1),)))
+        with pytest.raises(ValueError, match="not within"):
+            ix.map_back(ConvexSet(((-1, 1),)))
+        # an empty pattern would match this set
+        with pytest.raises(ValueError, match="not within"):
+            ix.match_from(ConvexSet(((-3, -1),)), [])
+        for bad in ((0, 5), (3, 2)):
+            with pytest.raises(ValueError, match="not within"):
+                ix.follow(ConvexSet((bad,)), "a")
+        assert ix.classes_in(ConvexSet(((4, 4),))) == []
+        assert ix.follow(ConvexSet(((0, 4),)), "a") == ix.follow(ix.full_set(), "a")
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
@@ -459,13 +481,13 @@ class TestBackendsAndSerialization:
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_nfa_index(qn, cp).to_bytes()
         at = v4_offsets(raw)
-        wrapped_bits = []  # of every packed array a load wraps
-        from_words = PackedArray.from_words
+        unpacked_bits = []  # of every packed array a load unpacks
+        real = index_module._unpack
 
-        def spy(width, length, words):
-            wrapped_bits.append(width * length)
-            return from_words(width, length, words)
-        monkeypatch.setattr(PackedArray, "from_words", spy)
+        def spy(width, length, raw):
+            unpacked_bits.append(width * length)
+            return real(width, length, raw)
+        monkeypatch.setattr(index_module, "_unpack", spy)
         # chains (0, 1) and (2,), so chain ends [2, 3]; classes {0}, {2}, {1},
         # so the class map is [0, 2, 1]; 0 marked, 1 and 2 final; keys [1, 3, 4]
         # are the groups (a, 1) and (b, 1) of chain 0 and (a, 0) of chain 1,
@@ -497,7 +519,7 @@ class TestBackendsAndSerialization:
                 put_packed(bad, field, fmt, value)
             with pytest.raises(ValueError, match=error):
                 Index.from_bytes(reseal(bad))
-        assert max(wrapped_bits) <= 8 * len(raw)  # huge counts were refused first
+        assert max(unpacked_bits) <= 8 * len(raw)  # huge counts were refused first
         # a key at sigma * q * q: one symbol on one chain leaves the 1-bit key room
         hub, _, _ = build_from(double_hub_graph(3))
         hub_raw = hub.to_bytes()
@@ -519,6 +541,32 @@ class TestBackendsAndSerialization:
         put_packed(bad, v4_offsets(diamond_raw)["sources"], 3, 0)
         with pytest.raises(ValueError, match=r"group \(0, 3, 0\) breaks source monotonicity"):
             Index.from_bytes(reseal(bad))
+
+    def test_clxi_bytes_are_pinned(self):
+        """The sha256 of two ``.clxi`` files, so that any change to the bytes
+        an input is written as shows here."""
+        auto = "alphabet a b\nnodes 3\n0 1 a\n1 0 a\n1 2 b\ninitial 0\nfinal 1 2\n"
+        # the 12-node de Bruijn graph of ACGTTGCAAGGCTTAC at k = 2
+        wheeler = ("alphabet A C G T\nnodes 12\n0 1 G\n0 6 A\n1 2 T\n2 3 T\n3 4 G\n"
+                   "3 11 A\n4 5 C\n5 6 A\n5 10 T\n6 0 C\n6 7 A\n7 8 G\n8 9 G\n"
+                   "9 5 C\n10 3 T\n11 0 C\n")
+        pinned = [
+            (auto, True, "aa1fc0c685818458fdfddfadf6ba1cbcb5c27ae830ce99284de73512f3165687"),
+            (wheeler, False, "0fa1979a8f31ec56f127ebd7d4812585d59dd503a709c4167a9e0c5ce314b23f"),
+        ]
+        for text, mark, digest in pinned:
+            raw = run_pipeline(parse_input(text), mark).index().to_bytes()
+            assert hashlib.sha256(raw).hexdigest() == digest
+
+    def test_built_and_loaded_agree(self, graph_corpus):
+        """The space report comes from the file widths, so a built index and
+        its reloaded copy report the same bits and write the same bytes."""
+        for g in graph_corpus:
+            built = run_pipeline(g).index()
+            raw = built.to_bytes()
+            loaded = Index.from_bytes(raw)
+            assert loaded.to_bytes() == raw
+            assert loaded.space_report() == built.space_report()
 
     def test_trailing_bytes_rejected(self):
         ix, _, _ = build_from(double_hub_graph(2))
@@ -542,15 +590,25 @@ class TestBackendsAndSerialization:
                     Index.from_bytes(bad)
                 assert time.perf_counter() - t0 < 1.0
 
-    def test_load_wraps_the_stored_words(self, monkeypatch):
+    def test_load_unpacks_each_array_once(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
         ix = build_nfa_index(qn, cp)
         raw = ix.to_bytes()
+        unpacked = []
+        real = index_module._unpack
 
-        def refuse(*args, **kwargs):
+        def spy(width, length, words):
+            unpacked.append(length)
+            return real(width, length, words)
+
+        def refuse(*args):
             raise AssertionError("loading packed an array")
-        monkeypatch.setattr(PackedArray, "__init__", refuse)
-        again = Index.from_bytes(raw)
+        with monkeypatch.context() as patch:
+            patch.setattr(index_module, "_unpack", spy)
+            patch.setattr(index_module, "_pack", refuse)
+            again = Index.from_bytes(raw)
+        assert unpacked == [len(values) for values in ix._arrays]
+        assert list(map(list, again._arrays)) == list(map(list, ix._arrays))
         assert again.to_bytes() == raw
         assert again.space_report() == ix.space_report()
         for s in ([], ["a"], ["a", "b"], ["a", "a", "b"]):
