@@ -23,6 +23,8 @@ store: for each (symbol, source chain), each group's target chain, edge range,
 first and last source and first and last target. The source and target
 positions are u32 arrays. A probe reads the directory and searches the sources,
 with C ``bisect``, only where the interval cuts into the group's source range.
+``accept`` counts the finals of each end interval with two bisections of the
+final class ids.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from itertools import accumulate
 from operator import ge, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .bitvec import BitVector, width_for
 from .chains import ChainPartition
 from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
@@ -124,6 +125,11 @@ class _Arrays(NamedTuple):
     targets: Sequence[int]     # edge target positions, group after group
     sources: Sequence[int]     # edge source positions, group after group
     finals: Sequence[int]      # final class ids, increasing
+
+
+def width_for(max_value: int) -> int:
+    """Bit width needed to store values in 0..max_value (at least 1)."""
+    return max(1, int(max_value).bit_length())
 
 
 def _widths(sigma: int, q: int, n_classes: int, max_len: int, n_edges: int) -> tuple[int, ...]:
@@ -224,19 +230,17 @@ class Index:
         self._sources, self._targets = array("I", arrays.sources), array("I", arrays.targets)
         self._arrays = arrays._replace(targets=self._targets, sources=self._sources)
         self.e_quotient = len(self._targets)
-        self._finals_bv = (BitVector(cid in self.finals for cid in range(n_classes))
-                           if self.finals is not None else None)
 
     def _check_store(self, a: _Arrays) -> list[dict[int, array]]:
         """Check the edge store: keys strictly increasing below sigma * q * q,
         ends strictly increasing up to the edge count (no group is empty), and
         every group monotone inside its chains.
 
-        Returns the probe directory, derived like the rank directory: for each
-        symbol, a map from source chain i to one flat u32 array of _ENTRY ints
-        per group of (symbol, i): the target chain j, the group's edge range
-        [start, end), its first and last source and its first and last target.
-        It holds O(1) ints per group.
+        Returns the probe directory: for each symbol, a map from source chain
+        i to one flat u32 array of _ENTRY ints per group of (symbol, i): the
+        target chain j, the group's edge range [start, end), its first and
+        last source and its first and last target. It holds O(1) ints per
+        group.
         """
         q, span = self.q, self._sigma * self.q
         keys, ends, targets, sources = a.keys, a.ends, a.targets, a.sources
@@ -401,8 +405,11 @@ class Index:
         return self.set_for_classes([self.initial_class])
 
     def accept(self, alpha: Iterable[str], stats: QueryStats | None = None) -> bool:
-        """Language membership: match from the initial class, then hit a final."""
-        if self.initial_class is None or self._finals_bv is None:
+        """Language membership: match from the initial class, then hit a final.
+
+        An end interval holds a final when the sorted final ids have one in
+        ``[off + lo, off + hi)``, that is, two ``bisect_left`` calls differ."""
+        if self.initial_class is None or self.finals is None:
             raise ValueError("index lacks automaton data (build with finals and an initial state)")
         if self.initial_class not in self.marked_classes:
             raise ValueError("index was built without marking the initial state; "
@@ -410,8 +417,8 @@ class Index:
         ok, end = self._match(self._start_set, alpha, stats)
         if not ok:
             return False
-        rank1 = self._finals_bv.rank1
-        return any(lo < hi and rank1(off + hi) - rank1(off + lo) > 0
+        finals = self._arrays.finals
+        return any(lo < hi and bisect_left(finals, off + lo) < bisect_left(finals, off + hi)
                    for (lo, hi), off in zip(end.intervals, self._offsets))
 
     def map_back(self, s: ConvexSet) -> frozenset[int]:
@@ -432,21 +439,21 @@ class Index:
         """The bits of the arrays as the ``.clxi`` file packs them, against the
         paper's bound."""
         bits = _Arrays(*map(mul, self._array_widths(), map(len, self._arrays)))
-        finals = self._finals_bv
         breakdown = {
             "group_directory_bits": bits.keys + bits.ends,
             "position_array_bits": bits.targets + bits.sources,
             "boundary_bits": 0,  # the index holds no boundary vector
-            "final_bits": finals.payload_bits if finals else 0,
+            "final_bits": bits.finals,
         }
         measured = sum(breakdown.values())
         # Reported, not counted:
         breakdown["chain_table_bits"] = bits.chain_ends
         breakdown["class_map_bits"] = bits.class_map
-        breakdown["rank_directory_bits"] = finals.aux_bits if finals else 0
+        breakdown["marked_bits"] = bits.marked
+        breakdown["rank_directory_bits"] = 0  # the index holds no rank directory
         per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
         formula = self.e_quotient * per_edge + self.n_classes
-        if finals is not None:
+        if self.finals is not None:
             formula += self.n_classes
         return SpaceReport(measured, formula, breakdown)
 
@@ -460,6 +467,9 @@ class Index:
                                     self.e_original, self.n_classes, self.q, self._sigma))
         for sym in self.alphabet.symbols:
             raw = sym.encode("utf-8")
+            if len(raw) > 0xFFFF:
+                raise ValueError(f"symbol of {len(raw)} UTF-8 bytes is over the index "
+                                 "format's limit of 65535")
             out += struct.pack("<H", len(raw)) + raw
         out += struct.pack(_COUNTS, len(a.class_map), len(a.marked), len(a.keys),
                            len(a.targets), len(a.finals))
@@ -471,8 +481,9 @@ class Index:
         return bytes(out)
 
     def save(self, path) -> None:
+        raw = self.to_bytes()  # before the file is opened, so a refusal leaves none
         with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
+            fh.write(raw)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Index":
@@ -505,6 +516,7 @@ class Index:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported index format version {version}")
         _require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
+        _require(not flags & ~(_FLAG_FINALS | _FLAG_INITIAL))
         view = view[:-4]
         symbols = []
         for _ in range(sigma):

@@ -96,6 +96,19 @@ sys.exit(status)
                                "16.0 GiB, above the 1.0 GiB address-space limit\n")
         assert float(proc.stdout) < 1.0  # seconds in main: parse, then refuse
 
+    def test_symbol_over_the_format_limit_is_a_one_line_error(self, tmp_path, capsys):
+        # the alphabet table stores each symbol's UTF-8 length as a u16
+        graph, out = tmp_path / "long.graph", tmp_path / "long.clxi"
+        graph.write_text("nodes 2\n0 1 " + "x" * 70_000 + "\n", encoding="utf-8")
+        assert main(["build", str(graph), "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: symbol of 70000 UTF-8 bytes is over the index format's "
+                       "limit of 65535\n")
+        assert not out.exists()
+        graph.write_text("nodes 2\n0 1 " + "x" * 65_535 + "\n", encoding="utf-8")
+        assert main(["build", str(graph), "-o", str(out)]) == 0
+        assert Index.load(str(out)).alphabet.symbols == ("x" * 65_535,)
+
     def test_querying_a_non_index_file_is_an_error(self, hub_file, capsys):
         assert main(["query", hub_file, "a"]) == 2
         assert "error" in capsys.readouterr().err

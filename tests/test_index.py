@@ -3,6 +3,7 @@ import random
 import struct
 import time
 from collections import Counter
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, QueryStats,
                         build_index, build_nfa_index, parse_input, run_pipeline)
 from colexgraph import index as index_module
-from colexgraph.graph import Alphabet
-from colexgraph.bitvec import BitVector
+from colexgraph.cli import main
+from colexgraph.graph import Alphabet, parse_nfa
 from colexgraph.index import _Arrays, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
@@ -75,10 +76,11 @@ class TestBuildLayout:
         parts = ix.space_report().breakdown
         assert parts["boundary_bits"] == 0
         # 3 keys of width(2*2*2 - 1) and 3 ends of width(3); 2 * 3 positions
-        # of width(2 - 1); one final bit per class
+        # of width(2 - 1); 2 final ids of width(3 - 1), as the file packs them
         assert (parts["group_directory_bits"], parts["position_array_bits"],
-                parts["final_bits"]) == (3 * 3 + 3 * 2, 2 * 3, 3)
-        assert ix.space_report().measured_bits == 24
+                parts["final_bits"]) == (3 * 3 + 3 * 2, 2 * 3, 2 * 2)
+        assert parts["rank_directory_bits"] == 0
+        assert ix.space_report().measured_bits == 25
 
     def test_array_count_does_not_grow_with_q(self, monkeypatch):
         symbols = [f"s{k:02d}" for k in range(32)]
@@ -93,28 +95,21 @@ class TestBuildLayout:
                 made[_name] += 1
                 return _real(*args)
             monkeypatch.setattr(index_module, name, counted)
-        real_bv = BitVector.__init__
-
-        def counted_bv(self, bits):
-            made["BitVector"] += 1
-            real_bv(self, bits)
-        monkeypatch.setattr(BitVector, "__init__", counted_bv)
         counts = {}
         for nfa in (funnel_nfa(2), wide):
             qn, cp = nfa_pipeline(nfa)
             made.clear()
             stages = []
             ix = build_nfa_index(qn, cp)
-            stages.append((made["_pack"], made["_unpack"], made["BitVector"]))
+            stages.append((made["_pack"], made["_unpack"]))
             raw = ix.to_bytes()
-            stages.append((made["_pack"], made["_unpack"], made["BitVector"]))
+            stages.append((made["_pack"], made["_unpack"]))
             Index.from_bytes(raw)
-            stages.append((made["_pack"], made["_unpack"], made["BitVector"]))
+            stages.append((made["_pack"], made["_unpack"]))
             counts[ix.q > 1] = stages
             assert ix.q in (1, 16) and ix.accept([symbols[0]] if ix.q > 1 else ["a", "a"])
-        # a build packs nothing, a save packs 8 arrays and a load unpacks 8;
-        # one finals vector per index
-        assert counts[True] == counts[False] == [(0, 0, 1), (8, 0, 1), (8, 8, 2)]
+        # a build packs nothing, a save packs 8 arrays and a load unpacks 8
+        assert counts[True] == counts[False] == [(0, 0), (8, 0), (8, 8)]
 
     def test_partition_must_match_order(self):
         qg, cp = quotient_pipeline(double_hub_graph(2))
@@ -380,6 +375,23 @@ class TestAccept:
             for s in enumerate_strings(nfa.graph.alphabet.symbols, 4):
                 assert ix.accept(s) == simulate_nfa(nfa, s)
 
+    def test_finals_at_the_ends_of_a_later_chain(self):
+        """Chain 1 is classes 1 to 3, with finals at its first and last
+        position and none between them or on chain 0: where an off-by-one in
+        counting the finals of an end interval, or a missing chain offset,
+        would show."""
+        nfa = parse_nfa("alphabet a b\nnodes 4\n0 1 b\n1 0 b\n1 2 a\n2 1 b\n2 2 a\n"
+                        "2 3 a\n3 3 a\ninitial 0\nfinal 1 3\n")
+        qn, cp = nfa_pipeline(nfa)
+        built = build_nfa_index(qn, cp)
+        assert built._offsets == [0, 1, 4] and list(built._arrays.finals) == [1, 3]
+        for ix in (built, Index.from_bytes(built.to_bytes())):
+            answers = Counter()
+            for s in enumerate_strings(nfa.graph.alphabet.symbols, 4):
+                answers[ix.accept(s)] += 1
+                assert ix.accept(s) == simulate_nfa(nfa, s)
+            assert answers[True] > 0 and answers[False] > 0
+
 
 class TestMapBack:
     def test_empty(self):
@@ -430,6 +442,22 @@ class TestSpaceReport:
         ix = build_nfa_index(qn, cp)
         # 3 edges * (1 + 1 + 2) + 3 + 3
         assert ix.space_report().formula_bits == 18
+
+    def test_breakdown_counts_every_array_at_its_file_width(self):
+        """The array entries of the breakdown add up to the eight arrays'
+        width times length, on a graph index and on an automaton index."""
+        qn, cp = nfa_pipeline(diamond_nfa())
+        graph_ix = build_from(seeded_debruijn(11, 300, 4)[1])[0]
+        for ix in (graph_ix, build_nfa_index(qn, cp)):
+            parts = dict(ix.space_report().breakdown)
+            assert (parts.pop("boundary_bits"), parts.pop("rank_directory_bits")) == (0, 0)
+            assert set(parts) == {"group_directory_bits", "position_array_bits", "final_bits",
+                                  "chain_table_bits", "class_map_bits", "marked_bits"}
+            widths = ix._array_widths()
+            assert sum(parts.values()) == sum(map(mul, widths, map(len, ix._arrays)))
+            # marked: none on the graph, the initial state's class on the automaton
+            assert len(ix._arrays.marked) == (ix.finals is not None)
+            assert parts["marked_bits"] == widths[2] * len(ix._arrays.marked)
 
     def test_ceil_log2(self):
         assert [ceil_log2(x) for x in (0, 1, 2, 3, 4, 5)] == [0, 0, 1, 2, 2, 3]
@@ -567,6 +595,22 @@ class TestBackendsAndSerialization:
             loaded = Index.from_bytes(raw)
             assert loaded.to_bytes() == raw
             assert loaded.space_report() == built.space_report()
+
+    def test_unknown_flag_bits_rejected(self, tmp_path, capsys):
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        raw = build_nfa_index(qn, cp).to_bytes()
+        (flags,) = struct.unpack_from("<H", raw, 6)
+        assert flags == 3  # finals and initial
+        for bit in range(2, 16):
+            bad = bytearray(raw)
+            struct.pack_into("<H", bad, 6, flags | 1 << bit)
+            with pytest.raises(ValueError, match="corrupt"):
+                Index.from_bytes(reseal(bad))
+            if bit == 2:
+                path = tmp_path / "flags.clxi"
+                path.write_bytes(reseal(bad))
+                assert main(["accept", str(path), "ab"]) == 2
+                assert capsys.readouterr().err == "error: truncated or corrupt index file\n"
 
     def test_trailing_bytes_rejected(self):
         ix, _, _ = build_from(double_hub_graph(2))

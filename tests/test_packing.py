@@ -3,53 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colexgraph.bitvec import BitVector, width_for
-from colexgraph.index import _pack, _unpack
-
-
-class TestBitVector:
-    @given(st.lists(st.integers(0, 1), max_size=300))
-    @settings(max_examples=80)
-    def test_rank_matches_prefix_sums(self, bits):
-        bv = BitVector(bits)
-        assert len(bv) == len(bits)
-        for i in range(len(bits) + 1):
-            assert bv.rank1(i) == sum(bits[:i])
-
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=300))
-    @settings(max_examples=80)
-    def test_select_inverts_rank(self, bits):
-        bv = BitVector(bits)
-        positions = [i for i, b in enumerate(bits) if b]
-        assert bv.ones == len(positions)
-        for k, pos in enumerate(positions):
-            assert bv.select1(k) == pos
-            assert bv.rank1(pos) == k
-
-    @given(st.lists(st.booleans(), max_size=300))
-    @settings(max_examples=60)
-    def test_words_and_directory_match_a_bit_loop(self, bits):
-        words = np.zeros(len(bits) // 64 + 1, dtype=np.uint64)
-        for i, b in enumerate(bits):
-            if b:
-                words[i >> 6] |= np.uint64(1) << np.uint64(i & 63)
-        ranks = np.concatenate(([0], np.cumsum([int(w).bit_count() for w in words])))
-        bv = BitVector(bits)
-        assert np.array_equal(bv._words, words) and np.array_equal(bv._ranks, ranks)
-
-    def test_bounds(self):
-        bv = BitVector([1, 0, 1])
-        with pytest.raises(IndexError):
-            bv.rank1(4)
-        with pytest.raises(IndexError):
-            bv.select1(2)
-        with pytest.raises(IndexError):
-            bv[3]
-
-    def test_payload_counts_raw_bits_only(self):
-        bv = BitVector([0] * 130)
-        assert bv.payload_bits == 130
-        assert bv.aux_bits > 0
+from colexgraph.index import _pack, _unpack, width_for
 
 
 class TestPackedArray:
