@@ -19,12 +19,15 @@ packs each array at a bit width derived from the sizes, and loading unpacks
 each array once (see docs/index-format.md).
 
 The constructor checks the arrays and derives a probe directory from the
-store: for each (symbol, source chain), each group's target chain, edge range,
-first and last source and first and last target. The source and target
-positions are u32 arrays. A probe reads the directory and searches the sources,
-with C ``bisect``, only where the interval cuts into the group's source range.
-``accept`` counts the finals of each end interval with two bisections of the
-final class ids.
+store: for each (symbol, source chain) pair, the lowest first source and the
+highest last source of its groups, then each group's target chain, first and
+last target and group number. The group ends and the source and target
+positions are u32 arrays. An interval that covers the pair's whole source
+range takes the pair's image from the directory alone; otherwise each group is
+probed on its own, and the sources are searched, with C ``bisect``, only where
+the interval cuts into the group's source range. Queries fold over the
+non-empty intervals only, as ``(chain, lo, hi)`` triples. ``accept`` counts the
+finals of each end interval with two bisections of the final class ids.
 """
 
 from __future__ import annotations
@@ -34,10 +37,9 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import accumulate
 from operator import ge, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .chains import ChainPartition
 from .graph import MARKERS, Alphabet
@@ -51,7 +53,6 @@ _COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
 _FLAG_FINALS = 1
 _FLAG_INITIAL = 2
 _CORRUPT = "truncated or corrupt index file"
-_ENTRY = 7  # ints per probe-directory entry
 
 
 class PatternError(ValueError):
@@ -164,14 +165,19 @@ def _unpack(width: int, length: int, raw: bytes | memoryview) -> list[int]:
     return out
 
 
+def _refuse(symbol: str) -> NoReturn:
+    if symbol in MARKERS:
+        raise PatternError(f"marker {symbol!r} cannot appear in a pattern")
+    raise PatternError(f"unknown symbol {symbol!r}")
+
+
 def _require(ok: bool) -> None:
     if not ok:
         raise ValueError(_CORRUPT)
 
 
-def _increasing_ids(ids: Sequence[int], bound: int) -> frozenset[int]:
+def _require_increasing_ids(ids: Sequence[int], bound: int) -> None:
     _require(all(a < b for a, b in zip(ids, ids[1:])) and (not ids or ids[-1] < bound))
-    return frozenset(ids)
 
 
 def _check_monotone_groups(key: tuple[int, int, int], targets: Sequence[int],
@@ -213,10 +219,11 @@ class Index:
         class_map = arrays.class_map
         _require(len(class_map) <= n_original and len(set(class_map)) == n_classes
                  and max(class_map, default=-1) < n_classes)
-        self.marked_classes = _increasing_ids(arrays.marked, n_classes)
+        _require_increasing_ids(arrays.marked, n_classes)
+        _require_increasing_ids(arrays.finals, n_classes)
         _require(has_finals or len(arrays.finals) == 0)
-        self.finals = _increasing_ids(arrays.finals, n_classes) if has_finals else None
-        _require(initial_class is None or initial_class < n_classes)
+        self.finals = arrays.finals if has_finals else None
+        _require(initial_class is None or 0 <= initial_class < n_classes)
         self.q = len(offsets) - 1
         self.n_classes = n_classes
         self._offsets = offsets
@@ -225,11 +232,28 @@ class Index:
             members[cid].append(v)
         self.members = tuple(map(tuple, members))
         self._sigma = len(alphabet)
+        self._symbol_index = {a: k for k, a in enumerate(alphabet.symbols)}
         self._directory = self._check_store(arrays)
-        # The query step reads the positions as u32 arrays: 8 bytes per edge.
+        # The query step reads the ends and positions as u32 arrays.
         self._sources, self._targets = array("I", arrays.sources), array("I", arrays.targets)
-        self._arrays = arrays._replace(targets=self._targets, sources=self._sources)
+        self._ends = array("I", arrays.ends)
+        self._arrays = arrays._replace(ends=self._ends, targets=self._targets,
+                                       sources=self._sources)
         self.e_quotient = len(self._targets)
+        # accept's refusal, if any, and its start: the initial class as a triple
+        self._accept_error: str | None = None
+        self._start: tuple[tuple[int, int, int], ...] = ()
+        if initial_class is None or not has_finals:
+            self._accept_error = ("index lacks automaton data (build with finals and an "
+                                  "initial state)")
+        else:
+            marked = arrays.marked
+            k = bisect_left(marked, initial_class)
+            if k == len(marked) or marked[k] != initial_class:
+                self._accept_error = ("index was built without marking the initial state; "
+                                      "acceptance queries need the marker")
+            j = bisect_right(offsets, initial_class) - 1
+            self._start = ((j, initial_class - offsets[j], initial_class - offsets[j] + 1),)
 
     def _check_store(self, a: _Arrays) -> list[dict[int, array]]:
         """Check the edge store: keys strictly increasing below sigma * q * q,
@@ -237,10 +261,11 @@ class Index:
         every group monotone inside its chains.
 
         Returns the probe directory: for each symbol, a map from source chain
-        i to one flat u32 array of _ENTRY ints per group of (symbol, i): the
-        target chain j, the group's edge range [start, end), its first and
-        last source and its first and last target. It holds O(1) ints per
-        group.
+        i to one flat u32 array for the pair (symbol, i). The array starts
+        with the lowest first source and the highest last source of the
+        pair's groups; then come four ints per group, in target chain order:
+        the target chain j, the group's first and last target, and the group
+        number, which indexes the ends. It holds O(1) ints per group.
         """
         q, span = self.q, self._sigma * self.q
         keys, ends, targets, sources = a.keys, a.ends, a.targets, a.sources
@@ -249,26 +274,29 @@ class Index:
         if any(map(ge, [0, *ends], ends)) or (ends[-1] if ends else 0) != len(targets):
             raise ValueError("group ends do not rise to the edge count")
         lengths = [y - x for x, y in zip(self._offsets, self._offsets[1:])]
-        by_pair: dict[int, array] = {}  # symbol * q + source chain -> entries
+        by_pair: dict[int, list[int]] = {}  # symbol * q + source chain -> directory ints
         start = 0
-        for key, end in zip(keys, ends):
+        for g, (key, end) in enumerate(zip(keys, ends)):
             j, pair = divmod(key, span)
-            t_last, s_last = targets[end - 1], sources[end - 1]
+            t_last, s_first, s_last = targets[end - 1], sources[start], sources[end - 1]
             # one edge is in order by itself, and inside its chains if these hold
             if end - start > 1 or t_last >= lengths[j] or s_last >= lengths[pair % q]:
                 _check_monotone_groups((j, *divmod(pair, q)), targets[start:end],
                                        sources[start:end], lengths[j], lengths[pair % q])
-            entry = (j, start, end, sources[start], s_last, targets[start], t_last)
             entries = by_pair.get(pair)
             if entries is None:
-                by_pair[pair] = array("I", entry)
+                by_pair[pair] = [s_first, s_last, j, targets[start], t_last, g]
             else:
-                entries.extend(entry)
+                if s_first < entries[0]:
+                    entries[0] = s_first
+                if s_last > entries[1]:
+                    entries[1] = s_last
+                entries += (j, targets[start], t_last, g)
             start = end
         rows: list[dict[int, array]] = [{} for _ in range(self._sigma)]
         for pair, entries in by_pair.items():
             sym, i = divmod(pair, q)
-            rows[sym][i] = entries
+            rows[sym][i] = array("I", entries)
         return rows
 
     # Convex-set constructors ------------------------------------------------
@@ -280,9 +308,10 @@ class Index:
         return ConvexSet(((0, 0),) * self.q)
 
     def set_for_classes(self, class_ids: Iterable[int]) -> ConvexSet:
-        """Intervals covering exactly the given classes; they must be contiguous per chain."""
+        """Intervals covering exactly the given classes; they must be contiguous
+        per chain. A class given twice counts once."""
         per_chain: dict[int, list[int]] = {}
-        for cid in class_ids:
+        for cid in set(class_ids):
             if not 0 <= cid < self.n_classes:
                 raise ValueError(f"class id {cid} is not below {self.n_classes}")
             j = bisect_right(self._offsets, cid) - 1
@@ -299,81 +328,124 @@ class Index:
             intervals.append((lo, hi))
         return ConvexSet(tuple(intervals))
 
-    def _checked(self, s: ConvexSet) -> tuple[tuple[int, int], ...]:
-        """The set's intervals, each checked to lie on its chain: a set made
-        outside this index could otherwise reach other chains' classes."""
+    def _checked(self, s: ConvexSet) -> list[tuple[int, int, int]]:
+        """The set's non-empty intervals as ``(chain, lo, hi)`` triples, each
+        checked to lie on its chain: a set made outside this index could
+        otherwise reach other chains' classes."""
         if len(s.intervals) != self.q:
             raise ValueError("convex set does not match this index's chain count")
+        cur = []
         for j, ((lo, hi), start, end) in enumerate(
                 zip(s.intervals, self._offsets, self._offsets[1:])):
             if not 0 <= lo <= hi <= end - start:
                 raise ValueError(f"interval ({lo}, {hi}) is not within 0..{end - start} "
                                  f"on chain {j}")
-        return s.intervals
+            if lo < hi:
+                cur.append((j, lo, hi))
+        return cur
 
     def classes_in(self, s: ConvexSet) -> list[int]:
         """The set's class ids, increasing."""
         out = []
-        for (lo, hi), start in zip(self._checked(s), self._offsets):
-            out.extend(range(start + lo, start + hi))
+        for j, lo, hi in self._checked(s):
+            out.extend(range(self._offsets[j] + lo, self._offsets[j] + hi))
         return out
 
     # Queries ----------------------------------------------------------------
 
-    def _symbol_id(self, a: str) -> int:
-        if a in MARKERS:
-            raise PatternError(f"marker {a!r} cannot appear in a pattern")
-        if a not in self.alphabet:
-            raise PatternError(f"unknown symbol {a!r}")
-        return self.alphabet.index(a)
+    def _symbol_ids(self, pattern: Iterable[str]) -> list[int]:
+        """The pattern's symbols as alphabet positions. No alphabet holds a
+        marker, so a marker is refused as well as an unknown symbol."""
+        ids = self._symbol_index
+        return [ids[a] if a in ids else _refuse(a) for a in pattern]
 
-    def _step(self, intervals: Sequence[tuple[int, int]], sym: int,
-              stats: QueryStats | None) -> list[tuple[int, int]] | None:
-        """The intervals reached from ``intervals`` by one edge labeled ``sym``,
-        or None when none is reached.
+    def _step(self, cur: Iterable[tuple[int, int, int]], sym: int,
+              stats: QueryStats | None) -> list[tuple[int, int, int]]:
+        """The non-empty intervals, as ``(chain, lo, hi)`` triples, reached from
+        the non-empty intervals ``cur`` by one edge labeled ``sym``.
 
-        Each probe reads one directory entry. An interval that misses the
-        group's source range is skipped; one that covers its first (last)
-        source takes the group's first (last) target from the entry; only a
-        cut inside the group bisects the decoded sources."""
+        Each source interval reads its pair's directory array, and each group
+        in it is one probe. An interval with ``lo`` at most the pair's lowest
+        first source and ``hi`` above its highest last source covers every
+        group, so each group's image is its first to last target, read from
+        the array with no test and no search. Otherwise each group is taken
+        on its own: an interval that misses the group's source range is
+        skipped; one that covers its first (last) source takes the group's
+        first (last) target; only a cut inside the group bisects the decoded
+        sources between the group's ends."""
         row = self._directory[sym]
-        sources, targets = self._sources, self._targets
-        mins = [-1] * self.q
-        maxs = [-1] * self.q
+        sources, targets, ends = self._sources, self._targets, self._ends
+        # Per target chain: the least position reached and one past the
+        # greatest, 0 until reached; ``reached`` lists the chains in the order
+        # they are first reached.
+        mins = [0] * self.q
+        his = [0] * self.q
+        reached: list[int] = []
         probes = 0
-        for i, (lo, hi) in enumerate(intervals):
-            entries = row.get(i) if lo < hi else None
+        for i, lo, hi in cur:
+            entries = row.get(i)
             if entries is None:
                 continue
-            probes += len(entries) // _ENTRY
+            probes += len(entries) >> 2  # two header ints, then four per group
             fields = iter(entries)
-            for j, start, end, s_first, s_last, t_first, t_last in zip(*[fields] * _ENTRY):
+            next(fields), next(fields)
+            if lo <= entries[0] and hi > entries[1]:
+                for j, t_min, t_max, _ in zip(fields, fields, fields, fields):
+                    if not his[j]:
+                        reached.append(j)
+                        mins[j], his[j] = t_min, t_max + 1
+                        continue
+                    if t_min < mins[j]:
+                        mins[j] = t_min
+                    if t_max >= his[j]:
+                        his[j] = t_max + 1
+                continue
+            for j, t_min, t_max, g in zip(fields, fields, fields, fields):
+                start, end = g and ends[g - 1], ends[g]
+                s_first, s_last = sources[start], sources[end - 1]
                 if hi <= s_first or lo > s_last:
                     continue
-                p = start if lo <= s_first else bisect_left(sources, lo, start, end)
-                if hi > s_last:
-                    t_max = t_last
-                else:
+                p = start
+                if lo > s_first:
+                    p = bisect_left(sources, lo, start, end)
+                    t_min = targets[p]
+                if hi <= s_last:
                     r = bisect_left(sources, hi, p, end)
                     if r == p:
                         continue
                     t_max = targets[r - 1]
-                t_min = t_first if p == start else targets[p]
-                if mins[j] < 0 or t_min < mins[j]:
+                if not his[j]:
+                    reached.append(j)
+                    mins[j], his[j] = t_min, t_max + 1
+                    continue
+                if t_min < mins[j]:
                     mins[j] = t_min
-                if t_max > maxs[j]:
-                    maxs[j] = t_max
+                if t_max >= his[j]:
+                    his[j] = t_max + 1
         if stats is not None:
             stats.symbols += 1
             stats.probes += probes
-        if max(maxs, default=-1) < 0:
-            return None
-        return [(lo, hi + 1) if lo >= 0 else (0, 0) for lo, hi in zip(mins, maxs)]
+        return [(j, mins[j], his[j]) for j in reached]
+
+    def _fold(self, cur: Sequence[tuple[int, int, int]], syms: Iterable[int],
+              stats: QueryStats | None) -> Sequence[tuple[int, int, int]]:
+        """Step ``cur`` through the symbols; stops at the first empty result."""
+        for sym in syms:
+            cur = self._step(cur, sym, stats)
+            if not cur:
+                break
+        return cur
+
+    def _as_set(self, cur: Iterable[tuple[int, int, int]]) -> ConvexSet:
+        """The convex set whose non-empty intervals are the triples ``cur``."""
+        intervals = [(0, 0)] * self.q
+        for j, lo, hi in cur:
+            intervals[j] = (lo, hi)
+        return ConvexSet(tuple(intervals))
 
     def follow(self, s: ConvexSet, a: str, stats: QueryStats | None = None) -> ConvexSet:
         """Classes reachable from ``s`` by one edge labeled ``a``, as intervals."""
-        out = self._step(self._checked(s), self._symbol_id(a), stats)
-        return self.empty_set() if out is None else ConvexSet(tuple(out))
+        return self._as_set(self._step(self._checked(s), self._symbol_ids((a,))[0], stats))
 
     def match_from(self, u: ConvexSet, pattern: Iterable[str],
                    stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
@@ -384,42 +456,29 @@ class Index:
     def _match(self, u: ConvexSet, pattern: Iterable[str],
                stats: QueryStats | None) -> tuple[bool, ConvexSet]:
         """match_from on a set that this index made, so its intervals are not checked."""
-        syms = [self._symbol_id(a) for a in pattern]
+        syms = self._symbol_ids(pattern)
+        cur = [(j, lo, hi) for j, (lo, hi) in enumerate(u.intervals) if lo < hi]
         if not syms:
-            return not u.is_empty(), u
-        cur: Sequence[tuple[int, int]] | None = u.intervals
-        for sym in syms:
-            cur = self._step(cur, sym, stats)
-            if cur is None:
-                return False, self.empty_set()
-        return True, ConvexSet(tuple(cur))
+            return bool(cur), u
+        cur = self._fold(cur, syms, stats)
+        return bool(cur), self._as_set(cur)
 
     def match_pattern(self, pattern: Iterable[str],
                       stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Match starting anywhere: fold from the full (trivially convex) set."""
         return self._match(self.full_set(), pattern, stats)
 
-    @cached_property
-    def _start_set(self) -> ConvexSet:
-        """accept's start set, the initial class alone; made on first use."""
-        return self.set_for_classes([self.initial_class])
-
     def accept(self, alpha: Iterable[str], stats: QueryStats | None = None) -> bool:
         """Language membership: match from the initial class, then hit a final.
 
         An end interval holds a final when the sorted final ids have one in
         ``[off + lo, off + hi)``, that is, two ``bisect_left`` calls differ."""
-        if self.initial_class is None or self.finals is None:
-            raise ValueError("index lacks automaton data (build with finals and an initial state)")
-        if self.initial_class not in self.marked_classes:
-            raise ValueError("index was built without marking the initial state; "
-                             "acceptance queries need the marker")
-        ok, end = self._match(self._start_set, alpha, stats)
-        if not ok:
-            return False
-        finals = self._arrays.finals
-        return any(lo < hi and bisect_left(finals, off + lo) < bisect_left(finals, off + hi)
-                   for (lo, hi), off in zip(end.intervals, self._offsets))
+        if self._accept_error is not None:
+            raise ValueError(self._accept_error)
+        end = self._fold(self._start, self._symbol_ids(alpha), stats)
+        finals, offsets = self.finals, self._offsets
+        return any(bisect_left(finals, offsets[j] + lo) < bisect_left(finals, offsets[j] + hi)
+                   for j, lo, hi in end)
 
     def map_back(self, s: ConvexSet) -> frozenset[int]:
         """Union of original nodes over all classes in the set."""

@@ -12,7 +12,7 @@ from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, Query
                         build_index, build_nfa_index, parse_input, run_pipeline)
 from colexgraph import index as index_module
 from colexgraph.cli import main
-from colexgraph.graph import Alphabet, parse_nfa
+from colexgraph.graph import Alphabet, parse_graph, parse_nfa
 from colexgraph.index import _Arrays, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
@@ -224,6 +224,29 @@ class TestProbeDirectory:
             stats = QueryStats()
             assert ix.follow(ConvexSet((interval,)), "a", stats).intervals == (image,)
             assert (len(searches), stats.probes, stats.symbols) == (n_searches, 1, 1)
+        # One (symbol, source chain) pair with two groups: chain 0 reaches
+        # targets 0 and 1 of chain 0 from sources 0 and 1, and targets 0 and 2
+        # of chain 1 from sources 1 and 2.
+        arrays = _Arrays([3, 6], list(range(6)), [], [0, 2], [2, 4],
+                         [0, 1, 0, 2], [0, 1, 1, 2], [])
+        ix = Index(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
+                   arrays=arrays, has_finals=False, initial_class=None)
+        ends_read = []
+
+        class CountedEnds(list):  # the per-group path reads each group's ends
+            def __getitem__(self, k):
+                ends_read.append(k)
+                return list.__getitem__(self, k)
+        ix._ends = CountedEnds(ix._ends)
+        cases = [((0, 3), ((0, 2), (0, 3)), 0, False),  # spans both groups: directory alone
+                 ((0, 2), ((0, 2), (0, 1)), 1, True)]   # stops inside the last group
+        for interval, image, n_searches, per_group in cases:
+            searches.clear()
+            ends_read.clear()
+            stats = QueryStats()
+            assert ix.follow(ConvexSet((interval, (0, 0))), "a", stats).intervals == image
+            assert (len(searches), stats.probes, stats.symbols) == (n_searches, 2, 1)
+            assert bool(ends_read) == per_group
 
     def test_follow_matches_quotient_edges_on_arbitrary_sets(self, graph_corpus):
         """Per chain: empty, full or a random sub-interval; the image is the
@@ -414,6 +437,12 @@ class TestMapBack:
         ix = build_nfa_index(qn, cp)
         with pytest.raises(ValueError):
             ix.set_for_classes([0, 2])
+        # a class given twice is one class, not a gap on its chain
+        ix = build_from(parse_graph("nodes 4\n0 1 a\n1 2 b\n2 3 a\n"))[0]
+        assert ix.q == 1
+        assert ix.set_for_classes([1, 1]) == ix.set_for_classes([1]) == ConvexSet(((1, 2),))
+        with pytest.raises(ValueError, match="not contiguous on chain 0"):
+            ix.set_for_classes([3, 1, 1])
 
     def test_set_for_classes_refuses_ids_out_of_range(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
