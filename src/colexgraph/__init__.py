@@ -16,7 +16,7 @@ from .pipeline import PipelineResult, run_pipeline
 from .quotient import (ClassPartition, QuotientGraph, QuotientNfa, classes, quotient_graph,
                        quotient_nfa)
 from .relation import (AxiomViolation, Preorder, Relation, dump_relation,
-                       first_axiom_violation, max_colex_relation, min_colex_containing)
+                       first_axiom_violation, max_colex_relation)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,6 @@ __all__ = [
     "Relation", "SpaceReport", "angle", "build_index", "build_nfa_index", "classes",
     "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",
     "lambda_sets", "max_antichain", "max_colex_relation", "min_chain_partition",
-    "min_colex_containing", "parse_graph", "parse_input", "parse_nfa", "parse_pattern",
-    "preorder_width", "quotient_graph", "quotient_nfa", "run_pipeline", "trim_nfa",
+    "parse_graph", "parse_input", "parse_nfa", "parse_pattern", "preorder_width",
+    "quotient_graph", "quotient_nfa", "run_pipeline", "trim_nfa",
 ]

@@ -18,16 +18,23 @@ decoded. Only the ``.clxi`` writer and reader know the packed layout: writing
 packs each array at a bit width derived from the sizes, and loading unpacks
 each array once (see docs/index-format.md).
 
-The constructor checks the arrays and derives a probe directory from the
-store: for each (symbol, source chain) pair, the lowest first source and the
-highest last source of its groups, then each group's target chain, first and
-last target and group number. The group ends and the source and target
+A chain of one class has one non-empty interval, so on it the step is NFA
+state-set simulation. Queries fold over a state of two parts: the set of
+reached one-class chains, and the non-empty interval ``lo, hi`` of each reached
+longer chain. The constructor checks the arrays and derives a probe directory
+from the store, with one entry per (symbol, source chain) pair. The entry of a
+one-class source chain is the pair's image: its one-class target chains, which
+a step adds to the reached set with one ``set.update``, and the target
+interval on each longer chain. The entry of a longer source chain holds the
+lowest first source and the highest last source of its groups, then each
+group's target chain, first and last target and group number, with the groups
+into one-class chains kept apart. The group ends and the source and target
 positions are u32 arrays. An interval that covers the pair's whole source
 range takes the pair's image from the directory alone; otherwise each group is
 probed on its own, and the sources are searched, with C ``bisect``, only where
-the interval cuts into the group's source range. Queries fold over the
-non-empty intervals only, as ``(chain, lo, hi)`` triples. ``accept`` counts the
-finals of each end interval with two bisections of the final class ids.
+the interval cuts into the group's source range. ``accept`` meets the reached
+set with the one-class chains that hold a final, and counts the finals of each
+longer chain's end interval with two bisections of the final class ids.
 """
 
 from __future__ import annotations
@@ -37,9 +44,9 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import ge, mul, sub
-from typing import Iterable, NamedTuple, NoReturn, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, NoReturn, Sequence
 
 from .chains import ChainPartition
 from .graph import MARKERS, Alphabet
@@ -53,6 +60,10 @@ _COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
 _FLAG_FINALS = 1
 _FLAG_INITIAL = 2
 _CORRUPT = "truncated or corrupt index file"
+
+# The intervals of a fold state on the chains of more than one class:
+# chain -> (lo, hi), non-empty.
+_Longs = dict[int, Sequence[int]]
 
 
 class PatternError(ValueError):
@@ -177,7 +188,7 @@ def _require(ok: bool) -> None:
 
 
 def _require_increasing_ids(ids: Sequence[int], bound: int) -> None:
-    _require(all(a < b for a, b in zip(ids, ids[1:])) and (not ids or ids[-1] < bound))
+    _require(not any(map(ge, ids, ids[1:])) and (not ids or ids[-1] < bound))
 
 
 def _check_monotone_groups(key: tuple[int, int, int], targets: Sequence[int],
@@ -213,8 +224,8 @@ class Index:
         self.initial_class = initial_class
         # Chain j holds the classes offsets[j]..offsets[j+1].
         offsets = [0, *arrays.chain_ends]
-        _require(all(a <= b for a, b in zip(offsets, offsets[1:]))
-                 and offsets[-1] == n_classes)
+        lengths = list(map(sub, arrays.chain_ends, offsets))
+        _require(min(lengths, default=0) >= 0 and offsets[-1] == n_classes)
         # Every class has a member, which also bounds n_classes by the file size.
         class_map = arrays.class_map
         _require(len(class_map) <= n_original and len(set(class_map)) == n_classes
@@ -233,16 +244,25 @@ class Index:
         self.members = tuple(map(tuple, members))
         self._sigma = len(alphabet)
         self._symbol_index = {a: k for k, a in enumerate(alphabet.symbols)}
-        self._directory = self._check_store(arrays)
-        # The query step reads the ends and positions as u32 arrays.
+        # match_pattern's start, the full set as a fold state: every one-class
+        # chain, and the whole of each longer chain
+        longer = {j: (0, n) for j, n in enumerate(lengths) if n > 1}
+        self._one_class = frozenset(range(self.q)).difference(longer)
+        self._full = (self._one_class, longer)
+        self._directory = self._check_store(arrays, lengths)
+        # The check pass reads the keys; the query step reads the ends and
+        # positions as u32 arrays.
         self._sources, self._targets = array("I", arrays.sources), array("I", arrays.targets)
         self._ends = array("I", arrays.ends)
-        self._arrays = arrays._replace(ends=self._ends, targets=self._targets,
-                                       sources=self._sources)
+        self._arrays = arrays._replace(keys=array("Q", arrays.keys), ends=self._ends,
+                                       targets=self._targets, sources=self._sources)
         self.e_quotient = len(self._targets)
-        # accept's refusal, if any, and its start: the initial class as a triple
+        # accept's refusal, if any, its start (the initial class as a fold
+        # state) and the one-class chains that hold a final
         self._accept_error: str | None = None
-        self._start: tuple[tuple[int, int, int], ...] = ()
+        self._start: tuple[AbstractSet[int], _Longs] = (frozenset(), {})
+        self._final_ones = self._one_class.intersection(
+            map(bisect_right, repeat(arrays.chain_ends), arrays.finals))
         if initial_class is None or not has_finals:
             self._accept_error = ("index lacks automaton data (build with finals and an "
                                   "initial state)")
@@ -253,19 +273,33 @@ class Index:
                 self._accept_error = ("index was built without marking the initial state; "
                                       "acceptance queries need the marker")
             j = bisect_right(offsets, initial_class) - 1
-            self._start = ((j, initial_class - offsets[j], initial_class - offsets[j] + 1),)
+            self._start = self._split([(j, initial_class - offsets[j],
+                                        initial_class - offsets[j] + 1)])
 
-    def _check_store(self, a: _Arrays) -> list[dict[int, array]]:
+    def _check_store(self, a: _Arrays, lengths: Sequence[int]) -> list[dict[int, tuple]]:
         """Check the edge store: keys strictly increasing below sigma * q * q,
         ends strictly increasing up to the edge count (no group is empty), and
         every group monotone inside its chains.
 
         Returns the probe directory: for each symbol, a map from source chain
-        i to one flat u32 array for the pair (symbol, i). The array starts
-        with the lowest first source and the highest last source of the
-        pair's groups; then come four ints per group, in target chain order:
-        the target chain j, the group's first and last target, and the group
-        number, which indexes the ends. It holds O(1) ints per group.
+        i to the entry of the pair (symbol, i). The entry has one of two
+        forms, by the length of chain i, and holds O(1) ints per group.
+
+        - Chain i holds one class: its only non-empty interval, (0, 1),
+          covers every group, so the entry is the pair's image. It is the
+          one-class target chains, as a tuple of chain ids; the
+          ``(chain, first target, last target + 1)`` triples of the longer
+          target chains; and the group count.
+        - Chain i is longer: a flat u32 array; the pair's one-class target
+          chains, as a tuple; their group numbers, as a u32 array; and the
+          group count. The array starts with the lowest first source and the
+          highest last source of all the pair's groups; then come four ints
+          per group that enters a longer chain, in target chain order: the
+          target chain j, the group's first and last target, and the group
+          number, which indexes the ends.
+
+        The groups are split by the length of their target chain here, once,
+        so that a query step never tests a chain's length.
         """
         q, span = self.q, self._sigma * self.q
         keys, ends, targets, sources = a.keys, a.ends, a.targets, a.sources
@@ -273,30 +307,61 @@ class Index:
             raise ValueError("group keys are not strictly increasing below sigma*q*q")
         if any(map(ge, [0, *ends], ends)) or (ends[-1] if ends else 0) != len(targets):
             raise ValueError("group ends do not rise to the edge count")
-        lengths = [y - x for x, y in zip(self._offsets, self._offsets[1:])]
-        by_pair: dict[int, list[int]] = {}  # symbol * q + source chain -> directory ints
+        one_class = self._one_class
+        # symbol * q + source chain -> the target chains of the pair's groups
+        # from a one-class chain into a one-class chain, and the array ints
+        # of its other groups
+        one_to_one: dict[int, list[int]] = {}
+        by_pair: dict[int, list[int]] = {}
         start = 0
         for g, (key, end) in enumerate(zip(keys, ends)):
             j, pair = divmod(key, span)
+            i = pair % q
             t_last, s_first, s_last = targets[end - 1], sources[start], sources[end - 1]
             # one edge is in order by itself, and inside its chains if these hold
-            if end - start > 1 or t_last >= lengths[j] or s_last >= lengths[pair % q]:
+            if end - start > 1 or t_last >= lengths[j] or s_last >= lengths[i]:
                 _check_monotone_groups((j, *divmod(pair, q)), targets[start:end],
-                                       sources[start:end], lengths[j], lengths[pair % q])
-            entries = by_pair.get(pair)
-            if entries is None:
-                by_pair[pair] = [s_first, s_last, j, targets[start], t_last, g]
+                                       sources[start:end], lengths[j], lengths[i])
+            if i in one_class and j in one_class:
+                chains = one_to_one.get(pair)
+                if chains is None:
+                    one_to_one[pair] = [j]
+                else:
+                    chains.append(j)
             else:
-                if s_first < entries[0]:
-                    entries[0] = s_first
-                if s_last > entries[1]:
-                    entries[1] = s_last
-                entries += (j, targets[start], t_last, g)
+                ints = by_pair.get(pair)
+                if ints is None:
+                    by_pair[pair] = [s_first, s_last, j, targets[start], t_last, g]
+                else:
+                    if s_first < ints[0]:
+                        ints[0] = s_first
+                    if s_last > ints[1]:
+                        ints[1] = s_last
+                    ints += (j, targets[start], t_last, g)
             start = end
-        rows: list[dict[int, array]] = [{} for _ in range(self._sigma)]
-        for pair, entries in by_pair.items():
+        rows: list[dict[int, tuple]] = [{} for _ in range(self._sigma)]
+        for pair, chains in one_to_one.items():
             sym, i = divmod(pair, q)
-            rows[sym][i] = array("I", entries)
+            rows[sym][i] = (tuple(chains), (), len(chains))
+        for pair, ints in by_pair.items():
+            sym, i = divmod(pair, q)
+            fields = iter(ints[2:])
+            if i in one_class:  # the row holds its one-class targets, if any
+                ones = rows[sym][i][0] if i in rows[sym] else ()
+                images = tuple((j, t_min, t_max + 1)
+                               for j, t_min, t_max, _ in zip(fields, fields, fields, fields))
+                rows[sym][i] = (ones, images, len(ones) + len(images))
+                continue
+            # Split off the groups that enter one-class chains.
+            ints, ones, groups = ints[:2], [], []
+            for j, t_min, t_max, g in zip(fields, fields, fields, fields):
+                if j in one_class:
+                    ones.append(j)
+                    groups.append(g)
+                else:
+                    ints += (j, t_min, t_max, g)
+            rows[sym][i] = (array("I", ints), tuple(ones), array("I", groups),
+                            len(ones) + (len(ints) >> 2))
         return rows
 
     # Convex-set constructors ------------------------------------------------
@@ -344,6 +409,26 @@ class Index:
                 cur.append((j, lo, hi))
         return cur
 
+    def _split(self, cur: Iterable[tuple[int, int, int]]) -> tuple[set[int], _Longs]:
+        """The fold state of the non-empty intervals ``cur``: the one-class
+        chains among them, as a set, and the ``lo, hi`` of each longer chain."""
+        ones, longs = set(), {}
+        for j, lo, hi in cur:
+            if j in self._one_class:
+                ones.add(j)
+            else:
+                longs[j] = (lo, hi)
+        return ones, longs
+
+    def _as_set(self, ones: Iterable[int], longs: _Longs) -> ConvexSet:
+        """The convex set of a fold state."""
+        intervals = [(0, 0)] * self.q
+        for j in ones:
+            intervals[j] = (0, 1)
+        for j, (lo, hi) in longs.items():
+            intervals[j] = (lo, hi)
+        return ConvexSet(tuple(intervals))
+
     def classes_in(self, s: ConvexSet) -> list[int]:
         """The set's class ids, increasing."""
         out = []
@@ -359,47 +444,77 @@ class Index:
         ids = self._symbol_index
         return [ids[a] if a in ids else _refuse(a) for a in pattern]
 
-    def _step(self, cur: Iterable[tuple[int, int, int]], sym: int,
-              stats: QueryStats | None) -> list[tuple[int, int, int]]:
-        """The non-empty intervals, as ``(chain, lo, hi)`` triples, reached from
-        the non-empty intervals ``cur`` by one edge labeled ``sym``.
+    def _step(self, ones: AbstractSet[int], longs: _Longs, sym: int,
+              stats: QueryStats | None) -> tuple[set[int], _Longs]:
+        """The fold state reached by one edge labeled ``sym`` from the fold
+        state ``ones``, ``longs``: the reached one-class chains, and the
+        non-empty interval ``lo, hi`` of each reached longer chain.
 
-        Each source interval reads its pair's directory array, and each group
-        in it is one probe. An interval with ``lo`` at most the pair's lowest
+        Each group of a pair read is one probe. A reached one-class chain
+        adds its pair's image to the result, with no test and no search: the
+        one-class targets go into the result set with one ``set.update``.
+        An interval on a longer chain with ``lo`` at most the pair's lowest
         first source and ``hi`` above its highest last source covers every
-        group, so each group's image is its first to last target, read from
-        the array with no test and no search. Otherwise each group is taken
-        on its own: an interval that misses the group's source range is
+        group, so it too takes the whole image: the pair's one-class targets,
+        and each other group's first to last target. Otherwise each group is
+        taken on its own: an interval that misses the group's source range is
         skipped; one that covers its first (last) source takes the group's
         first (last) target; only a cut inside the group bisects the decoded
-        sources between the group's ends."""
+        sources between the group's ends. A group that enters a one-class
+        chain needs one bisection at most: whether any source lies in the
+        interval."""
         row = self._directory[sym]
         sources, targets, ends = self._sources, self._targets, self._ends
-        # Per target chain: the least position reached and one past the
-        # greatest, 0 until reached; ``reached`` lists the chains in the order
-        # they are first reached.
-        mins = [0] * self.q
-        his = [0] * self.q
-        reached: list[int] = []
+        got: set[int] = set()
+        # Per reached longer chain: [least position, one past the greatest]
+        box: dict[int, list[int]] = {}
         probes = 0
-        for i, lo, hi in cur:
-            entries = row.get(i)
-            if entries is None:
+        for i in ones:
+            entry = row.get(i)
+            if entry is None:
                 continue
-            probes += len(entries) >> 2  # two header ints, then four per group
-            fields = iter(entries)
+            one_targets, images, n = entry
+            probes += n
+            got.update(one_targets)
+            for j, t_min, t_hi in images:
+                span = box.get(j)
+                if span is None:
+                    box[j] = [t_min, t_hi]
+                    continue
+                if t_min < span[0]:
+                    span[0] = t_min
+                if t_hi > span[1]:
+                    span[1] = t_hi
+        for i, (lo, hi) in longs.items():
+            entry = row.get(i)
+            if entry is None:
+                continue
+            ints, one_targets, one_groups, n = entry
+            probes += n
+            fields = iter(ints)
             next(fields), next(fields)
-            if lo <= entries[0] and hi > entries[1]:
+            if lo <= ints[0] and hi > ints[1]:
+                if one_targets:
+                    got.update(one_targets)
                 for j, t_min, t_max, _ in zip(fields, fields, fields, fields):
-                    if not his[j]:
-                        reached.append(j)
-                        mins[j], his[j] = t_min, t_max + 1
+                    span = box.get(j)
+                    if span is None:
+                        box[j] = [t_min, t_max + 1]
                         continue
-                    if t_min < mins[j]:
-                        mins[j] = t_min
-                    if t_max >= his[j]:
-                        his[j] = t_max + 1
+                    if t_min < span[0]:
+                        span[0] = t_min
+                    if t_max >= span[1]:
+                        span[1] = t_max + 1
                 continue
+            if one_targets:
+                for j, g in zip(one_targets, one_groups):
+                    start, end = g and ends[g - 1], ends[g]
+                    s_first, s_last = sources[start], sources[end - 1]
+                    if hi <= s_first or lo > s_last or (
+                            lo > s_first and hi <= s_last
+                            and sources[bisect_left(sources, lo, start, end)] >= hi):
+                        continue
+                    got.add(j)
             for j, t_min, t_max, g in zip(fields, fields, fields, fields):
                 start, end = g and ends[g - 1], ends[g]
                 s_first, s_last = sources[start], sources[end - 1]
@@ -414,71 +529,64 @@ class Index:
                     if r == p:
                         continue
                     t_max = targets[r - 1]
-                if not his[j]:
-                    reached.append(j)
-                    mins[j], his[j] = t_min, t_max + 1
+                span = box.get(j)
+                if span is None:
+                    box[j] = [t_min, t_max + 1]
                     continue
-                if t_min < mins[j]:
-                    mins[j] = t_min
-                if t_max >= his[j]:
-                    his[j] = t_max + 1
+                if t_min < span[0]:
+                    span[0] = t_min
+                if t_max >= span[1]:
+                    span[1] = t_max + 1
         if stats is not None:
             stats.symbols += 1
             stats.probes += probes
-        return [(j, mins[j], his[j]) for j in reached]
+        return got, box
 
-    def _fold(self, cur: Sequence[tuple[int, int, int]], syms: Iterable[int],
-              stats: QueryStats | None) -> Sequence[tuple[int, int, int]]:
-        """Step ``cur`` through the symbols; stops at the first empty result."""
+    def _fold(self, ones: AbstractSet[int], longs: _Longs, syms: Iterable[int],
+              stats: QueryStats | None) -> tuple[AbstractSet[int], _Longs]:
+        """Step the fold state through the symbols; stops at the first empty
+        state."""
         for sym in syms:
-            cur = self._step(cur, sym, stats)
-            if not cur:
+            ones, longs = self._step(ones, longs, sym, stats)
+            if not (ones or longs):
                 break
-        return cur
-
-    def _as_set(self, cur: Iterable[tuple[int, int, int]]) -> ConvexSet:
-        """The convex set whose non-empty intervals are the triples ``cur``."""
-        intervals = [(0, 0)] * self.q
-        for j, lo, hi in cur:
-            intervals[j] = (lo, hi)
-        return ConvexSet(tuple(intervals))
+        return ones, longs
 
     def follow(self, s: ConvexSet, a: str, stats: QueryStats | None = None) -> ConvexSet:
         """Classes reachable from ``s`` by one edge labeled ``a``, as intervals."""
-        return self._as_set(self._step(self._checked(s), self._symbol_ids((a,))[0], stats))
+        ones, longs = self._split(self._checked(s))
+        return self._as_set(*self._step(ones, longs, self._symbol_ids((a,))[0], stats))
 
     def match_from(self, u: ConvexSet, pattern: Iterable[str],
                    stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Fold follow over the pattern starting at ``u``, which must be convex."""
-        self._checked(u)
-        return self._match(u, pattern, stats)
+        return self._match(*self._split(self._checked(u)), pattern, stats)
 
-    def _match(self, u: ConvexSet, pattern: Iterable[str],
-               stats: QueryStats | None) -> tuple[bool, ConvexSet]:
-        """match_from on a set that this index made, so its intervals are not checked."""
-        syms = self._symbol_ids(pattern)
-        cur = [(j, lo, hi) for j, (lo, hi) in enumerate(u.intervals) if lo < hi]
-        if not syms:
-            return bool(cur), u
-        cur = self._fold(cur, syms, stats)
-        return bool(cur), self._as_set(cur)
+    def _match(self, ones: AbstractSet[int], longs: _Longs,
+               pattern: Iterable[str], stats: QueryStats | None) -> tuple[bool, ConvexSet]:
+        ones, longs = self._fold(ones, longs, self._symbol_ids(pattern), stats)
+        return bool(ones or longs), self._as_set(ones, longs)
 
     def match_pattern(self, pattern: Iterable[str],
                       stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
         """Match starting anywhere: fold from the full (trivially convex) set."""
-        return self._match(self.full_set(), pattern, stats)
+        return self._match(*self._full, pattern, stats)
 
     def accept(self, alpha: Iterable[str], stats: QueryStats | None = None) -> bool:
         """Language membership: match from the initial class, then hit a final.
 
-        An end interval holds a final when the sorted final ids have one in
-        ``[off + lo, off + hi)``, that is, two ``bisect_left`` calls differ."""
+        The reached one-class chains hold a final when they meet the set of
+        one-class chains that do. A longer chain's end interval holds one when
+        the sorted final ids have one in ``[off + lo, off + hi)``, that is,
+        two ``bisect_left`` calls differ."""
         if self._accept_error is not None:
             raise ValueError(self._accept_error)
-        end = self._fold(self._start, self._symbol_ids(alpha), stats)
+        ones, longs = self._fold(*self._start, self._symbol_ids(alpha), stats)
+        if not self._final_ones.isdisjoint(ones):
+            return True
         finals, offsets = self.finals, self._offsets
         return any(bisect_left(finals, offsets[j] + lo) < bisect_left(finals, offsets[j] + hi)
-                   for j, lo, hi in end)
+                   for j, (lo, hi) in longs.items())
 
     def map_back(self, s: ConvexSet) -> frozenset[int]:
         """Union of original nodes over all classes in the set."""
@@ -576,6 +684,9 @@ class Index:
             raise ValueError(f"unsupported index format version {version}")
         _require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
         _require(not flags & ~(_FLAG_FINALS | _FLAG_INITIAL))
+        # Group keys lie below sigma * q * q and are held as u64. No build can
+        # exceed this: q <= 65,536 under the relation's dense cap, sigma < 2**32.
+        _require(sigma * q * q <= 1 << 64)
         view = view[:-4]
         symbols = []
         for _ in range(sigma):

@@ -23,8 +23,8 @@ from .graph import Alphabet, LabeledGraph, Nfa, angle, lambda_sets, trim_nfa
 from .index import Index, QueryStats
 from .pipeline import PipelineResult
 from .quotient import ClassPartition, classes
-from .relation import (Preorder, Relation, first_axiom_violation, max_colex_relation,
-                       min_colex_containing)
+from .relation import (Preorder, Relation, _label_extremes, first_axiom_violation,
+                       max_colex_relation)
 
 _SYMBOL_POOL = tuple("abcdefghij")
 
@@ -163,6 +163,38 @@ def parse_relation(text: str, n: int) -> Relation:
             raise ValueError(f"line {lineno}: node out of range")
         pairs.append((u, v))
     return Relation.from_pairs(n, pairs)
+
+
+def min_colex_containing(g: LabeledGraph, u: int, v: int,
+                         u_marked: Iterable[int] = ()) -> Relation | None:
+    """Minimum co-lex relation containing the distinct pair (u, v), or None.
+
+    Closes {(u, v)} backwards under same-label in-edge pairs with a stack; the
+    closure is the set of pairs preceding (u, v). If any of them violates
+    label-set dominance no co-lex relation contains (u, v) and None is returned
+    (an ordinary outcome, not an error).
+    """
+    if u == v:
+        raise ValueError("pair must be distinct")
+    lo, hi = _label_extremes(g, u_marked)
+    in_adj = g.in_adjacency()
+    seen = {(u, v)}
+    stack = [(u, v)]
+    while stack:
+        x, y = stack.pop()
+        if hi[x] > lo[y]:
+            return None
+        ix, iy = in_adj[x], in_adj[y]
+        for a, xs in ix.items():
+            ys = iy.get(a)
+            if ys is None:
+                continue
+            for x1 in xs:
+                for y1 in ys:
+                    if x1 != y1 and (x1, y1) not in seen:
+                        seen.add((x1, y1))
+                        stack.append((x1, y1))
+    return Relation.from_pairs(g.n, seen)
 
 
 def project_nodes(part: ClassPartition, nodes: Iterable[int]) -> frozenset[int]:

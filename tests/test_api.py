@@ -12,7 +12,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Helpers that check the paper's lemmas; the build never calls them.
 LEMMA_HELPERS = ("union", "refines", "transitive_closure", "parse_relation",
                  "is_colex_relation", "is_antisymmetric", "project_nodes", "lift_classes",
-                 "project_relation", "lift_relation")
+                 "project_relation", "lift_relation", "min_colex_containing")
 
 
 def _colexgraph_imports() -> list[tuple[str, str, str]]:

@@ -16,7 +16,8 @@ from colexgraph.graph import Alphabet, parse_graph, parse_nfa
 from colexgraph.index import _Arrays, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
                                simulate_nfa)
-from conftest import diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa, small_graphs
+from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
+                      loop_branch_nfa, small_graphs)
 from helpers import (nfa_pipeline, put_packed, quotient_pipeline, reseal, seeded_debruijn,
                      v4_offsets)
 
@@ -247,6 +248,22 @@ class TestProbeDirectory:
             assert ix.follow(ConvexSet((interval, (0, 0))), "a", stats).intervals == image
             assert (len(searches), stats.probes, stats.symbols) == (n_searches, 2, 1)
             assert bool(ends_read) == per_group
+        # Chains 0 and 1 hold one class each, chain 2 holds four. Chain 0
+        # reaches chain 1 and targets 0 and 2 of chain 2; chain 2 reaches
+        # chain 0 from sources 0, 2 and 3, and its own target 1 from source 1.
+        arrays = _Arrays([1, 2, 6], list(range(6)), [], [2, 3, 6, 8], [3, 4, 6, 7],
+                         [0, 0, 0, 0, 0, 2, 1], [0, 2, 3, 0, 0, 0, 1], [])
+        ix = Index(alphabet=Alphabet(("a",)), n_original=6, e_original=7, n_classes=6,
+                   arrays=arrays, has_finals=False, initial_class=None)
+        cases = [(((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 3)), 0),  # the image entry
+                 (((0, 0), (0, 0), (1, 3)), ((0, 1), (0, 0), (1, 2)), 1),  # source 2 is inside
+                 (((0, 0), (0, 0), (1, 2)), ((0, 0), (0, 0), (1, 2)), 1),  # no source inside
+                 (((0, 0), (0, 0), (0, 4)), ((0, 1), (0, 0), (1, 2)), 0)]  # the whole cover
+        for intervals, image, n_searches in cases:
+            searches.clear()
+            stats = QueryStats()
+            assert ix.follow(ConvexSet(intervals), "a", stats).intervals == image
+            assert (len(searches), stats.probes, stats.symbols) == (n_searches, 2, 1)
 
     def test_follow_matches_quotient_edges_on_arbitrary_sets(self, graph_corpus):
         """Per chain: empty, full or a random sub-interval; the image is the
@@ -281,6 +298,47 @@ class TestProbeDirectory:
                     assert ix.follow(ConvexSet(tuple(intervals)), a).intervals == want
                     steps += 1
         assert steps > 1000
+
+    def test_fold_agrees_with_follow(self, graph_corpus):
+        """On the graph corpus and criterion 5's automata, where q >= 2: the
+        query fold and a fold of the public ``follow`` end on the same set
+        with the same ``QueryStats``, and each step probes every group of the
+        pairs whose source chain it starts from."""
+        rng = random.Random(1711)
+        nfa_rng = random.Random(SEED_NFA_CORPUS)
+        automata = [random_trim_nfa(nfa_rng, 7, nfa_rng.randint(1, 3), nfa_rng.choice([0.1, 0.3]))
+                    for _ in range(300)]
+        checked = accepts = 0
+        for source in [*graph_corpus, *automata]:
+            nfa = isinstance(source, Nfa)
+            result = run_pipeline(source, mark_initial=nfa)
+            ix = result.index()
+            if ix.q < 2:
+                continue
+            groups = Counter((sym, i) for (_, sym, i), _ in group_items(ix))
+            symbols = ix.alphabet.symbols
+            for _ in range(4):
+                p = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
+                by_follow, by_fold = QueryStats(), QueryStats()
+                cur = ix.set_for_classes([ix.initial_class]) if nfa else ix.full_set()
+                for a in p:
+                    sources = [i for i, (lo, hi) in enumerate(cur.intervals) if lo < hi]
+                    before = by_follow.probes
+                    cur = ix.follow(cur, a, by_follow)
+                    sym = ix.alphabet.index(a)
+                    assert by_follow.probes - before == sum(groups[sym, i] for i in sources)
+                    if cur.is_empty():
+                        break
+                if nfa:
+                    want = simulate_nfa(source, p)
+                    assert ix.accept(p, by_fold) == want
+                    assert any(c in ix.finals for c in ix.classes_in(cur)) == want
+                    accepts += 1
+                else:
+                    assert ix.match_pattern(p, by_fold) == (not cur.is_empty(), cur)
+                assert by_fold == by_follow
+                checked += 1
+        assert checked > 1000 and accepts > 200
 
     @pytest.mark.parametrize("seed, length, k", [(11, 300, 4), (12, 450, 5), (13, 600, 5)])
     def test_wheeler_graph_matches_brute_force(self, monkeypatch, seed, length, k):
@@ -640,6 +698,22 @@ class TestBackendsAndSerialization:
                 path.write_bytes(reseal(bad))
                 assert main(["accept", str(path), "ab"]) == 2
                 assert capsys.readouterr().err == "error: truncated or corrupt index file\n"
+
+    def test_keys_past_64_bits_rejected(self, monkeypatch):
+        """A header whose sigma * q * q is over 2**64 is refused before any
+        array is decoded: the keys are held as u64."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())  # sigma 2
+        raw = build_nfa_index(qn, cp).to_bytes()
+        at_q = v4_offsets(raw)["q"]  # sigma follows q
+        unpacked = []
+        monkeypatch.setattr(index_module, "_unpack", lambda *args: unpacked.append(args))
+        for q, sigma in ((0xFFFFFFFF, 2), (0x10001, 0xFFFFFFFF)):
+            assert sigma * q * q > 1 << 64
+            bad = bytearray(raw)
+            struct.pack_into("<II", bad, at_q, q, sigma)
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                Index.from_bytes(reseal(bad))
+        assert unpacked == []
 
     def test_trailing_bytes_rejected(self):
         ix, _, _ = build_from(double_hub_graph(2))

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 
 from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relation,
                         dump_relation, first_axiom_violation, lambda_sets, max_colex_relation,
-                        min_colex_containing, preorder_width)
+                        preorder_width)
 from colexgraph.oracle import (gfp_max_relation, is_antisymmetric, is_colex_relation,
-                               is_transitive, parse_relation, random_colex_relation,
-                               random_graph, refines, transitive_closure, union)
+                               is_transitive, min_colex_containing, parse_relation,
+                               random_colex_relation, random_graph, refines,
+                               transitive_closure, union)
 from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certify,
                                  _first_mutual_classes, _label_edges, _label_extremes)
 from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
