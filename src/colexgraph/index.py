@@ -25,16 +25,14 @@ longer chain. The constructor checks the arrays and derives a probe directory
 from the store, with one entry per (symbol, source chain) pair. The entry of a
 one-class source chain is the pair's image: its one-class target chains, which
 a step adds to the reached set with one ``set.update``, and the target
-interval on each longer chain. The entry of a longer source chain holds the
-lowest first source and the highest last source of its groups, then each
-group's target chain, first and last target and group number, with the groups
-into one-class chains kept apart. The group ends and the source and target
-positions are u32 arrays. An interval that covers the pair's whole source
-range takes the pair's image from the directory alone; otherwise each group is
-probed on its own, and the sources are searched, with C ``bisect``, only where
-the interval cuts into the group's source range. ``accept`` meets the reached
-set with the one-class chains that hold a final, and counts the finals of each
-longer chain's end interval with two bisections of the final class ids.
+interval on each longer chain. The entry of a longer source chain is each
+group's target chain, first and last target and group number, and a step
+probes these groups one at a time. The group ends and the source and target
+positions are u32 arrays, and the sources are searched, with C ``bisect``,
+only where the interval cuts into a group's source range. ``accept`` meets
+the reached set with the one-class chains that hold a final, and counts the
+finals of each longer chain's end interval with two bisections of the final
+class ids.
 """
 
 from __future__ import annotations
@@ -282,24 +280,17 @@ class Index:
         every group monotone inside its chains.
 
         Returns the probe directory: for each symbol, a map from source chain
-        i to the entry of the pair (symbol, i). The entry has one of two
-        forms, by the length of chain i, and holds O(1) ints per group.
+        i to the entry of the pair (symbol, i), built in this pass. The entry
+        has one form per kind of chain i, and holds O(1) ints per group.
 
         - Chain i holds one class: its only non-empty interval, (0, 1),
           covers every group, so the entry is the pair's image. It is the
           one-class target chains, as a tuple of chain ids; the
           ``(chain, first target, last target + 1)`` triples of the longer
           target chains; and the group count.
-        - Chain i is longer: a flat u32 array; the pair's one-class target
-          chains, as a tuple; their group numbers, as a u32 array; and the
-          group count. The array starts with the lowest first source and the
-          highest last source of all the pair's groups; then come four ints
-          per group that enters a longer chain, in target chain order: the
-          target chain j, the group's first and last target, and the group
-          number, which indexes the ends.
-
-        The groups are split by the length of their target chain here, once,
-        so that a query step never tests a chain's length.
+        - Chain i is longer: a u32 array of four ints per group, in target
+          chain order (the target chain j, the group's first and last target,
+          and the group number, which indexes the ends), and the group count.
         """
         q, span = self.q, self._sigma * self.q
         keys, ends, targets, sources = a.keys, a.ends, a.targets, a.sources
@@ -308,60 +299,41 @@ class Index:
         if any(map(ge, [0, *ends], ends)) or (ends[-1] if ends else 0) != len(targets):
             raise ValueError("group ends do not rise to the edge count")
         one_class = self._one_class
-        # symbol * q + source chain -> the target chains of the pair's groups
-        # from a one-class chain into a one-class chain, and the array ints
-        # of its other groups
-        one_to_one: dict[int, list[int]] = {}
-        by_pair: dict[int, list[int]] = {}
+        # symbol * q + source chain -> the pair's entry so far: the one-class
+        # targets and the longer targets' triples of a one-class source chain,
+        # or the four ints of each group of a longer one
+        by_pair: dict[int, list] = {}
         start = 0
         for g, (key, end) in enumerate(zip(keys, ends)):
             j, pair = divmod(key, span)
             i = pair % q
-            t_last, s_first, s_last = targets[end - 1], sources[start], sources[end - 1]
+            t_last = targets[end - 1]
             # one edge is in order by itself, and inside its chains if these hold
-            if end - start > 1 or t_last >= lengths[j] or s_last >= lengths[i]:
+            if end - start > 1 or t_last >= lengths[j] or sources[end - 1] >= lengths[i]:
                 _check_monotone_groups((j, *divmod(pair, q)), targets[start:end],
                                        sources[start:end], lengths[j], lengths[i])
-            if i in one_class and j in one_class:
-                chains = one_to_one.get(pair)
-                if chains is None:
-                    one_to_one[pair] = [j]
+            entry = by_pair.get(pair)
+            if i not in one_class:
+                if entry is None:
+                    by_pair[pair] = [j, targets[start], t_last, g]
                 else:
-                    chains.append(j)
+                    entry += (j, targets[start], t_last, g)
             else:
-                ints = by_pair.get(pair)
-                if ints is None:
-                    by_pair[pair] = [s_first, s_last, j, targets[start], t_last, g]
+                if entry is None:
+                    entry = by_pair[pair] = [[], []]
+                if j in one_class:
+                    entry[0].append(j)
                 else:
-                    if s_first < ints[0]:
-                        ints[0] = s_first
-                    if s_last > ints[1]:
-                        ints[1] = s_last
-                    ints += (j, targets[start], t_last, g)
+                    entry[1].append((j, targets[start], t_last + 1))
             start = end
         rows: list[dict[int, tuple]] = [{} for _ in range(self._sigma)]
-        for pair, chains in one_to_one.items():
+        for pair, entry in by_pair.items():
             sym, i = divmod(pair, q)
-            rows[sym][i] = (tuple(chains), (), len(chains))
-        for pair, ints in by_pair.items():
-            sym, i = divmod(pair, q)
-            fields = iter(ints[2:])
-            if i in one_class:  # the row holds its one-class targets, if any
-                ones = rows[sym][i][0] if i in rows[sym] else ()
-                images = tuple((j, t_min, t_max + 1)
-                               for j, t_min, t_max, _ in zip(fields, fields, fields, fields))
-                rows[sym][i] = (ones, images, len(ones) + len(images))
-                continue
-            # Split off the groups that enter one-class chains.
-            ints, ones, groups = ints[:2], [], []
-            for j, t_min, t_max, g in zip(fields, fields, fields, fields):
-                if j in one_class:
-                    ones.append(j)
-                    groups.append(g)
-                else:
-                    ints += (j, t_min, t_max, g)
-            rows[sym][i] = (array("I", ints), tuple(ones), array("I", groups),
-                            len(ones) + (len(ints) >> 2))
+            if i in one_class:
+                ones, images = entry
+                rows[sym][i] = (tuple(ones), tuple(images), len(ones) + len(images))
+            else:
+                rows[sym][i] = (array("I", entry), len(entry) >> 2)
         return rows
 
     # Convex-set constructors ------------------------------------------------
@@ -453,18 +425,18 @@ class Index:
         Each group of a pair read is one probe. A reached one-class chain
         adds its pair's image to the result, with no test and no search: the
         one-class targets go into the result set with one ``set.update``.
-        An interval on a longer chain with ``lo`` at most the pair's lowest
-        first source and ``hi`` above its highest last source covers every
-        group, so it too takes the whole image: the pair's one-class targets,
-        and each other group's first to last target. Otherwise each group is
-        taken on its own: an interval that misses the group's source range is
-        skipped; one that covers its first (last) source takes the group's
-        first (last) target; only a cut inside the group bisects the decoded
-        sources between the group's ends. A group that enters a one-class
-        chain needs one bisection at most: whether any source lies in the
-        interval."""
+        From an interval on a longer chain each group is taken on its own:
+        an interval that misses the group's source range is skipped; one
+        that cuts into it at ``lo`` bisects the decoded sources between the
+        group's ends once, and misses if the first source at or above
+        ``lo`` is not below ``hi``. A reached one-class target chain goes
+        into the result set. A reached longer chain takes the targets from
+        the first one the interval reaches to the group's last, and bisects
+        for ``hi`` only when ``hi`` cuts into the sources and those two
+        targets differ."""
         row = self._directory[sym]
         sources, targets, ends = self._sources, self._targets, self._ends
+        one_class = self._one_class
         got: set[int] = set()
         # Per reached longer chain: [least position, one past the greatest]
         box: dict[int, list[int]] = {}
@@ -489,32 +461,9 @@ class Index:
             entry = row.get(i)
             if entry is None:
                 continue
-            ints, one_targets, one_groups, n = entry
+            ints, n = entry
             probes += n
             fields = iter(ints)
-            next(fields), next(fields)
-            if lo <= ints[0] and hi > ints[1]:
-                if one_targets:
-                    got.update(one_targets)
-                for j, t_min, t_max, _ in zip(fields, fields, fields, fields):
-                    span = box.get(j)
-                    if span is None:
-                        box[j] = [t_min, t_max + 1]
-                        continue
-                    if t_min < span[0]:
-                        span[0] = t_min
-                    if t_max >= span[1]:
-                        span[1] = t_max + 1
-                continue
-            if one_targets:
-                for j, g in zip(one_targets, one_groups):
-                    start, end = g and ends[g - 1], ends[g]
-                    s_first, s_last = sources[start], sources[end - 1]
-                    if hi <= s_first or lo > s_last or (
-                            lo > s_first and hi <= s_last
-                            and sources[bisect_left(sources, lo, start, end)] >= hi):
-                        continue
-                    got.add(j)
             for j, t_min, t_max, g in zip(fields, fields, fields, fields):
                 start, end = g and ends[g - 1], ends[g]
                 s_first, s_last = sources[start], sources[end - 1]
@@ -523,12 +472,14 @@ class Index:
                 p = start
                 if lo > s_first:
                     p = bisect_left(sources, lo, start, end)
-                    t_min = targets[p]
-                if hi <= s_last:
-                    r = bisect_left(sources, hi, p, end)
-                    if r == p:
+                    if sources[p] >= hi:
                         continue
-                    t_max = targets[r - 1]
+                    t_min = targets[p]
+                if j in one_class:
+                    got.add(j)
+                    continue
+                if hi <= s_last and t_min != t_max:
+                    t_max = targets[bisect_left(sources, hi, p, end) - 1]
                 span = box.get(j)
                 if span is None:
                     box[j] = [t_min, t_max + 1]

@@ -215,16 +215,23 @@ class TestProbeDirectory:
         monkeypatch.setattr(index_module, "bisect_left", counted)
         cases = [((5, 6), (0, 0), 0),  # above the last source: a miss
                  ((0, 1), (0, 0), 0),  # below the first source: a miss
-                 ((0, 6), (0, 5), 0),  # the whole group, from the directory alone
+                 ((0, 6), (0, 5), 0),  # the whole group
                  ((2, 6), (2, 5), 1),  # a cut at lo only
                  ((0, 3), (0, 3), 1),  # a cut at hi only
                  ((2, 4), (2, 3), 2),  # a cut at both ends
-                 ((3, 4), (0, 0), 2)]  # a cut with no edge inside
+                 ((3, 4), (0, 0), 1)]  # a cut with no edge inside: the lo search
         for interval, image, n_searches in cases:
             searches.clear()
             stats = QueryStats()
             assert ix.follow(ConvexSet((interval,)), "a", stats).intervals == (image,)
             assert (len(searches), stats.probes, stats.symbols) == (n_searches, 1, 1)
+        # Sources 1, 2, 4 reach targets 0, 3, 3: a cut at lo that reaches the
+        # last target already needs no search for hi.
+        ix = one_chain_index([(0, 1), (3, 2), (3, 4)], length=6)
+        searches.clear()
+        stats = QueryStats()
+        assert ix.follow(ConvexSet(((2, 4),)), "a", stats).intervals == ((3, 4),)
+        assert (len(searches), stats.probes, stats.symbols) == (1, 1, 1)
         # One (symbol, source chain) pair with two groups: chain 0 reaches
         # targets 0 and 1 of chain 0 from sources 0 and 1, and targets 0 and 2
         # of chain 1 from sources 1 and 2.
@@ -232,22 +239,13 @@ class TestProbeDirectory:
                          [0, 1, 0, 2], [0, 1, 1, 2], [])
         ix = Index(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
                    arrays=arrays, has_finals=False, initial_class=None)
-        ends_read = []
-
-        class CountedEnds(list):  # the per-group path reads each group's ends
-            def __getitem__(self, k):
-                ends_read.append(k)
-                return list.__getitem__(self, k)
-        ix._ends = CountedEnds(ix._ends)
-        cases = [((0, 3), ((0, 2), (0, 3)), 0, False),  # spans both groups: directory alone
-                 ((0, 2), ((0, 2), (0, 1)), 1, True)]   # stops inside the last group
-        for interval, image, n_searches, per_group in cases:
+        cases = [((0, 3), ((0, 2), (0, 3)), 0),  # spans both groups
+                 ((0, 2), ((0, 2), (0, 1)), 1)]  # stops inside the last group
+        for interval, image, n_searches in cases:
             searches.clear()
-            ends_read.clear()
             stats = QueryStats()
             assert ix.follow(ConvexSet((interval, (0, 0))), "a", stats).intervals == image
             assert (len(searches), stats.probes, stats.symbols) == (n_searches, 2, 1)
-            assert bool(ends_read) == per_group
         # Chains 0 and 1 hold one class each, chain 2 holds four. Chain 0
         # reaches chain 1 and targets 0 and 2 of chain 2; chain 2 reaches
         # chain 0 from sources 0, 2 and 3, and its own target 1 from source 1.
@@ -258,7 +256,7 @@ class TestProbeDirectory:
         cases = [(((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 3)), 0),  # the image entry
                  (((0, 0), (0, 0), (1, 3)), ((0, 1), (0, 0), (1, 2)), 1),  # source 2 is inside
                  (((0, 0), (0, 0), (1, 2)), ((0, 0), (0, 0), (1, 2)), 1),  # no source inside
-                 (((0, 0), (0, 0), (0, 4)), ((0, 1), (0, 0), (1, 2)), 0)]  # the whole cover
+                 (((0, 0), (0, 0), (0, 4)), ((0, 1), (0, 0), (1, 2)), 0)]  # both groups whole
         for intervals, image, n_searches in cases:
             searches.clear()
             stats = QueryStats()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from colexgraph.index import _pack, _unpack, width_for
 
 
-class TestPackedArray:
+class TestPackUnpack:
     """The packed arrays of a ``.clxi`` file, as ``index._pack`` writes them
     and ``index._unpack`` reads them."""
 
