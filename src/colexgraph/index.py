@@ -25,14 +25,13 @@ longer chain. The constructor checks the arrays and derives a probe directory
 from the store, with one entry per (symbol, source chain) pair. The entry of a
 one-class source chain is the pair's image: its one-class target chains, which
 a step adds to the reached set with one ``set.update``, and the target
-interval on each longer chain. The entry of a longer source chain is each
-group's target chain, first and last target and group number, and a step
-probes these groups one at a time. The group ends and the source and target
-positions are u32 arrays, and the sources are searched, with C ``bisect``,
-only where the interval cuts into a group's source range. ``accept`` meets
-the reached set with the one-class chains that hold a final, and counts the
-finals of each longer chain's end interval with two bisections of the final
-class ids.
+interval on each longer chain. The entry of a longer source chain is one
+record per group: its target chain, first and last target, edge range, and
+first and last source. A step probes these groups one at a time, and searches
+the sources, with C ``bisect`` over the list of decoded positions, only where
+the interval cuts into a group's source range. ``accept`` meets the reached
+set with the one-class chains that hold a final, and counts the finals of each
+longer chain's end interval with two bisections of the final class ids.
 """
 
 from __future__ import annotations
@@ -248,12 +247,11 @@ class Index:
         self._one_class = frozenset(range(self.q)).difference(longer)
         self._full = (self._one_class, longer)
         self._directory = self._check_store(arrays, lengths)
-        # The check pass reads the keys; the query step reads the ends and
-        # positions as u32 arrays.
-        self._sources, self._targets = array("I", arrays.sources), array("I", arrays.targets)
-        self._ends = array("I", arrays.ends)
-        self._arrays = arrays._replace(keys=array("Q", arrays.keys), ends=self._ends,
-                                       targets=self._targets, sources=self._sources)
+        # The query step bisects the sources and reads the targets as the
+        # decoded ints they came as; only the writer and space_report() read
+        # the keys and ends after the check pass.
+        self._sources, self._targets = arrays.sources, arrays.targets
+        self._arrays = arrays._replace(keys=array("Q", arrays.keys), ends=array("I", arrays.ends))
         self.e_quotient = len(self._targets)
         # accept's refusal, if any, its start (the initial class as a fold
         # state) and the one-class chains that hold a final
@@ -288,9 +286,12 @@ class Index:
           one-class target chains, as a tuple of chain ids; the
           ``(chain, first target, last target + 1)`` triples of the longer
           target chains; and the group count.
-        - Chain i is longer: a u32 array of four ints per group, in target
-          chain order (the target chain j, the group's first and last target,
-          and the group number, which indexes the ends), and the group count.
+        - Chain i is longer: a tuple of one record per group, in target chain
+          order, and the group count. A record is the tuple ``(j, first
+          target, last target, start, end, first source, last source)``: the
+          target chain j, the group's edge range ``start:end`` in the position
+          lists, and the positions at its two ends, so that a step reads no
+          position of a group its interval covers or misses.
         """
         q, span = self.q, self._sigma * self.q
         keys, ends, targets, sources = a.keys, a.ends, a.targets, a.sources
@@ -301,10 +302,10 @@ class Index:
         one_class = self._one_class
         # symbol * q + source chain -> the pair's entry so far: the one-class
         # targets and the longer targets' triples of a one-class source chain,
-        # or the four ints of each group of a longer one
+        # or the record of each group of a longer one
         by_pair: dict[int, list] = {}
         start = 0
-        for g, (key, end) in enumerate(zip(keys, ends)):
+        for key, end in zip(keys, ends):
             j, pair = divmod(key, span)
             i = pair % q
             t_last = targets[end - 1]
@@ -312,13 +313,11 @@ class Index:
             if end - start > 1 or t_last >= lengths[j] or sources[end - 1] >= lengths[i]:
                 _check_monotone_groups((j, *divmod(pair, q)), targets[start:end],
                                        sources[start:end], lengths[j], lengths[i])
-            entry = by_pair.get(pair)
             if i not in one_class:
-                if entry is None:
-                    by_pair[pair] = [j, targets[start], t_last, g]
-                else:
-                    entry += (j, targets[start], t_last, g)
+                by_pair.setdefault(pair, []).append(
+                    (j, targets[start], t_last, start, end, sources[start], sources[end - 1]))
             else:
+                entry = by_pair.get(pair)
                 if entry is None:
                     entry = by_pair[pair] = [[], []]
                 if j in one_class:
@@ -333,7 +332,7 @@ class Index:
                 ones, images = entry
                 rows[sym][i] = (tuple(ones), tuple(images), len(ones) + len(images))
             else:
-                rows[sym][i] = (array("I", entry), len(entry) >> 2)
+                rows[sym][i] = (tuple(entry), len(entry))
         return rows
 
     # Convex-set constructors ------------------------------------------------
@@ -425,17 +424,17 @@ class Index:
         Each group of a pair read is one probe. A reached one-class chain
         adds its pair's image to the result, with no test and no search: the
         one-class targets go into the result set with one ``set.update``.
-        From an interval on a longer chain each group is taken on its own:
-        an interval that misses the group's source range is skipped; one
-        that cuts into it at ``lo`` bisects the decoded sources between the
-        group's ends once, and misses if the first source at or above
-        ``lo`` is not below ``hi``. A reached one-class target chain goes
+        From an interval on a longer chain each group is taken on its own,
+        from its record: an interval that misses the group's source range is
+        skipped; one that cuts into it at ``lo`` bisects the source list over
+        the group's edge range once, and misses if the first source at or
+        above ``lo`` is not below ``hi``. A reached one-class target chain goes
         into the result set. A reached longer chain takes the targets from
         the first one the interval reaches to the group's last, and bisects
         for ``hi`` only when ``hi`` cuts into the sources and those two
         targets differ."""
         row = self._directory[sym]
-        sources, targets, ends = self._sources, self._targets, self._ends
+        sources, targets = self._sources, self._targets
         one_class = self._one_class
         got: set[int] = set()
         # Per reached longer chain: [least position, one past the greatest]
@@ -461,12 +460,9 @@ class Index:
             entry = row.get(i)
             if entry is None:
                 continue
-            ints, n = entry
+            groups, n = entry
             probes += n
-            fields = iter(ints)
-            for j, t_min, t_max, g in zip(fields, fields, fields, fields):
-                start, end = g and ends[g - 1], ends[g]
-                s_first, s_last = sources[start], sources[end - 1]
+            for j, t_min, t_max, start, end, s_first, s_last in groups:
                 if hi <= s_first or lo > s_last:
                     continue
                 p = start

@@ -40,6 +40,13 @@ def group_items(ix):
     return items
 
 
+def criterion_5_automata():
+    """The 300 seeded automata of acceptance criterion 5."""
+    rng = random.Random(SEED_NFA_CORPUS)
+    return [random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
+            for _ in range(300)]
+
+
 def one_chain_index(edges, length=2):
     """Index of a one-symbol graph whose classes 0 to length - 1 form one chain,
     with the given (target, source) positions as its only group, unchecked
@@ -303,11 +310,8 @@ class TestProbeDirectory:
         with the same ``QueryStats``, and each step probes every group of the
         pairs whose source chain it starts from."""
         rng = random.Random(1711)
-        nfa_rng = random.Random(SEED_NFA_CORPUS)
-        automata = [random_trim_nfa(nfa_rng, 7, nfa_rng.randint(1, 3), nfa_rng.choice([0.1, 0.3]))
-                    for _ in range(300)]
         checked = accepts = 0
-        for source in [*graph_corpus, *automata]:
+        for source in [*graph_corpus, *criterion_5_automata()]:
             nfa = isinstance(source, Nfa)
             result = run_pipeline(source, mark_initial=nfa)
             ix = result.index()
@@ -361,6 +365,59 @@ class TestProbeDirectory:
                 matched, end = ix.match_pattern(p)
                 assert (matched, ix.map_back(end)) == brute_match(g, p)
         assert searches > 0
+
+    def test_wheeler_search_work_is_pinned(self, monkeypatch):
+        """The q = 1 step's work on a fixed pattern set, built and loaded: how
+        a step reads a group may get cheaper, but not the number of steps,
+        probes and ``bisect_left`` calls it makes, nor the hits."""
+        dna, g = seeded_debruijn(21, 800, 6)
+        built = build_from(g)[0]
+        searches = 0
+        real = index_module.bisect_left
+
+        def counted(values, x, lo, hi):
+            nonlocal searches
+            searches += 1
+            return real(values, x, lo, hi)
+        monkeypatch.setattr(index_module, "bisect_left", counted)
+        circ = dna + dna[:12]
+        for ix in (built, Index.from_bytes(built.to_bytes())):
+            assert (ix.q, ix.n_classes, ix.e_quotient) == (1, 721, 770)
+            rng = random.Random(21 * 7919)  # not the graph's seed: its patterns miss
+            searches = hits = 0
+            stats = QueryStats()
+            for _ in range(100):
+                n, i = rng.randint(1, 12), rng.randrange(len(dna))
+                for p in (circ[i:i + n], "".join(rng.choice("ACGT") for _ in range(n))):
+                    hits += ix.match_pattern(p, stats)[0]
+            assert (stats.symbols, stats.probes, searches, hits) == (1027, 1027, 1483, 144)
+
+    def test_directory_records_agree_with_the_store(self, graph_corpus):
+        """On the graph corpus and criterion 5's automata, where q >= 2: each
+        group on a longer source chain has one record in its pair's entry, in
+        key order, holding its target chain, its edge range from the ends and
+        the first and last target and source of that range."""
+        checked = 0
+        for source in [*graph_corpus, *criterion_5_automata()]:
+            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index()
+            if ix.q < 2:
+                continue
+            a, span = ix._arrays, len(ix.alphabet) * ix.q
+            want: dict[tuple[int, int], list[tuple]] = {}
+            for g, (key, end) in enumerate(zip(a.keys, a.ends)):
+                j, rest = divmod(key, span)
+                sym, i = divmod(rest, ix.q)
+                if ix._offsets[i + 1] - ix._offsets[i] > 1:
+                    start = a.ends[g - 1] if g else 0
+                    want.setdefault((sym, i), []).append(
+                        (j, a.targets[start], a.targets[end - 1], start, end,
+                         a.sources[start], a.sources[end - 1]))
+            got = {(sym, i): entry for sym, row in enumerate(ix._directory)
+                   for i, entry in row.items() if i not in ix._one_class}
+            assert got == {pair: (tuple(records), len(records))
+                           for pair, records in want.items()}
+            checked += sum(map(len, want.values()))
+        assert checked > 1000
 
 
 class TestMatch:
