@@ -13,11 +13,13 @@ complement of a relation and looks for the first violating pair only in a
 label that has one. A graph whose dense matrices would not fit the
 address-space limit is refused before any of them is allocated.
 
-A ``Preorder`` certifies its transitivity without a matrix product: it finds
-its classes, a minimum chain partition of the class order (which the quotient
-and the index use anyway), numbers the classes chain by chain, then checks the
-chain certificate of ``_certify`` in O(k^2 + k * q^2) on k classes and q
-chains, and that the relation is the lift of its class order in O(n^2).
+A ``Preorder`` certifies its transitivity without a matrix product: it names
+its classes by equal rows and checks that the relation is the lift of its
+class order in O(k * n) over the k class rows (``_row_classes``). It then
+finds a minimum chain partition of the class order (which the quotient and
+the index use anyway), numbers the classes chain by chain, and checks the
+chain certificate of ``_certify``, which reads only the class order, in
+O(k^2 + k * q^2) on q chains.
 The helpers that only check the paper's lemmas on relations (union,
 refinement, transitive closure, antisymmetry, parsing) are in ``oracle``.
 """
@@ -45,9 +47,6 @@ _PEAK_BYTES_PER_PAIR = 4
 # Cells in one block of the certificate's temporaries (4 MiB of bools), so no
 # step allocates a full n x n or k x q x q array at once.
 _BLOCK_CELLS = 1 << 22
-
-# Rows of a column slab transposed in one copy.
-_TILE = 256
 
 
 class Relation:
@@ -112,27 +111,28 @@ class Preorder(Relation):
     """Relation that is also transitive, certified on construction.
 
     The construction keeps what the certificate computes: the classes (nodes
-    related both ways), the class order, and a minimum chain partition of it
+    with equal rows), the class order, and a minimum chain partition of it
     from greedy chains plus Hopcroft-Karp. Class ids are chain-major (chain by
     chain, bottom to top along each), so every chain is a consecutive id range.
     ``quotient.classes``, ``class_order`` and ``chains.min_chain_partition``
     read them, so a build runs one matching.
-    The certificate costs O(n^2 + k * q^2) on n nodes, k classes and q chains,
-    against the n^3 of a boolean matrix product.
+    The certificate costs one packing pass over the n^2 cells, O(k * n) for
+    the lift and O(k^2 + k * q^2) on n nodes, k classes and q chains, against
+    the n^3 of a boolean matrix product.
     """
 
     __slots__ = ("_class_of", "_reps", "_order", "_ends")
 
     def __init__(self, bits: np.ndarray):
         super().__init__(bits)
-        class_of, reps = _first_mutual_classes(self.bits)
-        # When every class is one node, reps is arange(n) and bits is the order.
-        chains = _chain_cover(self.bits if reps.size == self.n
-                              else np.take(self.bits[reps], reps, axis=1))
-        certified = _certify(self.bits, class_of, reps, chains)
+        certified = _row_classes(self.bits)
+        if not isinstance(certified, str):
+            class_of, reps, order = certified
+            certified = _certify(order, _chain_cover(order))
         if isinstance(certified, str):
             raise ValueError("preorder must be transitive")
-        self._keep(*certified)
+        chain_major, order, ends = certified
+        self._keep(np.argsort(chain_major)[class_of], reps[chain_major], order, ends)
 
     def class_order(self) -> "Preorder":
         """The partial order on the classes, certified with this preorder."""
@@ -153,40 +153,48 @@ class Preorder(Relation):
         object.__setattr__(self, "_ends", ends)
 
 
-def _first_mutual_classes(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(class of each node, smallest member of each class) of a reflexive relation.
+def _row_classes(bits: np.ndarray) -> str | tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``"lift"`` if ``bits`` is not the lift of an order on its classes, else
+    (class of each node, smallest member of each class, the class order).
 
-    A node's class is named by the first column related to it both ways; on a
-    preorder that is the smallest member of its class. On any other relation
-    the names may be wrong, which the lift check then finds. The transpose of
-    each column slab is copied tile by tile, so both sides of every copy stay
-    in cache: at n = 3,882 that is ten times faster than one strided pass.
+    Nodes with equal rows form a class, with ids in order of first appearance,
+    so each class's smallest member names it. On a preorder these are the
+    classes of nodes related both ways: u <= v <= u makes the rows of u and v
+    equal by transitivity, and equal rows hold u <= v and v <= u, as each row
+    holds its own node. ``lift`` checks on each class's smallest member that
+    the columns of a class agree; with rows equal by naming, that gives
+    bits[u, v] = order[c(u), c(v)] for all u and v, so ``bits`` is transitive
+    exactly when ``order`` is. It reads the k class rows in O(k * n), and is
+    not needed when every class is one node, where ``order`` is ``bits``.
     """
     n = bits.shape[0]
-    first = np.empty(n, dtype=np.intp)
-    rows = max(1, _BLOCK_CELLS // max(n, 1))
-    for lo in range(0, n, rows):
-        hi = min(n, lo + rows)
-        mutual = np.empty((hi - lo, n), dtype=bool)
-        for col in range(0, n, _TILE):
-            mutual[:, col:col + _TILE] = bits[col:col + _TILE, lo:hi].T
-        mutual &= bits[lo:hi]
-        first[lo:hi] = mutual.argmax(axis=1)
-    reps, class_of = np.unique(first, return_inverse=True)
-    return class_of, reps
+    ids: dict[bytes, int] = {}
+    class_of = np.array([ids.setdefault(row.tobytes(), len(ids))
+                         for row in np.packbits(bits, axis=1)], dtype=np.intp)
+    reps = np.unique(class_of, return_index=True)[1]
+    k = reps.size
+    if k == n:
+        return class_of, reps, bits
+    order = np.empty((k, k), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, k, rows):
+        block = bits[reps[lo:lo + rows]]
+        order[lo:lo + rows] = np.take(block, reps, axis=1)
+        if not np.array_equal(block, np.take(order[lo:lo + rows], class_of, axis=1)):
+            return "lift"
+    return class_of, reps, order
 
 
-def _certify(bits: np.ndarray, class_of: np.ndarray, reps: np.ndarray,
-             chains: Sequence[Sequence[int]]) -> str | tuple:
-    """The first failing check of the transitivity certificate, or the classes
-    numbered chain-major: (``class_of``, ``reps``, ``order``, chain ends).
+def _certify(order: np.ndarray, chains: Sequence[Sequence[int]]) -> str | tuple:
+    """The first failing check of the transitivity certificate of a class
+    order, or (the classes in chain-major order, ``order`` renumbered to it,
+    chain ends).
 
-    ``chains`` should partition the k classes of ``class_of``, whose smallest
-    members are ``reps``. After ``cover`` (every class on exactly one chain)
-    the classes are numbered chain by chain, and ``order`` is ``bits`` read at
-    their smallest members. With m_j(u) the first position on chain C_j that
-    class u relates to (|C_j| if there is none), ``order`` is transitive if and
-    only if, after ``link`` (consecutive members related):
+    ``chains`` should partition the k classes. After ``cover`` (every class on
+    exactly one chain) the classes are numbered chain by chain. With m_j(u)
+    the first position on chain C_j that class u relates to (|C_j| if there is
+    none), ``order`` is transitive if and only if, after ``link`` (consecutive
+    members related):
 
     - ``a``: u relates to exactly the positions from m_j(u) on, for all u, j;
     - ``b``: m_j never decreases along a chain;
@@ -194,22 +202,19 @@ def _certify(bits: np.ndarray, class_of: np.ndarray, reps: np.ndarray,
 
     Proof: take u <= v <= w, with v on C_k and w on C_j. By (a), m_k(u) <=
     pos(v); (c) and then (b) from C_k[m_k(u)] up to v give m_j(u) <= m_j(v) <=
-    pos(w), so u <= w by (a). Every preorder meets (a)-(c). Last, ``lift``:
-    ``bits`` is ``order`` read at each node's class, which makes ``bits``
-    transitive when ``order`` is. The checks cost O(k^2 + k * q^2) on q chains,
-    (c) only at pairs (u, k) where u has a successor on C_k, plus O(n^2) for
-    the lift.
+    pos(w), so u <= w by (a). Every preorder meets (a)-(c). The checks cost
+    O(k^2 + k * q^2) on q chains, (c) only at pairs (u, k) where u has a
+    successor on C_k.
     """
-    k = reps.size
+    k = order.shape[0]
     q = len(chains)
     lengths = np.array([len(c) for c in chains], dtype=np.intp)
     flat = np.array([v for c in chains for v in c], dtype=np.intp)
     if flat.size != k or (lengths == 0).any() or not np.array_equal(np.sort(flat), np.arange(k)):
         return "cover"
-    class_of, reps = np.argsort(flat)[class_of], reps[flat]
-    order = np.take(bits[reps], reps, axis=1)  # C order; bits[reps][:, reps] is Fortran
+    order = np.take(order[flat], flat, axis=1)  # C order; order[flat][:, flat] is Fortran
     if k == 0:
-        return class_of, reps, order, ()
+        return flat, order, ()
     starts = np.cumsum(lengths) - lengths
     chain_at = np.repeat(np.arange(q), lengths)  # chain of each class
     pos_at = np.arange(k) - starts[chain_at]     # position of each class on its chain
@@ -247,14 +252,7 @@ def _certify(bits: np.ndarray, class_of: np.ndarray, reps: np.ndarray,
             if (m[u[s:s + steps]] > m[v[s:s + steps]]).any():
                 return "c"
 
-    n = bits.shape[0]
-    if k < n:  # with a class per node, order is bits renumbered
-        rows = max(1, _BLOCK_CELLS // n)
-        for lo in range(0, n, rows):
-            lifted = np.take(order[class_of[lo:lo + rows]], class_of, axis=1)
-            if not np.array_equal(bits[lo:lo + rows], lifted):
-                return "lift"
-    return class_of, reps, order, tuple((starts + lengths).tolist())
+    return flat, order, tuple((starts + lengths).tolist())
 
 
 def _label_extremes(g: LabeledGraph, u_marked) -> tuple[np.ndarray, np.ndarray]:
@@ -430,10 +428,8 @@ def first_axiom_violation(g: LabeledGraph, r: Relation,
     _check_dense_size(g.n)
     if r.n != g.n:
         raise ValueError("relation size does not match graph")
-    lo, hi = _label_extremes(g, u_marked)
-    bad1 = np.greater.outer(hi, lo)
+    bad1 = _angle_violations(g, u_marked)
     bad1 &= r.bits
-    np.fill_diagonal(bad1, False)
     if bad1.any():
         u, v = (int(x) for x in np.argwhere(bad1)[0])
         return AxiomViolation(1, (u, v), "label sets are not dominance-ordered")

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from colexgraph.oracle import (gfp_max_relation, is_antisymmetric, is_colex_rela
                                random_colex_relation, random_graph, refines,
                                transitive_closure, union)
 from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certify,
-                                 _first_mutual_classes, _label_edges, _label_extremes)
+                                 _label_edges, _label_extremes, _row_classes)
 from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 from helpers import (expected_double_hub_relation, seeded_debruijn, strict_label_relation,
@@ -82,8 +83,10 @@ def random_relation_bits(rng: random.Random, n: int) -> np.ndarray:
 
 def certificate_failure_of(bits: np.ndarray, chains) -> str | None:
     """The certificate's verdict on ``bits`` with hand-picked chains of its classes."""
-    class_of, reps = _first_mutual_classes(bits)
-    certified = _certify(bits, class_of, reps, chains)
+    named = _row_classes(bits)
+    if isinstance(named, str):
+        return named
+    certified = _certify(named[2], chains)
     return certified if isinstance(certified, str) else None
 
 
@@ -139,10 +142,11 @@ class TestTransitivityCertificate:
         assert certificate_failure_of(bits, ((0,), (1,), (2,))) == "c"
 
     def test_lift(self):
-        # 0 and 1 are one class, but only 0 relates to 2: the class order is a
-        # chain, yet 1 <= 0 <= 2 without 1 <= 2.
-        bits = order_from_pairs(3, [(0, 1), (1, 0), (0, 2)])
-        assert certificate_failure_of(bits, ((0, 1),)) == "lift"
+        # 0 and 1 have equal rows, so they are one class, but 2 relates only to
+        # 0: the class order {2} < {0, 1} is a chain, yet 2 <= 0 <= 1 without
+        # 2 <= 1.
+        bits = order_from_pairs(3, [(0, 1), (1, 0), (2, 0)])
+        assert certificate_failure_of(bits, ((0,), (1,))) == "lift"
 
     @pytest.mark.parametrize("pairs, chains", [
         ([(0, 1), (1, 2), (0, 2)], ((0, 1, 2),)),
@@ -162,11 +166,26 @@ class TestTransitivityCertificate:
         with pytest.raises(ValueError, match="^preorder must be transitive$"):
             Preorder(order_from_pairs(4, pairs))
 
+    def test_lift_reads_class_rows_not_node_rows(self):
+        # A total preorder of 2,000 nodes in about 500 classes. The Preorder
+        # copies the writeable input (n^2 bytes); naming the classes and
+        # checking the lift read the k class rows, so the traced peak stays
+        # under the n x n blocks a pass over all n node rows would add.
+        n = 2000
+        cls = np.random.default_rng(2000).integers(0, 500, n)
+        bits = cls[:, None] <= cls[None, :]
+        tracemalloc.start()
+        try:
+            pre = Preorder(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pre._reps.size == np.unique(cls).size and len(pre._ends) == 1
+        assert peak < 2.5 * n * n
+
     def test_agrees_in_small_blocks(self, monkeypatch):
-        # Blocks of a few cells, and tiles of a few rows, run every loop of the
-        # certificate many times.
+        # Blocks of a few cells run every loop of the certificate many times.
         monkeypatch.setattr("colexgraph.relation._BLOCK_CELLS", 7)
-        monkeypatch.setattr("colexgraph.relation._TILE", 3)
         rng = random.Random(SEED_ORDER_CORPUS + 1)
         for _ in range(300):
             bits = random_relation_bits(rng, rng.randint(2, 11))
