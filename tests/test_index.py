@@ -1,9 +1,11 @@
 import hashlib
 import random
 import struct
+import sys
 import time
 from collections import Counter
-from operator import mul
+from functools import cache, reduce
+from operator import mul, or_
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +47,63 @@ def criterion_5_automata():
     rng = random.Random(SEED_NFA_CORPUS)
     return [random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
             for _ in range(300)]
+
+
+@cache
+def top_band_automata():
+    """40 seeded automata of 33 to 40 states, drawn as the benchmark's
+    nfa-corpus draws its top band. Nearly every state is a chain of its own,
+    so reached sets span several blocks of one-class chains, and most of the
+    automata have a partial last block."""
+    rng = random.Random(2104)
+    out = []
+    for _ in range(40):
+        a = random_trim_nfa(rng, 40, 3, 0.08)
+        while a.graph.n < 33:
+            a = random_trim_nfa(rng, 40, 3, 0.08)
+        out.append(a)
+    return tuple(out)
+
+
+@cache
+def sparse_graphs():
+    """Three seeded graphs of 300 to 900 nodes where each node has two edges
+    per symbol, to nodes drawn at random. Most classes are chains of their
+    own, so q ~ n, and many blocks of four source chains reach a chain id
+    past 64 times their group count: their masks would be wide."""
+    out = []
+    for n in (300, 600, 900):
+        rng = random.Random(n)
+        edges = {(u, rng.randrange(n), a) for a in "ab" for u in range(n) for _ in range(2)}
+        out.append(LabeledGraph(n, frozenset(edges), Alphabet(("a", "b"))))
+    return tuple(out)
+
+
+def deep_size(obj, seen):
+    """Bytes held by ``obj`` and the tuples, lists, dicts and ints under it,
+    each object counted once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, (tuple, list)):
+        size += sum(deep_size(x, seen) for x in obj)
+    elif isinstance(obj, dict):
+        size += sum(deep_size(k, seen) + deep_size(v, seen) for k, v in obj.items())
+    return size
+
+
+def nfa_walk(rng, a, length):
+    """Labels of a random walk of up to ``length`` edges from the initial state."""
+    out_adj = a.graph.out_adjacency()
+    labels, u = [], a.initial
+    for _ in range(length):
+        moves = [(sym, v) for sym, targets in out_adj[u].items() for v in targets]
+        if not moves:
+            break
+        sym, u = rng.choice(moves)
+        labels.append(sym)
+    return tuple(labels)
 
 
 def one_chain_index(edges, length=2):
@@ -305,13 +364,18 @@ class TestProbeDirectory:
         assert steps > 1000
 
     def test_fold_agrees_with_follow(self, graph_corpus):
-        """On the graph corpus and criterion 5's automata, where q >= 2: the
-        query fold and a fold of the public ``follow`` end on the same set
-        with the same ``QueryStats``, and each step probes every group of the
-        pairs whose source chain it starts from."""
+        """On the graph corpus, criterion 5's automata and the top band, as
+        automata and as graphs, where q >= 2: the query fold and a fold of the
+        public ``follow`` end on the same set with the same ``QueryStats``,
+        and each step probes every group of the pairs whose source chain it
+        starts from. The top band's steps start from sets that span more than
+        two blocks of four chains, and from sets that reach a partial last
+        block."""
         rng = random.Random(1711)
-        checked = accepts = 0
-        for source in [*graph_corpus, *criterion_5_automata()]:
+        checked = accepts = wide = partial = 0
+        top_band = top_band_automata()
+        for source in [*graph_corpus, *criterion_5_automata(), *top_band,
+                       *(a.graph for a in top_band)]:
             nfa = isinstance(source, Nfa)
             result = run_pipeline(source, mark_initial=nfa)
             ix = result.index()
@@ -325,6 +389,9 @@ class TestProbeDirectory:
                 cur = ix.set_for_classes([ix.initial_class]) if nfa else ix.full_set()
                 for a in p:
                     sources = [i for i, (lo, hi) in enumerate(cur.intervals) if lo < hi]
+                    if len({i // 4 for i in sources}) > 2:
+                        wide += 1
+                        partial += ix.q % 4 > 0 and sources[-1] >= ix.q - ix.q % 4
                     before = by_follow.probes
                     cur = ix.follow(cur, a, by_follow)
                     sym = ix.alphabet.index(a)
@@ -341,6 +408,7 @@ class TestProbeDirectory:
                 assert by_fold == by_follow
                 checked += 1
         assert checked > 1000 and accepts > 200
+        assert wide > 400 and partial > 200
 
     @pytest.mark.parametrize("seed, length, k", [(11, 300, 4), (12, 450, 5), (13, 600, 5)])
     def test_wheeler_graph_matches_brute_force(self, monkeypatch, seed, length, k):
@@ -394,6 +462,29 @@ class TestProbeDirectory:
                     hits += ix.match_pattern(p, stats)[0]
             assert (stats.symbols, stats.probes, searches, hits) == (1027, 1027, 1483, 144)
 
+    def test_one_class_search_work_is_pinned(self):
+        """The q ~ n step's work on the top band, built and loaded: how a step
+        reads the reached one-class chains may get cheaper, but not the number
+        of steps and probes it makes, nor the answers. Four strings in five
+        are walks from the initial state, as in the benchmark; each string is
+        asked with ``accept`` and with ``match_pattern``."""
+        built = [(a, run_pipeline(a, mark_initial=True).index())
+                 for a in top_band_automata()[:12]]
+        for load in (False, True):
+            rng = random.Random(2105)
+            stats, accepts, matches = QueryStats(), 0, 0
+            for a, ix in built:
+                if load:
+                    ix = Index.from_bytes(ix.to_bytes())
+                symbols = a.graph.alphabet.symbols
+                for k in range(10):
+                    length = rng.randint(1, 10)
+                    p = (nfa_walk(rng, a, length) if k % 5 else
+                         tuple(rng.choice(symbols) for _ in range(length)))
+                    accepts += ix.accept(p, stats)
+                    matches += ix.match_pattern(p, stats)[0]
+            assert (stats.symbols, stats.probes, accepts, matches) == (1298, 98717, 117, 120)
+
     def test_directory_records_agree_with_the_store(self, graph_corpus):
         """On the graph corpus and criterion 5's automata, where q >= 2: each
         group on a longer source chain has one record in its pair's entry, in
@@ -415,11 +506,103 @@ class TestProbeDirectory:
                         (j, a.targets[start], a.targets[end - 1], start, end,
                          a.sources[start], a.sources[end - 1]))
             got = {(sym, i): entry for sym, row in enumerate(ix._directory)
-                   for i, entry in row.items() if i not in ix._one_class}
+                   for i, entry in row.items()}
             assert got == {pair: (tuple(records), len(records))
                            for pair, records in want.items()}
             checked += sum(map(len, want.values()))
         assert checked > 1000
+
+    def test_block_tables_agree_with_the_store(self, graph_corpus):
+        """On the graph corpus, criterion 5's automata, the top band and the
+        sparse graphs: for every symbol, block of four chains and subset of
+        the block's one-class chains, the block's tables hold the OR of the
+        subset's one-class target chains' bits, its group count, its longer
+        target chains' ``(chain, first target, last target + 1)`` triples,
+        chain after chain and in key order, or None for that table when no
+        subset has one. A block whose highest one-class target is at least
+        64 times its group count has masks of its targets below 64 only, and
+        a fourth table of its other targets' ids; every other block has None
+        there."""
+        entries = with_images = partial = narrow_far = wide = 0
+        for source in [*graph_corpus, *criterion_5_automata(), *top_band_automata(),
+                       *sparse_graphs()]:
+            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index()
+            ones = ix._one_class
+            # (symbol, one-class source chain) -> [target chains, groups, triples]
+            pairs: dict[tuple[int, int], list] = {}
+            for (j, sym, i), (targets, _) in group_items(ix):
+                if i in ones:
+                    image = pairs.setdefault((sym, i), [(), 0, ()])
+                    image[1] += 1
+                    if j in ones:
+                        image[0] += (j,)
+                    else:
+                        image[2] += ((j, targets[0], targets[-1] + 1),)
+            want = {}
+            for sym, block in {(sym, i // 4) for sym, i in pairs}:
+                chains = [pairs.get((sym, 4 * block + b), [(), 0, ()]) for b in range(4)]
+                top = max((j for p in chains for j in p[0]), default=0)
+                is_wide = top >= 64 * sum(p[1] for p in chains)
+                ors, counts, images, far = [], [], [], []
+                for nibble in range(16):
+                    picked = [chains[b] for b in range(4) if nibble >> b & 1]
+                    hit = [j for p in picked for j in p[0]]
+                    ors.append(reduce(or_, (1 << j for j in hit if j < 64 or not is_wide), 0))
+                    counts.append(sum(p[1] for p in picked))
+                    images.append(sum((p[2] for p in picked), ()))
+                    far.append(tuple(j for j in hit if j >= 64))
+                want[sym * ix.q + block] = (tuple(ors), tuple(counts),
+                                            tuple(images) if any(images) else None,
+                                            tuple(far) if is_wide else None)
+                partial += 4 * block + 4 > ix.q > 4
+                wide += is_wide
+                narrow_far += top >= 64 and not is_wide
+            assert ix._tables == want
+            entries += 16 * len(want)
+            with_images += sum(images is not None for _, _, images, _ in want.values())
+        assert entries > 40000 and with_images > 300 and partial > 400
+        assert wide > 100 and narrow_far > 100
+
+    def test_wide_blocks_match_brute_force(self):
+        """On the sparse graphs, built and loaded: match_pattern agrees with
+        the brute-force product on walks and on random strings, so steps that
+        read wide blocks' target ids reach the right chains."""
+        for g in sparse_graphs():
+            built = build_from(g)[0]
+            assert built.q > 0.8 * g.n
+            out_adj = g.out_adjacency()
+            for ix in (built, Index.from_bytes(built.to_bytes())):
+                rng = random.Random(g.n + 1)
+                for k in range(60):
+                    length = rng.randint(1, 8)
+                    if k % 3:
+                        u, p = rng.randrange(g.n), []
+                        for _ in range(length):
+                            a = rng.choice("ab")
+                            p.append(a)
+                            u = rng.choice(sorted(out_adj[u][a]))
+                    else:
+                        p = [rng.choice("ab") for _ in range(length)]
+                    matched, end = ix.match_pattern(p)
+                    assert (matched, ix.map_back(end)) == brute_match(g, p)
+
+    def test_block_tables_take_memory_linear_in_the_groups(self):
+        """A file of 8,000 one-class chains with one group per block of four
+        source chains, each aimed at the last chain: masks would make every
+        block hold 15 ints of 8,000 bits (about 9 KiB per group). The tables
+        take under 2 KiB per group, and the step still reaches the last
+        chain from every source."""
+        q = 8000
+        keys = [(q - 1) * q + i for i in range(0, q, 4)]
+        arrays = _Arrays(list(range(1, q + 1)), list(range(q)), [], keys,
+                         list(range(1, len(keys) + 1)), [0] * len(keys), [0] * len(keys), [])
+        ix = Index.from_bytes(Index(alphabet=Alphabet(("a",)), n_original=q,
+                                    e_original=len(keys), n_classes=q, arrays=arrays,
+                                    has_finals=False, initial_class=None).to_bytes())
+        assert deep_size(ix._tables, set()) < 2048 * len(keys)
+        stats = QueryStats()
+        ok, end = ix.match_pattern(["a"], stats)
+        assert ok and ix.map_back(end) == {q - 1} and stats.probes == len(keys)
 
 
 class TestMatch:
@@ -445,6 +628,18 @@ class TestMatch:
         ix, _, _ = build_from(g)
         for p in ([], ["a"], ["a", "b"], ["b", "a"]):
             assert ix.match_from(ix.full_set(), p) == ix.match_pattern(p)
+
+    def test_full_set_start_skips_an_empty_chain(self):
+        """A file whose chain ends repeat has a chain of no class. It holds
+        no one-class chain's bit in match_pattern's start, so the empty
+        pattern matches the classes there are and nothing outside a chain."""
+        arrays = _Arrays([1, 1, 2], [0, 1], [], [], [], [], [], [])
+        ix = Index(alphabet=Alphabet(("a",)), n_original=2, e_original=0, n_classes=2,
+                   arrays=arrays, has_finals=False, initial_class=None)
+        for index in (ix, Index.from_bytes(ix.to_bytes())):
+            ok, end = index.match_pattern([])
+            assert ok and end.intervals == ((0, 1), (0, 0), (0, 1))
+            assert index.map_back(end) == {0, 1}
 
     def test_match_from_empty_start(self):
         ix, _, _ = build_from(double_hub_graph(2))
