@@ -9,14 +9,17 @@ nodes of a caller-chosen distinguished set; both sort before every user symbol
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 HASH = "#"
 AT = "@"
 
 MARKERS = (HASH, AT)
+
+# The first words of the text format's non-edge lines.
+_DIRECTIVES = frozenset({"alphabet", "nodes", "initial", "final"})
 
 
 class GraphFormatError(ValueError):
@@ -70,7 +73,13 @@ class Alphabet:
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """Finite edge-labeled graph: nodes 0..n-1, a set of labeled edge triples."""
+    """Finite edge-labeled graph: nodes 0..n-1, a set of labeled edge triples.
+
+    Construction refuses an edge that is not a triple, a node outside 0..n-1
+    and a label outside the alphabet (a marker included). It checks all edges
+    at once, with C-level passes, and only when that check fails does it walk
+    the edges one by one to word the refusal of the first bad one.
+    """
 
     n: int
     edges: frozenset[tuple[int, int, str]]
@@ -79,11 +88,30 @@ class LabeledGraph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("node count must be non-negative")
-        for u, v, a in self.edges:
+        if self._edges_fit():
+            return
+        for u, v, a in self.edges:  # the first refusal, worded per edge
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v},{a!r}) out of node range 0..{self.n - 1}")
             if a not in self.alphabet:
                 raise ValueError(f"edge label {a!r} is not a user symbol")
+
+    def _edges_fit(self) -> bool:
+        """Whether every edge is a triple of two nodes in 0..n-1 and a user
+        symbol, checked in bulk: a strict ``zip`` refuses tuples of other
+        lengths (a plain one would truncate them), then come the extremes of
+        the sources and targets and a subset test of the labels. Nodes that
+        do not compare with ints give ``False``, and the per-edge loop
+        decides. A NaN node, which compares with nothing, may pass here
+        though the loop refuses it."""
+        if not self.edges:
+            return True
+        try:
+            sources, targets, labels = zip(*self.edges, strict=True)
+            return (min(sources) >= 0 and min(targets) >= 0 and max(sources) < self.n
+                    and max(targets) < self.n and self.alphabet._index.keys() >= set(labels))
+        except (TypeError, ValueError):
+            return False
 
     @classmethod
     def build(cls, n: int, edges: Iterable[tuple[int, int, str]],
@@ -166,38 +194,39 @@ def angle(a: frozenset[str], b: frozenset[str], alph: Alphabet) -> bool:
     return max(alph.rank(x) for x in a) <= min(alph.rank(y) for y in b)
 
 
+def _reached(adjacent: list[list[int]], start: Iterable[int]) -> set[int]:
+    """The nodes that ``adjacent`` reaches from ``start``, start included: one
+    set union per level of the search."""
+    seen = set(start)
+    frontier = seen
+    while frontier:
+        frontier = set(chain.from_iterable(map(adjacent.__getitem__, frontier))) - seen
+        seen |= frontier
+    return seen
+
+
 def trim_nfa(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
     """Restrict to states reachable from the initial and co-reachable to a final.
 
     Returns the trimmed automaton and the kept-state map: kept[new_id] = old_id.
     Raises EmptyLanguageError when the initial state itself would be removed.
+    Labels play no part: both searches run on plain successor and predecessor
+    lists, built in one pass over the edges. An automaton that keeps every
+    state is returned as it is.
     """
     g = a.graph
-    out_adj = g.out_adjacency()
-    reach = {a.initial}
-    dq = deque([a.initial])
-    while dq:
-        u = dq.popleft()
-        for targets in out_adj[u].values():
-            for v in targets:
-                if v not in reach:
-                    reach.add(v)
-                    dq.append(v)
-    in_adj = g.in_adjacency()
-    coreach = set(a.finals)
-    dq = deque(coreach)
-    while dq:
-        v = dq.popleft()
-        for sources in in_adj[v].values():
-            for u in sources:
-                if u not in coreach:
-                    coreach.add(u)
-                    dq.append(u)
-    kept = tuple(sorted(reach & coreach))
-    if a.initial not in kept:
+    successors: list[list[int]] = [[] for _ in range(g.n)]
+    predecessors: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v, _ in g.edges:
+        successors[u].append(v)
+        predecessors[v].append(u)
+    keep = _reached(successors, (a.initial,)) & _reached(predecessors, a.finals)
+    if a.initial not in keep:
         raise EmptyLanguageError("initial state is not co-reachable to any final state")
+    kept = tuple(sorted(keep))
+    if len(kept) == g.n:
+        return a, kept
     renum = {old: new for new, old in enumerate(kept)}
-    keep = set(kept)
     edges = frozenset((renum[u], renum[v], s) for u, v, s in g.edges if u in keep and v in keep)
     graph = LabeledGraph(len(kept), edges, g.alphabet)
     finals = frozenset(renum[f] for f in a.finals if f in keep)
@@ -207,7 +236,8 @@ def trim_nfa(a: Nfa) -> tuple[Nfa, tuple[int, ...]]:
 def _parse(text: str, *, automaton: bool | None):
     n = None
     explicit_alphabet: tuple[str, ...] | None = None
-    implicit: dict[str, None] = {}
+    # the alphabet so far: the explicit one, or the symbols in order of first appearance
+    symbols: dict[str, None] = {}
     edges: set[tuple[int, int, str]] = set()
     initial = None
     finals: set[int] | None = None
@@ -223,13 +253,29 @@ def _parse(text: str, *, automaton: bool | None):
             raise GraphFormatError(f"line {lineno}: node {i} out of declared range 0..{n - 1}")
         return i
 
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith(HASH):
+    for lineno, parts in enumerate(map(str.split, text.splitlines()), 1):
+        if not parts or parts[0].startswith(HASH):
             continue
-        parts = line.split()
         head = parts[0]
-        if head == "alphabet":
+        if head not in _DIRECTIVES:
+            try:
+                src, dst, label = parts
+                u, v = int(src), int(dst)
+                fits = 0 <= u < n and 0 <= v < n  # a TypeError before the nodes line
+            except (TypeError, ValueError):
+                fits = False
+            if not fits:  # the refusal that names this line
+                if len(parts) != 3:
+                    raise GraphFormatError(f"line {lineno}: expected '<src> <dst> <label>'")
+                u, v = node(src, lineno), node(dst, lineno)
+            if label not in symbols:
+                if label in MARKERS:
+                    raise GraphFormatError(f"line {lineno}: marker {label!r} cannot be an edge label")
+                if explicit_alphabet is not None:
+                    raise GraphFormatError(f"line {lineno}: unknown symbol {label!r}")
+                symbols[label] = None
+            edges.add((u, v, label))
+        elif head == "alphabet":
             if explicit_alphabet is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate alphabet line")
             if edges:
@@ -240,6 +286,7 @@ def _parse(text: str, *, automaton: bool | None):
                 explicit_alphabet = tuple(Alphabet(tuple(parts[1:])).symbols)
             except ValueError as e:
                 raise GraphFormatError(f"line {lineno}: {e}") from None
+            symbols = dict.fromkeys(explicit_alphabet)
         elif head == "nodes":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate nodes line")
@@ -259,32 +306,17 @@ def _parse(text: str, *, automaton: bool | None):
             if len(parts) != 2:
                 raise GraphFormatError(f"line {lineno}: expected 'initial <state>'")
             initial = node(parts[1], lineno)
-        elif head == "final":
+        else:
             if automaton is False:
                 raise GraphFormatError(f"line {lineno}: 'final' is only valid in an automaton file")
             if finals is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate final line")
             finals = {node(t, lineno) for t in parts[1:]}
-        else:
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected '<src> <dst> <label>'")
-            u = node(parts[0], lineno)
-            v = node(parts[1], lineno)
-            label = parts[2]
-            if label in MARKERS:
-                raise GraphFormatError(f"line {lineno}: marker {label!r} cannot be an edge label")
-            if explicit_alphabet is not None:
-                if label not in explicit_alphabet:
-                    raise GraphFormatError(f"line {lineno}: unknown symbol {label!r}")
-            else:
-                implicit.setdefault(label, None)
-            edges.add((u, v, label))
 
     if n is None:
         raise GraphFormatError("missing 'nodes' line")
-    symbols = explicit_alphabet if explicit_alphabet is not None else tuple(implicit)
     try:
-        alphabet = Alphabet(symbols)
+        alphabet = Alphabet(tuple(symbols))
     except ValueError as e:
         raise GraphFormatError(str(e)) from None
     graph = LabeledGraph(n, frozenset(edges), alphabet)

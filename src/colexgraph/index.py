@@ -47,8 +47,8 @@ import zlib
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, repeat
-from operator import ge, mul, sub
+from itertools import accumulate, compress, count, repeat
+from operator import ge, mul, ne, sub
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 from .chains import ChainPartition
@@ -791,16 +791,18 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
     if not all(qg.order.holds(c, c + 1) for chain in cp.chains for c in chain[:-1]):
         raise ValueError("chain members are not strictly increasing in the order")
     alphabet, q = qg.graph.alphabet, cp.chain_count
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for cu, cv, a in qg.graph.edges:
-        key = (cp.chain_of[cv] * len(alphabet) + alphabet.index(a)) * q + cp.chain_of[cu]
-        groups.setdefault(key, []).append((cp.pos_in_chain[cv], cp.pos_in_chain[cu]))
-    keys = sorted(groups)
-    edges = [edge for key in keys for edge in sorted(groups[key])]
+    sigma, chain_of, pos = len(alphabet), cp.chain_of, cp.pos_in_chain
+    symbol = {a: k for k, a in enumerate(alphabet.symbols)}
+    # (key, target position, source position) of every edge, in store order
+    edges = sorted(((chain_of[cv] * sigma + symbol[a]) * q + chain_of[cu], pos[cv], pos[cu])
+                   for cu, cv, a in qg.graph.edges)
+    edge_keys = [edge[0] for edge in edges]
+    # a group ends where the next edge's key differs, and the last at the end
+    last = list(map(ne, edge_keys, [*edge_keys[1:], None]))
     arrays = _Arrays([*accumulate(map(len, cp.chains))], qg.partition.class_of,
-                     sorted(qg.marked_classes), keys,
-                     [*accumulate(len(groups[key]) for key in keys)],
-                     [t for t, _ in edges], [s for _, s in edges], sorted(finals or ()))
+                     sorted(qg.marked_classes), [*compress(edge_keys, last)],
+                     [*compress(count(1), last)], [edge[1] for edge in edges],
+                     [edge[2] for edge in edges], sorted(finals or ()))
     return Index(alphabet=alphabet,
                  n_original=qg.partition.n if n_original is None else n_original,
                  e_original=len(qg.graph.edges) if e_original is None else e_original,

@@ -78,20 +78,23 @@ def quotient_graph(g: LabeledGraph, pre: Preorder,
     class_of = part.class_of
     qedges = frozenset((class_of[u], class_of[v], a) for u, v, a in g.edges)
     qg = LabeledGraph(part.count, qedges, g.alphabet)
-    entered = {v for _, v, _ in g.edges}
-    incoming: dict[int, set[tuple[int, str]]] = {}
-    for src, dst, a in qedges:
-        incoming.setdefault(dst, set()).add((src, a))
-    for cid, group in enumerate(part.members):
-        if len(group) < 2 or cid not in incoming:
-            continue
-        if len(incoming[cid]) > 1:
-            raise AssertionError(
-                f"class {cid} has several incoming edges; input was not a co-lex preorder")
-        if not entered.issuperset(group):
-            raise AssertionError(
-                f"class {cid} merges states with and without incoming edges; "
-                "input was not a co-lex preorder")
+    merged = [cid for cid, group in enumerate(part.members) if len(group) > 1]
+    if merged:  # only merged classes have something to check
+        entered = {v for _, v, _ in g.edges}
+        incoming: dict[int, set[tuple[int, str]]] = {cid: set() for cid in merged}
+        for src, dst, a in qedges:
+            if dst in incoming:
+                incoming[dst].add((src, a))
+        for cid in merged:
+            if not incoming[cid]:
+                continue
+            if len(incoming[cid]) > 1:
+                raise AssertionError(
+                    f"class {cid} has several incoming edges; input was not a co-lex preorder")
+            if not entered.issuperset(part.members[cid]):
+                raise AssertionError(
+                    f"class {cid} merges states with and without incoming edges; "
+                    "input was not a co-lex preorder")
     marked_classes = frozenset(class_of[v] for v in marked)
     return QuotientGraph(qg, part, order, marked_classes)
 

@@ -212,7 +212,16 @@ def _certify(order: np.ndarray, chains: Sequence[Sequence[int]]) -> str | tuple:
     flat = np.array([v for c in chains for v in c], dtype=np.intp)
     if flat.size != k or (lengths == 0).any() or not np.array_equal(np.sort(flat), np.arange(k)):
         return "cover"
-    order = np.take(order[flat], flat, axis=1)  # C order; order[flat][:, flat] is Fortran
+    # Renumbered by row blocks into one C-ordered array (order[flat][:, flat]
+    # is Fortran), so only a block's rows are copied next to the input and
+    # the result. ``flat`` is a permutation, so "clip" changes no index; it
+    # lets np.take write to ``out`` without buffering a copy of it.
+    renumbered = np.empty((k, k), dtype=bool)
+    rows = max(1, _BLOCK_CELLS // max(k, 1))
+    for lo in range(0, k, rows):
+        np.take(order[flat[lo:lo + rows]], flat, axis=1, out=renumbered[lo:lo + rows],
+                mode="clip")
+    order = renumbered
     if k == 0:
         return flat, order, ()
     starts = np.cumsum(lengths) - lengths

@@ -1,10 +1,14 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
 from colexgraph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError,
                         LabeledGraph, Nfa, angle, format_graph, format_nfa, lambda_sets,
                         parse_graph, parse_input, parse_nfa, trim_nfa)
-from conftest import fan_graph, funnel_nfa, loop_branch_nfa, small_graphs, small_nfas
+from colexgraph.oracle import random_graph
+from conftest import (SEED_NFA_CORPUS, fan_graph, funnel_nfa, loop_branch_nfa, small_graphs,
+                      small_nfas)
 
 
 class TestAlphabet:
@@ -67,6 +71,28 @@ class TestParsing:
         with pytest.raises(GraphFormatError):
             parse_graph(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("0 1 a\n", "line 1: 'nodes' line must come first"),
+        ("x 1 a\n", "line 1: expected a node index, got 'x'"),
+        ("nodes 2\n0 1\n", "line 2: expected '<src> <dst> <label>'"),
+        ("nodes 2\n0 1 a b\n", "line 2: expected '<src> <dst> <label>'"),
+        ("nodes 2\n5 x a\n", "line 2: node 5 out of declared range 0..1"),
+        ("nodes 2\n0 x a\n", "line 2: expected a node index, got 'x'"),
+        ("nodes 2\n-1 0 a\n", "line 2: node -1 out of declared range 0..1"),
+        ("nodes 2\n0 1 a\n1 1 a\n0 2 a\n", "line 4: node 2 out of declared range 0..1"),
+        ("alphabet a\nnodes 2\n0 1 b\n", "line 3: unknown symbol 'b'"),
+        ("alphabet a\nnodes 2\n0 1 @\n", "line 3: marker '@' cannot be an edge label"),
+        ("nodes 2\n0 1 #\n", "line 2: marker '#' cannot be an edge label"),
+        ("nodes 2\n0 1 a\nalphabet a\n", "line 3: alphabet line must precede edges"),
+        ("nodes 2\n0 1 #x\n", "invalid alphabet symbol '#x'"),
+        ("\n  # c\nnodes 1\n 0 0 a \n1 0 a\n", "line 5: node 1 out of declared range 0..0"),
+    ])
+    def test_parse_error_messages(self, text, message):
+        """Each refusal names the first bad line, whichever check it fails."""
+        with pytest.raises(GraphFormatError) as caught:
+            parse_graph(text)
+        assert str(caught.value) == message
+
     def test_nfa_roundtrip(self):
         nfa = loop_branch_nfa()
         again = parse_nfa(format_nfa(nfa))
@@ -90,6 +116,56 @@ class TestParsing:
     @settings(max_examples=60)
     def test_format_parse_roundtrip(self, g):
         assert parse_graph(format_graph(g)) == g
+
+
+class TestGraphRefusals:
+    """The refusals of ``LabeledGraph`` and ``Nfa``, word for word: the edge
+    checks run on all edges at once and fall back to a per-edge loop that
+    words the first refusal."""
+
+    @pytest.mark.parametrize("edge, message", [
+        ((0, 2, "a"), "edge (0,2,'a') out of node range 0..1"),
+        ((2, 0, "a"), "edge (2,0,'a') out of node range 0..1"),
+        ((-1, 0, "a"), "edge (-1,0,'a') out of node range 0..1"),
+        ((0, -1, "a"), "edge (0,-1,'a') out of node range 0..1"),
+        ((0, 1, "c"), "edge label 'c' is not a user symbol"),
+        ((0, 1, HASH), "edge label '#' is not a user symbol"),
+        ((0, 1, AT), "edge label '@' is not a user symbol"),
+        ((0, 1), "not enough values to unpack (expected 3, got 2)"),
+    ])
+    def test_bad_edge(self, edge, message):
+        with pytest.raises(ValueError) as caught:
+            LabeledGraph(2, frozenset({edge}), Alphabet(("a", "b")))
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("edges", [
+        {(1, 1, "a", "b")},
+        # next to triples: a zip that truncated would pass the 4-tuple
+        {(0, 1, "a"), (1, 0, "b"), (1, 1, "a", "b")},
+    ])
+    def test_edge_longer_than_a_triple(self, edges):
+        # Python's own unpacking message, which newer versions extend
+        with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 3"):
+            LabeledGraph(2, frozenset(edges), Alphabet(("a", "b")))
+
+    def test_no_edges(self):
+        assert LabeledGraph(0, frozenset(), Alphabet(())).n == 0
+        with pytest.raises(ValueError, match=r"^edge \(0,0,'a'\) out of node range 0\.\.-1$"):
+            LabeledGraph(0, frozenset({(0, 0, "a")}), Alphabet(("a",)))
+        with pytest.raises(ValueError, match="^node count must be non-negative$"):
+            LabeledGraph(-1, frozenset(), Alphabet(("a",)))
+
+    @pytest.mark.parametrize("initial, finals, message", [
+        (2, {1}, "initial state out of range"),
+        (-1, {1}, "initial state out of range"),
+        (0, {2}, "final state out of range"),
+        (0, {1, -1}, "final state out of range"),
+    ])
+    def test_nfa_states_out_of_range(self, initial, finals, message):
+        g = LabeledGraph(2, frozenset({(0, 1, "a")}), Alphabet(("a",)))
+        with pytest.raises(ValueError) as caught:
+            Nfa(g, initial, frozenset(finals))
+        assert str(caught.value) == message
 
 
 class TestLambdaSets:
@@ -171,3 +247,44 @@ class TestTrim:
             return
         twice, kept = trim_nfa(once)
         assert twice == once and kept == tuple(range(once.graph.n))
+
+    def test_agrees_with_brute_force_reachability(self):
+        """Sparse random automata with unreachable and dead states, trimmed
+        and compared with reachability read off repeated edge scans."""
+        rng = random.Random(SEED_NFA_CORPUS)
+        seen = {"unreachable": 0, "dead": 0, "empty": 0, "identity": 0}
+        for _ in range(400):
+            n = rng.randint(1, 12)
+            g = random_graph(rng, n, rng.randint(1, 3), rng.choice([0.03, 0.08, 0.15]))
+            nfa = Nfa(g, rng.randrange(n), frozenset(v for v in range(n) if rng.random() < 0.2))
+            reach = scan_closure({(u, v) for u, v, _ in g.edges}, {nfa.initial})
+            coreach = scan_closure({(v, u) for u, v, _ in g.edges}, set(nfa.finals))
+            kept = tuple(v for v in range(n) if v in reach and v in coreach)
+            if nfa.initial not in kept:
+                seen["empty"] += 1
+                with pytest.raises(EmptyLanguageError):
+                    trim_nfa(nfa)
+                continue
+            seen["unreachable"] += len(reach) < n
+            seen["dead"] += len(coreach) < n
+            seen["identity"] += len(kept) == n
+            trimmed, got = trim_nfa(nfa)
+            assert got == kept
+            new = {old: i for i, old in enumerate(kept)}
+            assert trimmed.graph.n == len(kept) and trimmed.graph.alphabet == g.alphabet
+            assert trimmed.initial == new[nfa.initial]
+            assert trimmed.finals == {new[f] for f in nfa.finals if f in new}
+            assert trimmed.graph.edges == {(new[u], new[v], a) for u, v, a in g.edges
+                                           if u in new and v in new}
+        assert min(seen.values()) >= 30, seen
+
+
+def scan_closure(arcs: set[tuple[int, int]], start: set[int]) -> set[int]:
+    """Nodes reached from ``start`` along ``arcs``: scan every arc until a
+    scan adds nothing."""
+    seen = set(start)
+    while True:
+        more = {v for u, v in arcs if u in seen} - seen
+        if not more:
+            return seen
+        seen |= more

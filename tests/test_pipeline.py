@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import resource
@@ -53,6 +54,18 @@ class TestRunPipeline:
         ix = result.index()
         assert (ix.n_original, ix.e_original, ix.n_classes) == (4, 4, 3)
         assert ix.accept(["a", "b"]) and not ix.accept(["b"])
+
+    def test_automaton_corpus_bytes_are_pinned(self):
+        """The sha256 of the ``.clxi`` bytes of criterion 5's 300 automata,
+        one after another, so that a change to trimming, the quotient or the
+        layout that moves any byte shows here."""
+        rng = random.Random(SEED_NFA_CORPUS)
+        digest = hashlib.sha256()
+        for _ in range(300):
+            nfa = random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
+            digest.update(run_pipeline(nfa, mark_initial=True).index().to_bytes())
+        assert digest.hexdigest() == (
+            "e93e99e9719cbc86b7317fb6454ec124c6f84511f8555e7ead115913e864c7e6")
 
     def test_unmarked_automaton_keeps_an_automaton_view(self):
         result = run_pipeline(loop_branch_nfa())
