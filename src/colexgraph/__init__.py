@@ -10,7 +10,7 @@ from .chains import ChainPartition, max_antichain, min_chain_partition, preorder
 from .graph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError, LabeledGraph,
                     Nfa, angle, format_graph, format_nfa, lambda_sets, parse_graph,
                     parse_input, parse_nfa, trim_nfa)
-from .index import (ConvexSet, Index, PatternError, QueryStats, SpaceReport, build_index,
+from .index import (ClassSet, Index, PatternError, QueryStats, SpaceReport, build_index,
                     build_nfa_index, parse_pattern)
 from .pipeline import PipelineResult, run_pipeline
 from .quotient import (ClassPartition, QuotientGraph, QuotientNfa, classes, quotient_graph,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AT", "HASH", "Alphabet", "AxiomViolation", "ChainPartition", "ClassPartition",
-    "ConvexSet", "EmptyLanguageError", "GraphFormatError", "Index", "LabeledGraph",
+    "ClassSet", "EmptyLanguageError", "GraphFormatError", "Index", "LabeledGraph",
     "Nfa", "PatternError", "PipelineResult", "Preorder", "QueryStats",
     "QuotientGraph", "QuotientNfa",
     "Relation", "SpaceReport", "angle", "build_index", "build_nfa_index", "classes",

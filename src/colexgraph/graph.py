@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Integral
 from typing import Iterable
 
 HASH = "#"
@@ -75,10 +76,11 @@ class Alphabet:
 class LabeledGraph:
     """Finite edge-labeled graph: nodes 0..n-1, a set of labeled edge triples.
 
-    Construction refuses an edge that is not a triple, a node outside 0..n-1
-    and a label outside the alphabet (a marker included). It checks all edges
-    at once, with C-level passes, and only when that check fails does it walk
-    the edges one by one to word the refusal of the first bad one.
+    Construction refuses an edge that is not a triple, a node that is not an
+    integer or lies outside 0..n-1, and a label outside the alphabet (a marker
+    included). It checks all edges at once, with C-level passes, and only when
+    that check fails does it walk the edges one by one to word the refusal of
+    the first bad one.
     """
 
     n: int
@@ -91,6 +93,8 @@ class LabeledGraph:
         if self._edges_fit():
             return
         for u, v, a in self.edges:  # the first refusal, worded per edge
+            if not (isinstance(u, Integral) and isinstance(v, Integral)):
+                raise ValueError(f"edge ({u},{v},{a!r}) has a node that is not an integer")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge ({u},{v},{a!r}) out of node range 0..{self.n - 1}")
             if a not in self.alphabet:
@@ -99,16 +103,17 @@ class LabeledGraph:
     def _edges_fit(self) -> bool:
         """Whether every edge is a triple of two nodes in 0..n-1 and a user
         symbol, checked in bulk: a strict ``zip`` refuses tuples of other
-        lengths (a plain one would truncate them), then come the extremes of
-        the sources and targets and a subset test of the labels. Nodes that
-        do not compare with ints give ``False``, and the per-edge loop
-        decides. A NaN node, which compares with nothing, may pass here
-        though the loop refuses it."""
+        lengths (a plain one would truncate them), then the nodes' types, the
+        extremes of the sources and targets and a subset test of the labels.
+        A node of a type that is not an integer type, a NaN among them, gives
+        ``False``, and the per-edge loop words the refusal."""
         if not self.edges:
             return True
         try:
             sources, targets, labels = zip(*self.edges, strict=True)
-            return (min(sources) >= 0 and min(targets) >= 0 and max(sources) < self.n
+            types = {*map(type, sources), *map(type, targets)}
+            return (all(issubclass(t, Integral) for t in types)
+                    and min(sources) >= 0 and min(targets) >= 0 and max(sources) < self.n
                     and max(targets) < self.n and self.alphabet._index.keys() >= set(labels))
         except (TypeError, ValueError):
             return False

@@ -21,23 +21,24 @@ each array once (see docs/index-format.md).
 A chain of one class has one non-empty interval, so on it the step is NFA
 state-set simulation. Queries fold over a state of two parts: the reached
 one-class chains, as an ``int`` bitmask in which bit j stands for chain j, and
-the non-empty interval ``lo, hi`` of each reached longer chain. The constructor
-checks the arrays and derives two lookup structures from the store. One-class
-source chains are taken four at a time, as in the Four Russians method for NFA
-simulation (Myers, J. ACM 39(2), 1992): for each symbol and each block of four
-consecutive chain ids, three 16-entry tables, indexed by the block's 4-bit
-slice of the reached mask, give the OR of the reached chains' one-class target
-masks, their group count, and their target intervals on longer chains, so a
-step does one table read per non-zero slice. A block whose masks would be wide
-(see ``_NARROW``) keeps its higher targets as ids in a fourth table, so the
-tables take memory linear in the groups. A longer source chain has one
-probe-directory entry per symbol: one record per group, with its target chain,
-first and last target, edge range, and first and last source. A step probes
-these groups one at a time, and searches the sources, with C ``bisect`` over
-the list of decoded positions, only where the interval cuts into a group's
-source range. ``accept`` ANDs the reached mask with the mask of the one-class
-chains that hold a final, and counts the finals of each longer chain's end
-interval with two bisections of the final class ids.
+the non-empty interval ``lo, hi`` of each reached longer chain. A ``ClassSet``
+is this state and the index that made it; every query takes and returns one, so
+a step costs what it reaches, not O(q). The constructor checks the arrays and
+derives two lookup structures from the store. One-class source chains are taken
+four at a time, as in the Four Russians method for NFA simulation (Myers, J.
+ACM 39(2), 1992): for each symbol and each block of four consecutive chain ids,
+three 16-entry tables, indexed by the block's 4-bit slice of the reached mask,
+give the OR of the reached chains' one-class target masks, their group count,
+and their target intervals on longer chains, so a step does one table read per
+non-zero slice. A block whose masks would be wide (see ``_NARROW``) keeps its
+higher targets as ids in a fourth table, so the tables take memory linear in
+the groups. A longer source chain has one probe-directory entry per symbol: one
+record per group, with its target chain, first and last target, edge range, and
+first and last source. A step probes these groups one at a time, and searches
+the sources, with C ``bisect`` over the list of decoded positions, only where
+the interval cuts into a group's source range. ``accept`` ANDs the reached mask
+with the mask of the one-class chains that hold a final, and counts the finals
+of each longer chain's end interval with two bisections of the final class ids.
 """
 
 from __future__ import annotations
@@ -106,14 +107,48 @@ class QueryStats:
     symbols: int = 0
 
 
-@dataclass(frozen=True)
-class ConvexSet:
-    """One half-open within-chain position interval per chain."""
+@dataclass(frozen=True, eq=False, slots=True)
+class ClassSet:
+    """A convex set of one index's classes, in the form its queries fold
+    over: the reached one-class chains as a bitmask, bit j for chain j, and
+    the non-empty interval ``lo, hi`` of each reached longer chain. Only the
+    index's methods make one, and each of them refuses a set that another
+    index made. Two sets are equal when they hold the same positions on the
+    same chains, whichever index made them."""
 
-    intervals: tuple[tuple[int, int], ...]
+    ones: int
+    longs: _Longs
+    index: Index = field(repr=False)
 
     def is_empty(self) -> bool:
-        return all(lo >= hi for lo, hi in self.intervals)
+        return not (self.ones or self.longs)
+
+    def _chains(self) -> list[tuple[int, int, int]]:
+        """The non-empty intervals as ``(chain, lo, hi)``, in chain order."""
+        out = [(j, lo, hi) for j, (lo, hi) in self.longs.items()]
+        # the mask's binary digits, lowest first: digit j is chain j's bit
+        bits = bin(self.ones)[:1:-1]
+        j = bits.find("1")
+        while j >= 0:
+            out.append((j, 0, 1))
+            j = bits.find("1", j + 1)
+        return sorted(out)
+
+    def intervals(self) -> tuple[tuple[int, int], ...]:
+        """One half-open position interval per chain, ``(0, 0)`` on a chain
+        the set misses; made in O(q), only on request."""
+        dense = [(0, 0)] * self.index.q
+        for j, lo, hi in self._chains():
+            dense[j] = (lo, hi)
+        return tuple(dense)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClassSet):
+            return NotImplemented
+        return self._chains() == other._chains()
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._chains()))
 
 
 def ceil_log2(x: int) -> int:
@@ -316,9 +351,7 @@ class Index:
             if k == len(marked) or marked[k] != initial_class:
                 self._accept_error = ("index was built without marking the initial state; "
                                       "acceptance queries need the marker")
-            j = bisect_right(offsets, initial_class) - 1
-            self._start = self._split([(j, initial_class - offsets[j],
-                                        initial_class - offsets[j] + 1)])
+            self._start = self._own(self.set_for_classes([initial_class]))
 
     def _check_store(self, a: _Arrays, lengths: Sequence[int]
                      ) -> tuple[dict[int, _Tables], list[dict[int, tuple]]]:
@@ -416,82 +449,43 @@ class Index:
             rows[sym][i] = (tuple(records), len(records))
         return tables, rows
 
-    # Convex-set constructors ------------------------------------------------
+    # Class sets -------------------------------------------------------------
 
-    def full_set(self) -> ConvexSet:
-        return ConvexSet(tuple((0, b - a) for a, b in zip(self._offsets, self._offsets[1:])))
+    def full_set(self) -> ClassSet:
+        return ClassSet(*self._full, self)
 
-    def empty_set(self) -> ConvexSet:
-        return ConvexSet(((0, 0),) * self.q)
-
-    def set_for_classes(self, class_ids: Iterable[int]) -> ConvexSet:
-        """Intervals covering exactly the given classes; they must be contiguous
-        per chain. A class given twice counts once."""
+    def set_for_classes(self, class_ids: Iterable[int]) -> ClassSet:
+        """The set of the given classes, which must be contiguous on each
+        chain; a class given twice counts once. It costs O(log q) per id."""
+        offsets = self._offsets
         per_chain: dict[int, list[int]] = {}
         for cid in set(class_ids):
             if not 0 <= cid < self.n_classes:
                 raise ValueError(f"class id {cid} is not below {self.n_classes}")
-            j = bisect_right(self._offsets, cid) - 1
-            per_chain.setdefault(j, []).append(cid - self._offsets[j])
-        intervals = []
-        for j in range(self.q):
-            positions = sorted(per_chain.get(j, []))
-            if not positions:
-                intervals.append((0, 0))
-                continue
-            lo, hi = positions[0], positions[-1] + 1
-            if positions != list(range(lo, hi)):
-                raise ValueError(f"classes are not contiguous on chain {j}")
-            intervals.append((lo, hi))
-        return ConvexSet(tuple(intervals))
-
-    def _checked(self, s: ConvexSet) -> list[tuple[int, int, int]]:
-        """The set's non-empty intervals as ``(chain, lo, hi)`` triples, each
-        checked to lie on its chain: a set made outside this index could
-        otherwise reach other chains' classes."""
-        if len(s.intervals) != self.q:
-            raise ValueError("convex set does not match this index's chain count")
-        cur = []
-        for j, ((lo, hi), start, end) in enumerate(
-                zip(s.intervals, self._offsets, self._offsets[1:])):
-            if not 0 <= lo <= hi <= end - start:
-                raise ValueError(f"interval ({lo}, {hi}) is not within 0..{end - start} "
-                                 f"on chain {j}")
-            if lo < hi:
-                cur.append((j, lo, hi))
-        return cur
-
-    def _split(self, cur: Iterable[tuple[int, int, int]]) -> tuple[int, _Longs]:
-        """The fold state of the non-empty intervals ``cur``: the one-class
-        chains among them, as a bitmask, and the ``lo, hi`` of each longer
-        chain."""
+            j = bisect_right(offsets, cid) - 1
+            per_chain.setdefault(j, []).append(cid - offsets[j])
         ones, longs = [], {}
-        for j, lo, hi in cur:
+        for j, positions in sorted(per_chain.items()):
+            lo, hi = min(positions), max(positions) + 1
+            if hi - lo != len(positions):
+                raise ValueError(f"classes are not contiguous on chain {j}")
             if j in self._one_class:
                 ones.append(j)
             else:
                 longs[j] = (lo, hi)
-        return _mask(ones), longs
+        return ClassSet(_mask(ones), longs, self)
 
-    def _as_set(self, ones: int, longs: _Longs) -> ConvexSet:
-        """The convex set of a fold state."""
-        intervals = [(0, 0)] * self.q
-        # the mask's binary digits, lowest first: digit j is chain j's bit
-        bits = bin(ones)[:1:-1]
-        j = bits.find("1")
-        while j >= 0:
-            intervals[j] = (0, 1)
-            j = bits.find("1", j + 1)
-        for j, (lo, hi) in longs.items():
-            intervals[j] = (lo, hi)
-        return ConvexSet(tuple(intervals))
+    def _own(self, s: ClassSet) -> tuple[int, _Longs]:
+        """The fold state of ``s``, which this index must have made."""
+        if not isinstance(s, ClassSet) or s.index is not self:
+            raise ValueError("class set was not made by this index")
+        return s.ones, s.longs
 
-    def classes_in(self, s: ConvexSet) -> list[int]:
+    def classes_in(self, s: ClassSet) -> list[int]:
         """The set's class ids, increasing."""
-        out = []
-        for j, lo, hi in self._checked(s):
-            out.extend(range(self._offsets[j] + lo, self._offsets[j] + hi))
-        return out
+        self._own(s)
+        offsets = self._offsets
+        return [c for j, lo, hi in s._chains() for c in range(offsets[j] + lo, offsets[j] + hi)]
 
     # Queries ----------------------------------------------------------------
 
@@ -616,25 +610,25 @@ class Index:
                 break
         return ones, longs
 
-    def follow(self, s: ConvexSet, a: str, stats: QueryStats | None = None) -> ConvexSet:
-        """Classes reachable from ``s`` by one edge labeled ``a``, as intervals."""
-        ones, longs = self._split(self._checked(s))
-        return self._as_set(*self._step(ones, longs, self._symbol_ids((a,))[0], stats))
+    def follow(self, s: ClassSet, a: str, stats: QueryStats | None = None) -> ClassSet:
+        """Classes reachable from ``s`` by one edge labeled ``a``."""
+        ones, longs = self._own(s)
+        sym = self._symbol_index.get(a)
+        if sym is None:
+            _refuse(a)
+        return ClassSet(*self._step(ones, longs, sym, stats), self)
 
-    def match_from(self, u: ConvexSet, pattern: Iterable[str],
-                   stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
-        """Fold follow over the pattern starting at ``u``, which must be convex."""
-        return self._match(*self._split(self._checked(u)), pattern, stats)
-
-    def _match(self, ones: int, longs: _Longs,
-               pattern: Iterable[str], stats: QueryStats | None) -> tuple[bool, ConvexSet]:
-        ones, longs = self._fold(ones, longs, self._symbol_ids(pattern), stats)
-        return bool(ones or longs), self._as_set(ones, longs)
+    def match_from(self, s: ClassSet, pattern: Iterable[str],
+                   stats: QueryStats | None = None) -> tuple[bool, ClassSet]:
+        """Fold ``follow`` over the pattern, starting at ``s``."""
+        ones, longs = self._fold(*self._own(s), self._symbol_ids(pattern), stats)
+        return bool(ones or longs), ClassSet(ones, longs, self)
 
     def match_pattern(self, pattern: Iterable[str],
-                      stats: QueryStats | None = None) -> tuple[bool, ConvexSet]:
-        """Match starting anywhere: fold from the full (trivially convex) set."""
-        return self._match(*self._full, pattern, stats)
+                      stats: QueryStats | None = None) -> tuple[bool, ClassSet]:
+        """Match starting anywhere: fold from the full set."""
+        ones, longs = self._fold(*self._full, self._symbol_ids(pattern), stats)
+        return bool(ones or longs), ClassSet(ones, longs, self)
 
     def accept(self, alpha: Iterable[str], stats: QueryStats | None = None) -> bool:
         """Language membership: match from the initial class, then hit a final.
@@ -652,7 +646,7 @@ class Index:
         return any(bisect_left(finals, offsets[j] + lo) < bisect_left(finals, offsets[j] + hi)
                    for j, (lo, hi) in longs.items())
 
-    def map_back(self, s: ConvexSet) -> frozenset[int]:
+    def map_back(self, s: ClassSet) -> frozenset[int]:
         """Union of original nodes over all classes in the set."""
         out: set[int] = set()
         for cid in self.classes_in(s):

@@ -62,6 +62,13 @@ def nfa_pipeline(nfa):
     return QuotientNfa(result.quotient, view.initial, view.finals), result.chains
 
 
+def interval_set(ix: Index, intervals):
+    """The class set of one half-open position interval per chain, made by
+    ``ix.set_for_classes`` from the classes the intervals cover."""
+    return ix.set_for_classes([start + p for start, (lo, hi) in zip(ix._offsets, intervals)
+                               for p in range(lo, hi)])
+
+
 def reseal(buf: bytearray) -> bytes:
     """The bytes with a fresh CRC32 trailer, so that the range checks see them."""
     return bytes(buf[:-4]) + zlib.crc32(buf[:-4]).to_bytes(4, "little")

@@ -50,3 +50,11 @@ def test_lemma_helpers_live_in_the_oracle():
 def test_induced_order_is_gone():
     assert not hasattr(colexgraph, "induced_order")
     assert not hasattr(colexgraph.quotient, "induced_order")
+
+
+def test_one_class_set_type():
+    """Queries take and return one state type; the dense set is gone."""
+    assert not hasattr(colexgraph, "ConvexSet")
+    assert not hasattr(colexgraph.index, "ConvexSet")
+    assert not hasattr(colexgraph.Index, "empty_set")
+    assert "ClassSet" in colexgraph.__all__ and "ConvexSet" not in colexgraph.__all__

@@ -148,6 +148,14 @@ class TestGraphRefusals:
         with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 3"):
             LabeledGraph(2, frozenset(edges), Alphabet(("a", "b")))
 
+    @pytest.mark.parametrize("bad", [0.5, float("nan")])
+    def test_node_that_is_not_an_integer(self, bad):
+        for edge in ((bad, 1, "a"), (1, bad, "a")):
+            with pytest.raises(ValueError) as caught:
+                LabeledGraph(2, frozenset({edge, (1, 0, "a")}), Alphabet(("a",)))
+            u, v, _ = edge
+            assert str(caught.value) == f"edge ({u},{v},'a') has a node that is not an integer"
+
     def test_no_edges(self):
         assert LabeledGraph(0, frozenset(), Alphabet(())).n == 0
         with pytest.raises(ValueError, match=r"^edge \(0,0,'a'\) out of node range 0\.\.-1$"):

@@ -3,6 +3,7 @@ import random
 import struct
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from functools import cache, reduce
 from operator import mul, or_
@@ -10,7 +11,7 @@ from operator import mul, or_
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (ConvexSet, Index, LabeledGraph, Nfa, PatternError, QueryStats,
+from colexgraph import (Index, LabeledGraph, Nfa, PatternError, QueryStats,
                         build_index, build_nfa_index, parse_input, run_pipeline)
 from colexgraph import index as index_module
 from colexgraph.cli import main
@@ -20,8 +21,13 @@ from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random
                                simulate_nfa)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
                       loop_branch_nfa, small_graphs)
-from helpers import (nfa_pipeline, put_packed, quotient_pipeline, reseal, seeded_debruijn,
-                     v4_offsets)
+from helpers import (interval_set, nfa_pipeline, put_packed, quotient_pipeline, reseal,
+                     seeded_debruijn, v4_offsets)
+
+
+# Every public method that reads a class set, as (index, set) -> answer
+SET_READERS = (lambda ix, s: ix.follow(s, "a"), lambda ix, s: ix.match_from(s, []),
+               lambda ix, s: ix.match_from(s, ["a"]), Index.classes_in, Index.map_back)
 
 
 def build_from(g):
@@ -40,6 +46,19 @@ def group_items(ix):
                       (tuple(a.targets[start:end]), tuple(a.sources[start:end]))))
         start = end
     return items
+
+
+@cache
+def far_target_index():
+    """A loaded file of 8,000 one-class chains with one group per block of
+    four source chains, each aimed at the last chain: every block is wide."""
+    q = 8000
+    keys = [(q - 1) * q + i for i in range(0, q, 4)]
+    arrays = _Arrays(list(range(1, q + 1)), list(range(q)), [], keys,
+                     list(range(1, len(keys) + 1)), [0] * len(keys), [0] * len(keys), [])
+    return Index.from_bytes(Index(alphabet=Alphabet(("a",)), n_original=q,
+                                  e_original=len(keys), n_classes=q, arrays=arrays,
+                                  has_finals=False, initial_class=None).to_bytes())
 
 
 def criterion_5_automata():
@@ -216,7 +235,7 @@ class TestFollow:
 
     def test_empty_stays_empty(self):
         ix, _, _ = build_from(double_hub_graph(3))
-        assert ix.follow(ix.empty_set(), "a").is_empty()
+        assert ix.follow(ix.set_for_classes([]), "a").is_empty()
 
     def test_loop_branch_merged_class_to_sink(self):
         g = loop_branch_nfa().graph
@@ -233,30 +252,50 @@ class TestFollow:
             ix.follow(ix.full_set(), "z")
 
     def test_rejects_foreign_convex_set(self):
+        """A set that another index made is refused, even where that index
+        has as many chains: one loaded from this index's bytes, and one
+        built from another graph."""
         ix, _, _ = build_from(double_hub_graph(2))
-        with pytest.raises(ValueError):
-            ix.follow(ConvexSet(((0, 1), (0, 1))), "a")
-        for q in (ix.q - 1, ix.q + 1, 4):
-            for pattern in ([], ["a"]):
-                with pytest.raises(ValueError, match="chain count"):
-                    ix.match_from(ConvexSet(((0, 1),) * q), pattern)
+        twin = Index.from_bytes(ix.to_bytes())
+        other = build_from(loop_branch_nfa().graph)[0]
+        assert twin.q == other.q == ix.q
+        for foreign in (twin.full_set(), twin.set_for_classes([0]), other.full_set()):
+            for read in SET_READERS:
+                with pytest.raises(ValueError, match="not made by this index"):
+                    read(ix, foreign)
 
     def test_rejects_intervals_outside_their_chain(self):
+        """Raw intervals are refused wherever a set is read: those outside
+        their chain (a negative start would read class -1, the last class,
+        and its node; an empty pattern would match (-3, -1)), those that fit,
+        and a tuple of a set's own fields."""
         ix = run_pipeline(parse_input("nodes 4\n0 1 a\n1 2 b\n2 3 a\n")).index()
         assert ix.q == 1 and ix.n_classes == 4
-        # a negative start would read class -1, the last class, and its node
-        with pytest.raises(ValueError, match=r"\(-1, 1\) is not within 0..4 on chain 0"):
-            ix.classes_in(ConvexSet(((-1, 1),)))
-        with pytest.raises(ValueError, match="not within"):
-            ix.map_back(ConvexSet(((-1, 1),)))
-        # an empty pattern would match this set
-        with pytest.raises(ValueError, match="not within"):
-            ix.match_from(ConvexSet(((-3, -1),)), [])
-        for bad in ((0, 5), (3, 2)):
-            with pytest.raises(ValueError, match="not within"):
-                ix.follow(ConvexSet((bad,)), "a")
-        assert ix.classes_in(ConvexSet(((4, 4),))) == []
-        assert ix.follow(ConvexSet(((0, 4),)), "a") == ix.follow(ix.full_set(), "a")
+        full = ix.full_set()
+        for raw in (((-1, 1),), ((-3, -1),), ((0, 5),), ((3, 2),), ((0, 4),),
+                    (full.ones, full.longs, ix)):
+            for read in SET_READERS:
+                with pytest.raises(ValueError, match="not made by this index"):
+                    read(ix, raw)
+        assert ix.classes_in(ix.set_for_classes([])) == []
+        assert ix.follow(interval_set(ix, ((0, 4),)), "a") == ix.follow(full, "a")
+
+    def test_follow_from_one_class_allocates_what_it_reaches(self):
+        """On 8,000 one-class chains, one follow from a one-class set holds
+        the reached mask, not an interval per chain: the traced peak is under
+        q / 2 bytes from a chain that reaches the last one (the q-bit mask
+        and the one it is built from), and under 1 KiB from one that reaches
+        nothing. A dense set of q intervals took about 17 bytes per chain."""
+        ix = far_target_index()
+        for cid, reached, bound in ((0, [ix.q - 1], ix.q // 2), (1, [], 1024)):
+            start = ix.set_for_classes([cid])
+            tracemalloc.start()
+            try:
+                end = ix.follow(start, "a")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ix.classes_in(end) == reached and peak < bound, (cid, peak)
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
@@ -289,14 +328,14 @@ class TestProbeDirectory:
         for interval, image, n_searches in cases:
             searches.clear()
             stats = QueryStats()
-            assert ix.follow(ConvexSet((interval,)), "a", stats).intervals == (image,)
+            assert ix.follow(interval_set(ix, (interval,)), "a", stats).intervals() == (image,)
             assert (len(searches), stats.probes, stats.symbols) == (n_searches, 1, 1)
         # Sources 1, 2, 4 reach targets 0, 3, 3: a cut at lo that reaches the
         # last target already needs no search for hi.
         ix = one_chain_index([(0, 1), (3, 2), (3, 4)], length=6)
         searches.clear()
         stats = QueryStats()
-        assert ix.follow(ConvexSet(((2, 4),)), "a", stats).intervals == ((3, 4),)
+        assert ix.follow(interval_set(ix, ((2, 4),)), "a", stats).intervals() == ((3, 4),)
         assert (len(searches), stats.probes, stats.symbols) == (1, 1, 1)
         # One (symbol, source chain) pair with two groups: chain 0 reaches
         # targets 0 and 1 of chain 0 from sources 0 and 1, and targets 0 and 2
@@ -310,7 +349,8 @@ class TestProbeDirectory:
         for interval, image, n_searches in cases:
             searches.clear()
             stats = QueryStats()
-            assert ix.follow(ConvexSet((interval, (0, 0))), "a", stats).intervals == image
+            assert ix.follow(interval_set(ix, (interval, (0, 0))), "a",
+                             stats).intervals() == image
             assert (len(searches), stats.probes, stats.symbols) == (n_searches, 2, 1)
         # Chains 0 and 1 hold one class each, chain 2 holds four. Chain 0
         # reaches chain 1 and targets 0 and 2 of chain 2; chain 2 reaches
@@ -326,7 +366,7 @@ class TestProbeDirectory:
         for intervals, image, n_searches in cases:
             searches.clear()
             stats = QueryStats()
-            assert ix.follow(ConvexSet(intervals), "a", stats).intervals == image
+            assert ix.follow(interval_set(ix, intervals), "a", stats).intervals() == image
             assert (len(searches), stats.probes, stats.symbols) == (n_searches, 2, 1)
 
     def test_follow_matches_quotient_edges_on_arbitrary_sets(self, graph_corpus):
@@ -359,7 +399,7 @@ class TestProbeDirectory:
                             reached.setdefault(j, []).append(t)
                     want = tuple((min(reached[j]), max(reached[j]) + 1) if j in reached
                                  else (0, 0) for j in range(ix.q))
-                    assert ix.follow(ConvexSet(tuple(intervals)), a).intervals == want
+                    assert ix.follow(interval_set(ix, intervals), a).intervals() == want
                     steps += 1
         assert steps > 1000
 
@@ -388,7 +428,7 @@ class TestProbeDirectory:
                 by_follow, by_fold = QueryStats(), QueryStats()
                 cur = ix.set_for_classes([ix.initial_class]) if nfa else ix.full_set()
                 for a in p:
-                    sources = [i for i, (lo, hi) in enumerate(cur.intervals) if lo < hi]
+                    sources = [i for i, (lo, hi) in enumerate(cur.intervals()) if lo < hi]
                     if len({i // 4 for i in sources}) > 2:
                         wide += 1
                         partial += ix.q % 4 > 0 and sources[-1] >= ix.q - ix.q % 4
@@ -592,13 +632,8 @@ class TestProbeDirectory:
         block hold 15 ints of 8,000 bits (about 9 KiB per group). The tables
         take under 2 KiB per group, and the step still reaches the last
         chain from every source."""
-        q = 8000
-        keys = [(q - 1) * q + i for i in range(0, q, 4)]
-        arrays = _Arrays(list(range(1, q + 1)), list(range(q)), [], keys,
-                         list(range(1, len(keys) + 1)), [0] * len(keys), [0] * len(keys), [])
-        ix = Index.from_bytes(Index(alphabet=Alphabet(("a",)), n_original=q,
-                                    e_original=len(keys), n_classes=q, arrays=arrays,
-                                    has_finals=False, initial_class=None).to_bytes())
+        ix = far_target_index()
+        q, keys = ix.q, ix._arrays.keys
         assert deep_size(ix._tables, set()) < 2048 * len(keys)
         stats = QueryStats()
         ok, end = ix.match_pattern(["a"], stats)
@@ -629,6 +664,18 @@ class TestMatch:
         for p in ([], ["a"], ["a", "b"], ["b", "a"]):
             assert ix.match_from(ix.full_set(), p) == ix.match_pattern(p)
 
+    def test_sets_equal_whichever_path_made_them(self):
+        """A step holds its longer chains' intervals as lists, where the full
+        set and set_for_classes hold tuples: equal sets compare and hash
+        equal all the same."""
+        ix = build_from(parse_graph("nodes 4\n0 1 a\n1 2 b\n2 3 a\n"))[0]
+        stepped = ix.follow(ix.full_set(), "a")
+        made = ix.set_for_classes(ix.classes_in(stepped))
+        assert isinstance(stepped.longs[0], list) and isinstance(made.longs[0], tuple)
+        assert stepped == made and hash(stepped) == hash(made)
+        assert ix.match_from(ix.full_set(), []) == ix.match_pattern([]) == (True, ix.full_set())
+        assert stepped != ix.full_set()
+
     def test_full_set_start_skips_an_empty_chain(self):
         """A file whose chain ends repeat has a chain of no class. It holds
         no one-class chain's bit in match_pattern's start, so the empty
@@ -638,14 +685,14 @@ class TestMatch:
                    arrays=arrays, has_finals=False, initial_class=None)
         for index in (ix, Index.from_bytes(ix.to_bytes())):
             ok, end = index.match_pattern([])
-            assert ok and end.intervals == ((0, 1), (0, 0), (0, 1))
+            assert ok and end.intervals() == ((0, 1), (0, 0), (0, 1))
             assert index.map_back(end) == {0, 1}
 
     def test_match_from_empty_start(self):
         ix, _, _ = build_from(double_hub_graph(2))
-        ok, end = ix.match_from(ix.empty_set(), ["a"])
+        ok, end = ix.match_from(ix.set_for_classes([]), ["a"])
         assert (ok, end.is_empty()) == (False, True)
-        ok, end = ix.match_from(ix.empty_set(), [])
+        ok, end = ix.match_from(ix.set_for_classes([]), [])
         assert (ok, end.is_empty()) == (False, True)
 
     def test_match_from_initial_class(self):
@@ -659,7 +706,7 @@ class TestMatch:
     def test_unknown_symbol_rejected_even_when_empty(self):
         ix, _, _ = build_from(double_hub_graph(2))
         with pytest.raises(PatternError):
-            ix.match_from(ix.empty_set(), ["z"])
+            ix.match_from(ix.set_for_classes([]), ["z"])
 
 
 class TestAccept:
@@ -729,7 +776,7 @@ class TestAccept:
 class TestMapBack:
     def test_empty(self):
         ix, _, _ = build_from(double_hub_graph(2))
-        assert ix.map_back(ix.empty_set()) == frozenset()
+        assert ix.map_back(ix.set_for_classes([])) == frozenset()
 
     def test_merged_class(self):
         g = loop_branch_nfa().graph
@@ -750,7 +797,8 @@ class TestMapBack:
         # a class given twice is one class, not a gap on its chain
         ix = build_from(parse_graph("nodes 4\n0 1 a\n1 2 b\n2 3 a\n"))[0]
         assert ix.q == 1
-        assert ix.set_for_classes([1, 1]) == ix.set_for_classes([1]) == ConvexSet(((1, 2),))
+        assert ix.set_for_classes([1, 1]) == ix.set_for_classes([1])
+        assert ix.set_for_classes([1]).intervals() == ((1, 2),)
         with pytest.raises(ValueError, match="not contiguous on chain 0"):
             ix.set_for_classes([3, 1, 1])
 
