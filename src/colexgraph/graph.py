@@ -161,6 +161,11 @@ class Nfa:
 
     def __post_init__(self):
         n = self.graph.n
+        if not isinstance(self.initial, Integral):
+            raise ValueError(f"initial state {self.initial!r} is not an integer")
+        for f in self.finals:
+            if not isinstance(f, Integral):
+                raise ValueError(f"final state {f!r} is not an integer")
         if not 0 <= self.initial < n:
             raise ValueError("initial state out of range")
         if any(not 0 <= f < n for f in self.finals):

@@ -14,9 +14,12 @@ of every indexed node, the marked and the final class ids, and the edge store.
 The store holds the group keys ``(target chain * sigma + symbol) * q + source
 chain`` in increasing order with each group's end offset, and the edges' target
 and source positions, group after group. An index holds each array once,
-decoded. Only the ``.clxi`` writer and reader know the packed layout: writing
-packs each array at a bit width derived from the sizes, and loading unpacks
-each array once (see docs/index-format.md).
+decoded. Only the ``.clxi`` writer and reader know the stored layout: the
+file holds each increasing array as its first value and the differences
+between neighbours, and the positions as one head per group and the steps
+inside it, each array packed at the width of its largest stored value; loading
+unpacks each array once and sums its differences back (see
+docs/index-format.md).
 
 A chain of one class has one non-empty interval, so on it the step is NFA
 state-set simulation. Queries fold over a state of two parts: the reached
@@ -49,17 +52,21 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, repeat
-from operator import ge, mul, ne, sub
+from numbers import Integral
+from operator import add, ge, gt, mul, ne, sub
 from typing import Iterable, NamedTuple, NoReturn, Sequence
+
+import numpy as np
 
 from .chains import ChainPartition
 from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
 
 MAGIC = b"CLXI"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _HEADER = "<4sHHIQIII"
 _COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
+_WIDTHS = "<8B"  # the bit width of each packed array, in file order
 
 _FLAG_FINALS = 1
 _FLAG_INITIAL = 2
@@ -205,13 +212,24 @@ def width_for(max_value: int) -> int:
     return max(1, int(max_value).bit_length())
 
 
-def _widths(sigma: int, q: int, n_classes: int, max_len: int, n_edges: int) -> tuple[int, ...]:
-    """Bit widths of the arrays in a ``.clxi`` file, in file order. They
-    follow from the sizes alone, so the file stores none."""
-    cls = width_for(max(n_classes - 1, 0))
-    pos = width_for(max(max_len - 1, 0))
-    return (width_for(n_classes), cls, cls, width_for(max(sigma * q * q - 1, 0)),
-            width_for(n_edges), pos, pos, cls)
+def _differences(values: Sequence[int]) -> list[int]:
+    """The first value, then each value less the one before it."""
+    return list(map(sub, values, [0, *values[:-1]]))
+
+
+def _follow_ons(keys: Sequence[int], lengths: Sequence[int], q: int, sigma: int) -> list[int]:
+    """The groups whose targets go on from the group before: both go into
+    one chain of more than one class, on different symbols. A class entered
+    by a smaller symbol lies no higher on a chain than one entered by a
+    larger, so such a group's first target is at least the last target of
+    the group before (``Index._check_store`` checks it). The groups into one
+    chain are one run of the keys, found by two bisections."""
+    span, n, hi, out = sigma * q, len(keys), 0, []
+    for j in compress(count(), map(gt, lengths, repeat(1))):
+        lo = bisect_left(keys, j * span, hi, n)
+        hi = bisect_left(keys, (j + 1) * span, lo, n)
+        out += [g for g in range(lo + 1, hi) if keys[g] // q != keys[g - 1] // q]
+    return out
 
 
 def _pack(width: int, values: Sequence[int]) -> bytes:
@@ -356,8 +374,9 @@ class Index:
     def _check_store(self, a: _Arrays, lengths: Sequence[int]
                      ) -> tuple[dict[int, _Tables], list[dict[int, tuple]]]:
         """Check the edge store: keys strictly increasing below sigma * q * q,
-        ends strictly increasing up to the edge count (no group is empty), and
-        every group monotone inside its chains.
+        ends strictly increasing up to the edge count (no group is empty),
+        every group monotone inside its chains, and every follow-on group
+        (see ``_follow_ons``) starting no lower than the group before ends.
 
         Returns the step's two lookup structures, built in this pass. They
         take memory linear in the groups, with no term in q * q.
@@ -443,6 +462,13 @@ class Index:
                    m3, m0 | m3, m1 | m3, m01 | m3, m23, m0 | m23, m1 | m23, m01 | m23)
             images = _unions(l0, l1, l2, l3) if l0 or l1 or l2 or l3 else None
             tables[block] = (ors, n, images, wide)
+        for g in _follow_ons(keys, lengths, q, self._sigma):
+            if targets[ends[g - 1]] < targets[ends[g - 1] - 1]:
+                j, pair = divmod(keys[g], span)
+                raise ValueError(
+                    f"group {(j, *divmod(pair, q))} starts below the last target of the group "
+                    "before it on a smaller symbol; inputs were not a chain partition of a "
+                    "co-lex order")
         rows: list[dict[int, tuple]] = [{} for _ in range(self._sigma)]
         for pair, records in by_pair.items():
             sym, i = divmod(pair, q)
@@ -460,6 +486,8 @@ class Index:
         offsets = self._offsets
         per_chain: dict[int, list[int]] = {}
         for cid in set(class_ids):
+            if not isinstance(cid, Integral):
+                raise ValueError(f"class id {cid!r} is not an integer")
             if not 0 <= cid < self.n_classes:
                 raise ValueError(f"class id {cid} is not below {self.n_classes}")
             j = bisect_right(offsets, cid) - 1
@@ -655,15 +683,41 @@ class Index:
 
     # Accounting ---------------------------------------------------------------
 
-    def _array_widths(self) -> tuple[int, ...]:
-        """The bit width of each array in the ``.clxi`` file, in file order."""
-        max_len = max(map(sub, self._offsets[1:], self._offsets), default=0)
-        return _widths(self._sigma, self.q, self.n_classes, max_len, self.e_quotient)
+    def _stored(self) -> tuple[tuple[int, ...], _Arrays]:
+        """The arrays as the ``.clxi`` file stores them, and the bit width of
+        each, the one its largest stored value needs. Each increasing array
+        is stored as its first value, then the differences between
+        neighbours: the chain lengths, the group sizes, and the gaps between
+        ids and keys. The positions are stored group by group, as a head and
+        then the steps inside the group, none negative because a group is
+        (target, source)-sorted with non-decreasing sources. A group's
+        target head is its step from the last target of the group before
+        when it goes on from that group (see ``_follow_ons``), so that on a
+        Wheeler graph the targets step by 0 or 1 throughout. The class map
+        is stored as it is."""
+        a = self._arrays
+        sizes = _differences(a.ends)
+        targets, sources = list(a.targets), list(a.sources)
+        # A group of one edge is stored as its head alone; when every group
+        # has one edge, there are no steps to take.
+        longer = compress(zip(a.ends, sizes), map(gt, sizes, repeat(1))) \
+            if len(sizes) < len(targets) else ()
+        for end, size in longer:
+            start = end - size
+            targets[start + 1:end] = map(sub, a.targets[start + 1:end], a.targets[start:end - 1])
+            sources[start + 1:end] = map(sub, a.sources[start + 1:end], a.sources[start:end - 1])
+        lengths = _differences(a.chain_ends)
+        for g in _follow_ons(a.keys, lengths, self.q, self._sigma):
+            start = a.ends[g - 1]
+            targets[start] -= a.targets[start - 1]
+        stored = _Arrays(lengths, a.class_map, _differences(a.marked), _differences(a.keys),
+                         sizes, targets, sources, _differences(a.finals))
+        return tuple(width_for(max(values, default=0)) for values in stored), stored
 
     def space_report(self) -> SpaceReport:
         """The bits of the arrays as the ``.clxi`` file packs them, against the
         paper's bound."""
-        bits = _Arrays(*map(mul, self._array_widths(), map(len, self._arrays)))
+        bits = _Arrays(*map(mul, self._stored()[0], map(len, self._arrays)))
         breakdown = {
             "group_directory_bits": bits.keys + bits.ends,
             "position_array_bits": bits.targets + bits.sources,
@@ -698,7 +752,9 @@ class Index:
             out += struct.pack("<H", len(raw)) + raw
         out += struct.pack(_COUNTS, len(a.class_map), len(a.marked), len(a.keys),
                            len(a.targets), len(a.finals))
-        for width, values in zip(self._array_widths(), a):
+        widths, stored = self._stored()
+        out += struct.pack(_WIDTHS, *widths)
+        for width, values in zip(widths, stored):
             out += _pack(width, values)
         if self.initial_class is not None:
             out += struct.pack("<I", self.initial_class)
@@ -733,6 +789,9 @@ class Index:
             size = (width * length + 63) // 64 * 8
             _require(size <= len(view) - off)  # before a huge count is decoded
             off += size
+            # the last word's bits past the last value are 0, as written
+            tail = width * length % 64
+            _require(not tail or not int.from_bytes(view[off - 8:off], "little") >> tail)
             return _unpack(width, length, view[off - size:off])
 
         magic, version, flags, n_original, e_original, n_classes, q, sigma = take(_HEADER)
@@ -751,14 +810,37 @@ class Index:
             (ln,) = take("<H")
             symbols.append(take(f"<{ln}s")[0].decode("utf-8"))
         n_nodes, n_marked, n_groups, n_edges, n_finals = take(_COUNTS)
-        chain_ends = unpack(width_for(n_classes), q)
-        # The position width needs the longest chain; the constructor checks the ends.
-        max_len = max(map(sub, chain_ends, [0, *chain_ends]), default=0)
-        widths = _widths(sigma, q, n_classes, max_len, n_edges)[1:]
-        counts = (n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
-        arrays = _Arrays(chain_ends, *map(unpack, widths, counts))
+        _require(n_groups <= n_edges)  # no group is empty
+        widths = take(_WIDTHS)
+        _require(min(widths) >= 1 and max(widths) <= 64)
+        counts = (q, n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
+        stored = _Arrays(*map(unpack, widths, counts))
+        # Each width is the one its array's largest value needs, so that the
+        # index writes back the bytes it was read from: width 1, or some value
+        # uses the width's top bit, found at the first such value.
+        _require(all(w == 1 or any(map(ge, values, repeat(1 << (w - 1))))
+                     for w, values in zip(widths, stored)))
         initial_class = take("<I")[0] if flags & _FLAG_INITIAL else None
         _require(off == len(view))  # no trailing bytes
+        chain_ends, marked, keys, ends, finals = (
+            [*accumulate(values)] for values in (stored.chain_ends, stored.marked, stored.keys,
+                                                 stored.ends, stored.finals))
+        sizes, targets, sources = stored.ends, stored.targets, stored.sources
+        # A group of one edge is stored as its head alone; when every group
+        # has one edge, there is nothing to sum.
+        longer = compress(zip(ends, sizes), map(gt, sizes, repeat(1))) \
+            if n_groups < n_edges else ()
+        for end, size in longer:
+            start = end - size
+            targets[start:end] = accumulate(targets[start:end])
+            sources[start:end] = accumulate(sources[start:end])
+        for g in _follow_ons(keys, stored.chain_ends, q, sigma):
+            start, end = ends[g - 1], ends[g]
+            if end > n_edges:  # and so are the rest, which the constructor refuses
+                break
+            targets[start:end] = map(add, targets[start:end], repeat(targets[start - 1]))
+        arrays = stored._replace(chain_ends=chain_ends, marked=marked, keys=keys, ends=ends,
+                                 finals=finals)
         return cls(alphabet=Alphabet(tuple(symbols)), n_original=n_original,
                    e_original=e_original, n_classes=n_classes, arrays=arrays,
                    has_finals=bool(flags & _FLAG_FINALS), initial_class=initial_class)
@@ -782,10 +864,11 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
     flat = [c for chain in cp.chains for c in chain]
     if flat != list(range(n_classes)):
         raise ValueError("chains are not the consecutive id ranges of the quotient classes")
-    if not all(qg.order.holds(c, c + 1) for chain in cp.chains for c in chain[:-1]):
-        raise ValueError("chain members are not strictly increasing in the order")
     alphabet, q = qg.graph.alphabet, cp.chain_count
     sigma, chain_of, pos = len(alphabet), cp.chain_of, cp.pos_in_chain
+    # class c + 1 follows class c on a chain exactly when it is not at position 0
+    if not np.diagonal(qg.order.bits, 1)[np.array(pos[1:], dtype=np.intp) > 0].all():
+        raise ValueError("chain members are not strictly increasing in the order")
     symbol = {a: k for k, a in enumerate(alphabet.symbols)}
     # (key, target position, source position) of every edge, in store order
     edges = sorted(((chain_of[cv] * sigma + symbol[a]) * q + chain_of[cu], pos[cv], pos[cu])

@@ -74,10 +74,11 @@ def reseal(buf: bytearray) -> bytes:
     return bytes(buf[:-4]) + zlib.crc32(buf[:-4]).to_bytes(4, "little")
 
 
-def v4_offsets(raw: bytes) -> dict:
-    """Where a v4 file's fields are: the byte offset of the header's
-    ``n_original`` and ``q``, of each count after the alphabet and of the
-    initial class, and (offset, width) of each packed array."""
+def v5_offsets(raw: bytes) -> dict:
+    """Where a v5 file's fields are: the byte offset of the header's
+    ``n_original`` and ``q``, of each count after the alphabet, of each
+    array's width byte (``<name>_width``) and of the initial class, and
+    (offset, width) of each packed array."""
     ix = Index.from_bytes(raw)
     at = {"n_original": 8, "q": 24}
     off = struct.calcsize("<4sHHIQIII") + sum(
@@ -85,7 +86,11 @@ def v4_offsets(raw: bytes) -> dict:
     for name in ("n_nodes", "n_marked", "n_groups", "n_edges", "n_finals"):
         at[name] = off
         off += 4
-    for name, width, values in zip(_Arrays._fields, ix._array_widths(), ix._arrays):
+    widths = raw[off:off + len(_Arrays._fields)]
+    for name in _Arrays._fields:
+        at[name + "_width"] = off
+        off += 1
+    for name, width, values in zip(_Arrays._fields, widths, ix._arrays):
         at[name] = (off, width)
         off += (width * len(values) + 63) // 64 * 8
     if ix.initial_class is not None:
@@ -95,10 +100,15 @@ def v4_offsets(raw: bytes) -> dict:
     return at
 
 
-def put_packed(buf: bytearray, array: tuple[int, int], k: int, value: int) -> None:
-    """Overwrite value ``k`` of a packed array, given as (offset, width), in its
-    first word."""
-    start, width = array
-    word = int.from_bytes(buf[start:start + 8], "little")
-    word &= ~(((1 << width) - 1) << (k * width))
-    buf[start:start + 8] = (word | value << (k * width)).to_bytes(8, "little")
+def put_stored(buf: bytearray, at: dict, name: str, values: list[int],
+               width: int | None = None) -> None:
+    """Overwrite the stored values of a one-word packed array and its width
+    byte, by default at the width its largest value needs; ``at`` is from
+    ``v5_offsets``."""
+    start, old = at[name]
+    if width is None:
+        width = max(1, max(values).bit_length())
+    assert len(values) * max(old, width) <= 64  # one word before and after
+    buf[at[name + "_width"]] = width
+    word = sum(value << (k * width) for k, value in enumerate(values))
+    buf[start:start + 8] = word.to_bytes(8, "little")

@@ -13,7 +13,7 @@ from colexgraph import (Index, Preorder, build_index, format_graph, format_nfa,
                         max_colex_relation, min_chain_partition, parse_nfa, quotient_graph)
 from colexgraph.cli import main
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa
-from helpers import put_packed, reseal, v4_offsets
+from helpers import put_stored, reseal, v5_offsets
 
 
 @pytest.fixture
@@ -126,7 +126,7 @@ sys.exit(status)
         raw = bytearray(out.read_bytes())
         # the class of node 0: 3 classes leave a 2-bit id room for 3
         assert Index.load(str(out)).n_classes == 3
-        put_packed(raw, v4_offsets(bytes(raw))["class_map"], 0, 3)
+        put_stored(raw, v5_offsets(bytes(raw)), "class_map", [3, 2, 1])
         out.write_bytes(reseal(raw))
         assert main(["query", str(out), "a"]) == 2
         err = capsys.readouterr().err
@@ -136,10 +136,11 @@ sys.exit(status)
         out = tmp_path / "loop.clxi"
         main(["build", loop_file, "-o", str(out), "--mark-initial"])
         raw = bytearray(out.read_bytes())
-        # group ends [1, 2, 3] as [2, 2, 3]: the first group takes two edges
-        # and the second none, which every other check lets through
+        # group ends [1, 2, 3], stored as the sizes [1, 1, 1], as [2, 2, 3]:
+        # the first group takes two edges and the second none, which every
+        # other check lets through
         assert list(Index.load(str(out))._arrays.ends) == [1, 2, 3]
-        put_packed(raw, v4_offsets(bytes(raw))["ends"], 0, 2)
+        put_stored(raw, v5_offsets(bytes(raw)), "ends", [2, 0, 1])
         out.write_bytes(reseal(raw))
         with pytest.raises(ValueError, match="ends do not rise"):
             Index.load(str(out))
@@ -157,6 +158,18 @@ sys.exit(status)
         out.write_bytes(bytes(raw))
         assert main(["query", str(out), "a"]) == 2
         assert capsys.readouterr().err == "error: unsupported index format version 3\n"
+
+    def test_version_4_index_is_a_one_line_error(self, hub_file, tmp_path, capsys):
+        """A file marked v4, with a CRC that matches, is refused by its
+        version: v5 stores differences where v4 stored values."""
+        out = tmp_path / "hub.clxi"
+        main(["build", hub_file, "-o", str(out)])
+        raw = bytearray(out.read_bytes())
+        struct.pack_into("<H", raw, 4, 4)
+        out.write_bytes(reseal(raw))
+        for argv in (["query", str(out), "a"], ["stats", str(out)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: unsupported index format version 4\n"
 
     def test_backend_option_is_gone(self, hub_file, tmp_path):
         out = str(tmp_path / "hub.clxi")

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -174,6 +175,22 @@ class TestGraphRefusals:
         with pytest.raises(ValueError) as caught:
             Nfa(g, initial, frozenset(finals))
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("initial, finals, message", [
+        (0.5, {1}, "initial state 0.5 is not an integer"),
+        ("0", {1}, "initial state '0' is not an integer"),
+        (0, {1.5}, "final state 1.5 is not an integer"),
+        (0, {1, None}, "final state None is not an integer"),
+    ])
+    def test_nfa_states_that_are_not_integers(self, initial, finals, message):
+        """A state that is not an integer is refused by its type, before the
+        range checks: 0.5 would pass them (0 <= 0.5 < 2), and "0" would stop
+        them with a TypeError. Integers of other types pass."""
+        g = LabeledGraph(2, frozenset({(0, 1, "a")}), Alphabet(("a",)))
+        with pytest.raises(ValueError) as caught:
+            Nfa(g, initial, frozenset(finals))
+        assert str(caught.value) == message
+        assert Nfa(g, np.int64(0), frozenset({True})).initial == 0
 
 
 class TestLambdaSets:

@@ -8,6 +8,7 @@ from collections import Counter
 from functools import cache, reduce
 from operator import mul, or_
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -21,8 +22,8 @@ from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random
                                simulate_nfa)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
                       loop_branch_nfa, small_graphs)
-from helpers import (interval_set, nfa_pipeline, put_packed, quotient_pipeline, reseal,
-                     seeded_debruijn, v4_offsets)
+from helpers import (interval_set, nfa_pipeline, put_stored, quotient_pipeline, reseal,
+                     seeded_debruijn, v5_offsets)
 
 
 # Every public method that reads a class set, as (index, set) -> answer
@@ -161,12 +162,14 @@ class TestBuildLayout:
         ix = build_nfa_index(qn, cp)
         parts = ix.space_report().breakdown
         assert parts["boundary_bits"] == 0
-        # 3 keys of width(2*2*2 - 1) and 3 ends of width(3); 2 * 3 positions
-        # of width(2 - 1); 2 final ids of width(3 - 1), as the file packs them
+        # keys [1, 3, 4] stored as the gaps [1, 2, 1] at 2 bits and ends
+        # [1, 2, 3] as the sizes [1, 1, 1] at 1; 2 * 3 positions, each a
+        # group's head, at 1 bit; finals [1, 2] as [1, 1] at 1, as the file
+        # packs them
         assert (parts["group_directory_bits"], parts["position_array_bits"],
-                parts["final_bits"]) == (3 * 3 + 3 * 2, 2 * 3, 2 * 2)
+                parts["final_bits"]) == (3 * 2 + 3 * 1, 2 * 3, 2 * 1)
         assert parts["rank_directory_bits"] == 0
-        assert ix.space_report().measured_bits == 25
+        assert ix.space_report().measured_bits == 17
 
     def test_array_count_does_not_grow_with_q(self, monkeypatch):
         symbols = [f"s{k:02d}" for k in range(32)]
@@ -809,6 +812,16 @@ class TestMapBack:
             with pytest.raises(ValueError, match="not below 3"):
                 ix.set_for_classes([cid])
 
+    def test_set_for_classes_refuses_ids_that_are_not_integers(self):
+        """A class id of another type would pass the range check (0 <= 1.5
+        < 4) and make a set at position 0.5, which classes_in cannot read."""
+        ix = build_from(parse_graph("nodes 4\n0 1 a\n1 2 b\n2 3 a\n"))[0]
+        assert ix.q == 1
+        for cid in (1.5, "1", None):
+            with pytest.raises(ValueError, match=f"^class id {cid!r} is not an integer$"):
+                ix.set_for_classes([0, cid])
+        assert ix.classes_in(ix.set_for_classes([np.int64(1), True])) == [1]
+
 
 class TestSpaceReport:
     def test_edgeless_graph_formula_is_class_count(self):
@@ -840,11 +853,24 @@ class TestSpaceReport:
             assert (parts.pop("boundary_bits"), parts.pop("rank_directory_bits")) == (0, 0)
             assert set(parts) == {"group_directory_bits", "position_array_bits", "final_bits",
                                   "chain_table_bits", "class_map_bits", "marked_bits"}
-            widths = ix._array_widths()
+            widths = ix._stored()[0]
             assert sum(parts.values()) == sum(map(mul, widths, map(len, ix._arrays)))
             # marked: none on the graph, the initial state's class on the automaton
             assert len(ix._arrays.marked) == (ix.finals is not None)
             assert parts["marked_bits"] == widths[2] * len(ix._arrays.marked)
+
+    def test_q1_index_is_within_one_and_a_half_times_the_formula(self):
+        """On a Wheeler graph (q = 1) the stored differences bring the
+        measured payload within 1.5x the paper's bound: the targets of each
+        chain are one run of steps of 0 or 1, and the sources step by the
+        gaps between the nodes that read one symbol."""
+        _, g = seeded_debruijn(7, 1000, 8)
+        ix = build_from(g)[0]
+        assert ix.q == 1 and 900 <= ix.n_classes <= 1000 and ix.e_quotient >= 900
+        widths = dict(zip(_Arrays._fields, ix._stored()[0]))
+        assert widths["targets"] == 1
+        rep = ix.space_report()
+        assert rep.measured_bits <= 1.5 * rep.formula_bits, rep.ratio
 
     def test_ceil_log2(self):
         assert [ceil_log2(x) for x in (0, 1, 2, 3, 4, 5)] == [0, 0, 1, 2, 2, 3]
@@ -895,7 +921,7 @@ class TestBackendsAndSerialization:
     def test_out_of_range_ids_rejected(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_nfa_index(qn, cp).to_bytes()
-        at = v4_offsets(raw)
+        at = v5_offsets(raw)
         unpacked_bits = []  # of every packed array a load unpacks
         real = index_module._unpack
 
@@ -903,59 +929,151 @@ class TestBackendsAndSerialization:
             unpacked_bits.append(width * length)
             return real(width, length, raw)
         monkeypatch.setattr(index_module, "_unpack", spy)
-        # chains (0, 1) and (2,), so chain ends [2, 3]; classes {0}, {2}, {1},
-        # so the class map is [0, 2, 1]; 0 marked, 1 and 2 final; keys [1, 3, 4]
-        # are the groups (a, 1) and (b, 1) of chain 0 and (a, 0) of chain 1,
-        # with ends [1, 2, 3]; every position is 0 but the second target
-        corruptions = [
-            (at["initial"], "<I", 3, "corrupt"),
-            (at["n_original"], "<I", 2, "corrupt"),            # 3 indexed nodes of 2
-            (at["chain_ends"], 1, 2, "corrupt"),               # chains end short of class 2
-            (at["class_map"], 0, 3, "corrupt"),                # node 0 in class 3 of 3
-            (at["class_map"], 1, 1, "corrupt"),                # class 2 has no member
-            (at["marked"], 0, 3, "corrupt"),
-            (at["finals"], 0, 3, "corrupt"),
-            (at["finals"], 1, 1, "corrupt"),                   # final class 1 twice
-            (6, "<H", 2, "corrupt"),                           # finals without their flag
-            (at["keys"], 1, 1, "not strictly increasing"),     # (b, 1) -> (a, 1) again
-            (at["ends"], 0, 3, "ends do not rise"),
-            (at["ends"], 0, 0, "ends do not rise"),            # the first group is empty
-            (at["ends"], 2, 2, "ends do not rise"),            # the last group ends at edge 2 of 3
-            (at["targets"], 2, 1, "outside its chain"),        # target 1 in a 1-class chain
-            (at["sources"], 0, 1, "outside its chain"),        # source 1 in a 1-class chain
+        # chains (0, 1) and (2,), so chain ends [2, 3], stored as the lengths
+        # [2, 1]; classes {0}, {2}, {1}, so the class map is [0, 2, 1]; 0
+        # marked, 1 and 2 final, stored [1, 1]; keys [1, 3, 4], stored
+        # [1, 2, 1], are the groups (a, 1) and (b, 1) of chain 0 and (a, 0) of
+        # chain 1, one edge each, so ends [1, 2, 3] are stored as the sizes
+        # [1, 1, 1]; every position is 0 but the second target
+        header = [
+            (at["initial"], "<I", 3),
+            (at["n_original"], "<I", 2),                       # 3 indexed nodes of 2
+            (6, "<H", 2),                                      # finals without their flag
         ]
         for count in ("q", "n_nodes", "n_marked", "n_finals", "n_groups", "n_edges"):
-            corruptions.append((at[count], "<I", 0xFFFFFFFF, "corrupt"))
-        for field, fmt, value, error in corruptions:
+            header.append((at[count], "<I", 0xFFFFFFFF))
+        for field, fmt, value in header:
             bad = bytearray(raw)
-            if isinstance(fmt, str):
-                struct.pack_into(fmt, bad, field, value)
-            else:
-                put_packed(bad, field, fmt, value)
+            struct.pack_into(fmt, bad, field, value)
+            with pytest.raises(ValueError, match="corrupt"):
+                Index.from_bytes(reseal(bad))
+        arrays = [
+            ("chain_ends", [2, 0], "corrupt"),                 # chains end short of class 3
+            ("class_map", [3, 2, 1], "corrupt"),               # node 0 in class 3 of 3
+            ("class_map", [0, 2, 2], "corrupt"),               # class 1 has no member
+            ("marked", [3], "corrupt"),                        # marked class 3 of 3
+            ("finals", [2, 1], "corrupt"),                     # final class 3 of 3
+            ("finals", [1, 0], "corrupt"),                     # final class 1 twice
+            ("keys", [1, 0, 3], "not strictly increasing"),    # (b, 1) -> (a, 1) again
+            ("ends", [3, 1, 1], "ends do not rise"),           # groups end past edge 3
+            ("ends", [0, 1, 2], "ends do not rise"),           # the first group is empty
+            ("ends", [1, 2, 0], "ends do not rise"),           # the last group is empty
+            ("targets", [0, 1, 1], "outside its chain"),       # target 1 in a 1-class chain
+            ("sources", [1, 0, 0], "outside its chain"),       # source 1 in a 1-class chain
+        ]
+        for name, values, error in arrays:
+            bad = bytearray(raw)
+            put_stored(bad, at, name, values)
             with pytest.raises(ValueError, match=error):
                 Index.from_bytes(reseal(bad))
         assert max(unpacked_bits) <= 8 * len(raw)  # huge counts were refused first
+        # two marked ids one apart by a zero difference: a second marked id
+        # still fits the array's one word
+        bad = bytearray(raw)
+        struct.pack_into("<I", bad, at["n_marked"], 2)
+        put_stored(bad, at, "marked", [0, 0])
+        with pytest.raises(ValueError, match="corrupt"):
+            Index.from_bytes(reseal(bad))
         # a key at sigma * q * q: one symbol on one chain leaves the 1-bit key room
         hub, _, _ = build_from(double_hub_graph(3))
         hub_raw = hub.to_bytes()
         bad = bytearray(hub_raw)
-        put_packed(bad, v4_offsets(hub_raw)["keys"], 0, 1)
+        put_stored(bad, v5_offsets(hub_raw), "keys", [1])
         with pytest.raises(ValueError, match="below sigma"):
             Index.from_bytes(reseal(bad))
-        # chain ends that fall back: the diamond's [4, 5] at 3 bits as [6, 5]
+
+    def test_more_groups_than_edges_rejected_before_unpacking(self, monkeypatch):
+        """Every group holds an edge, so a file with more groups than edges
+        is refused before its group count sizes any array."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        raw = build_nfa_index(qn, cp).to_bytes()
+        bad = bytearray(raw)
+        struct.pack_into("<I", bad, v5_offsets(raw)["n_groups"], 4)  # of 3 edges
+        unpacked = []
+        monkeypatch.setattr(index_module, "_unpack", lambda *args: unpacked.append(args))
+        with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+            Index.from_bytes(reseal(bad))
+        assert unpacked == []
+
+    def test_stored_widths_must_be_canonical(self, monkeypatch):
+        """A width byte is refused when it is 0 or over 64, before any array
+        is unpacked, and when it is wider than its array's largest stored
+        value needs: each array has one width, so a loaded file writes back
+        its own bytes."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        raw = build_nfa_index(qn, cp).to_bytes()
+        at = v5_offsets(raw)
+        assert [raw[at[name + "_width"]] for name in _Arrays._fields] == [2, 2, 1, 2, 1, 1, 1, 1]
+        unpacked = []
+        real = index_module._unpack
+
+        def spy(*args):
+            unpacked.append(args)
+            return real(*args)
+        monkeypatch.setattr(index_module, "_unpack", spy)
+        for name in _Arrays._fields:
+            for width in (0, 65, 255):
+                bad = bytearray(raw)
+                bad[at[name + "_width"]] = width
+                with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                    Index.from_bytes(reseal(bad))
+        assert unpacked == []
+        # the same values one bit wider: sources [0, 0, 0] at 2 bits, the
+        # chain lengths [2, 1] at 3 and the key gaps [1, 2, 1] at 3
+        for name, values in (("sources", [0, 0, 0]), ("chain_ends", [2, 1]),
+                             ("keys", [1, 2, 1])):
+            bad = bytearray(raw)
+            put_stored(bad, at, name, values, width=at[name][1] + 1)
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                Index.from_bytes(reseal(bad))
+        assert Index.from_bytes(raw).to_bytes() == raw
+
+    def test_padding_bits_rejected(self):
+        """The bits after an array's last value, up to the end of its last
+        word, are 0 as written: a file with one set is refused, so that a
+        loaded file writes back its own bytes."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        raw = build_nfa_index(qn, cp).to_bytes()
+        at = v5_offsets(raw)
+        for name in _Arrays._fields:
+            start, width = at[name]
+            bad = bytearray(raw)
+            bad[start + 7] |= 0x80  # the word's top bit: every array here is one word
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                Index.from_bytes(reseal(bad))
+
+    def test_constructor_refuses_what_a_file_cannot_store(self):
+        """A file stores chain lengths and the steps inside each group, none
+        negative, so chain ends that fall back and a group whose sources fall
+        cannot be loaded; the constructor still refuses them in an index
+        built in memory."""
         qn, cp = nfa_pipeline(diamond_nfa())
-        diamond_raw = build_nfa_index(qn, cp).to_bytes()
-        bad = bytearray(diamond_raw)
-        put_packed(bad, v4_offsets(diamond_raw)["chain_ends"], 0, 6)
+        ix = build_nfa_index(qn, cp)
+        a = ix._arrays
+
+        def rebuilt(arrays):
+            return Index(alphabet=ix.alphabet, n_original=ix.n_original,
+                         e_original=ix.e_original, n_classes=ix.n_classes, arrays=arrays,
+                         has_finals=True, initial_class=ix.initial_class)
+        assert list(a.chain_ends) == [4, 5]
         with pytest.raises(ValueError, match="corrupt"):
-            Index.from_bytes(reseal(bad))
-        # a source that falls at the second edge of a later group: the
-        # diamond's group ends are [1, 2, 4, 5, 6, 8], its sources
-        # [0, 0, 1, 2, 0, 0, 1, 2]; edge 3 as 0 makes group 2's sources (1, 0)
-        bad = bytearray(diamond_raw)
-        put_packed(bad, v4_offsets(diamond_raw)["sources"], 3, 0)
+            rebuilt(a._replace(chain_ends=[6, 5]))
+        # group ends [1, 2, 4, 5, 6, 8] and sources [0, 0, 1, 2, 0, 0, 1, 2];
+        # edge 3 as 0 makes group 2's sources (1, 0)
+        assert (list(a.ends), list(a.sources)) == ([1, 2, 4, 5, 6, 8], [0, 0, 1, 2, 0, 0, 1, 2])
         with pytest.raises(ValueError, match=r"group \(0, 3, 0\) breaks source monotonicity"):
-            Index.from_bytes(reseal(bad))
+            rebuilt(a._replace(sources=[0, 0, 1, 0, 0, 0, 1, 2]))
+        # the targets of one chain's groups on increasing symbols are stored
+        # as one run: a group on "b" whose first target lies below the last
+        # target of the group on "a" cannot be stored, and is refused
+        def two_groups(targets):
+            arrays = _Arrays([2], [0, 1], [], [0, 1], [2, 3], targets, [0, 1, 0], [])
+            return Index(alphabet=Alphabet(("a", "b")), n_original=2, e_original=3,
+                         n_classes=2, arrays=arrays, has_finals=False, initial_class=None)
+        stored = Index.from_bytes(two_groups([0, 1, 1]).to_bytes())
+        assert list(stored._arrays.targets) == [0, 1, 1]
+        with pytest.raises(ValueError, match=r"group \(0, 1, 0\) starts below"):
+            two_groups([0, 1, 0])
 
     def test_clxi_bytes_are_pinned(self):
         """The sha256 of two ``.clxi`` files, so that any change to the bytes
@@ -966,8 +1084,8 @@ class TestBackendsAndSerialization:
                    "3 11 A\n4 5 C\n5 6 A\n5 10 T\n6 0 C\n6 7 A\n7 8 G\n8 9 G\n"
                    "9 5 C\n10 3 T\n11 0 C\n")
         pinned = [
-            (auto, True, "aa1fc0c685818458fdfddfadf6ba1cbcb5c27ae830ce99284de73512f3165687"),
-            (wheeler, False, "0fa1979a8f31ec56f127ebd7d4812585d59dd503a709c4167a9e0c5ce314b23f"),
+            (auto, True, "a4b88a49b4b0caa3959921b6d73954d0e75e04e632ec88bcf33d0f30f5f33a25"),
+            (wheeler, False, "cfb9d93d45ab690d46cf8e5408c55acf0c455e0ae08b0879ff64030575aa9754"),
         ]
         for text, mark, digest in pinned:
             raw = run_pipeline(parse_input(text), mark).index().to_bytes()
@@ -1004,7 +1122,7 @@ class TestBackendsAndSerialization:
         array is decoded: the keys are held as u64."""
         qn, cp = nfa_pipeline(loop_branch_nfa())  # sigma 2
         raw = build_nfa_index(qn, cp).to_bytes()
-        at_q = v4_offsets(raw)["q"]  # sigma follows q
+        at_q = v5_offsets(raw)["q"]  # sigma follows q
         unpacked = []
         monkeypatch.setattr(index_module, "_unpack", lambda *args: unpacked.append(args))
         for q, sigma in ((0xFFFFFFFF, 2), (0x10001, 0xFFFFFFFF)):

@@ -65,7 +65,7 @@ class TestRunPipeline:
             nfa = random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
             digest.update(run_pipeline(nfa, mark_initial=True).index().to_bytes())
         assert digest.hexdigest() == (
-            "e93e99e9719cbc86b7317fb6454ec124c6f84511f8555e7ead115913e864c7e6")
+            "6be5591715d25b282ac87c8cbcdb816853e576a93d41acf7dd453eb8c7787d79")
 
     def test_unmarked_automaton_keeps_an_automaton_view(self):
         result = run_pipeline(loop_branch_nfa())
