@@ -281,6 +281,9 @@ def _parse(text: str, *, automaton: bool | None):
             if label not in symbols:
                 if label in MARKERS:
                     raise GraphFormatError(f"line {lineno}: marker {label!r} cannot be an edge label")
+                if label.startswith(HASH):
+                    raise GraphFormatError(
+                        f"line {lineno}: edge label {label!r} cannot start with marker {HASH!r}")
                 if explicit_alphabet is not None:
                     raise GraphFormatError(f"line {lineno}: unknown symbol {label!r}")
                 symbols[label] = None

@@ -13,13 +13,14 @@ The index is one fixed set of eight integer arrays: the chain ends, the class
 of every indexed node, the marked and the final class ids, and the edge store.
 The store holds the group keys ``(target chain * sigma + symbol) * q + source
 chain`` in increasing order with each group's end offset, and the edges' target
-and source positions, group after group. An index holds each array once,
-decoded. Only the ``.clxi`` writer and reader know the stored layout: the
-file holds each increasing array as its first value and the differences
-between neighbours, and the positions as one head per group and the steps
-inside it, each array packed at the width of its largest stored value; loading
-unpacks each array once and sums its differences back (see
-docs/index-format.md).
+and source positions, group after group. An index is made from its ``.clxi``
+file, which stores each increasing array as differences and the positions as
+one head per group and the steps inside it (see docs/index-format.md). The
+writer (``build_index``) or the reader (``Index.from_bytes``) hands the
+constructor the bytes and the stored arrays, which it sums back once, in
+place, and range-checks; no stored value is negative, so no array falls. The
+index keeps the bytes, which ``to_bytes`` returns, and the decoded lists the
+queries read.
 
 A chain of one class has one non-empty interval, so on it the step is NFA
 state-set simulation. Queries fold over a state of two parts: the reached
@@ -48,7 +49,6 @@ from __future__ import annotations
 
 import struct
 import zlib
-from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, repeat
@@ -195,7 +195,7 @@ class SpaceReport:
 
 
 class _Arrays(NamedTuple):
-    """Every array of an index, in file order."""
+    """Every array of an index, in file order: decoded, stored, or its packed bits."""
 
     chain_ends: Sequence[int]  # one past the last class id of each chain
     class_map: Sequence[int]   # the class of each indexed node
@@ -222,8 +222,8 @@ def _follow_ons(keys: Sequence[int], lengths: Sequence[int], q: int, sigma: int)
     one chain of more than one class, on different symbols. A class entered
     by a smaller symbol lies no higher on a chain than one entered by a
     larger, so such a group's first target is at least the last target of
-    the group before (``Index._check_store`` checks it). The groups into one
-    chain are one run of the keys, found by two bisections."""
+    the group before, and the file stores the step between them. The groups
+    into one chain are one run of the keys, found by two bisections."""
     span, n, hi, out = sigma * q, len(keys), 0, []
     for j in compress(count(), map(gt, lengths, repeat(1))):
         lo = bisect_left(keys, j * span, hi, n)
@@ -266,10 +266,6 @@ def _require(ok: bool) -> None:
         raise ValueError(_CORRUPT)
 
 
-def _require_increasing_ids(ids: Sequence[int], bound: int) -> None:
-    _require(not any(map(ge, ids, ids[1:])) and (not ids or ids[-1] < bound))
-
-
 def _mask(chains: Iterable[int]) -> int:
     """The bitmask of a set of chain ids: bit j stands for chain j. It is
     built in a byte array, in time linear in the ids and the mask's width;
@@ -289,82 +285,221 @@ def _unions(t0: tuple, t1: tuple, t2: tuple, t3: tuple) -> tuple[tuple, ...]:
             t3, t0 + t3, t1 + t3, t01 + t3, t23, t0 + t23, t1 + t23, t01 + t23)
 
 
-def _check_monotone_groups(key: tuple[int, int, int], targets: Sequence[int],
-                           sources: Sequence[int], target_len: int, source_len: int) -> None:
-    """A group's edges must be (target, source)-sorted with non-decreasing
-    sources, and each position must lie inside its chain."""
-    prev_t = prev_s = -1
-    for t, s in zip(targets, sources):
-        if t < prev_t:
-            raise ValueError(f"group {key} is not sorted by (target, source)")
-        if s < prev_s:
+def _write(alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
+           a: _Arrays, has_finals: bool, initial_class: int | None
+           ) -> tuple[bytes, tuple[int, ...], _Arrays]:
+    """The ``.clxi`` file of the decoded arrays ``a``, the bit width of each
+    stored array, and the stored arrays: each increasing array as its first
+    value and the differences between neighbours, the positions as a head
+    per group and the steps inside it, a follow-on group's target head as
+    its step from the group before (see ``_follow_ons``). Each array is
+    packed at the width its largest stored value needs; ``_refuse_stored``
+    refuses arrays that would store a negative value."""
+    q, sigma = len(a.chain_ends), len(alphabet)
+    flags = _FLAG_FINALS * has_finals | _FLAG_INITIAL * (initial_class is not None)
+    out = bytearray(struct.pack(_HEADER, MAGIC, FORMAT_VERSION, flags, n_original,
+                                e_original, n_classes, q, sigma))
+    for sym in alphabet.symbols:
+        raw = sym.encode("utf-8")
+        if len(raw) > 0xFFFF:
+            raise ValueError(f"symbol of {len(raw)} UTF-8 bytes is over the index "
+                             "format's limit of 65535")
+        out += struct.pack("<H", len(raw)) + raw
+    out += struct.pack(_COUNTS, len(a.class_map), len(a.marked), len(a.keys),
+                       len(a.targets), len(a.finals))
+    lengths, sizes = _differences(a.chain_ends), _differences(a.ends)
+    targets, sources = list(a.targets), list(a.sources)
+    # A group of one edge is stored as its head alone; when every group
+    # has one edge, there are no steps to take.
+    longer = compress(zip(a.ends, sizes), map(gt, sizes, repeat(1))) \
+        if len(sizes) < len(targets) else ()
+    for end, size in longer:
+        start = end - size
+        targets[start + 1:end] = map(sub, a.targets[start + 1:end], a.targets[start:end - 1])
+        sources[start + 1:end] = map(sub, a.sources[start + 1:end], a.sources[start:end - 1])
+    follow_ons = _follow_ons(a.keys, lengths, q, sigma)
+    for g in follow_ons:
+        start = a.ends[g - 1]
+        targets[start] -= a.targets[start - 1]
+    stored = _Arrays(lengths, a.class_map, _differences(a.marked), _differences(a.keys),
+                     sizes, targets, sources, _differences(a.finals))
+    if min(map(min, filter(None, stored)), default=0) < 0:
+        _refuse_stored(a, stored, follow_ons, sigma)
+    widths = tuple(width_for(max(values, default=0)) for values in stored)
+    out += struct.pack(_WIDTHS, *widths) + b"".join(map(_pack, widths, stored))
+    if initial_class is not None:
+        out += struct.pack("<I", initial_class)
+    out += struct.pack("<I", zlib.crc32(out))
+    return bytes(out), widths, stored
+
+
+def _refuse_stored(a: _Arrays, stored: _Arrays, follow_ons: Sequence[int],
+                   sigma: int) -> NoReturn:
+    """Refuse the decoded arrays ``a``, whose stored form has a negative
+    value, which no file holds. The first negative position names its group:
+    inside it, a falling target is out of (target, source) order, and a
+    falling source breaks source monotonicity; at its head, a follow-on
+    group starts below the last target of the group before. Anything else
+    is a corrupt index."""
+    q, rest = len(a.chain_ends), (*stored[:5], stored.finals)
+    if min(map(min, filter(None, rest)), default=0) >= 0:
+        p = next(p for p, (t, s) in enumerate(zip(stored.targets, stored.sources)) if min(t, s) < 0)
+        g = bisect_right(a.ends, p)
+        j, pair = divmod(a.keys[g], sigma * q)
+        key = (j, *divmod(pair, q))
+        if p > (a.ends[g - 1] if g else 0):
+            raise ValueError(f"group {key} is not sorted by (target, source)"
+                             if stored.targets[p] < 0 else
+                             f"group {key} breaks source monotonicity; inputs were not a "
+                             "chain partition of a co-lex order")
+        if g in follow_ons and stored.targets[p] < 0:
             raise ValueError(
-                f"group {key} breaks source monotonicity; inputs were not a "
-                "chain partition of a co-lex order")
-        prev_t, prev_s = t, s
-    if prev_t >= target_len or prev_s >= source_len:  # the largest of each
-        raise ValueError(f"group {key} has a position outside its chain")
+                f"group {key} starts below the last target of the group before it on a "
+                "smaller symbol; inputs were not a chain partition of a co-lex order")
+    raise ValueError(_CORRUPT)
+
+
+def _read(raw: bytes) -> tuple[Alphabet, tuple[int, ...], _Arrays]:
+    """The alphabet, the bit width of each stored array and the stored arrays
+    of a ``.clxi`` file, after the file's own checks (see
+    docs/index-format.md). A field cut short is a ``struct.error``."""
+    view = memoryview(raw)
+    off = 0
+
+    def take(fmt: str):
+        nonlocal off
+        vals = struct.unpack_from(fmt, view, off)
+        off += struct.calcsize(fmt)
+        return vals
+
+    def unpack(width: int, length: int) -> list[int]:
+        nonlocal off
+        size = (width * length + 63) // 64 * 8
+        _require(size <= len(view) - off)  # before a huge count is decoded
+        off += size
+        # the last word's bits past the last value are 0, as written
+        tail = width * length % 64
+        _require(not tail or not int.from_bytes(view[off - 8:off], "little") >> tail)
+        return _unpack(width, length, view[off - size:off])
+
+    magic, version, flags, _, _, _, q, sigma = take(_HEADER)
+    if magic != MAGIC:
+        raise ValueError("not an index file (bad magic)")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported index format version {version}")
+    _require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
+    _require(not flags & ~(_FLAG_FINALS | _FLAG_INITIAL))
+    # Group keys lie below sigma * q * q, which the format bounds by 2**64. No
+    # build can exceed this: q <= 65,536 under the relation's dense cap, sigma < 2**32.
+    _require(sigma * q * q <= 1 << 64)
+    view = view[:-4]
+    symbols = []
+    for _ in range(sigma):
+        (ln,) = take("<H")
+        symbols.append(take(f"<{ln}s")[0].decode("utf-8"))
+    n_nodes, n_marked, n_groups, n_edges, n_finals = take(_COUNTS)
+    _require(n_groups <= n_edges)  # no group is empty
+    widths = take(_WIDTHS)
+    _require(min(widths) >= 1 and max(widths) <= 64)
+    counts = (q, n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
+    stored = _Arrays(*map(unpack, widths, counts))
+    # Each width is the one its array's largest value needs, so that a file
+    # is the one the writer makes of its arrays: width 1, or some value uses
+    # the width's top bit, found at the first such value.
+    _require(all(w == 1 or any(map(ge, values, repeat(1 << (w - 1))))
+                 for w, values in zip(widths, stored)))
+    off += 4 if flags & _FLAG_INITIAL else 0  # the initial class: the constructor reads it
+    _require(off == len(view))  # no trailing bytes
+    return Alphabet(tuple(symbols)), widths, stored
+
+
+def _decode(stored: _Arrays, sigma: int) -> _Arrays:
+    """The decoded arrays of the stored ones: the running sums of each
+    increasing array, and the positions summed back group by group in the
+    stored lists themselves. The class map is the stored list."""
+    lengths, sizes = stored.chain_ends, stored.ends
+    targets, sources, n_edges = stored.targets, stored.sources, len(stored.targets)
+    chain_ends, marked, keys, ends, finals = (
+        [*accumulate(values)] for values in (lengths, stored.marked, stored.keys, sizes,
+                                             stored.finals))
+    # A group of one edge is stored as its head alone; when every group has
+    # one edge, there is nothing to sum.
+    longer = compress(zip(ends, sizes), map(gt, sizes, repeat(1))) \
+        if len(sizes) < n_edges else ()
+    for end, size in longer:
+        start = end - size
+        targets[start:end] = accumulate(targets[start:end])
+        sources[start:end] = accumulate(sources[start:end])
+    for g in _follow_ons(keys, lengths, len(lengths), sigma):
+        start, end = ends[g - 1], ends[g]
+        if end > n_edges:  # and so are the rest, which the constructor refuses
+            break
+        targets[start:end] = map(add, targets[start:end], repeat(targets[start - 1]))
+    return _Arrays(chain_ends, stored.class_map, marked, keys, ends, targets, sources, finals)
 
 
 class Index:
     """Immutable query structure; all methods are safe for concurrent readers.
 
-    Built and loaded indexes alike are made from their decoded arrays, which
-    the index holds once; every array is checked here, in one pass, before
+    It is made from its ``.clxi`` bytes, the width of each stored array and
+    the stored arrays, as the writer or the reader has them. The constructor
+    sums the stored arrays back once, in place, and range-checks them before
     the index answers."""
 
-    def __init__(self, *, alphabet: Alphabet, n_original: int, e_original: int,
-                 n_classes: int, arrays: _Arrays, has_finals: bool,
-                 initial_class: int | None):
-        self.alphabet = alphabet
-        self.n_original = n_original
-        self.e_original = e_original
-        self.initial_class = initial_class
-        # Chain j holds the classes offsets[j]..offsets[j+1].
-        offsets = [0, *arrays.chain_ends]
-        lengths = list(map(sub, arrays.chain_ends, offsets))
-        _require(min(lengths, default=0) >= 0 and offsets[-1] == n_classes)
-        # Every class has a member, which also bounds n_classes by the file size.
-        class_map = arrays.class_map
-        _require(len(class_map) <= n_original and len(set(class_map)) == n_classes
-                 and max(class_map, default=-1) < n_classes)
-        _require_increasing_ids(arrays.marked, n_classes)
-        _require_increasing_ids(arrays.finals, n_classes)
-        _require(has_finals or len(arrays.finals) == 0)
-        self.finals = arrays.finals if has_finals else None
-        _require(initial_class is None or 0 <= initial_class < n_classes)
-        self.q = len(offsets) - 1
-        self.n_classes = n_classes
-        self._offsets = offsets
+    def __init__(self, raw: bytes, alphabet: Alphabet, widths: Sequence[int],
+                 stored: _Arrays):
+        _, _, flags, n_original, e_original, n_classes, q, _ = struct.unpack_from(_HEADER, raw)
+        initial_class = (struct.unpack_from("<I", raw, len(raw) - 8)[0]
+                         if flags & _FLAG_INITIAL else None)
+        has_finals = bool(flags & _FLAG_FINALS)
+        # the bytes, and each array's bits as the file packs it, for space_report()
+        self._raw, self._bits = raw, _Arrays(*map(mul, widths, map(len, stored)))
+        self.alphabet, self.n_original, self.e_original = alphabet, n_original, e_original
+        self.initial_class, self._sigma = initial_class, len(alphabet)
+        a = _decode(stored, self._sigma)
+        # Chain j holds the classes offsets[j]..offsets[j+1]. Every class has
+        # a member, which also bounds n_classes by the file size.
+        offsets, lengths, class_map = [0, *a.chain_ends], stored.chain_ends, a.class_map
+        _require(offsets[-1] == n_classes and len(class_map) <= n_original
+                 and len(set(class_map)) == n_classes and max(class_map, default=-1) < n_classes)
+        # No stored gap or size is negative; a zero gap after the first
+        # repeats an id or key, and a zero size leaves a group empty.
+        for gaps, ids in ((stored.marked, a.marked), (stored.finals, a.finals)):
+            _require(0 not in gaps[1:] and (not ids or ids[-1] < n_classes))
+        _require((has_finals or not a.finals)
+                 and (initial_class is None or initial_class < n_classes))
+        self.finals = a.finals if has_finals else None
+        if 0 in stored.keys[1:] or (a.keys and a.keys[-1] >= self._sigma * q * q):
+            raise ValueError("group keys are not strictly increasing below sigma*q*q")
+        if 0 in stored.ends or (a.ends or [0])[-1] != len(a.targets):
+            raise ValueError("group ends do not rise to the edge count")
+        self.q, self.n_classes, self._offsets = q, n_classes, offsets
         members: list[list[int]] = [[] for _ in range(n_classes)]
         for v, cid in enumerate(class_map):
             members[cid].append(v)
         self.members = tuple(map(tuple, members))
-        self._sigma = len(alphabet)
-        self._symbol_index = {a: k for k, a in enumerate(alphabet.symbols)}
+        self._symbol_index = {s: k for k, s in enumerate(alphabet.symbols)}
         # match_pattern's start, the full set as a fold state: every one-class
         # chain, and the whole of each longer chain
         longer = {j: (0, n) for j, n in enumerate(lengths) if n > 1}
         self._one_class = frozenset(j for j, n in enumerate(lengths) if n == 1)
         self._full = (_mask(self._one_class), longer)
-        self._tables, self._directory = self._check_store(arrays, lengths)
+        self._tables, self._directory = self._check_store(a, lengths)
         # The query step bisects the sources and reads the targets as the
-        # decoded ints they came as; only the writer and space_report() read
-        # the keys and ends after the check pass.
-        self._sources, self._targets = arrays.sources, arrays.targets
-        self._arrays = arrays._replace(keys=array("Q", arrays.keys), ends=array("I", arrays.ends))
+        # decoded ints they came as.
+        self._sources, self._targets = a.sources, a.targets
         self.e_quotient = len(self._targets)
         # accept's refusal, if any, its start (the initial class as a fold
         # state) and the mask of the one-class chains that hold a final
         self._accept_error: str | None = None
         self._start: tuple[int, _Longs] = (0, {})
         self._final_ones = _mask(self._one_class.intersection(
-            map(bisect_right, repeat(arrays.chain_ends), arrays.finals)))
+            map(bisect_right, repeat(a.chain_ends), a.finals)))
         if initial_class is None or not has_finals:
             self._accept_error = ("index lacks automaton data (build with finals and an "
                                   "initial state)")
         else:
-            marked = arrays.marked
+            marked = a.marked
             k = bisect_left(marked, initial_class)
             if k == len(marked) or marked[k] != initial_class:
                 self._accept_error = ("index was built without marking the initial state; "
@@ -373,10 +508,8 @@ class Index:
 
     def _check_store(self, a: _Arrays, lengths: Sequence[int]
                      ) -> tuple[dict[int, _Tables], list[dict[int, tuple]]]:
-        """Check the edge store: keys strictly increasing below sigma * q * q,
-        ends strictly increasing up to the edge count (no group is empty),
-        every group monotone inside its chains, and every follow-on group
-        (see ``_follow_ons``) starting no lower than the group before ends.
+        """Check that each group's last target and source, its largest as
+        stored, lie inside their chains.
 
         Returns the step's two lookup structures, built in this pass. They
         take memory linear in the groups, with no term in q * q.
@@ -405,10 +538,6 @@ class Index:
         """
         q, span = self.q, self._sigma * self.q
         keys, ends, targets, sources = a.keys, a.ends, a.targets, a.sources
-        if any(map(ge, keys, keys[1:])) or (keys and keys[-1] >= span * q):
-            raise ValueError("group keys are not strictly increasing below sigma*q*q")
-        if any(map(ge, [0, *ends], ends)) or (ends[-1] if ends else 0) != len(targets):
-            raise ValueError("group ends do not rise to the edge count")
         one_class = self._one_class
         # symbol * q + i // 4 -> per chain of the block, its one-class target
         # mask below _NARROW, its group count and its longer targets' triples
@@ -422,10 +551,8 @@ class Index:
             j, pair = divmod(key, span)
             i = pair % q
             t_last = targets[end - 1]
-            # one edge is in order by itself, and inside its chains if these hold
-            if end - start > 1 or t_last >= lengths[j] or sources[end - 1] >= lengths[i]:
-                _check_monotone_groups((j, *divmod(pair, q)), targets[start:end],
-                                       sources[start:end], lengths[j], lengths[i])
+            if t_last >= lengths[j] or sources[end - 1] >= lengths[i]:
+                raise ValueError(f"group {(j, *divmod(pair, q))} has a position outside its chain")
             if i not in one_class:
                 by_pair.setdefault(pair, []).append(
                     (j, targets[start], t_last, start, end, sources[start], sources[end - 1]))
@@ -462,13 +589,6 @@ class Index:
                    m3, m0 | m3, m1 | m3, m01 | m3, m23, m0 | m23, m1 | m23, m01 | m23)
             images = _unions(l0, l1, l2, l3) if l0 or l1 or l2 or l3 else None
             tables[block] = (ors, n, images, wide)
-        for g in _follow_ons(keys, lengths, q, self._sigma):
-            if targets[ends[g - 1]] < targets[ends[g - 1] - 1]:
-                j, pair = divmod(keys[g], span)
-                raise ValueError(
-                    f"group {(j, *divmod(pair, q))} starts below the last target of the group "
-                    "before it on a smaller symbol; inputs were not a chain partition of a "
-                    "co-lex order")
         rows: list[dict[int, tuple]] = [{} for _ in range(self._sigma)]
         for pair, records in by_pair.items():
             sym, i = divmod(pair, q)
@@ -683,41 +803,10 @@ class Index:
 
     # Accounting ---------------------------------------------------------------
 
-    def _stored(self) -> tuple[tuple[int, ...], _Arrays]:
-        """The arrays as the ``.clxi`` file stores them, and the bit width of
-        each, the one its largest stored value needs. Each increasing array
-        is stored as its first value, then the differences between
-        neighbours: the chain lengths, the group sizes, and the gaps between
-        ids and keys. The positions are stored group by group, as a head and
-        then the steps inside the group, none negative because a group is
-        (target, source)-sorted with non-decreasing sources. A group's
-        target head is its step from the last target of the group before
-        when it goes on from that group (see ``_follow_ons``), so that on a
-        Wheeler graph the targets step by 0 or 1 throughout. The class map
-        is stored as it is."""
-        a = self._arrays
-        sizes = _differences(a.ends)
-        targets, sources = list(a.targets), list(a.sources)
-        # A group of one edge is stored as its head alone; when every group
-        # has one edge, there are no steps to take.
-        longer = compress(zip(a.ends, sizes), map(gt, sizes, repeat(1))) \
-            if len(sizes) < len(targets) else ()
-        for end, size in longer:
-            start = end - size
-            targets[start + 1:end] = map(sub, a.targets[start + 1:end], a.targets[start:end - 1])
-            sources[start + 1:end] = map(sub, a.sources[start + 1:end], a.sources[start:end - 1])
-        lengths = _differences(a.chain_ends)
-        for g in _follow_ons(a.keys, lengths, self.q, self._sigma):
-            start = a.ends[g - 1]
-            targets[start] -= a.targets[start - 1]
-        stored = _Arrays(lengths, a.class_map, _differences(a.marked), _differences(a.keys),
-                         sizes, targets, sources, _differences(a.finals))
-        return tuple(width_for(max(values, default=0)) for values in stored), stored
-
     def space_report(self) -> SpaceReport:
         """The bits of the arrays as the ``.clxi`` file packs them, against the
         paper's bound."""
-        bits = _Arrays(*map(mul, self._stored()[0], map(len, self._arrays)))
+        bits = self._bits
         breakdown = {
             "group_directory_bits": bits.keys + bits.ends,
             "position_array_bits": bits.targets + bits.sources,
@@ -739,111 +828,18 @@ class Index:
     # Serialization -----------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        a = self._arrays
-        flags = (_FLAG_FINALS if self.finals is not None else 0) | (
-            _FLAG_INITIAL if self.initial_class is not None else 0)
-        out = bytearray(struct.pack(_HEADER, MAGIC, FORMAT_VERSION, flags, self.n_original,
-                                    self.e_original, self.n_classes, self.q, self._sigma))
-        for sym in self.alphabet.symbols:
-            raw = sym.encode("utf-8")
-            if len(raw) > 0xFFFF:
-                raise ValueError(f"symbol of {len(raw)} UTF-8 bytes is over the index "
-                                 "format's limit of 65535")
-            out += struct.pack("<H", len(raw)) + raw
-        out += struct.pack(_COUNTS, len(a.class_map), len(a.marked), len(a.keys),
-                           len(a.targets), len(a.finals))
-        widths, stored = self._stored()
-        out += struct.pack(_WIDTHS, *widths)
-        for width, values in zip(widths, stored):
-            out += _pack(width, values)
-        if self.initial_class is not None:
-            out += struct.pack("<I", self.initial_class)
-        out += struct.pack("<I", zlib.crc32(out))
-        return bytes(out)
+        return self._raw
 
     def save(self, path) -> None:
-        raw = self.to_bytes()  # before the file is opened, so a refusal leaves none
         with open(path, "wb") as fh:
-            fh.write(raw)
+            fh.write(self._raw)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Index":
         try:
-            return cls._from_bytes(raw)
+            return cls(bytes(raw), *_read(raw))
         except struct.error:
             raise ValueError(_CORRUPT) from None
-
-    @classmethod
-    def _from_bytes(cls, raw: bytes) -> "Index":
-        view = memoryview(raw)
-        off = 0
-
-        def take(fmt: str):
-            nonlocal off
-            vals = struct.unpack_from(fmt, view, off)
-            off += struct.calcsize(fmt)
-            return vals
-
-        def unpack(width: int, length: int) -> list[int]:
-            nonlocal off
-            size = (width * length + 63) // 64 * 8
-            _require(size <= len(view) - off)  # before a huge count is decoded
-            off += size
-            # the last word's bits past the last value are 0, as written
-            tail = width * length % 64
-            _require(not tail or not int.from_bytes(view[off - 8:off], "little") >> tail)
-            return _unpack(width, length, view[off - size:off])
-
-        magic, version, flags, n_original, e_original, n_classes, q, sigma = take(_HEADER)
-        if magic != MAGIC:
-            raise ValueError("not an index file (bad magic)")
-        if version != FORMAT_VERSION:
-            raise ValueError(f"unsupported index format version {version}")
-        _require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
-        _require(not flags & ~(_FLAG_FINALS | _FLAG_INITIAL))
-        # Group keys lie below sigma * q * q and are held as u64. No build can
-        # exceed this: q <= 65,536 under the relation's dense cap, sigma < 2**32.
-        _require(sigma * q * q <= 1 << 64)
-        view = view[:-4]
-        symbols = []
-        for _ in range(sigma):
-            (ln,) = take("<H")
-            symbols.append(take(f"<{ln}s")[0].decode("utf-8"))
-        n_nodes, n_marked, n_groups, n_edges, n_finals = take(_COUNTS)
-        _require(n_groups <= n_edges)  # no group is empty
-        widths = take(_WIDTHS)
-        _require(min(widths) >= 1 and max(widths) <= 64)
-        counts = (q, n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
-        stored = _Arrays(*map(unpack, widths, counts))
-        # Each width is the one its array's largest value needs, so that the
-        # index writes back the bytes it was read from: width 1, or some value
-        # uses the width's top bit, found at the first such value.
-        _require(all(w == 1 or any(map(ge, values, repeat(1 << (w - 1))))
-                     for w, values in zip(widths, stored)))
-        initial_class = take("<I")[0] if flags & _FLAG_INITIAL else None
-        _require(off == len(view))  # no trailing bytes
-        chain_ends, marked, keys, ends, finals = (
-            [*accumulate(values)] for values in (stored.chain_ends, stored.marked, stored.keys,
-                                                 stored.ends, stored.finals))
-        sizes, targets, sources = stored.ends, stored.targets, stored.sources
-        # A group of one edge is stored as its head alone; when every group
-        # has one edge, there is nothing to sum.
-        longer = compress(zip(ends, sizes), map(gt, sizes, repeat(1))) \
-            if n_groups < n_edges else ()
-        for end, size in longer:
-            start = end - size
-            targets[start:end] = accumulate(targets[start:end])
-            sources[start:end] = accumulate(sources[start:end])
-        for g in _follow_ons(keys, stored.chain_ends, q, sigma):
-            start, end = ends[g - 1], ends[g]
-            if end > n_edges:  # and so are the rest, which the constructor refuses
-                break
-            targets[start:end] = map(add, targets[start:end], repeat(targets[start - 1]))
-        arrays = stored._replace(chain_ends=chain_ends, marked=marked, keys=keys, ends=ends,
-                                 finals=finals)
-        return cls(alphabet=Alphabet(tuple(symbols)), n_original=n_original,
-                   e_original=e_original, n_classes=n_classes, arrays=arrays,
-                   has_finals=bool(flags & _FLAG_FINALS), initial_class=initial_class)
 
     @classmethod
     def load(cls, path) -> "Index":
@@ -880,11 +876,14 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
                      sorted(qg.marked_classes), [*compress(edge_keys, last)],
                      [*compress(count(1), last)], [edge[1] for edge in edges],
                      [edge[2] for edge in edges], sorted(finals or ()))
-    return Index(alphabet=alphabet,
-                 n_original=qg.partition.n if n_original is None else n_original,
-                 e_original=len(qg.graph.edges) if e_original is None else e_original,
-                 n_classes=n_classes, arrays=arrays,
-                 has_finals=finals is not None, initial_class=initial)
+    try:
+        raw, widths, stored = _write(
+            alphabet, qg.partition.n if n_original is None else n_original,
+            len(qg.graph.edges) if e_original is None else e_original, n_classes, arrays,
+            finals is not None, initial)
+    except struct.error:  # a header value its field cannot hold, such as a negative initial class
+        raise ValueError(_CORRUPT) from None
+    return Index(raw, alphabet, widths, stored)
 
 
 def build_nfa_index(qnfa: QuotientNfa, cp: ChainPartition,

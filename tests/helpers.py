@@ -8,7 +8,7 @@ import numpy as np
 
 from colexgraph import LabeledGraph, QuotientNfa, Relation, lambda_sets, run_pipeline
 from colexgraph.graph import Alphabet
-from colexgraph.index import Index, _Arrays
+from colexgraph.index import Index, _Arrays, _decode, _read, _write
 
 
 def strict_label_relation(g: LabeledGraph, u_marked=()) -> Relation:
@@ -74,12 +74,30 @@ def reseal(buf: bytearray) -> bytes:
     return bytes(buf[:-4]) + zlib.crc32(buf[:-4]).to_bytes(4, "little")
 
 
+def written(*, alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
+            arrays: _Arrays, has_finals: bool, initial_class: int | None) -> Index:
+    """The index of the given decoded arrays, made as ``build_index`` makes
+    one: through the ``.clxi`` writer, which refuses what a file cannot
+    store."""
+    raw, widths, stored = _write(alphabet, n_original, e_original, n_classes, arrays,
+                                 has_finals, initial_class)
+    return Index(raw, alphabet, widths, stored)
+
+
+def decoded(ix: Index) -> tuple[tuple[int, ...], _Arrays]:
+    """The width of each array that an index's file records, and the arrays
+    the constructor decodes from the file's stored ones."""
+    alphabet, widths, stored = _read(ix.to_bytes())
+    return widths, _decode(stored, len(alphabet))
+
+
 def v5_offsets(raw: bytes) -> dict:
     """Where a v5 file's fields are: the byte offset of the header's
     ``n_original`` and ``q``, of each count after the alphabet, of each
     array's width byte (``<name>_width``) and of the initial class, and
     (offset, width) of each packed array."""
     ix = Index.from_bytes(raw)
+    arrays = decoded(ix)[1]
     at = {"n_original": 8, "q": 24}
     off = struct.calcsize("<4sHHIQIII") + sum(
         2 + len(sym.encode("utf-8")) for sym in ix.alphabet.symbols)
@@ -90,7 +108,7 @@ def v5_offsets(raw: bytes) -> dict:
     for name in _Arrays._fields:
         at[name + "_width"] = off
         off += 1
-    for name, width, values in zip(_Arrays._fields, widths, ix._arrays):
+    for name, width, values in zip(_Arrays._fields, widths, arrays):
         at[name] = (off, width)
         off += (width * len(values) + 63) // 64 * 8
     if ix.initial_class is not None:

@@ -13,7 +13,7 @@ from colexgraph import (Index, Preorder, build_index, format_graph, format_nfa,
                         max_colex_relation, min_chain_partition, parse_nfa, quotient_graph)
 from colexgraph.cli import main
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa
-from helpers import put_stored, reseal, v5_offsets
+from helpers import decoded, put_stored, reseal, v5_offsets
 
 
 @pytest.fixture
@@ -100,11 +100,15 @@ sys.exit(status)
         # the alphabet table stores each symbol's UTF-8 length as a u16
         graph, out = tmp_path / "long.graph", tmp_path / "long.clxi"
         graph.write_text("nodes 2\n0 1 " + "x" * 70_000 + "\n", encoding="utf-8")
+        error = ("error: symbol of 70000 UTF-8 bytes is over the index format's "
+                 "limit of 65535\n")
         assert main(["build", str(graph), "-o", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err == ("error: symbol of 70000 UTF-8 bytes is over the index format's "
-                       "limit of 65535\n")
+        assert capsys.readouterr().err == error
         assert not out.exists()
+        # stats and verify build the same index, so they refuse it alike
+        for command in ("stats", "verify"):
+            assert main([command, str(graph)]) == 2
+            assert capsys.readouterr() == ("", error)
         graph.write_text("nodes 2\n0 1 " + "x" * 65_535 + "\n", encoding="utf-8")
         assert main(["build", str(graph), "-o", str(out)]) == 0
         assert Index.load(str(out)).alphabet.symbols == ("x" * 65_535,)
@@ -139,7 +143,7 @@ sys.exit(status)
         # group ends [1, 2, 3], stored as the sizes [1, 1, 1], as [2, 2, 3]:
         # the first group takes two edges and the second none, which every
         # other check lets through
-        assert list(Index.load(str(out))._arrays.ends) == [1, 2, 3]
+        assert decoded(Index.load(str(out)))[1].ends == [1, 2, 3]
         put_stored(raw, v5_offsets(bytes(raw)), "ends", [2, 0, 1])
         out.write_bytes(reseal(raw))
         with pytest.raises(ValueError, match="ends do not rise"):

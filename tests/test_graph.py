@@ -85,7 +85,9 @@ class TestParsing:
         ("alphabet a\nnodes 2\n0 1 @\n", "line 3: marker '@' cannot be an edge label"),
         ("nodes 2\n0 1 #\n", "line 2: marker '#' cannot be an edge label"),
         ("nodes 2\n0 1 a\nalphabet a\n", "line 3: alphabet line must precede edges"),
-        ("nodes 2\n0 1 #x\n", "invalid alphabet symbol '#x'"),
+        ("nodes 2\n0 1 #x\n", "line 2: edge label '#x' cannot start with marker '#'"),
+        ("alphabet a\nnodes 2\n0 1 a\n1 0 #x\n",
+         "line 4: edge label '#x' cannot start with marker '#'"),
         ("\n  # c\nnodes 1\n 0 0 a \n1 0 a\n", "line 5: node 1 out of declared range 0..0"),
     ])
     def test_parse_error_messages(self, text, message):

@@ -18,12 +18,12 @@ from colexgraph import index as index_module
 from colexgraph.cli import main
 from colexgraph.graph import Alphabet, parse_graph, parse_nfa
 from colexgraph.index import _Arrays, ceil_log2, parse_pattern
-from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_trim_nfa,
-                               simulate_nfa)
+from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_graph,
+                               random_trim_nfa, simulate_nfa)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
                       loop_branch_nfa, small_graphs)
-from helpers import (interval_set, nfa_pipeline, put_stored, quotient_pipeline, reseal,
-                     seeded_debruijn, v5_offsets)
+from helpers import (decoded, interval_set, nfa_pipeline, put_stored, quotient_pipeline,
+                     reseal, seeded_debruijn, v5_offsets, written)
 
 
 # Every public method that reads a class set, as (index, set) -> answer
@@ -38,7 +38,7 @@ def build_from(g):
 
 def group_items(ix):
     """Each group as ((target chain, symbol, source chain), (targets, sources))."""
-    a = ix._arrays
+    a = decoded(ix)[1]
     span = len(ix.alphabet) * ix.q
     items, start = [], 0
     for key, end in zip(a.keys, a.ends):
@@ -57,9 +57,9 @@ def far_target_index():
     keys = [(q - 1) * q + i for i in range(0, q, 4)]
     arrays = _Arrays(list(range(1, q + 1)), list(range(q)), [], keys,
                      list(range(1, len(keys) + 1)), [0] * len(keys), [0] * len(keys), [])
-    return Index.from_bytes(Index(alphabet=Alphabet(("a",)), n_original=q,
-                                  e_original=len(keys), n_classes=q, arrays=arrays,
-                                  has_finals=False, initial_class=None).to_bytes())
+    return Index.from_bytes(written(alphabet=Alphabet(("a",)), n_original=q,
+                                    e_original=len(keys), n_classes=q, arrays=arrays,
+                                    has_finals=False, initial_class=None).to_bytes())
 
 
 def criterion_5_automata():
@@ -129,11 +129,11 @@ def nfa_walk(rng, a, length):
 def one_chain_index(edges, length=2):
     """Index of a one-symbol graph whose classes 0 to length - 1 form one chain,
     with the given (target, source) positions as its only group, unchecked
-    until built."""
+    until written."""
     arrays = _Arrays([length], list(range(length)), [], [0], [len(edges)],
                      [t for t, _ in edges], [s for _, s in edges], [])
-    return Index(alphabet=Alphabet(("a",)), n_original=length, e_original=len(edges),
-                 n_classes=length, arrays=arrays, has_finals=False, initial_class=None)
+    return written(alphabet=Alphabet(("a",)), n_original=length, e_original=len(edges),
+                   n_classes=length, arrays=arrays, has_finals=False, initial_class=None)
 
 
 class TestBuildLayout:
@@ -197,8 +197,8 @@ class TestBuildLayout:
             stages.append((made["_pack"], made["_unpack"]))
             counts[ix.q > 1] = stages
             assert ix.q in (1, 16) and ix.accept([symbols[0]] if ix.q > 1 else ["a", "a"])
-        # a build packs nothing, a save packs 8 arrays and a load unpacks 8
-        assert counts[True] == counts[False] == [(0, 0), (8, 0), (8, 8)]
+        # a build packs 8 arrays, a save packs none and a load unpacks 8
+        assert counts[True] == counts[False] == [(8, 0), (8, 0), (8, 8)]
 
     def test_partition_must_match_order(self):
         qg, cp = quotient_pipeline(double_hub_graph(2))
@@ -345,8 +345,8 @@ class TestProbeDirectory:
         # of chain 1 from sources 1 and 2.
         arrays = _Arrays([3, 6], list(range(6)), [], [0, 2], [2, 4],
                          [0, 1, 0, 2], [0, 1, 1, 2], [])
-        ix = Index(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
-                   arrays=arrays, has_finals=False, initial_class=None)
+        ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
+                     arrays=arrays, has_finals=False, initial_class=None)
         cases = [((0, 3), ((0, 2), (0, 3)), 0),  # spans both groups
                  ((0, 2), ((0, 2), (0, 1)), 1)]  # stops inside the last group
         for interval, image, n_searches in cases:
@@ -360,8 +360,8 @@ class TestProbeDirectory:
         # chain 0 from sources 0, 2 and 3, and its own target 1 from source 1.
         arrays = _Arrays([1, 2, 6], list(range(6)), [], [2, 3, 6, 8], [3, 4, 6, 7],
                          [0, 0, 0, 0, 0, 2, 1], [0, 2, 3, 0, 0, 0, 1], [])
-        ix = Index(alphabet=Alphabet(("a",)), n_original=6, e_original=7, n_classes=6,
-                   arrays=arrays, has_finals=False, initial_class=None)
+        ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=7, n_classes=6,
+                     arrays=arrays, has_finals=False, initial_class=None)
         cases = [(((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 3)), 0),  # the image entry
                  (((0, 0), (0, 0), (1, 3)), ((0, 1), (0, 0), (1, 2)), 1),  # source 2 is inside
                  (((0, 0), (0, 0), (1, 2)), ((0, 0), (0, 0), (1, 2)), 1),  # no source inside
@@ -538,7 +538,7 @@ class TestProbeDirectory:
             ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index()
             if ix.q < 2:
                 continue
-            a, span = ix._arrays, len(ix.alphabet) * ix.q
+            a, span = decoded(ix)[1], len(ix.alphabet) * ix.q
             want: dict[tuple[int, int], list[tuple]] = {}
             for g, (key, end) in enumerate(zip(a.keys, a.ends)):
                 j, rest = divmod(key, span)
@@ -636,7 +636,7 @@ class TestProbeDirectory:
         take under 2 KiB per group, and the step still reaches the last
         chain from every source."""
         ix = far_target_index()
-        q, keys = ix.q, ix._arrays.keys
+        q, keys = ix.q, decoded(ix)[1].keys
         assert deep_size(ix._tables, set()) < 2048 * len(keys)
         stats = QueryStats()
         ok, end = ix.match_pattern(["a"], stats)
@@ -684,8 +684,8 @@ class TestMatch:
         no one-class chain's bit in match_pattern's start, so the empty
         pattern matches the classes there are and nothing outside a chain."""
         arrays = _Arrays([1, 1, 2], [0, 1], [], [], [], [], [], [])
-        ix = Index(alphabet=Alphabet(("a",)), n_original=2, e_original=0, n_classes=2,
-                   arrays=arrays, has_finals=False, initial_class=None)
+        ix = written(alphabet=Alphabet(("a",)), n_original=2, e_original=0, n_classes=2,
+                     arrays=arrays, has_finals=False, initial_class=None)
         for index in (ix, Index.from_bytes(ix.to_bytes())):
             ok, end = index.match_pattern([])
             assert ok and end.intervals() == ((0, 1), (0, 0), (0, 1))
@@ -767,7 +767,7 @@ class TestAccept:
                         "2 3 a\n3 3 a\ninitial 0\nfinal 1 3\n")
         qn, cp = nfa_pipeline(nfa)
         built = build_nfa_index(qn, cp)
-        assert built._offsets == [0, 1, 4] and list(built._arrays.finals) == [1, 3]
+        assert built._offsets == [0, 1, 4] and built.finals == [1, 3]
         for ix in (built, Index.from_bytes(built.to_bytes())):
             answers = Counter()
             for s in enumerate_strings(nfa.graph.alphabet.symbols, 4):
@@ -853,11 +853,11 @@ class TestSpaceReport:
             assert (parts.pop("boundary_bits"), parts.pop("rank_directory_bits")) == (0, 0)
             assert set(parts) == {"group_directory_bits", "position_array_bits", "final_bits",
                                   "chain_table_bits", "class_map_bits", "marked_bits"}
-            widths = ix._stored()[0]
-            assert sum(parts.values()) == sum(map(mul, widths, map(len, ix._arrays)))
+            widths, arrays = decoded(ix)
+            assert sum(parts.values()) == sum(map(mul, widths, map(len, arrays)))
             # marked: none on the graph, the initial state's class on the automaton
-            assert len(ix._arrays.marked) == (ix.finals is not None)
-            assert parts["marked_bits"] == widths[2] * len(ix._arrays.marked)
+            assert len(arrays.marked) == (ix.finals is not None)
+            assert parts["marked_bits"] == widths[2] * len(arrays.marked)
 
     def test_q1_index_is_within_one_and_a_half_times_the_formula(self):
         """On a Wheeler graph (q = 1) the stored differences bring the
@@ -867,7 +867,7 @@ class TestSpaceReport:
         _, g = seeded_debruijn(7, 1000, 8)
         ix = build_from(g)[0]
         assert ix.q == 1 and 900 <= ix.n_classes <= 1000 and ix.e_quotient >= 900
-        widths = dict(zip(_Arrays._fields, ix._stored()[0]))
+        widths = dict(zip(_Arrays._fields, decoded(ix)[0]))
         assert widths["targets"] == 1
         rep = ix.space_report()
         assert rep.measured_bits <= 1.5 * rep.formula_bits, rep.ratio
@@ -1045,16 +1045,16 @@ class TestBackendsAndSerialization:
     def test_constructor_refuses_what_a_file_cannot_store(self):
         """A file stores chain lengths and the steps inside each group, none
         negative, so chain ends that fall back and a group whose sources fall
-        cannot be loaded; the constructor still refuses them in an index
-        built in memory."""
+        cannot be loaded; the writer refuses them in arrays laid out in
+        memory."""
         qn, cp = nfa_pipeline(diamond_nfa())
         ix = build_nfa_index(qn, cp)
-        a = ix._arrays
+        a = decoded(ix)[1]
 
         def rebuilt(arrays):
-            return Index(alphabet=ix.alphabet, n_original=ix.n_original,
-                         e_original=ix.e_original, n_classes=ix.n_classes, arrays=arrays,
-                         has_finals=True, initial_class=ix.initial_class)
+            return written(alphabet=ix.alphabet, n_original=ix.n_original,
+                           e_original=ix.e_original, n_classes=ix.n_classes, arrays=arrays,
+                           has_finals=True, initial_class=ix.initial_class)
         assert list(a.chain_ends) == [4, 5]
         with pytest.raises(ValueError, match="corrupt"):
             rebuilt(a._replace(chain_ends=[6, 5]))
@@ -1068,12 +1068,65 @@ class TestBackendsAndSerialization:
         # target of the group on "a" cannot be stored, and is refused
         def two_groups(targets):
             arrays = _Arrays([2], [0, 1], [], [0, 1], [2, 3], targets, [0, 1, 0], [])
-            return Index(alphabet=Alphabet(("a", "b")), n_original=2, e_original=3,
-                         n_classes=2, arrays=arrays, has_finals=False, initial_class=None)
+            return written(alphabet=Alphabet(("a", "b")), n_original=2, e_original=3,
+                           n_classes=2, arrays=arrays, has_finals=False, initial_class=None)
         stored = Index.from_bytes(two_groups([0, 1, 1]).to_bytes())
-        assert list(stored._arrays.targets) == [0, 1, 1]
+        assert decoded(stored)[1].targets == [0, 1, 1]
         with pytest.raises(ValueError, match=r"group \(0, 1, 0\) starts below"):
             two_groups([0, 1, 0])
+        # header fields a file cannot hold: a negative initial class and counts
+        for field in ({"initial": -1}, {"n_original": -1}, {"e_original": -1}):
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                build_index(qn.quotient, cp, qn.finals, **({"initial": qn.initial} | field))
+
+    def test_reader_fuzz_behind_a_valid_crc(self):
+        """Random non-negative values at their canonical width in one
+        one-word stored array of small seeded indexes, resealed with a fresh
+        CRC: the reader either refuses the file with a ValueError or makes an
+        index whose groups are (target, source)-sorted with non-decreasing
+        sources and every position inside its chain, which writes back the
+        same bytes and answers every query without raising. No stored value
+        is negative, so no order is left for the constructor to check."""
+        rng = random.Random(2501)
+        sources = [random_graph(rng, rng.randint(1, 6), rng.randint(1, 3), 0.3)
+                   for _ in range(20)]
+        sources += [random_trim_nfa(rng, 6, 2, 0.3) for _ in range(20)]
+        refused = loaded = 0
+        for source in sources:
+            nfa = isinstance(source, Nfa)
+            raw = run_pipeline(source, mark_initial=nfa).index().to_bytes()
+            at, (_, arrays) = v5_offsets(raw), decoded(Index.from_bytes(raw))
+            one_word = [(name, len(values)) for name, values in zip(_Arrays._fields, arrays)
+                        if 0 < len(values) * at[name][1] <= 64]
+            for _ in range(100):
+                name, length = rng.choice(one_word)
+                width = rng.randint(1, min(6, 64 // length))
+                bad = bytearray(raw)
+                put_stored(bad, at, name, [rng.getrandbits(width) for _ in range(length)])
+                bad = reseal(bad)
+                try:
+                    ix = Index.from_bytes(bad)
+                except ValueError:
+                    refused += 1
+                    continue
+                loaded += 1
+                a, span = decoded(ix)[1], len(ix.alphabet) * ix.q
+                start = 0
+                for key, end in zip(a.keys, a.ends):
+                    j, i = key // span, key % ix.q
+                    edges = list(zip(a.targets[start:end], a.sources[start:end]))
+                    assert edges == sorted(edges)
+                    assert a.sources[start:end] == sorted(a.sources[start:end])
+                    assert edges[-1][0] < ix._offsets[j + 1] - ix._offsets[j]
+                    assert edges[-1][1] < ix._offsets[i + 1] - ix._offsets[i]
+                    start = end
+                assert ix.to_bytes() == bad
+                for p in enumerate_strings(ix.alphabet.symbols, 2):
+                    ix.map_back(ix.match_pattern(p)[1])
+                    if ix._accept_error is None:
+                        ix.accept(p)
+                ix.space_report()
+        assert refused > 3000 and loaded > 300, (refused, loaded)
 
     def test_clxi_bytes_are_pinned(self):
         """The sha256 of two ``.clxi`` files, so that any change to the bytes
@@ -1172,8 +1225,9 @@ class TestBackendsAndSerialization:
             patch.setattr(index_module, "_unpack", spy)
             patch.setattr(index_module, "_pack", refuse)
             again = Index.from_bytes(raw)
-        assert unpacked == [len(values) for values in ix._arrays]
-        assert list(map(list, again._arrays)) == list(map(list, ix._arrays))
+        assert unpacked == [len(values) for values in decoded(ix)[1]]
+        assert (again._offsets, again._targets, again._sources, again.finals) == \
+            (ix._offsets, ix._targets, ix._sources, ix.finals)
         assert again.to_bytes() == raw
         assert again.space_report() == ix.space_report()
         for s in ([], ["a"], ["a", "b"], ["a", "a", "b"]):
