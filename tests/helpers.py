@@ -64,7 +64,9 @@ def nfa_pipeline(nfa):
 
 def interval_set(ix: Index, intervals):
     """The class set of one half-open position interval per chain, made by
-    ``ix.set_for_classes`` from the classes the intervals cover."""
+    ``ix.set_for_classes`` from the classes the intervals cover. It reads
+    the chain offsets, which the index holds once it is open."""
+    ix._open()
     return ix.set_for_classes([start + p for start, (lo, hi) in zip(ix._offsets, intervals)
                                for p in range(lo, hi)])
 
@@ -78,7 +80,7 @@ def written(*, alphabet: Alphabet, n_original: int, e_original: int, n_classes: 
             arrays: _Arrays, has_finals: bool, initial_class: int | None) -> Index:
     """The index of the given decoded arrays, made as ``build_index`` makes
     one: through the ``.clxi`` writer, which refuses what a file cannot
-    store."""
+    store, and not opened until its first query."""
     raw, widths, stored = _write(alphabet, n_original, e_original, n_classes, arrays,
                                  has_finals, initial_class)
     return Index(raw, alphabet, widths, stored)
@@ -86,7 +88,7 @@ def written(*, alphabet: Alphabet, n_original: int, e_original: int, n_classes: 
 
 def decoded(ix: Index) -> tuple[tuple[int, ...], _Arrays]:
     """The width of each array that an index's file records, and the arrays
-    the constructor decodes from the file's stored ones."""
+    the open decodes from the file's stored ones."""
     alphabet, widths, stored = _read(ix.to_bytes())
     return widths, _decode(stored, len(alphabet))
 

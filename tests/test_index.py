@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import random
 import struct
 import sys
@@ -7,6 +8,8 @@ import tracemalloc
 from collections import Counter
 from functools import cache, reduce
 from operator import mul, or_
+from pathlib import Path
+from threading import Event, Thread, current_thread
 
 import numpy as np
 import pytest
@@ -313,7 +316,10 @@ class TestFollow:
 class TestProbeDirectory:
     def test_each_probe_outcome(self, monkeypatch):
         # sources 1, 2, 4 reach targets 0, 2, 4 on a chain of six classes
+        # Each index is opened before its steps' searches are counted: the
+        # open's own bisections (the follow-on groups) are not a step's.
         ix = one_chain_index([(0, 1), (2, 2), (4, 4)], length=6)
+        ix._open()
         searches = []
         real = index_module.bisect_left
 
@@ -336,6 +342,7 @@ class TestProbeDirectory:
         # Sources 1, 2, 4 reach targets 0, 3, 3: a cut at lo that reaches the
         # last target already needs no search for hi.
         ix = one_chain_index([(0, 1), (3, 2), (3, 4)], length=6)
+        ix._open()
         searches.clear()
         stats = QueryStats()
         assert ix.follow(interval_set(ix, ((2, 4),)), "a", stats).intervals() == ((3, 4),)
@@ -347,6 +354,7 @@ class TestProbeDirectory:
                          [0, 1, 0, 2], [0, 1, 1, 2], [])
         ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
                      arrays=arrays, has_finals=False, initial_class=None)
+        ix._open()
         cases = [((0, 3), ((0, 2), (0, 3)), 0),  # spans both groups
                  ((0, 2), ((0, 2), (0, 1)), 1)]  # stops inside the last group
         for interval, image, n_searches in cases:
@@ -362,6 +370,7 @@ class TestProbeDirectory:
                          [0, 0, 0, 0, 0, 2, 1], [0, 2, 3, 0, 0, 0, 1], [])
         ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=7, n_classes=6,
                      arrays=arrays, has_finals=False, initial_class=None)
+        ix._open()
         cases = [(((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 3)), 0),  # the image entry
                  (((0, 0), (0, 0), (1, 3)), ((0, 1), (0, 0), (1, 2)), 1),  # source 2 is inside
                  (((0, 0), (0, 0), (1, 2)), ((0, 0), (0, 0), (1, 2)), 1),  # no source inside
@@ -485,6 +494,7 @@ class TestProbeDirectory:
         probes and ``bisect_left`` calls it makes, nor the hits."""
         dna, g = seeded_debruijn(21, 800, 6)
         built = build_from(g)[0]
+        built._open()  # before the spy: the open's bisections are not a step's
         searches = 0
         real = index_module.bisect_left
 
@@ -538,6 +548,7 @@ class TestProbeDirectory:
             ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index()
             if ix.q < 2:
                 continue
+            ix._open()  # for the offsets and the directory it derives
             a, span = decoded(ix)[1], len(ix.alphabet) * ix.q
             want: dict[tuple[int, int], list[tuple]] = {}
             for g, (key, end) in enumerate(zip(a.keys, a.ends)):
@@ -570,6 +581,7 @@ class TestProbeDirectory:
         for source in [*graph_corpus, *criterion_5_automata(), *top_band_automata(),
                        *sparse_graphs()]:
             ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index()
+            ix._open()  # for the tables it derives
             ones = ix._one_class
             # (symbol, one-class source chain) -> [target chains, groups, triples]
             pairs: dict[tuple[int, int], list] = {}
@@ -767,6 +779,7 @@ class TestAccept:
                         "2 3 a\n3 3 a\ninitial 0\nfinal 1 3\n")
         qn, cp = nfa_pipeline(nfa)
         built = build_nfa_index(qn, cp)
+        built._open()
         assert built._offsets == [0, 1, 4] and built.finals == [1, 3]
         for ix in (built, Index.from_bytes(built.to_bytes())):
             answers = Counter()
@@ -1074,10 +1087,15 @@ class TestBackendsAndSerialization:
         assert decoded(stored)[1].targets == [0, 1, 1]
         with pytest.raises(ValueError, match=r"group \(0, 1, 0\) starts below"):
             two_groups([0, 1, 0])
-        # header fields a file cannot hold: a negative initial class and counts
-        for field in ({"initial": -1}, {"n_original": -1}, {"e_original": -1}):
+        # header fields a file cannot hold: a negative initial class and
+        # counts; and ids and a count the reader would refuse: an initial or
+        # final class past the last, fewer original nodes than the class map
+        for field in ({"initial": -1}, {"n_original": -1}, {"e_original": -1},
+                      {"initial": ix.n_classes}, {"finals": qn.finals | {ix.n_classes}},
+                      {"n_original": ix.n_original - 1}):
             with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
-                build_index(qn.quotient, cp, qn.finals, **({"initial": qn.initial} | field))
+                build_index(qn.quotient, cp, **({"finals": qn.finals, "initial": qn.initial}
+                                                | field))
 
     def test_reader_fuzz_behind_a_valid_crc(self):
         """Random non-negative values at their canonical width in one
@@ -1086,7 +1104,7 @@ class TestBackendsAndSerialization:
         index whose groups are (target, source)-sorted with non-decreasing
         sources and every position inside its chain, which writes back the
         same bytes and answers every query without raising. No stored value
-        is negative, so no order is left for the constructor to check."""
+        is negative, so no order is left for the open to check."""
         rng = random.Random(2501)
         sources = [random_graph(rng, rng.randint(1, 6), rng.randint(1, 3), 0.3)
                    for _ in range(20)]
@@ -1143,6 +1161,32 @@ class TestBackendsAndSerialization:
         for text, mark, digest in pinned:
             raw = run_pipeline(parse_input(text), mark).index().to_bytes()
             assert hashlib.sha256(raw).hexdigest() == digest
+
+    def test_workload_bytes_are_pinned(self, monkeypatch):
+        """The sha256 of every benchmark workload's ``.clxi`` files, seeds 1
+        to 3, each unit built from its text as ``colexgraph build`` builds it
+        and the files of one workload and seed concatenated in unit order: a
+        change to the bytes the benchmark's inputs are written as shows
+        here."""
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        pinned = {
+            ("wheeler-dna", 1): "7fefe6d7befe5b3617db68e23c1c5534b1f608568ce406e9a0a7b704918c83ab",
+            ("wheeler-dna", 2): "3b90e22b8e12e3c585ec34e3dd684ec9a6e2aadd84cc9a5fe7ed7b649b549918",
+            ("wheeler-dna", 3): "62076030394229e10b6fa60f7f7f9d378f52b7de3c277a5458a85f340b786eca",
+            ("nfa-corpus", 1): "f39168f6083070e35a3254b2f510de3cffed49faf79e1187a16e2896e9aece80",
+            ("nfa-corpus", 2): "ca86c549b10c65a60af6137a820100ee38f6c0806850e2cc73777a84e077812f",
+            ("nfa-corpus", 3): "96bb3e1b3a1d1759eea63feb64aeeadf20a1a19c3393df7db3ad4962e150d380",
+        }
+        assert set(name for name, _ in pinned) == set(workloads.WORKLOADS)
+        for (name, seed), digest in pinned.items():
+            files = hashlib.sha256()
+            for unit in workloads.WORKLOADS[name](seed).units:
+                files.update(run_pipeline(parse_input(unit.text), unit.nfa).index().to_bytes())
+            assert files.hexdigest() == digest, (name, seed)
 
     def test_built_and_loaded_agree(self, graph_corpus):
         """The space report comes from the file widths, so a built index and
@@ -1226,12 +1270,223 @@ class TestBackendsAndSerialization:
             patch.setattr(index_module, "_pack", refuse)
             again = Index.from_bytes(raw)
         assert unpacked == [len(values) for values in decoded(ix)[1]]
+        ix._open()  # the built index derives its lists at its first query
         assert (again._offsets, again._targets, again._sources, again.finals) == \
             (ix._offsets, ix._targets, ix._sources, ix.finals)
         assert again.to_bytes() == raw
         assert again.space_report() == ix.space_report()
         for s in ([], ["a"], ["a", "b"], ["a", "a", "b"]):
             assert again.accept(s) == ix.accept(s)
+
+
+def count_opens(monkeypatch) -> Counter:
+    """Counts of the writer's runs and of the open's decodes and store checks
+    from here on."""
+    calls = Counter()
+    for name in ("_write", "_decode"):
+        def spy(*args, _real=getattr(index_module, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(index_module, name, spy)
+    real_check = Index._check_store
+
+    def check(self, *args):
+        calls["_check_store"] += 1
+        return real_check(self, *args)
+    monkeypatch.setattr(Index, "_check_store", check)
+    return calls
+
+
+class TestOpen:
+    """A built index is written, not opened: it decodes, range-checks and
+    derives its query structures at its first query. A loaded one has
+    done so before ``from_bytes`` returns."""
+
+    OPENED = {"_decode": 1, "_check_store": 1}
+
+    def test_build_writes_once_and_opens_nothing(self, monkeypatch, tmp_path):
+        calls = count_opens(monkeypatch)
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp)
+        assert calls == {"_write": 1}
+        ix.save(tmp_path / "x.clxi")
+        ix.to_bytes()
+        ix.space_report()
+        assert (ix.q, ix.n_classes, ix.e_quotient, ix.n_original, ix.e_original,
+                ix.initial_class, ix.alphabet.symbols) == (2, 3, 3, 3, 3, 0, ("a", "b"))
+        assert calls == {"_write": 1}
+
+    def test_first_query_opens_once(self, monkeypatch):
+        calls = count_opens(monkeypatch)
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp)
+        calls.clear()
+        assert ix.accept(["a", "b"]) and calls == self.OPENED
+        start = ix.set_for_classes([ix.initial_class])
+        assert ix.match_pattern(["a", "b"])[0] and not ix.accept(["b"])
+        assert ix.map_back(ix.match_from(start, ["a"])[1]) == {1}
+        assert ix.classes_in(ix.follow(ix.full_set(), "b")) == [1]
+        assert (ix.members, ix.finals) == (((0,), (2,), (1,)), [1, 2])
+        assert calls == self.OPENED
+
+    def test_every_entry_point_opens(self, monkeypatch):
+        """Each public query opens an index that no query has opened: those
+        that read a set open it before they refuse a set another index
+        made."""
+        calls = count_opens(monkeypatch)
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        foreign = Index.from_bytes(build_nfa_index(qn, cp).to_bytes()).full_set()
+        entries = [lambda ix: ix.full_set(), lambda ix: ix.set_for_classes([0]),
+                   lambda ix: ix.match_pattern(["a"]), lambda ix: ix.accept(["a"]),
+                   lambda ix: ix.members, lambda ix: ix.finals,
+                   *(lambda ix, read=read: read(ix, foreign) for read in SET_READERS)]
+        for entry in entries:
+            ix = build_nfa_index(qn, cp)
+            calls.clear()
+            try:
+                entry(ix)
+            except ValueError as err:
+                assert "not made by this index" in str(err)
+            assert calls == self.OPENED
+
+    def test_from_bytes_opens_before_it_returns(self, monkeypatch):
+        """A loaded index has decoded and checked its arrays, and a file with
+        a position outside its chain behind a valid CRC is refused by
+        ``from_bytes`` itself, not at its first query."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        raw = build_nfa_index(qn, cp).to_bytes()
+        calls = count_opens(monkeypatch)
+        ix = Index.from_bytes(raw)
+        assert calls == self.OPENED
+        ix.accept(["a"])
+        ix.match_pattern(["b"])
+        assert calls == self.OPENED
+        bad = bytearray(raw)
+        put_stored(bad, v5_offsets(raw), "targets", [0, 1, 1])  # target 1 of a one-class chain
+        calls.clear()
+        with pytest.raises(ValueError, match=r"has a position outside its chain"):
+            Index.from_bytes(reseal(bad))
+        assert calls == self.OPENED
+
+    def test_concurrent_first_queries_open_once(self, monkeypatch):
+        """Threads that query a built index at the same time open it once
+        between them, and each answers as the loaded index does: a second
+        open would sum the positions twice."""
+        calls = count_opens(monkeypatch)
+        automaton = top_band_automata()[0]
+        result = run_pipeline(automaton, mark_initial=True)
+        strings = list(enumerate_strings(automaton.graph.alphabet.symbols, 3))
+        want = [simulate_nfa(automaton, s) for s in strings]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(10):
+                ix = result.index()
+                answers: list = [None] * 6
+
+                def ask(k, ix=ix, answers=answers):
+                    answers[k] = [ix.accept(s) for s in strings]
+                threads = [Thread(target=ask, args=(k,)) for k in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert answers == [want] * 6
+        finally:
+            sys.setswitchinterval(switch)
+        assert calls == {"_write": 10, "_decode": 10, "_check_store": 10}
+
+    def test_accept_waits_for_the_open(self, monkeypatch):
+        """``accept`` tests its refusal without the lock, so the open sets it
+        last. A thread that asks while another opens the index, stopped where
+        the open maps the initial class to accept's start, waits for the open
+        and then accepts what the automaton accepts."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp)
+        reached, go = Event(), Event()
+        real = index_module.bisect_right
+
+        def bisect_right(values, x):
+            if values is ix._offsets and current_thread() is opener:
+                reached.set()
+                go.wait(30)
+            return real(values, x)
+        monkeypatch.setattr(index_module, "bisect_right", bisect_right)
+        opener = Thread(target=ix.accept, args=(["a", "b"],))
+        answers: list = []
+        asker = Thread(target=lambda: answers.append(ix.accept(["a", "b"])))
+        opener.start()
+        try:
+            assert reached.wait(30)
+            asker.start()
+            asker.join(timeout=0.5)
+            assert asker.is_alive() and not answers  # it waits on the lock
+        finally:
+            go.set()
+            opener.join(30)
+            if asker.ident is not None:  # started
+                asker.join(30)
+        assert answers == [True]
+
+    def test_an_interrupted_open_is_not_retried(self, monkeypatch):
+        """An open stopped by something other than a refusal, here a
+        ``MemoryError`` in the store check, has summed the positions in part,
+        so every later query is refused and none opens again."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp)
+
+        def check(self, *args):
+            raise MemoryError
+        monkeypatch.setattr(Index, "_check_store", check)
+        with pytest.raises(MemoryError):
+            ix.full_set()
+        monkeypatch.undo()
+        calls = count_opens(monkeypatch)
+        for query in (ix.full_set, lambda: ix.accept(["a"]), lambda: ix.members):
+            with pytest.raises(ValueError, match="^index open stopped by MemoryError$"):
+                query()
+        assert not calls
+
+    def test_a_refused_open_is_refused_again(self):
+        """Arrays the writer stores but the open refuses are refused at the
+        first query with the open's message, and at every query after it with
+        the same one. Two chains of two classes: group 0, from chain 0, has
+        the targets 1 and 1, and group 1, from chain 1, the target 2. Opened
+        again, the positions that the first open summed would be summed twice,
+        and group 0's second target would read 2."""
+        arrays = _Arrays([2, 4], list(range(4)), [], [0, 1], [2, 3], [1, 1, 2], [0, 1, 0], [])
+        ix = written(alphabet=Alphabet(("a",)), n_original=4, e_original=3, n_classes=4,
+                     arrays=arrays, has_finals=False, initial_class=None)
+        for query in (ix.full_set, lambda: ix.match_pattern(["a"]), lambda: ix.members):
+            with pytest.raises(ValueError, match=r"^group \(0, 0, 1\) has a position outside"):
+                query()
+
+    def test_built_before_any_query_reports_as_loaded(self, graph_corpus):
+        """Before any query, a built index writes the same bytes and reports
+        the same counts and space as the index loaded from them; after the
+        first, both answer every query alike."""
+        rng = random.Random(2601)
+        sources = [*rng.sample(graph_corpus, 100), *criterion_5_automata()[:100]]
+        for source in sources:
+            nfa = isinstance(source, Nfa)
+            built = run_pipeline(source, mark_initial=nfa).index()
+            loaded = Index.from_bytes(built.to_bytes())
+            header = ("q", "n_classes", "e_quotient", "n_original", "e_original",
+                      "initial_class", "alphabet")
+            assert built._stored is not None
+            assert [getattr(built, name) for name in header] == \
+                [getattr(loaded, name) for name in header]
+            assert built.to_bytes() == loaded.to_bytes()
+            assert built.space_report() == loaded.space_report()
+            assert built._stored is not None
+            for p in enumerate_strings(built.alphabet.symbols, 3):
+                matched, end = built.match_pattern(p)
+                again, end_again = loaded.match_pattern(p)
+                assert (matched, built.map_back(end)) == (again, loaded.map_back(end_again))
+                if nfa:
+                    assert built.accept(p) == loaded.accept(p)
+            assert (built.members, built.finals) == (loaded.members, loaded.finals)
 
 
 class TestInstrumentation:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colexgraph.index import _pack, _unpack, width_for
+from colexgraph.graph import Alphabet
+from colexgraph.index import _Arrays, _pack, _unpack, _write, width_for
 
 
 class TestPackUnpack:
@@ -30,10 +31,18 @@ class TestPackUnpack:
         assert _unpack(width, len(values), raw) == one_at_a_time == values
 
     def test_rejects_oversized_values(self):
-        with pytest.raises(ValueError, match="value 4 does not fit in 2 bits"):
-            _pack(2, [4])
-        with pytest.raises(ValueError, match="value -1 does not fit in 3 bits"):
-            _pack(3, [1] * 70 + [-1])
+        """The writer packs each array at the width its largest stored value
+        needs, so ``_pack`` checks no fit: the writer refuses a value wider
+        than the format's 64 bits and, through ``_refuse_stored``, a negative
+        one, in any array and past the first 64 values."""
+        def write(class_map):
+            arrays = _Arrays([1], class_map, [], [], [], [], [], [])
+            return _write(Alphabet(("a",)), len(class_map), 0, 1, arrays, False, None)
+        assert _unpack(64, 1, write([2**64 - 1])[0][-12:-4]) == [2**64 - 1]
+        with pytest.raises(ValueError, match=f"^value {2**64} does not fit in 64 bits$"):
+            write([0] * 70 + [2**64])
+        with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+            write([0] * 70 + [-1])
 
     @given(st.integers(1, 64), st.data())
     @settings(max_examples=60)
