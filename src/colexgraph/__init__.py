@@ -10,8 +10,8 @@ from .chains import ChainPartition, max_antichain, min_chain_partition, preorder
 from .graph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError, LabeledGraph,
                     Nfa, angle, format_graph, format_nfa, lambda_sets, parse_graph,
                     parse_input, parse_nfa, trim_nfa)
-from .index import (ClassSet, Index, PatternError, QueryStats, SpaceReport, build_index,
-                    build_nfa_index, parse_pattern)
+from .index import (ClassSet, Index, PatternError, QueryStats, SpaceReport, WrittenIndex,
+                    build_index, build_nfa_index, parse_pattern)
 from .pipeline import PipelineResult, run_pipeline
 from .quotient import (ClassPartition, QuotientGraph, QuotientNfa, classes, quotient_graph,
                        quotient_nfa)
@@ -25,8 +25,8 @@ __all__ = [
     "ClassSet", "EmptyLanguageError", "GraphFormatError", "Index", "LabeledGraph",
     "Nfa", "PatternError", "PipelineResult", "Preorder", "QueryStats",
     "QuotientGraph", "QuotientNfa",
-    "Relation", "SpaceReport", "angle", "build_index", "build_nfa_index", "classes",
-    "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",
+    "Relation", "SpaceReport", "WrittenIndex", "angle", "build_index", "build_nfa_index",
+    "classes", "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",
     "lambda_sets", "max_antichain", "max_colex_relation", "min_chain_partition",
     "parse_graph", "parse_input", "parse_nfa", "parse_pattern", "preorder_width",
     "quotient_graph", "quotient_nfa", "run_pipeline", "trim_nfa",

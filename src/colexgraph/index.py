@@ -16,22 +16,21 @@ chain`` in increasing order with each group's end offset, and the edges' target
 and source positions, group after group. An index is made from its ``.clxi``
 file, which stores each increasing array as differences and the positions as
 one head per group and the steps inside it (see docs/index-format.md). The
-writer (``build_index``) or the reader (``Index.from_bytes``) hands the
-constructor the bytes and the stored arrays, which it keeps with the header's
-counts. The open sums the arrays back once, in place, and range-checks them;
-no stored value is negative, so no array falls. The reader opens the index
-before it returns, so a corrupt file is refused at load; a built index is
-opened by its first query, so a build that is only saved never opens. The
-index keeps the bytes, which ``to_bytes`` returns, and, once open, the
-decoded lists the queries read.
+writer (``build_index``) returns the file as a ``WrittenIndex``: the bytes,
+the header's counts and each array's bits, all that saving the file or
+reporting its space reads, so a build never decodes what it wrote. The reader
+(``Index.from_bytes``) hands the ``Index`` constructor the bytes and the
+stored arrays, which it sums back once, in place, and range-checks; no stored
+value is negative, so no array falls. The index keeps the bytes, which
+``to_bytes`` returns, and the decoded lists the queries read.
 
 A chain of one class has one non-empty interval, so on it the step is NFA
 state-set simulation. Queries fold over a state of two parts: the reached
 one-class chains, as an ``int`` bitmask in which bit j stands for chain j, and
 the non-empty interval ``lo, hi`` of each reached longer chain. A ``ClassSet``
 is this state and the index that made it; every query takes and returns one, so
-a step costs what it reaches, not O(q). The open checks the arrays and derives
-two lookup structures from the store. One-class source chains are taken
+a step costs what it reaches, not O(q). The constructor checks the arrays and
+derives two lookup structures from the store. One-class source chains are taken
 four at a time, as in the Four Russians method for NFA simulation (Myers, J.
 ACM 39(2), 1992): for each symbol and each block of four consecutive chain ids,
 three 16-entry tables, indexed by the block's 4-bit slice of the reached mask,
@@ -57,7 +56,6 @@ from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, repeat
 from numbers import Integral
 from operator import add, ge, gt, mul, ne, sub
-from threading import Lock
 from typing import Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -439,24 +437,18 @@ def _decode(stored: _Arrays, sigma: int) -> _Arrays:
         sources[start:end] = accumulate(sources[start:end])
     for g in _follow_ons(keys, lengths, len(lengths), sigma):
         start, end = ends[g - 1], ends[g]
-        if end > n_edges:  # and so are the rest, which the open refuses
+        if end > n_edges:  # and so are the rest, which the constructor refuses
             break
         targets[start:end] = map(add, targets[start:end], repeat(targets[start - 1]))
     return _Arrays(chain_ends, stored.class_map, marked, keys, ends, targets, sources, finals)
 
 
-class Index:
-    """Immutable query structure; all methods are safe for concurrent readers.
-
-    It is made from its ``.clxi`` bytes, the width of each stored array and
-    the stored arrays, as the writer or the reader has them, and until it is
-    opened it holds only those and the header's fields: enough to save it
-    and to report its counts and space. Opening it (``_open``) sums the
-    stored arrays back once, in place, range-checks them and derives what
-    the queries read. ``from_bytes`` opens the index before it returns, so a
-    corrupt file is refused at load; the index that ``build_index`` returns
-    is opened by its first query, so a build that is only saved does
-    neither."""
+class WrittenIndex:
+    """A written ``.clxi`` file: its bytes, the header's counts and each
+    array's bits as the file packs them, enough to save the file and to
+    report its counts and space. ``build_index`` returns one. It keeps no
+    array and answers no query; ``open()`` reads the bytes into an
+    ``Index``."""
 
     def __init__(self, raw: bytes, alphabet: Alphabet, widths: Sequence[int],
                  stored: _Arrays):
@@ -469,52 +461,53 @@ class Index:
         self.alphabet, self.n_original, self.e_original = alphabet, n_original, e_original
         self.q, self.n_classes, self._sigma = q, n_classes, len(alphabet)
         self.e_quotient = len(stored.targets)
-        # The stored arrays until the open has summed them back, then None;
-        # the refusal of an open that failed, which the next one repeats;
-        # and the lock that lets one reader open the index.
-        self._stored: _Arrays | None = stored
-        self._refusal: str | None = None
-        self._lock = Lock()
-        # What the open derives. Every attribute a query reads is set here,
-        # so that the open only rebinds them and every index has one layout.
-        # A query tests ``_stored`` once before it reads any of them;
-        # ``accept`` tests its refusal, which is not None before the open.
-        self._offsets: list[int] = []
-        self._finals: list[int] | None = None
-        self._members: tuple[tuple[int, ...], ...] = ()
-        self._symbol_index: dict[str, int] = {}
-        self._one_class: frozenset[int] = frozenset()
-        self._full: tuple[int, _Longs] = (0, {})
-        self._tables: dict[int, _Tables] = {}
-        self._directory: list[dict[int, tuple]] = []
-        self._sources: list[int] = []
-        self._targets: list[int] = []
-        self._accept_error: str | None = "index is not open"
-        self._start: tuple[int, _Longs] = (0, {})
-        self._final_ones = 0
 
-    def _open(self) -> None:
-        """Run ``_derive`` once, under the lock: a later call returns at once,
-        or repeats the first call's refusal. Every query runs it before it
-        reads what ``_derive`` sets."""
-        with self._lock:
-            stored = self._stored
-            if stored is None:
-                return
-            if self._refusal is not None:  # the arrays are summed in part
-                raise ValueError(self._refusal)
-            try:
-                self._derive(stored)
-            except BaseException as err:  # also an interrupt, after which no open may retry
-                self._refusal = (str(err) if isinstance(err, ValueError) else
-                                 f"index open stopped by {type(err).__name__}")
-                raise
-            self._stored = None
+    def open(self) -> Index:
+        """The index these bytes hold, as ``Index.from_bytes`` reads it."""
+        return Index.from_bytes(self._raw)
 
-    def _derive(self, stored: _Arrays) -> None:
-        """The open's work: sum the stored arrays back, in place, range-check
-        them and derive what the queries read. A refusal, or any other stop,
-        leaves the positions summed in part."""
+    def space_report(self) -> SpaceReport:
+        """The bits of the arrays as the ``.clxi`` file packs them, against the
+        paper's bound."""
+        bits = self._bits
+        breakdown = {
+            "group_directory_bits": bits.keys + bits.ends,
+            "position_array_bits": bits.targets + bits.sources,
+            "boundary_bits": 0,  # the index holds no boundary vector
+            "final_bits": bits.finals,
+        }
+        measured = sum(breakdown.values())
+        # Reported, not counted:
+        breakdown["chain_table_bits"] = bits.chain_ends
+        breakdown["class_map_bits"] = bits.class_map
+        breakdown["marked_bits"] = bits.marked
+        breakdown["rank_directory_bits"] = 0  # the index holds no rank directory
+        per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
+        formula = self.e_quotient * per_edge + self.n_classes
+        if self._has_finals:
+            formula += self.n_classes
+        return SpaceReport(measured, formula, breakdown)
+
+    def to_bytes(self) -> bytes:
+        return self._raw
+
+    def save(self, path) -> None:
+        with open(path, "wb") as fh:
+            fh.write(self._raw)
+
+
+class Index(WrittenIndex):
+    """Immutable query structure; all methods are safe for concurrent readers.
+
+    ``from_bytes`` and ``load`` make one from its ``.clxi`` file. The
+    constructor takes the bytes, the width of each stored array and the
+    stored arrays as the reader has them, sums the arrays back once, in
+    place, range-checks them and derives what the queries read, so a
+    corrupt file is refused before the index answers."""
+
+    def __init__(self, raw: bytes, alphabet: Alphabet, widths: Sequence[int],
+                 stored: _Arrays):
+        super().__init__(raw, alphabet, widths, stored)
         n_classes, q, has_finals = self.n_classes, self.q, self._has_finals
         initial_class = self.initial_class
         a = _decode(stored, self._sigma)
@@ -529,16 +522,18 @@ class Index:
             _require(0 not in gaps[1:] and (not ids or ids[-1] < n_classes))
         _require((has_finals or not a.finals)
                  and (initial_class is None or initial_class < n_classes))
+        # the final class ids, increasing; None if built without finals
+        self.finals = a.finals if has_finals else None
         if 0 in stored.keys[1:] or (a.keys and a.keys[-1] >= self._sigma * q * q):
             raise ValueError("group keys are not strictly increasing below sigma*q*q")
         if 0 in stored.ends or (a.ends or [0])[-1] != len(a.targets):
             raise ValueError("group ends do not rise to the edge count")
         self._offsets = offsets
-        self._finals = a.finals if has_finals else None
+        # the original nodes of each class, in class id order
         members: list[list[int]] = [[] for _ in range(n_classes)]
         for v, cid in enumerate(class_map):
             members[cid].append(v)
-        self._members = tuple(map(tuple, members))
+        self.members = tuple(map(tuple, members))
         self._symbol_index = {s: k for k, s in enumerate(self.alphabet.symbols)}
         # match_pattern's start, the full set as a fold state: every one-class
         # chain, and the whole of each longer chain
@@ -549,21 +544,21 @@ class Index:
         # The query step bisects the sources and reads the targets as the
         # decoded ints they came as.
         self._sources, self._targets = a.sources, a.targets
-        # the mask of the one-class chains that hold a final, accept's start
-        # (the initial class as a fold state) and its refusal, if any
+        # accept's refusal, if any, its start (the initial class as a fold
+        # state) and the mask of the one-class chains that hold a final
+        self._accept_error: str | None = None
+        self._start: tuple[int, _Longs] = (0, {})
         self._final_ones = _mask(self._one_class.intersection(
             map(bisect_right, repeat(a.chain_ends), a.finals)))
         if initial_class is None or not has_finals:
             self._accept_error = ("index lacks automaton data (build with finals and an "
                                   "initial state)")
-            return
-        self._start = self._state_of((initial_class,))
-        k = bisect_left(a.marked, initial_class)
-        # accept skips the lock once its refusal is None, so the refusal is
-        # the last thing ``_derive`` sets: by then all that accept reads is set.
-        self._accept_error = (None if k < len(a.marked) and a.marked[k] == initial_class else
-                              "index was built without marking the initial state; "
-                              "acceptance queries need the marker")
+        else:
+            k = bisect_left(a.marked, initial_class)
+            if k == len(a.marked) or a.marked[k] != initial_class:
+                self._accept_error = ("index was built without marking the initial state; "
+                                      "acceptance queries need the marker")
+            self._start = self._own(self.set_for_classes([initial_class]))
 
     def _check_store(self, a: _Arrays, lengths: Sequence[int]
                      ) -> tuple[dict[int, _Tables], list[dict[int, tuple]]]:
@@ -656,35 +651,12 @@ class Index:
 
     # Class sets -------------------------------------------------------------
 
-    @property
-    def members(self) -> tuple[tuple[int, ...], ...]:
-        """The original nodes of each class, in class id order."""
-        if self._stored is not None:
-            self._open()
-        return self._members
-
-    @property
-    def finals(self) -> list[int] | None:
-        """The final class ids, increasing; None if built without finals."""
-        if self._stored is not None:
-            self._open()
-        return self._finals
-
     def full_set(self) -> ClassSet:
-        if self._stored is not None:
-            self._open()
         return ClassSet(*self._full, self)
 
     def set_for_classes(self, class_ids: Iterable[int]) -> ClassSet:
         """The set of the given classes, which must be contiguous on each
         chain; a class given twice counts once. It costs O(log q) per id."""
-        if self._stored is not None:
-            self._open()
-        return ClassSet(*self._state_of(class_ids), self)
-
-    def _state_of(self, class_ids: Iterable[int]) -> tuple[int, _Longs]:
-        """The fold state of ``set_for_classes(class_ids)``, made from the
-        chain offsets that the open has set, without opening."""
         offsets = self._offsets
         per_chain: dict[int, list[int]] = {}
         for cid in set(class_ids):
@@ -703,12 +675,10 @@ class Index:
                 ones.append(j)
             else:
                 longs[j] = (lo, hi)
-        return _mask(ones), longs
+        return ClassSet(_mask(ones), longs, self)
 
     def _own(self, s: ClassSet) -> tuple[int, _Longs]:
         """The fold state of ``s``, which this index must have made."""
-        if self._stored is not None:
-            self._open()
         if not isinstance(s, ClassSet) or s.index is not self:
             raise ValueError("class set was not made by this index")
         return s.ones, s.longs
@@ -859,8 +829,6 @@ class Index:
     def match_pattern(self, pattern: Iterable[str],
                       stats: QueryStats | None = None) -> tuple[bool, ClassSet]:
         """Match starting anywhere: fold from the full set."""
-        if self._stored is not None:
-            self._open()
         ones, longs = self._fold(*self._full, self._symbol_ids(pattern), stats)
         return bool(ones or longs), ClassSet(ones, longs, self)
 
@@ -871,15 +839,12 @@ class Index:
         mask of the one-class chains that do. A longer chain's end interval
         holds one when the sorted final ids have one in ``[off + lo, off +
         hi)``, that is, two ``bisect_left`` calls differ."""
-        if self._accept_error is not None:  # also before the open, which sets it
-            if self._stored is not None:
-                self._open()
-            if self._accept_error is not None:
-                raise ValueError(self._accept_error)
+        if self._accept_error is not None:
+            raise ValueError(self._accept_error)
         ones, longs = self._fold(*self._start, self._symbol_ids(alpha), stats)
         if ones & self._final_ones:
             return True
-        finals, offsets = self._finals, self._offsets
+        finals, offsets = self.finals, self._offsets
         return any(bisect_left(finals, offsets[j] + lo) < bisect_left(finals, offsets[j] + hi)
                    for j, (lo, hi) in longs.items())
 
@@ -887,52 +852,18 @@ class Index:
         """Union of original nodes over all classes in the set."""
         out: set[int] = set()
         for cid in self.classes_in(s):
-            out.update(self._members[cid])
+            out.update(self.members[cid])
         return frozenset(out)
 
-    # Accounting ---------------------------------------------------------------
-
-    def space_report(self) -> SpaceReport:
-        """The bits of the arrays as the ``.clxi`` file packs them, against the
-        paper's bound."""
-        bits = self._bits
-        breakdown = {
-            "group_directory_bits": bits.keys + bits.ends,
-            "position_array_bits": bits.targets + bits.sources,
-            "boundary_bits": 0,  # the index holds no boundary vector
-            "final_bits": bits.finals,
-        }
-        measured = sum(breakdown.values())
-        # Reported, not counted:
-        breakdown["chain_table_bits"] = bits.chain_ends
-        breakdown["class_map_bits"] = bits.class_map
-        breakdown["marked_bits"] = bits.marked
-        breakdown["rank_directory_bits"] = 0  # the index holds no rank directory
-        per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
-        formula = self.e_quotient * per_edge + self.n_classes
-        if self._has_finals:
-            formula += self.n_classes
-        return SpaceReport(measured, formula, breakdown)
-
-    # Serialization -----------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        return self._raw
-
-    def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self._raw)
+    # Loading ----------------------------------------------------------------
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "Index":
-        """The index of a ``.clxi`` file, opened: a corrupt file is refused
-        here, not at its first query."""
+        """The index of a ``.clxi`` file; a corrupt file is refused here."""
         try:
-            ix = cls(bytes(raw), *_read(raw))
+            return cls(bytes(raw), *_read(raw))
         except struct.error:
             raise ValueError(_CORRUPT) from None
-        ix._open()
-        return ix
 
     @classmethod
     def load(cls, path) -> "Index":
@@ -942,15 +873,16 @@ class Index:
 
 def build_index(qg: QuotientGraph, cp: ChainPartition,
                 finals: frozenset[int] | None = None, initial: int | None = None,
-                n_original: int | None = None, e_original: int | None = None) -> Index:
-    """Lay out the quotient graph along a chain partition of its order.
+                n_original: int | None = None, e_original: int | None = None) -> WrittenIndex:
+    """Lay out the quotient graph along a chain partition of its order, and
+    write its ``.clxi`` file.
 
     ``finals``/``initial`` switch on automaton mode. The chains must be the
     consecutive id ranges that cover the classes of ``qg.order`` in order, as
-    chain-major ids make them, with consecutive members related. The index is
-    written, not opened: the checks below and the writer's refusals run now,
-    the range checks of the arrays laid out here and the query structures at
-    its first query.
+    chain-major ids make them, with consecutive members related. The checks
+    below and the writer's refusals run here. The file is never opened: the
+    range checks of its arrays and the query structures come with the
+    ``Index`` that ``open()`` reads from it.
     """
     n_classes = qg.partition.count
     flat = [c for chain in cp.chains for c in chain]
@@ -984,10 +916,10 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
             finals is not None, initial)
     except struct.error:  # a header value its field cannot hold, such as a negative initial class
         raise ValueError(_CORRUPT) from None
-    return Index(raw, alphabet, widths, stored)
+    return WrittenIndex(raw, alphabet, widths, stored)
 
 
 def build_nfa_index(qnfa: QuotientNfa, cp: ChainPartition,
-                    n_original: int | None = None, e_original: int | None = None) -> Index:
+                    n_original: int | None = None, e_original: int | None = None) -> WrittenIndex:
     return build_index(qnfa.quotient, cp, finals=qnfa.finals, initial=qnfa.initial,
                        n_original=n_original, e_original=e_original)

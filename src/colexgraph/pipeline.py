@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .chains import ChainPartition, min_chain_partition
 from .graph import LabeledGraph, Nfa, trim_nfa
-from .index import Index, build_index
+from .index import WrittenIndex, build_index
 from .quotient import QuotientGraph, quotient_graph, quotient_nfa
 from .relation import Preorder, max_colex_relation
 
@@ -39,7 +39,10 @@ class PipelineResult:
     def graph(self) -> LabeledGraph:
         return self.source.graph if isinstance(self.source, Nfa) else self.source
 
-    def index(self) -> Index:
+    def index(self) -> WrittenIndex:
+        """The ``.clxi`` file of the quotient laid out along the chains, as
+        ``build_index`` writes it: an automaton's with its finals and initial
+        class. Its ``open()`` is the index that answers queries."""
         view = self.automaton
         finals, initial = (None, None) if view is None else (view.finals, view.initial)
         return build_index(self.quotient, self.chains, finals, initial,

@@ -8,7 +8,7 @@ import numpy as np
 
 from colexgraph import LabeledGraph, QuotientNfa, Relation, lambda_sets, run_pipeline
 from colexgraph.graph import Alphabet
-from colexgraph.index import Index, _Arrays, _decode, _read, _write
+from colexgraph.index import Index, WrittenIndex, _Arrays, _decode, _read, _write
 
 
 def strict_label_relation(g: LabeledGraph, u_marked=()) -> Relation:
@@ -64,9 +64,7 @@ def nfa_pipeline(nfa):
 
 def interval_set(ix: Index, intervals):
     """The class set of one half-open position interval per chain, made by
-    ``ix.set_for_classes`` from the classes the intervals cover. It reads
-    the chain offsets, which the index holds once it is open."""
-    ix._open()
+    ``ix.set_for_classes`` from the classes the intervals cover."""
     return ix.set_for_classes([start + p for start, (lo, hi) in zip(ix._offsets, intervals)
                                for p in range(lo, hi)])
 
@@ -78,17 +76,17 @@ def reseal(buf: bytearray) -> bytes:
 
 def written(*, alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
             arrays: _Arrays, has_finals: bool, initial_class: int | None) -> Index:
-    """The index of the given decoded arrays, made as ``build_index`` makes
-    one: through the ``.clxi`` writer, which refuses what a file cannot
-    store, and not opened until its first query."""
-    raw, widths, stored = _write(alphabet, n_original, e_original, n_classes, arrays,
-                                 has_finals, initial_class)
-    return Index(raw, alphabet, widths, stored)
+    """The index of the given decoded arrays, written as ``build_index``
+    writes them, by the ``.clxi`` writer, which refuses what a file cannot
+    store, and loaded from the bytes, which the range checks refuse."""
+    raw = _write(alphabet, n_original, e_original, n_classes, arrays, has_finals,
+                 initial_class)[0]
+    return Index.from_bytes(raw)
 
 
-def decoded(ix: Index) -> tuple[tuple[int, ...], _Arrays]:
+def decoded(ix: WrittenIndex) -> tuple[tuple[int, ...], _Arrays]:
     """The width of each array that an index's file records, and the arrays
-    the open decodes from the file's stored ones."""
+    the reader decodes from the file's stored ones."""
     alphabet, widths, stored = _read(ix.to_bytes())
     return widths, _decode(stored, len(alphabet))
 

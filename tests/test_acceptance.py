@@ -109,7 +109,7 @@ def test_criterion_04_pattern_matching_oracle(graph_corpus):
     total = mismatches = violations = roundtrip_bad = 0
     for idx, g in enumerate(graph_corpus):
         qg, cp = quotient_pipeline(g)
-        ix = build_index(qg, cp)
+        ix = build_index(qg, cp).open()
         if idx < 200:
             raw = ix.to_bytes()
             reloaded = Index.from_bytes(raw)
@@ -158,7 +158,7 @@ def test_criterion_05_nfa_acceptance():
         qn, cp = nfa_pipeline(nfa)
         if not language_equiv(nfa, qn.as_nfa()):
             language_failures += 1
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         raw = ix.to_bytes()
         roundtrip_bad += Index.from_bytes(raw).to_bytes() != raw
         symbols = nfa.graph.alphabet.symbols
@@ -288,7 +288,7 @@ def test_criterion_10_complexity_spot_check(graph_corpus):
     checked = 0
     for g in graph_corpus[:100]:
         qg, cp = quotient_pipeline(g)
-        ix = build_index(qg, cp)
+        ix = build_index(qg, cp).open()
         stats = QueryStats()
         _, _, viol = _walk_pattern_tree(ix, g, ix.full_set(), range(g.n), 3, stats)
         checked += stats.symbols
@@ -299,7 +299,7 @@ def test_criterion_10_complexity_spot_check(graph_corpus):
     pre = max_colex_relation(big)
     relation_time = time.perf_counter() - t0
     qg, cp = quotient_pipeline(big)
-    ix = build_index(qg, cp)
+    ix = build_index(qg, cp).open()
     stats = QueryStats()
     ix.match_pattern(["a", "b", "c"], stats)
     build_time = time.perf_counter() - t0

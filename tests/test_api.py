@@ -52,6 +52,22 @@ def test_induced_order_is_gone():
     assert not hasattr(colexgraph.quotient, "induced_order")
 
 
+def test_a_build_is_a_written_record_and_every_index_is_open():
+    """``build_index`` returns the written file, which answers no query;
+    an ``Index`` is open from its constructor on, with no lazy open."""
+    assert "WrittenIndex" in colexgraph.__all__
+    result = colexgraph.run_pipeline(colexgraph.parse_input("nodes 2\n0 1 a\n"))
+    built = colexgraph.build_index(result.quotient, result.chains)
+    assert type(built) is colexgraph.WrittenIndex
+    for name in ("match_pattern", "accept", "follow"):
+        assert not hasattr(built, name), name
+    opened = built.open()
+    assert type(opened) is colexgraph.Index
+    for name in ("_open", "_lock", "_refusal"):
+        assert not hasattr(colexgraph.Index, name), name
+        assert not hasattr(opened, name), name
+
+
 def test_one_class_set_type():
     """Queries take and return one state type; the dense set is gone."""
     assert not hasattr(colexgraph, "ConvexSet")

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from colexgraph import (Index, Preorder, build_index, format_graph, format_nfa,
-                        max_colex_relation, min_chain_partition, parse_nfa, quotient_graph)
+                        max_colex_relation, min_chain_partition, parse_input, parse_nfa,
+                        quotient_graph, run_pipeline)
 from colexgraph.cli import main
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa
 from helpers import decoded, put_stored, reseal, v5_offsets
@@ -198,12 +199,31 @@ sys.exit(status)
         from helpers import nfa_pipeline
         from colexgraph import build_nfa_index
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        mem = build_nfa_index(qn, cp)
+        mem = build_nfa_index(qn, cp).open()
         disk = Index.load(out)
         for p in ("", "a", "ab", "aab", "b", "aaab"):
             syms = list(p)
             assert disk.accept(syms) == mem.accept(syms)
             assert disk.match_pattern(syms) == mem.match_pattern(syms)
+
+
+    def test_library_and_cli_write_the_same_file(self, loop_file, tmp_path, capsys):
+        """``build --mark-initial`` saves the bytes that the library's
+        ``run_pipeline(..., True).index()`` writes, and ``stats`` prints the
+        same rows for both files as for the automaton text, which it builds
+        and does not open."""
+        cli, lib = tmp_path / "cli.clxi", tmp_path / "lib.clxi"
+        assert main(["build", loop_file, "-o", str(cli), "--mark-initial"]) == 0
+        text = Path(loop_file).read_text(encoding="utf-8")
+        run_pipeline(parse_input(text), True).index().save(lib)
+        assert cli.read_bytes() == lib.read_bytes()
+        capsys.readouterr()
+        printed = []
+        for path in (cli, lib, loop_file):
+            assert main(["stats", str(path)]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == printed[2]
+        assert printed[0].startswith("n 3\nedges 3\nclasses 3\n")
 
 
 class TestAccept:
@@ -371,6 +391,26 @@ class TestVerify:
             out = capsys.readouterr().out
             assert "CHECK dilworth-certificate FAIL" in out
             assert out.count("FAIL") == 1
+
+    def test_a_reader_that_decodes_a_value_wrong_fails_the_roundtrip(self, loop_file,
+                                                                      monkeypatch, capsys):
+        """``serialize-roundtrip`` writes the arrays that the file decodes to
+        again, with the header's fields: a reader that gets one value wrong
+        writes other bytes, and that check alone fails."""
+        import colexgraph.oracle
+        real = colexgraph.oracle._read
+
+        def misread(raw):
+            alphabet, widths, stored = real(raw)
+            stored.class_map[-1] ^= 1
+            return alphabet, widths, stored
+        assert main(["verify", loop_file]) == 0
+        assert "CHECK serialize-roundtrip PASS" in capsys.readouterr().out
+        monkeypatch.setattr(colexgraph.oracle, "_read", misread)
+        assert main(["verify", loop_file]) == 1
+        out = capsys.readouterr().out
+        assert "CHECK serialize-roundtrip FAIL" in out and out.count("FAIL") == 1
+        assert out.splitlines()[-1] == "9/10 checks passed"
 
     def test_graph_stages_run_once(self, hub_file, tmp_path, monkeypatch, capsys):
         import colexgraph.chains, colexgraph.oracle, colexgraph.pipeline, colexgraph.quotient

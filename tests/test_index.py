@@ -9,18 +9,18 @@ from collections import Counter
 from functools import cache, reduce
 from operator import mul, or_
 from pathlib import Path
-from threading import Event, Thread, current_thread
+from threading import Thread
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (Index, LabeledGraph, Nfa, PatternError, QueryStats,
+from colexgraph import (Index, LabeledGraph, Nfa, PatternError, QueryStats, WrittenIndex,
                         build_index, build_nfa_index, parse_input, run_pipeline)
 from colexgraph import index as index_module
 from colexgraph.cli import main
 from colexgraph.graph import Alphabet, parse_graph, parse_nfa
-from colexgraph.index import _Arrays, ceil_log2, parse_pattern
+from colexgraph.index import _Arrays, _write, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_graph,
                                random_trim_nfa, simulate_nfa)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
@@ -36,7 +36,7 @@ SET_READERS = (lambda ix, s: ix.follow(s, "a"), lambda ix, s: ix.match_from(s, [
 
 def build_from(g):
     result = run_pipeline(g)
-    return result.index(), result.quotient, result.chains
+    return result.index().open(), result.quotient, result.chains
 
 
 def group_items(ix):
@@ -131,8 +131,8 @@ def nfa_walk(rng, a, length):
 
 def one_chain_index(edges, length=2):
     """Index of a one-symbol graph whose classes 0 to length - 1 form one chain,
-    with the given (target, source) positions as its only group, unchecked
-    until written."""
+    with the given (target, source) positions as its only group, checked by
+    the writer and the reader."""
     arrays = _Arrays([length], list(range(length)), [], [0], [len(edges)],
                      [t for t, _ in edges], [s for _, s in edges], [])
     return written(alphabet=Alphabet(("a",)), n_original=length, e_original=len(edges),
@@ -192,11 +192,11 @@ class TestBuildLayout:
             qn, cp = nfa_pipeline(nfa)
             made.clear()
             stages = []
-            ix = build_nfa_index(qn, cp)
+            built = build_nfa_index(qn, cp)
             stages.append((made["_pack"], made["_unpack"]))
-            raw = ix.to_bytes()
+            raw = built.to_bytes()
             stages.append((made["_pack"], made["_unpack"]))
-            Index.from_bytes(raw)
+            ix = Index.from_bytes(raw)
             stages.append((made["_pack"], made["_unpack"]))
             counts[ix.q > 1] = stages
             assert ix.q in (1, 16) and ix.accept([symbols[0]] if ix.q > 1 else ["a", "a"])
@@ -275,7 +275,7 @@ class TestFollow:
         their chain (a negative start would read class -1, the last class,
         and its node; an empty pattern would match (-3, -1)), those that fit,
         and a tuple of a set's own fields."""
-        ix = run_pipeline(parse_input("nodes 4\n0 1 a\n1 2 b\n2 3 a\n")).index()
+        ix = run_pipeline(parse_input("nodes 4\n0 1 a\n1 2 b\n2 3 a\n")).index().open()
         assert ix.q == 1 and ix.n_classes == 4
         full = ix.full_set()
         for raw in (((-1, 1),), ((-3, -1),), ((0, 5),), ((3, 2),), ((0, 4),),
@@ -316,10 +316,9 @@ class TestFollow:
 class TestProbeDirectory:
     def test_each_probe_outcome(self, monkeypatch):
         # sources 1, 2, 4 reach targets 0, 2, 4 on a chain of six classes
-        # Each index is opened before its steps' searches are counted: the
-        # open's own bisections (the follow-on groups) are not a step's.
+        # Each index is loaded before its steps' searches are counted: the
+        # load's own bisections (the follow-on groups) are not a step's.
         ix = one_chain_index([(0, 1), (2, 2), (4, 4)], length=6)
-        ix._open()
         searches = []
         real = index_module.bisect_left
 
@@ -342,7 +341,6 @@ class TestProbeDirectory:
         # Sources 1, 2, 4 reach targets 0, 3, 3: a cut at lo that reaches the
         # last target already needs no search for hi.
         ix = one_chain_index([(0, 1), (3, 2), (3, 4)], length=6)
-        ix._open()
         searches.clear()
         stats = QueryStats()
         assert ix.follow(interval_set(ix, ((2, 4),)), "a", stats).intervals() == ((3, 4),)
@@ -354,7 +352,6 @@ class TestProbeDirectory:
                          [0, 1, 0, 2], [0, 1, 1, 2], [])
         ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
                      arrays=arrays, has_finals=False, initial_class=None)
-        ix._open()
         cases = [((0, 3), ((0, 2), (0, 3)), 0),  # spans both groups
                  ((0, 2), ((0, 2), (0, 1)), 1)]  # stops inside the last group
         for interval, image, n_searches in cases:
@@ -370,7 +367,6 @@ class TestProbeDirectory:
                          [0, 0, 0, 0, 0, 2, 1], [0, 2, 3, 0, 0, 0, 1], [])
         ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=7, n_classes=6,
                      arrays=arrays, has_finals=False, initial_class=None)
-        ix._open()
         cases = [(((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 3)), 0),  # the image entry
                  (((0, 0), (0, 0), (1, 3)), ((0, 1), (0, 0), (1, 2)), 1),  # source 2 is inside
                  (((0, 0), (0, 0), (1, 2)), ((0, 0), (0, 0), (1, 2)), 1),  # no source inside
@@ -430,7 +426,7 @@ class TestProbeDirectory:
                        *(a.graph for a in top_band)]:
             nfa = isinstance(source, Nfa)
             result = run_pipeline(source, mark_initial=nfa)
-            ix = result.index()
+            ix = result.index().open()
             if ix.q < 2:
                 continue
             groups = Counter((sym, i) for (_, sym, i), _ in group_items(ix))
@@ -493,8 +489,7 @@ class TestProbeDirectory:
         a step reads a group may get cheaper, but not the number of steps,
         probes and ``bisect_left`` calls it makes, nor the hits."""
         dna, g = seeded_debruijn(21, 800, 6)
-        built = build_from(g)[0]
-        built._open()  # before the spy: the open's bisections are not a step's
+        built = build_from(g)[0]  # loaded before the spy: the load's bisections are not a step's
         searches = 0
         real = index_module.bisect_left
 
@@ -521,7 +516,7 @@ class TestProbeDirectory:
         of steps and probes it makes, nor the answers. Four strings in five
         are walks from the initial state, as in the benchmark; each string is
         asked with ``accept`` and with ``match_pattern``."""
-        built = [(a, run_pipeline(a, mark_initial=True).index())
+        built = [(a, run_pipeline(a, mark_initial=True).index().open())
                  for a in top_band_automata()[:12]]
         for load in (False, True):
             rng = random.Random(2105)
@@ -545,10 +540,9 @@ class TestProbeDirectory:
         the first and last target and source of that range."""
         checked = 0
         for source in [*graph_corpus, *criterion_5_automata()]:
-            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index()
+            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index().open()
             if ix.q < 2:
                 continue
-            ix._open()  # for the offsets and the directory it derives
             a, span = decoded(ix)[1], len(ix.alphabet) * ix.q
             want: dict[tuple[int, int], list[tuple]] = {}
             for g, (key, end) in enumerate(zip(a.keys, a.ends)):
@@ -580,8 +574,7 @@ class TestProbeDirectory:
         entries = with_images = partial = narrow_far = wide = 0
         for source in [*graph_corpus, *criterion_5_automata(), *top_band_automata(),
                        *sparse_graphs()]:
-            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index()
-            ix._open()  # for the tables it derives
+            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index().open()
             ones = ix._one_class
             # (symbol, one-class source chain) -> [target chains, groups, triples]
             pairs: dict[tuple[int, int], list] = {}
@@ -713,7 +706,7 @@ class TestMatch:
     def test_match_from_initial_class(self):
         nfa = loop_branch_nfa()
         qn, cp = nfa_pipeline(nfa)
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         start = ix.set_for_classes([qn.initial])
         ok, end = ix.match_from(start, ["a", "b"])
         assert ok and ix.map_back(end) == {2}
@@ -727,22 +720,22 @@ class TestMatch:
 class TestAccept:
     def test_loop_branch_ab(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         assert ix.accept(["a", "b"]) is True
         assert ix.accept(["b"]) is False
 
     def test_epsilon_iff_initial_final(self):
         g = LabeledGraph.build(2, [(0, 1, "a"), (1, 1, "a")], ["a"])
         qn, cp = nfa_pipeline(Nfa(g, 0, frozenset({0, 1})))
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         assert ix.accept([]) is True
         qn2, cp2 = nfa_pipeline(Nfa(g, 0, frozenset({1})))
-        ix2 = build_nfa_index(qn2, cp2)
+        ix2 = build_nfa_index(qn2, cp2).open()
         assert ix2.accept([]) is False
 
     def test_funnel_lengths(self):
         qn, cp = nfa_pipeline(funnel_nfa(3))
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         assert ix.accept(["a", "a"]) is True
         assert ix.accept(["a"]) is False
 
@@ -757,7 +750,7 @@ class TestAccept:
         qg, cp = quotient_pipeline(g)  # no marker: classes {0,1},{2}
         part = qg.partition
         ix = build_index(qg, cp, finals=frozenset(part.class_of[f] for f in nfa.finals),
-                         initial=part.class_of[nfa.initial])
+                         initial=part.class_of[nfa.initial]).open()
         with pytest.raises(ValueError):
             ix.accept(["a"])
 
@@ -766,7 +759,7 @@ class TestAccept:
         for _ in range(20):
             nfa = random_trim_nfa(rng, 6, 2, 0.25)
             qn, cp = nfa_pipeline(nfa)
-            ix = build_nfa_index(qn, cp)
+            ix = build_nfa_index(qn, cp).open()
             for s in enumerate_strings(nfa.graph.alphabet.symbols, 4):
                 assert ix.accept(s) == simulate_nfa(nfa, s)
 
@@ -778,8 +771,7 @@ class TestAccept:
         nfa = parse_nfa("alphabet a b\nnodes 4\n0 1 b\n1 0 b\n1 2 a\n2 1 b\n2 2 a\n"
                         "2 3 a\n3 3 a\ninitial 0\nfinal 1 3\n")
         qn, cp = nfa_pipeline(nfa)
-        built = build_nfa_index(qn, cp)
-        built._open()
+        built = build_nfa_index(qn, cp).open()
         assert built._offsets == [0, 1, 4] and built.finals == [1, 3]
         for ix in (built, Index.from_bytes(built.to_bytes())):
             answers = Counter()
@@ -807,7 +799,7 @@ class TestMapBack:
 
     def test_set_for_classes_requires_contiguous(self):
         qn, cp = nfa_pipeline(funnel_nfa(2))  # one chain of 3 classes
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         with pytest.raises(ValueError):
             ix.set_for_classes([0, 2])
         # a class given twice is one class, not a gap on its chain
@@ -820,7 +812,7 @@ class TestMapBack:
 
     def test_set_for_classes_refuses_ids_out_of_range(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         for cid in (-1, ix.n_classes):
             with pytest.raises(ValueError, match="not below 3"):
                 ix.set_for_classes([cid])
@@ -861,7 +853,7 @@ class TestSpaceReport:
         width times length, on a graph index and on an automaton index."""
         qn, cp = nfa_pipeline(diamond_nfa())
         graph_ix = build_from(seeded_debruijn(11, 300, 4)[1])[0]
-        for ix in (graph_ix, build_nfa_index(qn, cp)):
+        for ix in (graph_ix, build_nfa_index(qn, cp).open()):
             parts = dict(ix.space_report().breakdown)
             assert (parts.pop("boundary_bits"), parts.pop("rank_directory_bits")) == (0, 0)
             assert set(parts) == {"group_directory_bits", "position_array_bits", "final_bits",
@@ -910,7 +902,7 @@ class TestBackendsAndSerialization:
 
     def test_nfa_roundtrip_keeps_accept(self, tmp_path):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         path = tmp_path / "x.clxi"
         ix.save(path)
         again = Index.load(path)
@@ -1254,7 +1246,7 @@ class TestBackendsAndSerialization:
 
     def test_load_unpacks_each_array_once(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_nfa_index(qn, cp).open()
         raw = ix.to_bytes()
         unpacked = []
         real = index_module._unpack
@@ -1270,7 +1262,6 @@ class TestBackendsAndSerialization:
             patch.setattr(index_module, "_pack", refuse)
             again = Index.from_bytes(raw)
         assert unpacked == [len(values) for values in decoded(ix)[1]]
-        ix._open()  # the built index derives its lists at its first query
         assert (again._offsets, again._targets, again._sources, again.finals) == \
             (ix._offsets, ix._targets, ix._sources, ix.finals)
         assert again.to_bytes() == raw
@@ -1280,8 +1271,8 @@ class TestBackendsAndSerialization:
 
 
 def count_opens(monkeypatch) -> Counter:
-    """Counts of the writer's runs and of the open's decodes and store checks
-    from here on."""
+    """Counts of the writer's runs and of the decodes and store checks of
+    the indexes constructed from here on."""
     calls = Counter()
     for name in ("_write", "_decode"):
         def spy(*args, _real=getattr(index_module, name), _name=name):
@@ -1298,9 +1289,10 @@ def count_opens(monkeypatch) -> Counter:
 
 
 class TestOpen:
-    """A built index is written, not opened: it decodes, range-checks and
-    derives its query structures at its first query. A loaded one has
-    done so before ``from_bytes`` returns."""
+    """A build writes its file and opens nothing: ``build_index`` returns a
+    ``WrittenIndex``, which answers no query. An ``Index`` is open from its
+    constructor on: ``from_bytes``, and so ``open()``, decodes, range-checks
+    and derives its query structures once, before it returns."""
 
     OPENED = {"_decode": 1, "_check_store": 1}
 
@@ -1315,39 +1307,41 @@ class TestOpen:
         assert (ix.q, ix.n_classes, ix.e_quotient, ix.n_original, ix.e_original,
                 ix.initial_class, ix.alphabet.symbols) == (2, 3, 3, 3, 3, 0, ("a", "b"))
         assert calls == {"_write": 1}
+        assert type(ix) is WrittenIndex
+        for name in ("match_pattern", "match_from", "accept", "follow", "full_set",
+                     "set_for_classes", "classes_in", "map_back", "members", "finals"):
+            assert not hasattr(ix, name), name
+
+    def test_the_record_keeps_no_array(self):
+        """Once ``build_index`` returns, the record holds its bytes and a few
+        counts, not the stored or decoded arrays: on a de Bruijn graph of
+        2,975 quotient edges, under 2 KiB beside its 6.6 KiB of bytes. Holding
+        the stored arrays as Python lists took 160 KiB."""
+        built = build_index(*quotient_pipeline(seeded_debruijn(31, 3000, 8)[1]))
+        assert built.e_quotient > 2900
+        assert deep_size(vars(built), set()) < len(built.to_bytes()) + 2048
 
     def test_first_query_opens_once(self, monkeypatch):
+        """``open()`` decodes and checks the arrays once. The first query of
+        the index it returns, and every public entry point after it, does
+        neither again; those that read a set refuse one another index made."""
         calls = count_opens(monkeypatch)
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        built = build_nfa_index(qn, cp)
+        foreign = built.open().full_set()
         calls.clear()
-        assert ix.accept(["a", "b"]) and calls == self.OPENED
+        ix = built.open()
+        assert calls == self.OPENED
+        assert ix.accept(["a", "b"])
         start = ix.set_for_classes([ix.initial_class])
         assert ix.match_pattern(["a", "b"])[0] and not ix.accept(["b"])
         assert ix.map_back(ix.match_from(start, ["a"])[1]) == {1}
         assert ix.classes_in(ix.follow(ix.full_set(), "b")) == [1]
         assert (ix.members, ix.finals) == (((0,), (2,), (1,)), [1, 2])
+        for read in SET_READERS:
+            with pytest.raises(ValueError, match="not made by this index"):
+                read(ix, foreign)
         assert calls == self.OPENED
-
-    def test_every_entry_point_opens(self, monkeypatch):
-        """Each public query opens an index that no query has opened: those
-        that read a set open it before they refuse a set another index
-        made."""
-        calls = count_opens(monkeypatch)
-        qn, cp = nfa_pipeline(loop_branch_nfa())
-        foreign = Index.from_bytes(build_nfa_index(qn, cp).to_bytes()).full_set()
-        entries = [lambda ix: ix.full_set(), lambda ix: ix.set_for_classes([0]),
-                   lambda ix: ix.match_pattern(["a"]), lambda ix: ix.accept(["a"]),
-                   lambda ix: ix.members, lambda ix: ix.finals,
-                   *(lambda ix, read=read: read(ix, foreign) for read in SET_READERS)]
-        for entry in entries:
-            ix = build_nfa_index(qn, cp)
-            calls.clear()
-            try:
-                entry(ix)
-            except ValueError as err:
-                assert "not made by this index" in str(err)
-            assert calls == self.OPENED
 
     def test_from_bytes_opens_before_it_returns(self, monkeypatch):
         """A loaded index has decoded and checked its arrays, and a file with
@@ -1369,19 +1363,19 @@ class TestOpen:
         assert calls == self.OPENED
 
     def test_concurrent_first_queries_open_once(self, monkeypatch):
-        """Threads that query a built index at the same time open it once
-        between them, and each answers as the loaded index does: a second
-        open would sum the positions twice."""
-        calls = count_opens(monkeypatch)
+        """Six threads that query one loaded index at the same time each
+        answer as ``simulate_nfa`` does: the index opened once, in
+        ``from_bytes``, and its queries only read it, with no lock."""
         automaton = top_band_automata()[0]
-        result = run_pipeline(automaton, mark_initial=True)
+        raw = run_pipeline(automaton, mark_initial=True).index().to_bytes()
         strings = list(enumerate_strings(automaton.graph.alphabet.symbols, 3))
         want = [simulate_nfa(automaton, s) for s in strings]
+        calls = count_opens(monkeypatch)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(10):
-                ix = result.index()
+                ix = Index.from_bytes(raw)
                 answers: list = [None] * 6
 
                 def ask(k, ix=ix, answers=answers):
@@ -1395,98 +1389,47 @@ class TestOpen:
                 assert answers == [want] * 6
         finally:
             sys.setswitchinterval(switch)
-        assert calls == {"_write": 10, "_decode": 10, "_check_store": 10}
-
-    def test_accept_waits_for_the_open(self, monkeypatch):
-        """``accept`` tests its refusal without the lock, so the open sets it
-        last. A thread that asks while another opens the index, stopped where
-        the open maps the initial class to accept's start, waits for the open
-        and then accepts what the automaton accepts."""
-        qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
-        reached, go = Event(), Event()
-        real = index_module.bisect_right
-
-        def bisect_right(values, x):
-            if values is ix._offsets and current_thread() is opener:
-                reached.set()
-                go.wait(30)
-            return real(values, x)
-        monkeypatch.setattr(index_module, "bisect_right", bisect_right)
-        opener = Thread(target=ix.accept, args=(["a", "b"],))
-        answers: list = []
-        asker = Thread(target=lambda: answers.append(ix.accept(["a", "b"])))
-        opener.start()
-        try:
-            assert reached.wait(30)
-            asker.start()
-            asker.join(timeout=0.5)
-            assert asker.is_alive() and not answers  # it waits on the lock
-        finally:
-            go.set()
-            opener.join(30)
-            if asker.ident is not None:  # started
-                asker.join(30)
-        assert answers == [True]
-
-    def test_an_interrupted_open_is_not_retried(self, monkeypatch):
-        """An open stopped by something other than a refusal, here a
-        ``MemoryError`` in the store check, has summed the positions in part,
-        so every later query is refused and none opens again."""
-        qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
-
-        def check(self, *args):
-            raise MemoryError
-        monkeypatch.setattr(Index, "_check_store", check)
-        with pytest.raises(MemoryError):
-            ix.full_set()
-        monkeypatch.undo()
-        calls = count_opens(monkeypatch)
-        for query in (ix.full_set, lambda: ix.accept(["a"]), lambda: ix.members):
-            with pytest.raises(ValueError, match="^index open stopped by MemoryError$"):
-                query()
-        assert not calls
+        assert calls == {"_decode": 10, "_check_store": 10}
 
     def test_a_refused_open_is_refused_again(self):
-        """Arrays the writer stores but the open refuses are refused at the
-        first query with the open's message, and at every query after it with
-        the same one. Two chains of two classes: group 0, from chain 0, has
-        the targets 1 and 1, and group 1, from chain 1, the target 2. Opened
-        again, the positions that the first open summed would be summed twice,
-        and group 0's second target would read 2."""
+        """Arrays the writer stores but the range checks refuse: the record
+        is written, and ``open()`` refuses it with the range check's message,
+        a second time as the first, since each open reads the bytes anew and
+        sums no position twice. Two chains of two classes: group 0, from
+        chain 0, has the targets 1 and 1, and group 1, from chain 1, the
+        target 2."""
         arrays = _Arrays([2, 4], list(range(4)), [], [0, 1], [2, 3], [1, 1, 2], [0, 1, 0], [])
-        ix = written(alphabet=Alphabet(("a",)), n_original=4, e_original=3, n_classes=4,
-                     arrays=arrays, has_finals=False, initial_class=None)
-        for query in (ix.full_set, lambda: ix.match_pattern(["a"]), lambda: ix.members):
+        alphabet = Alphabet(("a",))
+        raw, widths, stored = _write(alphabet, 4, 3, 4, arrays, False, None)
+        record = WrittenIndex(raw, alphabet, widths, stored)
+        for _ in range(2):
             with pytest.raises(ValueError, match=r"^group \(0, 0, 1\) has a position outside"):
-                query()
+                record.open()
 
     def test_built_before_any_query_reports_as_loaded(self, graph_corpus):
-        """Before any query, a built index writes the same bytes and reports
-        the same counts and space as the index loaded from them; after the
-        first, both answer every query alike."""
+        """A built record writes the same bytes and reports the same counts
+        and space as the index loaded from them, and the index its
+        ``open()`` returns answers every query as the loaded one does."""
         rng = random.Random(2601)
         sources = [*rng.sample(graph_corpus, 100), *criterion_5_automata()[:100]]
+        header = ("q", "n_classes", "e_quotient", "n_original", "e_original",
+                  "initial_class", "alphabet")
         for source in sources:
             nfa = isinstance(source, Nfa)
             built = run_pipeline(source, mark_initial=nfa).index()
             loaded = Index.from_bytes(built.to_bytes())
-            header = ("q", "n_classes", "e_quotient", "n_original", "e_original",
-                      "initial_class", "alphabet")
-            assert built._stored is not None
             assert [getattr(built, name) for name in header] == \
                 [getattr(loaded, name) for name in header]
             assert built.to_bytes() == loaded.to_bytes()
             assert built.space_report() == loaded.space_report()
-            assert built._stored is not None
+            opened = built.open()
             for p in enumerate_strings(built.alphabet.symbols, 3):
-                matched, end = built.match_pattern(p)
+                matched, end = opened.match_pattern(p)
                 again, end_again = loaded.match_pattern(p)
-                assert (matched, built.map_back(end)) == (again, loaded.map_back(end_again))
+                assert (matched, opened.map_back(end)) == (again, loaded.map_back(end_again))
                 if nfa:
-                    assert built.accept(p) == loaded.accept(p)
-            assert (built.members, built.finals) == (loaded.members, loaded.finals)
+                    assert opened.accept(p) == loaded.accept(p)
+            assert (opened.members, opened.finals) == (loaded.members, loaded.finals)
 
 
 class TestInstrumentation:

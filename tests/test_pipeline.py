@@ -51,7 +51,7 @@ class TestRunPipeline:
         result = run_pipeline(Nfa(g, 0, base.finals), mark_initial=True)
         assert result.source == base and result.marked == {0}
         assert (result.n_original, result.e_original) == (4, 4)
-        ix = result.index()
+        ix = result.index().open()
         assert (ix.n_original, ix.e_original, ix.n_classes) == (4, 4, 3)
         assert ix.accept(["a", "b"]) and not ix.accept(["b"])
 
@@ -73,7 +73,7 @@ class TestRunPipeline:
         assert result.quotient.partition.members == ((0, 1), (2,))
         assert (result.automaton.initial, result.automaton.finals) == (0, {0, 1})
         with pytest.raises(ValueError, match="marker"):
-            result.index().accept(["a"])
+            result.index().open().accept(["a"])
 
     def test_chains_are_consecutive_id_ranges(self, graph_corpus):
         # The graph corpus, and the 300 automata of acceptance criterion 5.
