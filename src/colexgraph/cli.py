@@ -2,9 +2,9 @@
 
 An input file is an automaton when it has an ``initial`` or ``final`` line and
 a graph otherwise; ``graph.parse_input`` decides, and every command that reads
-one builds through ``pipeline.run_pipeline``. ``--mark-initial`` (``build``,
-``quotient``) marks an automaton's initial state and is an error on a graph;
-``stats`` and ``verify`` always mark it.
+one builds through ``pipeline.run_pipeline``, which marks an automaton's
+initial state. To index an automaton's edges as a graph, drop its ``initial``
+and ``final`` lines.
 
 Exit codes: 0 = match/accept (or success for non-query commands), 1 = no
 match/no accept (or a failed verification), 2 = any error. User input never
@@ -51,7 +51,7 @@ def _is_index_file(path: str) -> bool:
 
 
 def _cmd_build(args) -> int:
-    ix = run_pipeline(_read_input(args.graph), args.mark_initial).index()
+    ix = run_pipeline(_read_input(args.graph)).index()
     ix.save(args.output)
     print(f"indexed {ix.n_original} nodes / {ix.e_original} edges -> "
           f"{ix.n_classes} classes / {ix.e_quotient} edges, width {ix.q}")
@@ -81,7 +81,7 @@ def _cmd_accept(args) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    result = run_pipeline(_read_input(args.graph), args.mark_initial)
+    result = run_pipeline(_read_input(args.graph))
     view, qg = result.automaton, result.quotient
     out = format_nfa(view) if view is not None else format_graph(qg.graph)
     out += "".join(f"# class {cid}: {' '.join(map(str, group))}\n"
@@ -97,8 +97,7 @@ def _cmd_stats(args) -> int:
     if _is_index_file(args.input):
         ix = Index.load(args.input)
     else:
-        source = _read_input(args.input)
-        ix = run_pipeline(source, isinstance(source, Nfa)).index()
+        ix = run_pipeline(_read_input(args.input)).index()
     report = ix.space_report()
     rows = [("n", ix.n_original), ("edges", ix.e_original), ("classes", ix.n_classes),
             ("quotient-edges", ix.e_quotient), ("width", ix.q),
@@ -113,8 +112,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    source = _read_input(args.graph)
-    result = run_pipeline(source, isinstance(source, Nfa))
+    result = run_pipeline(_read_input(args.graph))
     results = run_graph_checks(result, seed=args.seed)
     if args.dump_relation:
         Path(args.dump_relation).write_text(dump_relation(result.relation), encoding="utf-8")
@@ -136,9 +134,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build an index file from a graph/automaton file")
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--mark-initial", action="store_true",
-                   help="compute the relation with the initial state marked "
-                        "(required for acceptance queries)")
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("query", help="match a pattern anywhere in the indexed graph")
@@ -154,8 +149,6 @@ def _make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("quotient", help="print the quotient graph/automaton")
     p.add_argument("graph")
     p.add_argument("-o", "--output")
-    p.add_argument("--mark-initial", action="store_true",
-                   help="compute the relation with the initial state marked")
     p.set_defaults(func=_cmd_quotient)
 
     p = sub.add_parser("stats", help="sizes and space accounting of an index or graph file")

@@ -1,8 +1,8 @@
 """The build pipeline: one parsed input through every stage, in the paper's order.
 
-An automaton is trimmed, and its initial state marked when asked; then come the
-maximum co-lex relation, the quotient, a minimum chain partition of the class
-order and, on request, the per-chain index layout.
+An automaton is trimmed and its initial state marked, so that its quotient
+keeps the language; then come the maximum co-lex relation, the quotient, a
+minimum chain partition of the class order and, on request, the index layout.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ class PipelineResult:
     """Every stage's output for one input.
 
     ``source`` is what the stages saw: a graph as given, an automaton trimmed.
-    ``automaton`` reads the quotient as an automaton (``None`` for a graph); it
-    keeps the language only when the initial state was marked. ``n_original``
-    and ``e_original`` count the input before trimming.
+    ``automaton`` reads the quotient as an automaton with the same language
+    (``None`` for a graph). ``n_original`` and ``e_original`` count the input
+    before trimming.
     """
 
     source: LabeledGraph | Nfa
-    marked: frozenset[int]
     relation: Preorder
     quotient: QuotientGraph
     automaton: Nfa | None
@@ -39,6 +38,11 @@ class PipelineResult:
     def graph(self) -> LabeledGraph:
         return self.source.graph if isinstance(self.source, Nfa) else self.source
 
+    @property
+    def marked(self) -> frozenset[int]:
+        """The states the relation was computed with marked."""
+        return _marked(self.source)
+
     def index(self) -> WrittenIndex:
         """The ``.clxi`` file of the quotient laid out along the chains, as
         ``build_index`` writes it: an automaton's with its finals and initial
@@ -49,31 +53,28 @@ class PipelineResult:
                            self.n_original, self.e_original)
 
 
-def run_pipeline(source: LabeledGraph | Nfa, mark_initial: bool = False) -> PipelineResult:
+def _marked(source: LabeledGraph | Nfa) -> frozenset[int]:
+    """An automaton's initial state; a graph has none."""
+    return frozenset({source.initial}) if isinstance(source, Nfa) else frozenset()
+
+
+def run_pipeline(source: LabeledGraph | Nfa) -> PipelineResult:
     """Run the stages on a parsed graph or automaton.
 
-    ``mark_initial`` marks an automaton's initial state, so that the quotient
+    An automaton is trimmed and its initial state marked, so that the quotient
     keeps the language (``quotient_nfa`` checks it) and the index answers
-    ``accept``. A graph has no initial state: asking is a ``ValueError``.
+    ``accept``; ``run_pipeline(nfa.graph)`` indexes its edges as a graph.
     """
     graph = source.graph if isinstance(source, Nfa) else source
     n_original, e_original = graph.n, len(graph.edges)
     if isinstance(source, Nfa):
         source, _ = trim_nfa(source)
         graph = source.graph
-    elif mark_initial:
-        raise ValueError("only an automaton (a file with 'initial' and 'final' lines) "
-                         "has an initial state to mark")
-    marked = frozenset({source.initial}) if mark_initial else frozenset()
-    relation = max_colex_relation(graph, marked)
-    if mark_initial:
+    relation = max_colex_relation(graph, _marked(source))
+    if isinstance(source, Nfa):
         qn = quotient_nfa(source, relation)
         quotient, automaton = qn.quotient, qn.as_nfa()
     else:
         quotient, automaton = quotient_graph(graph, relation), None
-        if isinstance(source, Nfa):  # a graph-level collapse: it need not keep the language
-            class_of = quotient.partition.class_of
-            automaton = Nfa(quotient.graph, class_of[source.initial],
-                            frozenset(class_of[f] for f in source.finals))
-    return PipelineResult(source, marked, relation, quotient, automaton,
+    return PipelineResult(source, relation, quotient, automaton,
                           min_chain_partition(quotient.order), n_original, e_original)

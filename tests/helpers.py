@@ -57,7 +57,7 @@ def quotient_pipeline(g: LabeledGraph):
 
 def nfa_pipeline(nfa):
     """Automaton -> (quotient NFA, chain partition) with the initial marked."""
-    result = run_pipeline(nfa, mark_initial=True)
+    result = run_pipeline(nfa)
     view = result.automaton
     return QuotientNfa(result.quotient, view.initial, view.finals), result.chains
 

@@ -11,14 +11,14 @@ import time
 
 import pytest
 
-from colexgraph import (Index, Preorder, QueryStats, Relation, build_index,
-                        build_nfa_index, max_colex_relation, min_chain_partition,
-                        preorder_width, quotient_graph, quotient_nfa)
+from colexgraph import (Preorder, QueryStats, Relation, build_index, build_nfa_index,
+                        max_colex_relation, min_chain_partition, oracle, preorder_width,
+                        quotient_graph, quotient_nfa)
 from colexgraph.oracle import (brute_theta, check_powerset_bounds,
                                exhaustive_max_antichain, gfp_max_relation, is_convex,
                                language_equiv, prec_a_acyclic, random_acyclic_nfa,
                                random_graph, random_partial_order, random_trim_nfa,
-                               simulate_nfa)
+                               rewritten, simulate_nfa)
 from conftest import (SEED_ACYCLIC_CORPUS, SEED_BIG_GRAPH, SEED_NFA_CORPUS,
                       SEED_ORDER_CORPUS, SEED_SPACE_FAMILY, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       two_cycle_graph)
@@ -107,17 +107,10 @@ def _walk_pattern_tree(ix, g, start_set, start_nodes, max_len, stats=None):
 def test_criterion_04_pattern_matching_oracle(graph_corpus):
     t0 = time.perf_counter()
     total = mismatches = violations = roundtrip_bad = 0
-    for idx, g in enumerate(graph_corpus):
+    for g in graph_corpus:
         qg, cp = quotient_pipeline(g)
         ix = build_index(qg, cp).open()
-        if idx < 200:
-            raw = ix.to_bytes()
-            reloaded = Index.from_bytes(raw)
-            roundtrip_bad += reloaded.to_bytes() != raw
-            for p in itertools.chain([()], itertools.product(g.alphabet.symbols,
-                                                             repeat=2)):
-                if reloaded.match_pattern(p) != ix.match_pattern(p):
-                    roundtrip_bad += 1
+        roundtrip_bad += rewritten(ix) != ix.to_bytes()
         stats = QueryStats()
         done, bad, viol = _walk_pattern_tree(
             ix, g, ix.full_set(), range(g.n), 5, stats)
@@ -159,8 +152,7 @@ def test_criterion_05_nfa_acceptance():
         if not language_equiv(nfa, qn.as_nfa()):
             language_failures += 1
         ix = build_nfa_index(qn, cp).open()
-        raw = ix.to_bytes()
-        roundtrip_bad += Index.from_bytes(raw).to_bytes() != raw
+        roundtrip_bad += rewritten(ix) != ix.to_bytes()
         symbols = nfa.graph.alphabet.symbols
         for length in range(7):
             for s in itertools.product(symbols, repeat=length):
@@ -173,6 +165,26 @@ def test_criterion_05_nfa_acceptance():
            f"300 automata, {strings_checked} strings, {mismatches} mismatches, "
            f"{language_failures} language failures, {roundtrip_bad} roundtrip diffs, "
            f"{elapsed:.1f} s")
+
+
+def test_roundtrip_diffs_count_a_misread_value(graph_corpus, monkeypatch):
+    """Criteria 4 and 5 count the files whose decoded arrays, written again
+    with the header's fields, differ from the file: a reader that decodes
+    one value wrong makes every file count."""
+    rng = random.Random(SEED_NFA_CORPUS)
+    indexes = [build_index(*quotient_pipeline(g)).open() for g in graph_corpus[:20]]
+    indexes += [build_nfa_index(*nfa_pipeline(
+        random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3])))).open()
+        for _ in range(20)]
+    assert sum(rewritten(ix) != ix.to_bytes() for ix in indexes) == 0
+    real = oracle._read
+
+    def misread(raw):
+        alphabet, widths, stored = real(raw)
+        stored.class_map[-1] ^= 1
+        return alphabet, widths, stored
+    monkeypatch.setattr(oracle, "_read", misread)
+    assert sum(rewritten(ix) != ix.to_bytes() for ix in indexes) == len(indexes)
 
 
 def test_criterion_06_dilworth_for_preorders():

@@ -1,11 +1,14 @@
 """The package's public names: what the benchmark imports, and what is not public."""
 
+import argparse
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import colexgraph
-from colexgraph import oracle
+from colexgraph import cli, oracle
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +77,19 @@ def test_one_class_set_type():
     assert not hasattr(colexgraph.index, "ConvexSet")
     assert not hasattr(colexgraph.Index, "empty_set")
     assert "ClassSet" in colexgraph.__all__ and "ConvexSet" not in colexgraph.__all__
+
+
+def test_the_input_decides_the_marker():
+    """``run_pipeline`` takes the parsed input alone: an automaton is always
+    built with its initial state marked, so ``marked`` is derived, not
+    stored, and no command has an option to choose the marker."""
+    assert list(inspect.signature(colexgraph.run_pipeline).parameters) == ["source"]
+    fields = {f.name for f in dataclasses.fields(colexgraph.PipelineResult)}
+    assert "marked" not in fields and {"source", "automaton"} <= fields
+    parser = cli._make_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {name: set(sub._option_string_actions) - {"-h", "--help"}
+               for name, sub in commands.choices.items()}
+    assert options == {"build": {"-o", "--output"}, "query": set(), "accept": set(),
+                       "quotient": {"-o", "--output"}, "stats": {"--format"},
+                       "verify": {"--seed", "--dump-relation"}}

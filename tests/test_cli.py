@@ -11,8 +11,9 @@ import pytest
 
 from colexgraph import (Index, Preorder, build_index, format_graph, format_nfa,
                         max_colex_relation, min_chain_partition, parse_input, parse_nfa,
-                        quotient_graph, run_pipeline)
+                        quotient_nfa, run_pipeline)
 from colexgraph.cli import main
+from colexgraph.oracle import language_equiv, simulate_nfa
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa
 from helpers import decoded, put_stored, reseal, v5_offsets
 
@@ -127,7 +128,7 @@ sys.exit(status)
 
     def test_out_of_range_class_id_in_chain_is_an_error(self, loop_file, tmp_path, capsys):
         out = tmp_path / "loop.clxi"
-        main(["build", loop_file, "-o", str(out), "--mark-initial"])
+        main(["build", loop_file, "-o", str(out)])
         raw = bytearray(out.read_bytes())
         # the class of node 0: 3 classes leave a 2-bit id room for 3
         assert Index.load(str(out)).n_classes == 3
@@ -139,7 +140,7 @@ sys.exit(status)
 
     def test_empty_group_is_a_one_line_error(self, loop_file, tmp_path, capsys):
         out = tmp_path / "loop.clxi"
-        main(["build", loop_file, "-o", str(out), "--mark-initial"])
+        main(["build", loop_file, "-o", str(out)])
         raw = bytearray(out.read_bytes())
         # group ends [1, 2, 3], stored as the sizes [1, 1, 1], as [2, 2, 3]:
         # the first group takes two edges and the second none, which every
@@ -195,7 +196,7 @@ sys.exit(status)
 
     def test_saved_index_answers_like_in_memory(self, loop_file, tmp_path):
         out = str(tmp_path / "loop.clxi")
-        main(["build", loop_file, "-o", out, "--mark-initial"])
+        main(["build", loop_file, "-o", out])
         from helpers import nfa_pipeline
         from colexgraph import build_nfa_index
         qn, cp = nfa_pipeline(loop_branch_nfa())
@@ -208,14 +209,14 @@ sys.exit(status)
 
 
     def test_library_and_cli_write_the_same_file(self, loop_file, tmp_path, capsys):
-        """``build --mark-initial`` saves the bytes that the library's
-        ``run_pipeline(..., True).index()`` writes, and ``stats`` prints the
+        """``build`` saves the bytes that the library's
+        ``run_pipeline(...).index()`` writes, and ``stats`` prints the
         same rows for both files as for the automaton text, which it builds
         and does not open."""
         cli, lib = tmp_path / "cli.clxi", tmp_path / "lib.clxi"
-        assert main(["build", loop_file, "-o", str(cli), "--mark-initial"]) == 0
+        assert main(["build", loop_file, "-o", str(cli)]) == 0
         text = Path(loop_file).read_text(encoding="utf-8")
-        run_pipeline(parse_input(text), True).index().save(lib)
+        run_pipeline(parse_input(text)).index().save(lib)
         assert cli.read_bytes() == lib.read_bytes()
         capsys.readouterr()
         printed = []
@@ -229,7 +230,7 @@ sys.exit(status)
 class TestAccept:
     def test_accept_and_reject(self, loop_file, tmp_path, capsys):
         out = str(tmp_path / "loop.clxi")
-        assert main(["build", loop_file, "-o", out, "--mark-initial"]) == 0
+        assert main(["build", loop_file, "-o", out]) == 0
         assert main(["accept", out, "ab"]) == 0
         assert "accept" in capsys.readouterr().out
         assert main(["accept", out, "b"]) == 1
@@ -239,17 +240,28 @@ class TestAccept:
         main(["build", hub_file, "-o", out])
         assert main(["accept", out, "a"]) == 2
 
-    def test_accept_needs_marker(self, tmp_path):
-        # Funnel quotients cleanly even without the marker, but acceptance
-        # must still refuse to answer on the unmarked index.
+    def test_accept_needs_marker(self, tmp_path, capsys):
+        # The funnel quotients to the same automaton with or without the
+        # marker; built with no flag, its index has the marker and accepts.
+        nfa = funnel_nfa(2)
         path = tmp_path / "funnel.nfa"
-        path.write_text(format_nfa(funnel_nfa(2)), encoding="utf-8")
+        path.write_text(format_nfa(nfa), encoding="utf-8")
         out = str(tmp_path / "funnel.clxi")
         assert main(["build", str(path), "-o", out]) == 0
-        assert main(["accept", out, "aa"]) == 2
+        capsys.readouterr()
+        for word in ("", "a", "aa", "aaa"):
+            want = simulate_nfa(nfa, tuple(word))
+            assert main(["accept", out, word]) == (0 if want else 1)
+            assert capsys.readouterr().out == ("accept\n" if want else "reject\n")
 
-    def test_mark_initial_requires_nfa(self, hub_file, tmp_path):
-        assert main(["build", hub_file, "-o", str(tmp_path / "x"), "--mark-initial"]) == 2
+    def test_mark_initial_requires_nfa(self, hub_file, loop_file, tmp_path):
+        # an automaton is always built marked, so the option is gone for a
+        # graph and an automaton alike, and no index is written
+        for path in (hub_file, loop_file):
+            with pytest.raises(SystemExit) as exited:
+                main(["build", path, "-o", str(tmp_path / "x"), "--mark-initial"])
+            assert exited.value.code == 2
+        assert not (tmp_path / "x").exists()
 
 
 class TestInputKind:
@@ -259,21 +271,19 @@ class TestInputKind:
         out = tmp_path / "loop.clxi"
         assert main(["build", loop_file, "-o", str(out)]) == 0
         assert capsys.readouterr().out == (
-            "indexed 3 nodes / 3 edges -> 2 classes / 2 edges, width 1\n")
-        # the unmarked automaton index, laid out stage by stage
+            "indexed 3 nodes / 3 edges -> 3 classes / 3 edges, width 2\n")
+        # the automaton index with its initial state marked, laid out stage by stage
         nfa = loop_branch_nfa()
-        qg = quotient_graph(nfa.graph, max_colex_relation(nfa.graph))
-        class_of = qg.partition.class_of
-        want = build_index(qg, min_chain_partition(qg.order),
-                           finals=frozenset(class_of[f] for f in nfa.finals),
-                           initial=class_of[nfa.initial], n_original=3, e_original=3)
+        qn = quotient_nfa(nfa, max_colex_relation(nfa.graph, {nfa.initial}))
+        want = build_index(qn.quotient, min_chain_partition(qn.quotient.order),
+                           finals=qn.finals, initial=qn.initial, n_original=3, e_original=3)
         assert out.read_bytes() == want.to_bytes()
 
     def test_automaton_text_quotients_without_flags(self, loop_file, capsys):
         assert main(["quotient", loop_file]) == 0
         assert capsys.readouterr().out == (
-            "alphabet a b\nnodes 2\n0 0 a\n0 1 b\ninitial 0\nfinal 0 1\n"
-            "# class 0: 0 1\n# class 1: 2\n")
+            "alphabet a b\nnodes 3\n0 2 a\n2 0 a\n2 1 b\ninitial 0\nfinal 1 2\n"
+            "# class 0: 0\n# class 1: 2\n# class 2: 1\n")
 
     def test_nfa_option_is_gone(self, loop_file, tmp_path):
         for argv in (["build", loop_file, "-o", str(tmp_path / "x")],
@@ -289,11 +299,17 @@ class TestInputKind:
         assert capsys.readouterr().err == "error: missing 'initial' line\n"
 
     def test_mark_initial_on_a_graph_is_one_error_line(self, hub_file, tmp_path, capsys):
+        # a graph has no initial state, and the option is gone: argparse
+        # refuses it with its usage and one error line naming it
         for argv in (["build", hub_file, "-o", str(tmp_path / "x")], ["quotient", hub_file]):
-            assert main(argv + ["--mark-initial"]) == 2
+            with pytest.raises(SystemExit) as exited:
+                main(argv + ["--mark-initial"])
+            assert exited.value.code == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+            errors = [line for line in captured.err.splitlines() if "error: " in line]
+            assert len(errors) == 1 and "--mark-initial" in errors[0]
+        assert not (tmp_path / "x").exists()
 
 
 class TestStats:
@@ -305,6 +321,14 @@ class TestStats:
         assert "classes 2" in out
         assert "quotient-edges 1" in out
         assert "width 1" in out
+
+    def test_unreadable_path_is_a_one_line_error(self, tmp_path, capsys):
+        for path in (tmp_path / "missing.clxi", tmp_path):
+            assert main(["stats", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot read {path}: ")
+            assert captured.err.count("\n") == 1
 
     def test_stats_on_index_file(self, hub_file, tmp_path, capsys):
         out = str(tmp_path / "hub.clxi")
@@ -324,7 +348,7 @@ class TestStats:
 
 class TestQuotientCommand:
     def test_emits_classes_and_reparses(self, loop_file, capsys):
-        assert main(["quotient", loop_file, "--mark-initial"]) == 0
+        assert main(["quotient", loop_file]) == 0
         out = capsys.readouterr().out
         assert "# class 0: 0" in out
         reparsed = parse_nfa(out)
@@ -340,9 +364,20 @@ class TestQuotientCommand:
         assert "# class 0: 3 4" in out
         assert "# class 1: 0 1 2" in out
 
+    @pytest.mark.parametrize("text", [
+        # the three-state automaton of the CI's console steps
+        "alphabet a b\nnodes 3\n0 1 a\n1 0 a\n1 2 b\ninitial 0\nfinal 1 2\n",
+        format_nfa(funnel_nfa(2)),
+    ], ids=["auto", "funnel"])
+    def test_quotient_of_an_automaton_keeps_its_language(self, text, tmp_path, capsys):
+        path = tmp_path / "auto.txt"
+        path.write_text(text, encoding="utf-8")
+        assert main(["quotient", str(path)]) == 0
+        assert language_equiv(parse_nfa(text), parse_nfa(capsys.readouterr().out))
+
     def test_output_file(self, loop_file, tmp_path):
         dest = tmp_path / "q.nfa"
-        assert main(["quotient", loop_file, "--mark-initial", "-o", str(dest)]) == 0
+        assert main(["quotient", loop_file, "-o", str(dest)]) == 0
         assert dest.exists() and "initial" in dest.read_text(encoding="utf-8")
 
 

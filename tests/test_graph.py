@@ -96,6 +96,26 @@ class TestParsing:
             parse_graph(text)
         assert str(caught.value) == message
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_graph, "alphabet a\nalphabet a\nnodes 1\n", "line 2: duplicate alphabet line"),
+        (parse_graph, "alphabet\nnodes 1\n", "line 1: empty alphabet"),
+        (parse_graph, "alphabet a a\nnodes 1\n", "line 1: duplicate alphabet symbol 'a'"),
+        (parse_graph, "alphabet a @\nnodes 1\n", "line 1: invalid alphabet symbol '@'"),
+        (parse_graph, "nodes 1 2\n", "line 1: expected 'nodes <count>'"),
+        (parse_graph, "nodes x\n", "line 1: bad node count 'x'"),
+        (parse_nfa, "nodes 2\ninitial 0\ninitial 1\nfinal 1\n", "line 3: duplicate initial line"),
+        (parse_nfa, "nodes 2\ninitial 0 1\nfinal 1\n", "line 2: expected 'initial <state>'"),
+        (parse_graph, "nodes 2\nfinal 1\n", "line 2: 'final' is only valid in an automaton file"),
+        (parse_nfa, "nodes 2\ninitial 0\nfinal 1\nfinal 0\n", "line 4: duplicate final line"),
+        (parse_graph, "alphabet a\n# nodes 1\n", "missing 'nodes' line"),
+    ])
+    def test_directive_error_messages(self, parse, text, message):
+        """The refusals of the ``alphabet``, ``nodes``, ``initial`` and ``final``
+        lines, and of a text with no ``nodes`` line, word for word."""
+        with pytest.raises(GraphFormatError) as caught:
+            parse(text)
+        assert str(caught.value) == message
+
     def test_nfa_roundtrip(self):
         nfa = loop_branch_nfa()
         again = parse_nfa(format_nfa(nfa))

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from collections import Counter
 from functools import cache, reduce
+from itertools import product
 from operator import mul, or_
 from pathlib import Path
 from threading import Thread
@@ -127,6 +128,19 @@ def nfa_walk(rng, a, length):
         sym, u = rng.choice(moves)
         labels.append(sym)
     return tuple(labels)
+
+
+def quotient_image(qg, cp, intervals, a):
+    """Per chain of ``cp``, the positions that the quotient's edges labeled
+    ``a`` reach from the given position intervals, filled in to min..max,
+    or (0, 0) where none is reached."""
+    reached: dict[int, list[int]] = {}
+    for cu, cv, b in qg.graph.edges:
+        lo, hi = intervals[cp.chain_of[cu]]
+        if b == a and lo <= cp.pos_in_chain[cu] < hi:
+            reached.setdefault(cp.chain_of[cv], []).append(cp.pos_in_chain[cv])
+    return tuple((min(reached[j]), max(reached[j]) + 1) if j in reached else (0, 0)
+                 for j in range(cp.chain_count))
 
 
 def one_chain_index(edges, length=2):
@@ -386,8 +400,6 @@ class TestProbeDirectory:
             ix, qg, cp = build_from(g)
             if ix.q < 2:
                 continue
-            edges = [(cp.chain_of[cu], cp.pos_in_chain[cu], cp.chain_of[cv],
-                      cp.pos_in_chain[cv], a) for cu, cv, a in qg.graph.edges]
             for _ in range(6):
                 intervals = []
                 for chain in cp.chains:
@@ -401,15 +413,41 @@ class TestProbeDirectory:
                         lo = rng.randrange(n)
                         intervals.append((lo, rng.randint(lo + 1, n)))
                 for a in g.alphabet.symbols:
-                    reached: dict[int, list[int]] = {}
-                    for i, s, j, t, b in edges:
-                        if b == a and intervals[i][0] <= s < intervals[i][1]:
-                            reached.setdefault(j, []).append(t)
-                    want = tuple((min(reached[j]), max(reached[j]) + 1) if j in reached
-                                 else (0, 0) for j in range(ix.q))
+                    want = quotient_image(qg, cp, intervals, a)
                     assert ix.follow(interval_set(ix, intervals), a).intervals() == want
                     steps += 1
         assert steps > 1000
+
+    def test_one_class_images_widen_a_longer_chain_on_a_finer_partition(self):
+        """``build_index`` takes any partition into consecutive id ranges along
+        the order. Here classes 2 to 5 become one-class chains 1 to 4, and
+        chain 0 is classes 0 < 1. Chains 1, 2 and 3 share a block. On "a",
+        class 2 enters chain 0 at position 0, class 3 above it at 1 and class
+        4 below 3 at 0: chain 2's image widens chain 1's at the top, and chain
+        3's widens chain 2's at the bottom. No minimum partition does this: its
+        one-class chains are pairwise incomparable. ``follow`` from every
+        convex set reaches the positions the quotient edges reach, filled in
+        per chain."""
+        g = LabeledGraph.build(6, [(1, 2, "a"), (1, 2, "b"), (1, 4, "a"), (2, 0, "a"),
+                                   (2, 0, "b"), (4, 2, "b"), (4, 3, "a"), (5, 1, "a"),
+                                   (5, 1, "b"), (5, 3, "a"), (5, 5, "a")], ["a", "b"])
+        qg, cp = quotient_pipeline(g)
+        assert cp.chains == ((0, 1), (2, 3), (4, 5))
+        order = qg.order
+        assert order.holds(2, 3) and order.holds(4, 3) and not order.holds(3, 4)
+        assert {(2, 0, "a"), (3, 1, "a"), (4, 0, "a")} <= qg.graph.edges
+        fine = type(cp)(((0, 1), (2,), (3,), (4,), (5,)))
+        ix = build_index(qg, fine).open()
+        assert ix.q == 5 and ix._one_class == {1, 2, 3, 4}
+        top = ix.follow(interval_set(ix, [(0, 0), (0, 1), (0, 1), (0, 0), (0, 0)]), "a")
+        bottom = ix.follow(interval_set(ix, [(0, 0), (0, 0), (0, 1), (0, 1), (0, 0)]), "a")
+        assert top.intervals()[0] == bottom.intervals()[0] == (0, 2)
+        for first in ((0, 0), (0, 1), (1, 2), (0, 2)):
+            for ones in product(((0, 0), (0, 1)), repeat=4):
+                intervals = [first, *ones]
+                for a in ("a", "b"):
+                    want = quotient_image(qg, fine, intervals, a)
+                    assert ix.follow(interval_set(ix, intervals), a).intervals() == want
 
     def test_fold_agrees_with_follow(self, graph_corpus):
         """On the graph corpus, criterion 5's automata and the top band, as
@@ -425,7 +463,7 @@ class TestProbeDirectory:
         for source in [*graph_corpus, *criterion_5_automata(), *top_band,
                        *(a.graph for a in top_band)]:
             nfa = isinstance(source, Nfa)
-            result = run_pipeline(source, mark_initial=nfa)
+            result = run_pipeline(source)
             ix = result.index().open()
             if ix.q < 2:
                 continue
@@ -516,7 +554,7 @@ class TestProbeDirectory:
         of steps and probes it makes, nor the answers. Four strings in five
         are walks from the initial state, as in the benchmark; each string is
         asked with ``accept`` and with ``match_pattern``."""
-        built = [(a, run_pipeline(a, mark_initial=True).index().open())
+        built = [(a, run_pipeline(a).index().open())
                  for a in top_band_automata()[:12]]
         for load in (False, True):
             rng = random.Random(2105)
@@ -540,7 +578,7 @@ class TestProbeDirectory:
         the first and last target and source of that range."""
         checked = 0
         for source in [*graph_corpus, *criterion_5_automata()]:
-            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index().open()
+            ix = run_pipeline(source).index().open()
             if ix.q < 2:
                 continue
             a, span = decoded(ix)[1], len(ix.alphabet) * ix.q
@@ -574,7 +612,7 @@ class TestProbeDirectory:
         entries = with_images = partial = narrow_far = wide = 0
         for source in [*graph_corpus, *criterion_5_automata(), *top_band_automata(),
                        *sparse_graphs()]:
-            ix = run_pipeline(source, mark_initial=isinstance(source, Nfa)).index().open()
+            ix = run_pipeline(source).index().open()
             ones = ix._one_class
             # (symbol, one-class source chain) -> [target chains, groups, triples]
             pairs: dict[tuple[int, int], list] = {}
@@ -1103,8 +1141,7 @@ class TestBackendsAndSerialization:
         sources += [random_trim_nfa(rng, 6, 2, 0.3) for _ in range(20)]
         refused = loaded = 0
         for source in sources:
-            nfa = isinstance(source, Nfa)
-            raw = run_pipeline(source, mark_initial=nfa).index().to_bytes()
+            raw = run_pipeline(source).index().to_bytes()
             at, (_, arrays) = v5_offsets(raw), decoded(Index.from_bytes(raw))
             one_word = [(name, len(values)) for name, values in zip(_Arrays._fields, arrays)
                         if 0 < len(values) * at[name][1] <= 64]
@@ -1147,11 +1184,11 @@ class TestBackendsAndSerialization:
                    "3 11 A\n4 5 C\n5 6 A\n5 10 T\n6 0 C\n6 7 A\n7 8 G\n8 9 G\n"
                    "9 5 C\n10 3 T\n11 0 C\n")
         pinned = [
-            (auto, True, "a4b88a49b4b0caa3959921b6d73954d0e75e04e632ec88bcf33d0f30f5f33a25"),
-            (wheeler, False, "cfb9d93d45ab690d46cf8e5408c55acf0c455e0ae08b0879ff64030575aa9754"),
+            (auto, "a4b88a49b4b0caa3959921b6d73954d0e75e04e632ec88bcf33d0f30f5f33a25"),
+            (wheeler, "cfb9d93d45ab690d46cf8e5408c55acf0c455e0ae08b0879ff64030575aa9754"),
         ]
-        for text, mark, digest in pinned:
-            raw = run_pipeline(parse_input(text), mark).index().to_bytes()
+        for text, digest in pinned:
+            raw = run_pipeline(parse_input(text)).index().to_bytes()
             assert hashlib.sha256(raw).hexdigest() == digest
 
     def test_workload_bytes_are_pinned(self, monkeypatch):
@@ -1177,7 +1214,7 @@ class TestBackendsAndSerialization:
         for (name, seed), digest in pinned.items():
             files = hashlib.sha256()
             for unit in workloads.WORKLOADS[name](seed).units:
-                files.update(run_pipeline(parse_input(unit.text), unit.nfa).index().to_bytes())
+                files.update(run_pipeline(parse_input(unit.text)).index().to_bytes())
             assert files.hexdigest() == digest, (name, seed)
 
     def test_built_and_loaded_agree(self, graph_corpus):
@@ -1367,7 +1404,7 @@ class TestOpen:
         answer as ``simulate_nfa`` does: the index opened once, in
         ``from_bytes``, and its queries only read it, with no lock."""
         automaton = top_band_automata()[0]
-        raw = run_pipeline(automaton, mark_initial=True).index().to_bytes()
+        raw = run_pipeline(automaton).index().to_bytes()
         strings = list(enumerate_strings(automaton.graph.alphabet.symbols, 3))
         want = [simulate_nfa(automaton, s) for s in strings]
         calls = count_opens(monkeypatch)
@@ -1416,7 +1453,7 @@ class TestOpen:
                   "initial_class", "alphabet")
         for source in sources:
             nfa = isinstance(source, Nfa)
-            built = run_pipeline(source, mark_initial=nfa).index()
+            built = run_pipeline(source).index()
             loaded = Index.from_bytes(built.to_bytes())
             assert [getattr(built, name) for name in header] == \
                 [getattr(loaded, name) for name in header]

@@ -10,7 +10,8 @@ import pytest
 
 from colexgraph import (LabeledGraph, Nfa, build_index, chains, max_colex_relation,
                         min_chain_partition, quotient_graph, run_pipeline)
-from colexgraph.oracle import random_trim_nfa, run_graph_checks
+from colexgraph.oracle import (enumerate_strings, language_equiv, random_trim_nfa,
+                               simulate_nfa)
 from conftest import SEED_NFA_CORPUS, double_hub_graph, loop_branch_nfa
 
 
@@ -25,10 +26,9 @@ class TestRunPipeline:
             return real(*args)
 
         monkeypatch.setattr(chains, name, counted)
-        for source, mark in ((double_hub_graph(3), False), (loop_branch_nfa(), False),
-                             (loop_branch_nfa(), True)):
+        for source in (double_hub_graph(3), loop_branch_nfa()):
             calls.clear()
-            result = run_pipeline(source, mark_initial=mark)
+            result = run_pipeline(source)
             result.index()
             assert len(calls) == 1
 
@@ -48,7 +48,7 @@ class TestRunPipeline:
         # loop_branch_nfa plus a state 3 that no final state is reachable from
         base = loop_branch_nfa()
         g = LabeledGraph.build(4, set(base.graph.edges) | {(2, 3, "a")}, ["a", "b"])
-        result = run_pipeline(Nfa(g, 0, base.finals), mark_initial=True)
+        result = run_pipeline(Nfa(g, 0, base.finals))
         assert result.source == base and result.marked == {0}
         assert (result.n_original, result.e_original) == (4, 4)
         ix = result.index().open()
@@ -63,17 +63,25 @@ class TestRunPipeline:
         digest = hashlib.sha256()
         for _ in range(300):
             nfa = random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
-            digest.update(run_pipeline(nfa, mark_initial=True).index().to_bytes())
+            digest.update(run_pipeline(nfa).index().to_bytes())
         assert digest.hexdigest() == (
             "6be5591715d25b282ac87c8cbcdb816853e576a93d41acf7dd453eb8c7787d79")
 
     def test_unmarked_automaton_keeps_an_automaton_view(self):
-        result = run_pipeline(loop_branch_nfa())
-        assert result.marked == frozenset()
-        assert result.quotient.partition.members == ((0, 1), (2,))
-        assert (result.automaton.initial, result.automaton.finals) == (0, {0, 1})
-        with pytest.raises(ValueError, match="marker"):
-            result.index().open().accept(["a"])
+        """An automaton is built with its initial state marked, so its quotient
+        keeps the language and its index accepts. Left unmarked, as its graph
+        alone, it collapses states 0 and 1 and has no automaton view."""
+        nfa = loop_branch_nfa()
+        result = run_pipeline(nfa)
+        assert result.marked == {0}
+        assert result.quotient.partition.members == ((0,), (2,), (1,))
+        assert language_equiv(nfa, result.automaton)
+        ix = result.index().open()
+        for s in enumerate_strings(("a", "b"), 4):
+            assert ix.accept(s) == simulate_nfa(nfa, s)
+        graph = run_pipeline(nfa.graph)
+        assert graph.marked == frozenset() and graph.automaton is None
+        assert graph.quotient.partition.members == ((0, 1), (2,))
 
     def test_chains_are_consecutive_id_ranges(self, graph_corpus):
         # The graph corpus, and the 300 automata of acceptance criterion 5.
@@ -81,19 +89,11 @@ class TestRunPipeline:
         automata = [random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
                     for _ in range(300)]
         results = [run_pipeline(g) for g in graph_corpus]
-        results += [run_pipeline(nfa, mark_initial=True) for nfa in automata]
+        results += [run_pipeline(nfa) for nfa in automata]
         for result in results:
             order, chains = result.quotient.order, result.chains.chains
             assert [c for chain in chains for c in chain] == list(range(order.n))
             assert all(order.holds(c, c + 1) for chain in chains for c in chain[:-1])
-
-    def test_a_graph_has_no_initial_state_to_mark(self):
-        with pytest.raises(ValueError, match="initial state"):
-            run_pipeline(double_hub_graph(2), mark_initial=True)
-
-    def test_checks_refuse_an_unmarked_automaton(self):
-        with pytest.raises(ValueError, match="marked"):
-            run_graph_checks(run_pipeline(loop_branch_nfa()))
 
     def test_sparse_nondeterministic_automaton_builds_in_bounded_memory(self):
         # 192 states with 0-2 targets per state and symbol: its subset pairs
@@ -106,7 +106,7 @@ n, syms = 192, ("a", "b", "c")
 edges = {(u, v, s) for u in range(n) for s in syms
          for v in rng.sample(range(n), rng.randint(0, 2))}
 finals = frozenset(v for v in range(n) if rng.random() < 0.3)
-run_pipeline(Nfa(LabeledGraph.build(n, edges, syms), 0, finals), mark_initial=True).index()
+run_pipeline(Nfa(LabeledGraph.build(n, edges, syms), 0, finals)).index()
 """
         limit = 3 << 29  # 1.5 GiB of address space
         src = str(Path(__file__).resolve().parents[1] / "src")

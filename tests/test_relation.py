@@ -25,6 +25,16 @@ class TestRelationType:
         with pytest.raises(ValueError):
             Relation(np.zeros((2, 2), dtype=bool))
 
+    def test_refuses_a_matrix_that_is_not_square_or_over_the_cap(self):
+        for bits in (np.ones((2, 3), dtype=bool), np.ones(3, dtype=bool)):
+            with pytest.raises(ValueError, match="^relation matrix must be square$"):
+                Relation(bits)
+        # a read-only view of one value: the refusal allocates nothing
+        over = np.broadcast_to(np.True_, (_DENSE_NODE_CAP + 1, _DENSE_NODE_CAP + 1))
+        capped = f"^dense relations are capped at {_DENSE_NODE_CAP} nodes$"
+        with pytest.raises(ValueError, match=capped):
+            Relation(over)
+
     def test_from_pairs_adds_diagonal(self):
         r = Relation.from_pairs(3, [(0, 1)])
         assert r.holds(0, 1) and r.holds(2, 2) and not r.holds(1, 0)
@@ -238,6 +248,10 @@ class TestAxiomChecker:
         g = fan_graph()
         r = Relation.from_pairs(3, [(1, 2), (2, 1)])
         assert is_colex_relation(g, r)
+
+    def test_relation_of_another_size_is_refused(self):
+        with pytest.raises(ValueError, match="^relation size does not match graph$"):
+            first_axiom_violation(fan_graph(), Relation.identity(2))
 
     def test_sourceless_node_cannot_be_above(self):
         g = fan_graph()  # node 0 has no incoming edges, node 1 does
