@@ -29,7 +29,9 @@ state-set simulation. Queries fold over a state of two parts: the reached
 one-class chains, as an ``int`` bitmask in which bit j stands for chain j, and
 the non-empty interval ``lo, hi`` of each reached longer chain. A ``ClassSet``
 is this state and the index that made it; every query takes and returns one, so
-a step costs what it reaches, not O(q). The constructor checks the arrays and
+a step costs what it reaches, not O(q). Every query is one fold over its
+symbols, ``follow`` a fold over one: it reads the index's tables once and adds
+to its ``QueryStats`` once. The constructor checks the arrays and
 derives two lookup structures from the store. One-class source chains are taken
 four at a time, as in the Four Russians method for NFA simulation (Myers, J.
 ACM 39(2), 1992): for each symbol and each block of four consecutive chain ids,
@@ -694,14 +696,20 @@ class Index(WrittenIndex):
     def _symbol_ids(self, pattern: Iterable[str]) -> list[int]:
         """The pattern's symbols as alphabet positions. No alphabet holds a
         marker, so a marker is refused as well as an unknown symbol."""
-        ids = self._symbol_index
-        return [ids[a] if a in ids else _refuse(a) for a in pattern]
+        ids, symbols = self._symbol_index, tuple(pattern)
+        try:
+            return list(map(ids.__getitem__, symbols))
+        except KeyError:
+            _refuse(next(a for a in symbols if a not in ids))
 
-    def _step(self, ones: int, longs: _Longs, sym: int,
+    def _fold(self, state: tuple[int, _Longs], syms: Iterable[int],
               stats: QueryStats | None) -> tuple[int, _Longs]:
-        """The fold state reached by one edge labeled ``sym`` from the fold
-        state ``ones``, ``longs``: the mask of the reached one-class chains,
-        and the non-empty interval ``lo, hi`` of each reached longer chain.
+        """The fold state reached from ``state`` along ``syms``, stopping
+        after the first step that empties it: the mask of the reached
+        one-class chains, and the non-empty interval ``lo, hi`` of each
+        reached longer chain. The tables are read once per fold, and
+        ``stats`` gets one addition. The start's intervals are only read: a
+        ``ClassSet`` is shared.
 
         Each group of a pair read is one probe. The reached one-class chains
         are read four at a time, with no test and no search: each non-zero
@@ -713,9 +721,7 @@ class Index(WrittenIndex):
         slices is skipped in one shift. Each shift and OR copies a mask of up
         to q bits, so the one-class part of a step costs O(q / 30) digit
         operations per reached block: O(q * q) at worst, inside the paper's
-        bound. Against the set union per reached chain it replaced, that
-        was 13x faster at q = 600 on criterion 10's graph and 6% to 18%
-        slower on random sparse graphs of q = 1,932 and 5,776.
+        bound (docs/index-format.md weighs it against a set union).
         From an interval on a longer chain each group is taken on its own,
         from its record: an interval that misses the group's source range is
         skipped; one that cuts into it at ``lo`` bisects the source list over
@@ -725,111 +731,103 @@ class Index(WrittenIndex):
         from the first one the interval reaches to the group's last, and
         bisects for ``hi`` only when ``hi`` cuts into the sources and those
         two targets differ."""
-        got = probes = 0
-        # Per reached longer chain: [least position, one past the greatest]
-        box: dict[int, list[int]] = {}
-        if ones:
-            table = self._tables.get
-            block = sym * self.q
-            # the reached one-class targets a wide block's masks leave out,
-            # made only when a wide block is read: most steps read none
-            far: list[int] | None = None
-            while ones:
-                nibble = ones & 15
-                if not nibble:
-                    skip = ((ones & -ones).bit_length() - 1) // 4
-                    ones >>= skip * 4
-                    block += skip
+        table, q, directory = self._tables.get, self.q, self._directory
+        sources, targets, one_class = self._sources, self._targets, self._one_class
+        ones, longs = state
+        steps = probes = 0
+        for steps, sym in enumerate(syms, 1):
+            got = 0
+            # Per reached longer chain: [least position, one past the greatest]
+            box: dict[int, list[int]] = {}
+            if ones:
+                block = sym * q
+                # the one-class targets a wide block's masks leave out: most steps read none
+                far: list[int] | None = None
+                while ones:
                     nibble = ones & 15
-                entry = table(block)
-                ones >>= 4
-                block += 1
+                    if not nibble:
+                        skip = ((ones & -ones).bit_length() - 1) // 4
+                        ones >>= skip * 4
+                        block += skip
+                        nibble = ones & 15
+                    entry = table(block)
+                    ones >>= 4
+                    block += 1
+                    if entry is None:
+                        continue
+                    ors, counts, images, wide = entry
+                    got |= ors[nibble]
+                    probes += counts[nibble]
+                    if wide is not None:
+                        if far is None:
+                            far = []
+                        far += wide[nibble]
+                    if images is None:
+                        continue
+                    for j, t_min, t_hi in images[nibble]:
+                        span = box.get(j)
+                        if span is None:
+                            box[j] = [t_min, t_hi]
+                            continue
+                        if t_min < span[0]:
+                            span[0] = t_min
+                        if t_hi > span[1]:
+                            span[1] = t_hi
+                if far:
+                    got |= _mask(far)
+            for i, (lo, hi) in longs.items():
+                entry = directory[sym].get(i)
                 if entry is None:
                     continue
-                ors, counts, images, wide = entry
-                got |= ors[nibble]
-                probes += counts[nibble]
-                if wide is not None:
-                    if far is None:
-                        far = []
-                    far += wide[nibble]
-                if images is None:
-                    continue
-                for j, t_min, t_hi in images[nibble]:
+                groups, n = entry
+                probes += n
+                for j, t_min, t_max, start, end, s_first, s_last in groups:
+                    if hi <= s_first or lo > s_last:
+                        continue
+                    p = start
+                    if lo > s_first:
+                        p = bisect_left(sources, lo, start, end)
+                        if sources[p] >= hi:
+                            continue
+                        t_min = targets[p]
+                    if j in one_class:
+                        got |= 1 << j
+                        continue
+                    if hi <= s_last and t_min != t_max:
+                        t_max = targets[bisect_left(sources, hi, p, end) - 1]
                     span = box.get(j)
                     if span is None:
-                        box[j] = [t_min, t_hi]
+                        box[j] = [t_min, t_max + 1]
                         continue
                     if t_min < span[0]:
                         span[0] = t_min
-                    if t_hi > span[1]:
-                        span[1] = t_hi
-            if far:
-                got |= _mask(far)
-        row = self._directory[sym]
-        sources, targets = self._sources, self._targets
-        one_class = self._one_class
-        for i, (lo, hi) in longs.items():
-            entry = row.get(i)
-            if entry is None:
-                continue
-            groups, n = entry
-            probes += n
-            for j, t_min, t_max, start, end, s_first, s_last in groups:
-                if hi <= s_first or lo > s_last:
-                    continue
-                p = start
-                if lo > s_first:
-                    p = bisect_left(sources, lo, start, end)
-                    if sources[p] >= hi:
-                        continue
-                    t_min = targets[p]
-                if j in one_class:
-                    got |= 1 << j
-                    continue
-                if hi <= s_last and t_min != t_max:
-                    t_max = targets[bisect_left(sources, hi, p, end) - 1]
-                span = box.get(j)
-                if span is None:
-                    box[j] = [t_min, t_max + 1]
-                    continue
-                if t_min < span[0]:
-                    span[0] = t_min
-                if t_max >= span[1]:
-                    span[1] = t_max + 1
-        if stats is not None:
-            stats.symbols += 1
-            stats.probes += probes
-        return got, box
-
-    def _fold(self, ones: int, longs: _Longs, syms: Iterable[int],
-              stats: QueryStats | None) -> tuple[int, _Longs]:
-        """Step the fold state through the symbols; stops at the first empty
-        state."""
-        for sym in syms:
-            ones, longs = self._step(ones, longs, sym, stats)
-            if not (ones or longs):
+                    if t_max >= span[1]:
+                        span[1] = t_max + 1
+            ones, longs = got, box
+            if not (got or box):
                 break
+        if stats is not None:
+            stats.symbols += steps
+            stats.probes += probes
         return ones, longs
 
     def follow(self, s: ClassSet, a: str, stats: QueryStats | None = None) -> ClassSet:
-        """Classes reachable from ``s`` by one edge labeled ``a``."""
-        ones, longs = self._own(s)
-        sym = self._symbol_index.get(a)
+        """Classes reachable from ``s`` by one edge labeled ``a``: a one-symbol fold."""
+        state, sym = self._own(s), self._symbol_index.get(a)
         if sym is None:
             _refuse(a)
-        return ClassSet(*self._step(ones, longs, sym, stats), self)
+        return ClassSet(*self._fold(state, (sym,), stats), self)
 
     def match_from(self, s: ClassSet, pattern: Iterable[str],
                    stats: QueryStats | None = None) -> tuple[bool, ClassSet]:
         """Fold ``follow`` over the pattern, starting at ``s``."""
-        ones, longs = self._fold(*self._own(s), self._symbol_ids(pattern), stats)
+        ones, longs = self._fold(self._own(s), self._symbol_ids(pattern), stats)
         return bool(ones or longs), ClassSet(ones, longs, self)
 
     def match_pattern(self, pattern: Iterable[str],
                       stats: QueryStats | None = None) -> tuple[bool, ClassSet]:
         """Match starting anywhere: fold from the full set."""
-        ones, longs = self._fold(*self._full, self._symbol_ids(pattern), stats)
+        ones, longs = self._fold(self._full, self._symbol_ids(pattern), stats)
         return bool(ones or longs), ClassSet(ones, longs, self)
 
     def accept(self, alpha: Iterable[str], stats: QueryStats | None = None) -> bool:
@@ -841,9 +839,11 @@ class Index(WrittenIndex):
         hi)``, that is, two ``bisect_left`` calls differ."""
         if self._accept_error is not None:
             raise ValueError(self._accept_error)
-        ones, longs = self._fold(*self._start, self._symbol_ids(alpha), stats)
+        ones, longs = self._fold(self._start, self._symbol_ids(alpha), stats)
         if ones & self._final_ones:
             return True
+        if not longs:
+            return False
         finals, offsets = self.finals, self._offsets
         return any(bisect_left(finals, offsets[j] + lo) < bisect_left(finals, offsets[j] + hi)
                    for j, (lo, hi) in longs.items())

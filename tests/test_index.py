@@ -450,27 +450,35 @@ class TestProbeDirectory:
                     assert ix.follow(interval_set(ix, intervals), a).intervals() == want
 
     def test_fold_agrees_with_follow(self, graph_corpus):
-        """On the graph corpus, criterion 5's automata and the top band, as
-        automata and as graphs, where q >= 2: the query fold and a fold of the
-        public ``follow`` end on the same set with the same ``QueryStats``,
-        and each step probes every group of the pairs whose source chain it
-        starts from. The top band's steps start from sets that span more than
-        two blocks of four chains, and from sets that reach a partial last
-        block."""
+        """On the graph corpus, criterion 5's automata, the top band, as
+        automata and as graphs, and seeded de Bruijn graphs (q = 1): the query
+        fold and a fold of the public ``follow`` end on the same set with the
+        same ``QueryStats``, and each step probes every group of the pairs
+        whose source chain it starts from. The top band's steps start from
+        sets that span more than two blocks of four chains, and from sets that
+        reach a partial last block. The de Bruijn graphs' patterns, up to 12
+        symbols, half of them read off the DNA, step one longer chain."""
         rng = random.Random(1711)
-        checked = accepts = wide = partial = 0
+        checked = accepts = wide = partial = long_hits = 0
         top_band = top_band_automata()
-        for source in [*graph_corpus, *criterion_5_automata(), *top_band,
-                       *(a.graph for a in top_band)]:
+        debruijn = [seeded_debruijn(seed, length, k)
+                    for seed, length, k in ((31, 300, 4), (32, 500, 5), (33, 800, 6))]
+        for source, dna in [*((s, None) for s in [*graph_corpus, *criterion_5_automata(),
+                                                   *top_band, *(a.graph for a in top_band)]),
+                            *((g, dna) for dna, g in debruijn)]:
             nfa = isinstance(source, Nfa)
             result = run_pipeline(source)
             ix = result.index().open()
-            if ix.q < 2:
-                continue
+            assert dna is None or ix.q == 1
             groups = Counter((sym, i) for (_, sym, i), _ in group_items(ix))
             symbols = ix.alphabet.symbols
-            for _ in range(4):
-                p = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
+            for _ in range(4 if dna is None else 40):
+                if dna is None:
+                    p = tuple(rng.choice(symbols) for _ in range(rng.randint(1, 6)))
+                else:
+                    n, i = rng.randint(1, 12), rng.randrange(len(dna))
+                    p = (tuple((dna + dna[:12])[i:i + n]) if rng.random() < 0.5
+                         else tuple(rng.choice(symbols) for _ in range(n)))
                 by_follow, by_fold = QueryStats(), QueryStats()
                 cur = ix.set_for_classes([ix.initial_class]) if nfa else ix.full_set()
                 for a in p:
@@ -493,8 +501,9 @@ class TestProbeDirectory:
                     assert ix.match_pattern(p, by_fold) == (not cur.is_empty(), cur)
                 assert by_fold == by_follow
                 checked += 1
+                long_hits += dna is not None and len(p) > 6 and not cur.is_empty()
         assert checked > 1000 and accepts > 200
-        assert wide > 400 and partial > 200
+        assert wide > 400 and partial > 200 and long_hits > 20
 
     @pytest.mark.parametrize("seed, length, k", [(11, 300, 4), (12, 450, 5), (13, 600, 5)])
     def test_wheeler_graph_matches_brute_force(self, monkeypatch, seed, length, k):
@@ -753,6 +762,81 @@ class TestMatch:
         ix, _, _ = build_from(double_hub_graph(2))
         with pytest.raises(PatternError):
             ix.match_from(ix.set_for_classes([]), ["z"])
+
+
+class TestFold:
+    """The one fold loop that every query runs, ``follow`` with one symbol."""
+
+    @staticmethod
+    def shared_set_cases():
+        """A q = 1 de Bruijn graph's index and a top-band graph's, of one
+        longer chain among 35 one-class chains; sets whose longer chains'
+        intervals a step made (lists) or the index's constructor made
+        (tuples); and every pattern of up to three symbols."""
+        for g in (seeded_debruijn(41, 200, 4)[1], top_band_automata()[4].graph):
+            ix = build_from(g)[0]
+            patterns = [p for n in range(4) for p in product(ix.alphabet.symbols, repeat=n)]
+            starts = [ix.full_set(), *(ix.follow(ix.full_set(), a) for a in ix.alphabet.symbols)]
+            assert any(isinstance(span, list) for s in starts for span in s.longs.values())
+            yield ix, starts, patterns
+
+    def test_a_shared_set_folds_unchanged(self):
+        """A set folded twice through ``match_from`` gives equal answers, and
+        the fold writes nothing into it: its intervals and the spans of its
+        longer chains are as before."""
+        for ix, starts, patterns in self.shared_set_cases():
+            for start in starts:
+                intervals = start.intervals()
+                longs = {j: tuple(span) for j, span in start.longs.items()}
+                for p in patterns:
+                    first, stats = ix.match_from(start, p, QueryStats()), QueryStats()
+                    assert ix.match_from(start, p, stats) == first
+                assert start.intervals() == intervals
+                assert {j: tuple(span) for j, span in start.longs.items()} == longs
+
+    def test_a_generator_pattern_answers_as_its_tuple(self):
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp).open()
+        start = ix.set_for_classes([ix.initial_class])
+        for n in range(5):
+            for p in product(ix.alphabet.symbols, repeat=n):
+                by_tuple, by_generator = QueryStats(), QueryStats()
+                assert (ix.match_pattern((a for a in p), by_generator)
+                        == ix.match_pattern(p, by_tuple))
+                assert ix.match_from(start, (a for a in p), by_generator) == \
+                    ix.match_from(start, p, by_tuple)
+                assert ix.accept((a for a in p), by_generator) == ix.accept(p, by_tuple)
+                assert by_generator == by_tuple
+        with pytest.raises(PatternError, match="unknown symbol 'z'"):
+            ix.accept(a for a in ("a", "z"))
+
+    def test_a_bad_symbol_after_an_emptying_prefix_is_refused(self):
+        """The pattern is checked before the fold: a symbol outside the
+        alphabet, or a marker, after a prefix that empties the set is
+        refused, and the caller's ``QueryStats`` keeps its counts."""
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        ix = build_nfa_index(qn, cp).open()
+        start = ix.set_for_classes([ix.initial_class])
+        prefix = ("b", "a")
+        assert ix.match_from(start, prefix) == (False, ix.set_for_classes([]))
+        assert ix.match_pattern(("a", "b", "b"))[0] is False
+        for bad, message in (("z", "unknown symbol 'z'"),
+                             ("#", "marker '#' cannot appear in a pattern"),
+                             ("@", "marker '@' cannot appear in a pattern")):
+            for query in (lambda p, st: ix.match_from(start, p, st),
+                          lambda p, st: ix.match_pattern(("a", "b", *p), st), ix.accept):
+                stats = QueryStats(probes=7, symbols=3)
+                with pytest.raises(PatternError, match=message):
+                    query((*prefix, bad), stats)
+                assert stats == QueryStats(probes=7, symbols=3)
+
+    def test_follow_from_the_empty_set_counts_one_symbol_and_no_probe(self):
+        ix = build_from(double_hub_graph(3))[0]
+        stats = QueryStats()
+        assert ix.follow(ix.set_for_classes([]), "a", stats).is_empty()
+        assert stats == QueryStats(probes=0, symbols=1)
+        assert ix.match_from(ix.set_for_classes([]), ["a", "a"], stats)[0] is False
+        assert stats == QueryStats(probes=0, symbols=2)
 
 
 class TestAccept:
