@@ -27,6 +27,7 @@ refinement, transitive closure, antisymmetry, parsing) are in ``oracle``.
 from __future__ import annotations
 
 import resource
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -158,20 +159,24 @@ def _row_classes(bits: np.ndarray) -> str | tuple[np.ndarray, np.ndarray, np.nda
     (class of each node, smallest member of each class, the class order).
 
     Nodes with equal rows form a class, with ids in order of first appearance,
-    so each class's smallest member names it. On a preorder these are the
-    classes of nodes related both ways: u <= v <= u makes the rows of u and v
-    equal by transitivity, and equal rows hold u <= v and v <= u, as each row
-    holds its own node. ``lift`` checks on each class's smallest member that
-    the columns of a class agree; with rows equal by naming, that gives
-    bits[u, v] = order[c(u), c(v)] for all u and v, so ``bits`` is transitive
-    exactly when ``order`` is. It reads the k class rows in O(k * n), and is
+    so each class's smallest member names it: the row that opens its id. On a
+    preorder these are the classes of nodes related both ways: u <= v <= u
+    makes the rows of u and v equal by transitivity, and equal rows hold
+    u <= v and v <= u, as each row holds its own node. ``lift`` checks on each
+    class's smallest member that the columns of a class agree; with rows
+    equal by naming, that gives bits[u, v] = order[c(u), c(v)] for all u and
+    v, so ``bits`` is transitive exactly when ``order`` is. It reads the k class rows in O(k * n), and is
     not needed when every class is one node, where ``order`` is ``bits``.
     """
     n = bits.shape[0]
     ids: dict[bytes, int] = {}
-    class_of = np.array([ids.setdefault(row.tobytes(), len(ids))
-                         for row in np.packbits(bits, axis=1)], dtype=np.intp)
-    reps = np.unique(class_of, return_index=True)[1]
+    class_of, reps = [], []
+    for u, row in enumerate(np.packbits(bits, axis=1)):
+        c = ids.setdefault(row.tobytes(), len(ids))
+        if c == len(reps):  # the row opens a class, so it is the smallest member
+            reps.append(u)
+        class_of.append(c)
+    class_of, reps = np.array(class_of, dtype=np.intp), np.array(reps, dtype=np.intp)
     k = reps.size
     if k == n:
         return class_of, reps, bits
@@ -267,22 +272,22 @@ def _certify(order: np.ndarray, chains: Sequence[Sequence[int]]) -> str | tuple:
 def _label_extremes(g: LabeledGraph, u_marked) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (min rank, max rank) of the label set, in the extended order.
 
-    Read off the label-edge table, so it agrees with ``lambda_sets`` without
-    building the graph's in-adjacency lists.
+    The in-label extremes come with the label tables (``_label_tables``), so
+    they agree with ``lambda_sets`` without building the graph's
+    in-adjacency lists; this only adds ``@`` at the marked nodes. Without a
+    marked node it returns the cached read-only arrays, and with one it
+    writes into copies, so marking never changes the cache.
     """
     marked = list(u_marked)
     for v in marked:
         if not 0 <= v < g.n:
             raise ValueError(f"marked node {v} out of range")
-    lo = np.full(g.n, -1, dtype=np.int64)
-    hi = np.full(g.n, g.alphabet.rank(HASH), dtype=np.int64)
-    for le in _label_edges(g):  # ascending rank, so the last label written is the max
-        rank = g.alphabet.rank(le.label)
-        hi[le.targets] = rank
-        lo[le.targets[lo[le.targets] < 0]] = rank
-    lo[lo < 0] = g.alphabet.rank(HASH)
-    lo[marked] = np.minimum(lo[marked], g.alphabet.rank(AT))
-    hi[marked] = np.maximum(hi[marked], g.alphabet.rank(AT))
+    lo, hi = _label_tables(g)[1:]
+    if marked:
+        at = g.alphabet.rank(AT)
+        lo, hi = lo.copy(), hi.copy()
+        lo[marked] = np.minimum(lo[marked], at)
+        hi[marked] = np.maximum(hi[marked], at)
     return lo, hi
 
 
@@ -298,11 +303,12 @@ class _LabelEdges(NamedTuple):
     """One label's edges, grouped by target for the same-label step.
 
     ``targets`` lists the label's distinct targets by descending in-degree
-    (ties by id). Layer k holds the k-th source of each target that has more
-    than k, in the same order, so every layer is a prefix of the last; the
-    layers sit one after another in ``sources``, ``widths[k]`` entries each.
-    ``columns`` lists the distinct sources in ascending order, and ``slots``
-    is ``sources`` with each source replaced by its index in ``columns``.
+    (ties by id). Layer k holds the k-th smallest source of each target that
+    has more than k, in the same order, so every layer is a prefix of the
+    last; the layers sit one after another in ``sources``, ``widths[k]``
+    entries each. ``columns`` lists the distinct sources in ascending order,
+    and ``slots`` is ``sources`` with each source replaced by its index in
+    ``columns``. The four arrays are ``np.intp``.
     """
 
     label: str
@@ -313,28 +319,63 @@ class _LabelEdges(NamedTuple):
     slots: np.ndarray
 
 
-def _label_edges(g: LabeledGraph) -> tuple[_LabelEdges, ...]:
-    """Per label with at least one edge, in alphabet order. Cached on the graph."""
-    cached = getattr(g, "_label_edges", None)
-    if cached is None:
-        by_label: dict[str, list[tuple[int, int]]] = {}
-        for u, v, a in g.edges:
-            by_label.setdefault(a, []).append((v, u))
-        out = []
-        for a in sorted(by_label, key=g.alphabet.index):
-            edges = np.array(sorted(by_label[a]), dtype=np.intp)
-            targets, starts, counts = np.unique(edges[:, 0], return_index=True,
-                                                return_counts=True)
-            by_degree = np.argsort(-counts, kind="stable")
-            starts, counts = starts[by_degree], counts[by_degree]
-            layers = [edges[starts[counts > k] + k, 1] for k in range(int(counts[0]))]
-            sources = np.concatenate(layers)
-            columns, slots = np.unique(sources, return_inverse=True)
-            out.append(_LabelEdges(a, targets[by_degree], sources, tuple(map(len, layers)),
-                                   columns, slots))
-        cached = tuple(out)
-        object.__setattr__(g, "_label_edges", cached)
+def _label_tables(g: LabeledGraph) -> tuple[tuple[_LabelEdges, ...], np.ndarray, np.ndarray]:
+    """(each label's table, each node's lowest and highest in-label rank).
+
+    The tables are those of the labels with at least one edge, in alphabet
+    order. A node without in-edges has ``#`` as both extremes. One Python
+    pass over the edges groups each label's sources by target, and each table
+    is laid out from those lists with one ``np.array`` call per field: on the
+    small tables of an automaton, numpy's cost per call is most of the work.
+    Cached on the graph; the rank arrays are read-only, so the cache is
+    never written after it is built.
+    """
+    cached = getattr(g, "_label_tables", None)
+    if cached is not None:
+        return cached
+    by_label = {a: defaultdict(list) for a in g.alphabet.symbols}
+    for u, v, a in g.edges:
+        by_label[a][v].append(u)
+    no_label = g.alphabet.rank(HASH)
+    lo, hi = [no_label] * g.n, [no_label] * g.n
+    tables = []
+    for a, by_target in by_label.items():
+        if not by_target:
+            continue
+        rank = g.alphabet.rank(a)
+        for v, us in by_target.items():
+            us.sort()
+            if lo[v] == no_label:  # the labels come in ascending rank
+                lo[v] = rank
+            hi[v] = rank
+        targets = sorted(by_target)
+        targets.sort(key=lambda v: len(by_target[v]), reverse=True)  # stable: ties by id
+        per_target = list(map(by_target.__getitem__, targets))
+        sources, widths = [], []
+        width = len(per_target)
+        for k in range(len(per_target[0])):  # layer k: the targets with more than k sources
+            while len(per_target[width - 1]) <= k:
+                width -= 1
+            sources += [us[k] for us in per_target[:width]]
+            widths.append(width)
+        columns = sorted(set(sources))
+        slot = dict(zip(columns, range(len(columns))))
+        tables.append(_LabelEdges(a, np.array(targets, dtype=np.intp),
+                                  np.array(sources, dtype=np.intp), tuple(widths),
+                                  np.array(columns, dtype=np.intp),
+                                  np.array(list(map(slot.__getitem__, sources)), dtype=np.intp)))
+    lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    cached = (tuple(tables), lo, hi)
+    object.__setattr__(g, "_label_tables", cached)
     return cached
+
+
+def _label_edges(g: LabeledGraph) -> tuple[_LabelEdges, ...]:
+    """Per label with at least one edge, in alphabet order: the tables of
+    ``_label_tables``, cached on the graph with the label extremes."""
+    return _label_tables(g)[0]
 
 
 def _or_by_target(x: np.ndarray, sources: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:

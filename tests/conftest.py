@@ -1,4 +1,7 @@
+import faulthandler
+import os
 import random
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -13,6 +16,32 @@ SEED_ORDER_CORPUS = 1303
 SEED_ACYCLIC_CORPUS = 1304
 SEED_SPACE_FAMILY = 909
 SEED_BIG_GRAPH = 606
+
+# A test (with its fixtures) still running after this many seconds is taken
+# as hung: every thread's stack is dumped and the run exits, so a hang fails
+# the suite at once. The slowest test takes a few seconds.
+HANG_GUARD_S = 120
+
+_HANG_GUARD_FD = pytest.StashKey[int]()  # stderr as the run started, before capture
+
+
+def pytest_configure(config):
+    config.stash[_HANG_GUARD_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_HANG_GUARD_FD])
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Arm the hang guard afresh for each test."""
+    faulthandler.dump_traceback_later(HANG_GUARD_S, exit=True,
+                                     file=item.config.stash[_HANG_GUARD_FD])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def fan_graph() -> LabeledGraph:

@@ -240,6 +240,25 @@ class TestAccept:
         main(["build", hub_file, "-o", out])
         assert main(["accept", out, "a"]) == 2
 
+    def test_half_automaton_index_is_refused(self, tmp_path, capsys):
+        # finals without an initial class, and an initial class without finals
+        result = run_pipeline(loop_branch_nfa())
+        view = result.automaton
+        halves = {"finals": build_index(result.quotient, result.chains, finals=view.finals),
+                  "initial": build_index(result.quotient, result.chains, initial=view.initial)}
+        for name, written in halves.items():
+            ix = written.open()
+            with pytest.raises(ValueError, match="^index lacks automaton data "):
+                ix.accept(("a",))
+            out = str(tmp_path / f"{name}.clxi")
+            written.save(out)
+            capsys.readouterr()
+            assert main(["accept", out, "a"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: index lacks automaton data ")
+            assert captured.err.count("\n") == 1
+
     def test_accept_needs_marker(self, tmp_path, capsys):
         # The funnel quotients to the same automaton with or without the
         # marker; built with no flag, its index has the marker and accepts.

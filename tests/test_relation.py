@@ -1,5 +1,8 @@
+import importlib.util
 import random
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hypothesis import given, settings
 
 from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relation,
                         dump_relation, first_axiom_violation, lambda_sets, max_colex_relation,
-                        preorder_width)
+                        parse_nfa, preorder_width, trim_nfa)
 from colexgraph.oracle import (gfp_max_relation, is_antisymmetric, is_colex_relation,
                                is_transitive, min_colex_containing, parse_relation,
                                random_colex_relation, random_graph, refines,
@@ -298,6 +301,56 @@ class TestLabelTables:
         assert first_axiom_violation(g, pre, {0}) is None
         assert _label_edges(g) is table
         assert _label_edges(loop_branch_nfa().graph) is not table
+
+    @staticmethod
+    def assert_tables_from_in_adjacency(g):
+        """Each label's table, laid out again from ``g.in_adjacency()``."""
+        in_adj = g.in_adjacency()
+        want = []
+        for a in g.alphabet.symbols:
+            by_target = {v: in_adj[v][a] for v in range(g.n) if a in in_adj[v]}
+            if not by_target:
+                continue
+            targets = sorted(by_target, key=lambda v: (-len(by_target[v]), v))
+            widths = [sum(len(by_target[v]) > k for v in targets)
+                      for k in range(len(by_target[targets[0]]))]
+            sources = [by_target[v][k] for k, width in enumerate(widths)
+                       for v in targets[:width]]
+            columns = sorted(set(sources))
+            want.append((a, targets, sources, tuple(widths), columns,
+                         [columns.index(s) for s in sources]))
+        got = _label_edges(g)
+        assert [le.label for le in got] == [w[0] for w in want]
+        for le, w in zip(got, want):
+            assert le.widths == w[3]
+            for field, expected in zip((le.targets, le.sources, le.columns, le.slots),
+                                       w[1:3] + w[4:]):
+                assert field.dtype == np.intp and field.tolist() == expected
+
+    def test_tables_match_the_in_adjacency_on_the_corpus(self, graph_corpus):
+        for g in graph_corpus:
+            self.assert_tables_from_in_adjacency(g)
+
+    @pytest.mark.parametrize("seed, length, k", [(31, 300, 3), (32, 500, 5)])
+    def test_tables_match_the_in_adjacency_on_de_bruijn_graphs(self, seed, length, k):
+        self.assert_tables_from_in_adjacency(seeded_debruijn(seed, length, k)[1])
+
+    def test_tables_match_the_in_adjacency_on_the_benchmark_automata(self, monkeypatch):
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        for unit in workloads.nfa_corpus(1).units:
+            self.assert_tables_from_in_adjacency(trim_nfa(parse_nfa(unit.text))[0].graph)
+
+    def test_marking_never_writes_into_the_cache(self, graph_corpus):
+        for g in graph_corpus[:200]:
+            calls = [_label_extremes(g, {0}), _label_extremes(g, ())]
+            fresh = [_label_extremes(LabeledGraph(g.n, g.edges, g.alphabet), marked)
+                     for marked in ({0}, ())]
+            assert [[x.tolist() for x in call] for call in calls] == \
+                [[x.tolist() for x in call] for call in fresh]
 
 
 class TestMaxRelation:
