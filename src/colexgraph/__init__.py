@@ -6,10 +6,10 @@ answering path and language queries as per-chain interval steps.
 ``run_pipeline`` runs these stages in order on a parsed graph or automaton.
 """
 
-from .chains import ChainPartition, max_antichain, min_chain_partition, preorder_width
+from .chains import ChainPartition, min_chain_partition
 from .graph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError, LabeledGraph,
-                    Nfa, angle, format_graph, format_nfa, lambda_sets, parse_graph,
-                    parse_input, parse_nfa, trim_nfa)
+                    Nfa, format_graph, format_nfa, parse_graph, parse_input, parse_nfa,
+                    trim_nfa)
 from .index import (ClassSet, Index, PatternError, QueryStats, SpaceReport, WrittenIndex,
                     build_index, build_nfa_index, parse_pattern)
 from .pipeline import PipelineResult, run_pipeline
@@ -25,9 +25,8 @@ __all__ = [
     "ClassSet", "EmptyLanguageError", "GraphFormatError", "Index", "LabeledGraph",
     "Nfa", "PatternError", "PipelineResult", "Preorder", "QueryStats",
     "QuotientGraph", "QuotientNfa",
-    "Relation", "SpaceReport", "WrittenIndex", "angle", "build_index", "build_nfa_index",
+    "Relation", "SpaceReport", "WrittenIndex", "build_index", "build_nfa_index",
     "classes", "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",
-    "lambda_sets", "max_antichain", "max_colex_relation", "min_chain_partition",
-    "parse_graph", "parse_input", "parse_nfa", "parse_pattern", "preorder_width",
-    "quotient_graph", "quotient_nfa", "run_pipeline", "trim_nfa",
+    "max_colex_relation", "min_chain_partition", "parse_graph", "parse_input", "parse_nfa",
+    "parse_pattern", "quotient_graph", "quotient_nfa", "run_pipeline", "trim_nfa",
 ]

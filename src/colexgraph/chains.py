@@ -1,18 +1,16 @@
-"""Minimum chain partition and maximum antichain of a (partial) order.
+"""Minimum chain partition of a (partial) order.
 
 The minimum chain partition of a transitively closed strict order is a minimum
 path cover: n minus a maximum bipartite matching. The matching starts from
 greedy chains along a linear extension (exact in one pass on a total order)
 and Hopcroft-Karp augments only what the greedy pass left; every step is a
 fixed function of the order, so the partition is deterministic. Chains are
-recovered by following matched pairs from heads in ascending id. The Konig
-cover of the same matching yields a maximum antichain, giving the width
-equality both ways.
+recovered by following matched pairs from heads in ascending id.
 
 Every ``Preorder`` runs the matching (``_chain_cover``) once, on its class
 order, when it is built: the chains are part of its transitivity certificate,
 which costs O(k^2 + k * q^2) on k classes and q chains (``relation._certify``).
-The public functions here read a ``Preorder``'s chains; ``relation`` imports
+``min_chain_partition`` reads a ``Preorder``'s chains; ``relation`` imports
 this module, which names ``Preorder`` only in annotations.
 """
 
@@ -221,42 +219,3 @@ def min_chain_partition(order: Preorder) -> ChainPartition:
     order, whose ids are chain-major, every chain is a consecutive id range.
     """
     return ChainPartition(_partial_order_chains(order))
-
-
-def max_antichain(order: Preorder) -> frozenset[int]:
-    """A maximum antichain, from the Konig cover of the path-cover matching."""
-    chains = _partial_order_chains(order)
-    n = order.n
-    # The maximum matching the chains were built from: each member to the next.
-    match_left = [-1] * n
-    match_right = [-1] * n
-    for chain in chains:
-        for u, v in zip(chain, chain[1:]):
-            match_left[u] = v
-            match_right[v] = u
-    strict = order.bits & ~np.eye(n, dtype=bool)
-    # Alternating reachability from unmatched left vertices.
-    in_z_left = [False] * n
-    in_z_right = [False] * n
-    dq = deque()
-    for u in range(n):
-        if match_left[u] == -1:
-            in_z_left[u] = True
-            dq.append(u)
-    while dq:
-        u = dq.popleft()
-        for v in np.flatnonzero(strict[u]).tolist():
-            if match_left[u] == v or in_z_right[v]:
-                continue
-            in_z_right[v] = True
-            w = match_right[v]
-            if w != -1 and not in_z_left[w]:
-                in_z_left[w] = True
-                dq.append(w)
-    # Cover = (L outside Z) plus (R inside Z); the antichain avoids both.
-    return frozenset(v for v in range(n) if in_z_left[v] and not in_z_right[v])
-
-
-def preorder_width(pre: Preorder) -> int:
-    """Width of a preorder = width of its quotient partial order."""
-    return len(pre._ends)

@@ -1,4 +1,4 @@
-"""Edge-labeled graphs, automata, label sets and the text format.
+"""Edge-labeled graphs, automata and the text format.
 
 Nodes are dense integers 0..n-1. Edges are (source, target, label) triples over
 a totally ordered alphabet of user symbols. Two reserved marker labels exist
@@ -170,38 +170,6 @@ class Nfa:
             raise ValueError("initial state out of range")
         if any(not 0 <= f < n for f in self.finals):
             raise ValueError("final state out of range")
-
-
-def lambda_sets(g: LabeledGraph, u_marked: Iterable[int] = ()) -> list[frozenset[str]]:
-    """Label set of every node: incoming labels, or {HASH} when there are none.
-
-    Nodes in u_marked additionally carry AT. Every returned set is nonempty.
-    """
-    marked = set(u_marked)
-    for v in marked:
-        if not 0 <= v < g.n:
-            raise ValueError(f"marked node {v} out of range")
-    incoming = g.in_adjacency()
-    out = []
-    for v in range(g.n):
-        labels = set(incoming[v])
-        if not labels:
-            labels = {HASH}
-        if v in marked:
-            labels.add(AT)
-        out.append(frozenset(labels))
-    return out
-
-
-def angle(a: frozenset[str], b: frozenset[str], alph: Alphabet) -> bool:
-    """Label-set dominance: every symbol of a precedes-or-equals every symbol of b.
-
-    Equivalent to max(a) <= min(b) in the extended order, so constant time once
-    the extremes are known.
-    """
-    if not a or not b:
-        raise ValueError("label sets must be nonempty")
-    return max(alph.rank(x) for x in a) <= min(alph.rank(y) for y in b)
 
 
 def _reached(adjacent: list[list[int]], start: Iterable[int]) -> set[int]:

@@ -18,8 +18,8 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chains import ChainPartition, max_antichain, preorder_width
-from .graph import Alphabet, LabeledGraph, Nfa, angle, lambda_sets, trim_nfa
+from .chains import ChainPartition, _partial_order_chains
+from .graph import AT, HASH, Alphabet, LabeledGraph, Nfa, trim_nfa
 from .index import Index, QueryStats, _decode, _read, _write
 from .pipeline import PipelineResult
 from .quotient import ClassPartition, classes
@@ -56,6 +56,38 @@ def simulate_nfa(a: Nfa, alpha: Sequence[str]) -> bool:
 
 
 # Maximum relation, the slow way ----------------------------------------------
+
+def lambda_sets(g: LabeledGraph, u_marked: Iterable[int] = ()) -> list[frozenset[str]]:
+    """Label set of every node: incoming labels, or {HASH} when there are none.
+
+    Nodes in u_marked additionally carry AT. Every returned set is nonempty.
+    """
+    marked = set(u_marked)
+    for v in marked:
+        if not 0 <= v < g.n:
+            raise ValueError(f"marked node {v} out of range")
+    incoming = g.in_adjacency()
+    out = []
+    for v in range(g.n):
+        labels = set(incoming[v])
+        if not labels:
+            labels = {HASH}
+        if v in marked:
+            labels.add(AT)
+        out.append(frozenset(labels))
+    return out
+
+
+def angle(a: frozenset[str], b: frozenset[str], alph: Alphabet) -> bool:
+    """Label-set dominance: every symbol of a precedes-or-equals every symbol of b.
+
+    Equivalent to max(a) <= min(b) in the extended order, so constant time once
+    the extremes are known.
+    """
+    if not a or not b:
+        raise ValueError("label sets must be nonempty")
+    return max(alph.rank(x) for x in a) <= min(alph.rank(y) for y in b)
+
 
 def gfp_max_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorder:
     """Greatest fixpoint: start from all dominance-ordered pairs and repeatedly
@@ -111,6 +143,18 @@ def is_convex(order: Relation, s: Iterable[int]) -> bool:
 
 # The paper's lemmas: closure under union and transitive closure, quotients --
 
+def identity_relation(n: int) -> Relation:
+    return Relation(np.eye(n, dtype=bool))
+
+
+def relation_from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> Relation:
+    """The given pairs plus the diagonal."""
+    bits = np.eye(n, dtype=bool)
+    for u, v in pairs:
+        bits[u, v] = True
+    return Relation(bits)
+
+
 def is_colex_relation(g: LabeledGraph, r: Relation, u_marked: Iterable[int] = ()) -> bool:
     return first_axiom_violation(g, r, u_marked) is None
 
@@ -162,7 +206,7 @@ def parse_relation(text: str, n: int) -> Relation:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"line {lineno}: node out of range")
         pairs.append((u, v))
-    return Relation.from_pairs(n, pairs)
+    return relation_from_pairs(n, pairs)
 
 
 def min_colex_containing(g: LabeledGraph, u: int, v: int,
@@ -194,7 +238,7 @@ def min_colex_containing(g: LabeledGraph, u: int, v: int,
                     if x1 != y1 and (x1, y1) not in seen:
                         seen.add((x1, y1))
                         stack.append((x1, y1))
-    return Relation.from_pairs(g.n, seen)
+    return relation_from_pairs(g.n, seen)
 
 
 def project_nodes(part: ClassPartition, nodes: Iterable[int]) -> frozenset[int]:
@@ -447,6 +491,47 @@ def language_equiv(a: Nfa, b: Nfa) -> bool:
                 seen.add(pair)
                 dq.append(pair)
     return True
+
+
+# Width: the Dilworth certificate ----------------------------------------------
+
+def max_antichain(order: Preorder) -> frozenset[int]:
+    """A maximum antichain, from the Konig cover of the path-cover matching."""
+    chains = _partial_order_chains(order)
+    n = order.n
+    # The maximum matching the chains were built from: each member to the next.
+    match_left = [-1] * n
+    match_right = [-1] * n
+    for chain in chains:
+        for u, v in zip(chain, chain[1:]):
+            match_left[u] = v
+            match_right[v] = u
+    strict = order.bits & ~np.eye(n, dtype=bool)
+    # Alternating reachability from unmatched left vertices.
+    in_z_left = [False] * n
+    in_z_right = [False] * n
+    dq = deque()
+    for u in range(n):
+        if match_left[u] == -1:
+            in_z_left[u] = True
+            dq.append(u)
+    while dq:
+        u = dq.popleft()
+        for v in np.flatnonzero(strict[u]).tolist():
+            if match_left[u] == v or in_z_right[v]:
+                continue
+            in_z_right[v] = True
+            w = match_right[v]
+            if w != -1 and not in_z_left[w]:
+                in_z_left[w] = True
+                dq.append(w)
+    # Cover = (L outside Z) plus (R inside Z); the antichain avoids both.
+    return frozenset(v for v in range(n) if in_z_left[v] and not in_z_right[v])
+
+
+def preorder_width(pre: Preorder) -> int:
+    """Width of a preorder = width of its quotient partial order."""
+    return len(pre._ends)
 
 
 # Exhaustive small-scale oracles ------------------------------------------------

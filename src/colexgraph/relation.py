@@ -21,7 +21,8 @@ the index use anyway), numbers the classes chain by chain, and checks the
 chain certificate of ``_certify``, which reads only the class order, in
 O(k^2 + k * q^2) on q chains.
 The helpers that only check the paper's lemmas on relations (union,
-refinement, transitive closure, antisymmetry, parsing) are in ``oracle``.
+refinement, transitive closure, antisymmetry, parsing, and the constructors
+``identity_relation`` and ``relation_from_pairs``) are in ``oracle``.
 """
 
 from __future__ import annotations
@@ -73,22 +74,8 @@ class Relation:
     def __setattr__(self, name, value):
         raise AttributeError("relations are immutable")
 
-    @classmethod
-    def identity(cls, n: int) -> "Relation":
-        return cls(np.eye(n, dtype=bool))
-
-    @classmethod
-    def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Relation":
-        bits = np.eye(n, dtype=bool)
-        for u, v in pairs:
-            bits[u, v] = True
-        return cls(bits)
-
     def holds(self, u: int, v: int) -> bool:
         return bool(self.bits[u, v])
-
-    def __contains__(self, pair: tuple[int, int]) -> bool:
-        return self.holds(*pair)
 
     def strict_pairs(self) -> list[tuple[int, int]]:
         """Off-diagonal members, sorted."""
@@ -273,7 +260,7 @@ def _label_extremes(g: LabeledGraph, u_marked) -> tuple[np.ndarray, np.ndarray]:
     """Per-node (min rank, max rank) of the label set, in the extended order.
 
     The in-label extremes come with the label tables (``_label_tables``), so
-    they agree with ``lambda_sets`` without building the graph's
+    they agree with ``oracle.lambda_sets`` without building the graph's
     in-adjacency lists; this only adds ``@`` at the marked nodes. Without a
     marked node it returns the cached read-only arrays, and with one it
     writes into copies, so marking never changes the cache.
@@ -372,12 +359,6 @@ def _label_tables(g: LabeledGraph) -> tuple[tuple[_LabelEdges, ...], np.ndarray,
     return cached
 
 
-def _label_edges(g: LabeledGraph) -> tuple[_LabelEdges, ...]:
-    """Per label with at least one edge, in alphabet order: the tables of
-    ``_label_tables``, cached on the graph with the label extremes."""
-    return _label_tables(g)[0]
-
-
 def _or_by_target(x: np.ndarray, sources: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
     """Row i is the OR of x's rows at the i-th target's entries of ``sources``."""
     end = widths[0]
@@ -428,7 +409,7 @@ def _unrelated_pairs(g: LabeledGraph, u_marked) -> np.ndarray:
     comparison keeps each level to the pairs it newly marks.
     """
     n = g.n
-    labels = _label_edges(g)
+    labels = _label_tables(g)[0]
     marked = _angle_violations(g, u_marked)
     frontier = marked.copy()
     np.fill_diagonal(marked, True)
@@ -486,7 +467,7 @@ def first_axiom_violation(g: LabeledGraph, r: Relation,
     # Axiom 2, per label: a violation is a related distinct pair with
     # same-label in-neighbours (u', v') outside the relation.
     not_r = np.logical_not(r.bits, out=bad1)
-    for le in _label_edges(g):
+    for le in _label_tables(g)[0]:
         targets = le.targets
         bad2 = r.bits[targets][:, targets] & _same_label_step(not_r, le)
         np.fill_diagonal(bad2, False)  # the targets are distinct

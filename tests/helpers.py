@@ -1,14 +1,18 @@
 """Test-only constructions shared across modules."""
 
+import importlib.util
 import random
 import struct
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 
-from colexgraph import LabeledGraph, QuotientNfa, Relation, lambda_sets, run_pipeline
+from colexgraph import LabeledGraph, QuotientNfa, Relation, run_pipeline
 from colexgraph.graph import Alphabet
 from colexgraph.index import Index, WrittenIndex, _Arrays, _decode, _read, _write
+from colexgraph.oracle import lambda_sets
 
 
 def strict_label_relation(g: LabeledGraph, u_marked=()) -> Relation:
@@ -42,6 +46,16 @@ def seeded_debruijn(seed: int, length: int, k: int) -> tuple[str, LabeledGraph]:
         ids.setdefault(circ[i:i + k], len(ids))
     edges = ((ids[circ[i:i + k]], ids[circ[i + 1:i + 1 + k]], circ[i + k]) for i in range(length))
     return dna, LabeledGraph.build(len(ids), edges, "ACGT")
+
+
+def benchmark_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    return workloads
 
 
 def two_node_alphabet_graph() -> LabeledGraph:

@@ -11,14 +11,14 @@ import time
 
 import pytest
 
-from colexgraph import (Preorder, QueryStats, Relation, build_index, build_nfa_index,
-                        max_colex_relation, min_chain_partition, oracle, preorder_width,
-                        quotient_graph, quotient_nfa)
+from colexgraph import (Preorder, QueryStats, build_index, build_nfa_index,
+                        max_colex_relation, min_chain_partition, oracle, quotient_graph,
+                        quotient_nfa)
 from colexgraph.oracle import (brute_theta, check_powerset_bounds,
                                exhaustive_max_antichain, gfp_max_relation, is_convex,
-                               language_equiv, prec_a_acyclic, random_acyclic_nfa,
-                               random_graph, random_partial_order, random_trim_nfa,
-                               rewritten, simulate_nfa)
+                               language_equiv, prec_a_acyclic, preorder_width,
+                               random_acyclic_nfa, random_graph, random_partial_order,
+                               random_trim_nfa, relation_from_pairs, rewritten, simulate_nfa)
 from conftest import (SEED_ACYCLIC_CORPUS, SEED_BIG_GRAPH, SEED_NFA_CORPUS,
                       SEED_ORDER_CORPUS, SEED_SPACE_FAMILY, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       two_cycle_graph)
@@ -243,7 +243,7 @@ def _min_colex_order_width(nfa):
         if not transitive:
             continue
         orders_seen += 1
-        order = Relation.from_pairs(g.n, chosen)
+        order = relation_from_pairs(g.n, chosen)
         width = min_chain_partition(Preorder(order.bits)).chain_count
         best = min(best, width)
     return best, orders_seen

@@ -15,7 +15,12 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Helpers that check the paper's lemmas; the build never calls them.
 LEMMA_HELPERS = ("union", "refines", "transitive_closure", "parse_relation",
                  "is_colex_relation", "is_antisymmetric", "project_nodes", "lift_classes",
-                 "project_relation", "lift_relation", "min_colex_containing")
+                 "project_relation", "lift_relation", "min_colex_containing",
+                 "max_antichain", "preorder_width", "lambda_sets", "angle")
+
+# Helpers that moved from the library modules into the oracle.
+MOVED_TO_ORACLE = ("max_antichain", "preorder_width", "lambda_sets", "angle",
+                   "identity_relation", "relation_from_pairs")
 
 
 def _colexgraph_imports() -> list[tuple[str, str, str]]:
@@ -48,6 +53,18 @@ def test_lemma_helpers_live_in_the_oracle():
         assert name not in colexgraph.__all__
         assert not hasattr(colexgraph, name), name
     assert not hasattr(colexgraph.Relation, "is_antisymmetric")
+
+
+def test_the_library_modules_hold_no_lemma_helper():
+    """The width certificate, the label sets and the test-only relation
+    constructors are the oracle's alone: no library module or ``Relation``
+    keeps a copy."""
+    for name in MOVED_TO_ORACLE:
+        assert callable(getattr(oracle, name)), name
+        for module in (colexgraph, colexgraph.graph, colexgraph.chains, colexgraph.relation):
+            assert not hasattr(module, name), (module.__name__, name)
+    for name in ("identity", "from_pairs", "__contains__"):
+        assert not hasattr(colexgraph.Relation, name), name
 
 
 def test_induced_order_is_gone():

@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (Preorder, Relation, max_antichain, max_colex_relation,
-                        min_chain_partition, preorder_width)
+from colexgraph import Preorder, max_colex_relation, min_chain_partition
 from colexgraph.chains import _chain_cover, _greedy_chains
-from colexgraph.oracle import (exhaustive_max_antichain, random_colex_relation,
-                               random_partial_order, random_trim_nfa, transitive_closure)
+from colexgraph.oracle import (exhaustive_max_antichain, identity_relation, max_antichain,
+                               preorder_width, random_colex_relation, random_partial_order,
+                               random_trim_nfa, relation_from_pairs, transitive_closure)
 from conftest import double_hub_graph, loop_branch_nfa, small_graphs
 
 
 def total_order(n: int) -> Preorder:
-    return Preorder(Relation.from_pairs(n, [(i, j) for i in range(n) for j in range(i, n)]).bits)
+    return Preorder(relation_from_pairs(n, [(i, j) for i in range(n) for j in range(i, n)]).bits)
 
 
 def relabeled(order: Preorder, perm: list[int]) -> Preorder:
@@ -24,7 +24,7 @@ def relabeled(order: Preorder, perm: list[int]) -> Preorder:
 
 class TestMinChainPartition:
     def test_antichain_of_k_gives_k_singletons(self):
-        cp = min_chain_partition(Preorder(Relation.identity(5).bits))
+        cp = min_chain_partition(Preorder(identity_relation(5).bits))
         assert cp.chain_count == 5
         assert cp.chains == ((0,), (1,), (2,), (3,), (4,))
 
@@ -39,7 +39,7 @@ class TestMinChainPartition:
         assert cp.chain_count == 1
 
     def test_rejects_preorders_with_cycles(self):
-        pre = Preorder(Relation.from_pairs(2, [(0, 1), (1, 0)]).bits)
+        pre = Preorder(relation_from_pairs(2, [(0, 1), (1, 0)]).bits)
         with pytest.raises(ValueError):
             min_chain_partition(pre)
 
@@ -70,7 +70,7 @@ class TestMinChainPartition:
         # Greedy chains take 0<2 and 1<4 and leave 3 and 5 alone (4 chains);
         # augmenting moves 1 onto 5 so that 3<4 fits: 3 chains.
         pairs = [(0, 2), (0, 5), (1, 4), (1, 5), (3, 4)]
-        cp = min_chain_partition(Preorder(Relation.from_pairs(6, pairs).bits))
+        cp = min_chain_partition(Preorder(relation_from_pairs(6, pairs).bits))
         assert cp.chain_count == 3
         assert sorted(cp.chains) == [(0, 2), (1, 5), (3, 4)]
 
@@ -152,7 +152,7 @@ class TestGreedyChains:
 
 class TestMaxAntichain:
     def test_identity_order_full_set(self):
-        assert max_antichain(Preorder(Relation.identity(4).bits)) == {0, 1, 2, 3}
+        assert max_antichain(Preorder(identity_relation(4).bits)) == {0, 1, 2, 3}
 
     def test_total_order_single_element(self):
         assert len(max_antichain(total_order(5))) == 1
@@ -188,7 +188,7 @@ class TestPreorderWidth:
         assert preorder_width(max_colex_relation(double_hub_graph(3))) == 1
 
     def test_identity(self):
-        assert preorder_width(Preorder(Relation.identity(7).bits)) == 7
+        assert preorder_width(Preorder(identity_relation(7).bits)) == 7
 
     def test_loop_branch_marked(self):
         g = loop_branch_nfa().graph

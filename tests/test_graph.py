@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from colexgraph import (AT, HASH, Alphabet, EmptyLanguageError, GraphFormatError,
-                        LabeledGraph, Nfa, angle, format_graph, format_nfa, lambda_sets,
-                        parse_graph, parse_input, parse_nfa, trim_nfa)
-from colexgraph.oracle import random_graph
+                        LabeledGraph, Nfa, format_graph, format_nfa, parse_graph, parse_input,
+                        parse_nfa, trim_nfa)
+from colexgraph.oracle import angle, lambda_sets, random_graph
 from conftest import (SEED_NFA_CORPUS, fan_graph, funnel_nfa, loop_branch_nfa, small_graphs,
                       small_nfas)
 

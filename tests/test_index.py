@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import random
 import struct
 import sys
@@ -9,7 +8,6 @@ from collections import Counter
 from functools import cache, reduce
 from itertools import product
 from operator import mul, or_
-from pathlib import Path
 from threading import Thread
 
 import numpy as np
@@ -26,8 +24,8 @@ from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random
                                random_trim_nfa, simulate_nfa)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
                       loop_branch_nfa, small_graphs)
-from helpers import (decoded, interval_set, nfa_pipeline, put_stored, quotient_pipeline,
-                     reseal, seeded_debruijn, v5_offsets, written)
+from helpers import (benchmark_workloads, decoded, interval_set, nfa_pipeline, put_stored,
+                     quotient_pipeline, reseal, seeded_debruijn, v5_offsets, written)
 
 
 # Every public method that reads a class set, as (index, set) -> answer
@@ -830,6 +828,33 @@ class TestFold:
                     query((*prefix, bad), stats)
                 assert stats == QueryStats(probes=7, symbols=3)
 
+    def test_a_step_reads_one_table_per_reached_block(self, monkeypatch):
+        """Over nfa-corpus seed 1's accept queries, each asked one ``follow``
+        at a time from the initial class: a step reads the block tables once
+        per non-zero 4-bit slice of its start's ``ones``, so a run of zero
+        slices is skipped in one shift and never read."""
+
+        class CountingTables(dict):
+            reads = 0
+
+            def get(self, key, default=None):
+                CountingTables.reads += 1
+                return super().get(key, default)
+
+        want = skipped = 0
+        for unit in benchmark_workloads(monkeypatch).nfa_corpus(1).units:
+            ix = run_pipeline(parse_input(unit.text)).index().open()
+            ix._tables = CountingTables(ix._tables)
+            for query in unit.queries:
+                s = ix.set_for_classes([ix.initial_class])
+                for a in query:
+                    slices = [s.ones >> k & 15 for k in range(0, s.ones.bit_length(), 4)]
+                    want += sum(map(bool, slices))
+                    skipped += slices.count(0)
+                    s = ix.follow(s, a)
+        assert CountingTables.reads == want
+        assert want > 10000 and skipped > 1000
+
     def test_follow_from_the_empty_set_counts_one_symbol_and_no_probe(self):
         ix = build_from(double_hub_graph(3))[0]
         stats = QueryStats()
@@ -1281,11 +1306,7 @@ class TestBackendsAndSerialization:
         and the files of one workload and seed concatenated in unit order: a
         change to the bytes the benchmark's inputs are written as shows
         here."""
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-        spec.loader.exec_module(workloads)
+        workloads = benchmark_workloads(monkeypatch)
         pinned = {
             ("wheeler-dna", 1): "7fefe6d7befe5b3617db68e23c1c5534b1f608568ce406e9a0a7b704918c83ab",
             ("wheeler-dna", 2): "3b90e22b8e12e3c585ec34e3dd684ec9a6e2aadd84cc9a5fe7ed7b649b549918",

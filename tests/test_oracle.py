@@ -1,14 +1,15 @@
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (ChainPartition, ClassPartition, LabeledGraph, Nfa, Relation,
-                        max_colex_relation, preorder_width, quotient_nfa, run_pipeline)
+from colexgraph import (ChainPartition, ClassPartition, LabeledGraph, Nfa,
+                        max_colex_relation, quotient_nfa, run_pipeline)
 from colexgraph.oracle import (brute_theta, check_monotonic, check_powerset_bounds,
                                colex_key, dfa_isomorphic, exhaustive_max_antichain,
-                               gfp_max_relation, is_acyclic, is_convex, language_equiv,
-                               monotone_groups_hold, powerset, prec_a_acyclic,
-                               random_acyclic_nfa, reached_string_sets, refines,
-                               simulate_nfa, single_in_edge_holds)
+                               gfp_max_relation, identity_relation, is_acyclic, is_convex,
+                               language_equiv, monotone_groups_hold, powerset, prec_a_acyclic,
+                               preorder_width, random_acyclic_nfa, reached_string_sets,
+                               refines, relation_from_pairs, simulate_nfa,
+                               single_in_edge_holds)
 from conftest import (diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 from helpers import expected_double_hub_relation
@@ -144,7 +145,7 @@ class TestStringSetOrder:
 class TestMonotonic:
     def test_identity_always_monotonic(self):
         nfa = diamond_nfa()
-        assert check_monotonic(nfa, Relation.identity(nfa.graph.n))
+        assert check_monotonic(nfa, identity_relation(nfa.graph.n))
 
     def test_marked_max_relation_monotonic(self):
         nfa = diamond_nfa()
@@ -152,7 +153,7 @@ class TestMonotonic:
 
     def test_backwards_pair_fails(self):
         nfa = diamond_nfa()
-        assert not check_monotonic(nfa, Relation.from_pairs(5, [(4, 3)]))
+        assert not check_monotonic(nfa, relation_from_pairs(5, [(4, 3)]))
 
 
 class TestPowersetBounds:
@@ -203,7 +204,7 @@ class TestLanguageEquiv:
 class TestExhaustiveAntichain:
     def test_small_goldens(self):
         from colexgraph import Preorder
-        assert exhaustive_max_antichain(Preorder(Relation.identity(4).bits)) == {0, 1, 2, 3}
+        assert exhaustive_max_antichain(Preorder(identity_relation(4).bits)) == {0, 1, 2, 3}
 
     @given(small_graphs(max_n=5))
     @settings(max_examples=25, deadline=None)

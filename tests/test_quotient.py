@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 
 from colexgraph import (ClassPartition, LabeledGraph, Nfa, Preorder, Relation, classes,
-                        lambda_sets, max_colex_relation, min_chain_partition, preorder_width,
-                        quotient_graph, quotient_nfa)
-from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, is_colex_relation,
-                               is_convex, language_equiv, lift_classes, lift_relation,
-                               powerset, project_nodes, project_relation, random_colex_relation,
-                               random_graph, random_trim_nfa, transitive_closure)
+                        max_colex_relation, min_chain_partition, quotient_graph, quotient_nfa)
+from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, identity_relation,
+                               is_colex_relation, is_convex, lambda_sets, language_equiv,
+                               lift_classes, lift_relation, powerset, preorder_width,
+                               project_nodes, project_relation, random_colex_relation,
+                               random_graph, random_trim_nfa, relation_from_pairs,
+                               transitive_closure)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 
@@ -29,7 +30,7 @@ def assert_same_partition_chain_major(pre: Preorder, reference: ClassPartition) 
 
 class TestClasses:
     def test_identity_gives_singletons(self):
-        part = classes(Preorder(Relation.identity(4).bits))
+        part = classes(Preorder(identity_relation(4).bits))
         assert part.members == ((0,), (1,), (2,), (3,))
 
     def test_loop_branch_merges_the_swap(self):
@@ -71,8 +72,8 @@ class TestClasses:
 
 class TestInducedOrder:
     def test_identity(self):
-        pre = Preorder(Relation.identity(3).bits)
-        assert pre.class_order() == Preorder(Relation.identity(3).bits)
+        pre = Preorder(identity_relation(3).bits)
+        assert pre.class_order() == Preorder(identity_relation(3).bits)
 
     def test_double_hub_total_order(self):
         pre = max_colex_relation(double_hub_graph(2))
@@ -102,7 +103,7 @@ class TestQuotientGraph:
 
     def test_identity_preorder_is_isomorphic_copy(self):
         g = loop_branch_nfa().graph
-        qg = quotient_graph(g, Preorder(Relation.identity(3).bits))
+        qg = quotient_graph(g, Preorder(identity_relation(3).bits))
         assert qg.graph == g
 
     def test_double_hub_single_edge_and_single_in(self):
@@ -113,7 +114,7 @@ class TestQuotientGraph:
 
     def test_rejects_non_colex_preorder(self):
         g = loop_branch_nfa().graph
-        pre = transitive_closure(Relation.from_pairs(3, [(2, 0)]))
+        pre = transitive_closure(relation_from_pairs(3, [(2, 0)]))
         with pytest.raises(ValueError):
             quotient_graph(g, pre)
 

@@ -1,26 +1,24 @@
-import importlib.util
 import random
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relation,
-                        dump_relation, first_axiom_violation, lambda_sets, max_colex_relation,
-                        parse_nfa, preorder_width, trim_nfa)
-from colexgraph.oracle import (gfp_max_relation, is_antisymmetric, is_colex_relation,
-                               is_transitive, min_colex_containing, parse_relation,
+                        dump_relation, first_axiom_violation, max_colex_relation, parse_nfa,
+                        trim_nfa)
+from colexgraph.oracle import (gfp_max_relation, identity_relation, is_antisymmetric,
+                               is_colex_relation, is_transitive, lambda_sets,
+                               min_colex_containing, parse_relation, preorder_width,
                                random_colex_relation, random_graph, refines,
-                               transitive_closure, union)
+                               relation_from_pairs, transitive_closure, union)
 from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certify,
-                                 _label_edges, _label_extremes, _row_classes)
+                                 _label_extremes, _label_tables, _row_classes)
 from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
-from helpers import (expected_double_hub_relation, seeded_debruijn, strict_label_relation,
-                     two_node_alphabet_graph)
+from helpers import (benchmark_workloads, expected_double_hub_relation, seeded_debruijn,
+                     strict_label_relation, two_node_alphabet_graph)
 
 
 class TestRelationType:
@@ -39,11 +37,11 @@ class TestRelationType:
             Relation(over)
 
     def test_from_pairs_adds_diagonal(self):
-        r = Relation.from_pairs(3, [(0, 1)])
+        r = relation_from_pairs(3, [(0, 1)])
         assert r.holds(0, 1) and r.holds(2, 2) and not r.holds(1, 0)
 
     def test_immutable(self):
-        r = Relation.identity(2)
+        r = identity_relation(2)
         with pytest.raises(AttributeError):
             r.n = 5
         with pytest.raises(ValueError):
@@ -71,7 +69,7 @@ class TestRelationType:
         assert np.shares_memory(pre.bits, bits) and Relation(pre.bits).bits is bits
 
     def test_preorder_requires_transitive(self):
-        bits = Relation.from_pairs(3, [(0, 1), (1, 2)]).bits
+        bits = relation_from_pairs(3, [(0, 1), (1, 2)]).bits
         with pytest.raises(ValueError):
             Preorder(bits)
 
@@ -104,7 +102,7 @@ def certificate_failure_of(bits: np.ndarray, chains) -> str | None:
 
 
 def order_from_pairs(n: int, pairs) -> np.ndarray:
-    return Relation.from_pairs(n, pairs).bits.copy()
+    return relation_from_pairs(n, pairs).bits.copy()
 
 
 def certified(bits: np.ndarray) -> bool:
@@ -245,26 +243,26 @@ def first_axiom_two_by_loops(g, r):
 class TestAxiomChecker:
     def test_identity_is_colex(self):
         for g in (fan_graph(), two_cycle_graph(), double_hub_graph(3)):
-            assert is_colex_relation(g, Relation.identity(g.n))
+            assert is_colex_relation(g, identity_relation(g.n))
 
     def test_fan_union_of_both_orders_passes(self):
         g = fan_graph()
-        r = Relation.from_pairs(3, [(1, 2), (2, 1)])
+        r = relation_from_pairs(3, [(1, 2), (2, 1)])
         assert is_colex_relation(g, r)
 
     def test_relation_of_another_size_is_refused(self):
         with pytest.raises(ValueError, match="^relation size does not match graph$"):
-            first_axiom_violation(fan_graph(), Relation.identity(2))
+            first_axiom_violation(fan_graph(), identity_relation(2))
 
     def test_sourceless_node_cannot_be_above(self):
         g = fan_graph()  # node 0 has no incoming edges, node 1 does
-        r = Relation.from_pairs(3, [(1, 0)])
+        r = relation_from_pairs(3, [(1, 0)])
         violation = first_axiom_violation(g, r)
         assert violation is not None and violation.axiom == 1
 
     def test_axiom_two_violation_reported(self):
         g = two_cycle_graph()
-        r = Relation.from_pairs(2, [(0, 1)])  # needs (1, 0) via the 'a' edges
+        r = relation_from_pairs(2, [(0, 1)])  # needs (1, 0) via the 'a' edges
         violation = first_axiom_violation(g, r)
         assert violation is not None and violation.axiom == 2
         assert violation.pair == (0, 1)
@@ -297,10 +295,10 @@ class TestLabelTables:
     def test_label_edges_built_once_per_graph(self):
         g = loop_branch_nfa().graph
         pre = max_colex_relation(g, {0})
-        table = _label_edges(g)
+        table = _label_tables(g)[0]
         assert first_axiom_violation(g, pre, {0}) is None
-        assert _label_edges(g) is table
-        assert _label_edges(loop_branch_nfa().graph) is not table
+        assert _label_tables(g)[0] is table
+        assert _label_tables(loop_branch_nfa().graph)[0] is not table
 
     @staticmethod
     def assert_tables_from_in_adjacency(g):
@@ -319,7 +317,7 @@ class TestLabelTables:
             columns = sorted(set(sources))
             want.append((a, targets, sources, tuple(widths), columns,
                          [columns.index(s) for s in sources]))
-        got = _label_edges(g)
+        got = _label_tables(g)[0]
         assert [le.label for le in got] == [w[0] for w in want]
         for le, w in zip(got, want):
             assert le.widths == w[3]
@@ -336,11 +334,7 @@ class TestLabelTables:
         self.assert_tables_from_in_adjacency(seeded_debruijn(seed, length, k)[1])
 
     def test_tables_match_the_in_adjacency_on_the_benchmark_automata(self, monkeypatch):
-        path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-        workloads = importlib.util.module_from_spec(spec)
-        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-        spec.loader.exec_module(workloads)
+        workloads = benchmark_workloads(monkeypatch)
         for unit in workloads.nfa_corpus(1).units:
             self.assert_tables_from_in_adjacency(trim_nfa(parse_nfa(unit.text))[0].graph)
 
@@ -395,7 +389,7 @@ class TestMaxRelation:
             for _, v, a in g.edges:
                 in_labels[v].add(a)
             if (max(map(len, in_labels)) < 2
-                    or max(len(le.widths) for le in _label_edges(g)) < 3):
+                    or max(len(le.widths) for le in _label_tables(g)[0]) < 3):
                 continue
             for marked in (frozenset(), frozenset({rng.randrange(g.n)})):
                 pre = max_colex_relation(g, marked)
@@ -409,7 +403,7 @@ class TestMaxRelation:
         with pytest.raises(ValueError, match="capped"):
             max_colex_relation(g)
         with pytest.raises(ValueError, match="capped"):
-            first_axiom_violation(g, Relation.identity(2))
+            first_axiom_violation(g, identity_relation(2))
 
     @given(small_graphs())
     @settings(max_examples=80, deadline=None)
@@ -460,7 +454,7 @@ class TestMinContaining:
         r = min_colex_containing(g, 0, 1)
         assert set(r.strict_pairs()) == {(0, 1), (2, 3), (3, 2)}
         assert is_colex_relation(g, r)
-        assert not is_colex_relation(g, Relation.from_pairs(4, [(0, 1)]))
+        assert not is_colex_relation(g, relation_from_pairs(4, [(0, 1)]))
 
     def test_rejects_equal_nodes(self):
         with pytest.raises(ValueError):
@@ -483,11 +477,11 @@ class TestMinContaining:
 
 class TestClosureUnionRefines:
     def test_closure_of_transitive_is_identity(self):
-        r = Relation.from_pairs(3, [(0, 1)])
+        r = relation_from_pairs(3, [(0, 1)])
         assert transitive_closure(r) == Preorder(r.bits)
 
     def test_closure_adds_composite(self):
-        r = Relation.from_pairs(3, [(0, 1), (1, 2)])
+        r = relation_from_pairs(3, [(0, 1), (1, 2)])
         assert transitive_closure(r).holds(0, 2)
 
     @given(small_graphs())
@@ -499,20 +493,20 @@ class TestClosureUnionRefines:
 
     def test_union_of_fan_caption_orders(self):
         g = fan_graph()
-        r1 = Relation.from_pairs(3, [(1, 2)])
-        r2 = Relation.from_pairs(3, [(2, 1)])
+        r1 = relation_from_pairs(3, [(1, 2)])
+        r2 = relation_from_pairs(3, [(2, 1)])
         both = union([r1, r2])
         assert both.holds(1, 2) and both.holds(2, 1)
         assert not is_antisymmetric(both)
         assert is_colex_relation(g, both)
 
     def test_union_with_identity_is_absorbed(self):
-        r = Relation.from_pairs(2, [(0, 1)])
-        assert union([r, Relation.identity(2)]) == r
+        r = relation_from_pairs(2, [(0, 1)])
+        assert union([r, identity_relation(2)]) == r
 
     def test_union_rejects_mismatched_sizes(self):
         with pytest.raises(ValueError):
-            union([Relation.identity(2), Relation.identity(3)])
+            union([identity_relation(2), identity_relation(3)])
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
@@ -522,13 +516,13 @@ class TestClosureUnionRefines:
         assert is_colex_relation(g, union(rels))
 
     def test_refines_is_reflexive(self):
-        r = Relation.from_pairs(3, [(0, 2)])
+        r = relation_from_pairs(3, [(0, 2)])
         assert refines(r, r)
 
     def test_identity_does_not_refine_two_cycle_max(self):
         pre = max_colex_relation(two_cycle_graph())
-        assert not refines(Relation.identity(2), pre)
-        assert refines(pre, Relation.identity(2))
+        assert not refines(identity_relation(2), pre)
+        assert refines(pre, identity_relation(2))
 
     @given(small_graphs())
     @settings(max_examples=30, deadline=None)
@@ -541,9 +535,9 @@ class TestClosureUnionRefines:
 
 class TestDumpFormat:
     def test_roundtrip(self):
-        r = Relation.from_pairs(4, [(0, 1), (2, 3), (3, 2)])
+        r = relation_from_pairs(4, [(0, 1), (2, 3), (3, 2)])
         assert parse_relation(dump_relation(r), 4) == r
 
     def test_dump_sorted_diagonal_implied(self):
-        r = Relation.from_pairs(3, [(2, 0), (0, 1)])
+        r = relation_from_pairs(3, [(2, 0), (0, 1)])
         assert dump_relation(r) == "0 1\n2 0\n"
