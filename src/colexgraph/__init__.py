@@ -25,7 +25,7 @@ __all__ = [
     "ClassSet", "EmptyLanguageError", "GraphFormatError", "Index", "LabeledGraph",
     "Nfa", "PatternError", "PipelineResult", "Preorder", "QueryStats",
     "QuotientGraph", "QuotientNfa",
-    "Relation", "SpaceReport", "WrittenIndex", "build_index", "build_nfa_index",
+    "Relation", "SpaceReport", "WrittenIndex", "build_index",
     "classes", "dump_relation", "first_axiom_violation", "format_graph", "format_nfa",
     "max_colex_relation", "min_chain_partition", "parse_graph", "parse_input", "parse_nfa",
     "parse_pattern", "quotient_graph", "quotient_nfa", "run_pipeline", "trim_nfa",

@@ -72,8 +72,9 @@ _HEADER = "<4sHHIQIII"
 _COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
 _WIDTHS = "<8B"  # the bit width of each packed array, in file order
 
-_FLAG_FINALS = 1
-_FLAG_INITIAL = 2
+# Flag bits 0 (finals) and 1 (the initial class) are set together, for an
+# automaton's index, or not at all, for a graph's.
+_FLAG_AUTOMATON = 3
 _CORRUPT = "truncated or corrupt index file"
 
 # The step reads the reached one-class chains in blocks of four, and
@@ -180,10 +181,8 @@ def parse_pattern(alphabet: Alphabet, text: str) -> list[str]:
     if len(tokens) > 1 and not all(t in alphabet for t in tokens) and text in alphabet:
         tokens = [text]
     for t in tokens:
-        if t in MARKERS:
-            raise PatternError(f"marker {t!r} cannot appear in a pattern")
-        if t not in alphabet:
-            raise PatternError(f"unknown symbol {t!r}")
+        if t not in alphabet:  # no alphabet holds a marker
+            _refuse(t)
     return tokens
 
 
@@ -288,19 +287,18 @@ def _unions(t0: tuple, t1: tuple, t2: tuple, t3: tuple) -> tuple[tuple, ...]:
 
 
 def _write(alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
-           a: _Arrays, has_finals: bool, initial_class: int | None
-           ) -> tuple[bytes, tuple[int, ...], _Arrays]:
-    """The ``.clxi`` file of the decoded arrays ``a``, the bit width of each
-    stored array, and the stored arrays: each increasing array as its first
-    value and the differences between neighbours, the positions as a head
-    per group and the steps inside it, a follow-on group's target head as
-    its step from the group before (see ``_follow_ons``). Each array is
-    packed at the width its largest stored value needs, which is the only
-    check of its fit: ``_refuse_stored`` refuses arrays that would store a
-    negative value, and a value wider than the format's 64 bits is refused
-    here."""
+           a: _Arrays, initial_class: int | None) -> tuple[bytes, tuple[int, ...], _Arrays]:
+    """The ``.clxi`` file of the decoded arrays ``a``, an automaton's when
+    ``initial_class`` is given, the bit width of each stored array, and the
+    stored arrays: each increasing array as its first value and the
+    differences between neighbours, the positions as a head per group and
+    the steps inside it, a follow-on group's target head as its step from
+    the group before (see ``_follow_ons``). Each array is packed at the
+    width its largest stored value needs, which is the only check of its
+    fit: ``_refuse_stored`` refuses arrays that would store a negative value,
+    and a value wider than the format's 64 bits is refused here."""
     q, sigma = len(a.chain_ends), len(alphabet)
-    flags = _FLAG_FINALS * has_finals | _FLAG_INITIAL * (initial_class is not None)
+    flags = 0 if initial_class is None else _FLAG_AUTOMATON
     out = bytearray(struct.pack(_HEADER, MAGIC, FORMAT_VERSION, flags, n_original,
                                 e_original, n_classes, q, sigma))
     for sym in alphabet.symbols:
@@ -395,7 +393,7 @@ def _read(raw: bytes) -> tuple[Alphabet, tuple[int, ...], _Arrays]:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {version}")
     _require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])
-    _require(not flags & ~(_FLAG_FINALS | _FLAG_INITIAL))
+    _require(flags in (0, _FLAG_AUTOMATON))
     # Group keys lie below sigma * q * q, which the format bounds by 2**64. No
     # build can exceed this: q <= 65,536 under the relation's dense cap, sigma < 2**32.
     _require(sigma * q * q <= 1 << 64)
@@ -415,7 +413,7 @@ def _read(raw: bytes) -> tuple[Alphabet, tuple[int, ...], _Arrays]:
     # the width's top bit, found at the first such value.
     _require(all(w == 1 or any(map(ge, values, repeat(1 << (w - 1))))
                  for w, values in zip(widths, stored)))
-    off += 4 if flags & _FLAG_INITIAL else 0  # the initial class: the constructor reads it
+    off += 4 if flags else 0  # the initial class: the constructor reads it
     _require(off == len(view))  # no trailing bytes
     return Alphabet(tuple(symbols)), widths, stored
 
@@ -456,8 +454,7 @@ class WrittenIndex:
                  stored: _Arrays):
         _, _, flags, n_original, e_original, n_classes, q, _ = struct.unpack_from(_HEADER, raw)
         self.initial_class = (struct.unpack_from("<I", raw, len(raw) - 8)[0]
-                              if flags & _FLAG_INITIAL else None)
-        self._has_finals = bool(flags & _FLAG_FINALS)
+                              if flags else None)
         # the bytes, and each array's bits as the file packs it, for space_report()
         self._raw, self._bits = raw, _Arrays(*map(mul, widths, map(len, stored)))
         self.alphabet, self.n_original, self.e_original = alphabet, n_original, e_original
@@ -486,7 +483,7 @@ class WrittenIndex:
         breakdown["rank_directory_bits"] = 0  # the index holds no rank directory
         per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
         formula = self.e_quotient * per_edge + self.n_classes
-        if self._has_finals:
+        if self.initial_class is not None:  # the finals
             formula += self.n_classes
         return SpaceReport(measured, formula, breakdown)
 
@@ -510,8 +507,7 @@ class Index(WrittenIndex):
     def __init__(self, raw: bytes, alphabet: Alphabet, widths: Sequence[int],
                  stored: _Arrays):
         super().__init__(raw, alphabet, widths, stored)
-        n_classes, q, has_finals = self.n_classes, self.q, self._has_finals
-        initial_class = self.initial_class
+        n_classes, q, initial_class = self.n_classes, self.q, self.initial_class
         a = _decode(stored, self._sigma)
         # Chain j holds the classes offsets[j]..offsets[j+1]. Every class has
         # a member, which also bounds n_classes by the file size.
@@ -522,10 +518,10 @@ class Index(WrittenIndex):
         # repeats an id or key, and a zero size leaves a group empty.
         for gaps, ids in ((stored.marked, a.marked), (stored.finals, a.finals)):
             _require(0 not in gaps[1:] and (not ids or ids[-1] < n_classes))
-        _require((has_finals or not a.finals)
-                 and (initial_class is None or initial_class < n_classes))
-        # the final class ids, increasing; None if built without finals
-        self.finals = a.finals if has_finals else None
+        # An automaton's initial class is marked; a graph has no finals.
+        _require(not a.finals if initial_class is None else initial_class in a.marked)
+        # the final class ids, increasing; None in a graph's index
+        self.finals = a.finals if initial_class is not None else None
         if 0 in stored.keys[1:] or (a.keys and a.keys[-1] >= self._sigma * q * q):
             raise ValueError("group keys are not strictly increasing below sigma*q*q")
         if 0 in stored.ends or (a.ends or [0])[-1] != len(a.targets):
@@ -546,20 +542,12 @@ class Index(WrittenIndex):
         # The query step bisects the sources and reads the targets as the
         # decoded ints they came as.
         self._sources, self._targets = a.sources, a.targets
-        # accept's refusal, if any, its start (the initial class as a fold
-        # state) and the mask of the one-class chains that hold a final
-        self._accept_error: str | None = None
+        # accept's start, the initial class as a fold state, and the mask of
+        # the one-class chains that hold a final
         self._start: tuple[int, _Longs] = (0, {})
         self._final_ones = _mask(self._one_class.intersection(
             map(bisect_right, repeat(a.chain_ends), a.finals)))
-        if initial_class is None or not has_finals:
-            self._accept_error = ("index lacks automaton data (build with finals and an "
-                                  "initial state)")
-        else:
-            k = bisect_left(a.marked, initial_class)
-            if k == len(a.marked) or a.marked[k] != initial_class:
-                self._accept_error = ("index was built without marking the initial state; "
-                                      "acceptance queries need the marker")
+        if initial_class is not None:
             self._start = self._own(self.set_for_classes([initial_class]))
 
     def _check_store(self, a: _Arrays, lengths: Sequence[int]
@@ -837,8 +825,8 @@ class Index(WrittenIndex):
         mask of the one-class chains that do. A longer chain's end interval
         holds one when the sorted final ids have one in ``[off + lo, off +
         hi)``, that is, two ``bisect_left`` calls differ."""
-        if self._accept_error is not None:
-            raise ValueError(self._accept_error)
+        if self.finals is None:
+            raise ValueError("index lacks automaton data (build it from an automaton)")
         ones, longs = self._fold(self._start, self._symbol_ids(alpha), stats)
         if ones & self._final_ones:
             return True
@@ -871,19 +859,23 @@ class Index(WrittenIndex):
             return cls.from_bytes(fh.read())
 
 
-def build_index(qg: QuotientGraph, cp: ChainPartition,
-                finals: frozenset[int] | None = None, initial: int | None = None,
+def build_index(quotient: QuotientGraph | QuotientNfa, cp: ChainPartition,
                 n_original: int | None = None, e_original: int | None = None) -> WrittenIndex:
-    """Lay out the quotient graph along a chain partition of its order, and
-    write its ``.clxi`` file.
+    """Lay out a quotient along a chain partition of its order, and write its
+    ``.clxi`` file: a ``QuotientNfa``'s with its finals and initial class,
+    which answers ``accept``, a ``QuotientGraph``'s with neither.
 
-    ``finals``/``initial`` switch on automaton mode. The chains must be the
-    consecutive id ranges that cover the classes of ``qg.order`` in order, as
-    chain-major ids make them, with consecutive members related. The checks
-    below and the writer's refusals run here. The file is never opened: the
-    range checks of its arrays and the query structures come with the
-    ``Index`` that ``open()`` reads from it.
+    The chains must be the consecutive id ranges that cover the classes of
+    the order in order, as chain-major ids make them, with consecutive
+    members related. An automaton's initial class must be marked, as
+    ``quotient_nfa`` marks it. ``n_original`` and ``e_original`` default to
+    the counts of the graph that was collapsed. The checks below and the
+    writer's refusals run here. The file is never opened: the range checks
+    of its arrays and the query structures come with the ``Index`` that
+    ``open()`` reads from it.
     """
+    qg, finals, initial = ((quotient.quotient, quotient.finals, quotient.initial)
+                           if isinstance(quotient, QuotientNfa) else (quotient, (), None))
     n_classes = qg.partition.count
     flat = [c for chain in cp.chains for c in chain]
     if flat != list(range(n_classes)):
@@ -891,8 +883,10 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
     if n_original is None:
         n_original = qg.partition.n
     # the caller's ids and count, which the reader would refuse in the file
-    _require((initial is None or initial < n_classes) and max(finals or (), default=-1) < n_classes
+    _require((initial is None or 0 <= initial < n_classes) and max(finals, default=-1) < n_classes
              and n_original >= len(qg.partition.class_of))
+    if initial is not None and initial not in qg.marked_classes:
+        raise ValueError("initial class is not marked; quotient the automaton with quotient_nfa")
     alphabet, q = qg.graph.alphabet, cp.chain_count
     sigma, chain_of, pos = len(alphabet), cp.chain_of, cp.pos_in_chain
     # class c + 1 follows class c on a chain exactly when it is not at position 0
@@ -908,18 +902,15 @@ def build_index(qg: QuotientGraph, cp: ChainPartition,
     arrays = _Arrays([*accumulate(map(len, cp.chains))], qg.partition.class_of,
                      sorted(qg.marked_classes), [*compress(edge_keys, last)],
                      [*compress(count(1), last)], [edge[1] for edge in edges],
-                     [edge[2] for edge in edges], sorted(finals or ()))
+                     [edge[2] for edge in edges], sorted(finals))
     try:
         raw, widths, stored = _write(
-            alphabet, n_original,
-            len(qg.graph.edges) if e_original is None else e_original, n_classes, arrays,
-            finals is not None, initial)
-    except struct.error:  # a header value its field cannot hold, such as a negative initial class
+            alphabet, n_original, qg.input_edges if e_original is None else e_original,
+            n_classes, arrays, initial)
+    except struct.error:  # a header value its field cannot hold, such as a negative count
         raise ValueError(_CORRUPT) from None
     return WrittenIndex(raw, alphabet, widths, stored)
 
 
-def build_nfa_index(qnfa: QuotientNfa, cp: ChainPartition,
-                    n_original: int | None = None, e_original: int | None = None) -> WrittenIndex:
-    return build_index(qnfa.quotient, cp, finals=qnfa.finals, initial=qnfa.initial,
-                       n_original=n_original, e_original=e_original)
+# The older name of an automaton's build, which the benchmark harness imports.
+build_nfa_index = build_index

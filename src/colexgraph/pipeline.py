@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .chains import ChainPartition, min_chain_partition
 from .graph import LabeledGraph, Nfa, trim_nfa
 from .index import WrittenIndex, build_index
-from .quotient import QuotientGraph, quotient_graph, quotient_nfa
+from .quotient import QuotientGraph, QuotientNfa, quotient_graph, quotient_nfa
 from .relation import Preorder, max_colex_relation
 
 
@@ -48,9 +48,9 @@ class PipelineResult:
         ``build_index`` writes it: an automaton's with its finals and initial
         class. Its ``open()`` is the index that answers queries."""
         view = self.automaton
-        finals, initial = (None, None) if view is None else (view.finals, view.initial)
-        return build_index(self.quotient, self.chains, finals, initial,
-                           self.n_original, self.e_original)
+        quotient = (self.quotient if view is None
+                    else QuotientNfa(self.quotient, view.initial, view.finals))
+        return build_index(quotient, self.chains, self.n_original, self.e_original)
 
 
 def _marked(source: LabeledGraph | Nfa) -> frozenset[int]:

@@ -52,13 +52,15 @@ class QuotientGraph:
     """Quotient of a graph by a co-lex preorder, with its induced class order.
 
     ``marked_classes`` carries the distinguished-set marker down to classes, so
-    label sets on the quotient reproduce the original ones.
+    label sets on the quotient reproduce the original ones. ``input_edges``
+    counts the edges of the collapsed graph, as ``partition.n`` its nodes.
     """
 
     graph: LabeledGraph
     partition: ClassPartition
     order: Preorder
     marked_classes: frozenset[int]
+    input_edges: int
 
 
 def quotient_graph(g: LabeledGraph, pre: Preorder,
@@ -96,7 +98,7 @@ def quotient_graph(g: LabeledGraph, pre: Preorder,
                     f"class {cid} merges states with and without incoming edges; "
                     "input was not a co-lex preorder")
     marked_classes = frozenset(class_of[v] for v in marked)
-    return QuotientGraph(qg, part, order, marked_classes)
+    return QuotientGraph(qg, part, order, marked_classes, len(g.edges))
 
 
 @dataclass(frozen=True)

@@ -89,12 +89,11 @@ def reseal(buf: bytearray) -> bytes:
 
 
 def written(*, alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
-            arrays: _Arrays, has_finals: bool, initial_class: int | None) -> Index:
+            arrays: _Arrays, initial_class: int | None) -> Index:
     """The index of the given decoded arrays, written as ``build_index``
     writes them, by the ``.clxi`` writer, which refuses what a file cannot
     store, and loaded from the bytes, which the range checks refuse."""
-    raw = _write(alphabet, n_original, e_original, n_classes, arrays, has_finals,
-                 initial_class)[0]
+    raw = _write(alphabet, n_original, e_original, n_classes, arrays, initial_class)[0]
     return Index.from_bytes(raw)
 
 

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from colexgraph import (Preorder, QueryStats, build_index, build_nfa_index,
+from colexgraph import (Preorder, QueryStats, build_index,
                         max_colex_relation, min_chain_partition, oracle, quotient_graph,
                         quotient_nfa)
 from colexgraph.oracle import (brute_theta, check_powerset_bounds,
@@ -151,7 +151,7 @@ def test_criterion_05_nfa_acceptance():
         qn, cp = nfa_pipeline(nfa)
         if not language_equiv(nfa, qn.as_nfa()):
             language_failures += 1
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         roundtrip_bad += rewritten(ix) != ix.to_bytes()
         symbols = nfa.graph.alphabet.symbols
         for length in range(7):
@@ -173,7 +173,7 @@ def test_roundtrip_diffs_count_a_misread_value(graph_corpus, monkeypatch):
     one value wrong makes every file count."""
     rng = random.Random(SEED_NFA_CORPUS)
     indexes = [build_index(*quotient_pipeline(g)).open() for g in graph_corpus[:20]]
-    indexes += [build_nfa_index(*nfa_pipeline(
+    indexes += [build_index(*nfa_pipeline(
         random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3])))).open()
         for _ in range(20)]
     assert sum(rewritten(ix) != ix.to_bytes() for ix in indexes) == 0

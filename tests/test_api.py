@@ -110,3 +110,14 @@ def test_the_input_decides_the_marker():
     assert options == {"build": {"-o", "--output"}, "query": set(), "accept": set(),
                        "quotient": {"-o", "--output"}, "stats": {"--format"},
                        "verify": {"--seed", "--dump-relation"}}
+
+
+def test_the_input_decides_the_index_mode():
+    """``build_index`` reads the mode from the quotient it is given, a graph's
+    or an automaton's; it has no option for finals or an initial class. The
+    old automaton entry point is the same function, kept off the public
+    list while the benchmark imports it."""
+    assert list(inspect.signature(colexgraph.build_index).parameters) == [
+        "quotient", "cp", "n_original", "e_original"]
+    assert colexgraph.build_nfa_index is colexgraph.build_index
+    assert "build_nfa_index" not in colexgraph.__all__

@@ -198,9 +198,8 @@ sys.exit(status)
         out = str(tmp_path / "loop.clxi")
         main(["build", loop_file, "-o", out])
         from helpers import nfa_pipeline
-        from colexgraph import build_nfa_index
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        mem = build_nfa_index(qn, cp).open()
+        mem = build_index(qn, cp).open()
         disk = Index.load(out)
         for p in ("", "a", "ab", "aab", "b", "aaab"):
             syms = list(p)
@@ -235,29 +234,36 @@ class TestAccept:
         assert "accept" in capsys.readouterr().out
         assert main(["accept", out, "b"]) == 1
 
-    def test_accept_needs_automaton_index(self, hub_file, tmp_path):
+    def test_accept_needs_automaton_index(self, hub_file, tmp_path, capsys):
         out = str(tmp_path / "hub.clxi")
         main(["build", hub_file, "-o", out])
+        capsys.readouterr()
         assert main(["accept", out, "a"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: index lacks automaton data ")
+        assert captured.err.count("\n") == 1
 
     def test_half_automaton_index_is_refused(self, tmp_path, capsys):
-        # finals without an initial class, and an initial class without finals
-        result = run_pipeline(loop_branch_nfa())
-        view = result.automaton
-        halves = {"finals": build_index(result.quotient, result.chains, finals=view.finals),
-                  "initial": build_index(result.quotient, result.chains, initial=view.initial)}
-        for name, written in halves.items():
-            ix = written.open()
-            with pytest.raises(ValueError, match="^index lacks automaton data "):
-                ix.accept(("a",))
-            out = str(tmp_path / f"{name}.clxi")
-            written.save(out)
+        """Flag bits 0 (finals) and 1 (the initial class) are written together
+        or not at all. An automaton's file with one of them cleared, finals
+        without an initial class or an initial class without finals, is
+        refused at open, and ``accept`` prints one error line."""
+        raw = run_pipeline(loop_branch_nfa()).index().to_bytes()
+        assert struct.unpack_from("<H", raw, 6) == (3,)
+        for flags in (1, 2):
+            half = bytearray(raw)
+            struct.pack_into("<H", half, 6, flags)
+            half = reseal(half)
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                Index.from_bytes(half)
+            out = tmp_path / f"flags{flags}.clxi"
+            out.write_bytes(half)
             capsys.readouterr()
-            assert main(["accept", out, "a"]) == 2
+            assert main(["accept", str(out), "a"]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: index lacks automaton data ")
-            assert captured.err.count("\n") == 1
+            assert captured.err == "error: truncated or corrupt index file\n"
 
     def test_accept_needs_marker(self, tmp_path, capsys):
         # The funnel quotients to the same automaton with or without the
@@ -294,8 +300,7 @@ class TestInputKind:
         # the automaton index with its initial state marked, laid out stage by stage
         nfa = loop_branch_nfa()
         qn = quotient_nfa(nfa, max_colex_relation(nfa.graph, {nfa.initial}))
-        want = build_index(qn.quotient, min_chain_partition(qn.quotient.order),
-                           finals=qn.finals, initial=qn.initial, n_original=3, e_original=3)
+        want = build_index(qn, min_chain_partition(qn.quotient.order))
         assert out.read_bytes() == want.to_bytes()
 
     def test_automaton_text_quotients_without_flags(self, loop_file, capsys):

@@ -5,6 +5,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from functools import cache, reduce
 from itertools import product
 from operator import mul, or_
@@ -14,8 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (Index, LabeledGraph, Nfa, PatternError, QueryStats, WrittenIndex,
-                        build_index, build_nfa_index, parse_input, run_pipeline)
+from colexgraph import (Index, LabeledGraph, Nfa, PatternError, QueryStats, QuotientNfa,
+                        WrittenIndex, build_index, parse_input, run_pipeline)
 from colexgraph import index as index_module
 from colexgraph.cli import main
 from colexgraph.graph import Alphabet, parse_graph, parse_nfa
@@ -61,7 +62,7 @@ def far_target_index():
                      list(range(1, len(keys) + 1)), [0] * len(keys), [0] * len(keys), [])
     return Index.from_bytes(written(alphabet=Alphabet(("a",)), n_original=q,
                                     e_original=len(keys), n_classes=q, arrays=arrays,
-                                    has_finals=False, initial_class=None).to_bytes())
+                                    initial_class=None).to_bytes())
 
 
 def criterion_5_automata():
@@ -148,7 +149,7 @@ def one_chain_index(edges, length=2):
     arrays = _Arrays([length], list(range(length)), [], [0], [len(edges)],
                      [t for t, _ in edges], [s for _, s in edges], [])
     return written(alphabet=Alphabet(("a",)), n_original=length, e_original=len(edges),
-                   n_classes=length, arrays=arrays, has_finals=False, initial_class=None)
+                   n_classes=length, arrays=arrays, initial_class=None)
 
 
 class TestBuildLayout:
@@ -174,7 +175,7 @@ class TestBuildLayout:
 
     def test_space_report_counts_no_boundary_vector(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_index(qn, cp)
         parts = ix.space_report().breakdown
         assert parts["boundary_bits"] == 0
         # keys [1, 3, 4] stored as the gaps [1, 2, 1] at 2 bits and ends
@@ -204,7 +205,7 @@ class TestBuildLayout:
             qn, cp = nfa_pipeline(nfa)
             made.clear()
             stages = []
-            built = build_nfa_index(qn, cp)
+            built = build_index(qn, cp)
             stages.append((made["_pack"], made["_unpack"]))
             raw = built.to_bytes()
             stages.append((made["_pack"], made["_unpack"]))
@@ -363,7 +364,7 @@ class TestProbeDirectory:
         arrays = _Arrays([3, 6], list(range(6)), [], [0, 2], [2, 4],
                          [0, 1, 0, 2], [0, 1, 1, 2], [])
         ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
-                     arrays=arrays, has_finals=False, initial_class=None)
+                     arrays=arrays, initial_class=None)
         cases = [((0, 3), ((0, 2), (0, 3)), 0),  # spans both groups
                  ((0, 2), ((0, 2), (0, 1)), 1)]  # stops inside the last group
         for interval, image, n_searches in cases:
@@ -378,7 +379,7 @@ class TestProbeDirectory:
         arrays = _Arrays([1, 2, 6], list(range(6)), [], [2, 3, 6, 8], [3, 4, 6, 7],
                          [0, 0, 0, 0, 0, 2, 1], [0, 2, 3, 0, 0, 0, 1], [])
         ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=7, n_classes=6,
-                     arrays=arrays, has_finals=False, initial_class=None)
+                     arrays=arrays, initial_class=None)
         cases = [(((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 3)), 0),  # the image entry
                  (((0, 0), (0, 0), (1, 3)), ((0, 1), (0, 0), (1, 2)), 1),  # source 2 is inside
                  (((0, 0), (0, 0), (1, 2)), ((0, 0), (0, 0), (1, 2)), 1),  # no source inside
@@ -735,7 +736,7 @@ class TestMatch:
         pattern matches the classes there are and nothing outside a chain."""
         arrays = _Arrays([1, 1, 2], [0, 1], [], [], [], [], [], [])
         ix = written(alphabet=Alphabet(("a",)), n_original=2, e_original=0, n_classes=2,
-                     arrays=arrays, has_finals=False, initial_class=None)
+                     arrays=arrays, initial_class=None)
         for index in (ix, Index.from_bytes(ix.to_bytes())):
             ok, end = index.match_pattern([])
             assert ok and end.intervals() == ((0, 1), (0, 0), (0, 1))
@@ -751,7 +752,7 @@ class TestMatch:
     def test_match_from_initial_class(self):
         nfa = loop_branch_nfa()
         qn, cp = nfa_pipeline(nfa)
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         start = ix.set_for_classes([qn.initial])
         ok, end = ix.match_from(start, ["a", "b"])
         assert ok and ix.map_back(end) == {2}
@@ -794,7 +795,7 @@ class TestFold:
 
     def test_a_generator_pattern_answers_as_its_tuple(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         start = ix.set_for_classes([ix.initial_class])
         for n in range(5):
             for p in product(ix.alphabet.symbols, repeat=n):
@@ -813,7 +814,7 @@ class TestFold:
         alphabet, or a marker, after a prefix that empties the set is
         refused, and the caller's ``QueryStats`` keeps its counts."""
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         start = ix.set_for_classes([ix.initial_class])
         prefix = ("b", "a")
         assert ix.match_from(start, prefix) == (False, ix.set_for_classes([]))
@@ -867,46 +868,59 @@ class TestFold:
 class TestAccept:
     def test_loop_branch_ab(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         assert ix.accept(["a", "b"]) is True
         assert ix.accept(["b"]) is False
 
     def test_epsilon_iff_initial_final(self):
         g = LabeledGraph.build(2, [(0, 1, "a"), (1, 1, "a")], ["a"])
         qn, cp = nfa_pipeline(Nfa(g, 0, frozenset({0, 1})))
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         assert ix.accept([]) is True
         qn2, cp2 = nfa_pipeline(Nfa(g, 0, frozenset({1})))
-        ix2 = build_nfa_index(qn2, cp2).open()
+        ix2 = build_index(qn2, cp2).open()
         assert ix2.accept([]) is False
 
     def test_funnel_lengths(self):
         qn, cp = nfa_pipeline(funnel_nfa(3))
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         assert ix.accept(["a", "a"]) is True
         assert ix.accept(["a"]) is False
 
     def test_requires_automaton_data(self):
         ix, _, _ = build_from(loop_branch_nfa().graph)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^index lacks automaton data "):
             ix.accept(["a"])
 
     def test_requires_marked_initial(self):
+        """``accept`` starts at the initial class, which must be marked, as
+        ``quotient_nfa`` marks it: the writer refuses an automaton over a
+        quotient computed without the marker, and the reader a file whose
+        marked classes lack the initial class."""
         nfa = loop_branch_nfa()
-        g = nfa.graph
-        qg, cp = quotient_pipeline(g)  # no marker: classes {0,1},{2}
+        qg, cp = quotient_pipeline(nfa.graph)  # no marker: classes {0,1},{2}
         part = qg.partition
-        ix = build_index(qg, cp, finals=frozenset(part.class_of[f] for f in nfa.finals),
-                         initial=part.class_of[nfa.initial]).open()
-        with pytest.raises(ValueError):
-            ix.accept(["a"])
+        unmarked = QuotientNfa(qg, part.class_of[nfa.initial],
+                               frozenset(part.class_of[f] for f in nfa.finals))
+        with pytest.raises(ValueError, match="^initial class is not marked; quotient the "
+                                             "automaton with quotient_nfa$"):
+            build_index(unmarked, cp)
+        ix = build_index(*nfa_pipeline(nfa))
+        a = decoded(ix)[1]
+        header = dict(alphabet=ix.alphabet, n_original=ix.n_original, e_original=ix.e_original,
+                      n_classes=ix.n_classes, initial_class=ix.initial_class)
+        assert list(a.marked) == [ix.initial_class] == [0]
+        assert written(arrays=a, **header).to_bytes() == ix.to_bytes()
+        for marked in ([], [1], [2]):
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                written(arrays=a._replace(marked=marked), **header)
 
     def test_agrees_with_simulation(self, rng):
         from colexgraph.oracle import enumerate_strings, random_trim_nfa
         for _ in range(20):
             nfa = random_trim_nfa(rng, 6, 2, 0.25)
             qn, cp = nfa_pipeline(nfa)
-            ix = build_nfa_index(qn, cp).open()
+            ix = build_index(qn, cp).open()
             for s in enumerate_strings(nfa.graph.alphabet.symbols, 4):
                 assert ix.accept(s) == simulate_nfa(nfa, s)
 
@@ -918,7 +932,7 @@ class TestAccept:
         nfa = parse_nfa("alphabet a b\nnodes 4\n0 1 b\n1 0 b\n1 2 a\n2 1 b\n2 2 a\n"
                         "2 3 a\n3 3 a\ninitial 0\nfinal 1 3\n")
         qn, cp = nfa_pipeline(nfa)
-        built = build_nfa_index(qn, cp).open()
+        built = build_index(qn, cp).open()
         assert built._offsets == [0, 1, 4] and built.finals == [1, 3]
         for ix in (built, Index.from_bytes(built.to_bytes())):
             answers = Counter()
@@ -946,7 +960,7 @@ class TestMapBack:
 
     def test_set_for_classes_requires_contiguous(self):
         qn, cp = nfa_pipeline(funnel_nfa(2))  # one chain of 3 classes
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         with pytest.raises(ValueError):
             ix.set_for_classes([0, 2])
         # a class given twice is one class, not a gap on its chain
@@ -959,7 +973,7 @@ class TestMapBack:
 
     def test_set_for_classes_refuses_ids_out_of_range(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         for cid in (-1, ix.n_classes):
             with pytest.raises(ValueError, match="not below 3"):
                 ix.set_for_classes([cid])
@@ -991,7 +1005,7 @@ class TestSpaceReport:
 
     def test_automaton_formula_counts_finals(self):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_index(qn, cp)
         # 3 edges * (1 + 1 + 2) + 3 + 3
         assert ix.space_report().formula_bits == 18
 
@@ -1000,7 +1014,7 @@ class TestSpaceReport:
         width times length, on a graph index and on an automaton index."""
         qn, cp = nfa_pipeline(diamond_nfa())
         graph_ix = build_from(seeded_debruijn(11, 300, 4)[1])[0]
-        for ix in (graph_ix, build_nfa_index(qn, cp).open()):
+        for ix in (graph_ix, build_index(qn, cp).open()):
             parts = dict(ix.space_report().breakdown)
             assert (parts.pop("boundary_bits"), parts.pop("rank_directory_bits")) == (0, 0)
             assert set(parts) == {"group_directory_bits", "position_array_bits", "final_bits",
@@ -1049,7 +1063,7 @@ class TestBackendsAndSerialization:
 
     def test_nfa_roundtrip_keeps_accept(self, tmp_path):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         path = tmp_path / "x.clxi"
         ix.save(path)
         again = Index.load(path)
@@ -1072,7 +1086,7 @@ class TestBackendsAndSerialization:
 
     def test_out_of_range_ids_rejected(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        raw = build_nfa_index(qn, cp).to_bytes()
+        raw = build_index(qn, cp).to_bytes()
         at = v5_offsets(raw)
         unpacked_bits = []  # of every packed array a load unpacks
         real = index_module._unpack
@@ -1138,7 +1152,7 @@ class TestBackendsAndSerialization:
         """Every group holds an edge, so a file with more groups than edges
         is refused before its group count sizes any array."""
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        raw = build_nfa_index(qn, cp).to_bytes()
+        raw = build_index(qn, cp).to_bytes()
         bad = bytearray(raw)
         struct.pack_into("<I", bad, v5_offsets(raw)["n_groups"], 4)  # of 3 edges
         unpacked = []
@@ -1153,7 +1167,7 @@ class TestBackendsAndSerialization:
         value needs: each array has one width, so a loaded file writes back
         its own bytes."""
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        raw = build_nfa_index(qn, cp).to_bytes()
+        raw = build_index(qn, cp).to_bytes()
         at = v5_offsets(raw)
         assert [raw[at[name + "_width"]] for name in _Arrays._fields] == [2, 2, 1, 2, 1, 1, 1, 1]
         unpacked = []
@@ -1185,7 +1199,7 @@ class TestBackendsAndSerialization:
         word, are 0 as written: a file with one set is refused, so that a
         loaded file writes back its own bytes."""
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        raw = build_nfa_index(qn, cp).to_bytes()
+        raw = build_index(qn, cp).to_bytes()
         at = v5_offsets(raw)
         for name in _Arrays._fields:
             start, width = at[name]
@@ -1200,13 +1214,13 @@ class TestBackendsAndSerialization:
         cannot be loaded; the writer refuses them in arrays laid out in
         memory."""
         qn, cp = nfa_pipeline(diamond_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_index(qn, cp)
         a = decoded(ix)[1]
 
         def rebuilt(arrays):
             return written(alphabet=ix.alphabet, n_original=ix.n_original,
                            e_original=ix.e_original, n_classes=ix.n_classes, arrays=arrays,
-                           has_finals=True, initial_class=ix.initial_class)
+                           initial_class=ix.initial_class)
         assert list(a.chain_ends) == [4, 5]
         with pytest.raises(ValueError, match="corrupt"):
             rebuilt(a._replace(chain_ends=[6, 5]))
@@ -1221,7 +1235,7 @@ class TestBackendsAndSerialization:
         def two_groups(targets):
             arrays = _Arrays([2], [0, 1], [], [0, 1], [2, 3], targets, [0, 1, 0], [])
             return written(alphabet=Alphabet(("a", "b")), n_original=2, e_original=3,
-                           n_classes=2, arrays=arrays, has_finals=False, initial_class=None)
+                           n_classes=2, arrays=arrays, initial_class=None)
         stored = Index.from_bytes(two_groups([0, 1, 1]).to_bytes())
         assert decoded(stored)[1].targets == [0, 1, 1]
         with pytest.raises(ValueError, match=r"group \(0, 1, 0\) starts below"):
@@ -1229,12 +1243,13 @@ class TestBackendsAndSerialization:
         # header fields a file cannot hold: a negative initial class and
         # counts; and ids and a count the reader would refuse: an initial or
         # final class past the last, fewer original nodes than the class map
-        for field in ({"initial": -1}, {"n_original": -1}, {"e_original": -1},
-                      {"initial": ix.n_classes}, {"finals": qn.finals | {ix.n_classes}},
-                      {"n_original": ix.n_original - 1}):
+        past = ix.n_classes
+        for automaton, counts in ((replace(qn, initial=-1), {}), (qn, {"n_original": -1}),
+                                  (qn, {"e_original": -1}), (replace(qn, initial=past), {}),
+                                  (replace(qn, finals=qn.finals | {past}), {}),
+                                  (qn, {"n_original": ix.n_original - 1})):
             with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
-                build_index(qn.quotient, cp, **({"finals": qn.finals, "initial": qn.initial}
-                                                | field))
+                build_index(automaton, cp, **counts)
 
     def test_reader_fuzz_behind_a_valid_crc(self):
         """Random non-negative values at their canonical width in one
@@ -1279,7 +1294,7 @@ class TestBackendsAndSerialization:
                 assert ix.to_bytes() == bad
                 for p in enumerate_strings(ix.alphabet.symbols, 2):
                     ix.map_back(ix.match_pattern(p)[1])
-                    if ix._accept_error is None:
+                    if ix.finals is not None:
                         ix.accept(p)
                 ix.space_report()
         assert refused > 3000 and loaded > 300, (refused, loaded)
@@ -1334,7 +1349,7 @@ class TestBackendsAndSerialization:
 
     def test_unknown_flag_bits_rejected(self, tmp_path, capsys):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        raw = build_nfa_index(qn, cp).to_bytes()
+        raw = build_index(qn, cp).to_bytes()
         (flags,) = struct.unpack_from("<H", raw, 6)
         assert flags == 3  # finals and initial
         for bit in range(2, 16):
@@ -1352,7 +1367,7 @@ class TestBackendsAndSerialization:
         """A header whose sigma * q * q is over 2**64 is refused before any
         array is decoded: the keys are held as u64."""
         qn, cp = nfa_pipeline(loop_branch_nfa())  # sigma 2
-        raw = build_nfa_index(qn, cp).to_bytes()
+        raw = build_index(qn, cp).to_bytes()
         at_q = v5_offsets(raw)["q"]  # sigma follows q
         unpacked = []
         monkeypatch.setattr(index_module, "_unpack", lambda *args: unpacked.append(args))
@@ -1374,7 +1389,7 @@ class TestBackendsAndSerialization:
         rng = random.Random(1305)
         for _ in range(3):
             qn, cp = nfa_pipeline(random_trim_nfa(rng, 6, 2, 0.3))
-            raw = build_nfa_index(qn, cp).to_bytes()
+            raw = build_index(qn, cp).to_bytes()
             damaged = [raw[:cut] for cut in range(len(raw))]
             for bit in range(8 * len(raw)):
                 flipped = bytearray(raw)
@@ -1388,7 +1403,7 @@ class TestBackendsAndSerialization:
 
     def test_load_unpacks_each_array_once(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp).open()
+        ix = build_index(qn, cp).open()
         raw = ix.to_bytes()
         unpacked = []
         real = index_module._unpack
@@ -1441,7 +1456,7 @@ class TestOpen:
     def test_build_writes_once_and_opens_nothing(self, monkeypatch, tmp_path):
         calls = count_opens(monkeypatch)
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        ix = build_nfa_index(qn, cp)
+        ix = build_index(qn, cp)
         assert calls == {"_write": 1}
         ix.save(tmp_path / "x.clxi")
         ix.to_bytes()
@@ -1469,7 +1484,7 @@ class TestOpen:
         neither again; those that read a set refuse one another index made."""
         calls = count_opens(monkeypatch)
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        built = build_nfa_index(qn, cp)
+        built = build_index(qn, cp)
         foreign = built.open().full_set()
         calls.clear()
         ix = built.open()
@@ -1490,7 +1505,7 @@ class TestOpen:
         a position outside its chain behind a valid CRC is refused by
         ``from_bytes`` itself, not at its first query."""
         qn, cp = nfa_pipeline(loop_branch_nfa())
-        raw = build_nfa_index(qn, cp).to_bytes()
+        raw = build_index(qn, cp).to_bytes()
         calls = count_opens(monkeypatch)
         ix = Index.from_bytes(raw)
         assert calls == self.OPENED
@@ -1542,7 +1557,7 @@ class TestOpen:
         target 2."""
         arrays = _Arrays([2, 4], list(range(4)), [], [0, 1], [2, 3], [1, 1, 2], [0, 1, 0], [])
         alphabet = Alphabet(("a",))
-        raw, widths, stored = _write(alphabet, 4, 3, 4, arrays, False, None)
+        raw, widths, stored = _write(alphabet, 4, 3, 4, arrays, None)
         record = WrittenIndex(raw, alphabet, widths, stored)
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^group \(0, 0, 1\) has a position outside"):

@@ -37,7 +37,7 @@ class TestPackUnpack:
         one, in any array and past the first 64 values."""
         def write(class_map):
             arrays = _Arrays([1], class_map, [], [], [], [], [], [])
-            return _write(Alphabet(("a",)), len(class_map), 0, 1, arrays, False, None)
+            return _write(Alphabet(("a",)), len(class_map), 0, 1, arrays, None)
         assert _unpack(64, 1, write([2**64 - 1])[0][-12:-4]) == [2**64 - 1]
         with pytest.raises(ValueError, match=f"^value {2**64} does not fit in 64 bits$"):
             write([0] * 70 + [2**64])

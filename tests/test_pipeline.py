@@ -10,6 +10,7 @@ import pytest
 
 from colexgraph import (LabeledGraph, Nfa, build_index, chains, max_colex_relation,
                         min_chain_partition, quotient_graph, run_pipeline)
+from colexgraph.cli import main
 from colexgraph.oracle import (enumerate_strings, language_equiv, random_trim_nfa,
                                simulate_nfa)
 from conftest import SEED_NFA_CORPUS, double_hub_graph, loop_branch_nfa
@@ -43,6 +44,21 @@ class TestRunPipeline:
         assert result.automaton is None
         assert result.index().to_bytes() == build_index(qg, cp, n_original=5,
                                                         e_original=6).to_bytes()
+
+    def test_stage_by_stage_build_counts_the_collapsed_graph(self, tmp_path, capsys):
+        """``build_index`` counts the nodes and edges of the graph that
+        ``quotient_graph`` collapsed, as ``run_pipeline`` passes them: the
+        double hub's 5 nodes and 6 edges, not its quotient's 1 edge."""
+        g = double_hub_graph(3)
+        qg = quotient_graph(g, max_colex_relation(g))
+        built = build_index(qg, min_chain_partition(qg.order))
+        assert (len(qg.graph.edges), qg.input_edges) == (1, 6)
+        assert (built.n_original, built.e_original) == (5, 6)
+        assert built.to_bytes() == run_pipeline(g).index().to_bytes()
+        path = tmp_path / "hub.clxi"
+        built.save(path)
+        assert main(["stats", str(path)]) == 0
+        assert capsys.readouterr().out.startswith("n 5\nedges 6\nclasses 2\nquotient-edges 1\n")
 
     def test_automaton_is_trimmed_and_counted_before_trimming(self):
         # loop_branch_nfa plus a state 3 that no final state is reachable from
