@@ -9,8 +9,8 @@ that (symbol, source chain) pair, one per target chain; the reached positions
 on each chain are filled in to an interval, which is exact because images of
 convex sets are convex.
 
-The index is one fixed set of eight integer arrays: the chain ends, the class
-of every indexed node, the marked and the final class ids, and the edge store.
+The index is one fixed set of seven integer arrays: the chain ends, the class
+of every indexed node, the final class ids, and the edge store.
 The store holds the group keys ``(target chain * sigma + symbol) * q + source
 chain`` in increasing order with each group's end offset, and the edges' target
 and source positions, group after group. An index is made from its ``.clxi``
@@ -67,10 +67,10 @@ from .graph import MARKERS, Alphabet
 from .quotient import QuotientGraph, QuotientNfa
 
 MAGIC = b"CLXI"
-FORMAT_VERSION = 5
-_HEADER = "<4sHHIQIII"
-_COUNTS = "<IIIII"  # indexed nodes, marked classes, groups, edges, finals
-_WIDTHS = "<8B"  # the bit width of each packed array, in file order
+FORMAT_VERSION = 6
+_HEADER = "<4sHHIQII"
+_COUNTS = "<IIII"  # indexed nodes, groups, edges, finals
+_WIDTHS = "<7B"  # the bit width of each packed array, in file order
 
 # Flag bits 0 (finals) and 1 (the initial class) are set together, for an
 # automaton's index, or not at all, for a graph's.
@@ -202,7 +202,6 @@ class _Arrays(NamedTuple):
 
     chain_ends: Sequence[int]  # one past the last class id of each chain
     class_map: Sequence[int]   # the class of each indexed node
-    marked: Sequence[int]      # marked class ids, increasing
     keys: Sequence[int]        # group keys, increasing
     ends: Sequence[int]        # end offset of each group's edges
     targets: Sequence[int]     # edge target positions, group after group
@@ -286,8 +285,8 @@ def _unions(t0: tuple, t1: tuple, t2: tuple, t3: tuple) -> tuple[tuple, ...]:
             t3, t0 + t3, t1 + t3, t01 + t3, t23, t0 + t23, t1 + t23, t01 + t23)
 
 
-def _write(alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
-           a: _Arrays, initial_class: int | None) -> tuple[bytes, tuple[int, ...], _Arrays]:
+def _write(alphabet: Alphabet, n_original: int, e_original: int, a: _Arrays,
+           initial_class: int | None) -> tuple[bytes, tuple[int, ...], _Arrays]:
     """The ``.clxi`` file of the decoded arrays ``a``, an automaton's when
     ``initial_class`` is given, the bit width of each stored array, and the
     stored arrays: each increasing array as its first value and the
@@ -300,15 +299,14 @@ def _write(alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
     q, sigma = len(a.chain_ends), len(alphabet)
     flags = 0 if initial_class is None else _FLAG_AUTOMATON
     out = bytearray(struct.pack(_HEADER, MAGIC, FORMAT_VERSION, flags, n_original,
-                                e_original, n_classes, q, sigma))
+                                e_original, q, sigma))
     for sym in alphabet.symbols:
         raw = sym.encode("utf-8")
         if len(raw) > 0xFFFF:
             raise ValueError(f"symbol of {len(raw)} UTF-8 bytes is over the index "
                              "format's limit of 65535")
         out += struct.pack("<H", len(raw)) + raw
-    out += struct.pack(_COUNTS, len(a.class_map), len(a.marked), len(a.keys),
-                       len(a.targets), len(a.finals))
+    out += struct.pack(_COUNTS, len(a.class_map), len(a.keys), len(a.targets), len(a.finals))
     lengths, sizes = _differences(a.chain_ends), _differences(a.ends)
     targets, sources = list(a.targets), list(a.sources)
     # A group of one edge is stored as its head alone; when every group
@@ -323,8 +321,8 @@ def _write(alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
     for g in follow_ons:
         start = a.ends[g - 1]
         targets[start] -= a.targets[start - 1]
-    stored = _Arrays(lengths, a.class_map, _differences(a.marked), _differences(a.keys),
-                     sizes, targets, sources, _differences(a.finals))
+    stored = _Arrays(lengths, a.class_map, _differences(a.keys), sizes, targets, sources,
+                     _differences(a.finals))
     if min(map(min, filter(None, stored)), default=0) < 0:
         _refuse_stored(a, stored, follow_ons, sigma)
     highs = [max(values, default=0) for values in stored]
@@ -346,7 +344,7 @@ def _refuse_stored(a: _Arrays, stored: _Arrays, follow_ons: Sequence[int],
     falling source breaks source monotonicity; at its head, a follow-on
     group starts below the last target of the group before. Anything else
     is a corrupt index."""
-    q, rest = len(a.chain_ends), (*stored[:5], stored.finals)
+    q, rest = len(a.chain_ends), stored._replace(targets=(), sources=())
     if min(map(min, filter(None, rest)), default=0) >= 0:
         p = next(p for p, (t, s) in enumerate(zip(stored.targets, stored.sources)) if min(t, s) < 0)
         g = bisect_right(a.ends, p)
@@ -387,7 +385,7 @@ def _read(raw: bytes) -> tuple[Alphabet, tuple[int, ...], _Arrays]:
         _require(not tail or not int.from_bytes(view[off - 8:off], "little") >> tail)
         return _unpack(width, length, view[off - size:off])
 
-    magic, version, flags, _, _, _, q, sigma = take(_HEADER)
+    magic, version, flags, _, _, q, sigma = take(_HEADER)
     if magic != MAGIC:
         raise ValueError("not an index file (bad magic)")
     if version != FORMAT_VERSION:
@@ -402,11 +400,11 @@ def _read(raw: bytes) -> tuple[Alphabet, tuple[int, ...], _Arrays]:
     for _ in range(sigma):
         (ln,) = take("<H")
         symbols.append(take(f"<{ln}s")[0].decode("utf-8"))
-    n_nodes, n_marked, n_groups, n_edges, n_finals = take(_COUNTS)
+    n_nodes, n_groups, n_edges, n_finals = take(_COUNTS)
     _require(n_groups <= n_edges)  # no group is empty
     widths = take(_WIDTHS)
     _require(min(widths) >= 1 and max(widths) <= 64)
-    counts = (q, n_nodes, n_marked, n_groups, n_groups, n_edges, n_edges, n_finals)
+    counts = (q, n_nodes, n_groups, n_groups, n_edges, n_edges, n_finals)
     stored = _Arrays(*map(unpack, widths, counts))
     # Each width is the one its array's largest value needs, so that a file
     # is the one the writer makes of its arrays: width 1, or some value uses
@@ -424,9 +422,8 @@ def _decode(stored: _Arrays, sigma: int) -> _Arrays:
     stored lists themselves. The class map is the stored list."""
     lengths, sizes = stored.chain_ends, stored.ends
     targets, sources, n_edges = stored.targets, stored.sources, len(stored.targets)
-    chain_ends, marked, keys, ends, finals = (
-        [*accumulate(values)] for values in (lengths, stored.marked, stored.keys, sizes,
-                                             stored.finals))
+    chain_ends, keys, ends, finals = (
+        [*accumulate(values)] for values in (lengths, stored.keys, sizes, stored.finals))
     # A group of one edge is stored as its head alone; when every group has
     # one edge, there is nothing to sum.
     longer = compress(zip(ends, sizes), map(gt, sizes, repeat(1))) \
@@ -440,7 +437,7 @@ def _decode(stored: _Arrays, sigma: int) -> _Arrays:
         if end > n_edges:  # and so are the rest, which the constructor refuses
             break
         targets[start:end] = map(add, targets[start:end], repeat(targets[start - 1]))
-    return _Arrays(chain_ends, stored.class_map, marked, keys, ends, targets, sources, finals)
+    return _Arrays(chain_ends, stored.class_map, keys, ends, targets, sources, finals)
 
 
 class WrittenIndex:
@@ -452,13 +449,14 @@ class WrittenIndex:
 
     def __init__(self, raw: bytes, alphabet: Alphabet, widths: Sequence[int],
                  stored: _Arrays):
-        _, _, flags, n_original, e_original, n_classes, q, _ = struct.unpack_from(_HEADER, raw)
+        _, _, flags, n_original, e_original, q, _ = struct.unpack_from(_HEADER, raw)
         self.initial_class = (struct.unpack_from("<I", raw, len(raw) - 8)[0]
                               if flags else None)
         # the bytes, and each array's bits as the file packs it, for space_report()
         self._raw, self._bits = raw, _Arrays(*map(mul, widths, map(len, stored)))
         self.alphabet, self.n_original, self.e_original = alphabet, n_original, e_original
-        self.q, self.n_classes, self._sigma = q, n_classes, len(alphabet)
+        # the chain lengths, stored as the differences of the chain ends, sum to the class count
+        self.q, self.n_classes, self._sigma = q, sum(stored.chain_ends), len(alphabet)
         self.e_quotient = len(stored.targets)
 
     def open(self) -> Index:
@@ -479,7 +477,6 @@ class WrittenIndex:
         # Reported, not counted:
         breakdown["chain_table_bits"] = bits.chain_ends
         breakdown["class_map_bits"] = bits.class_map
-        breakdown["marked_bits"] = bits.marked
         breakdown["rank_directory_bits"] = 0  # the index holds no rank directory
         per_edge = ceil_log2(self._sigma) + ceil_log2(self.q) + 2
         formula = self.e_quotient * per_edge + self.n_classes
@@ -512,14 +509,13 @@ class Index(WrittenIndex):
         # Chain j holds the classes offsets[j]..offsets[j+1]. Every class has
         # a member, which also bounds n_classes by the file size.
         offsets, lengths, class_map = [0, *a.chain_ends], stored.chain_ends, a.class_map
-        _require(offsets[-1] == n_classes and len(class_map) <= self.n_original
-                 and len(set(class_map)) == n_classes and max(class_map, default=-1) < n_classes)
+        _require(len(class_map) <= self.n_original and len(set(class_map)) == n_classes
+                 and max(class_map, default=-1) < n_classes)
         # No stored gap or size is negative; a zero gap after the first
         # repeats an id or key, and a zero size leaves a group empty.
-        for gaps, ids in ((stored.marked, a.marked), (stored.finals, a.finals)):
-            _require(0 not in gaps[1:] and (not ids or ids[-1] < n_classes))
-        # An automaton's initial class is marked; a graph has no finals.
-        _require(not a.finals if initial_class is None else initial_class in a.marked)
+        _require(0 not in stored.finals[1:] and (not a.finals or a.finals[-1] < n_classes))
+        # An automaton's initial class is a class; a graph has no finals.
+        _require(not a.finals if initial_class is None else initial_class < n_classes)
         # the final class ids, increasing; None in a graph's index
         self.finals = a.finals if initial_class is not None else None
         if 0 in stored.keys[1:] or (a.keys and a.keys[-1] >= self._sigma * q * q):
@@ -532,7 +528,6 @@ class Index(WrittenIndex):
         for v, cid in enumerate(class_map):
             members[cid].append(v)
         self.members = tuple(map(tuple, members))
-        self._symbol_index = {s: k for k, s in enumerate(self.alphabet.symbols)}
         # match_pattern's start, the full set as a fold state: every one-class
         # chain, and the whole of each longer chain
         longer = {j: (0, n) for j, n in enumerate(lengths) if n > 1}
@@ -684,7 +679,7 @@ class Index(WrittenIndex):
     def _symbol_ids(self, pattern: Iterable[str]) -> list[int]:
         """The pattern's symbols as alphabet positions. No alphabet holds a
         marker, so a marker is refused as well as an unknown symbol."""
-        ids, symbols = self._symbol_index, tuple(pattern)
+        ids, symbols = self.alphabet._index, tuple(pattern)
         try:
             return list(map(ids.__getitem__, symbols))
         except KeyError:
@@ -801,7 +796,7 @@ class Index(WrittenIndex):
 
     def follow(self, s: ClassSet, a: str, stats: QueryStats | None = None) -> ClassSet:
         """Classes reachable from ``s`` by one edge labeled ``a``: a one-symbol fold."""
-        state, sym = self._own(s), self._symbol_index.get(a)
+        state, sym = self._own(s), self.alphabet._index.get(a)
         if sym is None:
             _refuse(a)
         return ClassSet(*self._fold(state, (sym,), stats), self)
@@ -892,7 +887,7 @@ def build_index(quotient: QuotientGraph | QuotientNfa, cp: ChainPartition,
     # class c + 1 follows class c on a chain exactly when it is not at position 0
     if not np.diagonal(qg.order.bits, 1)[np.array(pos[1:], dtype=np.intp) > 0].all():
         raise ValueError("chain members are not strictly increasing in the order")
-    symbol = {a: k for k, a in enumerate(alphabet.symbols)}
+    symbol = alphabet._index
     # (key, target position, source position) of every edge, in store order
     edges = sorted(((chain_of[cv] * sigma + symbol[a]) * q + chain_of[cu], pos[cv], pos[cu])
                    for cu, cv, a in qg.graph.edges)
@@ -900,13 +895,12 @@ def build_index(quotient: QuotientGraph | QuotientNfa, cp: ChainPartition,
     # a group ends where the next edge's key differs, and the last at the end
     last = list(map(ne, edge_keys, [*edge_keys[1:], None]))
     arrays = _Arrays([*accumulate(map(len, cp.chains))], qg.partition.class_of,
-                     sorted(qg.marked_classes), [*compress(edge_keys, last)],
-                     [*compress(count(1), last)], [edge[1] for edge in edges],
-                     [edge[2] for edge in edges], sorted(finals))
+                     [*compress(edge_keys, last)], [*compress(count(1), last)],
+                     [edge[1] for edge in edges], [edge[2] for edge in edges], sorted(finals))
     try:
         raw, widths, stored = _write(
             alphabet, n_original, qg.input_edges if e_original is None else e_original,
-            n_classes, arrays, initial)
+            arrays, initial)
     except struct.error:  # a header value its field cannot hold, such as a negative count
         raise ValueError(_CORRUPT) from None
     return WrittenIndex(raw, alphabet, widths, stored)

@@ -676,8 +676,8 @@ def rewritten(ix: Index) -> bytes:
     """The arrays that ``ix``'s file decodes to, written again with the
     header's fields: the file's own bytes when the reader undoes the writer."""
     alphabet, _, stored = _read(ix.to_bytes())
-    return _write(alphabet, ix.n_original, ix.e_original, ix.n_classes,
-                  _decode(stored, len(alphabet)), ix.initial_class)[0]
+    return _write(alphabet, ix.n_original, ix.e_original, _decode(stored, len(alphabet)),
+                  ix.initial_class)[0]
 
 
 def _pattern_sample(rng: random.Random, symbols: Sequence[str], count: int,

@@ -88,12 +88,12 @@ def reseal(buf: bytearray) -> bytes:
     return bytes(buf[:-4]) + zlib.crc32(buf[:-4]).to_bytes(4, "little")
 
 
-def written(*, alphabet: Alphabet, n_original: int, e_original: int, n_classes: int,
-            arrays: _Arrays, initial_class: int | None) -> Index:
+def written(*, alphabet: Alphabet, n_original: int, e_original: int, arrays: _Arrays,
+            initial_class: int | None) -> Index:
     """The index of the given decoded arrays, written as ``build_index``
     writes them, by the ``.clxi`` writer, which refuses what a file cannot
     store, and loaded from the bytes, which the range checks refuse."""
-    raw = _write(alphabet, n_original, e_original, n_classes, arrays, initial_class)[0]
+    raw = _write(alphabet, n_original, e_original, arrays, initial_class)[0]
     return Index.from_bytes(raw)
 
 
@@ -104,17 +104,17 @@ def decoded(ix: WrittenIndex) -> tuple[tuple[int, ...], _Arrays]:
     return widths, _decode(stored, len(alphabet))
 
 
-def v5_offsets(raw: bytes) -> dict:
-    """Where a v5 file's fields are: the byte offset of the header's
+def v6_offsets(raw: bytes) -> dict:
+    """Where a v6 file's fields are: the byte offset of the header's
     ``n_original`` and ``q``, of each count after the alphabet, of each
     array's width byte (``<name>_width``) and of the initial class, and
     (offset, width) of each packed array."""
     ix = Index.from_bytes(raw)
     arrays = decoded(ix)[1]
-    at = {"n_original": 8, "q": 24}
-    off = struct.calcsize("<4sHHIQIII") + sum(
+    at = {"n_original": 8, "q": 20}
+    off = struct.calcsize("<4sHHIQII") + sum(
         2 + len(sym.encode("utf-8")) for sym in ix.alphabet.symbols)
-    for name in ("n_nodes", "n_marked", "n_groups", "n_edges", "n_finals"):
+    for name in ("n_nodes", "n_groups", "n_edges", "n_finals"):
         at[name] = off
         off += 4
     widths = raw[off:off + len(_Arrays._fields)]
@@ -135,7 +135,7 @@ def put_stored(buf: bytearray, at: dict, name: str, values: list[int],
                width: int | None = None) -> None:
     """Overwrite the stored values of a one-word packed array and its width
     byte, by default at the width its largest value needs; ``at`` is from
-    ``v5_offsets``."""
+    ``v6_offsets``."""
     start, old = at[name]
     if width is None:
         width = max(1, max(values).bit_length())

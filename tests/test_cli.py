@@ -15,7 +15,7 @@ from colexgraph import (Index, Preorder, build_index, format_graph, format_nfa,
 from colexgraph.cli import main
 from colexgraph.oracle import language_equiv, simulate_nfa
 from conftest import double_hub_graph, funnel_nfa, loop_branch_nfa
-from helpers import decoded, put_stored, reseal, v5_offsets
+from helpers import decoded, put_stored, reseal, v6_offsets
 
 
 @pytest.fixture
@@ -132,7 +132,7 @@ sys.exit(status)
         raw = bytearray(out.read_bytes())
         # the class of node 0: 3 classes leave a 2-bit id room for 3
         assert Index.load(str(out)).n_classes == 3
-        put_stored(raw, v5_offsets(bytes(raw)), "class_map", [3, 2, 1])
+        put_stored(raw, v6_offsets(bytes(raw)), "class_map", [3, 2, 1])
         out.write_bytes(reseal(raw))
         assert main(["query", str(out), "a"]) == 2
         err = capsys.readouterr().err
@@ -146,7 +146,7 @@ sys.exit(status)
         # the first group takes two edges and the second none, which every
         # other check lets through
         assert decoded(Index.load(str(out)))[1].ends == [1, 2, 3]
-        put_stored(raw, v5_offsets(bytes(raw)), "ends", [2, 0, 1])
+        put_stored(raw, v6_offsets(bytes(raw)), "ends", [2, 0, 1])
         out.write_bytes(reseal(raw))
         with pytest.raises(ValueError, match="ends do not rise"):
             Index.load(str(out))
@@ -166,16 +166,20 @@ sys.exit(status)
         assert capsys.readouterr().err == "error: unsupported index format version 3\n"
 
     def test_version_4_index_is_a_one_line_error(self, hub_file, tmp_path, capsys):
-        """A file marked v4, with a CRC that matches, is refused by its
-        version: v5 stores differences where v4 stored values."""
+        """A file marked v4 or v5, with a CRC that matches, is refused by its
+        version: v5 stores differences where v4 stored values, and v6 drops
+        v5's marked classes and its header's class count."""
         out = tmp_path / "hub.clxi"
         main(["build", hub_file, "-o", str(out)])
-        raw = bytearray(out.read_bytes())
-        struct.pack_into("<H", raw, 4, 4)
-        out.write_bytes(reseal(raw))
-        for argv in (["query", str(out), "a"], ["stats", str(out)]):
-            assert main(argv) == 2
-            assert capsys.readouterr().err == "error: unsupported index format version 4\n"
+        built = out.read_bytes()
+        for version in (4, 5):
+            raw = bytearray(built)
+            struct.pack_into("<H", raw, 4, version)
+            out.write_bytes(reseal(raw))
+            for argv in (["query", str(out), "a"], ["stats", str(out)]):
+                assert main(argv) == 2
+                assert capsys.readouterr().err == \
+                    f"error: unsupported index format version {version}\n"
 
     def test_backend_option_is_gone(self, hub_file, tmp_path):
         out = str(tmp_path / "hub.clxi")

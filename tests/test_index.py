@@ -26,7 +26,7 @@ from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
                       loop_branch_nfa, small_graphs)
 from helpers import (benchmark_workloads, decoded, interval_set, nfa_pipeline, put_stored,
-                     quotient_pipeline, reseal, seeded_debruijn, v5_offsets, written)
+                     quotient_pipeline, reseal, seeded_debruijn, v6_offsets, written)
 
 
 # Every public method that reads a class set, as (index, set) -> answer
@@ -58,10 +58,10 @@ def far_target_index():
     four source chains, each aimed at the last chain: every block is wide."""
     q = 8000
     keys = [(q - 1) * q + i for i in range(0, q, 4)]
-    arrays = _Arrays(list(range(1, q + 1)), list(range(q)), [], keys,
+    arrays = _Arrays(list(range(1, q + 1)), list(range(q)), keys,
                      list(range(1, len(keys) + 1)), [0] * len(keys), [0] * len(keys), [])
     return Index.from_bytes(written(alphabet=Alphabet(("a",)), n_original=q,
-                                    e_original=len(keys), n_classes=q, arrays=arrays,
+                                    e_original=len(keys), arrays=arrays,
                                     initial_class=None).to_bytes())
 
 
@@ -146,10 +146,10 @@ def one_chain_index(edges, length=2):
     """Index of a one-symbol graph whose classes 0 to length - 1 form one chain,
     with the given (target, source) positions as its only group, checked by
     the writer and the reader."""
-    arrays = _Arrays([length], list(range(length)), [], [0], [len(edges)],
+    arrays = _Arrays([length], list(range(length)), [0], [len(edges)],
                      [t for t, _ in edges], [s for _, s in edges], [])
     return written(alphabet=Alphabet(("a",)), n_original=length, e_original=len(edges),
-                   n_classes=length, arrays=arrays, initial_class=None)
+                   arrays=arrays, initial_class=None)
 
 
 class TestBuildLayout:
@@ -213,8 +213,8 @@ class TestBuildLayout:
             stages.append((made["_pack"], made["_unpack"]))
             counts[ix.q > 1] = stages
             assert ix.q in (1, 16) and ix.accept([symbols[0]] if ix.q > 1 else ["a", "a"])
-        # a build packs 8 arrays, a save packs none and a load unpacks 8
-        assert counts[True] == counts[False] == [(8, 0), (8, 0), (8, 8)]
+        # a build packs 7 arrays, a save packs none and a load unpacks 7
+        assert counts[True] == counts[False] == [(7, 0), (7, 0), (7, 7)]
 
     def test_partition_must_match_order(self):
         qg, cp = quotient_pipeline(double_hub_graph(2))
@@ -361,10 +361,10 @@ class TestProbeDirectory:
         # One (symbol, source chain) pair with two groups: chain 0 reaches
         # targets 0 and 1 of chain 0 from sources 0 and 1, and targets 0 and 2
         # of chain 1 from sources 1 and 2.
-        arrays = _Arrays([3, 6], list(range(6)), [], [0, 2], [2, 4],
+        arrays = _Arrays([3, 6], list(range(6)), [0, 2], [2, 4],
                          [0, 1, 0, 2], [0, 1, 1, 2], [])
-        ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=4, n_classes=6,
-                     arrays=arrays, initial_class=None)
+        ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=4, arrays=arrays,
+                     initial_class=None)
         cases = [((0, 3), ((0, 2), (0, 3)), 0),  # spans both groups
                  ((0, 2), ((0, 2), (0, 1)), 1)]  # stops inside the last group
         for interval, image, n_searches in cases:
@@ -376,10 +376,10 @@ class TestProbeDirectory:
         # Chains 0 and 1 hold one class each, chain 2 holds four. Chain 0
         # reaches chain 1 and targets 0 and 2 of chain 2; chain 2 reaches
         # chain 0 from sources 0, 2 and 3, and its own target 1 from source 1.
-        arrays = _Arrays([1, 2, 6], list(range(6)), [], [2, 3, 6, 8], [3, 4, 6, 7],
+        arrays = _Arrays([1, 2, 6], list(range(6)), [2, 3, 6, 8], [3, 4, 6, 7],
                          [0, 0, 0, 0, 0, 2, 1], [0, 2, 3, 0, 0, 0, 1], [])
-        ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=7, n_classes=6,
-                     arrays=arrays, initial_class=None)
+        ix = written(alphabet=Alphabet(("a",)), n_original=6, e_original=7, arrays=arrays,
+                     initial_class=None)
         cases = [(((0, 1), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 3)), 0),  # the image entry
                  (((0, 0), (0, 0), (1, 3)), ((0, 1), (0, 0), (1, 2)), 1),  # source 2 is inside
                  (((0, 0), (0, 0), (1, 2)), ((0, 0), (0, 0), (1, 2)), 1),  # no source inside
@@ -734,9 +734,9 @@ class TestMatch:
         """A file whose chain ends repeat has a chain of no class. It holds
         no one-class chain's bit in match_pattern's start, so the empty
         pattern matches the classes there are and nothing outside a chain."""
-        arrays = _Arrays([1, 1, 2], [0, 1], [], [], [], [], [], [])
-        ix = written(alphabet=Alphabet(("a",)), n_original=2, e_original=0, n_classes=2,
-                     arrays=arrays, initial_class=None)
+        arrays = _Arrays([1, 1, 2], [0, 1], [], [], [], [], [])
+        ix = written(alphabet=Alphabet(("a",)), n_original=2, e_original=0, arrays=arrays,
+                     initial_class=None)
         for index in (ix, Index.from_bytes(ix.to_bytes())):
             ok, end = index.match_pattern([])
             assert ok and end.intervals() == ((0, 1), (0, 0), (0, 1))
@@ -895,8 +895,8 @@ class TestAccept:
     def test_requires_marked_initial(self):
         """``accept`` starts at the initial class, which must be marked, as
         ``quotient_nfa`` marks it: the writer refuses an automaton over a
-        quotient computed without the marker, and the reader a file whose
-        marked classes lack the initial class."""
+        quotient computed without the marker. The file stores the initial
+        class, not the marked ones, and its arrays write it back."""
         nfa = loop_branch_nfa()
         qg, cp = quotient_pipeline(nfa.graph)  # no marker: classes {0,1},{2}
         part = qg.partition
@@ -908,12 +908,9 @@ class TestAccept:
         ix = build_index(*nfa_pipeline(nfa))
         a = decoded(ix)[1]
         header = dict(alphabet=ix.alphabet, n_original=ix.n_original, e_original=ix.e_original,
-                      n_classes=ix.n_classes, initial_class=ix.initial_class)
-        assert list(a.marked) == [ix.initial_class] == [0]
+                      initial_class=ix.initial_class)
+        assert ix.initial_class == 0
         assert written(arrays=a, **header).to_bytes() == ix.to_bytes()
-        for marked in ([], [1], [2]):
-            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
-                written(arrays=a._replace(marked=marked), **header)
 
     def test_agrees_with_simulation(self, rng):
         from colexgraph.oracle import enumerate_strings, random_trim_nfa
@@ -1010,7 +1007,7 @@ class TestSpaceReport:
         assert ix.space_report().formula_bits == 18
 
     def test_breakdown_counts_every_array_at_its_file_width(self):
-        """The array entries of the breakdown add up to the eight arrays'
+        """The array entries of the breakdown add up to the seven arrays'
         width times length, on a graph index and on an automaton index."""
         qn, cp = nfa_pipeline(diamond_nfa())
         graph_ix = build_from(seeded_debruijn(11, 300, 4)[1])[0]
@@ -1018,12 +1015,9 @@ class TestSpaceReport:
             parts = dict(ix.space_report().breakdown)
             assert (parts.pop("boundary_bits"), parts.pop("rank_directory_bits")) == (0, 0)
             assert set(parts) == {"group_directory_bits", "position_array_bits", "final_bits",
-                                  "chain_table_bits", "class_map_bits", "marked_bits"}
+                                  "chain_table_bits", "class_map_bits"}
             widths, arrays = decoded(ix)
             assert sum(parts.values()) == sum(map(mul, widths, map(len, arrays)))
-            # marked: none on the graph, the initial state's class on the automaton
-            assert len(arrays.marked) == (ix.finals is not None)
-            assert parts["marked_bits"] == widths[2] * len(arrays.marked)
 
     def test_q1_index_is_within_one_and_a_half_times_the_formula(self):
         """On a Wheeler graph (q = 1) the stored differences bring the
@@ -1087,7 +1081,7 @@ class TestBackendsAndSerialization:
     def test_out_of_range_ids_rejected(self, monkeypatch):
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_index(qn, cp).to_bytes()
-        at = v5_offsets(raw)
+        at = v6_offsets(raw)
         unpacked_bits = []  # of every packed array a load unpacks
         real = index_module._unpack
 
@@ -1097,16 +1091,16 @@ class TestBackendsAndSerialization:
         monkeypatch.setattr(index_module, "_unpack", spy)
         # chains (0, 1) and (2,), so chain ends [2, 3], stored as the lengths
         # [2, 1]; classes {0}, {2}, {1}, so the class map is [0, 2, 1]; 0
-        # marked, 1 and 2 final, stored [1, 1]; keys [1, 3, 4], stored
+        # initial, 1 and 2 final, stored [1, 1]; keys [1, 3, 4], stored
         # [1, 2, 1], are the groups (a, 1) and (b, 1) of chain 0 and (a, 0) of
         # chain 1, one edge each, so ends [1, 2, 3] are stored as the sizes
         # [1, 1, 1]; every position is 0 but the second target
         header = [
-            (at["initial"], "<I", 3),
+            (at["initial"], "<I", 3),                          # initial class 3 of 3
             (at["n_original"], "<I", 2),                       # 3 indexed nodes of 2
             (6, "<H", 2),                                      # finals without their flag
         ]
-        for count in ("q", "n_nodes", "n_marked", "n_finals", "n_groups", "n_edges"):
+        for count in ("q", "n_nodes", "n_finals", "n_groups", "n_edges"):
             header.append((at[count], "<I", 0xFFFFFFFF))
         for field, fmt, value in header:
             bad = bytearray(raw)
@@ -1117,7 +1111,6 @@ class TestBackendsAndSerialization:
             ("chain_ends", [2, 0], "corrupt"),                 # chains end short of class 3
             ("class_map", [3, 2, 1], "corrupt"),               # node 0 in class 3 of 3
             ("class_map", [0, 2, 2], "corrupt"),               # class 1 has no member
-            ("marked", [3], "corrupt"),                        # marked class 3 of 3
             ("finals", [2, 1], "corrupt"),                     # final class 3 of 3
             ("finals", [1, 0], "corrupt"),                     # final class 1 twice
             ("keys", [1, 0, 3], "not strictly increasing"),    # (b, 1) -> (a, 1) again
@@ -1133,18 +1126,11 @@ class TestBackendsAndSerialization:
             with pytest.raises(ValueError, match=error):
                 Index.from_bytes(reseal(bad))
         assert max(unpacked_bits) <= 8 * len(raw)  # huge counts were refused first
-        # two marked ids one apart by a zero difference: a second marked id
-        # still fits the array's one word
-        bad = bytearray(raw)
-        struct.pack_into("<I", bad, at["n_marked"], 2)
-        put_stored(bad, at, "marked", [0, 0])
-        with pytest.raises(ValueError, match="corrupt"):
-            Index.from_bytes(reseal(bad))
         # a key at sigma * q * q: one symbol on one chain leaves the 1-bit key room
         hub, _, _ = build_from(double_hub_graph(3))
         hub_raw = hub.to_bytes()
         bad = bytearray(hub_raw)
-        put_stored(bad, v5_offsets(hub_raw), "keys", [1])
+        put_stored(bad, v6_offsets(hub_raw), "keys", [1])
         with pytest.raises(ValueError, match="below sigma"):
             Index.from_bytes(reseal(bad))
 
@@ -1154,7 +1140,7 @@ class TestBackendsAndSerialization:
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_index(qn, cp).to_bytes()
         bad = bytearray(raw)
-        struct.pack_into("<I", bad, v5_offsets(raw)["n_groups"], 4)  # of 3 edges
+        struct.pack_into("<I", bad, v6_offsets(raw)["n_groups"], 4)  # of 3 edges
         unpacked = []
         monkeypatch.setattr(index_module, "_unpack", lambda *args: unpacked.append(args))
         with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
@@ -1168,8 +1154,8 @@ class TestBackendsAndSerialization:
         its own bytes."""
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_index(qn, cp).to_bytes()
-        at = v5_offsets(raw)
-        assert [raw[at[name + "_width"]] for name in _Arrays._fields] == [2, 2, 1, 2, 1, 1, 1, 1]
+        at = v6_offsets(raw)
+        assert [raw[at[name + "_width"]] for name in _Arrays._fields] == [2, 2, 2, 1, 1, 1, 1]
         unpacked = []
         real = index_module._unpack
 
@@ -1200,7 +1186,7 @@ class TestBackendsAndSerialization:
         loaded file writes back its own bytes."""
         qn, cp = nfa_pipeline(loop_branch_nfa())
         raw = build_index(qn, cp).to_bytes()
-        at = v5_offsets(raw)
+        at = v6_offsets(raw)
         for name in _Arrays._fields:
             start, width = at[name]
             bad = bytearray(raw)
@@ -1219,7 +1205,7 @@ class TestBackendsAndSerialization:
 
         def rebuilt(arrays):
             return written(alphabet=ix.alphabet, n_original=ix.n_original,
-                           e_original=ix.e_original, n_classes=ix.n_classes, arrays=arrays,
+                           e_original=ix.e_original, arrays=arrays,
                            initial_class=ix.initial_class)
         assert list(a.chain_ends) == [4, 5]
         with pytest.raises(ValueError, match="corrupt"):
@@ -1233,9 +1219,9 @@ class TestBackendsAndSerialization:
         # as one run: a group on "b" whose first target lies below the last
         # target of the group on "a" cannot be stored, and is refused
         def two_groups(targets):
-            arrays = _Arrays([2], [0, 1], [], [0, 1], [2, 3], targets, [0, 1, 0], [])
+            arrays = _Arrays([2], [0, 1], [0, 1], [2, 3], targets, [0, 1, 0], [])
             return written(alphabet=Alphabet(("a", "b")), n_original=2, e_original=3,
-                           n_classes=2, arrays=arrays, initial_class=None)
+                           arrays=arrays, initial_class=None)
         stored = Index.from_bytes(two_groups([0, 1, 1]).to_bytes())
         assert decoded(stored)[1].targets == [0, 1, 1]
         with pytest.raises(ValueError, match=r"group \(0, 1, 0\) starts below"):
@@ -1266,7 +1252,7 @@ class TestBackendsAndSerialization:
         refused = loaded = 0
         for source in sources:
             raw = run_pipeline(source).index().to_bytes()
-            at, (_, arrays) = v5_offsets(raw), decoded(Index.from_bytes(raw))
+            at, (_, arrays) = v6_offsets(raw), decoded(Index.from_bytes(raw))
             one_word = [(name, len(values)) for name, values in zip(_Arrays._fields, arrays)
                         if 0 < len(values) * at[name][1] <= 64]
             for _ in range(100):
@@ -1308,8 +1294,8 @@ class TestBackendsAndSerialization:
                    "3 11 A\n4 5 C\n5 6 A\n5 10 T\n6 0 C\n6 7 A\n7 8 G\n8 9 G\n"
                    "9 5 C\n10 3 T\n11 0 C\n")
         pinned = [
-            (auto, "a4b88a49b4b0caa3959921b6d73954d0e75e04e632ec88bcf33d0f30f5f33a25"),
-            (wheeler, "cfb9d93d45ab690d46cf8e5408c55acf0c455e0ae08b0879ff64030575aa9754"),
+            (auto, "f41bdf7a8dc1c22005dffe6ba3f68ee5272b6cc260ddfb9e6aa93f21b6766860"),
+            (wheeler, "ce5f82e50a3c4b098b5f92fc355a6578015e4a4e78322ddd82129e4f3202fd48"),
         ]
         for text, digest in pinned:
             raw = run_pipeline(parse_input(text)).index().to_bytes()
@@ -1323,12 +1309,12 @@ class TestBackendsAndSerialization:
         here."""
         workloads = benchmark_workloads(monkeypatch)
         pinned = {
-            ("wheeler-dna", 1): "7fefe6d7befe5b3617db68e23c1c5534b1f608568ce406e9a0a7b704918c83ab",
-            ("wheeler-dna", 2): "3b90e22b8e12e3c585ec34e3dd684ec9a6e2aadd84cc9a5fe7ed7b649b549918",
-            ("wheeler-dna", 3): "62076030394229e10b6fa60f7f7f9d378f52b7de3c277a5458a85f340b786eca",
-            ("nfa-corpus", 1): "f39168f6083070e35a3254b2f510de3cffed49faf79e1187a16e2896e9aece80",
-            ("nfa-corpus", 2): "ca86c549b10c65a60af6137a820100ee38f6c0806850e2cc73777a84e077812f",
-            ("nfa-corpus", 3): "96bb3e1b3a1d1759eea63feb64aeeadf20a1a19c3393df7db3ad4962e150d380",
+            ("wheeler-dna", 1): "753217d818c5f10f3ad4560526b4adef3751d7840fbcd64c787cc93c098364a2",
+            ("wheeler-dna", 2): "3e67dd715052c81dbea7fcf8d304d645423570f98deeb6bb7e630836b7947473",
+            ("wheeler-dna", 3): "eaf53041453292ab79e0e541fbcad962e48349b33656ee7620ed4178925cd5aa",
+            ("nfa-corpus", 1): "a5ef3a3e90e8616bef6ffaee8fe6cfabca33239127b7db230cc0f86a2ee2556c",
+            ("nfa-corpus", 2): "f18ab263be7bab37cbbdc52ad85ecaad0f9a97732348a99a3455b960f86c70a1",
+            ("nfa-corpus", 3): "6d041bc5283a01ac489c58ca5f7286294d49521611535574140efb9060a639d1",
         }
         assert set(name for name, _ in pinned) == set(workloads.WORKLOADS)
         for (name, seed), digest in pinned.items():
@@ -1368,7 +1354,7 @@ class TestBackendsAndSerialization:
         array is decoded: the keys are held as u64."""
         qn, cp = nfa_pipeline(loop_branch_nfa())  # sigma 2
         raw = build_index(qn, cp).to_bytes()
-        at_q = v5_offsets(raw)["q"]  # sigma follows q
+        at_q = v6_offsets(raw)["q"]  # sigma follows q
         unpacked = []
         monkeypatch.setattr(index_module, "_unpack", lambda *args: unpacked.append(args))
         for q, sigma in ((0xFFFFFFFF, 2), (0x10001, 0xFFFFFFFF)):
@@ -1513,7 +1499,7 @@ class TestOpen:
         ix.match_pattern(["b"])
         assert calls == self.OPENED
         bad = bytearray(raw)
-        put_stored(bad, v5_offsets(raw), "targets", [0, 1, 1])  # target 1 of a one-class chain
+        put_stored(bad, v6_offsets(raw), "targets", [0, 1, 1])  # target 1 of a one-class chain
         calls.clear()
         with pytest.raises(ValueError, match=r"has a position outside its chain"):
             Index.from_bytes(reseal(bad))
@@ -1555,9 +1541,9 @@ class TestOpen:
         sums no position twice. Two chains of two classes: group 0, from
         chain 0, has the targets 1 and 1, and group 1, from chain 1, the
         target 2."""
-        arrays = _Arrays([2, 4], list(range(4)), [], [0, 1], [2, 3], [1, 1, 2], [0, 1, 0], [])
+        arrays = _Arrays([2, 4], list(range(4)), [0, 1], [2, 3], [1, 1, 2], [0, 1, 0], [])
         alphabet = Alphabet(("a",))
-        raw, widths, stored = _write(alphabet, 4, 3, 4, arrays, None)
+        raw, widths, stored = _write(alphabet, 4, 3, arrays, None)
         record = WrittenIndex(raw, alphabet, widths, stored)
         for _ in range(2):
             with pytest.raises(ValueError, match=r"^group \(0, 0, 1\) has a position outside"):

@@ -81,7 +81,7 @@ class TestRunPipeline:
             nfa = random_trim_nfa(rng, 7, rng.randint(1, 3), rng.choice([0.1, 0.3]))
             digest.update(run_pipeline(nfa).index().to_bytes())
         assert digest.hexdigest() == (
-            "6be5591715d25b282ac87c8cbcdb816853e576a93d41acf7dd453eb8c7787d79")
+            "02f97547544b3b90e480a2413d9db9a6d5fd6f6018143e6e06a15d0e0d299471")
 
     def test_unmarked_automaton_keeps_an_automaton_view(self):
         """An automaton is built with its initial state marked, so its quotient
