@@ -122,45 +122,31 @@ def _hopcroft_karp(adj: Callable[[int], list[int]], match_left: list[int],
         return found
 
     def dfs(root: int) -> bool:
-        # Iterative DFS over the layered graph. Each frame is [left vertex,
-        # adjacency cursor]; pending[i] is the right vertex frame i used to
-        # reach frame i+1, so a success augments the whole stack at once.
-        stack = [[root, 0]]
-        pending: list[int] = []
-        while stack:
-            u, idx = stack[-1]
-            row = adj(u)
-            free_v = -1
-            pushed = False
-            while idx < len(row):
-                v = row[idx]
-                idx += 1
+        # Iterative DFS over the layered graph: a path of left vertices, an
+        # iterator over the rest of each one's row, and the right vertices
+        # the path went through, so a success augments the whole path at once.
+        path, rows, via = [root], [iter(adj(root))], []
+        while path:
+            u = path[-1]
+            for v in rows[-1]:
                 w = match_right[v]
                 if w == -1:
-                    free_v = v
-                    break
+                    via.append(v)
+                    for uu, vv in zip(path, via):
+                        match_left[uu] = vv
+                        match_right[vv] = uu
+                    return True
                 if dist[w] == dist[u] + 1:
-                    stack[-1][1] = idx
-                    pending.append(v)
-                    stack.append([w, 0])
-                    pushed = True
+                    path.append(w)
+                    rows.append(iter(adj(w)))
+                    via.append(v)
                     break
-            if free_v != -1:
-                match_left[u] = free_v
-                match_right[free_v] = u
-                stack.pop()
-                while stack:
-                    uu, _ = stack.pop()
-                    vv = pending.pop()
-                    match_left[uu] = vv
-                    match_right[vv] = uu
-                return True
-            if pushed:
-                continue
-            dist[u] = _INF
-            stack.pop()
-            if pending:
-                pending.pop()
+            else:
+                dist[u] = _INF
+                path.pop()
+                rows.pop()
+                if via:
+                    via.pop()
         return False
 
     while bfs():
@@ -204,18 +190,15 @@ def _chain_cover(order: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(chains)
 
 
-def _partial_order_chains(order: Preorder) -> tuple[tuple[int, ...], ...]:
-    """The chains a partial order was certified with, in its node ids."""
-    if order._reps.size != order.n:
-        raise ValueError("order must be a partial order (antisymmetric)")
-    nodes = order._reps.tolist()  # the node of each chain-major class
-    return tuple(tuple(nodes[a:b]) for a, b in zip((0, *order._ends), order._ends))
-
-
 def min_chain_partition(order: Preorder) -> ChainPartition:
     """Minimum-size chain partition of a partial order.
 
-    These are the chains the order's certificate was checked with. On a class
-    order, whose ids are chain-major, every chain is a consecutive id range.
+    These are the chains the order's certificate was checked with, in its
+    node ids. On a class order, whose ids are chain-major, every chain is a
+    consecutive id range.
     """
-    return ChainPartition(_partial_order_chains(order))
+    if order._reps.size != order.n:
+        raise ValueError("order must be a partial order (antisymmetric)")
+    nodes = order._reps.tolist()  # the node of each chain-major class
+    return ChainPartition(tuple(tuple(nodes[a:b])
+                                for a, b in zip((0, *order._ends), order._ends)))

@@ -72,18 +72,15 @@ def _cmd_query(args) -> int:
 def _cmd_accept(args) -> int:
     ix = Index.load(args.index)
     symbols = parse_pattern(ix.alphabet, args.string)
-    try:
-        accepted = ix.accept(symbols)
-    except ValueError as e:
-        raise CliError(str(e)) from None
+    accepted = ix.accept(symbols)
     print("accept" if accepted else "reject")
     return _EXIT_MATCH if accepted else _EXIT_NO_MATCH
 
 
 def _cmd_quotient(args) -> int:
     result = run_pipeline(_read_input(args.graph))
-    view, qg = result.automaton, result.quotient
-    out = format_nfa(view) if view is not None else format_graph(qg.graph)
+    qn, qg = result.automaton, result.quotient
+    out = format_nfa(qn.as_nfa()) if qn is not None else format_graph(qg.graph)
     out += "".join(f"# class {cid}: {' '.join(map(str, group))}\n"
                    for cid, group in enumerate(qg.partition.members))
     if args.output:

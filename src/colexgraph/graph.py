@@ -296,11 +296,7 @@ def _parse(text: str, *, automaton: bool | None):
 
     if n is None:
         raise GraphFormatError("missing 'nodes' line")
-    try:
-        alphabet = Alphabet(tuple(symbols))
-    except ValueError as e:
-        raise GraphFormatError(str(e)) from None
-    graph = LabeledGraph(n, frozenset(edges), alphabet)
+    graph = LabeledGraph(n, frozenset(edges), Alphabet(tuple(symbols)))
     if automaton is None:
         automaton = initial is not None or finals is not None
     if automaton:

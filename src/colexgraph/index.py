@@ -385,9 +385,9 @@ def _read(raw: bytes) -> tuple[Alphabet, tuple[int, ...], _Arrays]:
         _require(not tail or not int.from_bytes(view[off - 8:off], "little") >> tail)
         return _unpack(width, length, view[off - size:off])
 
-    magic, version, flags, _, _, q, sigma = take(_HEADER)
-    if magic != MAGIC:
+    if raw[:4] != MAGIC[:len(raw)]:  # a shorter prefix of the magic is a cut file
         raise ValueError("not an index file (bad magic)")
+    _, version, flags, _, _, q, sigma = take(_HEADER)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported index format version {version}")
     _require(zlib.crc32(view[:-4]) == struct.unpack_from("<I", view, len(view) - 4)[0])

@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .chains import ChainPartition, _partial_order_chains
+from .chains import ChainPartition, min_chain_partition
 from .graph import AT, HASH, Alphabet, LabeledGraph, Nfa, trim_nfa
 from .index import Index, QueryStats, _decode, _read, _write
 from .pipeline import PipelineResult
@@ -497,7 +497,7 @@ def language_equiv(a: Nfa, b: Nfa) -> bool:
 
 def max_antichain(order: Preorder) -> frozenset[int]:
     """A maximum antichain, from the Konig cover of the path-cover matching."""
-    chains = _partial_order_chains(order)
+    chains = min_chain_partition(order).chains
     n = order.n
     # The maximum matching the chains were built from: each member to the next.
     match_left = [-1] * n
@@ -734,7 +734,7 @@ def run_graph_checks(result: PipelineResult, seed: int = 0) -> list[CheckResult]
         f"{stats.probes} probes for {stats.symbols} symbol steps, q={cp.chain_count}")
     add("serialize-roundtrip", rewritten(ix) == ix.to_bytes())
     if nfa is not None:
-        add("language-quotient-equal", language_equiv(nfa, result.automaton))
+        add("language-quotient-equal", language_equiv(nfa, result.automaton.as_nfa()))
         strings = list(enumerate_strings(symbols, 4)) if len(symbols) ** 4 < 700 else \
             _pattern_sample(rng, symbols, 80, 6)
         ok = all(ix.accept(s) == simulate_nfa(nfa, s) for s in strings)

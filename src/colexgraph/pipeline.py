@@ -21,7 +21,8 @@ class PipelineResult:
     """Every stage's output for one input.
 
     ``source`` is what the stages saw: a graph as given, an automaton trimmed.
-    ``automaton`` reads the quotient as an automaton with the same language
+    ``automaton`` is the ``QuotientNfa`` that ``quotient_nfa`` made, the
+    quotient with its initial and final classes and the same language
     (``None`` for a graph). ``n_original`` and ``e_original`` count the input
     before trimming.
     """
@@ -29,7 +30,7 @@ class PipelineResult:
     source: LabeledGraph | Nfa
     relation: Preorder
     quotient: QuotientGraph
-    automaton: Nfa | None
+    automaton: QuotientNfa | None
     chains: ChainPartition
     n_original: int
     e_original: int
@@ -47,10 +48,8 @@ class PipelineResult:
         """The ``.clxi`` file of the quotient laid out along the chains, as
         ``build_index`` writes it: an automaton's with its finals and initial
         class. Its ``open()`` is the index that answers queries."""
-        view = self.automaton
-        quotient = (self.quotient if view is None
-                    else QuotientNfa(self.quotient, view.initial, view.finals))
-        return build_index(quotient, self.chains, self.n_original, self.e_original)
+        return build_index(self.automaton or self.quotient, self.chains,
+                           self.n_original, self.e_original)
 
 
 def _marked(source: LabeledGraph | Nfa) -> frozenset[int]:
@@ -72,8 +71,8 @@ def run_pipeline(source: LabeledGraph | Nfa) -> PipelineResult:
         graph = source.graph
     relation = max_colex_relation(graph, _marked(source))
     if isinstance(source, Nfa):
-        qn = quotient_nfa(source, relation)
-        quotient, automaton = qn.quotient, qn.as_nfa()
+        automaton = quotient_nfa(source, relation)
+        quotient = automaton.quotient
     else:
         quotient, automaton = quotient_graph(graph, relation), None
     return PipelineResult(source, relation, quotient, automaton,

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from colexgraph import LabeledGraph, QuotientNfa, Relation, run_pipeline
+from colexgraph import LabeledGraph, Relation, run_pipeline
 from colexgraph.graph import Alphabet
 from colexgraph.index import Index, WrittenIndex, _Arrays, _decode, _read, _write
 from colexgraph.oracle import lambda_sets
@@ -72,8 +72,7 @@ def quotient_pipeline(g: LabeledGraph):
 def nfa_pipeline(nfa):
     """Automaton -> (quotient NFA, chain partition) with the initial marked."""
     result = run_pipeline(nfa)
-    view = result.automaton
-    return QuotientNfa(result.quotient, view.initial, view.finals), result.chains
+    return result.automaton, result.chains
 
 
 def interval_set(ix: Index, intervals):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import tracemalloc
 
@@ -73,6 +74,29 @@ class TestMinChainPartition:
         cp = min_chain_partition(Preorder(relation_from_pairs(6, pairs).bits))
         assert cp.chain_count == 3
         assert sorted(cp.chains) == [(0, 2), (1, 5), (3, 4)]
+
+    def test_augmenting_search_is_pinned(self):
+        """Seeded random partial orders with shuffled ids, kept where the
+        greedy chains alone leave more chains than the cover: Hopcroft-Karp's
+        augmenting search ran. Each cover is as large as a maximum antichain,
+        and a digest of all of them pins the chains the search makes."""
+        rng = random.Random(35)
+        digest = hashlib.sha256()
+        augmented = 0
+        for _ in range(4000):
+            n = rng.randint(1, 12)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            order = relabeled(random_partial_order(rng, n, rng.choice((0.2, 0.3, 0.4))), perm)
+            chains = _chain_cover(order.bits)
+            if n - sum(v != -1 for v in greedy(order.bits)[0]) == len(chains):
+                continue
+            augmented += 1
+            assert len(chains) == len(exhaustive_max_antichain(order))
+            digest.update(repr(chains).encode())
+        assert augmented >= 25  # 37
+        assert digest.hexdigest() == (
+            "312d485a5b47f42c6174fd0e671cfded765e73ec298793206c8fbdd4d6173c0e")
 
     def test_chain_cover_makes_no_k_by_k_copy(self):
         k = 3000

@@ -115,9 +115,15 @@ sys.exit(status)
         assert main(["build", str(graph), "-o", str(out)]) == 0
         assert Index.load(str(out)).alphabet.symbols == ("x" * 65_535,)
 
-    def test_querying_a_non_index_file_is_an_error(self, hub_file, capsys):
+    def test_querying_a_non_index_file_is_an_error(self, hub_file, tmp_path, capsys):
         assert main(["query", hub_file, "a"]) == 2
         assert "error" in capsys.readouterr().err
+        # shorter than the 28-byte header: the magic is read first
+        short = tmp_path / "one.graph"
+        short.write_bytes(b"nodes 1\n")
+        for command in ("query", "accept"):
+            assert main([command, str(short), "a"]) == 2
+            assert capsys.readouterr() == ("", "error: not an index file (bad magic)\n")
 
     def test_truncated_index_is_an_error(self, hub_file, tmp_path, capsys):
         out = tmp_path / "hub.clxi"
@@ -488,8 +494,10 @@ class TestVerify:
                     monkeypatch.setattr(module, name, counted)
         dest = tmp_path / "rel.txt"
         assert main(["verify", hub_file, "--dump-relation", str(dest)]) == 0
+        # the pipeline's chains, and the matching of the Dilworth certificate:
+        # both read the chains the class order was certified with
         assert calls == {"max_colex_relation": 1, "quotient_graph": 1,
-                         "min_chain_partition": 1}
+                         "min_chain_partition": 2}
         assert len(dest.read_text(encoding="utf-8").splitlines()) == 8
 
     def test_dump_relation(self, hub_file, tmp_path, capsys):

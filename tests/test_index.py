@@ -1068,8 +1068,17 @@ class TestBackendsAndSerialization:
         with pytest.raises(ValueError):
             Index.from_bytes(b"NOPE" + b"\x00" * 40)
         ix, _, _ = build_from(double_hub_graph(2))
+        raw = ix.to_bytes()
         with pytest.raises(ValueError, match="bad magic"):
-            Index.from_bytes(b"NOPE" + ix.to_bytes()[4:])
+            Index.from_bytes(b"NOPE" + raw[4:])
+        # The magic is read before the rest of the header: a text shorter
+        # than the 28-byte header is not an index file, and a prefix of an
+        # index file is a cut one.
+        with pytest.raises(ValueError, match=r"^not an index file \(bad magic\)$"):
+            Index.from_bytes(b"nodes 1\n")
+        for k in range(28):
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                Index.from_bytes(raw[:k])
 
     def test_bad_version_rejected(self):
         ix, _, _ = build_from(double_hub_graph(2))

@@ -91,7 +91,7 @@ class TestRunPipeline:
         result = run_pipeline(nfa)
         assert result.marked == {0}
         assert result.quotient.partition.members == ((0,), (2,), (1,))
-        assert language_equiv(nfa, result.automaton)
+        assert language_equiv(nfa, result.automaton.as_nfa())
         ix = result.index().open()
         for s in enumerate_strings(("a", "b"), 4):
             assert ix.accept(s) == simulate_nfa(nfa, s)
