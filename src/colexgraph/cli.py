@@ -62,10 +62,10 @@ def _cmd_query(args) -> int:
     ix = Index.load(args.index)
     symbols = parse_pattern(ix.alphabet, args.pattern)
     matched, end = ix.match_pattern(symbols)
-    nodes = sorted(ix.map_back(end))
     print("yes" if matched else "no")
-    if nodes:
-        print("end-nodes " + " ".join(map(str, nodes)))
+    # a trimmed automaton's node map holds its renumbered states, not the input's
+    if matched and sum(map(len, ix.members)) == ix.n_original:
+        print("end-nodes " + " ".join(map(str, sorted(ix.map_back(end)))))
     return _EXIT_MATCH if matched else _EXIT_NO_MATCH
 
 
@@ -79,9 +79,9 @@ def _cmd_accept(args) -> int:
 
 def _cmd_quotient(args) -> int:
     result = run_pipeline(_read_input(args.graph))
-    qn, qg = result.automaton, result.quotient
+    qn, qg, kept = result.automaton, result.quotient, result.kept
     out = format_nfa(qn.as_nfa()) if qn is not None else format_graph(qg.graph)
-    out += "".join(f"# class {cid}: {' '.join(map(str, group))}\n"
+    out += "".join(f"# class {cid}: {' '.join(str(kept[v]) for v in group)}\n"
                    for cid, group in enumerate(qg.partition.members))
     if args.output:
         Path(args.output).write_text(out, encoding="utf-8")

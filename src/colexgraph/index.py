@@ -862,12 +862,12 @@ def build_index(quotient: QuotientGraph | QuotientNfa, cp: ChainPartition,
 
     The chains must be the consecutive id ranges that cover the classes of
     the order in order, as chain-major ids make them, with consecutive
-    members related. An automaton's initial class must be marked, as
-    ``quotient_nfa`` marks it. ``n_original`` and ``e_original`` default to
-    the counts of the graph that was collapsed. The checks below and the
-    writer's refusals run here. The file is never opened: the range checks
-    of its arrays and the query structures come with the ``Index`` that
-    ``open()`` reads from it.
+    members related. An automaton's initial class must be a singleton, as
+    ``quotient_nfa``'s certificate needs. ``n_original`` and ``e_original``
+    default to the counts of the graph that was collapsed. The checks below
+    and the writer's refusals run here. The file is never opened: the range
+    checks of its arrays and the query structures come with the ``Index``
+    that ``open()`` reads from it.
     """
     qg, finals, initial = ((quotient.quotient, quotient.finals, quotient.initial)
                            if isinstance(quotient, QuotientNfa) else (quotient, (), None))
@@ -876,12 +876,13 @@ def build_index(quotient: QuotientGraph | QuotientNfa, cp: ChainPartition,
     if flat != list(range(n_classes)):
         raise ValueError("chains are not the consecutive id ranges of the quotient classes")
     if n_original is None:
-        n_original = qg.partition.n
+        n_original = len(qg.partition.class_of)
     # the caller's ids and count, which the reader would refuse in the file
     _require((initial is None or 0 <= initial < n_classes) and max(finals, default=-1) < n_classes
              and n_original >= len(qg.partition.class_of))
-    if initial is not None and initial not in qg.marked_classes:
-        raise ValueError("initial class is not marked; quotient the automaton with quotient_nfa")
+    if initial is not None and len(qg.partition.members[initial]) != 1:
+        raise ValueError("initial class is not a singleton; quotient the automaton with "
+                         "quotient_nfa")
     alphabet, q = qg.graph.alphabet, cp.chain_count
     sigma, chain_of, pos = len(alphabet), cp.chain_of, cp.pos_in_chain
     # class c + 1 follows class c on a chain exactly when it is not at position 0

@@ -1,8 +1,9 @@
 """The build pipeline: one parsed input through every stage, in the paper's order.
 
-An automaton is trimmed and its initial state marked, so that its quotient
-keeps the language; then come the maximum co-lex relation, the quotient, a
-minimum chain partition of the class order and, on request, the index layout.
+An automaton is trimmed; then come the maximum co-lex relation, the quotient,
+a minimum chain partition of the class order and, on request, the index layout.
+Only the relation reads the marker on an automaton's initial state, which keeps
+it a singleton class, from which ``quotient_nfa`` certifies the language.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ class PipelineResult:
     ``source`` is what the stages saw: a graph as given, an automaton trimmed.
     ``automaton`` is the ``QuotientNfa`` that ``quotient_nfa`` made, the
     quotient with its initial and final classes and the same language
-    (``None`` for a graph). ``n_original`` and ``e_original`` count the input
-    before trimming.
+    (``None`` for a graph). ``kept`` maps each node the stages saw to its
+    id in the input: ``trim_nfa``'s kept map, the identity for a graph.
+    ``n_original`` and ``e_original`` count the input before trimming.
     """
 
     source: LabeledGraph | Nfa
@@ -32,6 +34,7 @@ class PipelineResult:
     quotient: QuotientGraph
     automaton: QuotientNfa | None
     chains: ChainPartition
+    kept: tuple[int, ...]
     n_original: int
     e_original: int
 
@@ -60,20 +63,20 @@ def _marked(source: LabeledGraph | Nfa) -> frozenset[int]:
 def run_pipeline(source: LabeledGraph | Nfa) -> PipelineResult:
     """Run the stages on a parsed graph or automaton.
 
-    An automaton is trimmed and its initial state marked, so that the quotient
-    keeps the language (``quotient_nfa`` checks it) and the index answers
-    ``accept``; ``run_pipeline(nfa.graph)`` indexes its edges as a graph.
+    An automaton is trimmed and its relation computed with the initial state
+    marked, so that the quotient keeps the language (``quotient_nfa`` checks
+    it) and the index answers ``accept``; ``run_pipeline(nfa.graph)`` indexes
+    its edges as a graph.
     """
-    graph = source.graph if isinstance(source, Nfa) else source
-    n_original, e_original = graph.n, len(graph.edges)
     if isinstance(source, Nfa):
-        source, _ = trim_nfa(source)
-        graph = source.graph
-    relation = max_colex_relation(graph, _marked(source))
-    if isinstance(source, Nfa):
+        n_original, e_original = source.graph.n, len(source.graph.edges)
+        source, kept = trim_nfa(source)
+        relation = max_colex_relation(source.graph, _marked(source))
         automaton = quotient_nfa(source, relation)
         quotient = automaton.quotient
     else:
-        quotient, automaton = quotient_graph(graph, relation), None
+        n_original, e_original, kept = source.n, len(source.edges), tuple(range(source.n))
+        relation = max_colex_relation(source, _marked(source))
+        quotient, automaton = quotient_graph(source, relation), None
     return PipelineResult(source, relation, quotient, automaton,
-                          min_chain_partition(quotient.order), n_original, e_original)
+                          min_chain_partition(quotient.order), kept, n_original, e_original)

@@ -5,13 +5,13 @@ pattern-matching queries; the induced class order is a partial order of the
 same width (``Preorder.class_order``), and on the quotient it is both the
 maximum co-lex relation and the maximum co-lex order. The correspondences
 between a graph and its quotient (convex sets and class-respecting relations,
-both ways) are checked in ``oracle``.
+both ways) are checked in ``oracle``. No marker reaches these stages: only
+the relation reads it, to keep an automaton's initial state a class of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 from .graph import LabeledGraph, Nfa
 from .relation import Preorder, first_axiom_violation
@@ -26,7 +26,6 @@ class ClassPartition:
     range. Members are listed in increasing order.
     """
 
-    n: int
     class_of: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
 
@@ -44,35 +43,32 @@ def classes(pre: Preorder) -> ClassPartition:
     members: list[list[int]] = [[] for _ in range(pre._reps.size)]
     for v, cid in enumerate(class_of):
         members[cid].append(v)
-    return ClassPartition(pre.n, tuple(class_of), tuple(map(tuple, members)))
+    return ClassPartition(tuple(class_of), tuple(map(tuple, members)))
 
 
 @dataclass(frozen=True)
 class QuotientGraph:
     """Quotient of a graph by a co-lex preorder, with its induced class order.
 
-    ``marked_classes`` carries the distinguished-set marker down to classes, so
-    label sets on the quotient reproduce the original ones. ``input_edges``
-    counts the edges of the collapsed graph, as ``partition.n`` its nodes.
+    ``input_edges`` counts the edges of the collapsed graph, as the length of
+    ``partition.class_of`` its nodes.
     """
 
     graph: LabeledGraph
     partition: ClassPartition
     order: Preorder
-    marked_classes: frozenset[int]
     input_edges: int
 
 
-def quotient_graph(g: LabeledGraph, pre: Preorder,
-                   u_marked: Iterable[int] = ()) -> QuotientGraph:
+def quotient_graph(g: LabeledGraph, pre: Preorder) -> QuotientGraph:
     """Collapse each mutual-comparability class of ``pre`` to a single node.
 
     A class edge ([u], [v], a) exists when some member edge does. A class with
     two or more members ends up with at most one incoming edge, and either all
     of its members have an incoming edge in ``g`` or none has; both are checked.
+    The axioms are checked unmarked, which a marked relation meets too.
     """
-    marked = frozenset(u_marked)
-    violation = first_axiom_violation(g, pre, marked)
+    violation = first_axiom_violation(g, pre)
     if violation is not None:
         raise ValueError(f"relation is not a co-lex relation on this graph: {violation}")
     part = classes(pre)
@@ -97,8 +93,7 @@ def quotient_graph(g: LabeledGraph, pre: Preorder,
                 raise AssertionError(
                     f"class {cid} merges states with and without incoming edges; "
                     "input was not a co-lex preorder")
-    marked_classes = frozenset(class_of[v] for v in marked)
-    return QuotientGraph(qg, part, order, marked_classes, len(g.edges))
+    return QuotientGraph(qg, part, order, len(g.edges))
 
 
 @dataclass(frozen=True)
@@ -114,8 +109,8 @@ class QuotientNfa:
 def quotient_nfa(a: Nfa, pre: Preorder) -> QuotientNfa:
     """Quotient automaton over the classes of ``pre``.
 
-    ``pre`` must be a co-lex preorder computed with the initial state marked;
-    otherwise classes may merge states reading different string sets. The
+    ``pre`` must be a co-lex preorder that keeps the initial state in a class
+    of its own, as ``max_colex_relation`` does with that state marked. The
     quotient keeps the language, certified in O(|V| + |E|) by a singleton
     initial class (checked here) and by ``quotient_graph``'s class checks.
     Proof, by induction on length: each state reads exactly its class's strings.
@@ -123,12 +118,11 @@ def quotient_nfa(a: Nfa, pre: Preorder) -> QuotientNfa:
     through an in-edge on a from a class reading w, and that edge is the image of
     an in-edge of the singleton's member, or of every merged member's in-edges.
     """
-    qg = quotient_graph(a.graph, pre, u_marked={a.initial})
+    qg = quotient_graph(a.graph, pre)
     part = qg.partition
     init_class = part.class_of[a.initial]
     if len(part.members[init_class]) != 1:
-        raise ValueError(
-            "initial class is not a singleton; the preorder was not computed "
-            "with the initial state marked")
+        raise ValueError("initial class is not a singleton, so the quotient's language "
+                         "is not certified")
     finals = frozenset(part.class_of[f] for f in a.finals)
     return QuotientNfa(qg, init_class, finals)

@@ -121,3 +121,21 @@ def test_the_input_decides_the_index_mode():
         "quotient", "cp", "n_original", "e_original"]
     assert colexgraph.build_nfa_index is colexgraph.build_index
     assert "build_nfa_index" not in colexgraph.__all__
+
+
+def test_the_marker_stops_at_the_relation():
+    """Only ``max_colex_relation`` takes a marked set. The quotient takes the
+    graph and the preorder, keeps no marked classes, and its partition no node
+    count beside the class map; no name in the quotient or index modules
+    refers to a marked set."""
+    assert list(inspect.signature(colexgraph.quotient_graph).parameters) == ["g", "pre"]
+    assert list(inspect.signature(colexgraph.quotient_nfa).parameters) == ["a", "pre"]
+    assert [f.name for f in dataclasses.fields(colexgraph.QuotientGraph)] == [
+        "graph", "partition", "order", "input_edges"]
+    assert [f.name for f in dataclasses.fields(colexgraph.ClassPartition)] == [
+        "class_of", "members"]
+    for module in (colexgraph.quotient, colexgraph.index):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        names = {getattr(node, field) for node in ast.walk(tree)
+                 for field in ("id", "attr", "arg", "name") if hasattr(node, field)}
+        assert not [n for n in names if isinstance(n, str) and "marked" in n], module.__name__

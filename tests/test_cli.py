@@ -415,6 +415,39 @@ class TestQuotientCommand:
         assert dest.exists() and "initial" in dest.read_text(encoding="utf-8")
 
 
+class TestTrimmedStates:
+    """Trimming renumbers the states it keeps; output names the input's ids."""
+
+    # state 1 reads "a" but reaches no final, so trimming drops it and state 2
+    # becomes state 1 of the automaton the stages see
+    TEXT = "alphabet a b\nnodes 3\n0 1 a\n0 2 b\ninitial 0\nfinal 2\n"
+
+    def test_quotient_class_lines_list_input_ids(self, tmp_path, capsys):
+        path = tmp_path / "dead.nfa"
+        path.write_text(self.TEXT, encoding="utf-8")
+        assert main(["quotient", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "alphabet a b\nnodes 2\n0 1 b\ninitial 0\nfinal 1\n"
+            "# class 0: 0\n# class 1: 2\n")
+
+    def test_query_prints_no_trimmed_ids(self, loop_file, tmp_path, capsys):
+        path = tmp_path / "dead.nfa"
+        path.write_text(self.TEXT, encoding="utf-8")
+        out = str(tmp_path / "dead.clxi")
+        assert main(["build", str(path), "-o", out]) == 0
+        capsys.readouterr()
+        # the node map holds 2 of the 3 input states, under their trimmed ids
+        for pattern in ("b", ""):
+            assert main(["query", out, pattern]) == 0
+            assert capsys.readouterr().out == "yes\n"
+        # an automaton that trimming keeps whole indexes the input's ids
+        out = str(tmp_path / "loop.clxi")
+        assert main(["build", loop_file, "-o", out]) == 0
+        capsys.readouterr()
+        assert main(["query", out, "b"]) == 0
+        assert capsys.readouterr().out == "yes\nend-nodes 2\n"
+
+
 class TestVerify:
     def test_graph_checks_pass(self, hub_file, capsys):
         assert main(["verify", hub_file]) == 0
@@ -483,21 +516,31 @@ class TestVerify:
 
     def test_graph_stages_run_once(self, hub_file, tmp_path, monkeypatch, capsys):
         import colexgraph.chains, colexgraph.oracle, colexgraph.pipeline, colexgraph.quotient
+        import colexgraph.relation
         calls = Counter()
-        for module in (colexgraph.pipeline, colexgraph.oracle, colexgraph.chains,
-                       colexgraph.quotient):
-            for name in ("max_colex_relation", "quotient_graph", "min_chain_partition"):
-                if hasattr(module, name):
-                    def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
-                        calls[_name] += 1
-                        return _real(*args, **kwargs)
-                    monkeypatch.setattr(module, name, counted)
+        stages = [(module, name) for module in (colexgraph.pipeline, colexgraph.oracle,
+                                                colexgraph.chains, colexgraph.quotient)
+                  for name in ("max_colex_relation", "quotient_graph", "min_chain_partition")
+                  if hasattr(module, name)]
+        # the matching, which every Preorder runs once when it certifies itself
+        stages.append((colexgraph.relation, "_chain_cover"))
+        for module, name in stages:
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        assert main(["build", hub_file, "-o", str(tmp_path / "hub.clxi")]) == 0
+        assert calls == {"max_colex_relation": 1, "quotient_graph": 1,
+                         "min_chain_partition": 1, "_chain_cover": 1}
+        calls.clear()
         dest = tmp_path / "rel.txt"
         assert main(["verify", hub_file, "--dump-relation", str(dest)]) == 0
-        # the pipeline's chains, and the matching of the Dilworth certificate:
-        # both read the chains the class order was certified with
+        # min_chain_partition: the pipeline's chains, and the matching of the
+        # Dilworth certificate, both read from the certified class order;
+        # _chain_cover: the pipeline's relation, and the reference Preorder
+        # of oracle.gfp_max_relation
         assert calls == {"max_colex_relation": 1, "quotient_graph": 1,
-                         "min_chain_partition": 2}
+                         "min_chain_partition": 2, "_chain_cover": 2}
         assert len(dest.read_text(encoding="utf-8").splitlines()) == 8
 
     def test_dump_relation(self, hub_file, tmp_path, capsys):

@@ -893,16 +893,18 @@ class TestAccept:
             ix.accept(["a"])
 
     def test_requires_marked_initial(self):
-        """``accept`` starts at the initial class, which must be marked, as
-        ``quotient_nfa`` marks it: the writer refuses an automaton over a
-        quotient computed without the marker. The file stores the initial
-        class, not the marked ones, and its arrays write it back."""
+        """``accept`` starts at the initial class, which must be a singleton,
+        the condition of ``quotient_nfa``'s certificate: the writer refuses an
+        automaton whose initial class has two members, as a quotient computed
+        without the marker gives here. The file stores the initial class and
+        no marker, and its arrays write it back."""
         nfa = loop_branch_nfa()
         qg, cp = quotient_pipeline(nfa.graph)  # no marker: classes {0,1},{2}
         part = qg.partition
+        assert part.members[part.class_of[nfa.initial]] == (0, 1)
         unmarked = QuotientNfa(qg, part.class_of[nfa.initial],
                                frozenset(part.class_of[f] for f in nfa.finals))
-        with pytest.raises(ValueError, match="^initial class is not marked; quotient the "
+        with pytest.raises(ValueError, match="^initial class is not a singleton; quotient the "
                                              "automaton with quotient_nfa$"):
             build_index(unmarked, cp)
         ix = build_index(*nfa_pipeline(nfa))

@@ -223,9 +223,9 @@ class TestStructuralChecks:
         return ChainPartition((tuple(chain),))
 
     def test_single_in_edge(self):
-        merged_sources = ClassPartition(4, (0, 0, 1, 1), ((0, 1), (2, 3)))
+        merged_sources = ClassPartition((0, 0, 1, 1), ((0, 1), (2, 3)))
         assert single_in_edge_holds(self.GRAPH, merged_sources)
-        split_sources = ClassPartition(4, (0, 1, 2, 2), ((0,), (1,), (2, 3)))
+        split_sources = ClassPartition((0, 1, 2, 2), ((0,), (1,), (2, 3)))
         assert not single_in_edge_holds(self.GRAPH, split_sources)
 
     def test_monotone_groups(self):

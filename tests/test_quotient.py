@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from colexgraph import (ClassPartition, LabeledGraph, Nfa, Preorder, Relation, classes,
-                        max_colex_relation, min_chain_partition, quotient_graph, quotient_nfa)
-from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, identity_relation,
-                               is_colex_relation, is_convex, lambda_sets, language_equiv,
-                               lift_classes, lift_relation, powerset, preorder_width,
-                               project_nodes, project_relation, random_colex_relation,
-                               random_graph, random_trim_nfa, relation_from_pairs,
-                               transitive_closure)
-from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
+from colexgraph import (ClassPartition, LabeledGraph, Nfa, Preorder, Relation, build_index,
+                        classes, first_axiom_violation, max_colex_relation,
+                        min_chain_partition, quotient_graph, quotient_nfa)
+from colexgraph.oracle import (dfa_isomorphic, enumerate_convex_sets, enumerate_strings,
+                               identity_relation, is_colex_relation, is_convex, lambda_sets,
+                               language_equiv, lift_classes, lift_relation, powerset,
+                               preorder_width, project_nodes, project_relation,
+                               random_colex_relation, random_graph, random_trim_nfa,
+                               relation_from_pairs, simulate_nfa, transitive_closure)
+from conftest import (SEED_GRAPH_CORPUS, SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 
 
@@ -56,7 +57,7 @@ class TestClasses:
                     for u in group:
                         class_of[u] = len(members)
                     members.append(group)
-            return ClassPartition(pre.n, tuple(class_of), tuple(members))
+            return ClassPartition(tuple(class_of), tuple(members))
 
         rng = random.Random(SEED_NFA_CORPUS)
         for _ in range(300):
@@ -118,13 +119,13 @@ class TestQuotientGraph:
         with pytest.raises(ValueError):
             quotient_graph(g, pre)
 
-    def test_marker_propagates_to_class(self):
-        nfa = loop_branch_nfa()
-        pre = max_colex_relation(nfa.graph, {nfa.initial})
-        qg = quotient_graph(nfa.graph, pre, u_marked={nfa.initial})
-        assert qg.marked_classes == {qg.partition.class_of[nfa.initial]}
-        lam = lambda_sets(qg.graph, qg.marked_classes)
-        assert lam[qg.partition.class_of[0]] == frozenset({"@", "a"})
+    def test_marked_maximum_relation_meets_the_unmarked_axioms(self, graph_corpus):
+        # A marker only widens label sets, so the axioms that quotient_graph
+        # checks on the graph as given hold for a relation computed with one.
+        rng = random.Random(SEED_GRAPH_CORPUS)
+        for g in graph_corpus:
+            marked = frozenset(v for v in range(g.n) if rng.random() < 0.3)
+            assert first_axiom_violation(g, max_colex_relation(g, marked)) is None, (g, marked)
 
     @given(small_graphs())
     @settings(max_examples=40, deadline=None)
@@ -178,8 +179,31 @@ class TestQuotientNfa:
 
     def test_unmarked_preorder_rejected(self):
         nfa = loop_branch_nfa()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^initial class is not a singleton"):
             quotient_nfa(nfa, max_colex_relation(nfa.graph))
+
+    def test_unmarked_maximum_relation_keeps_the_language(self):
+        """The certificate reads no marker: whenever ``quotient_nfa`` returns
+        the quotient of an unmarked maximum relation, it keeps the language and
+        its index accepts what the automaton accepts. Some of these relations
+        break the axioms with the initial state marked, which a check with the
+        marker would have refused."""
+        rng = random.Random(SEED_NFA_CORPUS)
+        returned = marked_violations = 0
+        for _ in range(1000):
+            nfa = random_trim_nfa(rng, 8, 2, 0.2)
+            pre = max_colex_relation(nfa.graph)
+            try:
+                qn = quotient_nfa(nfa, pre)
+            except ValueError:
+                continue
+            returned += 1
+            marked_violations += first_axiom_violation(nfa.graph, pre, {nfa.initial}) is not None
+            assert language_equiv(nfa, qn.as_nfa()), nfa
+            ix = build_index(qn, min_chain_partition(qn.quotient.order)).open()
+            for word in enumerate_strings(nfa.graph.alphabet.symbols, 4):
+                assert ix.accept(word) == simulate_nfa(nfa, word), (nfa, word)
+        assert returned >= 900 and marked_violations >= 30, (returned, marked_violations)
 
     @given(small_graphs(max_n=5, allow_empty=False))
     @settings(max_examples=30, deadline=None)
