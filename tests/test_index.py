@@ -20,7 +20,7 @@ from colexgraph import (Index, LabeledGraph, Nfa, PatternError, QueryStats, Quot
 from colexgraph import index as index_module
 from colexgraph.cli import main
 from colexgraph.graph import Alphabet, parse_graph, parse_nfa
-from colexgraph.index import _Arrays, _write, ceil_log2, parse_pattern
+from colexgraph.index import _Arrays, _pack, _read, _write, ceil_log2, parse_pattern
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_graph,
                                random_trim_nfa, simulate_nfa)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
@@ -1204,6 +1204,35 @@ class TestBackendsAndSerialization:
             bad[start + 7] |= 0x80  # the word's top bit: every array here is one word
             with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
                 Index.from_bytes(reseal(bad))
+
+    def test_multi_word_arrays_keep_their_refusals(self):
+        """The padding and width checks hold for arrays of many words: on a
+        de Bruijn index whose class map, targets and sources each hold over
+        1,000 values, a file with the first bit past the last value of any
+        of them set is refused, and so is one that stores any of them one bit
+        wider than canonical."""
+        raw = build_index(*quotient_pipeline(seeded_debruijn(5, 1200, 8)[1])).to_bytes()
+        at = v6_offsets(raw)
+        _, widths, stored = _read(raw)
+        spans = {name: (width, values)
+                 for name, width, values in zip(_Arrays._fields, widths, stored)
+                 if width * len(values) > 64}
+        assert list(spans) == ["class_map", "targets", "sources"]
+        assert min(len(values) for _, values in spans.values()) > 1000
+        for name, (width, values) in spans.items():
+            start = at[name][0]
+            bits = width * len(values)
+            assert bits % 64  # the last word has padding bits
+            bad = bytearray(raw)
+            bad[start + bits // 8] |= 1 << bits % 8
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                Index.from_bytes(reseal(bad))
+            size = (bits + 63) // 64 * 8
+            assert raw[:start] + _pack(width, values) + raw[start + size:] == raw
+            wider = bytearray(raw[:start] + _pack(width + 1, values) + raw[start + size:])
+            wider[at[name + "_width"]] = width + 1
+            with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
+                Index.from_bytes(reseal(wider))
 
     def test_constructor_refuses_what_a_file_cannot_store(self):
         """A file stores chain lengths and the steps inside each group, none
