@@ -64,7 +64,7 @@ def _cmd_query(args) -> int:
     matched, end = ix.match_pattern(symbols)
     print("yes" if matched else "no")
     # a trimmed automaton's node map holds its renumbered states, not the input's
-    if matched and sum(map(len, ix.members)) == ix.n_original:
+    if matched and ix.n_nodes == ix.n_original:
         print("end-nodes " + " ".join(map(str, sorted(ix.map_back(end)))))
     return _EXIT_MATCH if matched else _EXIT_NO_MATCH
 

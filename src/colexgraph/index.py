@@ -22,7 +22,9 @@ reporting its space reads, so a build never decodes what it wrote. The reader
 (``Index.from_bytes``) hands the ``Index`` constructor the bytes and the
 stored arrays, which it sums back once, in place, and range-checks; no stored
 value is negative, so no array falls. The index keeps the bytes, which
-``to_bytes`` returns, and the decoded lists the queries read. Each array is
+``to_bytes`` returns, the decoded lists the queries read, and the checked
+class map, which the first read of ``members`` (by ``map_back``) groups into
+each class's nodes; no other query reads it. Each array is
 packed (``_pack``) and unpacked (``_unpack``) bit-parallel: ``struct`` moves
 its values into or out of little-endian lanes of 8, 16, 32 or 64 bits, and
 ⌈log₂ n⌉ rounds of whole-int shifts and masks merge neighbouring groups of
@@ -547,7 +549,12 @@ class Index(WrittenIndex):
     constructor takes the bytes, the width of each stored array and the
     stored arrays as the reader has them, sums the arrays back once, in
     place, range-checks them and derives what the queries read, so a
-    corrupt file is refused before the index answers."""
+    corrupt file is refused before the index answers. It keeps the checked
+    class map as it is; ``members``, which only ``map_back`` reads, groups it
+    into one tuple of nodes per class on its first read. Concurrent first
+    reads may each build equal tuples from the unchanging map, and each
+    result is kept by a single attribute store, so every reader gets equal
+    members."""
 
     def __init__(self, raw: bytes, alphabet: Alphabet, widths: Sequence[int],
                  stored: _Arrays):
@@ -571,11 +578,9 @@ class Index(WrittenIndex):
         if 0 in stored.ends or (a.ends or [0])[-1] != len(a.targets):
             raise ValueError("group ends do not rise to the edge count")
         self._offsets = offsets
-        # the original nodes of each class, in class id order
-        members: list[list[int]] = [[] for _ in range(n_classes)]
-        for v, cid in enumerate(class_map):
-            members[cid].append(v)
-        self.members = tuple(map(tuple, members))
+        # the checked class map, which the first read of ``members`` groups
+        self._class_map = class_map
+        self._members: tuple[tuple[int, ...], ...] | None = None
         # match_pattern's start, the full set as a fold state: every one-class
         # chain, and the whole of each longer chain
         longer = {j: (0, n) for j, n in enumerate(lengths) if n > 1}
@@ -681,6 +686,23 @@ class Index(WrittenIndex):
             sym, i = divmod(pair, q)
             rows[sym][i] = (tuple(records), len(records))
         return tables, rows
+
+    @property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """The original nodes of each class, in class id order. The open
+        checks that every class has one; the first read groups the class map,
+        and later reads return the same tuple."""
+        if self._members is None:
+            members: list[list[int]] = [[] for _ in range(self.n_classes)]
+            for v, cid in enumerate(self._class_map):
+                members[cid].append(v)
+            self._members = tuple(map(tuple, members))
+        return self._members
+
+    @property
+    def n_nodes(self) -> int:
+        """The number of indexed nodes: the length of the class map."""
+        return len(self._class_map)
 
     # Class sets -------------------------------------------------------------
 
@@ -880,10 +902,11 @@ class Index(WrittenIndex):
                    for j, (lo, hi) in longs.items())
 
     def map_back(self, s: ClassSet) -> frozenset[int]:
-        """Union of original nodes over all classes in the set."""
-        out: set[int] = set()
+        """Union of original nodes over all classes in the set. It reads
+        ``members`` once, which makes them on the index's first call."""
+        members, out = self.members, set()
         for cid in self.classes_in(s):
-            out.update(self.members[cid])
+            out.update(members[cid])
         return frozenset(out)
 
     # Loading ----------------------------------------------------------------

@@ -32,6 +32,13 @@ def loop_file(tmp_path):
     return str(path)
 
 
+def record_loads(monkeypatch) -> list:
+    """The indexes ``Index.load`` returns from here on, in load order."""
+    loaded, load = [], Index.load
+    monkeypatch.setattr(Index, "load", lambda path: loaded.append(load(path)) or loaded[-1])
+    return loaded
+
+
 class TestBuildAndQuery:
     def test_build_then_query(self, hub_file, tmp_path, capsys):
         out = str(tmp_path / "hub.clxi")
@@ -39,6 +46,38 @@ class TestBuildAndQuery:
         assert main(["query", out, "a"]) == 0
         printed = capsys.readouterr().out
         assert "yes" in printed and "end-nodes 0 1" in printed
+
+    def test_query_maps_back_classes_of_several_nodes(self, tmp_path, capsys, monkeypatch):
+        """The double hub of five nodes has the classes {3, 4} and {0, 1, 2}:
+        ``query`` prints the three end nodes of ``a`` from the members it
+        makes, and a pattern that misses makes none."""
+        path = tmp_path / "hub.txt"
+        path.write_text("alphabet a\nnodes 5\n3 0 a\n3 1 a\n3 2 a\n4 0 a\n4 1 a\n4 2 a\n",
+                        encoding="utf-8")
+        out = str(tmp_path / "hub.clxi")
+        assert main(["build", str(path), "-o", out]) == 0
+        capsys.readouterr()
+        opened = record_loads(monkeypatch)
+        assert main(["query", out, "a"]) == 0
+        assert capsys.readouterr().out == "yes\nend-nodes 0 1 2\n"
+        assert opened[-1]._members == ((3, 4), (0, 1, 2))
+        assert main(["query", out, "aa"]) == 1
+        assert capsys.readouterr().out == "no\n"
+        assert opened[-1]._members is None
+
+    def test_trimmed_index_makes_no_members(self, tmp_path, capsys, monkeypatch):
+        """``query`` on a trimmed automaton's index prints no node line, and
+        it tells so from the indexed-node count, without making members."""
+        path = tmp_path / "dead.nfa"
+        path.write_text(TestTrimmedStates.TEXT, encoding="utf-8")
+        out = str(tmp_path / "dead.clxi")
+        assert main(["build", str(path), "-o", out]) == 0
+        capsys.readouterr()
+        opened = record_loads(monkeypatch)
+        assert main(["query", out, "b"]) == 0
+        assert capsys.readouterr().out == "yes\n"
+        assert (opened[-1].n_nodes, opened[-1].n_original) == (2, 3)
+        assert opened[-1]._members is None
 
     def test_no_match_exits_one(self, hub_file, tmp_path, capsys):
         out = str(tmp_path / "hub.clxi")

@@ -9,7 +9,7 @@ from dataclasses import replace
 from functools import cache, reduce
 from itertools import product
 from operator import mul, or_
-from threading import Thread
+from threading import Barrier, Thread
 
 import numpy as np
 import pytest
@@ -1573,6 +1573,74 @@ class TestOpen:
         finally:
             sys.setswitchinterval(switch)
         assert calls == {"_decode": 10, "_check_store": 10}
+
+    def test_members_are_made_on_first_read(self):
+        """``from_bytes`` and ``open()`` keep the checked class map and build
+        no member tuples, and neither do the queries that never map back.
+        The first read of ``members`` groups the map, and a later read
+        returns the same tuple. ``members`` is a plain property: no
+        ``__getattr__`` or cached property writes to the instance dict."""
+        assert isinstance(vars(Index)["members"], property)
+        assert "__getattr__" not in vars(Index)
+        qn, cp = nfa_pipeline(loop_branch_nfa())
+        built = build_index(qn, cp)
+        for ix in (Index.from_bytes(built.to_bytes()), built.open()):
+            assert ix._members is None and ix.n_nodes == 3
+            assert ix.accept(["a", "b"]) and ix.match_pattern(["a"])[0]
+            assert ix.classes_in(ix.follow(ix.full_set(), "b")) == [1]
+            assert ix._members is None
+            members = ix.members
+            assert members == ((0,), (2,), (1,))
+            assert ix.members is members and ix._members is members
+        ix = Index.from_bytes(built.to_bytes())
+        assert ix.map_back(ix.full_set()) == {0, 1, 2} and ix._members == ((0,), (2,), (1,))
+
+    def test_members_equal_the_partitions(self, graph_corpus, monkeypatch):
+        """The members an opened index makes from its class map are the
+        quotient's partition, and the indexed-node count is the class map's
+        length: on 200 corpus graphs, on criterion 5's automata and on every
+        unit of both benchmark workloads, seeds 1 to 3."""
+        workloads = benchmark_workloads(monkeypatch)
+        texts = [unit.text for make in workloads.WORKLOADS.values() for seed in (1, 2, 3)
+                 for unit in make(seed).units]
+        for source in (*graph_corpus[::5], *criterion_5_automata(), *map(parse_input, texts)):
+            result = run_pipeline(source)
+            ix = result.index().open()
+            part = result.quotient.partition
+            assert ix.n_nodes == len(part.class_of)
+            assert ix.members == part.members
+
+    def test_concurrent_first_reads_make_equal_members(self):
+        """Eight threads, released together by a barrier, each map the full
+        set of one freshly opened de Bruijn index back. Each gets every
+        node, and the members kept, whichever thread's store kept them, are
+        those an independent decode of the class map gives."""
+        g = seeded_debruijn(38, 1200, 8)[1]
+        raw = run_pipeline(g).index().to_bytes()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ix = Index.from_bytes(raw)
+                barrier = Barrier(8)
+                answers: list = [None] * 8
+
+                def read(k, ix=ix, barrier=barrier, answers=answers):
+                    barrier.wait(timeout=30)
+                    answers[k] = ix.map_back(ix.full_set())
+                threads = [Thread(target=read, args=(k,)) for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads)
+                assert answers == [frozenset(range(g.n))] * 8
+                reference: list[list[int]] = [[] for _ in range(ix.n_classes)]
+                for v, cid in enumerate(decoded(ix)[1].class_map):
+                    reference[cid].append(v)
+                assert ix.members == tuple(map(tuple, reference))
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_a_refused_open_is_refused_again(self):
         """Arrays the writer stores but the range checks refuse: the record
