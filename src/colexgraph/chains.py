@@ -67,12 +67,14 @@ def _greedy_chains(order: np.ndarray, above: list[bool]) -> tuple[list[int], lis
     order. On a partial order no strict successor comes earlier in the
     extension, so the next element, when free and above, is the earliest one
     and no row is scanned; an element u with no strict successor (``above[u]``
-    false) is skipped. Otherwise one row of ``order`` is read, the diagonal
-    masked, so no k x k copy is made.
+    false) is skipped. Whether each element relates to the next in the
+    extension is read in one gather before the pass. Otherwise one row of
+    ``order`` is read, the diagonal masked, so no k x k copy is made.
     """
     n = order.shape[0]
     ext = np.argsort(_byte_sums(order, 0) - np.diagonal(order), kind="stable")
     at = ext.tolist()
+    to_next = order[ext[:-1], ext[1:]].tolist()  # at[i] relates to at[i + 1]
     free = np.ones(n, dtype=bool)
     taken = [False] * n + [True]  # ~free as a list; the sentinel ends the extension
     match_left = [-1] * n
@@ -81,7 +83,7 @@ def _greedy_chains(order: np.ndarray, above: list[bool]) -> tuple[list[int], lis
         if not above[u]:
             continue
         j = i + 1
-        if taken[j] or not order[u, at[j]]:
+        if taken[j] or not to_next[i]:  # the sentinel ends the extension before it
             cand = order[u, ext] & free
             cand[i] = False  # u itself
             j = int(cand.argmax())

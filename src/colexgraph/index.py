@@ -64,7 +64,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, repeat
 from numbers import Integral
-from operator import add, ge, gt, mul, ne, sub
+from operator import ge, gt, mul, ne, sub
 from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
@@ -469,24 +469,29 @@ def _read(raw: bytes) -> tuple[Alphabet, tuple[int, ...], _Arrays]:
 def _decode(stored: _Arrays, sigma: int) -> _Arrays:
     """The decoded arrays of the stored ones: the running sums of each
     increasing array, and the positions summed back group by group in the
-    stored lists themselves. The class map is the stored list."""
+    stored lists themselves. The class map is the stored list.
+
+    A follow-on group's stored head is the step from the last target of the
+    group before, so the groups are summed in order, and that target is
+    added to the head alone, before the group's own running sum."""
     lengths, sizes = stored.chain_ends, stored.ends
     targets, sources, n_edges = stored.targets, stored.sources, len(stored.targets)
     chain_ends, keys, ends, finals = (
         [*accumulate(values)] for values in (lengths, stored.keys, sizes, stored.finals))
+    follow_ons = set(_follow_ons(keys, lengths, len(lengths), sigma))
     # A group of one edge is stored as its head alone; when every group has
-    # one edge, there is nothing to sum.
-    longer = compress(zip(ends, sizes), map(gt, sizes, repeat(1))) \
-        if len(sizes) < n_edges else ()
-    for end, size in longer:
-        start = end - size
-        targets[start:end] = accumulate(targets[start:end])
-        sources[start:end] = accumulate(sources[start:end])
-    for g in _follow_ons(keys, lengths, len(lengths), sigma):
-        start, end = ends[g - 1], ends[g]
+    # one edge and none follows on, there is nothing to sum.
+    longer = compress(count(), map(gt, sizes, repeat(1))) if len(sizes) < n_edges else ()
+    for g in sorted(follow_ons.union(longer)):
+        end = ends[g]
         if end > n_edges:  # and so are the rest, which the constructor refuses
             break
-        targets[start:end] = map(add, targets[start:end], repeat(targets[start - 1]))
+        start = end - sizes[g]
+        if g in follow_ons and start < end:
+            targets[start] += targets[start - 1]
+        if end - start > 1:
+            targets[start:end] = accumulate(targets[start:end])
+            sources[start:end] = accumulate(sources[start:end])
     return _Arrays(chain_ends, stored.class_map, keys, ends, targets, sources, finals)
 
 

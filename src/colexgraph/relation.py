@@ -8,18 +8,23 @@ marking pairs of the pair graph level by level: one same-label step ORs the
 frontier's rows, then its source columns, at each label's edge sources,
 grouped by target. The result on the label's t targets goes into the level
 through a t x n row block, one fancy axis at a time. A level costs
-O(n * e + n^2) byte operations. The axiom checker applies the same step to the
-complement of a relation and looks for the first violating pair only in a
-label that has one. A graph whose dense matrices would not fit the
+O(n * e + n^2) byte operations. The level starts from the pairs that break
+label-set dominance, one n x n comparison of each node's lowest and highest
+in-label rank; the ranks take the smallest unsigned type that holds them, one
+byte on an alphabet of up to 254 symbols. The axiom checker applies the same
+step to the complement of a relation and looks for the first violating pair
+only in a label that has one. A graph whose dense matrices would not fit the
 address-space limit is refused before any of them is allocated.
 
 A ``Preorder`` certifies its transitivity without a matrix product: it names
-its classes by equal rows and checks that the relation is the lift of its
-class order in O(k * n) over the k class rows (``_row_classes``). It then
-finds a minimum chain partition of the class order (which the quotient and
-the index use anyway), numbers the classes chain by chain, and checks the
-chain certificate of ``_certify``, which reads only the class order, in
-O(k^2 + k * q^2) on q chains.
+its classes by equal rows, all rows at once, and checks that the relation is
+the lift of its class order in O(k * n) over the k class rows
+(``_row_classes``). It then finds a minimum chain partition of the class
+order (which the quotient and the index use anyway), numbers the classes
+chain by chain, and checks the chain certificate of ``_certify``, which reads
+only the class order, in O(k^2 + k * q^2) on q chains. Its O(k^2) part is
+one pass over cache-sized row blocks that renumbers each block and reads it
+while it is in cache.
 The helpers that only check the paper's lemmas on relations (union,
 refinement, transitive closure, antisymmetry, parsing, and the constructors
 ``identity_relation`` and ``relation_from_pairs``) are in ``oracle``.
@@ -40,15 +45,20 @@ from .graph import AT, HASH, LabeledGraph
 # Relations are dense n*n matrices; past this the representation is the wrong tool.
 _DENSE_NODE_CAP = 1 << 16
 
-# Peak heap of a build per node pair, in bytes. tracemalloc read 5.2 n^2 on
-# the seeded de Bruijn graph at n = 1,182 (the certificate's row blocks still
-# hold whole matrices there) and 3.65 n^2 at n = 3,882: the kernel's n x n
-# arrays plus its t x n label blocks, or the certificate's plus its row blocks.
+# Peak heap of a build per node pair, in bytes. tracemalloc read 3.66 n^2 on
+# the seeded de Bruijn graph at n = 1,182 and 3.63 n^2 at n = 3,882 in
+# max_colex_relation (3.69 and 3.64 n^2 in the whole run_pipeline): the
+# kernel's n x n arrays plus its t x n label blocks. The certificate holds the
+# relation, its renumbered class order and row blocks of _BLOCK_CELLS cells,
+# about 2 n^2.
 _PEAK_BYTES_PER_PAIR = 4
 
-# Cells in one block of the certificate's temporaries (4 MiB of bools), so no
-# step allocates a full n x n or k x q x q array at once.
-_BLOCK_CELLS = 1 << 22
+# Cells in one block of the certificate's temporaries (256 KiB of bools), so no
+# step allocates a full n x n or k x q x q array at once, and a block's
+# temporaries stay in cache: on the wheeler-dna graph (k = 1,182, on a 2-core
+# Xeon) ``_certify`` took 3.0 ms in blocks of 4 MiB and 2.0 ms in blocks of
+# 256 KiB, best of 150 in-process calls.
+_BLOCK_CELLS = 1 << 18
 
 
 class Relation:
@@ -149,24 +159,26 @@ def _row_classes(bits: np.ndarray) -> str | tuple[np.ndarray, np.ndarray, np.nda
     so each class's smallest member names it: the row that opens its id. On a
     preorder these are the classes of nodes related both ways: u <= v <= u
     makes the rows of u and v equal by transitivity, and equal rows hold
-    u <= v and v <= u, as each row holds its own node. ``lift`` checks on each
-    class's smallest member that the columns of a class agree; with rows
-    equal by naming, that gives bits[u, v] = order[c(u), c(v)] for all u and
-    v, so ``bits`` is transitive exactly when ``order`` is. It reads the k class rows in O(k * n), and is
-    not needed when every class is one node, where ``order`` is ``bits``.
+    u <= v and v <= u, as each row holds its own node. The rows are named in
+    bulk: one void view of the packed matrix lists every row's bytes, and
+    ``dict.fromkeys`` keeps the distinct ones in order. When every class is
+    one node ``order`` is ``bits``, and nothing more is read. Otherwise
+    ``lift`` checks on each class's smallest member that the columns of a
+    class agree; with rows equal by naming, that gives bits[u, v] =
+    order[c(u), c(v)] for all u and v, so ``bits`` is transitive exactly when
+    ``order`` is. It reads the k class rows in O(k * n).
     """
     n = bits.shape[0]
-    ids: dict[bytes, int] = {}
-    class_of, reps = [], []
-    for u, row in enumerate(np.packbits(bits, axis=1)):
-        c = ids.setdefault(row.tobytes(), len(ids))
-        if c == len(reps):  # the row opens a class, so it is the smallest member
-            reps.append(u)
-        class_of.append(c)
-    class_of, reps = np.array(class_of, dtype=np.intp), np.array(reps, dtype=np.intp)
+    packed = np.packbits(bits, axis=1)
+    named = packed.view(f"V{packed.shape[1]}").ravel().tolist()  # each row's bytes
+    ids = dict.fromkeys(named)  # the distinct rows, in order of first appearance
+    if len(ids) == n:
+        return np.arange(n), np.arange(n), bits
+    ids.update(zip(ids, range(len(ids))))
+    class_of = np.fromiter(map(ids.__getitem__, named), dtype=np.intp, count=n)
+    # a class's smallest member opens its id, where the running maximum rises
+    reps = np.flatnonzero(np.diff(np.maximum.accumulate(class_of), prepend=-1))
     k = reps.size
-    if k == n:
-        return class_of, reps, bits
     order = np.empty((k, k), dtype=bool)
     rows = max(1, _BLOCK_CELLS // n)
     for lo in range(0, k, rows):
@@ -196,7 +208,11 @@ def _certify(order: np.ndarray, chains: Sequence[Sequence[int]]) -> str | tuple:
     pos(v); (c) and then (b) from C_k[m_k(u)] up to v give m_j(u) <= m_j(v) <=
     pos(w), so u <= w by (a). Every preorder meets (a)-(c). The checks cost
     O(k^2 + k * q^2) on q chains, (c) only at pairs (u, k) where u has a
-    successor on C_k.
+    successor on C_k. ``link`` reads the k - q consecutive pairs in
+    ``order`` itself. One pass over row blocks then writes the renumbered
+    order and reads (a) and m from each block as it is written: a row's
+    rises are computed into its ``before`` buffer, so the pass copies no
+    block of the order beyond the rows it gathers.
     """
     k = order.shape[0]
     q = len(chains)
@@ -204,37 +220,37 @@ def _certify(order: np.ndarray, chains: Sequence[Sequence[int]]) -> str | tuple:
     flat = np.array([v for c in chains for v in c], dtype=np.intp)
     if flat.size != k or (lengths == 0).any() or not np.array_equal(np.sort(flat), np.arange(k)):
         return "cover"
-    # Renumbered by row blocks into one C-ordered array (order[flat][:, flat]
-    # is Fortran), so only a block's rows are copied next to the input and
-    # the result. ``flat`` is a permutation, so "clip" changes no index; it
-    # lets np.take write to ``out`` without buffering a copy of it.
-    renumbered = np.empty((k, k), dtype=bool)
-    rows = max(1, _BLOCK_CELLS // max(k, 1))
-    for lo in range(0, k, rows):
-        np.take(order[flat[lo:lo + rows]], flat, axis=1, out=renumbered[lo:lo + rows],
-                mode="clip")
-    order = renumbered
     if k == 0:
-        return flat, order, ()
+        return flat, np.empty((0, 0), dtype=bool), ()
     starts = np.cumsum(lengths) - lengths
     chain_at = np.repeat(np.arange(q), lengths)  # chain of each class
     pos_at = np.arange(k) - starts[chain_at]     # position of each class on its chain
     follows = pos_at[1:] > 0                     # class i + 1 follows class i on a chain
-    if not np.diagonal(order, 1)[follows].all():
+    if not order[flat[:-1], flat[1:]][follows].all():
         return "link"
 
+    # One pass over row blocks renumbers the order into one C-ordered array
+    # (order[flat][:, flat] is Fortran) and reads m off each block while it
+    # is in cache, so only a block's rows are copied next to the input and
+    # the result. ``flat`` is a permutation, so "clip" changes no index; it
+    # lets np.take write to ``out`` without buffering a copy of it.
+    renumbered = np.empty((k, k), dtype=bool)
     m = np.empty((k, q), dtype=np.min_scalar_type(int(lengths.max())))
     rows = max(1, _BLOCK_CELLS // k)
     for lo in range(0, k, rows):
-        block = order[lo:lo + rows].copy()
-        before = block[:, :-1] & follows      # related to the chain's previous member
-        if (before > block[:, 1:]).any():
+        block = renumbered[lo:lo + rows]
+        np.take(order[flat[lo:lo + rows]], flat, axis=1, out=block, mode="clip")
+        before = np.zeros(block.shape, dtype=bool)  # related to the chain's previous member
+        np.logical_and(block[:, :-1], follows, out=before[:, 1:])
+        if (before > block).any():
             return "a"
-        # Each row now rises at most once per chain, at m_j; without a rise m_j = |C_j|.
-        block[:, 1:] &= ~before
+        # Each row now rises at most once per chain, at m_j; without a rise
+        # m_j = |C_j|. The rises go into ``before``'s own buffer.
+        rises = np.greater(block, before, out=before)
         m[lo:lo + rows] = lengths
-        r, col = np.divmod(np.flatnonzero(block), k)  # 2-D np.nonzero is ~10x slower
+        r, col = np.divmod(np.flatnonzero(rises), k)  # 2-D np.nonzero is ~10x slower
         m[lo + r, chain_at[col]] = pos_at[col]
+    order = renumbered
 
     steps = max(1, _BLOCK_CELLS // q)
     for lo in range(1, k, steps):
@@ -351,7 +367,8 @@ def _label_tables(g: LabeledGraph) -> tuple[tuple[_LabelEdges, ...], np.ndarray,
                                   np.array(sources, dtype=np.intp), tuple(widths),
                                   np.array(columns, dtype=np.intp),
                                   np.array(list(map(slot.__getitem__, sources)), dtype=np.intp)))
-    lo, hi = np.array(lo, dtype=np.int64), np.array(hi, dtype=np.int64)
+    rank_type = np.min_scalar_type(len(g.alphabet) + 1)  # the highest rank: one byte on DNA
+    lo, hi = np.array(lo, dtype=rank_type), np.array(hi, dtype=rank_type)
     lo.setflags(write=False)
     hi.setflags(write=False)
     cached = (tuple(tables), lo, hi)

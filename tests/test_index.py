@@ -7,7 +7,7 @@ import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import cache, reduce
-from itertools import product
+from itertools import accumulate, product
 from operator import mul, or_
 from threading import Barrier, Thread
 
@@ -20,7 +20,8 @@ from colexgraph import (Index, LabeledGraph, Nfa, PatternError, QueryStats, Quot
 from colexgraph import index as index_module
 from colexgraph.cli import main
 from colexgraph.graph import Alphabet, parse_graph, parse_nfa
-from colexgraph.index import _Arrays, _pack, _read, _write, ceil_log2, parse_pattern
+from colexgraph.index import (_Arrays, _decode, _follow_ons, _pack, _read, _write, ceil_log2,
+                              parse_pattern)
 from colexgraph.oracle import (brute_match, enumerate_strings, is_convex, random_graph,
                                random_trim_nfa, simulate_nfa)
 from conftest import (SEED_NFA_CORPUS, diamond_nfa, double_hub_graph, funnel_nfa,
@@ -1204,6 +1205,40 @@ class TestBackendsAndSerialization:
             bad[start + 7] |= 0x80  # the word's top bit: every array here is one word
             with pytest.raises(ValueError, match="^truncated or corrupt index file$"):
                 Index.from_bytes(reseal(bad))
+
+    def test_decode_equals_adding_to_every_follow_on_target(self, graph_corpus):
+        """The reader adds the last target of the group before to a
+        follow-on group's stored head alone, before the group's running sum.
+        On the corpus graphs, criterion 5's automata and three de Bruijn
+        graphs, its targets equal those of summing every group and then
+        adding that target to each of a follow-on group's targets, and its
+        other arrays are the running sums of the stored ones."""
+        def by_target(stored, sigma):
+            ends = [*accumulate(stored.ends)]
+            targets = list(stored.targets)
+            for start, end in zip([0, *ends], ends):
+                targets[start:end] = accumulate(targets[start:end])
+            keys = [*accumulate(stored.keys)]
+            lengths = stored.chain_ends
+            follow_ons = _follow_ons(keys, lengths, len(lengths), sigma)
+            for g in follow_ons:
+                start, end = ends[g - 1], ends[g]
+                targets[start:end] = [t + targets[start - 1] for t in targets[start:end]]
+            return targets, sum(ends[g] - ends[g - 1] > 1 for g in follow_ons)
+
+        sources = [*graph_corpus[::5], *criterion_5_automata(),
+                   *(seeded_debruijn(seed, 400, 4)[1] for seed in (31, 32, 33))]
+        longer_follow_ons = 0
+        for source in sources:
+            alphabet, _, stored = _read(run_pipeline(source).index().to_bytes())
+            want, longer = by_target(stored, len(alphabet))
+            sums = [[*accumulate(values)] for values in (stored.chain_ends, stored.keys,
+                                                         stored.ends, stored.finals)]
+            got = _decode(stored._replace(targets=list(stored.targets)), len(alphabet))
+            assert got.targets == want
+            assert [got.chain_ends, got.keys, got.ends, got.finals] == sums
+            longer_follow_ons += longer
+        assert longer_follow_ons >= 40
 
     def test_multi_word_arrays_keep_their_refusals(self):
         """The padding and width checks hold for arrays of many words: on a

@@ -223,6 +223,61 @@ class TestTransitivityCertificate:
             assert certified(bits) == is_transitive(Relation(bits))
 
 
+def row_classes_by_loop(bits: np.ndarray) -> tuple[list[int], list[int]]:
+    """(class of each node, smallest member of each class), one row at a time."""
+    ids: dict[bytes, int] = {}
+    class_of, reps = [], []
+    for u, row in enumerate(bits):
+        c = ids.setdefault(row.tobytes(), len(ids))
+        if c == len(reps):
+            reps.append(u)
+        class_of.append(c)
+    return class_of, reps
+
+
+class TestRowClasses:
+    def test_no_nodes(self):
+        bits = np.ones((0, 0), dtype=bool)
+        class_of, reps, order = _row_classes(bits)
+        assert class_of.size == reps.size == 0 and order is bits
+
+    def test_one_node(self):
+        bits = np.ones((1, 1), dtype=bool)
+        class_of, reps, order = _row_classes(bits)
+        assert class_of.tolist() == reps.tolist() == [0] and order is bits
+
+    def test_every_class_one_node(self):
+        # a shuffled total order: every row differs, so the order is the input
+        rank = np.random.default_rng(40).permutation(40)
+        bits = rank[:, None] <= rank[None, :]
+        class_of, reps, order = _row_classes(bits)
+        assert class_of.dtype == reps.dtype == np.intp
+        assert class_of.tolist() == reps.tolist() == list(range(40)) and order is bits
+
+    def test_merged_classes(self):
+        # a total preorder by rank: nodes 0, 2 and 6 rank 5, nodes 1 and 4
+        # rank 3, nodes 3 and 5 rank 4
+        rank = np.array([5, 3, 5, 4, 3, 4, 5])
+        class_of, reps, order = _row_classes(rank[:, None] <= rank[None, :])
+        assert class_of.dtype == reps.dtype == np.intp
+        assert class_of.tolist() == [0, 1, 0, 2, 1, 2, 0]
+        assert reps.tolist() == [0, 1, 3]
+        assert order.tolist() == [[True, False, False], [True, True, True], [True, False, True]]
+
+    def test_equal_the_row_by_row_naming(self):
+        rng = random.Random(SEED_ORDER_CORPUS + 2)
+        merged = 0
+        for _ in range(400):
+            n = rng.randint(1, 20)
+            cls = np.array([rng.randrange(rng.randint(1, n)) for _ in range(n)])
+            bits = cls[:, None] <= cls[None, :]  # a total preorder on the drawn classes
+            class_of, reps, order = _row_classes(bits)
+            assert (class_of.tolist(), reps.tolist()) == row_classes_by_loop(bits)
+            assert np.array_equal(order, bits[reps][:, reps])
+            merged += reps.size < n
+        assert merged >= 200
+
+
 def first_axiom_two_by_loops(g, r):
     """Reference scan: labels in alphabet order, then pairs (u, v) row by row."""
     in_adj = g.in_adjacency()
@@ -345,6 +400,54 @@ class TestLabelTables:
                      for marked in ({0}, ())]
             assert [[x.tolist() for x in call] for call in calls] == \
                 [[x.tolist() for x in call] for call in fresh]
+
+
+def wide_alphabet_graph(rng: random.Random, sigma: int, n: int) -> LabeledGraph:
+    """A random graph over ``sigma`` symbols whose labels come from both ends
+    of the alphabet, so its in-label ranks reach sigma + 1, the highest."""
+    symbols = tuple(f"s{i:03d}" for i in range(sigma))
+    pool = symbols[:2] + symbols[-3:]
+    edges = {(rng.randrange(n), rng.randrange(n), rng.choice(pool))
+             for _ in range(rng.randint(0, 2 * n))}
+    return LabeledGraph(n, frozenset(edges), Alphabet(symbols))
+
+
+class TestRankWidth:
+    """The label ranks take the smallest unsigned type that holds sigma + 1:
+    one byte up to 254 symbols, two from 255."""
+
+    @pytest.mark.parametrize("sigma", [253, 254, 255, 256])
+    def test_angle_violations_equal_a_wide_reference(self, rng, sigma):
+        top = 0
+        for _ in range(40):
+            g = wide_alphabet_graph(rng, sigma, rng.randint(1, 9))
+            for marked in (frozenset(), frozenset({rng.randrange(g.n)})):
+                ranks = [[g.alphabet.rank(s) for s in lam] for lam in lambda_sets(g, marked)]
+                lo = np.array([min(r) for r in ranks], dtype=np.int64)
+                hi = np.array([max(r) for r in ranks], dtype=np.int64)
+                want = hi[:, None] > lo[None, :]
+                np.fill_diagonal(want, False)
+                assert np.array_equal(_angle_violations(g, marked), want)
+                got = _label_extremes(g, marked)
+                assert [x.dtype.itemsize for x in got] == [1 if sigma <= 254 else 2] * 2
+                top = max(top, int(hi.max()))
+        assert top == sigma + 1
+
+    @pytest.mark.parametrize("sigma", [255, 256])
+    def test_kernel_equals_greatest_fixpoint_over_a_wide_alphabet(self, rng, sigma):
+        strict = 0
+        for _ in range(40):
+            g = wide_alphabet_graph(rng, sigma, rng.randint(2, 7))
+            for marked in (frozenset(), frozenset({0})):
+                pre = max_colex_relation(g, marked)
+                assert pre == gfp_max_relation(g, marked)
+                strict += len(pre.strict_pairs())
+        assert strict >= 100
+
+    def test_dna_ranks_take_one_byte(self):
+        g = seeded_debruijn(31, 300, 3)[1]
+        for marked in ((), {0}):
+            assert [x.itemsize for x in _label_extremes(g, marked)] == [1, 1]
 
 
 class TestMaxRelation:
