@@ -4,17 +4,21 @@ A co-lex relation is a reflexive node relation where (Axiom 1) every related
 distinct pair has dominated label sets and (Axiom 2) same-label predecessors of
 a related distinct pair are related. The maximum co-lex relation is the union
 of all of them; it always exists and is a preorder. It is computed here by
-marking pairs of the pair graph level by level: one same-label step ORs the
-frontier's rows, then its source columns, at each label's edge sources,
-grouped by target. The result on the label's t targets goes into the level
-through a t x n row block, one fancy axis at a time. A level costs
-O(n * e + n^2) byte operations. The level starts from the pairs that break
-label-set dominance, one n x n comparison of each node's lowest and highest
-in-label rank; the ranks take the smallest unsigned type that holds them, one
-byte on an alphabet of up to 254 symbols. The axiom checker applies the same
-step to the complement of a relation and looks for the first violating pair
-only in a label that has one. A graph whose dense matrices would not fit the
-address-space limit is refused before any of them is allocated.
+marking pairs of the pair graph level by level, from the pairs that break
+label-set dominance: one n x n comparison of each node's lowest and highest
+in-label rank, lo(v) and hi(v). The ranks take the smallest unsigned type
+that holds them, one byte on an alphabet of up to 254 symbols. A later level
+can mark (u, v) through label a only in H_a x L_a, the nodes with hi(u) = a
+by those with lo(v) = a. So the kernel keeps its matrices with rows ordered
+by hi and columns by lo, where each H_a x L_a is one rectangle, and a level
+computes one same-label step per label, on its rectangle alone: it ORs the
+frontier's rows, then its source columns, at the label's edge sources,
+grouped by row and by column node. A level costs O(n * e) byte operations
+plus the area of the rectangles. The axiom checker applies the same step to
+the complement of a relation, on the same rectangles in node ids, and looks
+for the first violating pair only in a label that has one. A graph whose
+dense matrices would not fit the address-space limit is refused before any of
+them is allocated.
 
 A ``Preorder`` certifies its transitivity without a matrix product: it names
 its classes by equal rows, all rows at once, and checks that the relation is
@@ -45,12 +49,12 @@ from .graph import AT, HASH, LabeledGraph
 # Relations are dense n*n matrices; past this the representation is the wrong tool.
 _DENSE_NODE_CAP = 1 << 16
 
-# Peak heap of a build per node pair, in bytes. tracemalloc read 3.66 n^2 on
-# the seeded de Bruijn graph at n = 1,182 and 3.63 n^2 at n = 3,882 in
-# max_colex_relation (3.69 and 3.64 n^2 in the whole run_pipeline): the
-# kernel's n x n arrays plus its t x n label blocks. The certificate holds the
-# relation, its renumbered class order and row blocks of _BLOCK_CELLS cells,
-# about 2 n^2.
+# Peak heap of a build per node pair, in bytes. tracemalloc read 3.46 n^2 on
+# the seeded de Bruijn graph at n = 1,182 and 3.44 n^2 at n = 3,882 in
+# max_colex_relation (3.58 and 3.52 n^2 in the whole run_pipeline): the
+# kernel's marked pairs and two frontiers, plus one label's row step and its
+# transposed gather. The certificate holds the relation, its renumbered class
+# order and row blocks of _BLOCK_CELLS cells, about 2 n^2.
 _PEAK_BYTES_PER_PAIR = 4
 
 # Cells in one block of the certificate's temporaries (256 KiB of bools), so no
@@ -285,7 +289,8 @@ def _label_extremes(g: LabeledGraph, u_marked) -> tuple[np.ndarray, np.ndarray]:
     for v in marked:
         if not 0 <= v < g.n:
             raise ValueError(f"marked node {v} out of range")
-    lo, hi = _label_tables(g)[1:]
+    tables = _label_tables(g)
+    lo, hi = tables.lo, tables.hi
     if marked:
         at = g.alphabet.rank(AT)
         lo, hi = lo.copy(), hi.copy()
@@ -302,46 +307,86 @@ def _angle_violations(g: LabeledGraph, u_marked) -> np.ndarray:
     return bad
 
 
-class _LabelEdges(NamedTuple):
-    """One label's edges, grouped by target for the same-label step.
+class _LabelBlock(NamedTuple):
+    """One label a's rectangle H_a x L_a, with its edges grouped for the step.
 
-    ``targets`` lists the label's distinct targets by descending in-degree
-    (ties by id). Layer k holds the k-th smallest source of each target that
-    has more than k, in the same order, so every layer is a prefix of the
-    last; the layers sit one after another in ``sources``, ``widths[k]``
-    entries each. ``columns`` lists the distinct sources in ascending order,
-    and ``slots`` is ``sources`` with each source replaced by its index in
-    ``columns``. The four arrays are ``np.intp``.
+    H_a holds the nodes whose highest in-label is a, and L_a those whose
+    lowest is a. ``rows`` and ``cols`` are their ranges in the row and column
+    orders of ``_LabelTables``, where each lists its nodes by descending
+    a-in-degree (ties by id). Layer k of ``sources`` holds the row of the
+    k-th smallest a-source of each H_a node that has more than k, in the
+    block's row order, so every layer is a prefix of the last; the layers sit
+    one after another, ``widths[k]`` entries each. ``columns`` lists the
+    columns of the distinct a-sources of L_a in ascending order, and
+    ``slots``, layered over L_a in the same way (``col_widths``), holds each
+    source's index in ``columns``. The three arrays are ``np.intp``.
     """
 
     label: str
-    targets: np.ndarray
+    rows: slice
+    cols: slice
     sources: np.ndarray
     widths: tuple[int, ...]
     columns: np.ndarray
     slots: np.ndarray
+    col_widths: tuple[int, ...]
 
 
-def _label_tables(g: LabeledGraph) -> tuple[tuple[_LabelEdges, ...], np.ndarray, np.ndarray]:
-    """(each label's table, each node's lowest and highest in-label rank).
+class _LabelTables(NamedTuple):
+    """A graph's label blocks, in-label extremes and the kernel's node orders.
 
-    The tables are those of the labels with at least one edge, in alphabet
-    order. A node without in-edges has ``#`` as both extremes. One Python
-    pass over the edges groups each label's sources by target, and each table
-    is laid out from those lists with one ``np.array`` call per field: on the
-    small tables of an automaton, numpy's cost per call is most of the work.
-    Cached on the graph; the rank arrays are read-only, so the cache is
-    never written after it is built.
+    ``lo`` and ``hi`` are each node's lowest and highest in-label rank, ``#``
+    for a node without in-edges. Row i of the kernel's matrices is node
+    ``row_nodes[i]``: first the nodes without in-edges, by id, then H_a of
+    each label in alphabet order. The columns list L_a in the same way
+    (``col_nodes``). ``row_at`` and ``col_at`` are the inverse permutations.
+    """
+
+    blocks: tuple[_LabelBlock, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    row_nodes: np.ndarray
+    col_nodes: np.ndarray
+    row_at: np.ndarray
+    col_at: np.ndarray
+
+
+def _layers(nodes: list[int], by_target: dict[int, list[int]]) -> tuple[list[int], tuple[int, ...]]:
+    """The sources of ``nodes`` (by descending in-degree), layer by layer."""
+    per_node = list(map(by_target.__getitem__, nodes))
+    sources, widths = [], []
+    width = len(per_node)
+    for k in range(len(per_node[0])):  # layer k: the nodes with more than k sources
+        while len(per_node[width - 1]) <= k:
+            width -= 1
+        sources += [us[k] for us in per_node[:width]]
+        widths.append(width)
+    return sources, tuple(widths)
+
+
+def _label_tables(g: LabeledGraph) -> _LabelTables:
+    """The label blocks of the kernel and of the Axiom-2 check (see
+    ``_LabelTables``).
+
+    A label whose H_a or L_a is empty gets no block, and the blocks come in
+    alphabet order. One Python pass over the edges groups each label's
+    sources by target and sets the extremes, one more lays out each block's
+    sources, and numpy gathers turn them into rows and columns. When H_a and
+    L_a list the same nodes, as on a graph whose nodes are each entered by one
+    label, the column side reuses the row side's layers. Cached on the graph;
+    the extremes and node orders are read-only, and no caller writes the
+    blocks, so the cache is never written after it is built.
     """
     cached = getattr(g, "_label_tables", None)
     if cached is not None:
         return cached
+    n = g.n
     by_label = {a: defaultdict(list) for a in g.alphabet.symbols}
     for u, v, a in g.edges:
         by_label[a][v].append(u)
     no_label = g.alphabet.rank(HASH)
-    lo, hi = [no_label] * g.n, [no_label] * g.n
-    tables = []
+    lo, hi = [no_label] * n, [no_label] * n
+    ranked = []
     for a, by_target in by_label.items():
         if not by_target:
             continue
@@ -351,33 +396,48 @@ def _label_tables(g: LabeledGraph) -> tuple[tuple[_LabelEdges, ...], np.ndarray,
             if lo[v] == no_label:  # the labels come in ascending rank
                 lo[v] = rank
             hi[v] = rank
+        ranked.append((a, rank, by_target))
+    row_nodes = [v for v in range(n) if hi[v] == no_label]
+    col_nodes = row_nodes.copy()
+    spans = []
+    for a, rank, by_target in ranked:
         targets = sorted(by_target)
         targets.sort(key=lambda v: len(by_target[v]), reverse=True)  # stable: ties by id
-        per_target = list(map(by_target.__getitem__, targets))
-        sources, widths = [], []
-        width = len(per_target)
-        for k in range(len(per_target[0])):  # layer k: the targets with more than k sources
-            while len(per_target[width - 1]) <= k:
-                width -= 1
-            sources += [us[k] for us in per_target[:width]]
-            widths.append(width)
-        columns = sorted(set(sources))
-        slot = dict(zip(columns, range(len(columns))))
-        tables.append(_LabelEdges(a, np.array(targets, dtype=np.intp),
-                                  np.array(sources, dtype=np.intp), tuple(widths),
-                                  np.array(columns, dtype=np.intp),
-                                  np.array(list(map(slot.__getitem__, sources)), dtype=np.intp)))
+        heads = [v for v in targets if hi[v] == rank]
+        tails = [v for v in targets if lo[v] == rank]
+        rows = slice(len(row_nodes), len(row_nodes) + len(heads))
+        cols = slice(len(col_nodes), len(col_nodes) + len(tails))
+        row_nodes += heads
+        col_nodes += tails
+        if heads and tails:
+            spans.append((a, by_target, heads, tails, rows, cols))
+    row_nodes = np.array(row_nodes, dtype=np.intp)
+    col_nodes = np.array(col_nodes, dtype=np.intp)
+    row_at, col_at = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    row_at[row_nodes] = col_at[col_nodes] = np.arange(n)  # the inverse permutations
+    blocks = []
+    for a, by_target, heads, tails, rows, cols in spans:
+        sources, widths = _layers(heads, by_target)
+        tail_sources, col_widths = (sources, widths) if tails == heads else _layers(tails, by_target)
+        at = col_at[tail_sources]  # each source's column, layer by layer
+        seen = np.zeros(n, dtype=bool)
+        seen[at] = True
+        columns = np.flatnonzero(seen)
+        slots = np.cumsum(seen, dtype=np.intp)[at] - 1  # a column's index in ``columns``
+        blocks.append(_LabelBlock(a, rows, cols, row_at[sources], widths,
+                                  columns, slots, col_widths))
     rank_type = np.min_scalar_type(len(g.alphabet) + 1)  # the highest rank: one byte on DNA
-    lo, hi = np.array(lo, dtype=rank_type), np.array(hi, dtype=rank_type)
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    cached = (tuple(tables), lo, hi)
+    cached = _LabelTables(tuple(blocks), np.array(lo, dtype=rank_type),
+                          np.array(hi, dtype=rank_type), row_nodes, col_nodes, row_at, col_at)
+    for array in cached[1:]:
+        array.setflags(write=False)
     object.__setattr__(g, "_label_tables", cached)
     return cached
 
 
 def _or_by_target(x: np.ndarray, sources: np.ndarray, widths: tuple[int, ...]) -> np.ndarray:
-    """Row i is the OR of x's rows at the i-th target's entries of ``sources``."""
+    """Row i is the OR of x's rows at the i-th node's entries of the layered
+    ``sources`` (see ``_LabelBlock``)."""
     end = widths[0]
     out = x[sources[:end]]
     for width in widths[1:]:
@@ -386,20 +446,20 @@ def _or_by_target(x: np.ndarray, sources: np.ndarray, widths: tuple[int, ...]) -
     return out
 
 
-def _same_label_step(f: np.ndarray, le: _LabelEdges) -> np.ndarray:
-    """One same-label step of a pair set: ``A^T f A`` on the label's targets.
+def _same_label_step(f: np.ndarray, b: _LabelBlock) -> np.ndarray:
+    """One same-label step of a pair set on a label's block, ``A^T f A``.
 
-    Entry [i, j] is True when f[u, v] holds for some edges u -> targets[i] and
-    v -> targets[j]. The row step ORs f's rows at the edge sources per target
-    (t x n). The column step reads only the label's source columns of that:
-    it takes them as the rows of one transposed gather, then ORs those per
-    target the same way. Both cost O(n * e) byte operations, against the n^3
-    of a dense triple product, and no t x n block is transposed whole. The
-    t x t result is the transpose of a C-ordered array, the layout in which
-    scattering it into node columns (``block[:, targets] = step``) is fastest.
+    Entry [i, j] is True when f holds at (u, v) for some a-edges u -> x and
+    v -> y, with x the block's i-th row node and y its j-th column node. The
+    block's ``sources`` and ``columns`` index f: in the kernel's row and
+    column orders, or mapped to node ids. The row step ORs f's rows at the
+    edge sources per row node (|H_a| x n). The column step reads only the
+    block's source columns of that: it takes them as the rows of one
+    transposed gather, then ORs those per column node the same way. Both
+    cost O(n * e_a) byte operations on the label's e_a edges.
     """
-    rows = _or_by_target(f, le.sources, le.widths)
-    return _or_by_target(rows.T[le.columns], le.slots, le.widths).T
+    rows = _or_by_target(f, b.sources, b.widths)
+    return _or_by_target(rows.T[b.columns], b.slots, b.col_widths).T
 
 
 def _check_dense_size(n: int) -> None:
@@ -419,27 +479,43 @@ def _unrelated_pairs(g: LabeledGraph, u_marked) -> np.ndarray:
     """The pairs outside the maximum co-lex relation, and the diagonal.
 
     Marks the dominance-violating pairs, then level by level every pair one
-    same-label step from the pairs the last level marked. A label's step is
-    scattered into node columns of a t x n row block, which is then OR-ed into
-    the level by rows: one fancy axis at a time, which costs far less than an
-    ``np.ix_`` scatter on both. The diagonal is marked from the start, so one
-    comparison keeps each level to the pairs it newly marks.
+    same-label step from the pairs the last level marked. A pair (u, v) that
+    a level marks through label a lies in H_a x L_a: it was not marked at
+    level 0, so hi(u) <= lo(v) under the marked extremes, and as both nodes
+    are entered by a, a <= hi(u) <= lo(v) <= a under the unmarked ones, which
+    the marker only widens. So the kernel works in the row and column orders
+    of ``_LabelTables``, where each H_a x L_a is one rectangle, and a level
+    writes only those: the label's step, less the pairs already marked, into
+    its rectangle of the next frontier, which it then ORs into ``marked``.
+    Two frontier buffers take turns. Outside the blocks, one of them keeps
+    the seed, whose steps only reach pairs already marked. The diagonal is
+    marked from the start, so one comparison keeps each level to the pairs it
+    newly marks. At the end the rows, then the columns, are put back in node
+    order, into the two freed buffers.
     """
     n = g.n
-    labels = _label_tables(g)[0]
-    marked = _angle_violations(g, u_marked)
-    frontier = marked.copy()
-    np.fill_diagonal(marked, True)
-    while frontier.any():
-        new = np.zeros((n, n), dtype=bool)
-        for le in labels:
-            block = np.zeros((le.targets.size, n), dtype=bool)
-            block[:, le.targets] = _same_label_step(frontier, le)
-            new[le.targets] |= block
-        np.greater(new, marked, out=new)  # reached and not yet marked
-        marked |= new
-        frontier = new
-    return marked
+    tables = _label_tables(g)
+    lo, hi = _label_extremes(g, u_marked)
+    frontier = hi[tables.row_nodes, None] > lo[tables.col_nodes]
+    diagonal = tables.row_at, tables.col_at
+    frontier[diagonal] = False
+    marked = frontier.copy()
+    marked[diagonal] = True
+    following = np.zeros((n, n), dtype=bool)
+    new = True
+    while new:
+        new = False
+        for b in tables.blocks:
+            step = _same_label_step(frontier, b)
+            seen, fresh = marked[b.rows, b.cols], following[b.rows, b.cols]
+            np.greater(step, seen, out=fresh)  # reached and not yet marked
+            seen |= fresh
+            new = new or fresh.any()
+        frontier, following = following, frontier
+    # A permutation is never out of range, so "clip" changes no index; it lets
+    # np.take write to ``out`` without buffering a copy of it.
+    np.take(marked, tables.row_at, axis=0, out=frontier, mode="clip")
+    return np.take(frontier, tables.col_at, axis=1, out=following, mode="clip")
 
 
 def max_colex_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorder:
@@ -448,9 +524,9 @@ def max_colex_relation(g: LabeledGraph, u_marked: Iterable[int] = ()) -> Preorde
     A distinct pair (u, v) belongs exactly when no pair preceding it violates
     label-set dominance: mark the dominance-violating pairs of the pair graph,
     then everything reachable from them along same-label forward arcs; the
-    unmarked pairs plus the diagonal form the relation. Each level costs
-    O(n * e + n^2) byte operations on n nodes and e edges, however few pairs
-    it marks.
+    unmarked pairs plus the diagonal form the relation. After the n x n seed,
+    each level costs O(n * e) byte operations on n nodes and e edges, plus
+    the area of the label blocks H_a x L_a, the only pairs a level can mark.
     """
     _check_dense_size(g.n)
     bits = _unrelated_pairs(g, u_marked)
@@ -472,7 +548,13 @@ class AxiomViolation:
 
 def first_axiom_violation(g: LabeledGraph, r: Relation,
                           u_marked: Iterable[int] = ()) -> AxiomViolation | None:
-    """First violated co-lex axiom of a reflexive relation, or None if both hold."""
+    """First violated co-lex axiom of a reflexive relation, or None if both hold.
+
+    Axiom 1 is one n x n comparison. Once it holds, a related distinct pair
+    (u, v) of a-targets has hi(u) <= lo(v), so a = hi(u) = lo(v) as in the
+    kernel, and Axiom 2 is checked per label only on H_a x L_a, in node ids.
+    The first violation is the first label's, at its least pair (u, v).
+    """
     _check_dense_size(g.n)
     if r.n != g.n:
         raise ValueError("relation size does not match graph")
@@ -484,16 +566,22 @@ def first_axiom_violation(g: LabeledGraph, r: Relation,
     # Axiom 2, per label: a violation is a related distinct pair with
     # same-label in-neighbours (u', v') outside the relation.
     not_r = np.logical_not(r.bits, out=bad1)
-    for le in _label_tables(g)[0]:
-        targets = le.targets
-        bad2 = r.bits[targets][:, targets] & _same_label_step(not_r, le)
-        np.fill_diagonal(bad2, False)  # the targets are distinct
+    tables = _label_tables(g)
+    for b in tables.blocks:
+        heads, tails = tables.row_nodes[b.rows], tables.col_nodes[b.cols]
+        step = _same_label_step(not_r, b._replace(sources=tables.row_nodes[b.sources],
+                                                  columns=tables.col_nodes[b.columns]))
+        # A node with one in-label is in both H_a and L_a, and u = v is no
+        # pair: for the gather alone, the diagonal reads as unrelated.
+        np.fill_diagonal(not_r, True)
+        bad2 = step > not_r[heads][:, tails]
+        np.fill_diagonal(not_r, False)  # r is reflexive
         if not bad2.any():
             continue
         rows, cols = np.nonzero(bad2)
-        first = np.argmin(targets[rows] * g.n + targets[cols])  # the first pair by (u, v)
-        u, v = int(targets[rows[first]]), int(targets[cols[first]])
-        a = le.label
+        first = np.argmin(heads[rows] * g.n + tails[cols])  # the first pair by (u, v)
+        u, v = int(heads[rows[first]]), int(tails[cols[first]])
+        a = b.label
         in_adj = g.in_adjacency()
         for u1 in in_adj[u][a]:
             for v1 in in_adj[v][a]:

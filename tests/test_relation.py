@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 
 from colexgraph import (Alphabet, AxiomViolation, LabeledGraph, Preorder, Relation,
-                        dump_relation, first_axiom_violation, max_colex_relation, parse_nfa,
-                        trim_nfa)
+                        dump_relation, first_axiom_violation, max_colex_relation, parse_graph,
+                        parse_nfa, trim_nfa)
+from colexgraph.graph import HASH
 from colexgraph.oracle import (gfp_max_relation, identity_relation, is_antisymmetric,
                                is_colex_relation, is_transitive, lambda_sets,
                                min_colex_containing, parse_relation, preorder_width,
                                random_colex_relation, random_graph, refines,
                                relation_from_pairs, transitive_closure, union)
-from colexgraph.relation import (_DENSE_NODE_CAP, _angle_violations, _certify,
-                                 _label_extremes, _label_tables, _row_classes)
+from colexgraph.relation import (_DENSE_NODE_CAP, _PEAK_BYTES_PER_PAIR, _angle_violations,
+                                 _certify, _label_extremes, _label_tables, _row_classes,
+                                 _unrelated_pairs)
 from conftest import (SEED_ORDER_CORPUS, double_hub_graph, fan_graph, loop_branch_nfa,
                       small_graphs, two_cycle_graph)
 from helpers import (benchmark_workloads, expected_double_hub_relation, seeded_debruijn,
@@ -295,6 +297,17 @@ def first_axiom_two_by_loops(g, r):
     return None
 
 
+def several_label_graph(rng: random.Random, n: int, sigma: int) -> LabeledGraph:
+    """A random graph whose nodes are mostly entered by two or three of
+    ``sigma`` labels, each from one to three random sources."""
+    symbols = "abc"[:sigma]
+    edges = set()
+    for v in range(n):
+        for a in rng.sample(symbols, min(sigma, rng.choice((0, 1, 2, 2, 3, 3)))):
+            edges.update((rng.randrange(n), v, a) for _ in range(rng.randint(1, 3)))
+    return LabeledGraph(n, frozenset(edges), Alphabet(tuple(symbols)))
+
+
 class TestAxiomChecker:
     def test_identity_is_colex(self):
         for g in (fan_graph(), two_cycle_graph(), double_hub_graph(3)):
@@ -331,6 +344,26 @@ class TestAxiomChecker:
             np.fill_diagonal(bits, True)
             r = Relation(bits)
             assert first_axiom_violation(g, r) == first_axiom_two_by_loops(g, r)
+        # Nodes entered by two or three labels lie in one label's rows and
+        # another's columns, and a marked node widens its extremes. Every
+        # relation is dominance-ordered under the marked extremes, so Axiom 1
+        # holds and the first violation, if any, is the loops' Axiom 2 one.
+        found = clean = 0
+        for _ in range(150):
+            g = several_label_graph(rng, rng.randint(2, 12), rng.randint(2, 3))
+            marked = frozenset(rng.sample(range(g.n), rng.randint(0, 1)))
+            pre = max_colex_relation(g, marked)
+            free = ~_angle_violations(g, marked)
+            keep = np.random.default_rng(rng.randrange(1 << 30)).random((g.n, g.n)) < 0.5
+            extra = pre.bits.copy()  # one more dominance-ordered pair
+            extra[divmod(rng.choice(np.flatnonzero(free).tolist()), g.n)] = True
+            for bits in (keep & free | np.eye(g.n, dtype=bool), pre.bits, extra):
+                r = Relation(bits)
+                want = first_axiom_two_by_loops(g, r)
+                assert first_axiom_violation(g, r, marked) == want
+                found += want is not None
+                clean += want is None
+        assert found >= 90 and clean >= 250
 
 
 class TestLabelTables:
@@ -350,35 +383,56 @@ class TestLabelTables:
     def test_label_edges_built_once_per_graph(self):
         g = loop_branch_nfa().graph
         pre = max_colex_relation(g, {0})
-        table = _label_tables(g)[0]
+        table = _label_tables(g)
         assert first_axiom_violation(g, pre, {0}) is None
-        assert _label_tables(g)[0] is table
-        assert _label_tables(loop_branch_nfa().graph)[0] is not table
+        assert _label_tables(g) is table
+        assert _label_tables(loop_branch_nfa().graph) is not table
 
     @staticmethod
     def assert_tables_from_in_adjacency(g):
-        """Each label's table, laid out again from ``g.in_adjacency()``."""
+        """The label blocks and node orders, laid out again from
+        ``g.in_adjacency()`` and ``oracle.lambda_sets``."""
         in_adj = g.in_adjacency()
+        ranks = [sorted(g.alphabet.rank(s) for s in lam) for lam in lambda_sets(g)]
+        lo, hi = [r[0] for r in ranks], [r[-1] for r in ranks]
+        no_label = g.alphabet.rank(HASH)
+
+        def by_in_degree(a, nodes):
+            return sorted(nodes, key=lambda v: (-len(in_adj[v][a]), v))
+
+        def layers(a, nodes):
+            widths = [sum(len(in_adj[v][a]) > k for v in nodes)
+                      for k in range(len(in_adj[nodes[0]][a]))]
+            return [in_adj[v][a][k] for k, width in enumerate(widths)
+                    for v in nodes[:width]], tuple(widths)
+
+        row_nodes = [v for v in range(g.n) if hi[v] == no_label]
+        col_nodes = row_nodes.copy()
         want = []
         for a in g.alphabet.symbols:
-            by_target = {v: in_adj[v][a] for v in range(g.n) if a in in_adj[v]}
-            if not by_target:
-                continue
-            targets = sorted(by_target, key=lambda v: (-len(by_target[v]), v))
-            widths = [sum(len(by_target[v]) > k for v in targets)
-                      for k in range(len(by_target[targets[0]]))]
-            sources = [by_target[v][k] for k, width in enumerate(widths)
-                       for v in targets[:width]]
-            columns = sorted(set(sources))
-            want.append((a, targets, sources, tuple(widths), columns,
-                         [columns.index(s) for s in sources]))
-        got = _label_tables(g)[0]
-        assert [le.label for le in got] == [w[0] for w in want]
-        for le, w in zip(got, want):
-            assert le.widths == w[3]
-            for field, expected in zip((le.targets, le.sources, le.columns, le.slots),
-                                       w[1:3] + w[4:]):
-                assert field.dtype == np.intp and field.tolist() == expected
+            rank = g.alphabet.rank(a)
+            heads = by_in_degree(a, [v for v in range(g.n) if hi[v] == rank])
+            tails = by_in_degree(a, [v for v in range(g.n) if lo[v] == rank])
+            rows = slice(len(row_nodes), len(row_nodes) + len(heads))
+            cols = slice(len(col_nodes), len(col_nodes) + len(tails))
+            row_nodes += heads
+            col_nodes += tails
+            if heads and tails:
+                want.append((a, rows, cols, layers(a, heads), layers(a, tails)))
+
+        t = _label_tables(g)
+        assert t.row_nodes.tolist() == row_nodes and t.col_nodes.tolist() == col_nodes
+        for nodes, at in ((t.row_nodes, t.row_at), (t.col_nodes, t.col_at)):
+            assert nodes.dtype == at.dtype == np.intp and not at.flags.writeable
+            assert nodes[at].tolist() == list(range(g.n))
+        assert [b.label for b in t.blocks] == [w[0] for w in want]
+        for b, (_, rows, cols, (sources, widths), (tail_sources, col_widths)) in zip(t.blocks, want):
+            assert (b.rows, b.cols, b.widths, b.col_widths) == (rows, cols, widths, col_widths)
+            assert all(x.dtype == np.intp for x in (b.sources, b.columns, b.slots))
+            assert t.row_nodes[b.sources].tolist() == sources
+            columns = sorted({col_nodes.index(v) for v in tail_sources})
+            assert b.columns.tolist() == columns
+            assert [columns[i] for i in b.slots] == [col_nodes.index(v) for v in tail_sources]
 
     def test_tables_match_the_in_adjacency_on_the_corpus(self, graph_corpus):
         for g in graph_corpus:
@@ -483,16 +537,16 @@ class TestMaxRelation:
             assert max_colex_relation(g, marked) == gfp_max_relation(g, marked)
 
     def test_kernel_equals_greatest_fixpoint_where_labels_share_targets(self, rng):
-        # A node entered by two labels lies in both labels' blocks, so both
-        # OR into its row of a level; three same-label sources make three layers.
+        # A node entered by two labels is a row of its highest label's block
+        # and a column of its lowest's; three same-label sources make three layers.
         checked = strict = 0
         while checked < 30:
             g = random_graph(rng, rng.randint(6, 30), rng.randint(2, 3), rng.uniform(0.03, 0.12))
             in_labels = [set() for _ in range(g.n)]
             for _, v, a in g.edges:
                 in_labels[v].add(a)
-            if (max(map(len, in_labels)) < 2
-                    or max(len(le.widths) for le in _label_tables(g)[0]) < 3):
+            layers = [len(w) for b in _label_tables(g).blocks for w in (b.widths, b.col_widths)]
+            if max(map(len, in_labels)) < 2 or max(layers, default=0) < 3:
                 continue
             for marked in (frozenset(), frozenset({rng.randrange(g.n)})):
                 pre = max_colex_relation(g, marked)
@@ -500,6 +554,51 @@ class TestMaxRelation:
                 strict += len(pre.strict_pairs())
             checked += 1
         assert strict >= 500
+
+    def test_levels_mark_only_inside_the_label_blocks(self, graph_corpus, monkeypatch):
+        # A pair that a level marks through label a has hi(u) = lo(v) = a in
+        # the unmarked extremes. So outside every H_a x L_a the kernel's
+        # pairs are the dominance seed, under the marked extremes, and the
+        # diagonal. Extremes, seed and blocks come from oracle.lambda_sets.
+        def extremes(g, marked):
+            ranks = [[g.alphabet.rank(s) for s in lam] for lam in lambda_sets(g, marked)]
+            return np.array([min(r) for r in ranks]), np.array([max(r) for r in ranks])
+
+        def check(g, marked):
+            lo, hi = extremes(g, ())
+            inside = (hi[:, None] == lo) & (hi[:, None] != g.alphabet.rank(HASH))
+            lo_m, hi_m = extremes(g, marked)
+            seed = (hi_m[:, None] > lo_m) | np.eye(g.n, dtype=bool)
+            got = _unrelated_pairs(g, marked)
+            assert np.array_equal(got[~inside], seed[~inside])
+            return not np.array_equal(got, seed)
+
+        inputs = [(g, marked) for g in graph_corpus for marked in ((), (0,))]
+        workloads = benchmark_workloads(monkeypatch)
+        for seed in (1, 2, 3):
+            for unit in workloads.nfa_corpus(seed).units + workloads.wheeler_dna(seed).units:
+                if unit.nfa:
+                    automaton = trim_nfa(parse_nfa(unit.text))[0]
+                    inputs.append((automaton.graph, (automaton.initial,)))
+                else:
+                    inputs.append((parse_graph(unit.text), ()))
+        assert len(inputs) == 2000 + 3 * 201
+        deeper = sum(check(g, marked) for g, marked in inputs)
+        assert deeper >= 1000  # graphs whose levels marked pairs beyond the seed
+
+    def test_kernel_peak_is_under_the_dense_size_bound(self):
+        # _check_dense_size refuses a graph by this bound, so the kernel must
+        # stay under it: the marked pairs, two frontiers and one label's row
+        # step at a time, about 3.5 n^2.
+        g = seeded_debruijn(1, 1400, 6)[1]
+        assert g.n == 1182
+        tracemalloc.start()
+        try:
+            max_colex_relation(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= _PEAK_BYTES_PER_PAIR * g.n ** 2
 
     def test_oversized_graph_is_rejected_before_allocating(self):
         g = LabeledGraph(_DENSE_NODE_CAP + 1, frozenset({(0, 1, "a")}), Alphabet(("a",)))
